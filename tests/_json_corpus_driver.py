@@ -1,7 +1,10 @@
 """Runs every fixture through every applicable command with --json and
 streams the concatenated payloads; the determinism check compares two
-full runs of this script byte for byte."""
+full runs of this script byte for byte, and the golden check compares a
+run with ``golden/json_corpus.txt``.  Fixture paths are given relative
+to ``fixtures/`` so the output does not depend on the checkout."""
 
+import os
 import sys
 from pathlib import Path
 
@@ -11,20 +14,21 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def main():
+    os.chdir(FIXTURES)
     jobs = []
     for p in sorted(FIXTURES.iterdir()):
         kind = p.suffix[1:]
-        jobs.append(["check", str(p)])
+        jobs.append(["check", p.name])
         if kind == "algebra" and not p.name.startswith("bad_"):
-            jobs.append(["hl", str(p), "2"])
+            jobs.append(["hl", p.name, "2"])
         if kind == "xmod":
-            jobs.append(["multiplier", str(p)])
-            jobs.append(["exterior", str(p)])
+            jobs.append(["multiplier", p.name])
+            jobs.append(["exterior", p.name])
         if kind == "extension":
-            jobs.append(["classify-extension", str(p)])
-            jobs.append(["verify-sequence", str(p)])
-    jobs.append(["stemcover", str(FIXTURES / "sl2_id.xmod")])
-    jobs.append(["liezation", str(FIXTURES / "n2_id.xmod")])
+            jobs.append(["classify-extension", p.name])
+            jobs.append(["verify-sequence", p.name])
+    jobs.append(["stemcover", "sl2_id.xmod"])
+    jobs.append(["liezation", "n2_id.xmod"])
     for argv in jobs:
         sys.stdout.write(f"$ leibxmod {' '.join(argv)} --json\n")
         code = cli.main(argv + ["--json"])

@@ -205,3 +205,13 @@ def test_criterion_8_deterministic_json_corpus():
             runs.append(proc.stdout)
         assert runs[0] == runs[1]
         assert len(runs[0]) > 0
+
+
+def test_json_corpus_matches_golden():
+    # criterion 8 compares two runs of the same code; this pins the output
+    # itself, so a refactor that changes any --json payload is caught
+    here = Path(__file__).resolve().parent
+    proc = subprocess.run([sys.executable, str(here / "_json_corpus_driver.py")],
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()[:500]
+    assert proc.stdout == (here / "golden" / "json_corpus.txt").read_bytes()

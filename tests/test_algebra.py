@@ -46,6 +46,7 @@ def test_check_leibniz_bad_dim1():
     assert rep.violations[0][0] == "(e,e,e)"
     # residual of [e,[e,e]] - [[e,e],e] + [[e,e],e] is e - e + e = +e
     assert rep.violations[0][1] == (Fraction(1),)
+    assert rep.violations == (("(e,e,e)", (Fraction(1),)),)
 
 
 def test_check_leibniz_standard_fixtures():
@@ -103,6 +104,30 @@ def test_broken_action_reported():
     rep = check_action(broken)
     assert not rep.valid
     assert any(label.startswith("axiom1") for label, _ in rep.violations)
+    # the full report, in order: axioms 1 and 5 interleaved over (m, m', n),
+    # then axiom 6 over (n, m, n'); axioms 2-4 hold with a zero right table
+    expected = [
+        ("axiom1 (e,e,f)", (2, 0, 0)), ("axiom5 (e,e,f)", (-2, 0, 0)),
+        ("axiom5 (e,f,e)", (2, 0, 0)), ("axiom1 (e,f,f)", (0, -2, 0)),
+        ("axiom1 (e,f,h)", (0, 0, -2)), ("axiom5 (e,f,h)", (0, 0, 2)),
+        ("axiom5 (e,h,f)", (0, 0, -2)), ("axiom1 (e,h,h)", (4, 0, 0)),
+        ("axiom1 (f,e,e)", (-2, 0, 0)), ("axiom5 (f,e,f)", (0, 2, 0)),
+        ("axiom1 (f,e,h)", (0, 0, -2)), ("axiom5 (f,e,h)", (0, 0, 2)),
+        ("axiom1 (f,f,e)", (0, 2, 0)), ("axiom5 (f,f,e)", (0, -2, 0)),
+        ("axiom5 (f,h,e)", (0, 0, -2)), ("axiom1 (f,h,h)", (0, 4, 0)),
+        ("axiom1 (h,e,f)", (0, 0, 2)), ("axiom5 (h,e,h)", (-4, 0, 0)),
+        ("axiom1 (h,f,e)", (0, 0, 2)), ("axiom5 (h,f,h)", (0, -4, 0)),
+        ("axiom1 (h,h,e)", (-4, 0, 0)), ("axiom5 (h,h,e)", (4, 0, 0)),
+        ("axiom1 (h,h,f)", (0, -4, 0)), ("axiom5 (h,h,f)", (0, 4, 0)),
+        ("axiom6 (e,e,f)", (-2, 0, 0)), ("axiom6 (f,e,f)", (0, 2, 0)),
+        ("axiom6 (f,e,h)", (0, 0, 2)), ("axiom6 (h,e,h)", (-4, 0, 0)),
+        ("axiom6 (e,f,e)", (2, 0, 0)), ("axiom6 (e,f,h)", (0, 0, 2)),
+        ("axiom6 (f,f,e)", (0, -2, 0)), ("axiom6 (h,f,h)", (0, -4, 0)),
+        ("axiom6 (e,h,f)", (0, 0, -2)), ("axiom6 (f,h,e)", (0, 0, -2)),
+        ("axiom6 (h,h,e)", (4, 0, 0)), ("axiom6 (h,h,f)", (0, 4, 0)),
+    ]
+    assert rep.violations == tuple(
+        (label, tuple(Fraction(x) for x in r)) for label, r in expected)
 
 
 def test_span_brackets():

@@ -87,6 +87,11 @@ def test_zero_action_breaks_peiffer_on_n2():
     rep = check_xmod(xm)
     assert not rep.valid
     assert any(lbl.startswith("peiffer-left (e1,e1)") for lbl, _ in rep.violations)
+    minus_e2 = (QQ(0), QQ(-1))
+    assert rep.violations == (("equivariance-left (e1,e1)", minus_e2),
+                              ("equivariance-right (e1,e1)", minus_e2),
+                              ("peiffer-left (e1,e1)", minus_e2),
+                              ("peiffer-right (e1,e1)", minus_e2))
 
 
 def test_delta_shape_mismatch_rejected():
