@@ -15,18 +15,18 @@ violating triple and its residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .ratlin import (
     RatMatrix,
     Subspace,
+    contract,
     kernel,
     quotient,
     rat,
+    unit_vec,
     vec,
     vec_is_zero,
-    vec_accum,
     zero_vec,
 )
 
@@ -82,44 +82,27 @@ class LeibnizAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear extension of the structure constants."""
-        acc = [Fraction(0)] * self.dim
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            ci = self.c[i]
-            for j, b in enumerate(y):
-                if b != 0:
-                    vec_accum(acc, a * b, ci[j])
-        return tuple(acc)
+        return contract(self.c, x, y, self.dim)
 
     def full_subspace(self) -> Subspace:
         return Subspace.full(self.dim)
-
-    def zero_subspace(self) -> Subspace:
-        return Subspace.zero(self.dim)
 
 
 def check_leibniz(a: LeibnizAlgebra) -> ValidityReport:
     """Leibniz identity residuals on all basis triples."""
     bad = []
     names = a.basis_names
+    e = [unit_vec(a.dim, i) for i in range(a.dim)]
     for i in range(a.dim):
-        ei = tuple(Fraction(1 if t == i else 0) for t in range(a.dim))
         for j in range(a.dim):
             for k in range(a.dim):
-                r = a.bracket(ei, a.c[j][k])
-                r = tuple(
-                    x - y + z
-                    for x, y, z in zip(r, a.bracket(a.c[i][j], _unit(a.dim, k)),
-                                       a.bracket(a.c[i][k], _unit(a.dim, j))))
                 # residual of [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]
+                r = tuple(x - y + z for x, y, z in zip(a.bracket(e[i], a.c[j][k]),
+                                                       a.bracket(a.c[i][j], e[k]),
+                                                       a.bracket(a.c[i][k], e[j])))
                 if not vec_is_zero(r):
                     bad.append((f"({names[i]},{names[j]},{names[k]})", r))
     return _report(f"leibniz identity on {a.name}", bad)
-
-
-def _unit(n, i):
-    return tuple(Fraction(1 if t == i else 0) for t in range(n))
 
 
 def is_lie(a: LeibnizAlgebra) -> bool:
@@ -165,27 +148,11 @@ class LeibnizAction:
 
     def act_left(self, mvec: Sequence, nvec: Sequence) -> tuple:
         """^x y for x in the actor, y in the acted algebra."""
-        acc = [Fraction(0)] * self.acted.dim
-        for i, a in enumerate(mvec):
-            if a == 0:
-                continue
-            li = self.left[i]
-            for j, b in enumerate(nvec):
-                if b != 0:
-                    vec_accum(acc, a * b, li[j])
-        return tuple(acc)
+        return contract(self.left, mvec, nvec, self.acted.dim)
 
     def act_right(self, nvec: Sequence, mvec: Sequence) -> tuple:
         """y^x for y in the acted algebra, x in the actor."""
-        acc = [Fraction(0)] * self.acted.dim
-        for j, b in enumerate(nvec):
-            if b == 0:
-                continue
-            rj = self.right[j]
-            for i, a in enumerate(mvec):
-                if a != 0:
-                    vec_accum(acc, b * a, rj[i])
-        return tuple(acc)
+        return contract(self.right, nvec, mvec, self.acted.dim)
 
 
 def check_action(act: LeibnizAction) -> ValidityReport:
@@ -204,82 +171,52 @@ def check_action(act: LeibnizAction) -> ValidityReport:
     m, n = act.actor, act.acted
     L, R = act.left, act.right
     cm, cn = m.c, n.c
-    dm, dn = m.dim, n.dim
+    left, right, br = act.act_left, act.act_right, n.bracket
+    em = [unit_vec(m.dim, i) for i in range(m.dim)]
+    en = [unit_vec(n.dim, j) for j in range(n.dim)]
+    mb, nb = m.basis_names, n.basis_names
     bad = []
 
-    def comb(table_rows, coeffs):
-        acc = [Fraction(0)] * dn
-        for k, ck in enumerate(coeffs):
-            if ck != 0:
-                vec_accum(acc, ck, table_rows[k])
-        return acc
+    def flag(axiom, r, *names):
+        if not vec_is_zero(r):
+            bad.append((f"axiom{axiom} ({','.join(names)})", r))
 
-    for i in range(dm):
-        for i2 in range(dm):
-            for j in range(dn):
-                # axiom 1 over (m_i, m_i2, n_j)
-                t1 = comb([L[k][j] for k in range(dm)], cm[i][i2])
-                t2 = comb([L[i][k] for k in range(dn)], L[i2][j])
-                t3 = comb([R[k][i2] for k in range(dn)], L[i][j])
-                r = tuple(x - y - z for x, y, z in zip(t1, t2, t3))
-                if not vec_is_zero(r):
-                    bad.append((f"axiom1 ({m.basis_names[i]},{m.basis_names[i2]},"
-                                f"{n.basis_names[j]})", r))
-                # axiom 5 over (m_i, m_i2, n_j)
-                t1 = comb([L[i][k] for k in range(dn)], L[i2][j])
-                t2 = comb([L[i][k] for k in range(dn)], R[j][i2])
-                r = tuple(x + y for x, y in zip(t1, t2))
-                if not vec_is_zero(r):
-                    bad.append((f"axiom5 ({m.basis_names[i]},{m.basis_names[i2]},"
-                                f"{n.basis_names[j]})", r))
+    for i in range(m.dim):
+        for i2 in range(m.dim):
+            for j in range(n.dim):
+                inner = left(em[i], L[i2][j])  # ^m(^{m'}n)
+                # 1. ^{[m,m']}n = ^m(^{m'}n) + (^m n)^{m'}
+                flag(1, tuple(x - y - z for x, y, z in zip(
+                    left(cm[i][i2], en[j]), inner, right(L[i][j], em[i2]))),
+                    mb[i], mb[i2], nb[j])
+                # 5. ^m(^{m'}n) = -^m(n^{m'})
+                flag(5, tuple(x + y for x, y in zip(inner, left(em[i], R[j][i2]))),
+                     mb[i], mb[i2], nb[j])
 
-    for j in range(dn):
-        for i in range(dm):
-            for i2 in range(dm):
-                # axiom 3 over (n_j, m_i, m_i2)
-                t1 = comb([R[j][k] for k in range(dm)], cm[i][i2])
-                t2 = comb([R[k][i2] for k in range(dn)], R[j][i])
-                t3 = comb([R[k][i] for k in range(dn)], R[j][i2])
-                r = tuple(x - y + z for x, y, z in zip(t1, t2, t3))
-                if not vec_is_zero(r):
-                    bad.append((f"axiom3 ({n.basis_names[j]},{m.basis_names[i]},"
-                                f"{m.basis_names[i2]})", r))
+    for j in range(n.dim):
+        for i in range(m.dim):
+            for i2 in range(m.dim):
+                # 3. n^{[m,m']} = (n^m)^{m'} - (n^{m'})^m
+                flag(3, tuple(x - y + z for x, y, z in zip(
+                    right(en[j], cm[i][i2]), right(R[j][i], em[i2]),
+                    right(R[j][i2], em[i]))),
+                    nb[j], mb[i], mb[i2])
 
-    for i in range(dm):
-        for j in range(dn):
-            for j2 in range(dn):
-                # axiom 2 over (m_i, n_j, n_j2)
-                t1 = comb([L[i][k] for k in range(dn)], cn[j][j2])
-                t2 = comb([cn[k][j2] for k in range(dn)], L[i][j])
-                t3 = comb([cn[k][j] for k in range(dn)], L[i][j2])
-                r = tuple(x - y + z for x, y, z in zip(t1, t2, t3))
-                if not vec_is_zero(r):
-                    bad.append((f"axiom2 ({m.basis_names[i]},{n.basis_names[j]},"
-                                f"{n.basis_names[j2]})", r))
-                # axiom 4 over (n_j, n_j2, m_i)
-                t1 = comb([R[k][i] for k in range(dn)], cn[j][j2])
-                t2 = comb([cn[k][j2] for k in range(dn)], R[j][i])
-                t3 = [Fraction(0)] * dn
-                for k, ck in enumerate(R[j2][i]):
-                    if ck != 0:
-                        vec_accum(t3, ck, cn[j][k])
-                r = tuple(x - y - z for x, y, z in zip(t1, t2, t3))
-                if not vec_is_zero(r):
-                    bad.append((f"axiom4 ({n.basis_names[j]},{n.basis_names[j2]},"
-                                f"{m.basis_names[i]})", r))
-                # axiom 6 over (n_j, m_i, n_j2)
-                t1 = [Fraction(0)] * dn
-                for k, ck in enumerate(L[i][j2]):
-                    if ck != 0:
-                        vec_accum(t1, ck, cn[j][k])
-                t2 = [Fraction(0)] * dn
-                for k, ck in enumerate(R[j2][i]):
-                    if ck != 0:
-                        vec_accum(t2, ck, cn[j][k])
-                r = tuple(x + y for x, y in zip(t1, t2))
-                if not vec_is_zero(r):
-                    bad.append((f"axiom6 ({n.basis_names[j]},{m.basis_names[i]},"
-                                f"{n.basis_names[j2]})", r))
+    for i in range(m.dim):
+        for j in range(n.dim):
+            for j2 in range(n.dim):
+                # 2. ^m [n,n'] = [^m n, n'] - [^m n', n]
+                flag(2, tuple(x - y + z for x, y, z in zip(
+                    left(em[i], cn[j][j2]), br(L[i][j], en[j2]), br(L[i][j2], en[j]))),
+                    mb[i], nb[j], nb[j2])
+                outer = br(en[j], R[j2][i])  # [n, n'^m]
+                # 4. [n,n']^m = [n^m, n'] + [n, n'^m]
+                flag(4, tuple(x - y - z for x, y, z in zip(
+                    right(cn[j][j2], em[i]), br(R[j][i], en[j2]), outer)),
+                    nb[j], nb[j2], mb[i])
+                # 6. [n, ^m n'] = -[n, n'^m]
+                flag(6, tuple(x + y for x, y in zip(br(en[j], L[i][j2]), outer)),
+                     nb[j], mb[i], nb[j2])
 
     return _report(f"action of {m.name} on {n.name}", bad)
 

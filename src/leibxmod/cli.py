@@ -36,7 +36,8 @@ Exit codes: 0 the input was read and found valid (or the computation
 succeeded), 1 the input was read but is invalid or fails a precondition
 (not central, not perfect, degree out of range), 2 the input could not
 be turned into a domain object at all (missing file, malformed JSON,
-zero denominator, unknown basis name, unresolvable reference).
+a key repeated within one JSON object, zero denominator, unknown basis
+name, unresolvable reference).
 """
 
 import argparse
@@ -251,6 +252,19 @@ def _subobject(ref, kind, ctx, where):
     return _parse_doc(ref, kind, ctx, where)
 
 
+def _unique_keys(where):
+    """object_pairs_hook for json.loads that refuses a repeated key, which
+    the default hook would silently resolve to its last value."""
+    def hook(pairs):
+        doc = {}
+        for k, v in pairs:
+            if k in doc:
+                raise FixtureError(f"{where}: duplicate key {k!r}")
+            doc[k] = v
+        return doc
+    return hook
+
+
 def load_fixture(path, expect=None, active=frozenset()):
     """Parse one fixture file (and whatever it references) to a domain object."""
     path = Path(path)
@@ -262,7 +276,7 @@ def load_fixture(path, expect=None, active=frozenset()):
     except OSError as ex:
         raise FixtureError(f"cannot read {path}: {ex}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys(path.name))
     except ValueError as ex:
         raise FixtureError(f"{path.name}: not a JSON document ({ex})") from None
     ctx = _Ctx(path.parent, active | {resolved})
@@ -361,12 +375,15 @@ def _dense(m):
 
 # -- commands ---------------------------------------------------------------------
 
-def _write(args, text, doc):
-    payload = emit(doc) if args.json else text
+def _output(args, payload):
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
+
+
+def _write(args, text, doc):
+    _output(args, emit(doc) if args.json else text)
 
 
 def _mark(b):
@@ -523,11 +540,7 @@ def cmd_stemcover(args):
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
-    payload = emit(xmod_doc(e.total))
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+    _output(args, emit(xmod_doc(e.total)))
     return 0
 
 
@@ -538,11 +551,7 @@ def cmd_liezation(args):
         print(f"error: {rep.summary()}", file=sys.stderr)
         return 1
     lz, _ = liezation(xm)
-    payload = emit(xmod_doc(lz))
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+    _output(args, emit(xmod_doc(lz)))
     return 0
 
 

@@ -17,8 +17,6 @@ from typing import Iterable, Sequence
 
 QQ = Fraction
 
-Vector = "tuple[Fraction, ...]"
-
 
 def rat(x) -> Fraction:
     """Coerce an int, a string like ``"p/q"`` or a Fraction to a Fraction."""
@@ -43,20 +41,12 @@ def unit_vec(n: int, i: int) -> tuple:
     return tuple(Fraction(1 if k == i else 0) for k in range(n))
 
 
-def vec_add(u: tuple, v: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: tuple, v: tuple) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c: Fraction, v: tuple) -> tuple:
-    return tuple(c * a for a in v)
-
-
 def vec_is_zero(v: tuple) -> bool:
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 def vec_accum(acc: list, c: Fraction, v: Sequence) -> None:
@@ -66,6 +56,23 @@ def vec_accum(acc: list, c: Fraction, v: Sequence) -> None:
     for k, a in enumerate(v):
         if a != 0:
             acc[k] += c * a
+
+
+def contract(table, x: Sequence, y: Sequence, dim: int) -> tuple:
+    """The bilinear map with values table[i][j] on basis pairs, at (x, y):
+    the sum over i, j of x_i * y_j * table[i][j], skipping zeros."""
+    acc = [Fraction(0)] * dim
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        ti = table[i]
+        for j, b in ys:
+            c = a * b
+            for k, t in enumerate(ti[j]):
+                if t:
+                    acc[k] += c * t
+    return tuple(acc)
 
 
 @dataclass(frozen=True)
@@ -142,11 +149,6 @@ class RatMatrix:
         return RatMatrix(self.cols, self.rows,
                          tuple(tuple(r[j] for r in self.entries) for j in range(self.cols)))
 
-    def vstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.cols:
-            raise ValueError("vstack column mismatch")
-        return RatMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def is_zero(self) -> bool:
         return all(vec_is_zero(r) for r in self.entries)
 
@@ -220,9 +222,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def basis_vectors(self) -> tuple:
-        return self.basis.entries
 
     def reduce(self, v: Sequence) -> tuple:
         """Residual of v after eliminating all pivot coordinates."""

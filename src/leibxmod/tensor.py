@@ -2,10 +2,11 @@
 
 The tensor product of two Leibniz algebras with mutual actions is
 modelled as a quotient of the linear span of the pure symbols
-m_a * n_b (block MN) and n_b * m_a (block NM).  Scalar and additivity
-rules are absorbed by linearity of the symbol space; the remaining
-defining relations become vectors spanning a relation subspace, and the
-bracket is given on symbols by one fixed representative per block pair,
+m_a * n_b (block 0) and n_b * m_a (block 1).  Swapping the factors
+maps one block onto the other, so every rule is written once per side
+and run on both.  Scalar and additivity rules are absorbed by linearity
+of the symbol space; the remaining defining relations become vectors
+spanning a relation subspace, and the bracket is given on symbols by one fixed representative per block pair,
 the other representative being congruent modulo the relations.
 Well-definedness of the bracket on the quotient is asserted, not
 assumed; so is the Leibniz identity of the result.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import (
     AlgebraHom,
@@ -35,12 +36,13 @@ from .ratlin import (
     QuotientMap,
     RatMatrix,
     Subspace,
+    contract,
     kernel,
     quotient,
     rank,
     unit_vec,
-    vec_accum,
     vec_is_zero,
+    vec_sub,
 )
 from .xmod import (
     CrossedModule,
@@ -87,179 +89,106 @@ class MutualActionPair:
                         for b in range(n.dim)) for a in range(m.dim)))
         return cls(m, n, m_on_n, n_on_m)
 
+    @property
+    def sides(self) -> tuple:
+        """Side s as (X, Y, X on Y, Y on X): side 0 is (m, n), side 1 is (n, m)."""
+        return ((self.m, self.n, self.m_on_n, self.n_on_m),
+                (self.n, self.m, self.n_on_m, self.m_on_n))
 
-# ambient layout: MN symbol m_a * n_b at a*dn + b, NM symbol n_b * m_a at
-# dm*dn + b*dm + a
+    @cached_property
+    def evaluations(self) -> tuple:
+        """ev[s][k]: ambient symbol k evaluated into the first factor X of
+        side s by the action of Y on X, x * y -> x^y and y * x -> ^y x."""
+        ev = []
+        for s, (X, Y, _, y_on_x) in enumerate(self.sides):
+            blocks = [None, None]
+            blocks[s] = [y_on_x.right[x][y] for x in range(X.dim) for y in range(Y.dim)]
+            blocks[1 - s] = [y_on_x.left[y][x] for y in range(Y.dim) for x in range(X.dim)]
+            ev.append(tuple(blocks[0] + blocks[1]))
+        return tuple(ev)
 
-def _sym_mn(dm: int, dn: int, u, v) -> tuple:
+
+# ambient layout: two mirrored blocks.  Side 0 is (X, Y) = (m, n) and side
+# 1 is (n, m); block s holds the symbols x * y of side s, at
+# off_s + x * dim Y + y, where off_0 = 0 and off_1 = dim m * dim n.
+
+def _index(dm: int, dn: int, s: int, x: int, y: int) -> int:
+    return s * dm * dn + x * (dn, dm)[s] + y
+
+
+def _legs(dm: int, dn: int, k: int) -> tuple:
+    """Decode ambient index k to (block, x, y)."""
+    s, r = divmod(k, dm * dn)
+    return (s,) + divmod(r, (dn, dm)[s])
+
+
+def _sym(dm: int, dn: int, *terms) -> tuple:
+    """Ambient vector of the sum of c * (u * v) over terms (c, s, u, v),
+    the symbol u * v taken in block s and extended bilinearly."""
     acc = [Fraction(0)] * (2 * dm * dn)
-    for p, up in enumerate(u):
-        if up == 0:
-            continue
-        for q, vq in enumerate(v):
-            if vq != 0:
-                acc[p * dn + q] += up * vq
+    for c, s, u, v in terms:
+        for x, ux in enumerate(u):
+            if not ux:
+                continue
+            w, base = c * ux, _index(dm, dn, s, x, 0)
+            for y, vy in enumerate(v):
+                if vy:
+                    acc[base + y] += w * vy
     return tuple(acc)
-
-
-def _sym_nm(dm: int, dn: int, w, z) -> tuple:
-    off = dm * dn
-    acc = [Fraction(0)] * (2 * off)
-    for q, wq in enumerate(w):
-        if wq == 0:
-            continue
-        for p, zp in enumerate(z):
-            if zp != 0:
-                acc[off + q * dm + p] += wq * zp
-    return tuple(acc)
-
-
-def _legs(dm: int, dn: int, s: int):
-    """Decode ambient index s to ('mn', a, b) or ('nm', b, a)."""
-    if s < dm * dn:
-        return ("mn",) + divmod(s, dn)
-    b, a = divmod(s - dm * dn, dm)
-    return ("nm", b, a)
 
 
 def _primary_entry(pair: MutualActionPair, i: int, j: int) -> tuple:
-    """The chosen bracket representative: lands in the left factor's block."""
-    mo, no = pair.m_on_n, pair.n_on_m
+    """The chosen bracket representative: lands in the block of symbol i."""
     dm, dn = pair.m.dim, pair.n.dim
-    li, lj = _legs(dm, dn, i), _legs(dm, dn, j)
-    if li[0] == "mn":
-        a, b = li[1], li[2]
-        u = no.right[a][b]                       # m_a ^ {n_b} in m
-        v = mo.left[lj[1]][lj[2]] if lj[0] == "mn" else mo.right[lj[1]][lj[2]]
-        return _sym_mn(dm, dn, u, v)
-    b, a = li[1], li[2]
-    w = mo.right[b][a]                           # n_b ^ {m_a} in n
-    z = no.left[lj[1]][lj[2]] if lj[0] == "nm" else no.right[lj[1]][lj[2]]
-    return _sym_nm(dm, dn, w, z)
+    s, ev = _legs(dm, dn, i)[0], pair.evaluations
+    return _sym(dm, dn, (1, s, ev[s][i], ev[1 - s][j]))
 
 
 def _alt_entry(pair: MutualActionPair, i: int, j: int) -> tuple:
     """The other representative, congruent to the primary one modulo the
     relation subspace (their differences are relation rows)."""
-    mo, no = pair.m_on_n, pair.n_on_m
     dm, dn = pair.m.dim, pair.n.dim
-    li, lj = _legs(dm, dn, i), _legs(dm, dn, j)
-    if li[0] == "mn":
-        a, b = li[1], li[2]
-        w = mo.left[a][b]                        # ^{m_a} n_b in n
-        z = no.right[lj[1]][lj[2]] if lj[0] == "mn" else no.left[lj[1]][lj[2]]
-        return _sym_nm(dm, dn, w, z)
-    b, a = li[1], li[2]
-    u = no.left[b][a]                            # ^{n_b} m_a in m
-    v = mo.right[lj[1]][lj[2]] if lj[0] == "nm" else mo.left[lj[1]][lj[2]]
-    return _sym_mn(dm, dn, u, v)
+    s, ev = _legs(dm, dn, i)[0], pair.evaluations
+    return _sym(dm, dn, (1, 1 - s, ev[1 - s][i], ev[s][j]))
 
 
-def _defining_rows(pair: MutualActionPair) -> list:
+def _defining_rows(pair: MutualActionPair, table) -> list:
     """Relation vectors: a bracketed leg rewrites through the actions, the
     two one-sided actions agree up to sign in the second slot, and the two
-    representatives of every symbol bracket coincide."""
-    m, n = pair.m, pair.n
-    mo, no = pair.m_on_n, pair.n_on_m
-    dm, dn = m.dim, n.dim
-    off = dm * dn
-    amb = 2 * off
+    representatives of every symbol bracket coincide.  table holds the
+    primary representatives."""
+    dm, dn = pair.m.dim, pair.n.dim
+    amb = 2 * dm * dn
     rows = []
 
-    def add(acc):
-        if not vec_is_zero(acc):
-            rows.append(tuple(acc))
+    def add(v):
+        if not vec_is_zero(v):
+            rows.append(v)
 
-    # m_a * [n_b, n_c] = m_a^{n_b} * n_c - m_a^{n_c} * n_b
-    for a in range(dm):
-        for b in range(dn):
-            for c in range(dn):
-                acc = [Fraction(0)] * amb
-                for k, x in enumerate(n.c[b][c]):
-                    if x:
-                        acc[a * dn + k] += x
-                for p, x in enumerate(no.right[a][b]):
-                    if x:
-                        acc[p * dn + c] -= x
-                for p, x in enumerate(no.right[a][c]):
-                    if x:
-                        acc[p * dn + b] += x
-                add(acc)
-    # n_b * [m_a, m_a2] = n_b^{m_a} * m_a2 - n_b^{m_a2} * m_a
-    for b in range(dn):
-        for a in range(dm):
-            for a2 in range(dm):
-                acc = [Fraction(0)] * amb
-                for k, x in enumerate(m.c[a][a2]):
-                    if x:
-                        acc[off + b * dm + k] += x
-                for q, x in enumerate(mo.right[b][a]):
-                    if x:
-                        acc[off + q * dm + a2] -= x
-                for q, x in enumerate(mo.right[b][a2]):
-                    if x:
-                        acc[off + q * dm + a] += x
-                add(acc)
-    # [m_a, m_a2] * n_b = ^{m_a}n_b * m_a2 - m_a * n_b^{m_a2}
-    for a in range(dm):
-        for a2 in range(dm):
-            for b in range(dn):
-                acc = [Fraction(0)] * amb
-                for k, x in enumerate(m.c[a][a2]):
-                    if x:
-                        acc[k * dn + b] += x
-                for q, x in enumerate(mo.left[a][b]):
-                    if x:
-                        acc[off + q * dm + a2] -= x
-                for q, x in enumerate(mo.right[b][a2]):
-                    if x:
-                        acc[a * dn + q] += x
-                add(acc)
-    # [n_b, n_b2] * m_a = ^{n_b}m_a * n_b2 - n_b * m_a^{n_b2}
-    for b in range(dn):
-        for b2 in range(dn):
-            for a in range(dm):
-                acc = [Fraction(0)] * amb
-                for k, x in enumerate(n.c[b][b2]):
-                    if x:
-                        acc[off + k * dm + a] += x
-                for p, x in enumerate(no.left[b][a]):
-                    if x:
-                        acc[p * dn + b2] -= x
-                for p, x in enumerate(no.right[a][b2]):
-                    if x:
-                        acc[off + b * dm + p] += x
-                add(acc)
-    # m_a * ^{m_a2}n_b = - m_a * n_b^{m_a2}
-    for a in range(dm):
-        for a2 in range(dm):
-            for b in range(dn):
-                acc = [Fraction(0)] * amb
-                for q, x in enumerate(mo.left[a2][b]):
-                    if x:
-                        acc[a * dn + q] += x
-                for q, x in enumerate(mo.right[b][a2]):
-                    if x:
-                        acc[a * dn + q] += x
-                add(acc)
-    # n_b * ^{n_b2}m_a = - n_b * m_a^{n_b2}
-    for b in range(dn):
-        for b2 in range(dn):
-            for a in range(dm):
-                acc = [Fraction(0)] * amb
-                for p, x in enumerate(no.left[b2][a]):
-                    if x:
-                        acc[off + b * dm + p] += x
-                for p, x in enumerate(no.right[a][b2]):
-                    if x:
-                        acc[off + b * dm + p] += x
-                add(acc)
+    for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides):
+        ex = [unit_vec(X.dim, x) for x in range(X.dim)]
+        ey = [unit_vec(Y.dim, y) for y in range(Y.dim)]
+        for x in range(X.dim):
+            for y in range(Y.dim):
+                for y2 in range(Y.dim):
+                    # x * [y, y2] = x^y * y2 - x^{y2} * y
+                    add(_sym(dm, dn, (1, s, ex[x], Y.c[y][y2]),
+                             (-1, s, y_on_x.right[x][y], ey[y2]),
+                             (1, s, y_on_x.right[x][y2], ey[y])))
+        for x in range(X.dim):
+            for x2 in range(X.dim):
+                for y in range(Y.dim):
+                    # [x, x2] * y = ^x y * x2 - x * y^{x2}
+                    add(_sym(dm, dn, (1, s, X.c[x][x2], ey[y]),
+                             (-1, 1 - s, x_on_y.left[x][y], ex[x2]),
+                             (1, s, ex[x], x_on_y.right[y][x2])))
+                    # x * ^{x2}y = - x * y^{x2}
+                    add(_sym(dm, dn, (1, s, ex[x], x_on_y.left[x2][y]),
+                             (1, s, ex[x], x_on_y.right[y][x2])))
     # both representatives of [symbol_i, symbol_j] agree
     for i in range(amb):
         for j in range(amb):
-            prim = _primary_entry(pair, i, j)
-            alt = _alt_entry(pair, i, j)
-            add([x - y for x, y in zip(prim, alt)])
+            add(vec_sub(table[i][j], _alt_entry(pair, i, j)))
     return rows
 
 
@@ -276,34 +205,25 @@ class QuotientPresentation:
     qmap: QuotientMap
 
     def mn_index(self, a: int, b: int) -> int:
-        return a * self.pair.n.dim + b
+        return _index(self.pair.m.dim, self.pair.n.dim, 0, a, b)
 
     def nm_index(self, b: int, a: int) -> int:
-        dm, dn = self.pair.m.dim, self.pair.n.dim
-        return dm * dn + b * dm + a
+        return _index(self.pair.m.dim, self.pair.n.dim, 1, b, a)
 
     def symbol_mn(self, u, v) -> tuple:
         """Ambient vector of u * v for u in m, v in n (bilinear)."""
-        return _sym_mn(self.pair.m.dim, self.pair.n.dim, u, v)
+        return _sym(self.pair.m.dim, self.pair.n.dim, (1, 0, u, v))
 
     def symbol_nm(self, w, z) -> tuple:
         """Ambient vector of w * z for w in n, z in m (bilinear)."""
-        return _sym_nm(self.pair.m.dim, self.pair.n.dim, w, z)
+        return _sym(self.pair.m.dim, self.pair.n.dim, (1, 1, w, z))
 
     def class_of(self, ambient_vec) -> tuple:
         return self.qmap.project(ambient_vec)
 
     def bracket_ambient(self, x, y) -> tuple:
         """Bilinear extension of the representative table."""
-        acc = [Fraction(0)] * self.ambient_dim
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            ti = self.bracket_on_ambient[i]
-            for j, b in enumerate(y):
-                if b != 0:
-                    vec_accum(acc, a * b, ti[j])
-        return tuple(acc)
+        return contract(self.bracket_on_ambient, x, y, self.ambient_dim)
 
     def alt_bracket_on_ambient(self, i: int, j: int) -> tuple:
         return _alt_entry(self.pair, i, j)
@@ -322,33 +242,21 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
         rep = check_action(act)
         if not rep.valid:
             raise ValueError(f"invalid action ({side}) for {name}:\n{rep.summary()}")
-    dm, dn = pair.m.dim, pair.n.dim
-    amb = 2 * dm * dn
-    rows = _defining_rows(pair)
-    rows.extend(tuple(r) for r in extra_rows)
-    relations = Subspace.from_vectors(amb, sorted(set(rows)))
+    amb = 2 * pair.m.dim * pair.n.dim
     table = tuple(tuple(_primary_entry(pair, i, j) for j in range(amb))
                   for i in range(amb))
+    rows = _defining_rows(pair, table)
+    rows.extend(tuple(r) for r in extra_rows)
+    relations = Subspace.from_vectors(amb, sorted(set(rows)))
 
-    def bracket_amb(x, y):
-        acc = [Fraction(0)] * amb
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            ti = table[i]
-            for j, b in enumerate(y):
-                if b != 0:
-                    vec_accum(acc, a * b, ti[j])
-        return tuple(acc)
-
+    units = [unit_vec(amb, s) for s in range(amb)]
     for r in relations.basis.entries:
-        for s in range(amb):
-            e = unit_vec(amb, s)
-            if not relations.contains_vector(bracket_amb(r, e)):
+        for s, e in enumerate(units):
+            if not relations.contains_vector(contract(table, r, e, amb)):
                 raise AssertionError(
                     f"bracket of {name} not well-defined: relation * symbol "
                     f"{s} escapes the relation subspace")
-            if not relations.contains_vector(bracket_amb(e, r)):
+            if not relations.contains_vector(contract(table, e, r, amb)):
                 raise AssertionError(
                     f"bracket of {name} not well-defined: symbol {s} * "
                     f"relation escapes the relation subspace")
@@ -356,11 +264,9 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
     qmap = quotient(amb, relations)
     names = _symbol_names(pair)
     res_names = tuple(names[f] for f in qmap.free)
-    c = tuple(
-        tuple(qmap.project(bracket_amb(qmap.section.column(i),
-                                       qmap.section.column(j)))
-              for j in range(qmap.dim))
-        for i in range(qmap.dim))
+    sec = [qmap.section.column(i) for i in range(qmap.dim)]
+    c = tuple(tuple(qmap.project(contract(table, x, y, amb)) for y in sec)
+              for x in sec)
     resolved = LeibnizAlgebra(name, qmap.dim, res_names, c)
     rep = check_leibniz(resolved)
     if not rep.valid:
@@ -393,9 +299,7 @@ def square_subspace(eta: CrossedModule, delta: CrossedModule) -> Subspace:
     gens = []
     for (u1, v1) in pairs:
         for (u2, v2) in pairs:
-            g = _sym_mn(m.dim, n.dim, u1, v2)
-            h = _sym_nm(m.dim, n.dim, v1, u2)
-            gens.append(tuple(x - y for x, y in zip(g, h)))
+            gens.append(_sym(m.dim, n.dim, (1, 0, u1, v2), (-1, 1, v1, u2)))
     return Subspace.from_vectors(2 * m.dim * n.dim, gens)
 
 
@@ -445,74 +349,41 @@ class ExteriorSquareData:
     phi: XModHom
 
 
-def _base_action_on_ambient(xm: CrossedModule, other_left, other_right, dn: int):
-    """Linear maps for the base acting on the tensor ambient of
-    (base, top') symbols, where the base acts on top' by the tables
-    other_left/other_right.
+def _base_action_on_ambient(xm: CrossedModule, dn: int):
+    """Linear maps for the base q acting on the tensor ambient of (q, n)
+    symbols, where q acts on n = xm.top by xm.action:
+
+      ^q (x * y) = (^q x) * y - (^q y) * x,    (x * y)^q = x^q * y + x * y^q,
+
+    with ^q x = [q, x] and x^q = [x, q] on the q factor.
 
     Returns (act_left, act_right): act_left(i, vec), act_right(vec, i).
     """
-    q = xm.base
-    dm = q.dim
-    off = dm * dn
+    q, act = xm.base, xm.action
+    dq = q.dim
+    # indexed by factor, 0 for q and 1 for n; in block s, x lies in factor s
+    units = ([unit_vec(dq, a) for a in range(dq)], [unit_vec(dn, b) for b in range(dn)])
+    lefts, rights = (q.c, act.left), (q.c, act.right)
 
     def act_left(i, v):
-        acc = [Fraction(0)] * (2 * off)
-        for s, coef in enumerate(v):
-            if coef == 0:
-                continue
-            if s < off:
-                a, b = divmod(s, dn)
-                sign = 1
-            else:
-                b, a = divmod(s - off, dm)
-                sign = -1
-            # ^q (q_a * n_b) = [q, q_a] * n_b - (^q n_b) * q_a
-            for k, x in enumerate(q.c[i][a]):
-                if x:
-                    acc[k * dn + b] += sign * coef * x
-            for p, x in enumerate(other_left[i][b]):
-                if x:
-                    acc[off + p * dm + a] -= sign * coef * x
-        return tuple(acc)
+        terms = []
+        for k, coef in enumerate(v):
+            if coef:
+                s, x, y = _legs(dq, dn, k)
+                terms += [(coef, s, lefts[s][i][x], units[1 - s][y]),
+                          (-coef, 1 - s, lefts[1 - s][i][y], units[s][x])]
+        return _sym(dq, dn, *terms)
 
     def act_right(v, i):
-        acc = [Fraction(0)] * (2 * off)
-        for s, coef in enumerate(v):
-            if coef == 0:
-                continue
-            if s < off:
-                a, b = divmod(s, dn)
-                # (q_a * n_b)^q = [q_a, q] * n_b + q_a * (n_b^q)
-                for k, x in enumerate(q.c[a][i]):
-                    if x:
-                        acc[k * dn + b] += coef * x
-                for p, x in enumerate(other_right[b][i]):
-                    if x:
-                        acc[a * dn + p] += coef * x
-            else:
-                b, a = divmod(s - off, dm)
-                # (n_b * q_a)^q = (n_b^q) * q_a + n_b * [q_a, q]
-                for p, x in enumerate(other_right[b][i]):
-                    if x:
-                        acc[off + p * dm + a] += coef * x
-                for k, x in enumerate(q.c[a][i]):
-                    if x:
-                        acc[off + b * dm + k] += coef * x
-        return tuple(acc)
+        terms = []
+        for k, coef in enumerate(v):
+            if coef:
+                s, x, y = _legs(dq, dn, k)
+                terms += [(coef, s, rights[s][x][i], units[1 - s][y]),
+                          (coef, s, units[s][x], rights[1 - s][y][i])]
+        return _sym(dq, dn, *terms)
 
     return act_left, act_right
-
-
-def _combine(coeffs, tables, j, dim, side):
-    """Linear combination of action-table rows: the action of an element
-    with the given actor coordinates on basis vector j of the acted space."""
-    acc = [Fraction(0)] * dim
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        vec_accum(acc, c, tables[i][j] if side == "left" else tables[j][i])
-    return tuple(acc)
 
 
 def _descend_action(pres: QuotientPresentation, act_left, act_right, dq: int):
@@ -551,19 +422,10 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     qq = exterior_presentation(qid, qid, name=f"{q.name}(^){q.name}")
 
     # evaluation maps on ambient symbols: q * n -> ^q n, n * q -> n^q,
-    # and q * q' -> [q, q'] on both blocks
-    lam_cols = [None] * qn.ambient_dim
-    for a in range(dq):
-        for b in range(dn):
-            lam_cols[qn.mn_index(a, b)] = xm.action.left[a][b]
-            lam_cols[qn.nm_index(b, a)] = xm.action.right[b][a]
-    lam_amb = RatMatrix.from_columns(lam_cols, rows=dn)
-    mu_cols = [None] * qq.ambient_dim
-    for a in range(dq):
-        for b in range(dq):
-            mu_cols[qq.mn_index(a, b)] = q.c[a][b]
-            mu_cols[qq.nm_index(b, a)] = q.c[b][a]
-    mu_amb = RatMatrix.from_columns(mu_cols, rows=dq)
+    # and q * q' -> [q, q'] on both blocks; both evaluate into the second
+    # factor through the base action, which is side 1's first factor
+    lam_amb = RatMatrix.from_columns(qn.pair.evaluations[1], rows=dn)
+    mu_amb = RatMatrix.from_columns(qq.pair.evaluations[1], rows=dq)
     for r in qn.relations.basis.entries:
         if not vec_is_zero(lam_amb.mul_vec(r)):
             raise AssertionError("top evaluation map does not kill the relations")
@@ -574,16 +436,7 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     mu_q = AlgebraHom(qq.resolved, q, mu_amb.mul(qq.qmap.section))
 
     # connecting map on symbols: q_a * n_b -> q_a * dn_b, n_b * q_a -> dn_b * q_a
-    idd_cols = []
-    for s in range(qn.ambient_dim):
-        kind, x, y = _legs(dq, dn, s)
-        if kind == "mn":
-            a, b = x, y
-            idd_cols.append(qq.symbol_mn(unit_vec(dq, a), xm.delta.column(b)))
-        else:
-            b, a = x, y
-            idd_cols.append(qq.symbol_nm(xm.delta.column(b), unit_vec(dq, a)))
-    idd_amb = RatMatrix.from_columns(idd_cols, rows=qq.ambient_dim)
+    idd_amb = _substitution(qn, qq, RatMatrix.identity(dq), xm.delta)
     for r in qn.relations.basis.entries:
         if not qq.relations.contains_vector(idd_amb.mul_vec(r)):
             raise AssertionError("connecting map does not preserve the relations")
@@ -592,19 +445,14 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
         qq.qmap.projection.mul(idd_amb).mul(qn.qmap.section))
 
     # action of the base on the top square, then pulled back through mu
-    al_qn, ar_qn = _base_action_on_ambient(
-        xm, xm.action.left, xm.action.right, dn)
-    left_qn, right_qn = _descend_action(qn, al_qn, ar_qn, dq)
-    mu_mat = mu_q.matrix
-    left = tuple(
-        tuple(_combine(mu_mat.column(x), left_qn, j, qn.resolved.dim, side="left")
-              for j in range(qn.resolved.dim))
-        for x in range(qq.resolved.dim))
-    right = tuple(
-        tuple(_combine(mu_mat.column(x), right_qn, j, qn.resolved.dim, side="right")
-              for x in range(qq.resolved.dim))
-        for j in range(qn.resolved.dim))
-    action = LeibnizAction(qq.resolved, qn.resolved, left, right)
+    al_qn, ar_qn = _base_action_on_ambient(xm, dn)
+    base_on_top = LeibnizAction(q, qn.resolved, *_descend_action(qn, al_qn, ar_qn, dq))
+    mus = [mu_q.matrix.column(x) for x in range(qq.resolved.dim)]
+    ens = [unit_vec(qn.resolved.dim, j) for j in range(qn.resolved.dim)]
+    action = LeibnizAction(
+        qq.resolved, qn.resolved,
+        tuple(tuple(base_on_top.act_left(u, e) for e in ens) for u in mus),
+        tuple(tuple(base_on_top.act_right(e, u) for u in mus) for e in ens))
 
     induced = CrossedModule(f"({qn.name},{qq.name})", qn.resolved, qq.resolved,
                             id_wedge_delta.matrix, action)
@@ -647,8 +495,7 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
         w = esd.id_wedge_delta.apply(u)
         if not kb.contains_vector(w):
             raise AssertionError("connecting map does not restrict to the multiplier")
-    for u in kt.basis.entries:
-        dcols.append(kb.coords(esd.id_wedge_delta.apply(u)))
+        dcols.append(kb.coords(w))
     for u in kb.basis.entries:
         for j in range(kt.dim):
             if not vec_is_zero(esd.action.act_left(u, kt.basis.entries[j])):
@@ -674,18 +521,25 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
     return mult, incl
 
 
+def _substitution(src: QuotientPresentation, tgt: QuotientPresentation,
+                  fm: RatMatrix, fn: RatMatrix) -> RatMatrix:
+    """Ambient matrix of componentwise symbol substitution: every m-leg
+    goes through fm and every n-leg through fn."""
+    maps = ((fm, fn), (fn, fm))
+    cols = []
+    for k in range(src.ambient_dim):
+        s, x, y = _legs(src.pair.m.dim, src.pair.n.dim, k)
+        fx, fy = maps[s]
+        cols.append(_sym(tgt.pair.m.dim, tgt.pair.n.dim,
+                         (1, s, fx.column(x), fy.column(y))))
+    return RatMatrix.from_columns(cols, rows=tgt.ambient_dim)
+
+
 def _induced_presentation_hom(src: QuotientPresentation,
                               tgt: QuotientPresentation,
                               fm: RatMatrix, fn: RatMatrix) -> AlgebraHom:
     """Quotient-level map induced by componentwise symbol substitution."""
-    cols = []
-    for s in range(src.ambient_dim):
-        kind, x, y = _legs(src.pair.m.dim, src.pair.n.dim, s)
-        if kind == "mn":
-            cols.append(tgt.symbol_mn(fm.column(x), fn.column(y)))
-        else:
-            cols.append(tgt.symbol_nm(fn.column(x), fm.column(y)))
-    amb = RatMatrix.from_columns(cols, rows=tgt.ambient_dim)
+    amb = _substitution(src, tgt, fm, fn)
     for r in src.relations.basis.entries:
         if not tgt.relations.contains_vector(amb.mul_vec(r)):
             raise AssertionError(

@@ -130,6 +130,30 @@ def test_broken_action_reported():
         (label, tuple(Fraction(x) for x in r)) for label, r in expected)
 
 
+def test_every_axiom_term_reported():
+    # n2 acting on itself by sparse +-1 tables, chosen so that all six
+    # axioms fail and flipping the sign of any one term of any axiom,
+    # dropping it, or putting another term of that axiom in its place
+    # changes this report
+    a = n2()
+    z, one = Fraction(0), Fraction(1)
+    left = (((z, z), (z, z)), ((one, z), (-one, z)))
+    right = (((z, z), (-one, z)), ((z, -one), (-one, z)))
+    rep = check_action(LeibnizAction(a, a, left, right))
+    expected = [
+        ("axiom1 (e1,e1,e1)", (1, 0)), ("axiom1 (e1,e1,e2)", (-1, 0)),
+        ("axiom5 (e2,e1,e2)", (1, 0)), ("axiom5 (e2,e2,e2)", (-2, 0)),
+        ("axiom3 (e1,e1,e1)", (-1, 0)), ("axiom3 (e2,e1,e1)", (-1, 0)),
+        ("axiom3 (e2,e1,e2)", (-1, 0)), ("axiom3 (e2,e2,e1)", (1, 0)),
+        ("axiom4 (e1,e1,e1)", (0, -1)), ("axiom2 (e2,e1,e1)", (-1, 0)),
+        ("axiom4 (e1,e1,e2)", (-1, 2)), ("axiom2 (e2,e1,e2)", (0, -1)),
+        ("axiom4 (e1,e2,e2)", (0, 1)), ("axiom6 (e1,e2,e2)", (0, -2)),
+        ("axiom2 (e2,e2,e1)", (0, 1)), ("axiom4 (e2,e1,e2)", (0, 1)),
+    ]
+    assert rep.violations == tuple(
+        (label, tuple(Fraction(x) for x in r)) for label, r in expected)
+
+
 def test_span_brackets():
     full2 = Subspace.full(2)
     assert span_brackets(k_abelian(2), full2, full2) == Subspace.zero(2)

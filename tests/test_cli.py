@@ -91,6 +91,17 @@ def test_unknown_field_rejected(tmp_path, capsys):
     assert code == 2 and "unknown fields" in err
 
 
+def test_duplicate_key_rejected(tmp_path, capsys):
+    # with the last "e1" winning, this n2 table would load as abelian
+    p = tmp_path / "dup.algebra"
+    p.write_text('{"kind": "algebra", "name": "n2", "dim": 2, "basis": ["e1", "e2"], '
+                 '"brackets": {"e1": {"e1": {"e2": "1"}}, "e1": {}}}')
+    for argv in (("check", p), ("hl", p, "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "dup.algebra: duplicate key 'e1'" in err
+
+
 def test_action_endpoint_mismatch_rejected(tmp_path, capsys):
     doc = {"kind": "xmod", "name": "bad", "top": "n2", "base": "n2",
            "delta": {}, "action": "sl2_adjoint"}
