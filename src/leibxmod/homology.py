@@ -11,7 +11,9 @@ where the bracket replaces slot i and slot j is omitted.  The homology
 dimension hl(q, 2) gives an implementation-independent value for the
 kernel of the exterior-square bracket map, which is how the rest of the
 package is cross-validated.  Degrees are capped at 4 (boundary) and 3
-(homology): enough for the oracle at desk scale.
+(homology): enough for the oracle at desk scale.  The boundary is a
+dense d^(n-1) x d^n matrix, so its size is checked against
+MAX_BOUNDARY_ENTRIES before anything is allocated.
 """
 
 from __future__ import annotations
@@ -23,6 +25,20 @@ from .algebra import LeibnizAlgebra
 from .ratlin import RatMatrix, kernel, rank
 
 MAX_BOUNDARY_DEGREE = 4
+# Largest boundary matrix, in entries, that boundary and hl will build:
+# well above d_4 of a dimension-5 algebra (125 x 625 = 78 125 entries).
+MAX_BOUNDARY_ENTRIES = 2_000_000
+
+
+def _boundary_shape(d: int, n: int) -> "tuple[int, int]":
+    """Rows and columns of d_n on a dimension-d algebra; raises ValueError,
+    naming the size, when that is over MAX_BOUNDARY_ENTRIES."""
+    rows, cols = d ** (n - 1), d ** n
+    if rows * cols > MAX_BOUNDARY_ENTRIES:
+        raise ValueError(
+            f"boundary d_{n} of a dimension-{d} algebra would be {rows}x{cols}"
+            f" = {rows * cols} entries, over the budget of {MAX_BOUNDARY_ENTRIES}")
+    return rows, cols
 
 
 def _tensor_index(idx: tuple, d: int) -> int:
@@ -37,8 +53,7 @@ def boundary(q: LeibnizAlgebra, n: int) -> RatMatrix:
     if not 1 <= n <= MAX_BOUNDARY_DEGREE:
         raise ValueError(f"boundary degree must be between 1 and {MAX_BOUNDARY_DEGREE}")
     d = q.dim
-    rows = d ** (n - 1)
-    cols = d ** n
+    rows, cols = _boundary_shape(d, n)
     entries = [[Fraction(0)] * cols for _ in range(rows)]
     if n == 1:
         # d_1 = 0 into the ground field
@@ -65,4 +80,5 @@ def hl(q: LeibnizAlgebra, n: int) -> int:
         raise ValueError(f"homology degree must be between 0 and {MAX_BOUNDARY_DEGREE - 1}")
     if n == 0:
         return 1  # CL_0 is the ground field and d_1 = 0
+    _boundary_shape(q.dim, n + 1)  # the larger of the two boundaries
     return kernel(boundary(q, n)).dim - rank(boundary(q, n + 1))

@@ -3,16 +3,20 @@
 This is the only arithmetic layer of the package.  Scalars are
 ``fractions.Fraction`` (arbitrary precision, always normalized with a
 positive denominator); vectors are tuples of Fractions; matrices are
-immutable row-major grids.  Every operation is deterministic: reduced
-row echelon form with a fixed pivot rule (first nonzero column, topmost
-row) is the canonical form behind all subspace comparisons, kernels and
-quotients, so identical inputs always produce bit-identical outputs.
+immutable row-major grids.  Every operation is deterministic: the
+canonical form behind all subspace comparisons, kernels and quotients
+is *the* reduced row echelon form of a row space, which is unique and
+so does not depend on which row supplies a pivot.  Identical inputs
+therefore always produce bit-identical outputs.  Elimination runs over
+integers (fraction-free, in the style of Bareiss); Fractions appear
+only in the normalised result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 QQ = Fraction
@@ -153,44 +157,101 @@ class RatMatrix:
         return all(vec_is_zero(r) for r in self.entries)
 
 
-def rref(m: RatMatrix) -> "tuple[RatMatrix, tuple[int, ...]]":
-    """Reduced row echelon form with zero rows dropped.
+def _primitive(row: dict) -> dict:
+    """A nonzero sparse integer row divided by its content."""
+    g = gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
 
-    Pivot rule: scan columns left to right, take the topmost unused row
-    with a nonzero entry.  The result is the canonical representative of
-    the row space, so equality of row spaces is equality of rref forms.
+
+def _integer_rows(m: RatMatrix) -> list:
+    """The nonzero rows of m with denominators cleared (lcm of the row's
+    denominators), as sparse {column: int} dicts with content 1."""
+    out = []
+    for r in m.entries:
+        nz = [(k, x) for k, x in enumerate(r) if x]
+        if nz:
+            den = lcm(*[x.denominator for _, x in nz])
+            out.append(_primitive(
+                {k: x.numerator * (den // x.denominator) for k, x in nz}))
+    return out
+
+
+def _cancel(row: dict, piv: dict, c: int) -> dict:
+    """(a/g)*row - (b/g)*piv, where a = piv[c], b = row[c], g = gcd(a, b):
+    column c cancels.  The result is divided by its content."""
+    a, b = piv[c], row[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
+    for k, v in piv.items():
+        w = out.get(k, 0) - b * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return _primitive(out) if out else out
+
+
+def _eliminate(rows: list, reduce: bool = True) -> list:
+    """Fraction-free elimination of the span of sparse integer rows.
+
+    Returns [(pivot column, row)] in increasing pivot column; each row is
+    a sparse {column: int} multiple of an echelon row, with content 1.
+    With reduce, the rows are also cleared above each pivot (Gauss-Jordan),
+    so row / row[pivot] is the reduced row echelon form.  A pivot is taken
+    from the shortest row that leads in its column; the row space, and so
+    its reduced echelon form, does not depend on that choice.
     """
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b for a, b in zip(ri, rr)]
-        pivots.append(c)
-        r += 1
-    kept = tuple(tuple(row) for row in rows[:r])
-    return RatMatrix(r, ncols, kept), tuple(pivots)
+    by_lead = {}
+    for row in rows:
+        by_lead.setdefault(min(row), []).append(row)
+    echelon = []
+    while by_lead:
+        c = min(by_lead)
+        group = by_lead.pop(c)
+        piv = min(group, key=len)
+        for row in group:
+            if row is not piv:
+                row = _cancel(row, piv, c)
+                if row:
+                    by_lead.setdefault(min(row), []).append(row)
+        echelon.append((c, piv))
+    if reduce:
+        for i in range(len(echelon) - 1, 0, -1):
+            c, piv = echelon[i]
+            for j in range(i):
+                cj, row = echelon[j]
+                if c in row:
+                    echelon[j] = (cj, _cancel(row, piv, c))
+    return echelon
+
+
+_ZERO = Fraction(0)
+
+
+def _normalised(echelon: list, cols: int) -> "tuple[RatMatrix, tuple[int, ...]]":
+    """The reduced row echelon form, and its pivots, of a reduced echelon."""
+    kept = []
+    for c, row in echelon:
+        p = row[c]
+        out = [_ZERO] * cols
+        for k, v in row.items():
+            out[k] = Fraction(v, p)
+        kept.append(tuple(out))
+    return RatMatrix(len(kept), cols, tuple(kept)), tuple(c for c, _ in echelon)
+
+
+def rref(m: RatMatrix) -> "tuple[RatMatrix, tuple[int, ...]]":
+    """Reduced row echelon form with zero rows dropped, and its pivots.
+
+    This is the reduced row echelon form of the row space: unique, so
+    equality of row spaces is equality of rref forms.
+    """
+    return _normalised(_eliminate(_integer_rows(m)), m.cols)
 
 
 def rank(m: RatMatrix) -> int:
-    return rref(m)[0].rows
+    return len(_eliminate(_integer_rows(m), reduce=False))
 
 
 @dataclass(frozen=True)
@@ -207,8 +268,8 @@ class Subspace:
         for v in rows:
             if len(v) != ambient_dim:
                 raise ValueError("vector length differs from ambient dimension")
-        b, piv = rref(RatMatrix.from_rows(rows, cols=ambient_dim))
-        return cls(ambient_dim, b, piv)
+        return cls(ambient_dim,
+                   *rref(RatMatrix(len(rows), ambient_dim, tuple(rows))))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -284,17 +345,21 @@ class Subspace:
 
 def kernel(m: RatMatrix) -> Subspace:
     """Basis of the right null space {v : m v = 0}."""
-    r, piv = rref(m)
-    pivset = set(piv)
-    free = [c for c in range(m.cols) if c not in pivset]
+    echelon = _eliminate(_integer_rows(m))
+    pivots = {c for c, _ in echelon}
     out = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(piv):
-            v[p] = -r.entries[i][f]
-        out.append(tuple(v))
-    return Subspace.from_vectors(m.cols, out)
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        # e_f - sum of row[f] / row[c] * e_c over the pivot rows, times
+        # the lcm of those row[c] so that its entries are integers
+        terms = [(c, row[f], row[c]) for c, row in echelon if f in row]
+        scale = lcm(*[a for _, _, a in terms])
+        v = {f: scale}
+        for c, b, a in terms:
+            v[c] = -b * (scale // a)
+        out.append(_primitive(v))
+    return Subspace(m.cols, *_normalised(_eliminate(out), m.cols))
 
 
 def column_space(m: RatMatrix) -> Subspace:
@@ -359,20 +424,27 @@ def solve(m: RatMatrix, rhs: Sequence) -> tuple:
     rhs = vec(rhs)
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = RatMatrix(m.rows, m.cols + 1,
-                    tuple(r + (b,) for r, b in zip(m.entries, rhs)))
-    r, piv = rref(aug)
-    if m.cols in piv:
-        raise ValueError("inconsistent linear system")
-    x = [Fraction(0)] * m.cols
-    for i, p in enumerate(piv):
-        x[p] = r.entries[i][m.cols]
-    return tuple(x)
+    return solve_matrix(m, RatMatrix(m.rows, 1, tuple((b,) for b in rhs))).column(0)
 
 
 def solve_matrix(m: RatMatrix, rhs: RatMatrix) -> RatMatrix:
-    """Columnwise solve of m X = rhs (free variables zero in every column)."""
+    """Columnwise solve of m X = rhs (free variables zero in every column).
+
+    One elimination of [m | rhs]: the system is consistent exactly when no
+    pivot lands in the rhs block, and then column j of X is read off the
+    pivot rows, as the rref of [m | column j] would give it.
+    """
     if rhs.rows != m.rows:
         raise ValueError("right-hand side row mismatch")
-    cols = [solve(m, rhs.column(j)) for j in range(rhs.cols)]
-    return RatMatrix.from_columns(cols, rows=m.cols)
+    n = m.cols
+    aug = RatMatrix(m.rows, n + rhs.cols,
+                    tuple(r + b for r, b in zip(m.entries, rhs.entries)))
+    x = [[_ZERO] * rhs.cols for _ in range(n)]
+    for c, row in _eliminate(_integer_rows(aug)):
+        if c >= n:
+            raise ValueError("inconsistent linear system")
+        p = row[c]
+        for k, v in row.items():
+            if k >= n:
+                x[c][k - n] = Fraction(v, p)
+    return RatMatrix(n, rhs.cols, tuple(tuple(r) for r in x))

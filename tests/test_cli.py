@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from leibxmod import cli
+from leibxmod import cli, homology
 from leibxmod.extensions import stem_cover_of_perfect
 from leibxmod.xmod import liezation
 
@@ -199,6 +199,16 @@ def test_hl_values(capsys):
 def test_hl_degree_out_of_range(capsys):
     code, _, err = run(capsys, "hl", FIXTURES / "n2.algebra", "9")
     assert code == 1 and "degree" in err
+
+
+def test_hl_over_size_budget_exits_1(capsys, monkeypatch):
+    # heis3 has dim 3: hl 2 needs d_3, which is 9x27 = 243 entries
+    monkeypatch.setattr(homology, "MAX_BOUNDARY_ENTRIES", 242)
+    code, out, err = run(capsys, "hl", FIXTURES / "heis3.algebra", "2")
+    assert code == 1 and out == ""
+    assert "9x27 = 243 entries" in err and "budget of 242" in err
+    code, out, _ = run(capsys, "hl", FIXTURES / "heis3.algebra", "1")
+    assert code == 0 and out == "2\n"  # heis3 / [heis3, heis3]
 
 
 def test_stemcover_emits_reloadable_total(tmp_path, capsys):

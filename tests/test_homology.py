@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from leibxmod import homology
 from leibxmod.homology import boundary, hl
 from leibxmod.ratlin import RatMatrix, rank
 
@@ -70,3 +71,24 @@ def test_hl_degree_zero_and_one():
     # HL_1 = q / [q,q]
     assert hl(sl2(), 1) == 0
     assert hl(n2(), 1) == 1
+
+
+def test_size_budget_refuses_before_allocation(monkeypatch):
+    # n2 has dim 2: d_2 is 2x4 (8 entries), d_3 is 4x8 (32 entries)
+    monkeypatch.setattr(homology, "MAX_BOUNDARY_ENTRIES", 31)
+    assert boundary(n2(), 2).rows == 2
+    assert hl(n2(), 1) == 1  # needs d_1 and d_2 only
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("an over-budget boundary was allocated")
+
+    monkeypatch.setattr(homology, "RatMatrix", no_allocation)
+    with pytest.raises(ValueError, match=r"d_3 .* 4x8 = 32 entries, over the budget of 31"):
+        boundary(n2(), 3)
+    # hl(q, 2) needs d_3 as well, and refuses before building d_2
+    with pytest.raises(ValueError, match=r"d_3 .* 32 entries"):
+        hl(n2(), 2)
+
+
+def test_size_budget_admits_dimension_5_degree_4():
+    assert 5 ** 3 * 5 ** 4 <= homology.MAX_BOUNDARY_ENTRIES

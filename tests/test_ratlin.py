@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _reference_rref as ref
 from leibxmod.ratlin import (
     QQ,
     QuotientMap,
@@ -189,3 +192,115 @@ def test_determinism_bitwise():
     rows = [[Fraction(1, 3), Fraction(2)], [Fraction(2, 3), Fraction(4)]]
     outs = {rref(M(rows)) for _ in range(3)}
     assert len(outs) == 1
+
+
+# -- differential and invariance properties -------------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=200,
+                    deadline=None)
+
+# Zero is drawn often, so that rows and columns vanish and ranks drop.
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 7, 12])))
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Matrices with mixed denominators, including 0-row and 0-column
+    shapes, zero rows, repeated rows and rational combinations of rows."""
+    if rows is None:
+        rows = draw(st.integers(0, 8))
+    if cols is None:
+        cols = draw(st.integers(0, 7))
+    base = [[draw(RATIONALS) for _ in range(cols)]
+            for _ in range(draw(st.integers(1, 4)))]
+    out = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["free", "free", "zero", "copy", "mix"]))
+        if kind == "free":
+            out.append([draw(RATIONALS) for _ in range(cols)])
+        elif kind == "zero":
+            out.append([Fraction(0)] * cols)
+        elif kind == "copy":
+            out.append(list(draw(st.sampled_from(base))))
+        else:
+            acc = [Fraction(0)] * cols
+            for b in base:
+                c = draw(RATIONALS)
+                acc = [a + c * x for a, x in zip(acc, b)]
+            out.append(acc)
+    return RatMatrix(rows, cols, tuple(tuple(r) for r in out))
+
+
+@st.composite
+def systems(draw):
+    """(m, rhs) with rhs columns that are consistent (m x) or arbitrary."""
+    m = draw(matrices())
+    cols = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            cols.append(m.mul_vec([draw(RATIONALS) for _ in range(m.cols)]))
+        else:
+            cols.append(tuple(draw(RATIONALS) for _ in range(m.rows)))
+    rhs = RatMatrix(m.rows, len(cols),
+                    tuple(tuple(c[i] for c in cols) for i in range(m.rows)))
+    return m, rhs
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the type and message of what it raised."""
+    try:
+        return ("value", f(*args))
+    except Exception as ex:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(ex), str(ex))
+
+
+@PROPERTY
+@given(matrices())
+def test_rref_rank_kernel_match_reference(m):
+    assert rref(m) == ref.rref(m)
+    assert rank(m) == ref.rank(m)
+    assert kernel(m) == ref.kernel(m)
+
+
+@PROPERTY
+@given(systems())
+def test_solve_matches_reference(system):
+    m, rhs = system
+    assert outcome(solve_matrix, m, rhs) == outcome(ref.solve_matrix, m, rhs)
+    for j in range(rhs.cols):
+        b = rhs.column(j)
+        assert outcome(solve, m, b) == outcome(ref.solve, m, b)
+
+
+def test_solve_shape_errors_match_reference():
+    m = M([[1, 2], [3, 4]])
+    assert outcome(solve, m, [1]) == outcome(ref.solve, m, [1])
+    rhs = RatMatrix.identity(3)
+    assert outcome(solve_matrix, m, rhs) == outcome(ref.solve_matrix, m, rhs)
+
+
+@PROPERTY
+@given(st.data())
+def test_rref_invariant_under_row_operations(data):
+    """The rref of a row space cannot depend on which row supplies a pivot:
+    permuting rows, scaling a row by a nonzero rational and adding one row
+    to another leave it unchanged."""
+    m = data.draw(matrices())
+    rows = [list(r) for r in m.entries]
+    expect = rref(m)
+    perm = data.draw(st.permutations(range(m.rows)))
+    moved = [rows[i] for i in perm]
+    assert rref(RatMatrix(m.rows, m.cols, tuple(map(tuple, moved)))) == expect
+    if m.rows:
+        i = data.draw(st.integers(0, m.rows - 1))
+        j = data.draw(st.integers(0, m.rows - 1))
+        s = data.draw(RATIONALS.filter(bool))
+        scaled = [list(r) for r in rows]
+        scaled[i] = [s * x for x in scaled[i]]
+        assert rref(RatMatrix(m.rows, m.cols, tuple(map(tuple, scaled)))) == expect
+        if i != j:
+            added = [list(r) for r in rows]
+            added[i] = [a + b for a, b in zip(added[i], added[j])]
+            assert rref(RatMatrix(m.rows, m.cols, tuple(map(tuple, added)))) == expect
