@@ -7,14 +7,21 @@ A Leibniz algebra is a vector space with a bilinear bracket satisfying
 a Lie algebra when additionally [x, x] = 0.  Algebras are presented by
 structure constants c[i][j] = coordinates of [e_i, e_j]; a Leibniz
 action of one algebra on another is a pair of trilinear tables (left
-^m n and right n^m) subject to six compatibility axioms.  Validity is
-always a report, not a boolean: downstream debugging needs the
-violating triple and its residual.
+^m n and right n^m) subject to six compatibility axioms.  The tables
+are the dense fields that define equality, hashing and the fixture
+format; each object also builds, once and on first use, a sparse view
+of every table and of its transpose (see ``ratlin.sparse_table``), and
+brackets, actions and the laws below read only those views.  Validity
+is always a report, not a boolean: downstream debugging needs the
+violating triple and its residual.  A law is evaluated on every basis
+pair or triple, each residual as a signed sum of sparse products
+(``ratlin.signed_sum``); only a nonzero residual becomes a dense tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .ratlin import (
@@ -24,6 +31,10 @@ from .ratlin import (
     kernel,
     quotient,
     rat,
+    signed_sum,
+    sparse_columns,
+    sparse_table,
+    transposed,
     unit_vec,
     vec,
     vec_is_zero,
@@ -80,9 +91,19 @@ class LeibnizAlgebra:
         z = zero_vec(dim)
         return cls(name, dim, names, tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
 
+    @cached_property
+    def st(self) -> tuple:
+        """Sparse view of c: st[i][j] = nonzero entries of [e_i, e_j]."""
+        return sparse_table(self.c)
+
+    @cached_property
+    def st_t(self) -> tuple:
+        """Transposed sparse view: st_t[j][i] = st[i][j]."""
+        return transposed(self.st, self.dim)
+
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear extension of the structure constants."""
-        return contract(self.c, x, y, self.dim)
+        return contract(self.st, x, y, self.dim)
 
     def full_subspace(self) -> Subspace:
         return Subspace.full(self.dim)
@@ -92,15 +113,14 @@ def check_leibniz(a: LeibnizAlgebra) -> ValidityReport:
     """Leibniz identity residuals on all basis triples."""
     bad = []
     names = a.basis_names
-    e = [unit_vec(a.dim, i) for i in range(a.dim)]
+    st, st_t = a.st, a.st_t
     for i in range(a.dim):
         for j in range(a.dim):
             for k in range(a.dim):
                 # residual of [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]
-                r = tuple(x - y + z for x, y, z in zip(a.bracket(e[i], a.c[j][k]),
-                                                       a.bracket(a.c[i][j], e[k]),
-                                                       a.bracket(a.c[i][k], e[j])))
-                if not vec_is_zero(r):
+                r = signed_sum(a.dim, ((1, st[j][k], st[i]), (-1, st[i][j], st_t[k]),
+                                       (1, st[i][k], st_t[j])))
+                if r:
                     bad.append((f"({names[i]},{names[j]},{names[k]})", r))
     return _report(f"leibniz identity on {a.name}", bad)
 
@@ -146,13 +166,33 @@ class LeibnizAction:
         right = tuple(tuple(a.c[j][i] for i in range(a.dim)) for j in range(a.dim))
         return cls(a, a, left, right)
 
+    @cached_property
+    def sl(self) -> tuple:
+        """Sparse view of left: sl[i][j] = nonzero entries of ^{m_i} n_j."""
+        return sparse_table(self.left)
+
+    @cached_property
+    def sr(self) -> tuple:
+        """Sparse view of right: sr[j][i] = nonzero entries of n_j ^ {m_i}."""
+        return sparse_table(self.right)
+
+    @cached_property
+    def sl_t(self) -> tuple:
+        """Transposed: sl_t[j][i] = sl[i][j]."""
+        return transposed(self.sl, self.acted.dim)
+
+    @cached_property
+    def sr_t(self) -> tuple:
+        """Transposed: sr_t[i][j] = sr[j][i]."""
+        return transposed(self.sr, self.actor.dim)
+
     def act_left(self, mvec: Sequence, nvec: Sequence) -> tuple:
         """^x y for x in the actor, y in the acted algebra."""
-        return contract(self.left, mvec, nvec, self.acted.dim)
+        return contract(self.sl, mvec, nvec, self.acted.dim)
 
     def act_right(self, nvec: Sequence, mvec: Sequence) -> tuple:
         """y^x for y in the acted algebra, x in the actor."""
-        return contract(self.right, nvec, mvec, self.acted.dim)
+        return contract(self.sr, nvec, mvec, self.acted.dim)
 
 
 def check_action(act: LeibnizAction) -> ValidityReport:
@@ -167,56 +207,52 @@ def check_action(act: LeibnizAction) -> ValidityReport:
       4. [n,n']^m     = [n^m, n'] + [n, n'^m]
       5. ^m(^{m'}n)   = -^m(n^{m'})
       6. [n, ^m n']   = -[n, n'^m]
+
+    Each residual is a signed sum of terms (c, a, rows), c times the
+    sparse vector a pushed through rows (see ratlin.accumulate): with
+    rows L[m] a is acted on from the left by m, with rows Lt[n] the
+    actor element a acts on n, and so on for R and the brackets.
     """
     m, n = act.actor, act.acted
-    L, R = act.left, act.right
-    cm, cn = m.c, n.c
-    left, right, br = act.act_left, act.act_right, n.bracket
-    em = [unit_vec(m.dim, i) for i in range(m.dim)]
-    en = [unit_vec(n.dim, j) for j in range(n.dim)]
+    L, R, Lt, Rt = act.sl, act.sr, act.sl_t, act.sr_t
+    cm, cn, cn_t = m.st, n.st, n.st_t
     mb, nb = m.basis_names, n.basis_names
     bad = []
 
-    def flag(axiom, r, *names):
-        if not vec_is_zero(r):
+    def flag(axiom, names, *terms):
+        r = signed_sum(n.dim, terms)
+        if r:
             bad.append((f"axiom{axiom} ({','.join(names)})", r))
 
     for i in range(m.dim):
         for i2 in range(m.dim):
             for j in range(n.dim):
-                inner = left(em[i], L[i2][j])  # ^m(^{m'}n)
-                # 1. ^{[m,m']}n = ^m(^{m'}n) + (^m n)^{m'}
-                flag(1, tuple(x - y - z for x, y, z in zip(
-                    left(cm[i][i2], en[j]), inner, right(L[i][j], em[i2]))),
-                    mb[i], mb[i2], nb[j])
-                # 5. ^m(^{m'}n) = -^m(n^{m'})
-                flag(5, tuple(x + y for x, y in zip(inner, left(em[i], R[j][i2]))),
-                     mb[i], mb[i2], nb[j])
+                # 1. ^{[m,m']}n - ^m(^{m'}n) - (^m n)^{m'}
+                flag(1, (mb[i], mb[i2], nb[j]), (1, cm[i][i2], Lt[j]),
+                     (-1, L[i2][j], L[i]), (-1, L[i][j], Rt[i2]))
+                # 5. ^m(^{m'}n) + ^m(n^{m'})
+                flag(5, (mb[i], mb[i2], nb[j]), (1, L[i2][j], L[i]),
+                     (1, R[j][i2], L[i]))
 
     for j in range(n.dim):
         for i in range(m.dim):
             for i2 in range(m.dim):
-                # 3. n^{[m,m']} = (n^m)^{m'} - (n^{m'})^m
-                flag(3, tuple(x - y + z for x, y, z in zip(
-                    right(en[j], cm[i][i2]), right(R[j][i], em[i2]),
-                    right(R[j][i2], em[i]))),
-                    nb[j], mb[i], mb[i2])
+                # 3. n^{[m,m']} - (n^m)^{m'} + (n^{m'})^m
+                flag(3, (nb[j], mb[i], mb[i2]), (1, cm[i][i2], R[j]),
+                     (-1, R[j][i], Rt[i2]), (1, R[j][i2], Rt[i]))
 
     for i in range(m.dim):
         for j in range(n.dim):
             for j2 in range(n.dim):
-                # 2. ^m [n,n'] = [^m n, n'] - [^m n', n]
-                flag(2, tuple(x - y + z for x, y, z in zip(
-                    left(em[i], cn[j][j2]), br(L[i][j], en[j2]), br(L[i][j2], en[j]))),
-                    mb[i], nb[j], nb[j2])
-                outer = br(en[j], R[j2][i])  # [n, n'^m]
-                # 4. [n,n']^m = [n^m, n'] + [n, n'^m]
-                flag(4, tuple(x - y - z for x, y, z in zip(
-                    right(cn[j][j2], em[i]), br(R[j][i], en[j2]), outer)),
-                    nb[j], nb[j2], mb[i])
-                # 6. [n, ^m n'] = -[n, n'^m]
-                flag(6, tuple(x + y for x, y in zip(br(en[j], L[i][j2]), outer)),
-                     nb[j], mb[i], nb[j2])
+                # 2. ^m [n,n'] - [^m n, n'] + [^m n', n]
+                flag(2, (mb[i], nb[j], nb[j2]), (1, cn[j][j2], L[i]),
+                     (-1, L[i][j], cn_t[j2]), (1, L[i][j2], cn_t[j]))
+                # 4. [n,n']^m - [n^m, n'] - [n, n'^m]
+                flag(4, (nb[j], nb[j2], mb[i]), (1, cn[j][j2], Rt[i]),
+                     (-1, R[j][i], cn_t[j2]), (-1, R[j2][i], cn[j]))
+                # 6. [n, ^m n'] + [n, n'^m]
+                flag(6, (nb[j], mb[i], nb[j2]), (1, L[i][j2], cn[j]),
+                     (1, R[j2][i], cn[j]))
 
     return _report(f"action of {m.name} on {n.name}", bad)
 
@@ -248,13 +284,14 @@ class AlgebraHom:
 def check_hom(f: AlgebraHom) -> ValidityReport:
     """Residuals f([e_i,e_j]) - [f(e_i), f(e_j)] on all basis pairs."""
     a, b = f.source, f.target
+    cols = sparse_columns(f.matrix)
     bad = []
     for i in range(a.dim):
-        fi = f.matrix.column(i)
         for j in range(a.dim):
-            r = tuple(x - y for x, y in zip(f.apply(a.c[i][j]),
-                                            b.bracket(fi, f.matrix.column(j))))
-            if not vec_is_zero(r):
+            # f([e_i,e_j]) - sum over f(e_i) = sum_l x_l e_l of x_l [e_l, f(e_j)]
+            r = signed_sum(b.dim, ((1, a.st[i][j], cols),
+                                   *((-x, cols[j], b.st[l]) for l, x in cols[i])))
+            if r:
                 bad.append((f"({a.basis_names[i]},{a.basis_names[j]})", r))
     return _report(f"homomorphism {a.name} -> {b.name}", bad)
 

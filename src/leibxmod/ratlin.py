@@ -1,15 +1,20 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 This is the only arithmetic layer of the package.  Scalars are
 ``fractions.Fraction`` (arbitrary precision, always normalized with a
-positive denominator); vectors are tuples of Fractions; matrices are
-immutable row-major grids.  Every operation is deterministic: the
-canonical form behind all subspace comparisons, kernels and quotients
-is *the* reduced row echelon form of a row space, which is unique and
-so does not depend on which row supplies a pivot.  Identical inputs
-therefore always produce bit-identical outputs.  Elimination runs over
-integers (fraction-free, in the style of Bareiss); Fractions appear
-only in the normalised result.
+positive denominator); vectors are dense tuples of Fractions; matrices
+are immutable dense row-major grids.  Structure and action tables are
+stored densely too, but read through sparse views, ``st[i][j] = ((k,
+t), ...)`` over the nonzero ``t``: ``contract``, the one bilinear
+contraction, and the ``accumulate`` step that the runtime-checked laws
+share, visit nonzero entries only and hand back dense Fraction tuples.
+Every operation is deterministic: the canonical form behind all
+subspace comparisons, kernels and quotients is *the* reduced row
+echelon form of a row space, which is unique and so does not depend on
+which row supplies a pivot.  Identical inputs therefore always produce
+bit-identical outputs.  Elimination runs over integers (fraction-free,
+in the style of Bareiss); Fractions appear only in the normalised
+result.
 """
 
 from __future__ import annotations
@@ -55,28 +60,87 @@ def vec_is_zero(v: tuple) -> bool:
 
 def vec_accum(acc: list, c: Fraction, v: Sequence) -> None:
     """In-place acc += c*v on a mutable list accumulator (skips c = 0)."""
-    if c == 0:
+    if not c:
         return
     for k, a in enumerate(v):
-        if a != 0:
+        if a:
             acc[k] += c * a
 
 
-def contract(table, x: Sequence, y: Sequence, dim: int) -> tuple:
-    """The bilinear map with values table[i][j] on basis pairs, at (x, y):
-    the sum over i, j of x_i * y_j * table[i][j], skipping zeros."""
-    acc = [Fraction(0)] * dim
-    ys = [(j, b) for j, b in enumerate(y) if b]
+_ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def sparse(v: Sequence) -> tuple:
+    """The nonzero entries of a dense vector, as ((index, value), ...)."""
+    return tuple((k, t) for k, t in enumerate(v) if t)
+
+
+def sparse_table(table) -> tuple:
+    """Sparse view of a table of dense vectors: st[i][j] = sparse(table[i][j])."""
+    return tuple(tuple(sparse(v) for v in row) for row in table)
+
+
+def transposed(st, cols: int) -> tuple:
+    """A sparse view with its two outer indices swapped: out[j][i] = st[i][j].
+    cols is the length of the rows of st (needed when st has no rows)."""
+    return tuple(tuple(row[j] for row in st) for j in range(cols))
+
+
+def sparse_columns(m: "RatMatrix") -> tuple:
+    """Sparse view of the columns of a matrix."""
+    return tuple(sparse(m.column(j)) for j in range(m.cols))
+
+
+def dense(entries, dim: int) -> tuple:
+    """The dense vector with the given (index, value) entries, zero elsewhere."""
+    out = [_ZERO] * dim
+    for k, t in entries:
+        out[k] = t
+    return tuple(out)
+
+
+def accumulate(acc: dict, c, a, rows) -> None:
+    """acc += c * (the sum of t * rows[l] over (l, t) in a), where a and
+    each rows[l] are sparse vectors and acc maps an index to a Fraction.
+
+    For the bilinear map [., .] of a sparse table st, rows = st[i] adds
+    c * [e_i, a] and rows = transposed(st, ...)[j] adds c * [a, e_j]; with
+    rows the sparse columns of a matrix, it adds c times the image of a."""
+    for l, t in a:
+        r = rows[l]
+        if r:
+            w = c * t
+            for k, u in r:
+                acc[k] = acc.get(k, _ZERO) + w * u
+
+
+def residual(acc: dict, dim: int):
+    """The dense vector of an accumulator, or None when every entry is zero."""
+    if any(acc.values()):
+        return dense(acc.items(), dim)
+    return None
+
+
+def signed_sum(dim: int, terms):
+    """The sum of c * (a through rows) over terms (c, a, rows), as in
+    accumulate: a dense Fraction tuple, or None when it vanishes."""
+    acc = {}
+    for c, a, rows in terms:
+        accumulate(acc, c, a, rows)
+    return residual(acc, dim)
+
+
+def contract(st, x: Sequence, y: Sequence, dim: int) -> tuple:
+    """The bilinear map with values st[i][j] on basis pairs, at (x, y):
+    the sum over i, j of x_i * y_j * st[i][j], for a sparse view st (see
+    sparse_table) and dense x, y; nonzero entries only."""
+    ys = sparse(y)
+    acc = {}
     for i, a in enumerate(x):
-        if not a:
-            continue
-        ti = table[i]
-        for j, b in ys:
-            c = a * b
-            for k, t in enumerate(ti[j]):
-                if t:
-                    acc[k] += c * t
-    return tuple(acc)
+        if a:
+            accumulate(acc, a, ys, st[i])
+    return dense(acc.items(), dim)
 
 
 @dataclass(frozen=True)
@@ -129,11 +193,13 @@ class RatMatrix:
     def mul_vec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise ValueError("matrix-vector shape mismatch")
+        vs = sparse(v)
         out = []
         for r in self.entries:
-            s = Fraction(0)
-            for a, b in zip(r, v):
-                if a != 0 and b != 0:
+            s = _ZERO
+            for k, b in vs:
+                a = r[k]
+                if a:
                     s += a * b
             out.append(s)
         return tuple(out)
@@ -143,7 +209,7 @@ class RatMatrix:
             raise ValueError("matrix-matrix shape mismatch")
         ot = other.transpose()
         ent = tuple(
-            tuple(sum((a * b for a, b in zip(r, c) if a != 0 and b != 0), Fraction(0))
+            tuple(sum((a * b for a, b in zip(r, c) if a and b), _ZERO)
                   for c in ot.entries)
             for r in self.entries
         )
@@ -226,9 +292,6 @@ def _eliminate(rows: list, reduce: bool = True) -> list:
     return echelon
 
 
-_ZERO = Fraction(0)
-
-
 def _normalised(echelon: list, cols: int) -> "tuple[RatMatrix, tuple[int, ...]]":
     """The reduced row echelon form, and its pivots, of a reduced echelon."""
     kept = []
@@ -292,9 +355,9 @@ class Subspace:
         out = list(v)
         for row, p in zip(self.basis.entries, self.pivots):
             c = out[p]
-            if c != 0:
+            if c:
                 for k, a in enumerate(row):
-                    if a != 0:
+                    if a:
                         out[k] -= c * a
         return tuple(out)
 

@@ -33,16 +33,20 @@ from .algebra import (
     check_leibniz,
 )
 from .ratlin import (
+    ONE,
     QuotientMap,
     RatMatrix,
     Subspace,
     contract,
+    dense,
     kernel,
     quotient,
     rank,
+    residual,
+    sparse,
+    sparse_table,
     unit_vec,
     vec_is_zero,
-    vec_sub,
 )
 from .xmod import (
     CrossedModule,
@@ -51,6 +55,8 @@ from .xmod import (
     check_xmod,
     check_xmod_hom,
 )
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -98,12 +104,13 @@ class MutualActionPair:
     @cached_property
     def evaluations(self) -> tuple:
         """ev[s][k]: ambient symbol k evaluated into the first factor X of
-        side s by the action of Y on X, x * y -> x^y and y * x -> ^y x."""
+        side s by the action of Y on X, x * y -> x^y and y * x -> ^y x,
+        as a sparse vector."""
         ev = []
         for s, (X, Y, _, y_on_x) in enumerate(self.sides):
             blocks = [None, None]
-            blocks[s] = [y_on_x.right[x][y] for x in range(X.dim) for y in range(Y.dim)]
-            blocks[1 - s] = [y_on_x.left[y][x] for y in range(Y.dim) for x in range(X.dim)]
+            blocks[s] = [y_on_x.sr[x][y] for x in range(X.dim) for y in range(Y.dim)]
+            blocks[1 - s] = [y_on_x.sl[y][x] for y in range(Y.dim) for x in range(X.dim)]
             ev.append(tuple(blocks[0] + blocks[1]))
         return tuple(ev)
 
@@ -122,73 +129,83 @@ def _legs(dm: int, dn: int, k: int) -> tuple:
     return (s,) + divmod(r, (dn, dm)[s])
 
 
-def _sym(dm: int, dn: int, *terms) -> tuple:
-    """Ambient vector of the sum of c * (u * v) over terms (c, s, u, v),
-    the symbol u * v taken in block s and extended bilinearly."""
-    acc = [Fraction(0)] * (2 * dm * dn)
+def _symbols(dm: int, dn: int, terms) -> dict:
+    """The sum of c * (u * v) over terms (c, s, u, v), the symbol u * v
+    of sparse vectors u, v taken in block s and extended bilinearly, as a
+    sparse {ambient index: Fraction} accumulator."""
+    acc = {}
     for c, s, u, v in terms:
-        for x, ux in enumerate(u):
-            if not ux:
-                continue
+        for x, ux in u:
             w, base = c * ux, _index(dm, dn, s, x, 0)
-            for y, vy in enumerate(v):
-                if vy:
-                    acc[base + y] += w * vy
-    return tuple(acc)
+            for y, vy in v:
+                k = base + y
+                acc[k] = acc.get(k, _ZERO) + w * vy
+    return acc
+
+
+def _sym(dm: int, dn: int, *terms) -> tuple:
+    """Dense ambient vector of _symbols(dm, dn, terms)."""
+    return dense(_symbols(dm, dn, terms).items(), 2 * dm * dn)
+
+
+def _bracket_term(pair: MutualActionPair, i: int, j: int, alt: bool = False) -> tuple:
+    """[symbol_i, symbol_j] as one _symbols term: the first leg of symbol i
+    acted on by symbol j, written in the block of symbol i (the primary
+    representative) or, with alt, in the other block."""
+    t = _legs(pair.m.dim, pair.n.dim, i)[0] ^ alt
+    ev = pair.evaluations
+    return (1, t, ev[t][i], ev[1 - t][j])
 
 
 def _primary_entry(pair: MutualActionPair, i: int, j: int) -> tuple:
     """The chosen bracket representative: lands in the block of symbol i."""
-    dm, dn = pair.m.dim, pair.n.dim
-    s, ev = _legs(dm, dn, i)[0], pair.evaluations
-    return _sym(dm, dn, (1, s, ev[s][i], ev[1 - s][j]))
+    return _sym(pair.m.dim, pair.n.dim, _bracket_term(pair, i, j))
 
 
 def _alt_entry(pair: MutualActionPair, i: int, j: int) -> tuple:
     """The other representative, congruent to the primary one modulo the
     relation subspace (their differences are relation rows)."""
-    dm, dn = pair.m.dim, pair.n.dim
-    s, ev = _legs(dm, dn, i)[0], pair.evaluations
-    return _sym(dm, dn, (1, 1 - s, ev[1 - s][i], ev[s][j]))
+    return _sym(pair.m.dim, pair.n.dim, _bracket_term(pair, i, j, alt=True))
 
 
-def _defining_rows(pair: MutualActionPair, table) -> list:
+def _defining_rows(pair: MutualActionPair) -> list:
     """Relation vectors: a bracketed leg rewrites through the actions, the
     two one-sided actions agree up to sign in the second slot, and the two
-    representatives of every symbol bracket coincide.  table holds the
-    primary representatives."""
+    representatives of every symbol bracket coincide."""
     dm, dn = pair.m.dim, pair.n.dim
     amb = 2 * dm * dn
     rows = []
 
-    def add(v):
-        if not vec_is_zero(v):
-            rows.append(v)
+    def add(*terms):
+        r = residual(_symbols(dm, dn, terms), amb)
+        if r:
+            rows.append(r)
 
     for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides):
-        ex = [unit_vec(X.dim, x) for x in range(X.dim)]
-        ey = [unit_vec(Y.dim, y) for y in range(Y.dim)]
+        ex = [((x, ONE),) for x in range(X.dim)]
+        ey = [((y, ONE),) for y in range(Y.dim)]
         for x in range(X.dim):
             for y in range(Y.dim):
                 for y2 in range(Y.dim):
                     # x * [y, y2] = x^y * y2 - x^{y2} * y
-                    add(_sym(dm, dn, (1, s, ex[x], Y.c[y][y2]),
-                             (-1, s, y_on_x.right[x][y], ey[y2]),
-                             (1, s, y_on_x.right[x][y2], ey[y])))
+                    add((1, s, ex[x], Y.st[y][y2]),
+                        (-1, s, y_on_x.sr[x][y], ey[y2]),
+                        (1, s, y_on_x.sr[x][y2], ey[y]))
         for x in range(X.dim):
             for x2 in range(X.dim):
                 for y in range(Y.dim):
                     # [x, x2] * y = ^x y * x2 - x * y^{x2}
-                    add(_sym(dm, dn, (1, s, X.c[x][x2], ey[y]),
-                             (-1, 1 - s, x_on_y.left[x][y], ex[x2]),
-                             (1, s, ex[x], x_on_y.right[y][x2])))
+                    add((1, s, X.st[x][x2], ey[y]),
+                        (-1, 1 - s, x_on_y.sl[x][y], ex[x2]),
+                        (1, s, ex[x], x_on_y.sr[y][x2]))
                     # x * ^{x2}y = - x * y^{x2}
-                    add(_sym(dm, dn, (1, s, ex[x], x_on_y.left[x2][y]),
-                             (1, s, ex[x], x_on_y.right[y][x2])))
+                    add((1, s, ex[x], x_on_y.sl[x2][y]),
+                        (1, s, ex[x], x_on_y.sr[y][x2]))
     # both representatives of [symbol_i, symbol_j] agree
     for i in range(amb):
         for j in range(amb):
-            add(vec_sub(table[i][j], _alt_entry(pair, i, j)))
+            c, t, u, v = _bracket_term(pair, i, j, alt=True)
+            add(_bracket_term(pair, i, j), (-c, t, u, v))
     return rows
 
 
@@ -212,18 +229,23 @@ class QuotientPresentation:
 
     def symbol_mn(self, u, v) -> tuple:
         """Ambient vector of u * v for u in m, v in n (bilinear)."""
-        return _sym(self.pair.m.dim, self.pair.n.dim, (1, 0, u, v))
+        return _sym(self.pair.m.dim, self.pair.n.dim, (1, 0, sparse(u), sparse(v)))
 
     def symbol_nm(self, w, z) -> tuple:
         """Ambient vector of w * z for w in n, z in m (bilinear)."""
-        return _sym(self.pair.m.dim, self.pair.n.dim, (1, 1, w, z))
+        return _sym(self.pair.m.dim, self.pair.n.dim, (1, 1, sparse(w), sparse(z)))
 
     def class_of(self, ambient_vec) -> tuple:
         return self.qmap.project(ambient_vec)
 
+    @cached_property
+    def st(self) -> tuple:
+        """Sparse view of the representative table."""
+        return sparse_table(self.bracket_on_ambient)
+
     def bracket_ambient(self, x, y) -> tuple:
         """Bilinear extension of the representative table."""
-        return contract(self.bracket_on_ambient, x, y, self.ambient_dim)
+        return contract(self.st, x, y, self.ambient_dim)
 
     def alt_bracket_on_ambient(self, i: int, j: int) -> tuple:
         return _alt_entry(self.pair, i, j)
@@ -243,20 +265,24 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
         if not rep.valid:
             raise ValueError(f"invalid action ({side}) for {name}:\n{rep.summary()}")
     amb = 2 * pair.m.dim * pair.n.dim
-    table = tuple(tuple(_primary_entry(pair, i, j) for j in range(amb))
-                  for i in range(amb))
-    rows = _defining_rows(pair, table)
+    # sparse view of the primary table: one product of two sparse vectors
+    # per entry, so no accumulated value is zero
+    st = tuple(tuple(tuple(_symbols(pair.m.dim, pair.n.dim,
+                                    (_bracket_term(pair, i, j),)).items())
+                     for j in range(amb))
+               for i in range(amb))
+    rows = _defining_rows(pair)
     rows.extend(tuple(r) for r in extra_rows)
     relations = Subspace.from_vectors(amb, sorted(set(rows)))
 
     units = [unit_vec(amb, s) for s in range(amb)]
     for r in relations.basis.entries:
         for s, e in enumerate(units):
-            if not relations.contains_vector(contract(table, r, e, amb)):
+            if not relations.contains_vector(contract(st, r, e, amb)):
                 raise AssertionError(
                     f"bracket of {name} not well-defined: relation * symbol "
                     f"{s} escapes the relation subspace")
-            if not relations.contains_vector(contract(table, e, r, amb)):
+            if not relations.contains_vector(contract(st, e, r, amb)):
                 raise AssertionError(
                     f"bracket of {name} not well-defined: symbol {s} * "
                     f"relation escapes the relation subspace")
@@ -265,12 +291,13 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
     names = _symbol_names(pair)
     res_names = tuple(names[f] for f in qmap.free)
     sec = [qmap.section.column(i) for i in range(qmap.dim)]
-    c = tuple(tuple(qmap.project(contract(table, x, y, amb)) for y in sec)
+    c = tuple(tuple(qmap.project(contract(st, x, y, amb)) for y in sec)
               for x in sec)
     resolved = LeibnizAlgebra(name, qmap.dim, res_names, c)
     rep = check_leibniz(resolved)
     if not rep.valid:
         raise AssertionError(f"{name} lost the Leibniz identity:\n{rep.summary()}")
+    table = tuple(tuple(dense(e, amb) for e in row) for row in st)
     return QuotientPresentation(name, pair, amb, relations, table, resolved, qmap)
 
 
@@ -296,6 +323,7 @@ def square_subspace(eta: CrossedModule, delta: CrossedModule) -> Subspace:
         cols.append(tuple(-x for x in delta.delta.column(b)))
     pullback = kernel(RatMatrix.from_columns(cols, rows=q.dim))
     pairs = [(v[:m.dim], v[m.dim:]) for v in pullback.basis.entries]
+    pairs = [(sparse(u), sparse(v)) for u, v in pairs]
     gens = []
     for (u1, v1) in pairs:
         for (u2, v2) in pairs:
@@ -362,25 +390,23 @@ def _base_action_on_ambient(xm: CrossedModule, dn: int):
     q, act = xm.base, xm.action
     dq = q.dim
     # indexed by factor, 0 for q and 1 for n; in block s, x lies in factor s
-    units = ([unit_vec(dq, a) for a in range(dq)], [unit_vec(dn, b) for b in range(dn)])
-    lefts, rights = (q.c, act.left), (q.c, act.right)
+    units = ([((a, ONE),) for a in range(dq)], [((b, ONE),) for b in range(dn)])
+    lefts, rights = (q.st, act.sl), (q.st, act.sr)
 
     def act_left(i, v):
         terms = []
-        for k, coef in enumerate(v):
-            if coef:
-                s, x, y = _legs(dq, dn, k)
-                terms += [(coef, s, lefts[s][i][x], units[1 - s][y]),
-                          (-coef, 1 - s, lefts[1 - s][i][y], units[s][x])]
+        for k, coef in sparse(v):
+            s, x, y = _legs(dq, dn, k)
+            terms += [(coef, s, lefts[s][i][x], units[1 - s][y]),
+                      (-coef, 1 - s, lefts[1 - s][i][y], units[s][x])]
         return _sym(dq, dn, *terms)
 
     def act_right(v, i):
         terms = []
-        for k, coef in enumerate(v):
-            if coef:
-                s, x, y = _legs(dq, dn, k)
-                terms += [(coef, s, rights[s][x][i], units[1 - s][y]),
-                          (coef, s, units[s][x], rights[1 - s][y][i])]
+        for k, coef in sparse(v):
+            s, x, y = _legs(dq, dn, k)
+            terms += [(coef, s, rights[s][x][i], units[1 - s][y]),
+                      (coef, s, units[s][x], rights[1 - s][y][i])]
         return _sym(dq, dn, *terms)
 
     return act_left, act_right
@@ -424,8 +450,10 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     # evaluation maps on ambient symbols: q * n -> ^q n, n * q -> n^q,
     # and q * q' -> [q, q'] on both blocks; both evaluate into the second
     # factor through the base action, which is side 1's first factor
-    lam_amb = RatMatrix.from_columns(qn.pair.evaluations[1], rows=dn)
-    mu_amb = RatMatrix.from_columns(qq.pair.evaluations[1], rows=dq)
+    lam_amb = RatMatrix.from_columns([dense(e, dn) for e in qn.pair.evaluations[1]],
+                                     rows=dn)
+    mu_amb = RatMatrix.from_columns([dense(e, dq) for e in qq.pair.evaluations[1]],
+                                    rows=dq)
     for r in qn.relations.basis.entries:
         if not vec_is_zero(lam_amb.mul_vec(r)):
             raise AssertionError("top evaluation map does not kill the relations")
@@ -531,7 +559,7 @@ def _substitution(src: QuotientPresentation, tgt: QuotientPresentation,
         s, x, y = _legs(src.pair.m.dim, src.pair.n.dim, k)
         fx, fy = maps[s]
         cols.append(_sym(tgt.pair.m.dim, tgt.pair.n.dim,
-                         (1, s, fx.column(x), fy.column(y))))
+                         (1, s, sparse(fx.column(x)), sparse(fy.column(y)))))
     return RatMatrix.from_columns(cols, rows=tgt.ambient_dim)
 
 

@@ -34,11 +34,14 @@ from .algebra import (
     subalgebra_on,
 )
 from .ratlin import (
+    ONE,
     RatMatrix,
     Subspace,
     kernel,
     quotient,
     rank,
+    signed_sum,
+    sparse_columns,
     unit_vec,
     vec_is_zero,
 )
@@ -115,42 +118,41 @@ class SubPair:
 
 
 def check_xmod(xm: CrossedModule) -> ValidityReport:
-    """Action axioms plus conditions (i) and (ii) on all basis pairs."""
+    """Action axioms plus conditions (i) and (ii) on all basis pairs.
+
+    Residuals are signed sums of sparse products, as in check_action."""
     bad = []
     act_rep = check_action(xm.action)
     bad.extend(act_rep.violations)
-    top, base = xm.top, xm.base
+    top, base, act = xm.top, xm.base, xm.action
+    dcols = sparse_columns(xm.delta)
+    units = [((j, ONE),) for j in range(top.dim)]
     for i in range(base.dim):
-        qi = unit_vec(base.dim, i)
         for j in range(top.dim):
-            # (i) delta(^q n) = [q, delta n]
-            lhs = xm.delta_apply(xm.action.left[i][j])
-            rhs = base.bracket(qi, xm.delta.column(j))
-            r = tuple(x - y for x, y in zip(lhs, rhs))
-            if not vec_is_zero(r):
+            # (i) delta(^q n) - [q, delta n]
+            r = signed_sum(base.dim, ((1, act.sl[i][j], dcols),
+                                      (-1, dcols[j], base.st[i])))
+            if r:
                 bad.append((f"equivariance-left ({base.basis_names[i]},"
                             f"{top.basis_names[j]})", r))
-            # (i) delta(n^q) = [delta n, q]
-            lhs = xm.delta_apply(xm.action.right[j][i])
-            rhs = base.bracket(xm.delta.column(j), qi)
-            r = tuple(x - y for x, y in zip(lhs, rhs))
-            if not vec_is_zero(r):
+            # (i) delta(n^q) - [delta n, q]
+            r = signed_sum(base.dim, ((1, act.sr[j][i], dcols),
+                                      (-1, dcols[j], base.st_t[i])))
+            if r:
                 bad.append((f"equivariance-right ({top.basis_names[j]},"
                             f"{base.basis_names[i]})", r))
     for j1 in range(top.dim):
-        d1 = xm.delta.column(j1)
         for j2 in range(top.dim):
-            br = top.c[j1][j2]
-            # (ii) ^{delta n1} n2 = [n1, n2]
-            lhs = xm.action.act_left(d1, unit_vec(top.dim, j2))
-            r = tuple(x - y for x, y in zip(lhs, br))
-            if not vec_is_zero(r):
+            # (ii) ^{delta n1} n2 - [n1, n2]
+            r = signed_sum(top.dim, ((1, dcols[j1], act.sl_t[j2]),
+                                     (-1, units[j2], top.st[j1])))
+            if r:
                 bad.append((f"peiffer-left ({top.basis_names[j1]},"
                             f"{top.basis_names[j2]})", r))
-            # (ii) n1 ^ {delta n2} = [n1, n2]
-            lhs = xm.action.act_right(unit_vec(top.dim, j1), xm.delta.column(j2))
-            r = tuple(x - y for x, y in zip(lhs, br))
-            if not vec_is_zero(r):
+            # (ii) n1 ^ {delta n2} - [n1, n2]
+            r = signed_sum(top.dim, ((1, dcols[j2], act.sr[j1]),
+                                     (-1, units[j2], top.st[j1])))
+            if r:
                 bad.append((f"peiffer-right ({top.basis_names[j1]},"
                             f"{top.basis_names[j2]})", r))
     return _report(f"crossed module {xm.name}", bad)
@@ -302,20 +304,21 @@ def check_xmod_hom(f: XModHom) -> ValidityReport:
         bad.append(("delta compatibility", tuple(
             x - y for lr, rr in zip(lhs.entries, rhs.entries) for x, y in zip(lr, rr))))
     src, tgt = f.source, f.target
+    tcols, bcols = sparse_columns(f.top_map), sparse_columns(f.base_map)
     for i in range(src.base.dim):
-        fq = f.base_map.column(i)
         for j in range(src.top.dim):
-            fn = f.top_map.column(j)
-            r = tuple(x - y for x, y in zip(
-                f.top_map.mul_vec(src.action.left[i][j]),
-                tgt.action.act_left(fq, fn)))
-            if not vec_is_zero(r):
+            # f(^q n) - ^{f q}(f n), the action expanded over f q
+            r = signed_sum(tgt.top.dim, (
+                (1, src.action.sl[i][j], tcols),
+                *((-x, tcols[j], tgt.action.sl[l]) for l, x in bcols[i])))
+            if r:
                 bad.append((f"equivariance-left ({src.base.basis_names[i]},"
                             f"{src.top.basis_names[j]})", r))
-            r = tuple(x - y for x, y in zip(
-                f.top_map.mul_vec(src.action.right[j][i]),
-                tgt.action.act_right(fn, fq)))
-            if not vec_is_zero(r):
+            # f(n^q) - (f n)^{f q}, the action expanded over f n
+            r = signed_sum(tgt.top.dim, (
+                (1, src.action.sr[j][i], tcols),
+                *((-x, bcols[i], tgt.action.sr[l]) for l, x in tcols[j])))
+            if r:
                 bad.append((f"equivariance-right ({src.top.basis_names[j]},"
                             f"{src.base.basis_names[i]})", r))
     return _report(f"crossed module hom {src.name} -> {tgt.name}", bad)

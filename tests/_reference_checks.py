@@ -1,0 +1,247 @@
+"""The dense checks that leibxmod used before its sparse table views,
+kept as a test oracle.
+
+contract, check_leibniz, check_action, check_hom, check_xmod and
+check_xmod_hom are the old functions verbatim, except that every
+bracket, action and matrix product they take goes through the dense
+contract and the dense matrix products copied here rather than through
+the library's methods, so the differential tests in test_checks.py
+compare the library's sparse laws with an independent evaluation.
+"""
+
+from fractions import Fraction
+from functools import partial
+from typing import Sequence
+
+from leibxmod.algebra import (
+    AlgebraHom,
+    LeibnizAction,
+    LeibnizAlgebra,
+    ValidityReport,
+    _report,
+)
+from leibxmod.ratlin import RatMatrix, unit_vec, vec_is_zero
+from leibxmod.xmod import CrossedModule, XModHom
+
+
+def _mul_vec(m: RatMatrix, v: Sequence) -> tuple:
+    if len(v) != m.cols:
+        raise ValueError("matrix-vector shape mismatch")
+    out = []
+    for r in m.entries:
+        s = Fraction(0)
+        for a, b in zip(r, v):
+            if a != 0 and b != 0:
+                s += a * b
+        out.append(s)
+    return tuple(out)
+
+
+def _mul(m: RatMatrix, other: RatMatrix) -> RatMatrix:
+    if m.cols != other.rows:
+        raise ValueError("matrix-matrix shape mismatch")
+    ot = other.transpose()
+    ent = tuple(
+        tuple(sum((a * b for a, b in zip(r, c) if a != 0 and b != 0), Fraction(0))
+              for c in ot.entries)
+        for r in m.entries
+    )
+    return RatMatrix(m.rows, other.cols, ent)
+
+
+def _bracket(a, x, y):
+    return contract(a.c, x, y, a.dim)
+
+
+def _act_left(act, mvec, nvec):
+    return contract(act.left, mvec, nvec, act.acted.dim)
+
+
+def _act_right(act, nvec, mvec):
+    return contract(act.right, nvec, mvec, act.acted.dim)
+
+
+def contract(table, x: Sequence, y: Sequence, dim: int) -> tuple:
+    """The bilinear map with values table[i][j] on basis pairs, at (x, y):
+    the sum over i, j of x_i * y_j * table[i][j], skipping zeros."""
+    acc = [Fraction(0)] * dim
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        ti = table[i]
+        for j, b in ys:
+            c = a * b
+            for k, t in enumerate(ti[j]):
+                if t:
+                    acc[k] += c * t
+    return tuple(acc)
+
+
+def check_leibniz(a: LeibnizAlgebra) -> ValidityReport:
+    """Leibniz identity residuals on all basis triples."""
+    bad = []
+    names = a.basis_names
+    e = [unit_vec(a.dim, i) for i in range(a.dim)]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            for k in range(a.dim):
+                # residual of [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]
+                r = tuple(x - y + z for x, y, z in zip(_bracket(a, e[i], a.c[j][k]),
+                                                       _bracket(a, a.c[i][j], e[k]),
+                                                       _bracket(a, a.c[i][k], e[j])))
+                if not vec_is_zero(r):
+                    bad.append((f"({names[i]},{names[j]},{names[k]})", r))
+    return _report(f"leibniz identity on {a.name}", bad)
+
+
+def check_action(act: LeibnizAction) -> ValidityReport:
+    """All six action axioms evaluated on basis triples.
+
+    With L[i][j] = ^{m_i} n_j and R[j][i] = n_j ^ {m_i}, cm/cn the actor
+    and acted structure constants, the axioms read:
+
+      1. ^{[m,m']}n   = ^m(^{m'}n) + (^m n)^{m'}
+      2. ^m [n,n']    = [^m n, n'] - [^m n', n]
+      3. n^{[m,m']}   = (n^m)^{m'} - (n^{m'})^m
+      4. [n,n']^m     = [n^m, n'] + [n, n'^m]
+      5. ^m(^{m'}n)   = -^m(n^{m'})
+      6. [n, ^m n']   = -[n, n'^m]
+    """
+    m, n = act.actor, act.acted
+    L, R = act.left, act.right
+    cm, cn = m.c, n.c
+    left, right, br = partial(_act_left, act), partial(_act_right, act), partial(_bracket, n)
+    em = [unit_vec(m.dim, i) for i in range(m.dim)]
+    en = [unit_vec(n.dim, j) for j in range(n.dim)]
+    mb, nb = m.basis_names, n.basis_names
+    bad = []
+
+    def flag(axiom, r, *names):
+        if not vec_is_zero(r):
+            bad.append((f"axiom{axiom} ({','.join(names)})", r))
+
+    for i in range(m.dim):
+        for i2 in range(m.dim):
+            for j in range(n.dim):
+                inner = left(em[i], L[i2][j])  # ^m(^{m'}n)
+                # 1. ^{[m,m']}n = ^m(^{m'}n) + (^m n)^{m'}
+                flag(1, tuple(x - y - z for x, y, z in zip(
+                    left(cm[i][i2], en[j]), inner, right(L[i][j], em[i2]))),
+                    mb[i], mb[i2], nb[j])
+                # 5. ^m(^{m'}n) = -^m(n^{m'})
+                flag(5, tuple(x + y for x, y in zip(inner, left(em[i], R[j][i2]))),
+                     mb[i], mb[i2], nb[j])
+
+    for j in range(n.dim):
+        for i in range(m.dim):
+            for i2 in range(m.dim):
+                # 3. n^{[m,m']} = (n^m)^{m'} - (n^{m'})^m
+                flag(3, tuple(x - y + z for x, y, z in zip(
+                    right(en[j], cm[i][i2]), right(R[j][i], em[i2]),
+                    right(R[j][i2], em[i]))),
+                    nb[j], mb[i], mb[i2])
+
+    for i in range(m.dim):
+        for j in range(n.dim):
+            for j2 in range(n.dim):
+                # 2. ^m [n,n'] = [^m n, n'] - [^m n', n]
+                flag(2, tuple(x - y + z for x, y, z in zip(
+                    left(em[i], cn[j][j2]), br(L[i][j], en[j2]), br(L[i][j2], en[j]))),
+                    mb[i], nb[j], nb[j2])
+                outer = br(en[j], R[j2][i])  # [n, n'^m]
+                # 4. [n,n']^m = [n^m, n'] + [n, n'^m]
+                flag(4, tuple(x - y - z for x, y, z in zip(
+                    right(cn[j][j2], em[i]), br(R[j][i], en[j2]), outer)),
+                    nb[j], nb[j2], mb[i])
+                # 6. [n, ^m n'] = -[n, n'^m]
+                flag(6, tuple(x + y for x, y in zip(br(en[j], L[i][j2]), outer)),
+                     nb[j], mb[i], nb[j2])
+
+    return _report(f"action of {m.name} on {n.name}", bad)
+
+
+def check_hom(f: AlgebraHom) -> ValidityReport:
+    """Residuals f([e_i,e_j]) - [f(e_i), f(e_j)] on all basis pairs."""
+    a, b = f.source, f.target
+    bad = []
+    for i in range(a.dim):
+        fi = f.matrix.column(i)
+        for j in range(a.dim):
+            r = tuple(x - y for x, y in zip(_mul_vec(f.matrix, a.c[i][j]),
+                                            _bracket(b, fi, f.matrix.column(j))))
+            if not vec_is_zero(r):
+                bad.append((f"({a.basis_names[i]},{a.basis_names[j]})", r))
+    return _report(f"homomorphism {a.name} -> {b.name}", bad)
+
+
+def check_xmod(xm: CrossedModule) -> ValidityReport:
+    """Action axioms plus conditions (i) and (ii) on all basis pairs."""
+    bad = []
+    act_rep = check_action(xm.action)
+    bad.extend(act_rep.violations)
+    top, base = xm.top, xm.base
+    for i in range(base.dim):
+        qi = unit_vec(base.dim, i)
+        for j in range(top.dim):
+            # (i) delta(^q n) = [q, delta n]
+            lhs = _mul_vec(xm.delta, xm.action.left[i][j])
+            rhs = _bracket(base, qi, xm.delta.column(j))
+            r = tuple(x - y for x, y in zip(lhs, rhs))
+            if not vec_is_zero(r):
+                bad.append((f"equivariance-left ({base.basis_names[i]},"
+                            f"{top.basis_names[j]})", r))
+            # (i) delta(n^q) = [delta n, q]
+            lhs = _mul_vec(xm.delta, xm.action.right[j][i])
+            rhs = _bracket(base, xm.delta.column(j), qi)
+            r = tuple(x - y for x, y in zip(lhs, rhs))
+            if not vec_is_zero(r):
+                bad.append((f"equivariance-right ({top.basis_names[j]},"
+                            f"{base.basis_names[i]})", r))
+    for j1 in range(top.dim):
+        d1 = xm.delta.column(j1)
+        for j2 in range(top.dim):
+            br = top.c[j1][j2]
+            # (ii) ^{delta n1} n2 = [n1, n2]
+            lhs = _act_left(xm.action, d1, unit_vec(top.dim, j2))
+            r = tuple(x - y for x, y in zip(lhs, br))
+            if not vec_is_zero(r):
+                bad.append((f"peiffer-left ({top.basis_names[j1]},"
+                            f"{top.basis_names[j2]})", r))
+            # (ii) n1 ^ {delta n2} = [n1, n2]
+            lhs = _act_right(xm.action, unit_vec(top.dim, j1), xm.delta.column(j2))
+            r = tuple(x - y for x, y in zip(lhs, br))
+            if not vec_is_zero(r):
+                bad.append((f"peiffer-right ({top.basis_names[j1]},"
+                            f"{top.basis_names[j2]})", r))
+    return _report(f"crossed module {xm.name}", bad)
+
+
+def check_xmod_hom(f: XModHom) -> ValidityReport:
+    """Component homomorphisms, delta compatibility, and equivariance."""
+    bad = []
+    bad.extend(check_hom(AlgebraHom(f.source.top, f.target.top, f.top_map)).violations)
+    bad.extend(check_hom(AlgebraHom(f.source.base, f.target.base, f.base_map)).violations)
+    lhs = _mul(f.base_map, f.source.delta)
+    rhs = _mul(f.target.delta, f.top_map)
+    if lhs != rhs:
+        bad.append(("delta compatibility", tuple(
+            x - y for lr, rr in zip(lhs.entries, rhs.entries) for x, y in zip(lr, rr))))
+    src, tgt = f.source, f.target
+    for i in range(src.base.dim):
+        fq = f.base_map.column(i)
+        for j in range(src.top.dim):
+            fn = f.top_map.column(j)
+            r = tuple(x - y for x, y in zip(
+                _mul_vec(f.top_map, src.action.left[i][j]),
+                _act_left(tgt.action, fq, fn)))
+            if not vec_is_zero(r):
+                bad.append((f"equivariance-left ({src.base.basis_names[i]},"
+                            f"{src.top.basis_names[j]})", r))
+            r = tuple(x - y for x, y in zip(
+                _mul_vec(f.top_map, src.action.right[j][i]),
+                _act_right(tgt.action, fn, fq)))
+            if not vec_is_zero(r):
+                bad.append((f"equivariance-right ({src.top.basis_names[j]},"
+                            f"{src.base.basis_names[i]})", r))
+    return _report(f"crossed module hom {src.name} -> {tgt.name}", bad)

@@ -235,6 +235,16 @@ def test_check_hom():
     assert rep.violations[0][0] == "(e1,e1)"
 
 
+def test_every_hom_term_reported():
+    # a linear map sol2 -> r2 on which flipping the sign of either term of
+    # f([x,y]) - [f x, f y], dropping it, putting the other term in its
+    # place, or swapping its arguments changes this report
+    f = AlgebraHom(sol2_lie(), r2_nonlie(), RatMatrix.from_rows([[-1, 2], [-1, 0]]))
+    expected = [("(e1,e1)", (0, -1)), ("(e1,e2)", (2, 2)), ("(e2,e1)", (-2, 0))]
+    assert check_hom(f).violations == tuple(
+        (label, tuple(Fraction(x) for x in r)) for label, r in expected)
+
+
 def test_lie_adjoint_antisymmetry():
     for a in [sl2(), heis3(), sol2_lie()]:
         assert is_lie(a)

@@ -1,0 +1,297 @@
+"""Differential tests of the runtime-checked laws against the dense
+checks kept in _reference_checks.py: on random tables, all-zero tables
+and single-entry perturbations of the fixture objects, every report must
+be the same, subject, validity, and the violations in order with their
+labels and residual Fraction tuples."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _reference_checks as ref
+from leibxmod.algebra import (
+    AlgebraHom,
+    LeibnizAction,
+    LeibnizAlgebra,
+    check_action,
+    check_hom,
+    check_leibniz,
+)
+from leibxmod.ratlin import RatMatrix, contract, sparse_table
+from leibxmod.xmod import CrossedModule, XModHom, check_xmod, check_xmod_hom
+
+from helpers import (
+    central_fixture_extensions,
+    fixture_algebras,
+    heis3,
+    n2,
+    random_leibniz_corpus,
+    sl2,
+    zero_over,
+)
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=100,
+                    deadline=None)
+
+# Zero is drawn often, so that tables are sparse and residuals cancel.
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 7, 12])))
+NONZERO = RATIONALS.filter(bool)
+
+
+def same_report(got, expect):
+    """Equal reports, and every residual entry a Fraction, so that the
+    summaries and --json payloads built from them are the same bytes."""
+    assert got == expect
+    assert got.summary() == expect.summary()
+    assert all(type(x) is Fraction for _, r in got.violations for x in r)
+
+
+# -- random objects ----------------------------------------------------------------
+
+@st.composite
+def vectors(draw, dim, zero=False):
+    return tuple(Fraction(0) if zero else draw(RATIONALS) for _ in range(dim))
+
+
+@st.composite
+def tables(draw, rows, cols, dim):
+    """rows x cols vectors of length dim: random, or all zero."""
+    zero = draw(st.integers(0, 3)) == 0
+    return tuple(tuple(draw(vectors(dim, zero)) for _ in range(cols))
+                 for _ in range(rows))
+
+
+@st.composite
+def algebras(draw, max_dim=3):
+    d = draw(st.integers(0, max_dim))
+    return LeibnizAlgebra(f"a{d}", d, tuple(f"e{i+1}" for i in range(d)),
+                          draw(tables(d, d, d)))
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    zero = draw(st.integers(0, 3)) == 0
+    return RatMatrix(rows, cols, tuple(draw(vectors(cols, zero)) for _ in range(rows)))
+
+
+@st.composite
+def actions(draw):
+    m = draw(algebras())
+    n = draw(algebras())
+    return LeibnizAction(m, n, draw(tables(m.dim, n.dim, n.dim)),
+                         draw(tables(n.dim, m.dim, n.dim)))
+
+
+@st.composite
+def crossed_modules(draw):
+    act = draw(actions())
+    top, base = act.acted, act.actor
+    return CrossedModule("xm", top, base, draw(matrices(base.dim, top.dim)), act)
+
+
+@st.composite
+def homs(draw):
+    a, b = draw(algebras()), draw(algebras())
+    return AlgebraHom(a, b, draw(matrices(b.dim, a.dim)))
+
+
+@st.composite
+def crossed_module_homs(draw):
+    src, tgt = draw(crossed_modules()), draw(crossed_modules())
+    return XModHom(src, tgt, draw(matrices(tgt.top.dim, src.top.dim)),
+                   draw(matrices(tgt.base.dim, src.base.dim)))
+
+
+@PROPERTY
+@given(st.data())
+def test_contract_matches_reference(data):
+    a = data.draw(algebras(max_dim=4))
+    x, y = data.draw(vectors(a.dim)), data.draw(vectors(a.dim))
+    got = contract(sparse_table(a.c), x, y, a.dim)
+    assert got == ref.contract(a.c, x, y, a.dim)
+    assert all(type(t) is Fraction for t in got)
+
+
+@PROPERTY
+@given(algebras())
+def test_check_leibniz_matches_reference(a):
+    same_report(check_leibniz(a), ref.check_leibniz(a))
+
+
+@PROPERTY
+@given(actions())
+def test_check_action_matches_reference(act):
+    same_report(check_action(act), ref.check_action(act))
+
+
+@PROPERTY
+@given(crossed_modules())
+def test_check_xmod_matches_reference(xm):
+    same_report(check_xmod(xm), ref.check_xmod(xm))
+
+
+@PROPERTY
+@given(homs())
+def test_check_hom_matches_reference(f):
+    same_report(check_hom(f), ref.check_hom(f))
+
+
+@PROPERTY
+@given(crossed_module_homs())
+def test_check_xmod_hom_matches_reference(f):
+    same_report(check_xmod_hom(f), ref.check_xmod_hom(f))
+
+
+# -- single-entry perturbations of the fixtures ------------------------------------
+
+def _with_entry(table, i, j, k, delta):
+    """table with delta added at table[i][j][k]."""
+    rows = [list(r) for r in table]
+    v = list(rows[i][j])
+    v[k] += delta
+    rows[i][j] = tuple(v)
+    return tuple(tuple(r) for r in rows)
+
+
+def _with_matrix_entry(m, i, j, delta):
+    rows = [list(r) for r in m.entries]
+    rows[i][j] += delta
+    return RatMatrix(m.rows, m.cols, tuple(tuple(r) for r in rows))
+
+
+@st.composite
+def perturbed_table(draw, table, rows, cols, dim):
+    if not (rows and cols and dim):
+        return table
+    return _with_entry(table, draw(st.integers(0, rows - 1)),
+                       draw(st.integers(0, cols - 1)),
+                       draw(st.integers(0, dim - 1)), draw(NONZERO))
+
+
+@st.composite
+def perturbed_matrix(draw, m):
+    if not (m.rows and m.cols):
+        return m
+    return _with_matrix_entry(m, draw(st.integers(0, m.rows - 1)),
+                              draw(st.integers(0, m.cols - 1)), draw(NONZERO))
+
+
+def _fixture_crossed_modules():
+    out = [CrossedModule.adjoint_identity(a) for a in fixture_algebras()]
+    out += [zero_over(n2()), zero_over(heis3())]
+    out += [e.total for e in central_fixture_extensions()]
+    return out
+
+
+def _fixture_crossed_module_homs():
+    out = [XModHom.identity(xm) for xm in _fixture_crossed_modules()]
+    out += [e.proj for e in central_fixture_extensions()]
+    return out
+
+
+FIXTURE_ALGEBRAS = fixture_algebras() + random_leibniz_corpus(6)
+FIXTURE_XMODS = _fixture_crossed_modules()
+FIXTURE_XMOD_HOMS = _fixture_crossed_module_homs()
+
+
+@st.composite
+def perturbed_algebras(draw, a=None):
+    if a is None:
+        a = draw(st.sampled_from(FIXTURE_ALGEBRAS))
+    c = draw(perturbed_table(a.c, a.dim, a.dim, a.dim))
+    return LeibnizAlgebra(a.name, a.dim, a.basis_names, c)
+
+
+@st.composite
+def perturbed_actions(draw, act=None):
+    """One entry of the left or the right table, or of a structure table
+    of either algebra, moved."""
+    if act is None:
+        act = LeibnizAction.adjoint(draw(st.sampled_from(FIXTURE_ALGEBRAS)))
+    m, n, left, right = act.actor, act.acted, act.left, act.right
+    where = draw(st.sampled_from(["left", "right", "actor", "acted"]))
+    if where == "left":
+        left = draw(perturbed_table(left, m.dim, n.dim, n.dim))
+    elif where == "right":
+        right = draw(perturbed_table(right, n.dim, m.dim, n.dim))
+    elif where == "actor":
+        m = draw(perturbed_algebras(m))
+    else:
+        n = draw(perturbed_algebras(n))
+    return LeibnizAction(m, n, left, right)
+
+
+@st.composite
+def perturbed_crossed_modules(draw, xm=None):
+    if xm is None:
+        xm = draw(st.sampled_from(FIXTURE_XMODS))
+    act = draw(perturbed_actions(xm.action))
+    delta = xm.delta
+    if draw(st.booleans()):
+        delta = draw(perturbed_matrix(delta))
+    return CrossedModule(xm.name, act.acted, act.actor, delta, act)
+
+
+@PROPERTY
+@given(perturbed_algebras())
+def test_check_leibniz_on_perturbed_fixtures(a):
+    same_report(check_leibniz(a), ref.check_leibniz(a))
+
+
+@PROPERTY
+@given(perturbed_actions())
+def test_check_action_on_perturbed_fixtures(act):
+    same_report(check_action(act), ref.check_action(act))
+
+
+@PROPERTY
+@given(perturbed_crossed_modules())
+def test_check_xmod_on_perturbed_fixtures(xm):
+    same_report(check_xmod(xm), ref.check_xmod(xm))
+
+
+@PROPERTY
+@given(st.data())
+def test_check_hom_on_perturbed_fixtures(data):
+    a = data.draw(st.sampled_from(FIXTURE_ALGEBRAS))
+    f = AlgebraHom(data.draw(perturbed_algebras(a)), a,
+                   data.draw(perturbed_matrix(RatMatrix.identity(a.dim))))
+    same_report(check_hom(f), ref.check_hom(f))
+
+
+@PROPERTY
+@given(st.data())
+def test_check_xmod_hom_on_perturbed_fixtures(data):
+    f = data.draw(st.sampled_from(FIXTURE_XMOD_HOMS))
+    src, tgt, top_map, base_map = f.source, f.target, f.top_map, f.base_map
+    where = data.draw(st.sampled_from(["top_map", "base_map", "source", "target"]))
+    if where == "top_map":
+        top_map = data.draw(perturbed_matrix(top_map))
+    elif where == "base_map":
+        base_map = data.draw(perturbed_matrix(base_map))
+    elif where == "source":
+        src = data.draw(perturbed_crossed_modules(src))
+    else:
+        tgt = data.draw(perturbed_crossed_modules(tgt))
+    g = XModHom(src, tgt, top_map, base_map)
+    same_report(check_xmod_hom(g), ref.check_xmod_hom(g))
+
+
+def test_sparse_views_leave_equality_and_hashing_alone():
+    # the views are cached on the instance, outside the dataclass fields
+    for a in [sl2(), heis3()] + random_leibniz_corpus(3):
+        xm = CrossedModule.adjoint_identity(a)
+        assert check_xmod(xm).valid
+        act = xm.action
+        assert {"st", "st_t"} <= vars(a).keys()
+        assert {"sl", "sr", "sl_t", "sr_t"} <= vars(act).keys()
+        fresh = LeibnizAlgebra(a.name, a.dim, a.basis_names, a.c)
+        assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+        fresh_act = LeibnizAction(fresh, fresh, act.left, act.right)
+        assert act == fresh_act and hash(act) == hash(fresh_act)
+        assert repr(act) == repr(fresh_act)
+        fresh_xm = CrossedModule.adjoint_identity(fresh)
+        assert xm == fresh_xm and hash(xm) == hash(fresh_xm)

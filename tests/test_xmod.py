@@ -34,6 +34,7 @@ from helpers import (
     heis3,
     k_abelian,
     n2,
+    r2_nonlie,
     random_leibniz_corpus,
     sl2,
 )
@@ -92,6 +93,28 @@ def test_zero_action_breaks_peiffer_on_n2():
                               ("equivariance-right (e1,e1)", minus_e2),
                               ("peiffer-left (e1,e1)", minus_e2),
                               ("peiffer-right (e1,e1)", minus_e2))
+
+
+def test_every_xmod_term_reported():
+    # r2 ([e2,e1] = e2) over itself with a valid sparse action and a
+    # perturbed delta, chosen so that flipping the sign of either term of
+    # an equivariance or Peiffer residual, dropping it, putting the other
+    # term in its place, or swapping its arguments (left for right action,
+    # [x,y] for [y,x]) changes this report
+    q = r2_nonlie()
+    z, one = QQ(0), QQ(1)
+    left = (((z, z), (z, z)), ((z, -one), (z, z)))
+    right = (((z, z), (z, z)), ((z, one), (z, z)))
+    delta = RatMatrix.from_rows([[-1, 1], [-1, 0]])
+    rep = check_xmod(CrossedModule("xm", q, q, delta, LeibnizAction(q, q, left, right)))
+    expected = [
+        ("equivariance-right (e1,e1)", (0, 1)), ("equivariance-right (e2,e1)", (1, 0)),
+        ("equivariance-left (e2,e1)", (-1, 1)), ("equivariance-left (e2,e2)", (0, -1)),
+        ("peiffer-left (e1,e1)", (0, 1)), ("peiffer-left (e2,e1)", (0, -1)),
+        ("peiffer-right (e2,e1)", (0, -2)), ("peiffer-right (e2,e2)", (0, 1)),
+    ]
+    assert rep.violations == tuple(
+        (label, tuple(QQ(x) for x in r)) for label, r in expected)
 
 
 def test_delta_shape_mismatch_rejected():
