@@ -343,10 +343,7 @@ def quotient_algebra(a: LeibnizAlgebra, ideal: Subspace,
         raise ValueError(f"subspace is not a two-sided ideal of {a.name}")
     qm = quotient(a.dim, ideal)
     names = tuple(a.basis_names[f] for f in qm.free)
-    c = tuple(
-        tuple(qm.project(a.bracket(qm.section.column(i), qm.section.column(j)))
-              for j in range(qm.dim))
-        for i in range(qm.dim))
+    c = tuple(tuple(qm.project(a.c[i][j]) for j in qm.free) for i in qm.free)
     out = LeibnizAlgebra(name or f"{a.name}_quot", qm.dim, names, c)
     rep = check_leibniz(out)
     if not rep.valid:

@@ -237,8 +237,11 @@ def _theta_matrices(e: Extension, kxm: CrossedModule,
         if not vec_is_zero(B.mul_vec(r)):
             raise AssertionError(
                 "lifted evaluation does not vanish on the base square relations")
-    theta_top = A.mul(esd.qn.qmap.section)
-    theta_base = B.mul(esd.qq.qmap.section)
+    # on the quotient, column j is the lifted evaluation of the free symbol
+    theta_top = RatMatrix.from_columns([amb_top[f] for f in esd.qn.qmap.free],
+                                       rows=e.total.top.dim)
+    theta_base = RatMatrix.from_columns([amb_base[f] for f in esd.qq.qmap.free],
+                                        rows=e.total.base.dim)
     tcols = []
     for k in range(incl_m.top_map.cols):
         v = theta_top.mul_vec(incl_m.top_map.column(k))

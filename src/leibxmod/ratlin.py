@@ -2,12 +2,18 @@
 
 This is the only arithmetic layer of the package.  Scalars are
 ``fractions.Fraction`` (arbitrary precision, always normalized with a
-positive denominator); vectors are dense tuples of Fractions; matrices
-are immutable dense row-major grids.  Structure and action tables are
-stored densely too, but read through sparse views, ``st[i][j] = ((k,
-t), ...)`` over the nonzero ``t``: ``contract``, the one bilinear
-contraction, and the ``accumulate`` step that the runtime-checked laws
-share, visit nonzero entries only and hand back dense Fraction tuples.
+positive denominator).  Dense vectors are tuples of Fractions and
+matrices are immutable dense row-major grids; they are what the public
+objects store and print.  The hot paths run sparse: a sparse vector is
+``((index, value), ...)`` (or the items of a ``{index: value}``
+accumulator), structure and action tables are read through sparse views,
+``st[i][j] = ((k, t), ...)`` over the nonzero ``t``, and ``accumulate``
+is the one step behind ``contract``, the bilinear contraction, behind
+the runtime-checked laws and behind quotient maps.  A ``QuotientMap``
+is a sparse map too: the image of every ambient column in quotient
+coordinates, so projecting a vector costs one ``accumulate`` over its
+nonzero entries, and membership in the relation subspace is an empty
+projection.
 Every operation is deterministic: the canonical form behind all
 subspace comparisons, kernels and quotients is *the* reduced row
 echelon form of a row space, which is unique and so does not depend on
@@ -20,6 +26,7 @@ result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -184,6 +191,16 @@ class RatMatrix:
             raise ValueError("empty matrix needs an explicit row count")
         return cls(rows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(rows)))
 
+    @classmethod
+    def from_sparse_columns(cls, columns: Sequence, rows: int) -> "RatMatrix":
+        """The rows x len(columns) matrix whose column j has the (index,
+        value) entries of columns[j], zero elsewhere."""
+        grid = [[_ZERO] * len(columns) for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for k, t in col:
+                grid[k][j] = t
+        return cls(rows, len(columns), tuple(tuple(r) for r in grid))
+
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
@@ -229,17 +246,16 @@ def _primitive(row: dict) -> dict:
     return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
+def _integer_row(nz) -> dict:
+    """A nonzero sparse rational row ((column, Fraction), ...) with its
+    denominators cleared (lcm), as a {column: int} dict with content 1."""
+    den = lcm(*[x.denominator for _, x in nz])
+    return _primitive({k: x.numerator * (den // x.denominator) for k, x in nz})
+
+
 def _integer_rows(m: RatMatrix) -> list:
-    """The nonzero rows of m with denominators cleared (lcm of the row's
-    denominators), as sparse {column: int} dicts with content 1."""
-    out = []
-    for r in m.entries:
-        nz = [(k, x) for k, x in enumerate(r) if x]
-        if nz:
-            den = lcm(*[x.denominator for _, x in nz])
-            out.append(_primitive(
-                {k: x.numerator * (den // x.denominator) for k, x in nz}))
-    return out
+    """The nonzero rows of m as _integer_row dicts."""
+    return [_integer_row(nz) for nz in map(sparse, m.entries) if nz]
 
 
 def _cancel(row: dict, piv: dict, c: int) -> dict:
@@ -333,6 +349,14 @@ class Subspace:
                 raise ValueError("vector length differs from ambient dimension")
         return cls(ambient_dim,
                    *rref(RatMatrix(len(rows), ambient_dim, tuple(rows))))
+
+    @classmethod
+    def from_sparse(cls, ambient_dim: int, rows: Iterable) -> "Subspace":
+        """The span of sparse vectors ((index, Fraction), ...) with nonzero
+        values and indices below ambient_dim; they go to the elimination
+        as they are, without a dense copy."""
+        return cls(ambient_dim, *_normalised(
+            _eliminate([_integer_row(r) for r in rows if r]), ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -432,29 +456,67 @@ def column_space(m: RatMatrix) -> Subspace:
 
 @dataclass(frozen=True)
 class QuotientMap:
-    """Quotient of QQ^ambient_dim by a relation subspace.
+    """Quotient of QQ^ambient_dim by a relation subspace, as one sparse map.
 
-    projection (dim x ambient) and section (ambient x dim) satisfy
-    projection . section = identity and kernel(projection) = relations.
-    The quotient basis is the complement of the relation pivots, so
-    structure constants computed through a QuotientMap are reproducible.
+    The quotient basis is the classes of the free columns, the columns
+    without a pivot in the relations' canonical RREF, so structure
+    constants computed through a QuotientMap are reproducible.  rows are
+    the RREF rows as sparse vectors, and images[c] is the sparse image of
+    ambient column c in quotient coordinates: e_k for the k-th free
+    column, and minus pivot row i restricted to the free columns for the
+    pivot column of row i.  The image of v is then v's free part minus
+    the pivot rows' combination at v's pivot coordinates, which is the
+    free part of v reduced by the relations; so the kernel is exactly
+    the relation subspace, and lifting e_k is the ambient unit at free[k].
     """
 
     ambient_dim: int
     relations: Subspace
-    projection: RatMatrix
-    section: RatMatrix
     free: tuple
+    rows: tuple
+    images: tuple
 
     @property
     def dim(self) -> int:
-        return self.projection.rows
+        return len(self.free)
+
+    def image(self, a) -> dict:
+        """The image of a sparse vector a, as an accumulator: one
+        accumulate over the nonzero entries of a."""
+        acc = {}
+        accumulate(acc, ONE, a, self.images)
+        return acc
+
+    def kills(self, a) -> bool:
+        """Whether the sparse vector a lies in the relation subspace."""
+        return not any(self.image(a).values())
+
+    def project_sparse(self, a) -> tuple:
+        """The class of the sparse vector a, as a dense quotient vector."""
+        return dense(self.image(a).items(), self.dim)
 
     def project(self, v: Sequence) -> tuple:
-        return self.projection.mul_vec(vec(v))
+        """The class of the dense ambient vector v."""
+        if len(v) != self.ambient_dim:
+            raise ValueError("matrix-vector shape mismatch")
+        return self.project_sparse(sparse(v))
 
     def lift(self, v: Sequence) -> tuple:
-        return self.section.mul_vec(vec(v))
+        """The ambient vector with v at the free columns, zero elsewhere."""
+        if len(v) != self.dim:
+            raise ValueError("matrix-vector shape mismatch")
+        return dense(zip(self.free, vec(v)), self.ambient_dim)
+
+    @cached_property
+    def projection(self) -> RatMatrix:
+        """The dense dim x ambient matrix of the projection."""
+        return RatMatrix.from_sparse_columns(self.images, self.dim)
+
+    @cached_property
+    def section(self) -> RatMatrix:
+        """The dense ambient x dim matrix of lift."""
+        return RatMatrix.from_sparse_columns(
+            [((f, ONE),) for f in self.free], self.ambient_dim)
 
 
 def quotient(ambient_dim: int, r: Subspace) -> QuotientMap:
@@ -462,21 +524,14 @@ def quotient(ambient_dim: int, r: Subspace) -> QuotientMap:
         raise ValueError("relation subspace lives in a different ambient space")
     pivset = set(r.pivots)
     free = tuple(c for c in range(ambient_dim) if c not in pivset)
-    q = len(free)
-    proj = [[Fraction(0)] * ambient_dim for _ in range(q)]
+    position = {f: k for k, f in enumerate(free)}
+    rows = tuple(sparse(row) for row in r.basis.entries)
+    images = [None] * ambient_dim
     for k, f in enumerate(free):
-        proj[k][f] = Fraction(1)
-        for i, p in enumerate(r.pivots):
-            proj[k][p] = -r.basis.entries[i][f]
-    sect = [[Fraction(0)] * q for _ in range(ambient_dim)]
-    for k, f in enumerate(free):
-        sect[f][k] = Fraction(1)
-    return QuotientMap(
-        ambient_dim, r,
-        RatMatrix(q, ambient_dim, tuple(tuple(row) for row in proj)),
-        RatMatrix(ambient_dim, q, tuple(tuple(row) for row in sect)),
-        free,
-    )
+        images[f] = ((k, ONE),)
+    for p, row in zip(r.pivots, rows):
+        images[p] = tuple((position[c], -t) for c, t in row if c != p)
+    return QuotientMap(ambient_dim, r, free, rows, tuple(images))
 
 
 def solve(m: RatMatrix, rhs: Sequence) -> tuple:

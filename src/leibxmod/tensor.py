@@ -37,14 +37,15 @@ from .ratlin import (
     QuotientMap,
     RatMatrix,
     Subspace,
+    accumulate,
     contract,
     dense,
     kernel,
     quotient,
     rank,
-    residual,
     sparse,
-    sparse_table,
+    sparse_columns,
+    transposed,
     unit_vec,
     vec_is_zero,
 )
@@ -169,15 +170,16 @@ def _alt_entry(pair: MutualActionPair, i: int, j: int) -> tuple:
 
 
 def _defining_rows(pair: MutualActionPair) -> list:
-    """Relation vectors: a bracketed leg rewrites through the actions, the
-    two one-sided actions agree up to sign in the second slot, and the two
-    representatives of every symbol bracket coincide."""
+    """Relation vectors, as sparse vectors sorted by index: a bracketed leg
+    rewrites through the actions, the two one-sided actions agree up to
+    sign in the second slot, and the two representatives of every symbol
+    bracket coincide."""
     dm, dn = pair.m.dim, pair.n.dim
     amb = 2 * dm * dn
     rows = []
 
     def add(*terms):
-        r = residual(_symbols(dm, dn, terms), amb)
+        r = tuple(sorted((k, t) for k, t in _symbols(dm, dn, terms).items() if t))
         if r:
             rows.append(r)
 
@@ -217,7 +219,7 @@ class QuotientPresentation:
     pair: MutualActionPair
     ambient_dim: int
     relations: Subspace
-    bracket_on_ambient: tuple   # [i][j] -> ambient vector
+    st: tuple   # sparse view of the representative table: [i][j] -> ((k, t), ...)
     resolved: LeibnizAlgebra
     qmap: QuotientMap
 
@@ -238,17 +240,9 @@ class QuotientPresentation:
     def class_of(self, ambient_vec) -> tuple:
         return self.qmap.project(ambient_vec)
 
-    @cached_property
-    def st(self) -> tuple:
-        """Sparse view of the representative table."""
-        return sparse_table(self.bracket_on_ambient)
-
     def bracket_ambient(self, x, y) -> tuple:
         """Bilinear extension of the representative table."""
         return contract(self.st, x, y, self.ambient_dim)
-
-    def alt_bracket_on_ambient(self, i: int, j: int) -> tuple:
-        return _alt_entry(self.pair, i, j)
 
 
 def _symbol_names(pair: MutualActionPair) -> tuple:
@@ -272,33 +266,46 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
                      for j in range(amb))
                for i in range(amb))
     rows = _defining_rows(pair)
-    rows.extend(tuple(r) for r in extra_rows)
-    relations = Subspace.from_vectors(amb, sorted(set(rows)))
+    rows.extend(sparse(r) for r in extra_rows)
+    relations = Subspace.from_sparse(amb, sorted(set(rows)))
+    qmap = quotient(amb, relations)
 
-    units = [unit_vec(amb, s) for s in range(amb)]
-    for r in relations.basis.entries:
-        for s, e in enumerate(units):
-            if not relations.contains_vector(contract(st, r, e, amb)):
+    # [r, e_s] has the sparse columns st_t[s], [e_s, r] those of st[s]
+    st_t = transposed(st, amb)
+    for r in qmap.rows:
+        for s in range(amb):
+            if not _preserves(qmap, r, st_t[s]):
                 raise AssertionError(
                     f"bracket of {name} not well-defined: relation * symbol "
                     f"{s} escapes the relation subspace")
-            if not relations.contains_vector(contract(st, e, r, amb)):
+            if not _preserves(qmap, r, st[s]):
                 raise AssertionError(
                     f"bracket of {name} not well-defined: symbol {s} * "
                     f"relation escapes the relation subspace")
 
-    qmap = quotient(amb, relations)
     names = _symbol_names(pair)
     res_names = tuple(names[f] for f in qmap.free)
-    sec = [qmap.section.column(i) for i in range(qmap.dim)]
-    c = tuple(tuple(qmap.project(contract(st, x, y, amb)) for y in sec)
-              for x in sec)
+    c = tuple(tuple(qmap.project_sparse(st[x][y]) for y in qmap.free)
+              for x in qmap.free)
     resolved = LeibnizAlgebra(name, qmap.dim, res_names, c)
     rep = check_leibniz(resolved)
     if not rep.valid:
         raise AssertionError(f"{name} lost the Leibniz identity:\n{rep.summary()}")
-    table = tuple(tuple(dense(e, amb) for e in row) for row in st)
-    return QuotientPresentation(name, pair, amb, relations, table, resolved, qmap)
+    return QuotientPresentation(name, pair, amb, relations, st, resolved, qmap)
+
+
+def _image(a, columns) -> dict:
+    """The image of the sparse vector a under the linear map whose column
+    l is the sparse vector columns[l], as an accumulator."""
+    acc = {}
+    accumulate(acc, ONE, a, columns)
+    return acc
+
+
+def _preserves(qmap: QuotientMap, a, columns) -> bool:
+    """Whether the linear map with the given sparse columns sends the
+    sparse vector a into the relation subspace of qmap."""
+    return qmap.kills(_image(a, columns).items())
 
 
 @lru_cache(maxsize=None)
@@ -327,8 +334,9 @@ def square_subspace(eta: CrossedModule, delta: CrossedModule) -> Subspace:
     gens = []
     for (u1, v1) in pairs:
         for (u2, v2) in pairs:
-            gens.append(_sym(m.dim, n.dim, (1, 0, u1, v2), (-1, 1, v1, u2)))
-    return Subspace.from_vectors(2 * m.dim * n.dim, gens)
+            acc = _symbols(m.dim, n.dim, ((1, 0, u1, v2), (-1, 1, v1, u2)))
+            gens.append(tuple((k, t) for k, t in acc.items() if t))
+    return Subspace.from_sparse(2 * m.dim * n.dim, gens)
 
 
 @lru_cache(maxsize=None)
@@ -346,18 +354,24 @@ def one_leg_span(pres: QuotientPresentation, m_sub: Subspace,
     """Span, inside the resolved quotient, of the classes of all symbols
     with the m-leg in m_sub or the n-leg in n_sub."""
     dm, dn = pres.pair.m.dim, pres.pair.n.dim
+    qm = pres.qmap
+
+    def cls(*terms):
+        acc = qm.image(_symbols(dm, dn, terms).items())
+        return tuple((k, t) for k, t in acc.items() if t)
+
     gens = []
-    for u in m_sub.basis.entries:
+    for u in map(sparse, m_sub.basis.entries):
         for j in range(dn):
-            ej = unit_vec(dn, j)
-            gens.append(pres.class_of(pres.symbol_mn(u, ej)))
-            gens.append(pres.class_of(pres.symbol_nm(ej, u)))
-    for v in n_sub.basis.entries:
+            ej = ((j, ONE),)
+            gens.append(cls((1, 0, u, ej)))
+            gens.append(cls((1, 1, ej, u)))
+    for v in map(sparse, n_sub.basis.entries):
         for i in range(dm):
-            ei = unit_vec(dm, i)
-            gens.append(pres.class_of(pres.symbol_mn(ei, v)))
-            gens.append(pres.class_of(pres.symbol_nm(v, ei)))
-    return Subspace.from_vectors(pres.resolved.dim, gens)
+            ei = ((i, ONE),)
+            gens.append(cls((1, 0, ei, v)))
+            gens.append(cls((1, 1, v, ei)))
+    return Subspace.from_sparse(qm.dim, gens)
 
 
 @dataclass(frozen=True)
@@ -385,54 +399,49 @@ def _base_action_on_ambient(xm: CrossedModule, dn: int):
 
     with ^q x = [q, x] and x^q = [x, q] on the q factor.
 
-    Returns (act_left, act_right): act_left(i, vec), act_right(vec, i).
+    Returns (left, right): left[i][k] is ^{q_i} of ambient symbol k and
+    right[i][k] is symbol k acted on by q_i on the right, as sparse
+    vectors, so left[i] and right[i] are the sparse columns of the two
+    maps of basis element q_i.
     """
     q, act = xm.base, xm.action
     dq = q.dim
     # indexed by factor, 0 for q and 1 for n; in block s, x lies in factor s
     units = ([((a, ONE),) for a in range(dq)], [((b, ONE),) for b in range(dn)])
     lefts, rights = (q.st, act.sl), (q.st, act.sr)
-
-    def act_left(i, v):
-        terms = []
-        for k, coef in sparse(v):
-            s, x, y = _legs(dq, dn, k)
-            terms += [(coef, s, lefts[s][i][x], units[1 - s][y]),
-                      (-coef, 1 - s, lefts[1 - s][i][y], units[s][x])]
-        return _sym(dq, dn, *terms)
-
-    def act_right(v, i):
-        terms = []
-        for k, coef in sparse(v):
-            s, x, y = _legs(dq, dn, k)
-            terms += [(coef, s, rights[s][x][i], units[1 - s][y]),
-                      (coef, s, units[s][x], rights[1 - s][y][i])]
-        return _sym(dq, dn, *terms)
-
-    return act_left, act_right
-
-
-def _descend_action(pres: QuotientPresentation, act_left, act_right, dq: int):
-    """Push an ambient action of the base down to the resolved quotient,
-    asserting the relation subspace is stable."""
-    for i in range(dq):
-        for r in pres.relations.basis.entries:
-            if not pres.relations.contains_vector(act_left(i, r)):
-                raise AssertionError(
-                    f"base action does not preserve the relations of {pres.name}")
-            if not pres.relations.contains_vector(act_right(r, i)):
-                raise AssertionError(
-                    f"base action does not preserve the relations of {pres.name}")
-    sec = pres.qmap.section
+    legs = [_legs(dq, dn, k) for k in range(2 * dq * dn)]
     left = tuple(
-        tuple(pres.class_of(act_left(i, sec.column(j)))
-              for j in range(pres.resolved.dim))
+        tuple(tuple(_symbols(dq, dn, (
+            (1, s, lefts[s][i][x], units[1 - s][y]),
+            (-1, 1 - s, lefts[1 - s][i][y], units[s][x]))).items())
+            for s, x, y in legs)
         for i in range(dq))
     right = tuple(
-        tuple(pres.class_of(act_right(sec.column(j), i))
-              for i in range(dq))
-        for j in range(pres.resolved.dim))
+        tuple(tuple(_symbols(dq, dn, (
+            (1, s, rights[s][x][i], units[1 - s][y]),
+            (1, s, units[s][x], rights[1 - s][y][i]))).items())
+            for s, x, y in legs)
+        for i in range(dq))
     return left, right
+
+
+def _descend_action(pres: QuotientPresentation, left, right, dq: int):
+    """Push an ambient action of the base down to the resolved quotient,
+    asserting the relation subspace is stable.  left[i] and right[i] are
+    the sparse columns of the two ambient maps of basis element i."""
+    qm = pres.qmap
+    for i in range(dq):
+        for r in qm.rows:
+            if not _preserves(qm, r, left[i]):
+                raise AssertionError(
+                    f"base action does not preserve the relations of {pres.name}")
+            if not _preserves(qm, r, right[i]):
+                raise AssertionError(
+                    f"base action does not preserve the relations of {pres.name}")
+    return (tuple(tuple(qm.project_sparse(left[i][f]) for f in qm.free)
+                  for i in range(dq)),
+            tuple(tuple(qm.project_sparse(right[i][f]) for i in range(dq))
+                  for f in qm.free))
 
 
 @lru_cache(maxsize=None)
@@ -449,28 +458,27 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
 
     # evaluation maps on ambient symbols: q * n -> ^q n, n * q -> n^q,
     # and q * q' -> [q, q'] on both blocks; both evaluate into the second
-    # factor through the base action, which is side 1's first factor
-    lam_amb = RatMatrix.from_columns([dense(e, dn) for e in qn.pair.evaluations[1]],
-                                     rows=dn)
-    mu_amb = RatMatrix.from_columns([dense(e, dq) for e in qq.pair.evaluations[1]],
-                                    rows=dq)
-    for r in qn.relations.basis.entries:
-        if not vec_is_zero(lam_amb.mul_vec(r)):
+    # factor through the base action, which is side 1's first factor.  On
+    # the quotient, column j is the evaluation of the free symbol free[j]
+    lam_amb, mu_amb = qn.pair.evaluations[1], qq.pair.evaluations[1]
+    for r in qn.qmap.rows:
+        if any(_image(r, lam_amb).values()):
             raise AssertionError("top evaluation map does not kill the relations")
-    for r in qq.relations.basis.entries:
-        if not vec_is_zero(mu_amb.mul_vec(r)):
+    for r in qq.qmap.rows:
+        if any(_image(r, mu_amb).values()):
             raise AssertionError("base evaluation map does not kill the relations")
-    lambda_n = AlgebraHom(qn.resolved, n, lam_amb.mul(qn.qmap.section))
-    mu_q = AlgebraHom(qq.resolved, q, mu_amb.mul(qq.qmap.section))
+    lambda_n = AlgebraHom(qn.resolved, n, RatMatrix.from_sparse_columns(
+        [lam_amb[f] for f in qn.qmap.free], dn))
+    mu_q = AlgebraHom(qq.resolved, q, RatMatrix.from_sparse_columns(
+        [mu_amb[f] for f in qq.qmap.free], dq))
 
     # connecting map on symbols: q_a * n_b -> q_a * dn_b, n_b * q_a -> dn_b * q_a
     idd_amb = _substitution(qn, qq, RatMatrix.identity(dq), xm.delta)
-    for r in qn.relations.basis.entries:
-        if not qq.relations.contains_vector(idd_amb.mul_vec(r)):
+    for r in qn.qmap.rows:
+        if not _preserves(qq.qmap, r, idd_amb):
             raise AssertionError("connecting map does not preserve the relations")
-    id_wedge_delta = AlgebraHom(
-        qn.resolved, qq.resolved,
-        qq.qmap.projection.mul(idd_amb).mul(qn.qmap.section))
+    id_wedge_delta = AlgebraHom(qn.resolved, qq.resolved,
+                                _induced_matrix(qn, qq, idd_amb))
 
     # action of the base on the top square, then pulled back through mu
     al_qn, ar_qn = _base_action_on_ambient(xm, dn)
@@ -550,17 +558,28 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
 
 
 def _substitution(src: QuotientPresentation, tgt: QuotientPresentation,
-                  fm: RatMatrix, fn: RatMatrix) -> RatMatrix:
-    """Ambient matrix of componentwise symbol substitution: every m-leg
-    goes through fm and every n-leg through fn."""
-    maps = ((fm, fn), (fn, fm))
+                  fm: RatMatrix, fn: RatMatrix) -> list:
+    """Sparse ambient columns of componentwise symbol substitution: every
+    m-leg goes through fm and every n-leg through fn."""
+    maps = ((sparse_columns(fm), sparse_columns(fn)),
+            (sparse_columns(fn), sparse_columns(fm)))
     cols = []
     for k in range(src.ambient_dim):
         s, x, y = _legs(src.pair.m.dim, src.pair.n.dim, k)
         fx, fy = maps[s]
-        cols.append(_sym(tgt.pair.m.dim, tgt.pair.n.dim,
-                         (1, s, sparse(fx.column(x)), sparse(fy.column(y)))))
-    return RatMatrix.from_columns(cols, rows=tgt.ambient_dim)
+        cols.append(tuple(_symbols(tgt.pair.m.dim, tgt.pair.n.dim,
+                                   ((1, s, fx[x], fy[y]),)).items()))
+    return cols
+
+
+def _induced_matrix(src: QuotientPresentation, tgt: QuotientPresentation,
+                    columns) -> RatMatrix:
+    """The quotient-level matrix of an ambient map with the given sparse
+    columns, which preserves the relations: column j is the class of the
+    image of the free symbol src.qmap.free[j]."""
+    return RatMatrix.from_sparse_columns(
+        [tgt.qmap.image(columns[f]).items() for f in src.qmap.free],
+        tgt.qmap.dim)
 
 
 def _induced_presentation_hom(src: QuotientPresentation,
@@ -568,12 +587,11 @@ def _induced_presentation_hom(src: QuotientPresentation,
                               fm: RatMatrix, fn: RatMatrix) -> AlgebraHom:
     """Quotient-level map induced by componentwise symbol substitution."""
     amb = _substitution(src, tgt, fm, fn)
-    for r in src.relations.basis.entries:
-        if not tgt.relations.contains_vector(amb.mul_vec(r)):
+    for r in src.qmap.rows:
+        if not _preserves(tgt.qmap, r, amb):
             raise AssertionError(
                 f"induced map {src.name} -> {tgt.name} does not preserve relations")
-    hom = AlgebraHom(src.resolved, tgt.resolved,
-                     tgt.qmap.projection.mul(amb).mul(src.qmap.section))
+    hom = AlgebraHom(src.resolved, tgt.resolved, _induced_matrix(src, tgt, amb))
     hrep = check_hom(hom)
     if not hrep.valid:
         raise AssertionError(

@@ -335,17 +335,13 @@ def quotient_xmod(xm: CrossedModule, ideal: SubPair,
                                   name=f"{xm.top.name}_q")
     base_alg, _ = quotient_algebra(xm.base, ideal.base_sub,
                                    name=f"{xm.base.name}_q")
-    delta = qb.projection.mul(xm.delta).mul(qt.section)
-    left = tuple(
-        tuple(qt.project(xm.action.act_left(qb.section.column(i),
-                                            qt.section.column(j)))
-              for j in range(qt.dim))
-        for i in range(qb.dim))
-    right = tuple(
-        tuple(qt.project(xm.action.act_right(qt.section.column(j),
-                                             qb.section.column(i)))
-              for i in range(qb.dim))
-        for j in range(qt.dim))
+    # the quotient bases are the classes of the free coordinates
+    delta = RatMatrix.from_columns(
+        [qb.project(xm.delta.column(f)) for f in qt.free], rows=qb.dim)
+    left = tuple(tuple(qt.project(xm.action.left[i][j]) for j in qt.free)
+                 for i in qb.free)
+    right = tuple(tuple(qt.project(xm.action.right[j][i]) for i in qb.free)
+                  for j in qt.free)
     action = LeibnizAction(base_alg, top_alg, left, right)
     out = CrossedModule(name or f"{xm.name}_quot", top_alg, base_alg, delta, action)
     rep = check_xmod(out)

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, check_leibniz
 from leibxmod.extensions import Extension
-from leibxmod.ratlin import RatMatrix, Subspace, kernel, unit_vec, zero_vec
+from leibxmod.ratlin import RatMatrix, Subspace, dense, kernel, unit_vec, zero_vec
+from leibxmod.tensor import _alt_entry
 from leibxmod.xmod import CrossedModule, SubPair, XModHom, center_xmod
 
 
@@ -256,3 +257,16 @@ def central_fixture_extensions():
         padded_split_extension(xm_n2),
         padded_split_extension(xm_h, top_pad=2, base_pad=1),
     ]
+
+
+def representatives(pres, i, j):
+    """The two representatives of [symbol i, symbol j] in a presentation,
+    as dense ambient vectors: the primary one read from its sparse table
+    st, and the other one."""
+    return dense(pres.st[i][j], pres.ambient_dim), _alt_entry(pres.pair, i, j)
+
+
+def quotient_basis_lifts(pres):
+    """The ambient symbols whose classes are the quotient basis: the
+    units at the free columns of the relations."""
+    return [unit_vec(pres.ambient_dim, f) for f in pres.qmap.free]

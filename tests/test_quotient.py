@@ -1,0 +1,95 @@
+"""The sparse quotient map against the dense one it replaced, and the
+well-definedness sweep against dense membership tests."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _reference_quotient as ref
+from leibxmod.ratlin import RatMatrix, Subspace, quotient, sparse, transposed, unit_vec
+from leibxmod.tensor import _preserves
+
+from test_acceptance import _presentation_corpus
+from test_ratlin import RATIONALS, matrices
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=200,
+                    deadline=None)
+
+
+@st.composite
+def subspaces_with_vectors(draw):
+    """A rational subspace with mixed denominators (zero, full and
+    0-dimensional ambients included), and vectors inside and outside it."""
+    cols = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["span", "span", "zero", "full"]))
+    if kind == "zero":
+        gens = RatMatrix(0, cols, ())
+    elif kind == "full":
+        gens = RatMatrix(cols, cols, RatMatrix.identity(cols).entries)
+    else:
+        gens = draw(matrices(cols=cols))
+    r = Subspace.from_vectors(cols, gens.entries)
+    vectors = [(Fraction(0),) * cols]
+    for _ in range(draw(st.integers(1, 4))):
+        inside = [Fraction(0)] * cols
+        for g in gens.entries:
+            c = draw(RATIONALS)
+            inside = [a + c * x for a, x in zip(inside, g)]
+        vectors.append(tuple(inside))
+        vectors.append(tuple(draw(RATIONALS) for _ in range(cols)))
+    return r, vectors
+
+
+@PROPERTY
+@given(subspaces_with_vectors(), st.data())
+def test_sparse_quotient_matches_dense_reference(case, data):
+    r, vectors = case
+    qm = quotient(r.ambient_dim, r)
+    dq = ref.quotient(r.ambient_dim, r)
+    assert qm.free == dq.free
+    assert qm.dim == len(dq.free)
+    assert qm.projection == dq.projection
+    assert qm.section == dq.section
+    for v in vectors:
+        image = qm.project(v)
+        assert image == ref.project(dq, v)
+        assert all(type(x) is Fraction for x in image)
+        member = ref.contains_vector(r, v)
+        assert qm.kills(sparse(v)) == member == r.contains_vector(v)
+        assert (not any(image)) == member
+    u = tuple(data.draw(RATIONALS) for _ in range(qm.dim))
+    assert qm.lift(u) == dq.section.mul_vec(u)
+
+
+def _sweep_agrees(pres, relations):
+    """Every (relation basis row, symbol) verdict of the sparse sweep,
+    on both sides, equals the dense membership test."""
+    amb = pres.ambient_dim
+    qm = quotient(amb, relations)
+    st_t = transposed(pres.st, amb)
+    for r in relations.basis.entries:
+        for s in range(amb):
+            e = unit_vec(amb, s)
+            assert (_preserves(qm, sparse(r), st_t[s])
+                    == relations.contains_vector(pres.bracket_ambient(r, e))), pres.name
+            assert (_preserves(qm, sparse(r), pres.st[s])
+                    == relations.contains_vector(pres.bracket_ambient(e, r))), pres.name
+
+
+def test_sweep_matches_dense_membership_on_corpus():
+    for pres in _presentation_corpus():
+        _sweep_agrees(pres, pres.relations)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(st.data())
+def test_sweep_matches_dense_membership_on_partial_relations(data):
+    # dropping relation rows leaves subspaces that the bracket need not
+    # preserve, so both verdicts occur
+    for pres in _presentation_corpus():
+        rows = pres.relations.basis.entries
+        keep = data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                  max_size=len(rows)))
+        _sweep_agrees(pres, Subspace.from_vectors(
+            pres.ambient_dim, [r for r, k in zip(rows, keep) if k]))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from leibxmod import tensor
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, center, check_leibniz
 from leibxmod.homology import hl
 from leibxmod.ratlin import QQ, RatMatrix, Subspace, kernel, rank, unit_vec
@@ -25,7 +26,16 @@ from leibxmod.xmod import (
     liezation,
 )
 
-from helpers import fixture_algebras, heis3, k_abelian, n2, random_leibniz_corpus, sl2
+from helpers import (
+    fixture_algebras,
+    heis3,
+    k_abelian,
+    n2,
+    quotient_basis_lifts,
+    random_leibniz_corpus,
+    representatives,
+    sl2,
+)
 
 
 def adjoint_pair(a):
@@ -89,8 +99,8 @@ def test_tensor_representative_consistency():
         t = tensor_product(pair)
         for i in range(t.ambient_dim):
             for j in range(t.ambient_dim):
-                assert t.class_of(t.bracket_on_ambient[i][j]) == \
-                    t.class_of(t.alt_bracket_on_ambient(i, j))
+                primary, alt = representatives(t, i, j)
+                assert t.class_of(primary) == t.class_of(alt)
 
 
 def test_tensor_bracket_well_defined_on_classes():
@@ -104,11 +114,12 @@ def test_tensor_bracket_well_defined_on_classes():
 
 def test_tensor_resolved_matches_ambient_bracket():
     t = tensor_product(adjoint_pair(n2()))
-    sec = t.qmap.section
+    sec = quotient_basis_lifts(t)
+    assert len(sec) == t.resolved.dim
     for i in range(t.resolved.dim):
         for j in range(t.resolved.dim):
             assert t.resolved.c[i][j] == \
-                t.class_of(t.bracket_ambient(sec.column(i), sec.column(j)))
+                t.class_of(t.bracket_ambient(sec[i], sec[j]))
     assert check_leibniz(t.resolved).valid
 
 
@@ -290,3 +301,84 @@ def test_multiplier_map_identity_and_projection():
     mp = multiplier_functorial_map(proj)
     assert mp.top_map.is_zero() and mp.base_map.is_zero()
     assert mp.target is mlz
+
+
+# -- failure paths -------------------------------------------------------------
+# Each runtime assertion below is reached through a deliberately broken
+# input or a perturbed ambient map; the messages are pinned exactly.
+
+def _raises_exactly(message, f, *args):
+    with pytest.raises(AssertionError) as err:
+        f(*args)
+    assert str(err.value) == message
+
+
+def test_sweep_reports_relation_times_symbol():
+    # e_12 is not a relation, and a relation row it brings in, bracketed
+    # with symbol 2 on the right, leaves the enlarged subspace
+    _raises_exactly(
+        "bracket of probe not well-defined: relation * symbol 2 escapes "
+        "the relation subspace",
+        tensor._build_presentation, adjoint_pair(sl2()), [unit_vec(18, 12)],
+        "probe")
+
+
+def test_sweep_reports_symbol_times_relation(monkeypatch):
+    # with no defining rows the relations are the span of e_0 and e_3, and
+    # the sweep's first failure is symbol 4 times a relation
+    monkeypatch.setattr(tensor, "_defining_rows", lambda pair: [])
+    _raises_exactly(
+        "bracket of probe not well-defined: symbol 4 * relation escapes "
+        "the relation subspace",
+        tensor._build_presentation, adjoint_pair(n2()),
+        [unit_vec(8, 0), unit_vec(8, 3)], "probe")
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_descent_reports_unstable_relations(monkeypatch, side):
+    # add to every left (side 0) or right (side 1) action map the shift
+    # that sends symbol l to l - 1
+    real = tensor._base_action_on_ambient
+
+    def shifted(xm, dn):
+        maps = list(real(xm, dn))
+        amb = len(maps[side][0])
+        maps[side] = tuple(tuple(_plus_unit(col, (l - 1) % amb)
+                                 for l, col in enumerate(cols))
+                           for cols in maps[side])
+        return tuple(maps)
+
+    monkeypatch.setattr(tensor, "_base_action_on_ambient", shifted)
+    _raises_exactly("base action does not preserve the relations of n2(^)n2",
+                    exterior_square_data.__wrapped__,
+                    CrossedModule.adjoint_identity(n2()))
+
+
+def test_connecting_map_reports_unpreserved_relations(monkeypatch):
+    real = tensor._substitution
+
+    def perturbed(src, tgt, fm, fn):
+        cols = list(real(src, tgt, fm, fn))
+        cols[0] = _plus_unit(cols[0], 0)
+        return cols
+
+    monkeypatch.setattr(tensor, "_substitution", perturbed)
+    _raises_exactly("connecting map does not preserve the relations",
+                    exterior_square_data.__wrapped__,
+                    CrossedModule.adjoint_identity(n2()))
+
+
+def test_induced_map_reports_unpreserved_relations():
+    # swapping e1 and e2 is not a homomorphism of n2, and the substitution
+    # it induces does not respect the relations of the squares
+    esd = exterior_square_data(CrossedModule.adjoint_identity(n2()))
+    swap = RatMatrix.from_rows([[0, 1], [1, 0]])
+    _raises_exactly("induced map n2(^)n2 -> n2(^)n2 does not preserve relations",
+                    tensor._induced_presentation_hom, esd.qn, esd.qq, swap, swap)
+
+
+def _plus_unit(col, k):
+    """The sparse vector col plus the unit vector at k."""
+    out = dict(col)
+    out[k] = out.get(k, QQ(0)) + 1
+    return tuple(sorted(out.items()))
