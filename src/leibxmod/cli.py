@@ -37,7 +37,8 @@ succeeded), 1 the input was read but is invalid or fails a precondition
 (not central, not perfect, degree out of range), 2 the input could not
 be turned into a domain object at all (missing file, malformed JSON,
 a key repeated within one JSON object, zero denominator, unknown basis
-name, unresolvable reference).
+name, unresolvable reference), 3 a theorem the library asserts at
+runtime failed: an internal error, reported as one stderr line.
 """
 
 import argparse
@@ -601,6 +602,10 @@ def main(argv=None) -> int:
     except FixtureError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except AssertionError as ex:
+        first = str(ex).partition("\n")[0]
+        print(f"error: internal invariant failed: {first}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     LeibnizAction,
@@ -66,7 +67,11 @@ from .xmod import (
 
 @dataclass(frozen=True)
 class Extension:
-    """A surjective crossed module map with its kernel pair."""
+    """A surjective crossed module map with its kernel pair.
+
+    Each derived object is a cached property, built at most once per
+    Extension and kept outside the dataclass fields (equality, hashing and
+    repr are unchanged); a property that raises caches nothing."""
 
     name: str
     total: CrossedModule
@@ -92,35 +97,133 @@ class Extension:
         _, proj = quotient_xmod(xm, ideal)
         return cls.from_projection(proj, name)
 
+    @cached_property
+    def validity(self) -> ValidityReport:
+        """Component validity, surjectivity, the kernel pair, and the induced
+        isomorphism between total-mod-kernel and the quotient."""
+        bad = [*check_xmod(self.total).violations,
+               *check_xmod(self.quotient).violations,
+               *check_xmod_hom(self.proj).violations]
+        if not self.proj.is_surjective():
+            bad.append(("projection not surjective in both components", ()))
+        if not self.kernel.same_spaces(self.proj.kernel_pair()):
+            bad.append(("stored kernel differs from the projection kernel", ()))
+        if not is_crossed_ideal(self.total, self.kernel):
+            bad.append(("kernel pair is not a crossed ideal", ()))
+        elif not bad:
+            qx, qproj = quotient_xmod(self.total, self.kernel)
+            if (qx.top.dim, qx.base.dim) != (self.quotient.top.dim,
+                                             self.quotient.base.dim):
+                bad.append(("quotient dimensions differ from total mod kernel", ()))
+            else:
+                ind = XModHom(
+                    qx, self.quotient,
+                    self.proj.top_map.mul(solve_matrix(
+                        qproj.top_map, RatMatrix.identity(qx.top.dim))),
+                    self.proj.base_map.mul(solve_matrix(
+                        qproj.base_map, RatMatrix.identity(qx.base.dim))))
+                bad.extend(check_xmod_hom(ind).violations)
+                # square, since the dimensions agree: bijective iff surjective
+                if not ind.is_surjective():
+                    bad.append(("induced map to the quotient is not bijective", ()))
+        return _report(f"extension {self.name}", bad)
 
-def check_extension(e: Extension) -> ValidityReport:
-    """Component validity, surjectivity, the kernel pair, and the induced
-    isomorphism between total-mod-kernel and the quotient."""
-    bad = []
-    bad.extend(check_xmod(e.total).violations)
-    bad.extend(check_xmod(e.quotient).violations)
-    bad.extend(check_xmod_hom(e.proj).violations)
-    if not e.proj.is_surjective():
-        bad.append(("projection not surjective in both components", ()))
-    if not e.kernel.same_spaces(e.proj.kernel_pair()):
-        bad.append(("stored kernel differs from the projection kernel", ()))
-    if not is_crossed_ideal(e.total, e.kernel):
-        bad.append(("kernel pair is not a crossed ideal", ()))
-    elif not bad:
-        qx, qproj = quotient_xmod(e.total, e.kernel)
-        if (qx.top.dim, qx.base.dim) != (e.quotient.top.dim, e.quotient.base.dim):
-            bad.append(("quotient dimensions differ from total mod kernel", ()))
-        else:
-            ind = XModHom(
-                qx, e.quotient,
-                e.proj.top_map.mul(solve_matrix(qproj.top_map,
-                                                RatMatrix.identity(qx.top.dim))),
-                e.proj.base_map.mul(solve_matrix(qproj.base_map,
-                                                 RatMatrix.identity(qx.base.dim))))
-            bad.extend(check_xmod_hom(ind).violations)
-            if rank(ind.top_map) != qx.top.dim or rank(ind.base_map) != qx.base.dim:
-                bad.append(("induced map to the quotient is not bijective", ()))
-    return _report(f"extension {e.name}", bad)
+    @cached_property
+    def flags(self) -> "ExtensionFlags":
+        """Central / stem extension / stem cover flags (monotone by construction)."""
+        if not self.validity.valid:
+            raise ValueError(f"invalid extension:\n{self.validity.summary()}")
+        central = self.center.contains(self.kernel)
+        stem = central and self.derived.contains(self.kernel)
+        cover = False
+        if stem:
+            mult, _ = schur_multiplier(self.quotient)
+            cover = ((*self.kernel.dims(), rank(self.kernel_xmod[0].delta))
+                     == (mult.top.dim, mult.base.dim, rank(mult.delta)))
+        return ExtensionFlags(central, stem, cover)
+
+    # the total's center and derived pair, both abelianizations (each a
+    # crossed module with its projection), and the induced multiplier map
+    center = cached_property(lambda self: center_xmod(self.total))
+    derived = cached_property(lambda self: derived_xmod(self.total))
+    total_ab = cached_property(lambda self: abelianization(self.total))
+    quotient_ab = cached_property(lambda self: abelianization(self.quotient))
+    multiplier_map = cached_property(
+        lambda self: multiplier_functorial_map(self.proj))
+
+    @cached_property
+    def kernel_xmod(self) -> "tuple[CrossedModule, XModHom]":
+        """The kernel of a central extension as an abelian crossed module with
+        trivial action, plus its inclusion into the total."""
+        if not self.center.contains(self.kernel):
+            raise ValueError("kernel crossed module needs a central extension")
+        a, b = self.kernel.top_sub, self.kernel.base_sub
+        top = LeibnizAlgebra.abelian(f"ker({self.name}).top", a.dim,
+                                     tuple(f"a{i+1}" for i in range(a.dim)))
+        base = LeibnizAlgebra.abelian(f"ker({self.name}).base", b.dim,
+                                      tuple(f"b{i+1}" for i in range(b.dim)))
+        # the connecting map of the total restricted to the kernel pair
+        delta = RatMatrix.from_columns(
+            [b.coords(self.total.delta.mul_vec(v)) for v in a.basis.entries],
+            rows=b.dim)
+        kxm = CrossedModule(f"ker({self.name})", top, base, delta,
+                            LeibnizAction.trivial(base, top))
+        incl = XModHom(kxm, self.total, a.basis.transpose(), b.basis.transpose())
+        rep = check_xmod_hom(incl)
+        if not rep.valid:
+            raise AssertionError(
+                f"central kernel fails to embed as a crossed module:\n{rep.summary()}")
+        return kxm, incl
+
+    @cached_property
+    def theta(self) -> XModHom:
+        """Connecting map from the multiplier of the quotient to the kernel,
+        computed through lifted sections and asserted section-independent."""
+        if not self.flags.central:
+            raise ValueError("connecting map needs a central extension")
+        kxm, _ = self.kernel_xmod
+        mult, _ = schur_multiplier(self.quotient)
+        top, base = _theta_matrices(self, kxm, skew=False)
+        if (top, base) != _theta_matrices(self, kxm, skew=True):
+            raise AssertionError("connecting map depends on the chosen sections")
+        out = XModHom(mult, kxm, top, base)
+        rep = check_xmod_hom(out)
+        if not rep.valid:
+            raise AssertionError(
+                f"connecting map is not a crossed module map:\n{rep.summary()}")
+        return out
+
+    @cached_property
+    def ab_proj(self) -> XModHom:
+        """Map between the abelianizations induced by the projection."""
+        ab_t, abproj_t = self.total_ab
+        ab_q, abproj_q = self.quotient_ab
+        top = abproj_q.top_map.mul(self.proj.top_map).mul(
+            solve_matrix(abproj_t.top_map, RatMatrix.identity(ab_t.top.dim)))
+        base = abproj_q.base_map.mul(self.proj.base_map).mul(
+            solve_matrix(abproj_t.base_map, RatMatrix.identity(ab_t.base.dim)))
+        out = XModHom(ab_t, ab_q, top, base)
+        rep = check_xmod_hom(out)
+        if not rep.valid:
+            raise AssertionError(
+                f"abelianized projection is not a crossed module map:\n{rep.summary()}")
+        return out
+
+    @cached_property
+    def one_leg(self) -> tuple:
+        """(span, ideal, bp, psi2): the kernel's one-leg span in the total's
+        top square, its ideal closure, and the kernel-base square bp with
+        its induced map psi2 into the total's base square."""
+        esd_t = exterior_square_data(self.total)
+        span = one_leg_span(esd_t.qn, self.kernel.base_sub, self.kernel.top_sub)
+        ideal = ideal_closure(esd_t.qn.resolved, span)
+        bxm = CrossedModule.inclusion(self.total.base, self.kernel.base_sub)
+        bp = exterior_presentation(
+            CrossedModule.adjoint_identity(self.total.base), bxm,
+            name=f"{bxm.top.name}(^){self.total.base.name}")
+        psi2 = _induced_presentation_hom(
+            bp, esd_t.qq, RatMatrix.identity(self.total.base.dim), bxm.delta)
+        return span, ideal, bp, psi2
 
 
 @dataclass(frozen=True)
@@ -130,58 +233,21 @@ class ExtensionFlags:
     stem_cover: bool
 
 
-def _kernel_delta(e: Extension) -> RatMatrix:
-    """Connecting map of the total restricted to the kernel pair."""
-    a, b = e.kernel.top_sub, e.kernel.base_sub
-    return RatMatrix.from_columns(
-        [b.coords(e.total.delta.mul_vec(v)) for v in a.basis.entries],
-        rows=b.dim)
+# The public names of the cached fields of an extension.
+def check_extension(e: Extension) -> ValidityReport:
+    return e.validity
 
 
 def classify(e: Extension) -> ExtensionFlags:
-    """Central / stem extension / stem cover flags (monotone by construction)."""
-    rep = check_extension(e)
-    if not rep.valid:
-        raise ValueError(f"invalid extension:\n{rep.summary()}")
-    z = center_xmod(e.total)
-    central = (z.top_sub.contains_subspace(e.kernel.top_sub)
-               and z.base_sub.contains_subspace(e.kernel.base_sub))
-    d = derived_xmod(e.total)
-    stem = central and (d.top_sub.contains_subspace(e.kernel.top_sub)
-                        and d.base_sub.contains_subspace(e.kernel.base_sub))
-    cover = False
-    if stem:
-        mult, _ = schur_multiplier(e.quotient)
-        cover = ((e.kernel.top_sub.dim, e.kernel.base_sub.dim,
-                  rank(_kernel_delta(e)))
-                 == (mult.top.dim, mult.base.dim, rank(mult.delta)))
-    return ExtensionFlags(central, stem, cover)
+    return e.flags
 
 
 def central_kernel_xmod(e: Extension) -> "tuple[CrossedModule, XModHom]":
-    """The kernel of a central extension as an abelian crossed module with
-    trivial action, plus its inclusion into the total."""
-    z = center_xmod(e.total)
-    if not (z.top_sub.contains_subspace(e.kernel.top_sub)
-            and z.base_sub.contains_subspace(e.kernel.base_sub)):
-        raise ValueError("kernel crossed module needs a central extension")
-    a, b = e.kernel.top_sub, e.kernel.base_sub
-    top = LeibnizAlgebra.abelian(f"ker({e.name}).top", a.dim,
-                                 tuple(f"a{i+1}" for i in range(a.dim)))
-    base = LeibnizAlgebra.abelian(f"ker({e.name}).base", b.dim,
-                                  tuple(f"b{i+1}" for i in range(b.dim)))
-    kxm = CrossedModule(f"ker({e.name})", top, base, _kernel_delta(e),
-                        LeibnizAction.trivial(base, top))
-    incl = XModHom(kxm, e.total,
-                   RatMatrix.from_columns(list(a.basis.entries),
-                                          rows=e.total.top.dim),
-                   RatMatrix.from_columns(list(b.basis.entries),
-                                          rows=e.total.base.dim))
-    rep = check_xmod_hom(incl)
-    if not rep.valid:
-        raise AssertionError(
-            f"central kernel fails to embed as a crossed module:\n{rep.summary()}")
-    return kxm, incl
+    return e.kernel_xmod
+
+
+def theta_star(e: Extension) -> XModHom:
+    return e.theta
 
 
 def _sections(e: Extension, skew: bool) -> "tuple[RatMatrix, RatMatrix]":
@@ -189,21 +255,17 @@ def _sections(e: Extension, skew: bool) -> "tuple[RatMatrix, RatMatrix]":
     zeroes all free variables; the skew policy adds kernel basis vectors
     cyclically, giving a genuinely different section when the kernel is
     nonzero."""
-    s1 = solve_matrix(e.proj.top_map, RatMatrix.identity(e.quotient.top.dim))
-    s2 = solve_matrix(e.proj.base_map, RatMatrix.identity(e.quotient.base.dim))
-    if skew:
-        s1 = _skew(s1, e.kernel.top_sub)
-        s2 = _skew(s2, e.kernel.base_sub)
-    return s1, s2
-
-
-def _skew(section: RatMatrix, ker: Subspace) -> RatMatrix:
-    if ker.dim == 0 or section.cols == 0:
-        return section
-    cols = [tuple(x + y for x, y in zip(section.column(j),
-                                        ker.basis.entries[j % ker.dim]))
-            for j in range(section.cols)]
-    return RatMatrix.from_columns(cols, rows=section.rows)
+    out = []
+    for m, ker in ((e.proj.top_map, e.kernel.top_sub),
+                   (e.proj.base_map, e.kernel.base_sub)):
+        s = solve_matrix(m, RatMatrix.identity(m.rows))
+        if skew and ker.dim and s.cols:
+            s = RatMatrix.from_columns(
+                [tuple(x + y for x, y in zip(s.column(j),
+                                             ker.basis.entries[j % ker.dim]))
+                 for j in range(s.cols)], rows=s.rows)
+        out.append(s)
+    return tuple(out)
 
 
 def _theta_matrices(e: Extension, kxm: CrossedModule,
@@ -222,11 +284,9 @@ def _theta_matrices(e: Extension, kxm: CrossedModule,
     A = RatMatrix.from_columns(amb_top, rows=e.total.top.dim)
     amb_base = [None] * esd.qq.ambient_dim
     for a in range(dq):
-        pa = s2.column(a)
         for c in range(dq):
-            pc = s2.column(c)
-            amb_base[esd.qq.mn_index(a, c)] = e.total.base.bracket(pa, pc)
-            amb_base[esd.qq.nm_index(c, a)] = e.total.base.bracket(pc, pa)
+            v = e.total.base.bracket(s2.column(a), s2.column(c))
+            amb_base[esd.qq.mn_index(a, c)] = amb_base[esd.qq.nm_index(a, c)] = v
     B = RatMatrix.from_columns(amb_base, rows=e.total.base.dim)
     # centrality makes the lifted evaluation kill the relations exactly
     for r in esd.qn.relations.basis.entries:
@@ -258,41 +318,6 @@ def _theta_matrices(e: Extension, kxm: CrossedModule,
             RatMatrix.from_columns(bcols, rows=kxm.base.dim))
 
 
-def theta_star(e: Extension) -> XModHom:
-    """Connecting map from the multiplier of the quotient to the kernel,
-    computed through lifted sections and asserted section-independent."""
-    if not classify(e).central:
-        raise ValueError("connecting map needs a central extension")
-    kxm, _ = central_kernel_xmod(e)
-    mult, _ = schur_multiplier(e.quotient)
-    top1, base1 = _theta_matrices(e, kxm, skew=False)
-    top2, base2 = _theta_matrices(e, kxm, skew=True)
-    if top1 != top2 or base1 != base2:
-        raise AssertionError("connecting map depends on the chosen sections")
-    out = XModHom(mult, kxm, top1, base1)
-    rep = check_xmod_hom(out)
-    if not rep.valid:
-        raise AssertionError(
-            f"connecting map is not a crossed module map:\n{rep.summary()}")
-    return out
-
-
-def _induced_abelianization_hom(e: Extension) -> XModHom:
-    """Map between the abelianizations induced by the projection."""
-    ab_t, abproj_t = abelianization(e.total)
-    ab_q, abproj_q = abelianization(e.quotient)
-    top = abproj_q.top_map.mul(e.proj.top_map).mul(
-        solve_matrix(abproj_t.top_map, RatMatrix.identity(ab_t.top.dim)))
-    base = abproj_q.base_map.mul(e.proj.base_map).mul(
-        solve_matrix(abproj_t.base_map, RatMatrix.identity(ab_t.base.dim)))
-    out = XModHom(ab_t, ab_q, top, base)
-    rep = check_xmod_hom(out)
-    if not rep.valid:
-        raise AssertionError(
-            f"abelianized projection is not a crossed module map:\n{rep.summary()}")
-    return out
-
-
 @dataclass(frozen=True)
 class Prop41Report:
     """Four equivalent stem characterizations of a central extension plus
@@ -309,24 +334,22 @@ class Prop41Report:
 
 
 def prop41_crosscheck(e: Extension) -> Prop41Report:
-    flags = classify(e)
+    flags = e.flags
     if not flags.central:
         raise ValueError("stem characterizations apply to central extensions")
-    th = theta_star(e)
-    d = derived_xmod(e.total)
-    in_derived = (d.top_sub.contains_subspace(e.kernel.top_sub)
-                  and d.base_sub.contains_subspace(e.kernel.base_sub))
-    surjective = (rank(th.top_map) == th.target.top.dim
-                  and rank(th.base_map) == th.target.base.dim)
-    ab_t, abproj_t = abelianization(e.total)
-    _, kincl = central_kernel_xmod(e)
+    th = e.theta
+    # the extension is central, so stem means kernel inside the derived pair
+    in_derived = flags.stem_extension
+    surjective = th.is_surjective()
+    ab_t, abproj_t = e.total_ab
+    _, kincl = e.kernel_xmod
     to_ab_zero = (abproj_t.top_map.mul(kincl.top_map).is_zero()
                   and abproj_t.base_map.mul(kincl.base_map).is_zero())
-    abh = _induced_abelianization_hom(e)
-    ab_iso = (ab_t.top.dim == abh.target.top.dim
-              and ab_t.base.dim == abh.target.base.dim
-              and rank(abh.top_map) == ab_t.top.dim
-              and rank(abh.base_map) == ab_t.base.dim)
+    abh = e.ab_proj
+    # between equal dimensions, bijective means surjective
+    ab_iso = ((ab_t.top.dim, ab_t.base.dim) == (abh.target.top.dim,
+                                                abh.target.base.dim)
+              and abh.is_surjective())
     if len({in_derived, surjective, to_ab_zero, ab_iso}) != 1:
         raise AssertionError(
             f"stem characterizations disagree on {e.name}: "
@@ -334,7 +357,7 @@ def prop41_crosscheck(e: Extension) -> Prop41Report:
             f"ab-zero={to_ab_zero} ab-iso={ab_iso}")
     bijective = (surjective and kernel(th.top_map).dim == 0
                  and kernel(th.base_map).dim == 0)
-    mm = multiplier_functorial_map(e.proj)
+    mm = e.multiplier_map
     mm_zero = mm.top_map.is_zero() and mm.base_map.is_zero()
     if not (flags.stem_cover == bijective == (ab_iso and mm_zero)):
         raise AssertionError(
@@ -376,22 +399,14 @@ def _node(name, prev_top, prev_base, next_top, next_base) -> SequenceNode:
 def six_term_report(e: Extension) -> ExactnessReport:
     """Exactness of the sequence from the one-leg ideal through both
     multipliers and the kernel to the abelianizations."""
-    if not classify(e).central:
+    if not e.flags.central:
         raise ValueError("the sequence is defined for central extensions")
-    esd_t = exterior_square_data(e.total)
-    mult_t, _ = schur_multiplier(e.total)
-    kt = kernel(esd_t.lambda_n.matrix)
-    kb = kernel(esd_t.mu_q.matrix)
-    span = one_leg_span(esd_t.qn, e.kernel.base_sub, e.kernel.top_sub)
-    ideal = ideal_closure(esd_t.qn.resolved, span)
+    span, ideal, bp, psi2 = e.one_leg
     if ideal != span:
         raise AssertionError("one-leg span fails to be an ideal of the top square")
-    bxm = CrossedModule.inclusion(e.total.base, e.kernel.base_sub)
-    bp = exterior_presentation(
-        CrossedModule.adjoint_identity(e.total.base), bxm,
-        name=f"{bxm.top.name}(^){e.total.base.name}")
-    psi2 = _induced_presentation_hom(
-        bp, esd_t.qq, RatMatrix.identity(e.total.base.dim), bxm.delta)
+    esd_t = exterior_square_data(e.total)
+    kt = kernel(esd_t.lambda_n.matrix)
+    kb = kernel(esd_t.mu_q.matrix)
     f1_top = []
     for v in ideal.basis.entries:
         if not kt.contains_vector(v):
@@ -403,36 +418,24 @@ def six_term_report(e: Extension) -> ExactnessReport:
         if not kb.contains_vector(w):
             raise AssertionError("kernel-base square escapes the multiplier base")
         f1_base.append(kb.coords(w))
-    f1 = ("(I, b^p) -> M(total)",
-          RatMatrix.from_columns(f1_top, rows=mult_t.top.dim),
-          RatMatrix.from_columns(f1_base, rows=mult_t.base.dim))
-    mm = multiplier_functorial_map(e.proj)
-    f2 = ("M(total) -> M(quotient)", mm.top_map, mm.base_map)
-    th = theta_star(e)
-    f3 = ("M(quotient) -> kernel", th.top_map, th.base_map)
-    _, kincl = central_kernel_xmod(e)
-    ab_t, abproj_t = abelianization(e.total)
-    f4 = ("kernel -> total_ab",
-          abproj_t.top_map.mul(kincl.top_map),
-          abproj_t.base_map.mul(kincl.base_map))
-    abh = _induced_abelianization_hom(e)
-    f5 = ("total_ab -> quotient_ab", abh.top_map, abh.base_map)
-    maps = (f1, f2, f3, f4, f5)
-    nodes = [
-        _node("M(total)", f1[1], f1[2], f2[1], f2[2]),
-        _node("M(quotient)", f2[1], f2[2], f3[1], f3[2]),
-        _node("kernel", f3[1], f3[2], f4[1], f4[2]),
-        _node("total_ab", f4[1], f4[2], f5[1], f5[2]),
-    ]
+    mm, th, abh = e.multiplier_map, e.theta, e.ab_proj
+    _, kincl = e.kernel_xmod
+    _, abproj_t = e.total_ab
+    maps = (("(I, b^p) -> M(total)", RatMatrix.from_columns(f1_top, rows=kt.dim),
+             RatMatrix.from_columns(f1_base, rows=kb.dim)),
+            ("M(total) -> M(quotient)", mm.top_map, mm.base_map),
+            ("M(quotient) -> kernel", th.top_map, th.base_map),
+            ("kernel -> total_ab", abproj_t.top_map.mul(kincl.top_map),
+             abproj_t.base_map.mul(kincl.base_map)),
+            ("total_ab -> quotient_ab", abh.top_map, abh.base_map))
     # the sequence ends in zero, so exactness at the last node is
     # surjectivity of the abelianized projection
-    img_t, img_b = column_space(f5[1]), column_space(f5[2])
-    full_t = Subspace.full(abh.target.top.dim)
-    full_b = Subspace.full(abh.target.base.dim)
-    nodes.append(SequenceNode("quotient_ab", img_t, img_b, full_t, full_b,
-                              img_t == full_t and img_b == full_b))
-    return ExactnessReport(e.name, maps, tuple(nodes),
-                           all(n.exact for n in nodes))
+    pairs = [m[1:] for m in maps] + [(RatMatrix.zeros(0, abh.target.top.dim),
+                                      RatMatrix.zeros(0, abh.target.base.dim))]
+    nodes = tuple(_node(name, *a, *b) for name, a, b in zip(
+        ("M(total)", "M(quotient)", "kernel", "total_ab", "quotient_ab"),
+        pairs, pairs[1:]))
+    return ExactnessReport(e.name, maps, nodes, all(n.exact for n in nodes))
 
 
 def lemma35_check(e: Extension) -> ValidityReport:
@@ -443,12 +446,11 @@ def lemma35_check(e: Extension) -> ValidityReport:
     through the kernel-base square is chosen deterministically (pivot
     solve), which is immaterial for the validity being checked.
     """
-    if not classify(e).central:
+    if not e.flags.central:
         raise ValueError("the abelian connecting structure needs a central extension")
     bad = []
     esd_t = exterior_square_data(e.total)
-    span = one_leg_span(esd_t.qn, e.kernel.base_sub, e.kernel.top_sub)
-    ideal = ideal_closure(esd_t.qn.resolved, span)
+    span, ideal, bp, psi2 = e.one_leg
     if ideal != span:
         bad.append(("one-leg span is not already an ideal", ()))
     for i, u in enumerate(ideal.basis.entries):
@@ -456,17 +458,10 @@ def lemma35_check(e: Extension) -> ValidityReport:
             r = esd_t.qn.resolved.bracket(u, v)
             if not vec_is_zero(r):
                 bad.append((f"one-leg ideal bracket ({i},{j})", r))
-    bxm = CrossedModule.inclusion(e.total.base, e.kernel.base_sub)
-    bp = exterior_presentation(
-        CrossedModule.adjoint_identity(e.total.base), bxm,
-        name=f"{bxm.top.name}(^){e.total.base.name}")
-    for i in range(bp.resolved.dim):
-        for j in range(bp.resolved.dim):
-            if not vec_is_zero(bp.resolved.c[i][j]):
-                bad.append((f"kernel-base square bracket ({i},{j})",
-                            bp.resolved.c[i][j]))
-    psi2 = _induced_presentation_hom(
-        bp, esd_t.qq, RatMatrix.identity(e.total.base.dim), bxm.delta)
+    for i, row in enumerate(bp.resolved.c):
+        for j, r in enumerate(row):
+            if not vec_is_zero(r):
+                bad.append((f"kernel-base square bracket ({i},{j})", r))
     dcols = []
     for v in ideal.basis.entries:
         y = esd_t.id_wedge_delta.apply(v)
@@ -492,15 +487,14 @@ def stem_cover_of_perfect(xm: CrossedModule) -> Extension:
         raise ValueError(
             f"{xm.name} is not perfect: the evaluation kernel would escape "
             "the derived pair, so the construction cannot be a cover")
-    esd = exterior_square_data(xm)
-    e = Extension.from_projection(esd.phi, name=f"cover({xm.name})")
-    flags = classify(e)
-    if not flags.stem_cover:
+    e = Extension.from_projection(exterior_square_data(xm).phi,
+                                  name=f"cover({xm.name})")
+    if not e.flags.stem_cover:
         raise AssertionError(f"constructed extension of {xm.name} is not a cover")
-    ab, _ = abelianization(esd.induced_xmod)
+    ab, _ = e.total_ab
     if (ab.top.dim, ab.base.dim) != (0, 0):
         raise AssertionError("cover total fails to be perfect")
-    mt, _ = schur_multiplier(esd.induced_xmod)
+    mt, _ = schur_multiplier(e.total)
     if (mt.top.dim, mt.base.dim) != (0, 0):
         raise AssertionError("cover total keeps a nonzero multiplier")
     return e
@@ -511,18 +505,14 @@ def cor47_dimension_check(e1: Extension, e2: Extension) -> ValidityReport:
     derived pairs, totals mod center, and centers mod kernel."""
     if e1.quotient != e2.quotient:
         raise ValueError("stem covers lie over different quotients")
-    for e in (e1, e2):
-        if not classify(e).stem_cover:
-            raise ValueError(f"{e.name} is not a stem cover")
     rows = []
     for e in (e1, e2):
-        d = derived_xmod(e.total)
-        z = center_xmod(e.total)
-        rows.append((
-            (d.top_sub.dim, d.base_sub.dim),
-            (e.total.top.dim - z.top_sub.dim, e.total.base.dim - z.base_sub.dim),
-            (z.top_sub.dim - e.kernel.top_sub.dim,
-             z.base_sub.dim - e.kernel.base_sub.dim)))
+        if not e.flags.stem_cover:
+            raise ValueError(f"{e.name} is not a stem cover")
+        (zt, zb), (kt, kb) = e.center.dims(), e.kernel.dims()
+        rows.append((e.derived.dims(),
+                     (e.total.top.dim - zt, e.total.base.dim - zb),
+                     (zt - kt, zb - kb)))
     bad = []
     for label, x, y in zip(("derived pair", "total mod center",
                             "center mod kernel"), rows[0], rows[1]):

@@ -113,6 +113,10 @@ class SubPair:
     def dims(self):
         return (self.top_sub.dim, self.base_sub.dim)
 
+    def contains(self, other: "SubPair") -> bool:
+        return (self.top_sub.contains_subspace(other.top_sub)
+                and self.base_sub.contains_subspace(other.base_sub))
+
     def same_spaces(self, other: "SubPair") -> bool:
         return self.top_sub == other.top_sub and self.base_sub == other.base_sub
 

@@ -11,9 +11,12 @@ a valid algebra by construction, and a random unimodular change of
 basis densifies the table without changing validity.
 """
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import leibxmod
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, check_leibniz
 from leibxmod.extensions import Extension
 from leibxmod.ratlin import RatMatrix, Subspace, dense, kernel, unit_vec, zero_vec
@@ -270,3 +273,11 @@ def quotient_basis_lifts(pres):
     """The ambient symbols whose classes are the quotient basis: the
     units at the free columns of the relations."""
     return [unit_vec(pres.ambient_dim, f) for f in pres.qmap.free]
+
+
+def child_env():
+    """The environment with this leibxmod's source directory first on
+    PYTHONPATH, so that a child interpreter imports the same package."""
+    src = str(Path(leibxmod.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}

@@ -43,6 +43,7 @@ from leibxmod.xmod import (
 
 from helpers import (
     central_fixture_extensions,
+    child_env,
     fixture_algebras,
     heis3,
     k_abelian,
@@ -200,7 +201,7 @@ def test_criterion_8_deterministic_json_corpus():
         runs = []
         for _ in range(2):
             proc = subprocess.run([sys.executable, str(driver)],
-                                  capture_output=True)
+                                  capture_output=True, env=child_env())
             assert proc.returncode == 0, proc.stderr.decode()[:500]
             runs.append(proc.stdout)
         assert runs[0] == runs[1]
@@ -212,6 +213,6 @@ def test_json_corpus_matches_golden():
     # itself, so a refactor that changes any --json payload is caught
     here = Path(__file__).resolve().parent
     proc = subprocess.run([sys.executable, str(here / "_json_corpus_driver.py")],
-                          capture_output=True)
+                          capture_output=True, env=child_env())
     assert proc.returncode == 0, proc.stderr.decode()[:500]
     assert proc.stdout == (here / "golden" / "json_corpus.txt").read_bytes()

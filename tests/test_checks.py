@@ -5,6 +5,7 @@ be the same, subject, validity, and the violations in order with their
 labels and residual Fraction tuples."""
 
 from fractions import Fraction
+from functools import cached_property
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from leibxmod.algebra import (
     check_hom,
     check_leibniz,
 )
+from leibxmod.extensions import Extension
 from leibxmod.ratlin import RatMatrix, contract, sparse_table
 from leibxmod.xmod import CrossedModule, XModHom, check_xmod, check_xmod_hom
 
@@ -295,3 +297,20 @@ def test_sparse_views_leave_equality_and_hashing_alone():
         assert repr(act) == repr(fresh_act)
         fresh_xm = CrossedModule.adjoint_identity(fresh)
         assert xm == fresh_xm and hash(xm) == hash(fresh_xm)
+
+
+def test_extension_fields_leave_equality_and_hashing_alone():
+    # every derived object of an extension is cached on the instance,
+    # outside the dataclass fields
+    fields = {name for name, v in vars(Extension).items()
+              if isinstance(v, cached_property)}
+    assert fields == {"validity", "flags", "center", "derived", "total_ab",
+                      "quotient_ab", "multiplier_map", "kernel_xmod", "theta",
+                      "ab_proj", "one_leg"}
+    for e in central_fixture_extensions():
+        for name in fields:
+            getattr(e, name)
+        assert fields <= vars(e).keys()
+        fresh = Extension(e.name, e.total, e.quotient, e.proj, e.kernel)
+        assert not fields & vars(fresh).keys()
+        assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)

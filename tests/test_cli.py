@@ -5,9 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from leibxmod import cli, homology
+from leibxmod import cli, extensions, homology
 from leibxmod.extensions import stem_cover_of_perfect
+from leibxmod.ratlin import RatMatrix
 from leibxmod.xmod import liezation
+
+from helpers import child_env
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -257,6 +260,31 @@ def test_verify_refuses_non_central(tmp_path, capsys):
     assert code == 1 and "central" in err
 
 
+def test_failed_invariant_exits_3(capsys, monkeypatch):
+    # a connecting map that depends on the section breaks a runtime-asserted
+    # theorem: that is an internal error (3), not invalid input (1)
+    real = extensions._theta_matrices
+
+    def skewed_differs(e, kxm, skew):
+        top, base = real(e, kxm, skew)
+        return (top, RatMatrix.zeros(base.rows, base.cols)) if skew else (top, base)
+
+    monkeypatch.setattr(extensions, "_theta_matrices", skewed_differs)
+    code, out, err = run(capsys, "classify-extension",
+                         FIXTURES / "n2_over_k.extension")
+    assert code == 3 and out == ""
+    assert err == ("error: internal invariant failed: "
+                   "connecting map depends on the chosen sections\n")
+
+    # only the first line of a multi-line report is printed
+    def fails_with_report(e, kxm, skew):
+        raise AssertionError("law broken:\n  witness (e1,e2)")
+
+    monkeypatch.setattr(extensions, "_theta_matrices", fails_with_report)
+    code, _, err = run(capsys, "verify-sequence", FIXTURES / "n2_over_k.extension")
+    assert code == 3 and err == "error: internal invariant failed: law broken:\n"
+
+
 def test_json_outputs_stable(capsys):
     invocations = [
         ("check", FIXTURES / "n2.algebra"),
@@ -276,6 +304,6 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "leibxmod", "hl",
          str(FIXTURES / "n2.algebra"), "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout == "1\n"

@@ -1,7 +1,11 @@
 """Extensions of crossed modules: classification, connecting map, exactness."""
 
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+from leibxmod import cli, extensions
 from leibxmod.algebra import LeibnizAlgebra
 from leibxmod.extensions import (
     Extension,
@@ -271,3 +275,88 @@ def test_cor47_requires_same_quotient_and_covers():
     split = padded_split_extension(CrossedModule.adjoint_identity(n2()))
     with pytest.raises(ValueError):
         cor47_dimension_check(split, split)
+
+
+# -- exact refusal messages ------------------------------------------------------------
+
+def test_precondition_messages_pinned():
+    # the strings were captured before the analyses moved onto the cached
+    # fields of Extension; a cached property that raises caches nothing,
+    # so a second read raises the same error again
+    e = n2_over_k()
+    wrong = Extension("bad", e.total, e.quotient, e.proj, e.total.full_pair())
+    invalid = ("invalid extension:\n"
+               "extension bad: INVALID (1 violation(s))\n"
+               "  stored kernel differs from the projection kernel: residual ()")
+    for _ in range(2):
+        with pytest.raises(ValueError) as ex:
+            classify(wrong)
+        assert str(ex.value) == invalid
+    xm = CrossedModule.adjoint_identity(n2())
+    not_central = Extension.from_quotient_by(xm, xm.full_pair(), name="n2_mod_all")
+    for fn, message in [
+            (theta_star, "connecting map needs a central extension"),
+            (central_kernel_xmod, "kernel crossed module needs a central extension"),
+            (prop41_crosscheck, "stem characterizations apply to central extensions"),
+            (six_term_report, "the sequence is defined for central extensions"),
+            (lemma35_check,
+             "the abelian connecting structure needs a central extension")]:
+        with pytest.raises(ValueError) as ex:
+            fn(not_central)
+        assert str(ex.value) == message, fn.__name__
+    other = center_quotient(xm, "n2_mod_center")
+    with pytest.raises(ValueError) as ex:
+        cor47_dimension_check(e, other)
+    assert str(ex.value) == "stem covers lie over different quotients"
+    split = padded_split_extension(xm)
+    with pytest.raises(ValueError) as ex:
+        cor47_dimension_check(split, split)
+    assert str(ex.value) == "(n2,n2,id)_split is not a stem cover"
+
+
+# -- each derived object once per extension ---------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def count_calls(monkeypatch):
+    """Counting wrappers over the derived-object functions that extensions
+    imports; the counter is keyed by (function name, crossed module name)."""
+    calls = Counter()
+    for name in ("center_xmod", "derived_xmod", "abelianization", "check_xmod"):
+        def counted(xm, _real=getattr(extensions, name), _name=name):
+            calls[(_name, xm.name)] += 1
+            return _real(xm)
+        monkeypatch.setattr(extensions, name, counted)
+    return calls
+
+
+def test_each_derived_object_computed_once(monkeypatch):
+    calls = count_calls(monkeypatch)
+    e = cli.load_fixture(FIXTURES / "split_over_n2.extension")
+    t, q = e.total.name, e.quotient.name
+    for _ in range(2):
+        classify(e)
+        theta_star(e)
+        prop41_crosscheck(e)
+        six_term_report(e)
+        lemma35_check(e)
+    # check_xmod of total and quotient is the validity check; lemma35_check
+    # adds one on its own connecting structure, a new object each call
+    assert {k: v for k, v in calls.items() if k[1] in (t, q)} == {
+        ("center_xmod", t): 1, ("derived_xmod", t): 1,
+        ("abelianization", t): 1, ("abelianization", q): 1,
+        ("check_xmod", t): 1, ("check_xmod", q): 1}
+
+
+def test_each_command_computes_each_object_once(monkeypatch, capsys):
+    path = FIXTURES / "split_over_n2.extension"
+    e = cli.load_fixture(path)
+    calls = count_calls(monkeypatch)
+    for command in ("classify-extension", "verify-sequence"):
+        calls.clear()
+        assert cli.main([command, str(path), "--json"]) == 0
+        mine = {k: v for k, v in calls.items()
+                if k[1] in (e.total.name, e.quotient.name)}
+        assert mine and set(mine.values()) == {1}, (command, mine)
+    capsys.readouterr()
