@@ -13,9 +13,13 @@ format; each object also builds, once and on first use, a sparse view
 of every table and of its transpose (see ``ratlin.sparse_table``), and
 brackets, actions and the laws below read only those views.  Validity
 is always a report, not a boolean: downstream debugging needs the
-violating triple and its residual.  A law is evaluated on every basis
-pair or triple, each residual as a signed sum of sparse products
-(``ratlin.signed_sum``); only a nonzero residual becomes a dense tuple.
+violating triple and its residual.  A law covers every basis pair or
+triple, but it is evaluated term by term: each term is joined over the
+nonzero entries of its sparse views (``ratlin.join``) into residuals
+keyed by the law's report order, so a pair or triple that no nonzero
+product reaches costs nothing, and only a nonzero residual becomes a
+dense tuple.  Each object's report is a cached property (``validity``),
+evaluated once per object and kept outside the dataclass fields.
 """
 
 from __future__ import annotations
@@ -28,14 +32,14 @@ from .ratlin import (
     RatMatrix,
     Subspace,
     contract,
-    kernel,
+    dense,
+    join,
     quotient,
     rat,
-    signed_sum,
     sparse_columns,
+    sparse_kernel,
     sparse_table,
     transposed,
-    unit_vec,
     vec,
     vec_is_zero,
     zero_vec,
@@ -61,6 +65,38 @@ class ValidityReport:
 
 def _report(subject, violations) -> ValidityReport:
     return ValidityReport(subject, not violations, tuple(violations))
+
+
+def _violations(names: dict, laws) -> list:
+    """The violations of a family of laws, in report order.
+
+    A law is (label, block, position, dim, loop, shown, terms): its
+    residual at the basis indices named by the letters of loop is the
+    join of terms (c, x, xs, y, ys) (see ratlin.join), a vector of length
+    dim.  Violations are ordered by (block, loop indices, position) and
+    labelled "label(names)" with the basis names of the letters of shown,
+    names[letter] giving the basis names an index letter runs over."""
+    spec, terms = {}, []
+    for label, block, pos, dim, loop, shown, law_terms in laws:
+        spec[block, pos] = (label, dim, loop, shown)
+        terms += [((block, *loop, pos), *t) for t in law_terms]
+    bad = []
+    for key, acc in sorted(join(terms).items()):
+        if any(acc.values()):
+            label, dim, loop, shown = spec[key[0], key[-1]]
+            at = dict(zip(loop, key[1:-1]))
+            bad.append((f"{label}({','.join(names[l][at[l]] for l in shown)})",
+                        dense(acc.items(), dim)))
+    return bad
+
+
+def _through(cols, rows_t, n: int, m: int) -> tuple:
+    """The sparse table out[i][k] = the sum over (l, x) in cols[i] of
+    x * T[l][k], for i < n and k < m, where rows_t[k][l] = T[l][k]: the
+    rows of a law term whose outer element is itself a combination."""
+    accs = join([("ik", 1, cols, "i", rows_t, "k")])
+    return tuple(tuple(tuple(accs[i, k].items()) if (i, k) in accs else ()
+                       for k in range(m)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -108,20 +144,23 @@ class LeibnizAlgebra:
     def full_subspace(self) -> Subspace:
         return Subspace.full(self.dim)
 
+    @cached_property
+    def validity(self) -> ValidityReport:
+        """The report of check_leibniz, evaluated once per object."""
+        return _leibniz_report(self)
+
 
 def check_leibniz(a: LeibnizAlgebra) -> ValidityReport:
     """Leibniz identity residuals on all basis triples."""
-    bad = []
-    names = a.basis_names
+    return a.validity
+
+
+def _leibniz_report(a: LeibnizAlgebra) -> ValidityReport:
     st, st_t = a.st, a.st_t
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                # residual of [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]
-                r = signed_sum(a.dim, ((1, st[j][k], st[i]), (-1, st[i][j], st_t[k]),
-                                       (1, st[i][k], st_t[j])))
-                if r:
-                    bad.append((f"({names[i]},{names[j]},{names[k]})", r))
+    # residual of [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]
+    bad = _violations({"i": a.basis_names, "j": a.basis_names, "k": a.basis_names}, [
+        ("", 0, 0, a.dim, "ijk", "ijk",
+         ((1, st, "jk", st, "i"), (-1, st, "ij", st_t, "k"), (1, st, "ik", st_t, "j")))])
     return _report(f"leibniz identity on {a.name}", bad)
 
 
@@ -194,6 +233,11 @@ class LeibnizAction:
         """y^x for y in the acted algebra, x in the actor."""
         return contract(self.sr, nvec, mvec, self.acted.dim)
 
+    @cached_property
+    def validity(self) -> ValidityReport:
+        """The report of check_action, evaluated once per object."""
+        return _action_report(self)
+
 
 def check_action(act: LeibnizAction) -> ValidityReport:
     """All six action axioms evaluated on basis triples.
@@ -208,52 +252,44 @@ def check_action(act: LeibnizAction) -> ValidityReport:
       5. ^m(^{m'}n)   = -^m(n^{m'})
       6. [n, ^m n']   = -[n, n'^m]
 
-    Each residual is a signed sum of terms (c, a, rows), c times the
-    sparse vector a pushed through rows (see ratlin.accumulate): with
-    rows L[m] a is acted on from the left by m, with rows Lt[n] the
-    actor element a acts on n, and so on for R and the brackets.
+    Each residual is a sum of terms (c, x, xs, y, ys), c times the entries
+    of the sparse table x pushed through the rows of y (see ratlin.join):
+    with y = L, x is acted on from the left by the actor element y is
+    indexed by, with y = Lt, the actor element x acts on the acted basis
+    element y is indexed by, and so on for R and the brackets.  The
+    letters a, b index the actor and x, y the acted algebra.
     """
+    return act.validity
+
+
+def _action_report(act: LeibnizAction) -> ValidityReport:
     m, n = act.actor, act.acted
     L, R, Lt, Rt = act.sl, act.sr, act.sl_t, act.sr_t
     cm, cn, cn_t = m.st, n.st, n.st_t
-    mb, nb = m.basis_names, n.basis_names
-    bad = []
-
-    def flag(axiom, names, *terms):
-        r = signed_sum(n.dim, terms)
-        if r:
-            bad.append((f"axiom{axiom} ({','.join(names)})", r))
-
-    for i in range(m.dim):
-        for i2 in range(m.dim):
-            for j in range(n.dim):
-                # 1. ^{[m,m']}n - ^m(^{m'}n) - (^m n)^{m'}
-                flag(1, (mb[i], mb[i2], nb[j]), (1, cm[i][i2], Lt[j]),
-                     (-1, L[i2][j], L[i]), (-1, L[i][j], Rt[i2]))
-                # 5. ^m(^{m'}n) + ^m(n^{m'})
-                flag(5, (mb[i], mb[i2], nb[j]), (1, L[i2][j], L[i]),
-                     (1, R[j][i2], L[i]))
-
-    for j in range(n.dim):
-        for i in range(m.dim):
-            for i2 in range(m.dim):
-                # 3. n^{[m,m']} - (n^m)^{m'} + (n^{m'})^m
-                flag(3, (nb[j], mb[i], mb[i2]), (1, cm[i][i2], R[j]),
-                     (-1, R[j][i], Rt[i2]), (1, R[j][i2], Rt[i]))
-
-    for i in range(m.dim):
-        for j in range(n.dim):
-            for j2 in range(n.dim):
-                # 2. ^m [n,n'] - [^m n, n'] + [^m n', n]
-                flag(2, (mb[i], nb[j], nb[j2]), (1, cn[j][j2], L[i]),
-                     (-1, L[i][j], cn_t[j2]), (1, L[i][j2], cn_t[j]))
-                # 4. [n,n']^m - [n^m, n'] - [n, n'^m]
-                flag(4, (nb[j], nb[j2], mb[i]), (1, cn[j][j2], Rt[i]),
-                     (-1, R[j][i], cn_t[j2]), (-1, R[j2][i], cn[j]))
-                # 6. [n, ^m n'] + [n, n'^m]
-                flag(6, (nb[j], mb[i], nb[j2]), (1, L[i][j2], cn[j]),
-                     (1, R[j2][i], cn[j]))
-
+    d = n.dim
+    # the report runs over (i, i2, j) for axioms 1 and 5, (j, i, i2) for
+    # axiom 3 and (i, j, j2) for axioms 2, 4 and 6, in that order
+    bad = _violations({"a": m.basis_names, "b": m.basis_names,
+                       "x": n.basis_names, "y": n.basis_names}, [
+        # 1. ^{[m,m']}n - ^m(^{m'}n) - (^m n)^{m'}
+        ("axiom1 ", 0, 0, d, "abx", "abx",
+         ((1, cm, "ab", Lt, "x"), (-1, L, "bx", L, "a"), (-1, L, "ax", Rt, "b"))),
+        # 5. ^m(^{m'}n) + ^m(n^{m'})
+        ("axiom5 ", 0, 1, d, "abx", "abx",
+         ((1, L, "bx", L, "a"), (1, R, "xb", L, "a"))),
+        # 3. n^{[m,m']} - (n^m)^{m'} + (n^{m'})^m
+        ("axiom3 ", 1, 0, d, "xab", "xab",
+         ((1, cm, "ab", R, "x"), (-1, R, "xa", Rt, "b"), (1, R, "xb", Rt, "a"))),
+        # 2. ^m [n,n'] - [^m n, n'] + [^m n', n]
+        ("axiom2 ", 2, 0, d, "axy", "axy",
+         ((1, cn, "xy", L, "a"), (-1, L, "ax", cn_t, "y"), (1, L, "ay", cn_t, "x"))),
+        # 4. [n,n']^m - [n^m, n'] - [n, n'^m]
+        ("axiom4 ", 2, 1, d, "axy", "xya",
+         ((1, cn, "xy", Rt, "a"), (-1, R, "xa", cn_t, "y"), (-1, R, "ya", cn, "x"))),
+        # 6. [n, ^m n'] + [n, n'^m]
+        ("axiom6 ", 2, 2, d, "axy", "xay",
+         ((1, L, "ay", cn, "x"), (1, R, "ya", cn, "x"))),
+    ])
     return _report(f"action of {m.name} on {n.name}", bad)
 
 
@@ -280,19 +316,24 @@ class AlgebraHom:
         from .ratlin import rank
         return rank(self.matrix) == self.target.dim
 
+    @cached_property
+    def validity(self) -> ValidityReport:
+        """The report of check_hom, evaluated once per object."""
+        return _hom_report(self)
+
 
 def check_hom(f: AlgebraHom) -> ValidityReport:
     """Residuals f([e_i,e_j]) - [f(e_i), f(e_j)] on all basis pairs."""
+    return f.validity
+
+
+def _hom_report(f: AlgebraHom) -> ValidityReport:
     a, b = f.source, f.target
     cols = sparse_columns(f.matrix)
-    bad = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            # f([e_i,e_j]) - sum over f(e_i) = sum_l x_l e_l of x_l [e_l, f(e_j)]
-            r = signed_sum(b.dim, ((1, a.st[i][j], cols),
-                                   *((-x, cols[j], b.st[l]) for l, x in cols[i])))
-            if r:
-                bad.append((f"({a.basis_names[i]},{a.basis_names[j]})", r))
+    # fb[i][k] = [f(e_i), e_k], so that [f(e_i), f(e_j)] is f(e_j) through fb[i]
+    fb = _through(cols, b.st_t, a.dim, b.dim)
+    bad = _violations({"i": a.basis_names, "j": a.basis_names}, [
+        ("", 0, 0, b.dim, "ij", "ij", ((1, a.st, "ij", cols, ""), (-1, cols, "j", fb, "i")))])
     return _report(f"homomorphism {a.name} -> {b.name}", bad)
 
 
@@ -304,14 +345,23 @@ def span_brackets(a: LeibnizAlgebra, X: Subspace, Y: Subspace) -> Subspace:
     return Subspace.from_vectors(a.dim, out)
 
 
+def annihilator(dim: int, views) -> Subspace:
+    """The x in QQ^dim with sum_s x_s * view[r][s] = 0 for every sparse
+    view of the given ones and every r: the kernel of one sparse row per
+    (view, r, coordinate), built from the nonzero entries only."""
+    rows = {}
+    for v, view in enumerate(views):
+        for r, row in enumerate(view):
+            for s, entries in enumerate(row):
+                for k, t in entries:
+                    rows.setdefault((v, r, k), []).append((s, t))
+    return sparse_kernel(dim, rows.values())
+
+
 def center(a: LeibnizAlgebra) -> Subspace:
-    """Two-sided center {x : [x, a] = [a, x] = 0}."""
-    rows = []
-    for j in range(a.dim):
-        for k in range(a.dim):
-            rows.append(tuple(a.c[i][j][k] for i in range(a.dim)))  # x -> [x, e_j]
-            rows.append(tuple(a.c[j][i][k] for i in range(a.dim)))  # x -> [e_j, x]
-    return kernel(RatMatrix.from_rows(rows, cols=a.dim))
+    """Two-sided center {x : [x, a] = [a, x] = 0}: x -> [x, e_j] reads
+    st_t[j] and x -> [e_j, x] reads st[j]."""
+    return annihilator(a.dim, (a.st_t, a.st))
 
 
 def ideal_closure(a: LeibnizAlgebra, seed: Subspace) -> Subspace:

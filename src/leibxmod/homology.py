@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import LeibnizAlgebra
-from .ratlin import RatMatrix, kernel, rank
+from .ratlin import RatMatrix, rank
 
 MAX_BOUNDARY_DEGREE = 4
 # Largest boundary matrix, in entries, that boundary and hl will build:
@@ -75,10 +75,11 @@ def boundary(q: LeibnizAlgebra, n: int) -> RatMatrix:
 
 
 def hl(q: LeibnizAlgebra, n: int) -> int:
-    """dim HL_n(q) = dim kernel(d_n) - rank(d_{n+1}), degrees 0..3."""
+    """dim HL_n(q) = dim kernel(d_n) - rank(d_{n+1}), degrees 0..3, where
+    dim kernel(d_n) = d^n - rank(d_n) by rank-nullity."""
     if not 0 <= n <= MAX_BOUNDARY_DEGREE - 1:
         raise ValueError(f"homology degree must be between 0 and {MAX_BOUNDARY_DEGREE - 1}")
     if n == 0:
         return 1  # CL_0 is the ground field and d_1 = 0
     _boundary_shape(q.dim, n + 1)  # the larger of the two boundaries
-    return kernel(boundary(q, n)).dim - rank(boundary(q, n + 1))
+    return q.dim ** n - rank(boundary(q, n)) - rank(boundary(q, n + 1))

@@ -9,7 +9,10 @@ objects store and print.  The hot paths run sparse: a sparse vector is
 accumulator), structure and action tables are read through sparse views,
 ``st[i][j] = ((k, t), ...)`` over the nonzero ``t``, and ``accumulate``
 is the one step behind ``contract``, the bilinear contraction, behind
-the runtime-checked laws and behind quotient maps.  A ``QuotientMap``
+quotient maps and behind ``join``, which evaluates the runtime-checked
+laws term by term: each term is joined over the nonzero entries of its
+sparse views into residuals keyed by the law's report order, so a basis
+triple that no nonzero product reaches costs nothing.  A ``QuotientMap``
 is a sparse map too: the image of every ambient column in quotient
 coordinates, so projecting a vector costs one ``accumulate`` over its
 nonzero entries, and membership in the relation subspace is an empty
@@ -20,7 +23,8 @@ echelon form of a row space, which is unique and so does not depend on
 which row supplies a pivot.  Identical inputs therefore always produce
 bit-identical outputs.  Elimination runs over integers (fraction-free,
 in the style of Bareiss); Fractions appear only in the normalised
-result.
+result.  Kernels and spans take their rows dense or sparse, and a sparse
+row goes to the elimination without a dense copy.
 """
 
 from __future__ import annotations
@@ -122,20 +126,66 @@ def accumulate(acc: dict, c, a, rows) -> None:
                 acc[k] = acc.get(k, _ZERO) + w * u
 
 
-def residual(acc: dict, dim: int):
-    """The dense vector of an accumulator, or None when every entry is zero."""
-    if any(acc.values()):
-        return dense(acc.items(), dim)
-    return None
+def _entries(x, depth: int) -> list:
+    """The nonempty sparse vectors of a table with depth outer indices (1
+    or 2), as (outer index tuple, vector)."""
+    if depth == 1:
+        return [((p,), a) for p, a in enumerate(x) if a]
+    return [((p, q), a) for p, row in enumerate(x) for q, a in enumerate(row) if a]
 
 
-def signed_sum(dim: int, terms):
-    """The sum of c * (a through rows) over terms (c, a, rows), as in
-    accumulate: a dense Fraction tuple, or None when it vanishes."""
-    acc = {}
-    for c, a, rows in terms:
-        accumulate(acc, c, a, rows)
-    return residual(acc, dim)
+def join(terms) -> dict:
+    """The sums of the terms of a multilinear law, over nonzero entries only.
+
+    A term (key, c, x, xs, y, ys) adds c * (x[p] through y[r]), as in
+    accumulate, for every outer index p of the sparse table x and r of the
+    sparse table y.  x has one or two outer indices, named by the letters
+    of xs; y has the rows y[r][l] with one outer index named by the letter
+    ys, or none when ys is "" (then y is itself the rows).  Each sum goes
+    to the accumulator at key, a sequence of letters and constants, with
+    every letter replaced by its index.  This is the join of sparse tensor
+    algebra: for a nonempty x[p], only the r with a nonempty y[r][l] for
+    some nonzero entry (l, t) of x[p] are visited.  A key that no product
+    reaches has no entry; its sum is zero by construction.
+
+    Returns {key tuple: accumulator}.
+    """
+    out = {}
+    meets = {}  # id(y) -> (y, {l: the r with a nonempty y[r][l]})
+    for key, c, x, xs, y, ys in terms:
+        if not ys:  # one row, at an index that no key names
+            y, ys = (y,), "_"
+        names = xs + ys
+        consts, at = [], []
+        for k in key:
+            if isinstance(k, str):
+                at.append(names.index(k))
+            else:
+                at.append(len(names) + len(consts))
+                consts.append(k)
+        consts = tuple(consts)
+        seen = meets.get(id(y))
+        if seen is None:
+            support = {}
+            for r, row in enumerate(y):
+                for l, v in enumerate(row):
+                    if v:
+                        support.setdefault(l, []).append(r)
+            seen = meets[id(y)] = (y, support)
+        support = seen[1]
+        for p, a in _entries(x, len(xs)):
+            if len(a) == 1:
+                rs = support.get(a[0][0], ())
+            else:
+                rs = set().union(*[support.get(l, ()) for l, _ in a])
+            for r in rs:
+                idx = p + (r,) + consts
+                k = tuple(idx[i] for i in at)
+                acc = out.get(k)
+                if acc is None:
+                    acc = out[k] = {}
+                accumulate(acc, c, a, y[r])
+    return out
 
 
 def contract(st, x: Sequence, y: Sequence, dim: int) -> tuple:
@@ -432,10 +482,22 @@ class Subspace:
 
 def kernel(m: RatMatrix) -> Subspace:
     """Basis of the right null space {v : m v = 0}."""
-    echelon = _eliminate(_integer_rows(m))
+    return _kernel(_integer_rows(m), m.cols)
+
+
+def sparse_kernel(cols: int, rows: Iterable) -> Subspace:
+    """The right null space of the matrix with cols columns whose nonzero
+    rows are the sparse vectors rows ((column, Fraction), ...), with
+    nonzero values; they go to the elimination without a dense copy."""
+    return _kernel([_integer_row(r) for r in rows if r], cols)
+
+
+def _kernel(rows: list, cols: int) -> Subspace:
+    """The right null space of the sparse integer rows (see _eliminate)."""
+    echelon = _eliminate(rows)
     pivots = {c for c, _ in echelon}
     out = []
-    for f in range(m.cols):
+    for f in range(cols):
         if f in pivots:
             continue
         # e_f - sum of row[f] / row[c] * e_c over the pivot rows, times
@@ -446,7 +508,7 @@ def kernel(m: RatMatrix) -> Subspace:
         for c, b, a in terms:
             v[c] = -b * (scale // a)
         out.append(_primitive(v))
-    return Subspace(m.cols, *_normalised(_eliminate(out), m.cols))
+    return Subspace(cols, *_normalised(_eliminate(out), cols))
 
 
 def column_space(m: RatMatrix) -> Subspace:

@@ -81,20 +81,8 @@ class MutualActionPair:
         modules: each factor acts by mapping down and using the base action."""
         if eta.base != delta.base:
             raise ValueError("crossed modules must share the same base")
-        m, n = eta.top, delta.top
-        m_on_n = LeibnizAction(
-            m, n,
-            tuple(tuple(delta.action.act_left(eta.delta.column(a), unit_vec(n.dim, b))
-                        for b in range(n.dim)) for a in range(m.dim)),
-            tuple(tuple(delta.action.act_right(unit_vec(n.dim, b), eta.delta.column(a))
-                        for a in range(m.dim)) for b in range(n.dim)))
-        n_on_m = LeibnizAction(
-            n, m,
-            tuple(tuple(eta.action.act_left(delta.delta.column(b), unit_vec(m.dim, a))
-                        for a in range(m.dim)) for b in range(n.dim)),
-            tuple(tuple(eta.action.act_right(unit_vec(m.dim, a), delta.delta.column(b))
-                        for b in range(n.dim)) for a in range(m.dim)))
-        return cls(m, n, m_on_n, n_on_m)
+        return cls(eta.top, delta.top, _through_base(eta, delta),
+                   _through_base(delta, eta))
 
     @property
     def sides(self) -> tuple:
@@ -114,6 +102,22 @@ class MutualActionPair:
             blocks[1 - s] = [y_on_x.sl[y][x] for y in range(Y.dim) for x in range(X.dim)]
             ev.append(tuple(blocks[0] + blocks[1]))
         return tuple(ev)
+
+
+def _through_base(x: CrossedModule, y: CrossedModule) -> LeibnizAction:
+    """The action of x.top on y.top that maps down by x.delta and acts by
+    y.action.  When x is the base with the identity, that is y.action
+    table for table, and y.action itself is returned, with its cached
+    sparse views and validity report."""
+    if x.top == x.base and x.delta == RatMatrix.identity(x.base.dim):
+        return y.action
+    m, n = x.top, y.top
+    return LeibnizAction(
+        m, n,
+        tuple(tuple(y.action.act_left(x.delta.column(a), unit_vec(n.dim, b))
+                    for b in range(n.dim)) for a in range(m.dim)),
+        tuple(tuple(y.action.act_right(unit_vec(n.dim, b), x.delta.column(a))
+                    for a in range(m.dim)) for b in range(n.dim)))
 
 
 # ambient layout: two mirrored blocks.  Side 0 is (X, Y) = (m, n) and side
@@ -183,31 +187,42 @@ def _defining_rows(pair: MutualActionPair) -> list:
         if r:
             rows.append(r)
 
+    # a candidate whose terms are all empty gives no row, and is skipped
     for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides):
         ex = [((x, ONE),) for x in range(X.dim)]
         ey = [((y, ONE),) for y in range(Y.dim)]
         for x in range(X.dim):
+            xr = y_on_x.sr[x]
             for y in range(Y.dim):
                 for y2 in range(Y.dim):
-                    # x * [y, y2] = x^y * y2 - x^{y2} * y
-                    add((1, s, ex[x], Y.st[y][y2]),
-                        (-1, s, y_on_x.sr[x][y], ey[y2]),
-                        (1, s, y_on_x.sr[x][y2], ey[y]))
+                    if Y.st[y][y2] or xr[y] or xr[y2]:
+                        # x * [y, y2] = x^y * y2 - x^{y2} * y
+                        add((1, s, ex[x], Y.st[y][y2]),
+                            (-1, s, xr[y], ey[y2]),
+                            (1, s, xr[y2], ey[y]))
+        sl, sr = x_on_y.sl, x_on_y.sr
         for x in range(X.dim):
             for x2 in range(X.dim):
                 for y in range(Y.dim):
-                    # [x, x2] * y = ^x y * x2 - x * y^{x2}
-                    add((1, s, X.st[x][x2], ey[y]),
-                        (-1, 1 - s, x_on_y.sl[x][y], ex[x2]),
-                        (1, s, ex[x], x_on_y.sr[y][x2]))
-                    # x * ^{x2}y = - x * y^{x2}
-                    add((1, s, ex[x], x_on_y.sl[x2][y]),
-                        (1, s, ex[x], x_on_y.sr[y][x2]))
-    # both representatives of [symbol_i, symbol_j] agree
-    for i in range(amb):
-        for j in range(amb):
-            c, t, u, v = _bracket_term(pair, i, j, alt=True)
-            add(_bracket_term(pair, i, j), (-c, t, u, v))
+                    if X.st[x][x2] or sl[x][y] or sr[y][x2]:
+                        # [x, x2] * y = ^x y * x2 - x * y^{x2}
+                        add((1, s, X.st[x][x2], ey[y]),
+                            (-1, 1 - s, sl[x][y], ex[x2]),
+                            (1, s, ex[x], sr[y][x2]))
+                    if sl[x2][y] or sr[y][x2]:
+                        # x * ^{x2}y = - x * y^{x2}
+                        add((1, s, ex[x], sl[x2][y]),
+                            (1, s, ex[x], sr[y][x2]))
+    # both representatives of [symbol_i, symbol_j] agree; the term of a
+    # representative in block t is empty unless ev[t][i] and ev[1 - t][j]
+    # are both nonempty
+    ev = pair.evaluations
+    live = [i for i in range(amb) if ev[0][i] or ev[1][i]]
+    for i in live:
+        for j in live:
+            if (ev[0][i] and ev[1][j]) or (ev[1][i] and ev[0][j]):
+                c, t, u, v = _bracket_term(pair, i, j, alt=True)
+                add(_bracket_term(pair, i, j), (-c, t, u, v))
     return rows
 
 

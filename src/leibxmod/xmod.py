@@ -11,12 +11,18 @@ abelianization and Liezation all live here.  "Generated by" is always
 implemented as linear span followed by a crossed-ideal closure; where
 the theory promises the closure is a no-op (commutator of crossed
 ideals) that promise is asserted, so a divergence raises instead of
-being silently absorbed.
+being silently absorbed.  The crossed module and homomorphism laws, like
+those of ``algebra``, cover every basis pair but are evaluated term by
+term over nonzero entries (``ratlin.join``), and each report is cached
+on the object it checks; the centers are kernels of sparse rows read
+off the action views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     AlgebraHom,
@@ -24,6 +30,9 @@ from .algebra import (
     LeibnizAlgebra,
     ValidityReport,
     _report,
+    _through,
+    _violations,
+    annihilator,
     center,
     check_action,
     check_hom,
@@ -37,14 +46,16 @@ from .ratlin import (
     ONE,
     RatMatrix,
     Subspace,
+    join,
     kernel,
     quotient,
     rank,
-    signed_sum,
     sparse_columns,
     unit_vec,
     vec_is_zero,
 )
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -95,6 +106,11 @@ class CrossedModule:
     def zero_pair(self) -> "SubPair":
         return SubPair(self, Subspace.zero(self.top.dim), Subspace.zero(self.base.dim))
 
+    @cached_property
+    def validity(self) -> ValidityReport:
+        """The report of check_xmod, evaluated once per object."""
+        return _xmod_report(self)
+
 
 @dataclass(frozen=True)
 class SubPair:
@@ -124,42 +140,34 @@ class SubPair:
 def check_xmod(xm: CrossedModule) -> ValidityReport:
     """Action axioms plus conditions (i) and (ii) on all basis pairs.
 
-    Residuals are signed sums of sparse products, as in check_action."""
-    bad = []
-    act_rep = check_action(xm.action)
-    bad.extend(act_rep.violations)
+    Residuals are joined over nonzero entries, as in check_action, whose
+    cached report of the action comes first."""
+    return xm.validity
+
+
+def _xmod_report(xm: CrossedModule) -> ValidityReport:
     top, base, act = xm.top, xm.base, xm.action
     dcols = sparse_columns(xm.delta)
     units = [((j, ONE),) for j in range(top.dim)]
-    for i in range(base.dim):
-        for j in range(top.dim):
-            # (i) delta(^q n) - [q, delta n]
-            r = signed_sum(base.dim, ((1, act.sl[i][j], dcols),
-                                      (-1, dcols[j], base.st[i])))
-            if r:
-                bad.append((f"equivariance-left ({base.basis_names[i]},"
-                            f"{top.basis_names[j]})", r))
-            # (i) delta(n^q) - [delta n, q]
-            r = signed_sum(base.dim, ((1, act.sr[j][i], dcols),
-                                      (-1, dcols[j], base.st_t[i])))
-            if r:
-                bad.append((f"equivariance-right ({top.basis_names[j]},"
-                            f"{base.basis_names[i]})", r))
-    for j1 in range(top.dim):
-        for j2 in range(top.dim):
-            # (ii) ^{delta n1} n2 - [n1, n2]
-            r = signed_sum(top.dim, ((1, dcols[j1], act.sl_t[j2]),
-                                     (-1, units[j2], top.st[j1])))
-            if r:
-                bad.append((f"peiffer-left ({top.basis_names[j1]},"
-                            f"{top.basis_names[j2]})", r))
-            # (ii) n1 ^ {delta n2} - [n1, n2]
-            r = signed_sum(top.dim, ((1, dcols[j2], act.sr[j1]),
-                                     (-1, units[j2], top.st[j1])))
-            if r:
-                bad.append((f"peiffer-right ({top.basis_names[j1]},"
-                            f"{top.basis_names[j2]})", r))
-    return _report(f"crossed module {xm.name}", bad)
+    # q indexes the base, n, a and b the top; the report runs over (q, n)
+    # for equivariance, then over (a, b) for Peiffer
+    bad = _violations({"q": base.basis_names, "n": top.basis_names,
+                       "a": top.basis_names, "b": top.basis_names}, [
+        # (i) delta(^q n) - [q, delta n]
+        ("equivariance-left ", 0, 0, base.dim, "qn", "qn",
+         ((1, act.sl, "qn", dcols, ""), (-1, dcols, "n", base.st, "q"))),
+        # (i) delta(n^q) - [delta n, q]
+        ("equivariance-right ", 0, 1, base.dim, "qn", "nq",
+         ((1, act.sr, "nq", dcols, ""), (-1, dcols, "n", base.st_t, "q"))),
+        # (ii) ^{delta n1} n2 - [n1, n2]
+        ("peiffer-left ", 1, 0, top.dim, "ab", "ab",
+         ((1, dcols, "a", act.sl_t, "b"), (-1, units, "b", top.st, "a"))),
+        # (ii) n1 ^ {delta n2} - [n1, n2]
+        ("peiffer-right ", 1, 1, top.dim, "ab", "ab",
+         ((1, dcols, "b", act.sr, "a"), (-1, units, "b", top.st, "a"))),
+    ])
+    return _report(f"crossed module {xm.name}",
+                   [*check_action(act).violations, *bad])
 
 
 def is_crossed_ideal(xm: CrossedModule, sp: SubPair) -> bool:
@@ -248,20 +256,12 @@ def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
 
 
 def center_xmod(xm: CrossedModule) -> SubPair:
-    """(n^q, st_q(n) & Z(q)): annihilated top part and annihilating center."""
-    dt, db = xm.top.dim, xm.base.dim
-    rows = []
-    for i in range(db):
-        for k in range(dt):
-            rows.append(tuple(xm.action.left[i][j][k] for j in range(dt)))
-            rows.append(tuple(xm.action.right[j][i][k] for j in range(dt)))
-    top = kernel(RatMatrix.from_rows(rows, cols=dt))
-    rows = []
-    for j in range(dt):
-        for k in range(dt):
-            rows.append(tuple(xm.action.left[i][j][k] for i in range(db)))
-            rows.append(tuple(xm.action.right[j][i][k] for i in range(db)))
-    st = kernel(RatMatrix.from_rows(rows, cols=db))
+    """(n^q, st_q(n) & Z(q)): annihilated top part and annihilating center.
+    n -> ^{q_i} n reads sl[i] and n -> n^{q_i} reads sr_t[i]; q -> ^q n_j
+    reads sl_t[j] and q -> n_j^q reads sr[j]."""
+    act = xm.action
+    top = annihilator(xm.top.dim, (act.sl, act.sr_t))
+    st = annihilator(xm.base.dim, (act.sl_t, act.sr))
     return SubPair(xm, top, st.intersect(center(xm.base)))
 
 
@@ -296,35 +296,41 @@ class XModHom:
     def kernel_pair(self) -> SubPair:
         return SubPair(self.source, kernel(self.top_map), kernel(self.base_map))
 
+    @cached_property
+    def validity(self) -> ValidityReport:
+        """The report of check_xmod_hom, evaluated once per object."""
+        return _xmod_hom_report(self)
+
 
 def check_xmod_hom(f: XModHom) -> ValidityReport:
     """Component homomorphisms, delta compatibility, and equivariance."""
-    bad = []
-    bad.extend(check_hom(AlgebraHom(f.source.top, f.target.top, f.top_map)).violations)
-    bad.extend(check_hom(AlgebraHom(f.source.base, f.target.base, f.base_map)).violations)
-    lhs = f.base_map.mul(f.source.delta)
-    rhs = f.target.delta.mul(f.top_map)
-    if lhs != rhs:
-        bad.append(("delta compatibility", tuple(
-            x - y for lr, rr in zip(lhs.entries, rhs.entries) for x, y in zip(lr, rr))))
+    return f.validity
+
+
+def _xmod_hom_report(f: XModHom) -> ValidityReport:
     src, tgt = f.source, f.target
+    bad = [*check_hom(AlgebraHom(src.top, tgt.top, f.top_map)).violations,
+           *check_hom(AlgebraHom(src.base, tgt.base, f.base_map)).violations]
     tcols, bcols = sparse_columns(f.top_map), sparse_columns(f.base_map)
-    for i in range(src.base.dim):
-        for j in range(src.top.dim):
-            # f(^q n) - ^{f q}(f n), the action expanded over f q
-            r = signed_sum(tgt.top.dim, (
-                (1, src.action.sl[i][j], tcols),
-                *((-x, tcols[j], tgt.action.sl[l]) for l, x in bcols[i])))
-            if r:
-                bad.append((f"equivariance-left ({src.base.basis_names[i]},"
-                            f"{src.top.basis_names[j]})", r))
-            # f(n^q) - (f n)^{f q}, the action expanded over f n
-            r = signed_sum(tgt.top.dim, (
-                (1, src.action.sr[j][i], tcols),
-                *((-x, bcols[i], tgt.action.sr[l]) for l, x in tcols[j])))
-            if r:
-                bad.append((f"equivariance-right ({src.top.basis_names[j]},"
-                            f"{src.base.basis_names[i]})", r))
+    # base_map delta - delta' top_map, column by column
+    diff = join([("n", 1, sparse_columns(src.delta), "n", bcols, ""),
+                 ("n", -1, tcols, "n", sparse_columns(tgt.delta), "")])
+    if any(any(acc.values()) for acc in diff.values()):
+        bad.append(("delta compatibility", tuple(
+            diff.get((j,), {}).get(k, _ZERO)
+            for k in range(tgt.base.dim) for j in range(src.top.dim))))
+    # fl[i][k] = ^{f q_i} e_k and fr[j][k] = (f n_j)^{e_k}: the target
+    # action expanded over f q and over f n
+    fl = _through(bcols, tgt.action.sl_t, src.base.dim, tgt.top.dim)
+    fr = _through(tcols, tgt.action.sr_t, src.top.dim, tgt.base.dim)
+    bad += _violations({"q": src.base.basis_names, "n": src.top.basis_names}, [
+        # f(^q n) - ^{f q}(f n)
+        ("equivariance-left ", 0, 0, tgt.top.dim, "qn", "qn",
+         ((1, src.action.sl, "qn", tcols, ""), (-1, tcols, "n", fl, "q"))),
+        # f(n^q) - (f n)^{f q}
+        ("equivariance-right ", 0, 1, tgt.top.dim, "qn", "nq",
+         ((1, src.action.sr, "nq", tcols, ""), (-1, bcols, "q", fr, "n"))),
+    ])
     return _report(f"crossed module hom {src.name} -> {tgt.name}", bad)
 
 

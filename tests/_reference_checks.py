@@ -7,6 +7,8 @@ bracket, action and matrix product they take goes through the dense
 contract and the dense matrix products copied here rather than through
 the library's methods, so the differential tests in test_checks.py
 compare the library's sparse laws with an independent evaluation.
+center and center_xmod are the old dense centers verbatim: every
+kernel row is a dense row of the structure or action tables.
 """
 
 from fractions import Fraction
@@ -20,8 +22,8 @@ from leibxmod.algebra import (
     ValidityReport,
     _report,
 )
-from leibxmod.ratlin import RatMatrix, unit_vec, vec_is_zero
-from leibxmod.xmod import CrossedModule, XModHom
+from leibxmod.ratlin import RatMatrix, Subspace, kernel, unit_vec, vec_is_zero
+from leibxmod.xmod import CrossedModule, SubPair, XModHom
 
 
 def _mul_vec(m: RatMatrix, v: Sequence) -> tuple:
@@ -245,3 +247,31 @@ def check_xmod_hom(f: XModHom) -> ValidityReport:
                 bad.append((f"equivariance-right ({src.top.basis_names[j]},"
                             f"{src.base.basis_names[i]})", r))
     return _report(f"crossed module hom {src.name} -> {tgt.name}", bad)
+
+
+def center(a: LeibnizAlgebra) -> Subspace:
+    """Two-sided center {x : [x, a] = [a, x] = 0}."""
+    rows = []
+    for j in range(a.dim):
+        for k in range(a.dim):
+            rows.append(tuple(a.c[i][j][k] for i in range(a.dim)))  # x -> [x, e_j]
+            rows.append(tuple(a.c[j][i][k] for i in range(a.dim)))  # x -> [e_j, x]
+    return kernel(RatMatrix.from_rows(rows, cols=a.dim))
+
+
+def center_xmod(xm: CrossedModule) -> SubPair:
+    """(n^q, st_q(n) & Z(q)): annihilated top part and annihilating center."""
+    dt, db = xm.top.dim, xm.base.dim
+    rows = []
+    for i in range(db):
+        for k in range(dt):
+            rows.append(tuple(xm.action.left[i][j][k] for j in range(dt)))
+            rows.append(tuple(xm.action.right[j][i][k] for j in range(dt)))
+    top = kernel(RatMatrix.from_rows(rows, cols=dt))
+    rows = []
+    for j in range(dt):
+        for k in range(dt):
+            rows.append(tuple(xm.action.left[i][j][k] for i in range(db)))
+            rows.append(tuple(xm.action.right[j][i][k] for i in range(db)))
+    st = kernel(RatMatrix.from_rows(rows, cols=db))
+    return SubPair(xm, top, st.intersect(center(xm.base)))

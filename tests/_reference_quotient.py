@@ -6,12 +6,15 @@ membership test on top of it, and quotient the old construction of the
 dense projection and section matrices; project is the old
 QuotientMap.project, projection.mul_vec of the coerced vector.  The
 differential tests in test_quotient.py compare the sparse map with them.
+defining_rows is the old tensor._defining_rows verbatim, which builds a
+candidate row for every basis triple and symbol pair, empty or not.
 """
 
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from leibxmod.ratlin import RatMatrix, Subspace, vec, vec_is_zero
+from leibxmod.ratlin import ONE, RatMatrix, Subspace, vec, vec_is_zero
+from leibxmod.tensor import MutualActionPair, _bracket_term, _symbols
 
 
 def reduce(self: Subspace, v: Sequence) -> tuple:
@@ -65,3 +68,41 @@ def quotient(ambient_dim: int, r: Subspace) -> DenseQuotient:
 
 def project(qm: DenseQuotient, v: Sequence) -> tuple:
     return qm.projection.mul_vec(vec(v))
+
+
+def defining_rows(pair: MutualActionPair) -> list:
+    dm, dn = pair.m.dim, pair.n.dim
+    amb = 2 * dm * dn
+    rows = []
+
+    def add(*terms):
+        r = tuple(sorted((k, t) for k, t in _symbols(dm, dn, terms).items() if t))
+        if r:
+            rows.append(r)
+
+    for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides):
+        ex = [((x, ONE),) for x in range(X.dim)]
+        ey = [((y, ONE),) for y in range(Y.dim)]
+        for x in range(X.dim):
+            for y in range(Y.dim):
+                for y2 in range(Y.dim):
+                    # x * [y, y2] = x^y * y2 - x^{y2} * y
+                    add((1, s, ex[x], Y.st[y][y2]),
+                        (-1, s, y_on_x.sr[x][y], ey[y2]),
+                        (1, s, y_on_x.sr[x][y2], ey[y]))
+        for x in range(X.dim):
+            for x2 in range(X.dim):
+                for y in range(Y.dim):
+                    # [x, x2] * y = ^x y * x2 - x * y^{x2}
+                    add((1, s, X.st[x][x2], ey[y]),
+                        (-1, 1 - s, x_on_y.sl[x][y], ex[x2]),
+                        (1, s, ex[x], x_on_y.sr[y][x2]))
+                    # x * ^{x2}y = - x * y^{x2}
+                    add((1, s, ex[x], x_on_y.sl[x2][y]),
+                        (1, s, ex[x], x_on_y.sr[y][x2]))
+    # both representatives of [symbol_i, symbol_j] agree
+    for i in range(amb):
+        for j in range(amb):
+            c, t, u, v = _bracket_term(pair, i, j, alt=True)
+            add(_bracket_term(pair, i, j), (-c, t, u, v))
+    return rows

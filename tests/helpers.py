@@ -13,10 +13,12 @@ basis densifies the table without changing validity.
 
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import leibxmod
+from leibxmod import algebra, xmod
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, check_leibniz
 from leibxmod.extensions import Extension
 from leibxmod.ratlin import RatMatrix, Subspace, dense, kernel, unit_vec, zero_vec
@@ -281,3 +283,22 @@ def child_env():
     src = str(Path(leibxmod.__file__).resolve().parents[1])
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def count_law_evaluations(monkeypatch):
+    """A Counter of the evaluations of the action, crossed module and
+    crossed module hom laws, keyed by "action", "xmod" and "xmod_hom";
+    the hom count is also keyed by ("xmod_hom", source name, target name).
+    Each check reads a report cached on its object, so an evaluation is
+    one computation of a report, not one call of the check."""
+    calls = Counter()
+    for module, name, kind in ((algebra, "_action_report", "action"),
+                               (xmod, "_xmod_report", "xmod"),
+                               (xmod, "_xmod_hom_report", "xmod_hom")):
+        def counted(obj, _real=getattr(module, name), _kind=kind):
+            calls[_kind] += 1
+            if _kind == "xmod_hom":
+                calls[_kind, obj.source.name, obj.target.name] += 1
+            return _real(obj)
+        monkeypatch.setattr(module, name, counted)
+    return calls

@@ -1,8 +1,9 @@
-"""Differential tests of the runtime-checked laws against the dense
-checks kept in _reference_checks.py: on random tables, all-zero tables
-and single-entry perturbations of the fixture objects, every report must
-be the same, subject, validity, and the violations in order with their
-labels and residual Fraction tuples."""
+"""Differential tests of the runtime-checked laws and the centers against
+the dense versions kept in _reference_checks.py: on random tables,
+all-zero tables and single-entry perturbations of the fixture objects,
+every report must be the same, subject, validity, and the violations in
+order with their labels and residual Fraction tuples, and every center
+the same subspaces."""
 
 from fractions import Fraction
 from functools import cached_property
@@ -16,12 +17,19 @@ from leibxmod.algebra import (
     LeibnizAction,
     LeibnizAlgebra,
     check_action,
+    center,
     check_hom,
     check_leibniz,
 )
 from leibxmod.extensions import Extension
-from leibxmod.ratlin import RatMatrix, contract, sparse_table
-from leibxmod.xmod import CrossedModule, XModHom, check_xmod, check_xmod_hom
+from leibxmod.ratlin import RatMatrix, contract, sparse_table, unit_vec
+from leibxmod.xmod import (
+    CrossedModule,
+    XModHom,
+    center_xmod,
+    check_xmod,
+    check_xmod_hom,
+)
 
 from helpers import (
     central_fixture_extensions,
@@ -145,6 +153,53 @@ def test_check_hom_matches_reference(f):
 @given(crossed_module_homs())
 def test_check_xmod_hom_matches_reference(f):
     same_report(check_xmod_hom(f), ref.check_xmod_hom(f))
+
+
+@PROPERTY
+@given(algebras())
+def test_center_matches_reference(a):
+    # dimension 0 and all-zero tables are drawn too
+    assert center(a) == ref.center(a)
+
+
+@PROPERTY
+@given(crossed_modules())
+def test_center_xmod_matches_reference(xm):
+    # the actor and acted dimensions are drawn independently
+    got, expect = center_xmod(xm), ref.center_xmod(xm)
+    assert (got.top_sub, got.base_sub) == (expect.top_sub, expect.base_sub)
+
+
+def test_cancelling_products_are_valid_and_one_coefficient_is_pinned():
+    a = sl2()
+    e, f, h = (unit_vec(3, i) for i in range(3))
+    act = LeibnizAction.adjoint(a)
+    # axiom 1 at (e, f, e) has two nonzero products that cancel exactly:
+    # ^{[e,f]}e = [h, e] = 2e and ^e(^f e) = [e, [f, e]] = 2e
+    two_e = tuple(2 * x for x in e)
+    assert a.bracket(a.bracket(e, f), e) == two_e
+    assert a.bracket(e, a.bracket(f, e)) == two_e
+    same_report(check_action(act), ref.check_action(act))
+    assert check_action(act).valid
+    # the same action with ^h e = 3e in place of 2e
+    left = [list(row) for row in act.left]
+    left[2][0] = tuple(3 * x for x in e)
+    bad = LeibnizAction(a, a, tuple(tuple(row) for row in left), act.right)
+    same_report(check_action(bad), ref.check_action(bad))
+    assert check_action(bad).summary() == "\n".join([
+        "action of sl2 on sl2: INVALID (12 violation(s))",
+        "  axiom1 (e,f,e): residual ('1', '0', '0')",
+        "  axiom1 (f,e,e): residual ('-1', '0', '0')",
+        "  axiom1 (f,h,e): residual ('0', '0', '1')",
+        "  axiom5 (f,h,e): residual ('0', '0', '-1')",
+        "  axiom1 (h,e,h): residual ('2', '0', '0')",
+        "  axiom1 (h,f,e): residual ('0', '0', '-1')",
+        "  axiom1 (h,h,e): residual ('-3', '0', '0')",
+        "  axiom5 (h,h,e): residual ('3', '0', '0')",
+        "  axiom2 (h,e,f): residual ('0', '0', '-1')",
+        "  axiom2 (h,f,e): residual ('0', '0', '1')",
+        "  axiom6 (f,h,e): residual ('0', '0', '-1')",
+        "  axiom6 (h,h,e): residual ('2', '0', '0')"])
 
 
 # -- single-entry perturbations of the fixtures ------------------------------------
@@ -283,20 +338,31 @@ def test_check_xmod_hom_on_perturbed_fixtures(data):
 
 
 def test_sparse_views_leave_equality_and_hashing_alone():
-    # the views are cached on the instance, outside the dataclass fields
+    # the views and the validity reports are cached on the instance,
+    # outside the dataclass fields
     for a in [sl2(), heis3()] + random_leibniz_corpus(3):
         xm = CrossedModule.adjoint_identity(a)
-        assert check_xmod(xm).valid
+        f = XModHom.identity(xm)
+        assert check_leibniz(a).valid and check_xmod(xm).valid
+        assert check_xmod_hom(f).valid
         act = xm.action
-        assert {"st", "st_t"} <= vars(a).keys()
-        assert {"sl", "sr", "sl_t", "sr_t"} <= vars(act).keys()
+        assert {"st", "st_t", "validity"} <= vars(a).keys()
+        assert {"sl", "sr", "sl_t", "sr_t", "validity"} <= vars(act).keys()
+        assert "validity" in vars(xm) and "validity" in vars(f)
+        # a second check reads the cached report
+        assert check_action(act) is check_action(act)
+        assert check_xmod(xm) is xm.validity and check_xmod_hom(f) is f.validity
         fresh = LeibnizAlgebra(a.name, a.dim, a.basis_names, a.c)
         assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
         fresh_act = LeibnizAction(fresh, fresh, act.left, act.right)
         assert act == fresh_act and hash(act) == hash(fresh_act)
         assert repr(act) == repr(fresh_act)
-        fresh_xm = CrossedModule.adjoint_identity(fresh)
+        fresh_xm = CrossedModule(xm.name, fresh, fresh, xm.delta, fresh_act)
         assert xm == fresh_xm and hash(xm) == hash(fresh_xm)
+        assert repr(xm) == repr(fresh_xm)
+        fresh_f = XModHom(fresh_xm, fresh_xm, f.top_map, f.base_map)
+        assert f == fresh_f and hash(f) == hash(fresh_f) and repr(f) == repr(fresh_f)
+        assert "validity" not in vars(fresh_xm) and "validity" not in vars(fresh_f)
 
 
 def test_extension_fields_leave_equality_and_hashing_alone():

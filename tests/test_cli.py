@@ -5,12 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from leibxmod import cli, extensions, homology
+from leibxmod import cli, extensions, homology, tensor
 from leibxmod.extensions import stem_cover_of_perfect
 from leibxmod.ratlin import RatMatrix
 from leibxmod.xmod import liezation
 
-from helpers import child_env
+from helpers import child_env, count_law_evaluations
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -152,6 +152,19 @@ def test_multiplier_json(capsys):
     assert (doc["qn"]["dim"], doc["qq"]["dim"]) == (2, 2)
     assert doc["multiplier"] == {"top_dim": 1, "base_dim": 1, "rank_delta": 1,
                                  "delta": {"a1": {"b1": "1"}}}
+
+
+def test_multiplier_evaluates_each_law_once_per_object(monkeypatch, capsys):
+    for cached in (tensor.tensor_product, tensor.exterior_presentation,
+                   tensor.exterior_square_data, tensor.schur_multiplier):
+        cached.cache_clear()
+    calls = count_law_evaluations(monkeypatch)
+    assert cli.main(["multiplier", str(FIXTURES / "heis3_id.xmod"), "--json"]) == 0
+    capsys.readouterr()
+    # the input's action, the bracket action of the base and the action on
+    # the squares; the input and the crossed module of its squares
+    assert calls["action"] == 3
+    assert calls["xmod"] == 2
 
 
 def test_exterior_report(capsys):

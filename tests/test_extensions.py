@@ -24,6 +24,7 @@ from leibxmod.ratlin import QQ, RatMatrix, Subspace, unit_vec
 from leibxmod.xmod import CrossedModule, SubPair, XModHom
 
 from helpers import (
+    count_law_evaluations,
     center_quotient,
     central_fixture_extensions,
     heis3,
@@ -360,3 +361,13 @@ def test_each_command_computes_each_object_once(monkeypatch, capsys):
                 if k[1] in (e.total.name, e.quotient.name)}
         assert mine and set(mine.values()) == {1}, (command, mine)
     capsys.readouterr()
+
+
+def test_classify_checks_the_projection_once(monkeypatch, capsys):
+    path = FIXTURES / "split_over_n2.extension"
+    e = cli.load_fixture(path)
+    calls = count_law_evaluations(monkeypatch)
+    assert cli.main(["classify-extension", str(path), "--json"]) == 0
+    capsys.readouterr()
+    # Extension.validity and the induced exterior maps share one report
+    assert calls["xmod_hom", e.total.name, e.quotient.name] == 1

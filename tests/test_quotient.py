@@ -1,5 +1,6 @@
-"""The sparse quotient map against the dense one it replaced, and the
-well-definedness sweep against dense membership tests."""
+"""The sparse quotient map against the dense one it replaced, the
+well-definedness sweep against dense membership tests, and the relation
+rows against the construction that visited every candidate."""
 
 from fractions import Fraction
 
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 import _reference_quotient as ref
 from leibxmod.ratlin import RatMatrix, Subspace, quotient, sparse, transposed, unit_vec
-from leibxmod.tensor import _preserves
+from leibxmod.algebra import LeibnizAction
+from leibxmod.tensor import MutualActionPair, _defining_rows, _preserves
 
 from test_acceptance import _presentation_corpus
+from test_checks import algebras, tables
 from test_ratlin import RATIONALS, matrices
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200,
@@ -93,3 +96,25 @@ def test_sweep_matches_dense_membership_on_partial_relations(data):
                                   max_size=len(rows)))
         _sweep_agrees(pres, Subspace.from_vectors(
             pres.ambient_dim, [r for r, k in zip(rows, keep) if k]))
+
+
+def _same_rows(pair):
+    assert sorted(set(_defining_rows(pair))) == sorted(set(ref.defining_rows(pair)))
+
+
+def test_defining_rows_match_every_candidate_on_corpus():
+    for pres in _presentation_corpus():
+        _same_rows(pres.pair)
+
+
+@PROPERTY
+@given(st.data())
+def test_defining_rows_match_every_candidate_on_random_pairs(data):
+    # the actions need not be valid: the rows are built before any check
+    m, n = data.draw(algebras()), data.draw(algebras())
+    _same_rows(MutualActionPair(
+        m, n,
+        LeibnizAction(m, n, data.draw(tables(m.dim, n.dim, n.dim)),
+                      data.draw(tables(n.dim, m.dim, n.dim))),
+        LeibnizAction(n, m, data.draw(tables(n.dim, m.dim, m.dim)),
+                      data.draw(tables(m.dim, n.dim, m.dim)))))
