@@ -146,7 +146,8 @@ class Extension:
     # crossed module with its projection), and the induced multiplier map
     center = cached_property(lambda self: center_xmod(self.total))
     derived = cached_property(lambda self: derived_xmod(self.total))
-    total_ab = cached_property(lambda self: abelianization(self.total))
+    total_ab = cached_property(
+        lambda self: abelianization(self.total, self.derived))
     quotient_ab = cached_property(lambda self: abelianization(self.quotient))
     multiplier_map = cached_property(
         lambda self: multiplier_functorial_map(self.proj))

@@ -11,18 +11,26 @@ where the bracket replaces slot i and slot j is omitted.  The homology
 dimension hl(q, 2) gives an implementation-independent value for the
 kernel of the exterior-square bracket map, which is how the rest of the
 package is cross-validated.  Degrees are capped at 4 (boundary) and 3
-(homology): enough for the oracle at desk scale.  The boundary is a
-dense d^(n-1) x d^n matrix, so its size is checked against
-MAX_BOUNDARY_ENTRIES before anything is allocated.
+(homology): enough for the oracle at desk scale.
+
+One generator, _images, emits the image of each basis tensor as a
+sparse integer row read off the sparse view of the structure constants,
+all of them scaled once by the lcm of their denominators; that scales
+d_n by one positive integer and leaves its rank alone.  hl eliminates
+those rows as they are (rank(d_n) is the rank of its transpose), with
+no dense matrix and no Fraction; only boundary densifies them into the
+d^(n-1) x d^n matrix.  Either way the dense size is checked against
+MAX_BOUNDARY_ENTRIES before anything is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .algebra import LeibnizAlgebra
-from .ratlin import RatMatrix, rank
+from .ratlin import RatMatrix, integer_rank
 
 MAX_BOUNDARY_DEGREE = 4
 # Largest boundary matrix, in entries, that boundary and hl will build:
@@ -48,30 +56,45 @@ def _tensor_index(idx: tuple, d: int) -> int:
     return out
 
 
+def _scaled(q: LeibnizAlgebra) -> "tuple[int, tuple]":
+    """(den, table): den is the lcm of the denominators of the structure
+    constants, and table[i][j] = ((k, den * t), ...) over q.st[i][j]."""
+    den = lcm(*[t.denominator for row in q.st for v in row for _, t in v])
+    return den, tuple(tuple(tuple((k, t.numerator * (den // t.denominator))
+                                  for k, t in v) for v in row) for row in q.st)
+
+
+def _images(table: tuple, d: int, n: int):
+    """den * d_n of each basis tensor x_1 (x) ... (x) x_n, in lexicographic
+    order, as a sparse {target index: int} row, for the scaled table of a
+    dimension-d algebra (see _scaled); a sum that cancels is dropped."""
+    weight = [d ** (n - 2 - i) for i in range(n - 1)]  # of slot i of a target
+    for idx in product(range(d), repeat=n):
+        img = {}
+        for j in range(1, n):
+            sign = -1 if (j + 1) % 2 else 1
+            rest = _tensor_index(idx[:j] + idx[j + 1:], d)
+            for i in range(j):
+                at = rest - idx[i] * weight[i]
+                for k, t in table[idx[i]][idx[j]]:
+                    key = at + k * weight[i]
+                    v = img.get(key, 0) + sign * t
+                    if v:
+                        img[key] = v
+                    else:
+                        del img[key]
+        yield img
+
+
 def boundary(q: LeibnizAlgebra, n: int) -> RatMatrix:
     """Matrix of d_n: q^{(x)n} -> q^{(x)(n-1)} on the lexicographic basis."""
     if not 1 <= n <= MAX_BOUNDARY_DEGREE:
         raise ValueError(f"boundary degree must be between 1 and {MAX_BOUNDARY_DEGREE}")
-    d = q.dim
-    rows, cols = _boundary_shape(d, n)
-    entries = [[Fraction(0)] * cols for _ in range(rows)]
-    if n == 1:
-        # d_1 = 0 into the ground field
-        return RatMatrix(rows, cols, tuple(tuple(r) for r in entries))
-    for idx in product(range(d), repeat=n):
-        col = _tensor_index(idx, d)
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                sign = Fraction(-1 if (j + 1) % 2 else 1)
-                bracket = q.c[idx[i]][idx[j]]
-                rest = idx[:i] + (None,) + idx[i + 1:j] + idx[j + 1:]
-                for k in range(d):
-                    ck = bracket[k]
-                    if ck == 0:
-                        continue
-                    target = tuple(k if t is None else t for t in rest)
-                    entries[_tensor_index(target, d)][col] += sign * ck
-    return RatMatrix(rows, cols, tuple(tuple(r) for r in entries))
+    rows, _ = _boundary_shape(q.dim, n)
+    den, table = _scaled(q)
+    return RatMatrix.from_sparse_columns(
+        [tuple((k, Fraction(v, den)) for k, v in img.items())
+         for img in _images(table, q.dim, n)], rows)
 
 
 def hl(q: LeibnizAlgebra, n: int) -> int:
@@ -82,4 +105,6 @@ def hl(q: LeibnizAlgebra, n: int) -> int:
     if n == 0:
         return 1  # CL_0 is the ground field and d_1 = 0
     _boundary_shape(q.dim, n + 1)  # the larger of the two boundaries
-    return q.dim ** n - rank(boundary(q, n)) - rank(boundary(q, n + 1))
+    _, table = _scaled(q)
+    return (q.dim ** n - integer_rank(_images(table, q.dim, n))
+            - integer_rank(_images(table, q.dim, n + 1)))

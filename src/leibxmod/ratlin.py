@@ -24,7 +24,8 @@ which row supplies a pivot.  Identical inputs therefore always produce
 bit-identical outputs.  Elimination runs over integers (fraction-free,
 in the style of Bareiss); Fractions appear only in the normalised
 result.  Kernels and spans take their rows dense or sparse, and a sparse
-row goes to the elimination without a dense copy.
+row goes to the elimination without a dense copy; ``integer_rank`` takes
+sparse integer rows and creates no Fraction at all.
 """
 
 from __future__ import annotations
@@ -490,6 +491,13 @@ def sparse_kernel(cols: int, rows: Iterable) -> Subspace:
     rows are the sparse vectors rows ((column, Fraction), ...), with
     nonzero values; they go to the elimination without a dense copy."""
     return _kernel([_integer_row(r) for r in rows if r], cols)
+
+
+def integer_rank(rows: Iterable) -> int:
+    """The rank of the matrix whose rows are the sparse integer rows
+    {column: int} of rows, zero rows allowed; each goes to the
+    elimination made primitive, without a dense copy or a Fraction."""
+    return len(_eliminate([_primitive(r) for r in rows if r], reduce=False))
 
 
 def _kernel(rows: list, cols: int) -> Subspace:

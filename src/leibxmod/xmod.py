@@ -364,8 +364,15 @@ def quotient_xmod(xm: CrossedModule, ideal: SubPair,
     return out, proj
 
 
-def abelianization(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
-    out, proj = quotient_xmod(xm, derived_xmod(xm), name=f"{xm.name}_ab")
+def abelianization(xm: CrossedModule, derived: "SubPair | None" = None
+                   ) -> "tuple[CrossedModule, XModHom]":
+    """The quotient of xm by its derived pair, with the projection; derived
+    is that pair when the caller already holds it (derived_xmod(xm))."""
+    if derived is None:
+        derived = derived_xmod(xm)
+    elif derived.parent != xm:
+        raise ValueError(f"the derived pair given is not one of {xm.name}")
+    out, proj = quotient_xmod(xm, derived, name=f"{xm.name}_ab")
     flags = predicates(out)
     if not flags.is_abelian:
         raise AssertionError("abelianization failed to be abelian")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from leibxmod import cli, extensions
+from leibxmod import cli, extensions, xmod
 from leibxmod.algebra import LeibnizAlgebra
 from leibxmod.extensions import (
     Extension,
@@ -325,9 +325,9 @@ def count_calls(monkeypatch):
     imports; the counter is keyed by (function name, crossed module name)."""
     calls = Counter()
     for name in ("center_xmod", "derived_xmod", "abelianization", "check_xmod"):
-        def counted(xm, _real=getattr(extensions, name), _name=name):
+        def counted(xm, *args, _real=getattr(extensions, name), _name=name):
             calls[(_name, xm.name)] += 1
-            return _real(xm)
+            return _real(xm, *args)
         monkeypatch.setattr(extensions, name, counted)
     return calls
 
@@ -360,6 +360,26 @@ def test_each_command_computes_each_object_once(monkeypatch, capsys):
         mine = {k: v for k, v in calls.items()
                 if k[1] in (e.total.name, e.quotient.name)}
         assert mine and set(mine.values()) == {1}, (command, mine)
+    capsys.readouterr()
+
+
+def test_each_command_builds_the_total_derived_pair_once(monkeypatch, capsys):
+    path = FIXTURES / "split_over_n2.extension"
+    total = cli.load_fixture(path).total
+    calls = Counter()
+
+    def counted(xm, a, b, _real=xmod.commutator):
+        full = xm.full_pair()
+        if xm.name == total.name and a.same_spaces(full) and b.same_spaces(full):
+            calls["derived"] += 1
+        return _real(xm, a, b)
+
+    monkeypatch.setattr(xmod, "commutator", counted)
+    for command in ("classify-extension", "verify-sequence"):
+        calls.clear()
+        assert cli.main([command, str(path), "--json"]) == 0
+        # the total's abelianization divides by Extension.derived
+        assert calls["derived"] == 1, command
     capsys.readouterr()
 
 

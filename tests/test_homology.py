@@ -1,12 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leibxmod import homology
+import _reference_homology as ref
+from leibxmod import homology, ratlin
+from leibxmod.algebra import LeibnizAlgebra
 from leibxmod.homology import boundary, hl
 from leibxmod.ratlin import RatMatrix, rank
 
 from helpers import fixture_algebras, k_abelian, n2, random_leibniz_corpus, sl2
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60,
+                    deadline=None)
 
 
 def test_boundary_abelian_is_zero():
@@ -92,3 +99,80 @@ def test_size_budget_refuses_before_allocation(monkeypatch):
 
 def test_size_budget_admits_dimension_5_degree_4():
     assert 5 ** 3 * 5 ** 4 <= homology.MAX_BOUNDARY_ENTRIES
+
+
+def heisenberg(d):
+    """[e_(2i-1), e_(2i)] = e_d = -[e_(2i), e_(2i-1)], zero otherwise."""
+    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for i in range(0, d - 1, 2):
+        c[i][i + 1][d - 1] = Fraction(1)
+        c[i + 1][i][d - 1] = Fraction(-1)
+    return LeibnizAlgebra.from_table(f"heis{d}", [f"e{i + 1}" for i in range(d)], c)
+
+
+def test_hl_never_densifies(monkeypatch):
+    def densified(*args, **kwargs):
+        raise AssertionError("hl built a dense matrix")
+
+    monkeypatch.setattr(homology, "RatMatrix", densified)
+    monkeypatch.setattr(ratlin, "_integer_rows", densified)
+    q = heisenberg(5)
+    # HL_2 is the dimension of the multiplier of (heis5, heis5, id)
+    assert (hl(q, 2), hl(q, 3)) == (15, 61)
+
+
+def test_hl_refuses_before_the_generator_runs(monkeypatch):
+    def generated(*args, **kwargs):
+        raise AssertionError("an over-budget boundary was generated")
+
+    monkeypatch.setattr(homology, "MAX_BOUNDARY_ENTRIES", 31)
+    monkeypatch.setattr(homology, "_images", generated)
+    with pytest.raises(ValueError, match=r"d_3 .* 4x8 = 32 entries, over the budget of 31"):
+        hl(n2(), 2)
+
+
+# -- the sparse rows against the old dense boundary --------------------------------
+
+# Zero is drawn often, so that rows cancel; denominators differ, so that
+# the common scaling of the constants matters.
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 7, 12])))
+
+
+@st.composite
+def tables(draw):
+    """A random bilinear table of dimension at most 3.  The boundary
+    formula needs no Leibniz identity, and both sides compute the same
+    one, so these are compared too."""
+    d = draw(st.integers(0, 3))
+    c = [[[draw(RATIONALS) for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    return LeibnizAlgebra.from_table(f"t{d}", [f"e{i + 1}" for i in range(d)], c)
+
+
+@st.composite
+def leibniz_algebras(draw):
+    """A valid Leibniz algebra of dimension 2 or 3 from the random
+    generator: half-integer cocycles and a unimodular change of basis."""
+    corpus = random_leibniz_corpus(3, seed=draw(st.integers(0, 10 ** 6)))
+    return corpus[draw(st.integers(0, 2))]
+
+
+def same_as_reference(q):
+    for n in range(1, homology.MAX_BOUNDARY_DEGREE + 1):
+        got = boundary(q, n)
+        assert got == ref.boundary(q, n), (q.name, n)
+        assert all(type(x) is Fraction for r in got.entries for x in r)
+    for n in range(1, homology.MAX_BOUNDARY_DEGREE):
+        assert hl(q, n) == ref.hl(q, n), (q.name, n)
+
+
+@PROPERTY
+@given(st.one_of(leibniz_algebras(), tables()))
+def test_boundary_and_hl_match_reference(q):
+    same_as_reference(q)
+
+
+def test_fixture_boundaries_and_hl_match_reference():
+    for q in fixture_algebras() + [heisenberg(5)]:
+        same_as_reference(q)

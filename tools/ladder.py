@@ -12,10 +12,14 @@ benchmark generator's ``unimodular(6, Random(1), Random(1))`` change of
 basis (perfbench/gen.py, imported read-only).  Without RUNG arguments
 every rung runs, in that order.
 
+Each rung also times ``hl(q, 3)``, the Loday-complex homology in degree
+3, on a new copy of q (hl3_seconds), or reports null where d_4 is over
+the boundary budget and hl refuses it (heis9 and heis11).
+
 The program is imported from DIR (default: src of this checkout), so the
 same ladder can time another checkout.  The output is one canonical JSON
-object (sorted keys): for each rung its seconds, the dimension of the
-exterior square and that of the multiplier.
+object (sorted keys): for each rung its seconds, hl3_seconds, the
+dimension of the exterior square and that of the multiplier.
 """
 
 import argparse
@@ -49,22 +53,34 @@ def sl2_sum_table() -> list:
 
 
 def run_rung(name: str) -> dict:
-    """Build the rung's algebra, then time its squares and multiplier."""
+    """Build the rung's algebra, then time its squares and multiplier, and
+    hl(q, 3) on a new copy of the algebra."""
     from leibxmod.algebra import LeibnizAlgebra
+    from leibxmod.homology import hl
     from leibxmod.tensor import exterior_square_data, schur_multiplier
     from leibxmod.xmod import CrossedModule
 
     c = sl2_sum_table() if name == "sl2+sl2" else heisenberg_table(int(name[4:]))
     d = len(c)
-    q = LeibnizAlgebra(name, d, tuple(f"e{i + 1}" for i in range(d)),
-                       tuple(tuple(tuple(v) for v in row) for row in c))
-    xm = CrossedModule.adjoint_identity(q)
+
+    def algebra():
+        return LeibnizAlgebra(name, d, tuple(f"e{i + 1}" for i in range(d)),
+                              tuple(tuple(tuple(v) for v in row) for row in c))
+
+    xm = CrossedModule.adjoint_identity(algebra())
     start = time.perf_counter()
     esd = exterior_square_data(xm)
     mult, _ = schur_multiplier(xm)
     seconds = time.perf_counter() - start
+    q = algebra()
+    start = time.perf_counter()
+    try:
+        hl(q, 3)
+        hl3_seconds = round(time.perf_counter() - start, 4)
+    except ValueError:  # d_4 is over the boundary budget
+        hl3_seconds = None
     return {"seconds": round(seconds, 3), "square_dim": esd.qq.resolved.dim,
-            "multiplier_dim": mult.base.dim}
+            "multiplier_dim": mult.base.dim, "hl3_seconds": hl3_seconds}
 
 
 def main(argv=None) -> int:
