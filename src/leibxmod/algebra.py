@@ -11,15 +11,17 @@ action of one algebra on another is a pair of trilinear tables (left
 are the dense fields that define equality, hashing and the fixture
 format; each object also builds, once and on first use, a sparse view
 of every table and of its transpose (see ``ratlin.sparse_table``), and
-brackets, actions and the laws below read only those views.  Validity
-is always a report, not a boolean: downstream debugging needs the
-violating triple and its residual.  A law covers every basis pair or
-triple, but it is evaluated term by term: each term is joined over the
-nonzero entries of its sparse views (``ratlin.join``) into residuals
-keyed by the law's report order, so a pair or triple that no nonzero
-product reaches costs nothing, and only a nonzero residual becomes a
-dense tuple.  Each object's report is a cached property (``validity``),
-evaluated once per object and kept outside the dataclass fields.
+brackets, actions and the laws below read only those views.  An object
+built from sparse views (``from_sparse``) keeps them instead of
+rescanning the dense tables it was given.  Validity is always a report,
+not a boolean: downstream debugging needs the violating triple and its
+residual.  A law covers every basis pair or triple, but it is evaluated
+term by term: each term is joined over the nonzero entries of its
+sparse views (``ratlin.join``) into residuals keyed by the law's report
+order, so a pair or triple that no nonzero product reaches costs
+nothing, and only a nonzero residual becomes a dense tuple.  Each
+object's report is a cached property (``validity``), evaluated once
+per object and kept outside the dataclass fields.
 """
 
 from __future__ import annotations
@@ -99,6 +101,13 @@ def _through(cols, rows_t, n: int, m: int) -> tuple:
                        for k in range(m)) for i in range(n))
 
 
+def _densified(view, d: int) -> tuple:
+    """The dense table of length-d vectors with the given sparse view,
+    every empty entry one shared zero vector."""
+    z = zero_vec(d)
+    return tuple(tuple(dense(v, d) if v else z for v in row) for row in view)
+
+
 @dataclass(frozen=True)
 class LeibnizAlgebra:
     """Structure-constant presentation: [e_i, e_j] = sum_k c[i][j][k] e_k."""
@@ -122,10 +131,19 @@ class LeibnizAlgebra:
         return cls(name, d, tuple(basis_names), c)
 
     @classmethod
+    def from_sparse(cls, name: str, basis_names: Sequence[str], st) -> "LeibnizAlgebra":
+        """The algebra whose sparse view is st, st[i][j] = ((k, t), ...)
+        sorted by k over the nonzero t: c is densified from it, and st is
+        kept as the view instead of being rebuilt from c."""
+        d = len(basis_names)
+        a = cls(name, d, tuple(basis_names), _densified(st, d))
+        vars(a)["st"] = st
+        return a
+
+    @classmethod
     def abelian(cls, name: str, dim: int, basis_names=None) -> "LeibnizAlgebra":
         names = tuple(basis_names) if basis_names else tuple(f"e{i+1}" for i in range(dim))
-        z = zero_vec(dim)
-        return cls(name, dim, names, tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
+        return cls.from_sparse(name, names, (((),) * dim,) * dim)
 
     @cached_property
     def st(self) -> tuple:
@@ -192,11 +210,19 @@ class LeibnizAction:
             raise ValueError("right action table shape mismatch")
 
     @classmethod
+    def from_sparse(cls, actor: LeibnizAlgebra, acted: LeibnizAlgebra,
+                    sl, sr) -> "LeibnizAction":
+        """The action whose sparse views are sl and sr, entries sorted by
+        index over the nonzero values: left and right are densified from
+        them, and they are kept as the views instead of being rebuilt."""
+        act = cls(actor, acted, _densified(sl, acted.dim), _densified(sr, acted.dim))
+        vars(act).update(sl=sl, sr=sr)
+        return act
+
+    @classmethod
     def trivial(cls, actor: LeibnizAlgebra, acted: LeibnizAlgebra) -> "LeibnizAction":
-        z = zero_vec(acted.dim)
-        left = tuple(tuple(z for _ in range(acted.dim)) for _ in range(actor.dim))
-        right = tuple(tuple(z for _ in range(actor.dim)) for _ in range(acted.dim))
-        return cls(actor, acted, left, right)
+        return cls.from_sparse(actor, acted, (((),) * acted.dim,) * actor.dim,
+                               (((),) * actor.dim,) * acted.dim)
 
     @classmethod
     def adjoint(cls, a: LeibnizAlgebra) -> "LeibnizAction":

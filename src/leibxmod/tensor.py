@@ -6,10 +6,21 @@ m_a * n_b (block 0) and n_b * m_a (block 1).  Swapping the factors
 maps one block onto the other, so every rule is written once per side
 and run on both.  Scalar and additivity rules are absorbed by linearity
 of the symbol space; the remaining defining relations become vectors
-spanning a relation subspace, and the bracket is given on symbols by one fixed representative per block pair,
-the other representative being congruent modulo the relations.
-Well-definedness of the bracket on the quotient is asserted, not
-assumed; so is the Leibniz identity of the result.
+spanning a relation subspace, and the bracket is given on symbols by
+one fixed representative per block pair, the other representative being
+congruent modulo the relations.
+
+The bracket of two symbols factors through the evaluation maps ev[0]
+(into m) and ev[1] (into n): with u * v the symbol in block 0 and
+u *' v the one in block 1, [e_i, e_j] = ev[0][i] * ev[1][j] when symbol
+i lies in block 0 and ev[1][i] *' ev[0][j] when it lies in block 1.
+So every family of brackets this module checks or generates is bilinear
+in vectors of m + n, and holds for every symbol pair exactly when it
+holds on products of bases of the spans involved, at most (dm + dn)^2
+products instead of (2 dm dn)^2.  Well-definedness of the bracket on
+the quotient is asserted that way, not assumed, and a failure is named
+by the per-symbol scan; the Leibniz identity of the result is asserted
+too.
 
 The exterior product divides further by the subspace glued from the
 pullback of the two structure maps over the shared base.  From it the
@@ -28,6 +39,7 @@ from .algebra import (
     AlgebraHom,
     LeibnizAction,
     LeibnizAlgebra,
+    _through,
     check_action,
     check_hom,
     check_leibniz,
@@ -40,6 +52,7 @@ from .ratlin import (
     accumulate,
     contract,
     dense,
+    join,
     kernel,
     quotient,
     rank,
@@ -47,7 +60,6 @@ from .ratlin import (
     sparse_columns,
     transposed,
     unit_vec,
-    vec_is_zero,
 )
 from .xmod import (
     CrossedModule,
@@ -103,6 +115,12 @@ class MutualActionPair:
             ev.append(tuple(blocks[0] + blocks[1]))
         return tuple(ev)
 
+    @cached_property
+    def evaluation_basis(self) -> list:
+        """A basis of W, the span in m + n of w_i = (ev[0][i], ev[1][i])
+        over every symbol i, as pairs of sparse vectors of m and n."""
+        return _pair_basis(self.m.dim, self.n.dim, zip(*self.evaluations))
+
 
 def _through_base(x: CrossedModule, y: CrossedModule) -> LeibnizAction:
     """The action of x.top on y.top that maps down by x.delta and acts by
@@ -132,6 +150,32 @@ def _legs(dm: int, dn: int, k: int) -> tuple:
     """Decode ambient index k to (block, x, y)."""
     s, r = divmod(k, dm * dn)
     return (s,) + divmod(r, (dn, dm)[s])
+
+
+def _row(acc: dict) -> tuple:
+    """The nonzero entries of an accumulator, as a sparse vector sorted
+    by index."""
+    return tuple(sorted((k, t) for k, t in acc.items() if t))
+
+
+def _view(table) -> tuple:
+    """A table of sparse vectors as a sparse view: each entry sorted by
+    index, with its zero values dropped."""
+    return tuple(tuple(_row(dict(v)) for v in row) for row in table)
+
+
+def _basis(dim: int, vectors) -> list:
+    """A basis of the span of sparse vectors in QQ^dim, as sparse vectors:
+    the rows of its canonical RREF."""
+    return [sparse(b) for b in Subspace.from_sparse(dim, vectors).basis.entries]
+
+
+def _pair_basis(du: int, dv: int, pairs) -> list:
+    """A basis of the span of the vectors (u, v) of X + Y, for sparse
+    vectors u of X = QQ^du and v of Y = QQ^dv, as pairs of sparse vectors."""
+    basis = _basis(du + dv, [u + tuple((du + k, t) for k, t in v) for u, v in pairs])
+    return [(tuple(e for e in w if e[0] < du), tuple((k - du, t) for k, t in w if k >= du))
+            for w in basis]
 
 
 def _symbols(dm: int, dn: int, terms) -> dict:
@@ -174,20 +218,23 @@ def _alt_entry(pair: MutualActionPair, i: int, j: int) -> tuple:
 
 
 def _defining_rows(pair: MutualActionPair) -> list:
-    """Relation vectors, as sparse vectors sorted by index: a bracketed leg
-    rewrites through the actions, the two one-sided actions agree up to
-    sign in the second slot, and the two representatives of every symbol
-    bracket coincide."""
+    """Relation vectors, as sparse vectors sorted by index: the action rows
+    (_action_rows) and the agreement rows (_agreement_rows)."""
+    return _action_rows(pair) + _agreement_rows(pair)
+
+
+def _action_rows(pair: MutualActionPair) -> list:
+    """A bracketed leg rewrites through the actions, and the two one-sided
+    actions agree up to sign in the second slot; one row per basis triple
+    whose terms are not all empty."""
     dm, dn = pair.m.dim, pair.n.dim
-    amb = 2 * dm * dn
     rows = []
 
     def add(*terms):
-        r = tuple(sorted((k, t) for k, t in _symbols(dm, dn, terms).items() if t))
+        r = _row(_symbols(dm, dn, terms))
         if r:
             rows.append(r)
 
-    # a candidate whose terms are all empty gives no row, and is skipped
     for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides):
         ex = [((x, ONE),) for x in range(X.dim)]
         ey = [((y, ONE),) for y in range(Y.dim)]
@@ -213,17 +260,35 @@ def _defining_rows(pair: MutualActionPair) -> list:
                         # x * ^{x2}y = - x * y^{x2}
                         add((1, s, ex[x], sl[x2][y]),
                             (1, s, ex[x], sr[y][x2]))
-    # both representatives of [symbol_i, symbol_j] agree; the term of a
-    # representative in block t is empty unless ev[t][i] and ev[1 - t][j]
-    # are both nonempty
-    ev = pair.evaluations
-    live = [i for i in range(amb) if ev[0][i] or ev[1][i]]
-    for i in live:
-        for j in live:
-            if (ev[0][i] and ev[1][j]) or (ev[1][i] and ev[0][j]):
-                c, t, u, v = _bracket_term(pair, i, j, alt=True)
-                add(_bracket_term(pair, i, j), (-c, t, u, v))
     return rows
+
+
+def _agreement_rows(pair: MutualActionPair) -> list:
+    """Both representatives of every symbol bracket agree.  For symbols i
+    and j they differ by plus or minus ev[0][i] * ev[1][j] - ev[1][i] *'
+    ev[0][j], which is bilinear in w_i and w_j (see evaluation_basis); so
+    the rows on pairs of basis vectors of W span the same subspace as the
+    rows of all symbol pairs, and the relations' canonical RREF is the
+    same."""
+    dm, dn = pair.m.dim, pair.n.dim
+    rows = []
+    for a, b in pair.evaluation_basis:
+        for c, d in pair.evaluation_basis:
+            r = _row(_symbols(dm, dn, ((1, 0, a, d), (-1, 1, b, c))))
+            if r:
+                rows.append(r)
+    return rows
+
+
+def _representatives(pair: MutualActionPair) -> tuple:
+    """Sparse view of the primary table: [i][j] -> ((k, t), ...) over every
+    symbol pair, one product of two sparse vectors per entry, so no
+    accumulated value is zero."""
+    dm, dn = pair.m.dim, pair.n.dim
+    amb = 2 * dm * dn
+    return tuple(tuple(tuple(_symbols(dm, dn, (_bracket_term(pair, i, j),)).items())
+                       for j in range(amb))
+                 for i in range(amb))
 
 
 @dataclass(frozen=True)
@@ -234,9 +299,14 @@ class QuotientPresentation:
     pair: MutualActionPair
     ambient_dim: int
     relations: Subspace
-    st: tuple   # sparse view of the representative table: [i][j] -> ((k, t), ...)
     resolved: LeibnizAlgebra
     qmap: QuotientMap
+
+    @cached_property
+    def st(self) -> tuple:
+        """Sparse view of the representative table, [i][j] -> ((k, t), ...),
+        built on first use."""
+        return _representatives(self.pair)
 
     def mn_index(self, a: int, b: int) -> int:
         return _index(self.pair.m.dim, self.pair.n.dim, 0, a, b)
@@ -269,26 +339,76 @@ def _symbol_names(pair: MutualActionPair) -> tuple:
 
 
 def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> QuotientPresentation:
+    """The quotient of the symbol space by the defining rows and extra_rows,
+    with the bracket asserted well-defined on it (_well_defined; a failure
+    is named by the per-symbol scan, _scan) and the Leibniz identity
+    asserted on the resolved algebra.  Only the brackets of the free
+    symbols are projected into it."""
     for act, side in ((pair.m_on_n, "m on n"), (pair.n_on_m, "n on m")):
         rep = check_action(act)
         if not rep.valid:
             raise ValueError(f"invalid action ({side}) for {name}:\n{rep.summary()}")
-    amb = 2 * pair.m.dim * pair.n.dim
-    # sparse view of the primary table: one product of two sparse vectors
-    # per entry, so no accumulated value is zero
-    st = tuple(tuple(tuple(_symbols(pair.m.dim, pair.n.dim,
-                                    (_bracket_term(pair, i, j),)).items())
-                     for j in range(amb))
-               for i in range(amb))
+    dm, dn = pair.m.dim, pair.n.dim
+    amb = 2 * dm * dn
     rows = _defining_rows(pair)
     rows.extend(sparse(r) for r in extra_rows)
     relations = Subspace.from_sparse(amb, sorted(set(rows)))
     qmap = quotient(amb, relations)
+    if not _well_defined(pair, qmap):
+        _scan(pair, qmap, name)
+        raise AssertionError(
+            f"bracket of {name} fails the factored well-definedness test, "
+            f"but the scan finds no relation and symbol that escape the "
+            f"relation subspace")
 
+    names = _symbol_names(pair)
+    free = qmap.free
+    c = tuple(tuple(_row(qmap.image(
+        _symbols(dm, dn, (_bracket_term(pair, x, y),)).items())) for y in free)
+              for x in free)
+    resolved = LeibnizAlgebra.from_sparse(name, tuple(names[f] for f in free), c)
+    rep = check_leibniz(resolved)
+    if not rep.valid:
+        raise AssertionError(f"{name} lost the Leibniz identity:\n{rep.summary()}")
+    return QuotientPresentation(name, pair, amb, relations, resolved, qmap)
+
+
+def _well_defined(pair: MutualActionPair, qmap: QuotientMap) -> bool:
+    """Whether [r, e_s] and [e_s, r] lie in the relation subspace R of qmap
+    for every relation r and symbol s, tested on products of bases.
+
+    [r, e_s] = L(r)_m * ev[1][s] + L(r)_n *' ev[0][s], where L(r) in m + n
+    sums r_i ev[0][i] over block 0 and r_i ev[1][i] over block 1: a
+    bilinear map of (L(r), w_s), tested on a basis of L(R) times the basis
+    of W.  [e_s, r] = ev[0][s] * G(r)_n for s in block 0 and ev[1][s] *'
+    G(r)_m for s in block 1, where G(r) sums r_i w_i: tested on a basis
+    of the span of those ev[t][s] times one of the projection of G(R)."""
+    dm, dn = pair.m.dim, pair.n.dim
+    half = dm * dn
+    ev, none = pair.evaluations, ((),) * half
+    # the m and n parts of L(r) and G(r): the images of r under the
+    # columns ev[0] on block 0 and ev[1] on block 1, and under ev
+    lcols = (ev[0][:half] + none, none + ev[1][half:])
+    ls = [(_row(_image(r, lcols[0])), _row(_image(r, lcols[1]))) for r in qmap.rows]
+    gs = [(_row(_image(r, ev[0])), _row(_image(r, ev[1]))) for r in qmap.rows]
+    tests = [((1, 0, a, d), (1, 1, b, c))
+             for a, b in _pair_basis(dm, dn, ls) for c, d in pair.evaluation_basis]
+    tests += [((1, 0, u, v),) for u in _basis(dm, ev[0][:half])
+              for v in _basis(dn, [g for _, g in gs])]
+    tests += [((1, 1, u, v),) for u in _basis(dn, ev[1][half:])
+              for v in _basis(dm, [g for g, _ in gs])]
+    return all(qmap.kills(_symbols(dm, dn, t).items()) for t in tests)
+
+
+def _scan(pair: MutualActionPair, qmap: QuotientMap, name: str) -> None:
+    """The per-symbol sweep: raise the AssertionError that names the first
+    relation row r of qmap and symbol s, in that order, such that [r, e_s]
+    or then [e_s, r] escapes the relation subspace; return if none does."""
+    st = _representatives(pair)
     # [r, e_s] has the sparse columns st_t[s], [e_s, r] those of st[s]
-    st_t = transposed(st, amb)
+    st_t = transposed(st, len(st))
     for r in qmap.rows:
-        for s in range(amb):
+        for s in range(len(st)):
             if not _preserves(qmap, r, st_t[s]):
                 raise AssertionError(
                     f"bracket of {name} not well-defined: relation * symbol "
@@ -297,16 +417,6 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
                 raise AssertionError(
                     f"bracket of {name} not well-defined: symbol {s} * "
                     f"relation escapes the relation subspace")
-
-    names = _symbol_names(pair)
-    res_names = tuple(names[f] for f in qmap.free)
-    c = tuple(tuple(qmap.project_sparse(st[x][y]) for y in qmap.free)
-              for x in qmap.free)
-    resolved = LeibnizAlgebra(name, qmap.dim, res_names, c)
-    rep = check_leibniz(resolved)
-    if not rep.valid:
-        raise AssertionError(f"{name} lost the Leibniz identity:\n{rep.summary()}")
-    return QuotientPresentation(name, pair, amb, relations, st, resolved, qmap)
 
 
 def _image(a, columns) -> dict:
@@ -443,7 +553,8 @@ def _base_action_on_ambient(xm: CrossedModule, dn: int):
 def _descend_action(pres: QuotientPresentation, left, right, dq: int):
     """Push an ambient action of the base down to the resolved quotient,
     asserting the relation subspace is stable.  left[i] and right[i] are
-    the sparse columns of the two ambient maps of basis element i."""
+    the sparse columns of the two ambient maps of basis element i.
+    Returns the sparse views (sl, sr) of the action on the quotient."""
     qm = pres.qmap
     for i in range(dq):
         for r in qm.rows:
@@ -453,9 +564,9 @@ def _descend_action(pres: QuotientPresentation, left, right, dq: int):
             if not _preserves(qm, r, right[i]):
                 raise AssertionError(
                     f"base action does not preserve the relations of {pres.name}")
-    return (tuple(tuple(qm.project_sparse(left[i][f]) for f in qm.free)
+    return (tuple(tuple(_row(qm.image(left[i][f])) for f in qm.free)
                   for i in range(dq)),
-            tuple(tuple(qm.project_sparse(right[i][f]) for i in range(dq))
+            tuple(tuple(_row(qm.image(right[i][f])) for i in range(dq))
                   for f in qm.free))
 
 
@@ -497,13 +608,14 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
 
     # action of the base on the top square, then pulled back through mu
     al_qn, ar_qn = _base_action_on_ambient(xm, dn)
-    base_on_top = LeibnizAction(q, qn.resolved, *_descend_action(qn, al_qn, ar_qn, dq))
-    mus = [mu_q.matrix.column(x) for x in range(qq.resolved.dim)]
-    ens = [unit_vec(qn.resolved.dim, j) for j in range(qn.resolved.dim)]
-    action = LeibnizAction(
+    base_on_top = LeibnizAction.from_sparse(q, qn.resolved,
+                                            *_descend_action(qn, al_qn, ar_qn, dq))
+    # ^{mu(x)} e_j and e_j^{mu(x)}, through the sparse columns of mu
+    mus, dt = [mu_amb[f] for f in qq.qmap.free], qn.resolved.dim
+    action = LeibnizAction.from_sparse(
         qq.resolved, qn.resolved,
-        tuple(tuple(base_on_top.act_left(u, e) for e in ens) for u in mus),
-        tuple(tuple(base_on_top.act_right(e, u) for u in mus) for e in ens))
+        _view(_through(mus, base_on_top.sl_t, len(mus), dt)),
+        transposed(_view(_through(mus, base_on_top.sr, len(mus), dt)), dt))
 
     induced = CrossedModule(f"({qn.name},{qq.name})", qn.resolved, qq.resolved,
                             id_wedge_delta.matrix, action)
@@ -533,26 +645,22 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
     esd = exterior_square_data(xm)
     kt = kernel(esd.lambda_n.matrix)
     kb = kernel(esd.mu_q.matrix)
-    for u in kt.basis.entries:
-        for v in kt.basis.entries:
-            if not vec_is_zero(esd.qn.resolved.bracket(u, v)):
-                raise AssertionError("multiplier top is not abelian")
-    for u in kb.basis.entries:
-        for v in kb.basis.entries:
-            if not vec_is_zero(esd.qq.resolved.bracket(u, v)):
-                raise AssertionError("multiplier base is not abelian")
+    kts = [sparse(u) for u in kt.basis.entries]
+    kbs = [sparse(u) for u in kb.basis.entries]
+    sq_top, sq_base, act = esd.qn.resolved, esd.qq.resolved, esd.action
+    if not _vanishes(sq_top.st, sq_top.st_t, kts, kts):
+        raise AssertionError("multiplier top is not abelian")
+    if not _vanishes(sq_base.st, sq_base.st_t, kbs, kbs):
+        raise AssertionError("multiplier base is not abelian")
     dcols = []
     for u in kt.basis.entries:
         w = esd.id_wedge_delta.apply(u)
         if not kb.contains_vector(w):
             raise AssertionError("connecting map does not restrict to the multiplier")
         dcols.append(kb.coords(w))
-    for u in kb.basis.entries:
-        for j in range(kt.dim):
-            if not vec_is_zero(esd.action.act_left(u, kt.basis.entries[j])):
-                raise AssertionError("multiplier action is not trivial")
-            if not vec_is_zero(esd.action.act_right(kt.basis.entries[j], u)):
-                raise AssertionError("multiplier action is not trivial")
+    if not (_vanishes(act.sl, act.sl_t, kbs, kts)
+            and _vanishes(act.sr, act.sr_t, kts, kbs)):
+        raise AssertionError("multiplier action is not trivial")
     top = LeibnizAlgebra.abelian(f"M({xm.name}).top", kt.dim,
                                  tuple(f"a{i+1}" for i in range(kt.dim)))
     base = LeibnizAlgebra.abelian(f"M({xm.name}).base", kb.dim,
@@ -570,6 +678,16 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
         raise AssertionError(
             f"multiplier inclusion is not a crossed module map:\n{irep.summary()}")
     return mult, incl
+
+
+def _vanishes(table, table_t, us, vs) -> bool:
+    """Whether the bilinear map f with the sparse view table, f(e_i, e_j)
+    = table[i][j], and its transpose table_t is zero at every pair (u, v)
+    of the sparse vectors us and vs: each u goes through table_t once into
+    the rows f(u, e_j), and every v through those rows in one join."""
+    rows = _through(us, table_t, len(us), len(table_t))
+    return not any(any(acc.values())
+                   for acc in join([("pq", 1, vs, "q", rows, "p")]).values())
 
 
 def _substitution(src: QuotientPresentation, tgt: QuotientPresentation,

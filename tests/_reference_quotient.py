@@ -6,14 +6,27 @@ membership test on top of it, and quotient the old construction of the
 dense projection and section matrices; project is the old
 QuotientMap.project, projection.mul_vec of the coerced vector.  The
 differential tests in test_quotient.py compare the sparse map with them.
-defining_rows is the old tensor._defining_rows verbatim, which builds a
-candidate row for every basis triple and symbol pair, empty or not.
+action_rows and agreement_rows are the old tensor._defining_rows
+verbatim, split into its two families: it builds a candidate row for
+every basis triple and every symbol pair, empty or not.
+sweep_witness is the old well-definedness sweep of
+tensor._build_presentation, which tests every relation row against every
+symbol, on both sides, through the full representative table.
 """
 
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from leibxmod.ratlin import ONE, RatMatrix, Subspace, vec, vec_is_zero
+from leibxmod.ratlin import (
+    ONE,
+    QuotientMap,
+    RatMatrix,
+    Subspace,
+    accumulate,
+    transposed,
+    vec,
+    vec_is_zero,
+)
 from leibxmod.tensor import MutualActionPair, _bracket_term, _symbols
 
 
@@ -70,16 +83,19 @@ def project(qm: DenseQuotient, v: Sequence) -> tuple:
     return qm.projection.mul_vec(vec(v))
 
 
-def defining_rows(pair: MutualActionPair) -> list:
+def _adder(pair: MutualActionPair, rows: list):
     dm, dn = pair.m.dim, pair.n.dim
-    amb = 2 * dm * dn
-    rows = []
 
     def add(*terms):
         r = tuple(sorted((k, t) for k, t in _symbols(dm, dn, terms).items() if t))
         if r:
             rows.append(r)
+    return add
 
+
+def action_rows(pair: MutualActionPair) -> list:
+    rows = []
+    add = _adder(pair, rows)
     for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides):
         ex = [((x, ONE),) for x in range(X.dim)]
         ey = [((y, ONE),) for y in range(Y.dim)]
@@ -100,9 +116,41 @@ def defining_rows(pair: MutualActionPair) -> list:
                     # x * ^{x2}y = - x * y^{x2}
                     add((1, s, ex[x], x_on_y.sl[x2][y]),
                         (1, s, ex[x], x_on_y.sr[y][x2]))
+    return rows
+
+
+def agreement_rows(pair: MutualActionPair) -> list:
+    amb = 2 * pair.m.dim * pair.n.dim
+    rows = []
+    add = _adder(pair, rows)
     # both representatives of [symbol_i, symbol_j] agree
     for i in range(amb):
         for j in range(amb):
             c, t, u, v = _bracket_term(pair, i, j, alt=True)
             add(_bracket_term(pair, i, j), (-c, t, u, v))
     return rows
+
+
+def sweep_witness(pair: MutualActionPair, qmap: QuotientMap):
+    """The first (relation row index, symbol, side) whose bracket escapes
+    the relation subspace of qmap, side "relation * symbol" or "symbol *
+    relation", in the order the old sweep tested them; None if none does."""
+    dm, dn = pair.m.dim, pair.n.dim
+    amb = 2 * dm * dn
+    st = tuple(tuple(tuple(_symbols(dm, dn, (_bracket_term(pair, i, j),)).items())
+                     for j in range(amb))
+               for i in range(amb))
+    st_t = transposed(st, amb)
+
+    def preserves(a, columns):
+        acc = {}
+        accumulate(acc, ONE, a, columns)
+        return qmap.kills(acc.items())
+
+    for n, r in enumerate(qmap.rows):
+        for s in range(amb):
+            if not preserves(r, st_t[s]):
+                return n, s, "relation * symbol"
+            if not preserves(r, st[s]):
+                return n, s, "symbol * relation"
+    return None

@@ -1,6 +1,7 @@
 """The sparse quotient map against the dense one it replaced, the
-well-definedness sweep against dense membership tests, and the relation
-rows against the construction that visited every candidate."""
+well-definedness sweep against dense membership tests, the factored
+sweep against the per-symbol scan, and the relation rows against the
+construction that visited every candidate."""
 
 from fractions import Fraction
 
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 import _reference_quotient as ref
 from leibxmod.ratlin import RatMatrix, Subspace, quotient, sparse, transposed, unit_vec
 from leibxmod.algebra import LeibnizAction
-from leibxmod.tensor import MutualActionPair, _defining_rows, _preserves
+from leibxmod.tensor import (
+    MutualActionPair,
+    _action_rows,
+    _agreement_rows,
+    _preserves,
+    _well_defined,
+)
 
 from test_acceptance import _presentation_corpus
 from test_checks import algebras, tables
@@ -98,8 +105,43 @@ def test_sweep_matches_dense_membership_on_partial_relations(data):
             pres.ambient_dim, [r for r, k in zip(rows, keep) if k]))
 
 
+def test_factored_sweep_matches_scan_on_partial_relations():
+    # the factored verdict on bases of the evaluation spans equals the
+    # per-symbol scan's, on the full relations and on subspaces spanned by
+    # some of their rows and some unit vectors; both verdicts occur.  The
+    # evaluations kill every relation, so [e_s, r] can only escape a
+    # subspace that a unit vector takes outside the relations
+    verdicts = set()
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(st.data())
+    def run(data):
+        for pres in _presentation_corpus():
+            amb, rows = pres.ambient_dim, pres.relations.basis.entries
+            keep = data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                      max_size=len(rows)))
+            units = data.draw(st.lists(st.integers(0, amb - 1), max_size=2)
+                              if amb else st.just([]))
+            kept = [r for r, k in zip(rows, keep) if k]
+            for relations in (pres.relations, Subspace.from_vectors(
+                    amb, kept + [unit_vec(amb, u) for u in units])):
+                qm = quotient(amb, relations)
+                verdict = _well_defined(pres.pair, qm)
+                assert verdict == (ref.sweep_witness(pres.pair, qm) is None), pres.name
+                verdicts.add(verdict)
+
+    run()
+    assert verdicts == {True, False}
+
+
 def _same_rows(pair):
-    assert sorted(set(_defining_rows(pair))) == sorted(set(ref.defining_rows(pair)))
+    # the action rows are the old ones row for row; the agreement rows
+    # come from bases of the evaluation spans, not from every symbol
+    # pair, and span the same subspace
+    assert _action_rows(pair) == ref.action_rows(pair)
+    amb = 2 * pair.m.dim * pair.n.dim
+    assert (Subspace.from_sparse(amb, _agreement_rows(pair))
+            == Subspace.from_sparse(amb, ref.agreement_rows(pair)))
 
 
 def test_defining_rows_match_every_candidate_on_corpus():

@@ -1,11 +1,24 @@
 """Tensor/exterior products of mutually acting algebras and the multiplier."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leibxmod import tensor
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, center, check_leibniz
 from leibxmod.homology import hl
-from leibxmod.ratlin import QQ, RatMatrix, Subspace, kernel, rank, unit_vec
+from leibxmod.ratlin import (
+    QQ,
+    RatMatrix,
+    Subspace,
+    contract,
+    kernel,
+    rank,
+    sparse,
+    sparse_table,
+    transposed,
+    unit_vec,
+)
 from leibxmod.tensor import (
     MutualActionPair,
     exterior_presentation,
@@ -35,7 +48,9 @@ from helpers import (
     random_leibniz_corpus,
     representatives,
     sl2,
+    zero_over,
 )
+from test_checks import PROPERTY, tables, vectors
 
 
 def adjoint_pair(a):
@@ -303,6 +318,53 @@ def test_multiplier_map_identity_and_projection():
     assert mp.target is mlz
 
 
+@PROPERTY
+@given(st.data())
+def test_vanishes_matches_every_pairwise_contraction(data):
+    # the multiplier's abelian and trivial-action checks: one join over
+    # the sparse bases against a dense contraction per pair
+    d1, d2, d3 = (data.draw(st.integers(0, 3)) for _ in range(3))
+    view = sparse_table(data.draw(tables(d1, d2, d3)))
+    us = [data.draw(vectors(d1)) for _ in range(data.draw(st.integers(0, 3)))]
+    vs = [data.draw(vectors(d2)) for _ in range(data.draw(st.integers(0, 3)))]
+    expect = all(not any(contract(view, u, v, d3)) for u in us for v in vs)
+    assert tensor._vanishes(view, transposed(view, d2), [sparse(u) for u in us],
+                            [sparse(v) for v in vs]) == expect
+
+
+def test_presentation_builds_no_representative_table(monkeypatch):
+    # the sweep and the agreement rows run on the evaluation spans; the
+    # full table is built only when st is read, or to name a failure
+    real = tensor._representatives
+
+    def refuse(pair):
+        raise AssertionError("representative table built")
+
+    monkeypatch.setattr(tensor, "_representatives", refuse)
+    pres = tensor._build_presentation(adjoint_pair(sl2()), [], "probe")
+    assert "st" not in vars(pres)
+    monkeypatch.setattr(tensor, "_representatives", real)
+    assert pres.st == real(pres.pair) and "st" in vars(pres)
+
+
+def test_views_built_from_sparse_images_equal_the_views_of_the_tables():
+    # the resolved squares, the actions on them and the multiplier keep the
+    # sparse views they were built from; a rescan of their dense tables
+    # gives the same views, and equality reads only the dense fields
+    for xm in (CrossedModule.adjoint_identity(n2()),
+               CrossedModule.adjoint_identity(heis3()),
+               CrossedModule.adjoint_identity(sl2()), zero_over(n2())):
+        esd = exterior_square_data(xm)
+        mult, _ = schur_multiplier(xm)
+        for a in (esd.qn.resolved, esd.qq.resolved, mult.top, mult.base):
+            assert vars(a)["st"] == sparse_table(a.c)
+            assert a == LeibnizAlgebra(a.name, a.dim, a.basis_names, a.c)
+        for act in (esd.action, mult.action):
+            assert vars(act)["sl"] == sparse_table(act.left)
+            assert vars(act)["sr"] == sparse_table(act.right)
+            assert act == LeibnizAction(act.actor, act.acted, act.left, act.right)
+
+
 # -- failure paths -------------------------------------------------------------
 # Each runtime assertion below is reached through a deliberately broken
 # input or a perturbed ambient map; the messages are pinned exactly.
@@ -332,6 +394,35 @@ def test_sweep_reports_symbol_times_relation(monkeypatch):
         "the relation subspace",
         tensor._build_presentation, adjoint_pair(n2()),
         [unit_vec(8, 0), unit_vec(8, 3)], "probe")
+
+
+def test_sweep_reports_a_failure_the_scan_does_not_name(monkeypatch):
+    # the factored test and the per-symbol scan must agree; when only the
+    # factored test fails, that disagreement is the failure
+    monkeypatch.setattr(tensor, "_well_defined", lambda pair, qmap: False)
+    _raises_exactly(
+        "bracket of probe fails the factored well-definedness test, but the "
+        "scan finds no relation and symbol that escape the relation subspace",
+        tensor._build_presentation, adjoint_pair(n2()), [], "probe")
+
+
+@pytest.mark.parametrize("failing, message", [
+    (1, "multiplier top is not abelian"),
+    (2, "multiplier base is not abelian"),
+    (3, "multiplier action is not trivial"),
+    (4, "multiplier action is not trivial"),
+])
+def test_multiplier_reports_each_law(monkeypatch, failing, message):
+    # the checks run top, base, left action, right action; the given one fails
+    calls = []
+
+    def vanishes(*args):
+        calls.append(args)
+        return len(calls) != failing
+
+    monkeypatch.setattr(tensor, "_vanishes", vanishes)
+    _raises_exactly(message, schur_multiplier.__wrapped__,
+                    CrossedModule.adjoint_identity(n2()))
 
 
 @pytest.mark.parametrize("side", [0, 1])
