@@ -11,17 +11,21 @@ action of one algebra on another is a pair of trilinear tables (left
 are the dense fields that define equality, hashing and the fixture
 format; each object also builds, once and on first use, a sparse view
 of every table and of its transpose (see ``ratlin.sparse_table``), and
-brackets, actions and the laws below read only those views.  An object
+brackets, actions and the laws below read only those views, through
+their integer twins (``ratlin.integer_view``: one positive denominator
+per algebra, per action and per matrix, and int entries; ``zst``,
+``zsl``, ``RatMatrix.zcols`` and so on), also built once.  An object
 built from sparse views (``from_sparse``) keeps them instead of
 rescanning the dense tables it was given.  Validity is always a report,
 not a boolean: downstream debugging needs the violating triple and its
 residual.  A law covers every basis pair or triple, but it is evaluated
 term by term: each term is joined over the nonzero entries of its
-sparse views (``ratlin.join``) into residuals keyed by the law's report
-order, so a pair or triple that no nonzero product reaches costs
-nothing, and only a nonzero residual becomes a dense tuple.  Each
-object's report is a cached property (``validity``), evaluated once
-per object and kept outside the dataclass fields.
+twins (``ratlin.join``) into int residuals, all at one scale and keyed
+by the law's report order, so a pair or triple that no nonzero product
+reaches costs nothing, and only a nonzero residual is divided by the
+scale and becomes a dense tuple of Fractions.  Each object's report is
+a cached property (``validity``), evaluated once per object and kept
+outside the dataclass fields.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ from .ratlin import (
     Subspace,
     contract,
     dense,
+    integer_view,
     join,
     quotient,
     rat,
-    sparse_columns,
+    rational,
     sparse_kernel,
     sparse_table,
     transposed,
@@ -69,36 +74,45 @@ def _report(subject, violations) -> ValidityReport:
     return ValidityReport(subject, not violations, tuple(violations))
 
 
+def _residual(acc: dict, scale: int, dim: int) -> tuple:
+    """The dense residual of length dim of a nonzero int accumulator that
+    holds scale times it: the one place a residual is divided."""
+    return dense(rational(acc.items(), scale), dim)
+
+
 def _violations(names: dict, laws) -> list:
     """The violations of a family of laws, in report order.
 
     A law is (label, block, position, dim, loop, shown, terms): its
     residual at the basis indices named by the letters of loop is the
-    join of terms (c, x, xs, y, ys) (see ratlin.join), a vector of length
-    dim.  Violations are ordered by (block, loop indices, position) and
-    labelled "label(names)" with the basis names of the letters of shown,
-    names[letter] giving the basis names an index letter runs over."""
+    join of terms (c, x, xs, y, ys) over integer twins (see ratlin.join),
+    a vector of length dim.  Violations are ordered by (block, loop
+    indices, position) and labelled "label(names)" with the basis names
+    of the letters of shown, names[letter] giving the basis names an
+    index letter runs over."""
     spec, terms = {}, []
     for label, block, pos, dim, loop, shown, law_terms in laws:
         spec[block, pos] = (label, dim, loop, shown)
         terms += [((block, *loop, pos), *t) for t in law_terms]
+    scale, accs = join(terms)
     bad = []
-    for key, acc in sorted(join(terms).items()):
+    for key, acc in sorted(accs.items()):
         if any(acc.values()):
             label, dim, loop, shown = spec[key[0], key[-1]]
             at = dict(zip(loop, key[1:-1]))
             bad.append((f"{label}({','.join(names[l][at[l]] for l in shown)})",
-                        dense(acc.items(), dim)))
+                        _residual(acc, scale, dim)))
     return bad
 
 
 def _through(cols, rows_t, n: int, m: int) -> tuple:
-    """The sparse table out[i][k] = the sum over (l, x) in cols[i] of
-    x * T[l][k], for i < n and k < m, where rows_t[k][l] = T[l][k]: the
-    rows of a law term whose outer element is itself a combination."""
-    accs = join([("ik", 1, cols, "i", rows_t, "k")])
-    return tuple(tuple(tuple(accs[i, k].items()) if (i, k) in accs else ()
-                       for k in range(m)) for i in range(n))
+    """The integer twin of the sparse table out[i][k] = the sum over
+    (l, x) in cols[i] of x * T[l][k], for i < n and k < m, where
+    rows_t[k][l] = T[l][k], from the twins cols and rows_t: the rows of a
+    law term whose outer element is itself a combination."""
+    scale, accs = join([("ik", 1, cols, "i", rows_t, "k")])
+    return scale, tuple(tuple(tuple(accs[i, k].items()) if (i, k) in accs else ()
+                              for k in range(m)) for i in range(n))
 
 
 def _densified(view, d: int) -> tuple:
@@ -155,9 +169,20 @@ class LeibnizAlgebra:
         """Transposed sparse view: st_t[j][i] = st[i][j]."""
         return transposed(self.st, self.dim)
 
+    @cached_property
+    def zst(self) -> "tuple[int, tuple]":
+        """The integer twin (den, view) of st."""
+        return integer_view(self.st)
+
+    @cached_property
+    def zst_t(self) -> "tuple[int, tuple]":
+        """The integer twin of st_t, with the denominator of zst."""
+        den, view = self.zst
+        return den, transposed(view, self.dim)
+
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear extension of the structure constants."""
-        return contract(self.st, x, y, self.dim)
+        return contract(self.zst, x, y, self.dim)
 
     def full_subspace(self) -> Subspace:
         return Subspace.full(self.dim)
@@ -174,7 +199,7 @@ def check_leibniz(a: LeibnizAlgebra) -> ValidityReport:
 
 
 def _leibniz_report(a: LeibnizAlgebra) -> ValidityReport:
-    st, st_t = a.st, a.st_t
+    st, st_t = a.zst, a.zst_t
     # residual of [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]
     bad = _violations({"i": a.basis_names, "j": a.basis_names, "k": a.basis_names}, [
         ("", 0, 0, a.dim, "ijk", "ijk",
@@ -251,13 +276,41 @@ class LeibnizAction:
         """Transposed: sr_t[i][j] = sr[j][i]."""
         return transposed(self.sr, self.actor.dim)
 
+    @cached_property
+    def _ztables(self) -> tuple:
+        """(den, sl twin, sr twin): one denominator for both tables."""
+        den, (sl, sr) = integer_view((self.sl, self.sr), 3)
+        return den, sl, sr
+
+    @cached_property
+    def zsl(self) -> "tuple[int, tuple]":
+        """The integer twin of sl."""
+        return self._ztables[:2]
+
+    @cached_property
+    def zsr(self) -> "tuple[int, tuple]":
+        """The integer twin of sr."""
+        return self._ztables[0], self._ztables[2]
+
+    @cached_property
+    def zsl_t(self) -> "tuple[int, tuple]":
+        """The integer twin of sl_t."""
+        den, view = self.zsl
+        return den, transposed(view, self.acted.dim)
+
+    @cached_property
+    def zsr_t(self) -> "tuple[int, tuple]":
+        """The integer twin of sr_t."""
+        den, view = self.zsr
+        return den, transposed(view, self.actor.dim)
+
     def act_left(self, mvec: Sequence, nvec: Sequence) -> tuple:
         """^x y for x in the actor, y in the acted algebra."""
-        return contract(self.sl, mvec, nvec, self.acted.dim)
+        return contract(self.zsl, mvec, nvec, self.acted.dim)
 
     def act_right(self, nvec: Sequence, mvec: Sequence) -> tuple:
         """y^x for y in the acted algebra, x in the actor."""
-        return contract(self.sr, nvec, mvec, self.acted.dim)
+        return contract(self.zsr, nvec, mvec, self.acted.dim)
 
     @cached_property
     def validity(self) -> ValidityReport:
@@ -290,8 +343,8 @@ def check_action(act: LeibnizAction) -> ValidityReport:
 
 def _action_report(act: LeibnizAction) -> ValidityReport:
     m, n = act.actor, act.acted
-    L, R, Lt, Rt = act.sl, act.sr, act.sl_t, act.sr_t
-    cm, cn, cn_t = m.st, n.st, n.st_t
+    L, R, Lt, Rt = act.zsl, act.zsr, act.zsl_t, act.zsr_t
+    cm, cn, cn_t = m.zst, n.zst, n.zst_t
     d = n.dim
     # the report runs over (i, i2, j) for axioms 1 and 5, (j, i, i2) for
     # axiom 3 and (i, j, j2) for axioms 2, 4 and 6, in that order
@@ -355,11 +408,11 @@ def check_hom(f: AlgebraHom) -> ValidityReport:
 
 def _hom_report(f: AlgebraHom) -> ValidityReport:
     a, b = f.source, f.target
-    cols = sparse_columns(f.matrix)
+    cols = f.matrix.zcols
     # fb[i][k] = [f(e_i), e_k], so that [f(e_i), f(e_j)] is f(e_j) through fb[i]
-    fb = _through(cols, b.st_t, a.dim, b.dim)
+    fb = _through(cols, b.zst_t, a.dim, b.dim)
     bad = _violations({"i": a.basis_names, "j": a.basis_names}, [
-        ("", 0, 0, b.dim, "ij", "ij", ((1, a.st, "ij", cols, ""), (-1, cols, "j", fb, "i")))])
+        ("", 0, 0, b.dim, "ij", "ij", ((1, a.zst, "ij", cols, ""), (-1, cols, "j", fb, "i")))])
     return _report(f"homomorphism {a.name} -> {b.name}", bad)
 
 
@@ -374,7 +427,9 @@ def span_brackets(a: LeibnizAlgebra, X: Subspace, Y: Subspace) -> Subspace:
 def annihilator(dim: int, views) -> Subspace:
     """The x in QQ^dim with sum_s x_s * view[r][s] = 0 for every sparse
     view of the given ones and every r: the kernel of one sparse row per
-    (view, r, coordinate), built from the nonzero entries only."""
+    (view, r, coordinate), built from the nonzero entries only.  The
+    views are the int views of integer twins: a twin's denominator
+    scales all of its rows, which leaves the kernel alone."""
     rows = {}
     for v, view in enumerate(views):
         for r, row in enumerate(view):
@@ -387,7 +442,7 @@ def annihilator(dim: int, views) -> Subspace:
 def center(a: LeibnizAlgebra) -> Subspace:
     """Two-sided center {x : [x, a] = [a, x] = 0}: x -> [x, e_j] reads
     st_t[j] and x -> [e_j, x] reads st[j]."""
-    return annihilator(a.dim, (a.st_t, a.st))
+    return annihilator(a.dim, (a.zst_t[1], a.zst[1]))
 
 
 def ideal_closure(a: LeibnizAlgebra, seed: Subspace) -> Subspace:

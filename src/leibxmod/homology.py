@@ -14,9 +14,10 @@ package is cross-validated.  Degrees are capped at 4 (boundary) and 3
 (homology): enough for the oracle at desk scale.
 
 One generator, _images, emits the image of each basis tensor as a
-sparse integer row read off the sparse view of the structure constants,
-all of them scaled once by the lcm of their denominators; that scales
-d_n by one positive integer and leaves its rank alone.  hl eliminates
+sparse integer row read off the integer twin of the structure constants
+(``LeibnizAlgebra.zst``: all of them scaled once by the lcm of their
+denominators); that scales d_n by one positive integer and leaves its
+rank alone.  hl eliminates
 those rows as they are (rank(d_n) is the rank of its transpose), with
 no dense matrix and no Fraction; only boundary densifies them into the
 d^(n-1) x d^n matrix.  Either way the dense size is checked against
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .algebra import LeibnizAlgebra
 from .ratlin import RatMatrix, integer_rank
@@ -56,18 +56,11 @@ def _tensor_index(idx: tuple, d: int) -> int:
     return out
 
 
-def _scaled(q: LeibnizAlgebra) -> "tuple[int, tuple]":
-    """(den, table): den is the lcm of the denominators of the structure
-    constants, and table[i][j] = ((k, den * t), ...) over q.st[i][j]."""
-    den = lcm(*[t.denominator for row in q.st for v in row for _, t in v])
-    return den, tuple(tuple(tuple((k, t.numerator * (den // t.denominator))
-                                  for k, t in v) for v in row) for row in q.st)
-
-
 def _images(table: tuple, d: int, n: int):
     """den * d_n of each basis tensor x_1 (x) ... (x) x_n, in lexicographic
-    order, as a sparse {target index: int} row, for the scaled table of a
-    dimension-d algebra (see _scaled); a sum that cancels is dropped."""
+    order, as a sparse {target index: int} row, for the int view of the
+    twin (den, table) of a dimension-d algebra's structure constants (see
+    LeibnizAlgebra.zst); a sum that cancels is dropped."""
     weight = [d ** (n - 2 - i) for i in range(n - 1)]  # of slot i of a target
     for idx in product(range(d), repeat=n):
         img = {}
@@ -91,7 +84,7 @@ def boundary(q: LeibnizAlgebra, n: int) -> RatMatrix:
     if not 1 <= n <= MAX_BOUNDARY_DEGREE:
         raise ValueError(f"boundary degree must be between 1 and {MAX_BOUNDARY_DEGREE}")
     rows, _ = _boundary_shape(q.dim, n)
-    den, table = _scaled(q)
+    den, table = q.zst
     return RatMatrix.from_sparse_columns(
         [tuple((k, Fraction(v, den)) for k, v in img.items())
          for img in _images(table, q.dim, n)], rows)
@@ -105,6 +98,6 @@ def hl(q: LeibnizAlgebra, n: int) -> int:
     if n == 0:
         return 1  # CL_0 is the ground field and d_1 = 0
     _boundary_shape(q.dim, n + 1)  # the larger of the two boundaries
-    _, table = _scaled(q)
+    _, table = q.zst
     return (q.dim ** n - integer_rank(_images(table, q.dim, n))
             - integer_rank(_images(table, q.dim, n + 1)))

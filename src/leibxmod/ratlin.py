@@ -2,30 +2,36 @@
 
 This is the only arithmetic layer of the package.  Scalars are
 ``fractions.Fraction`` (arbitrary precision, always normalized with a
-positive denominator).  Dense vectors are tuples of Fractions and
-matrices are immutable dense row-major grids; they are what the public
-objects store and print.  The hot paths run sparse: a sparse vector is
-``((index, value), ...)`` (or the items of a ``{index: value}``
-accumulator), structure and action tables are read through sparse views,
-``st[i][j] = ((k, t), ...)`` over the nonzero ``t``, and ``accumulate``
-is the one step behind ``contract``, the bilinear contraction, behind
-quotient maps and behind ``join``, which evaluates the runtime-checked
-laws term by term: each term is joined over the nonzero entries of its
-sparse views into residuals keyed by the law's report order, so a basis
-triple that no nonzero product reaches costs nothing.  A ``QuotientMap``
-is a sparse map too: the image of every ambient column in quotient
-coordinates, so projecting a vector costs one ``accumulate`` over its
-nonzero entries, and membership in the relation subspace is an empty
-projection.
+positive denominator) at every boundary: dense vectors are tuples of
+Fractions and matrices are immutable dense row-major grids; they are
+what the public objects store and print.  The hot paths run sparse and
+on plain ints.  A sparse vector is ``((index, value), ...)`` (or the
+items of a ``{index: value}`` accumulator), and structure and action
+tables are read through sparse views, ``st[i][j] = ((k, t), ...)`` over
+the nonzero ``t``.  Each view has an integer twin (``integer_view``):
+one positive denominator, the lcm of the denominators of its values,
+and the same view with every value times that denominator, so an int.
+``accumulate`` is the one step behind ``contract``, the bilinear
+contraction, behind quotient maps and behind ``join``, which evaluates
+the runtime-checked laws term by term over twins: each term is scaled
+by the complementary denominators so that all terms share one scale,
+and is joined over the nonzero entries of its views into int residuals
+keyed by the law's report order, so a basis triple that no nonzero
+product reaches costs nothing.  A value is divided by its scale only
+where it leaves the kernel, as a Fraction.  A ``QuotientMap`` is a
+sparse map too: the image of every ambient column in quotient
+coordinates, with an integer twin, so projecting a vector costs one
+``accumulate`` over its nonzero entries, and membership in the relation
+subspace is an empty projection, a pure int test.
 Every operation is deterministic: the canonical form behind all
 subspace comparisons, kernels and quotients is *the* reduced row
 echelon form of a row space, which is unique and so does not depend on
 which row supplies a pivot.  Identical inputs therefore always produce
 bit-identical outputs.  Elimination runs over integers (fraction-free,
 in the style of Bareiss); Fractions appear only in the normalised
-result.  Kernels and spans take their rows dense or sparse, and a sparse
-row goes to the elimination without a dense copy; ``integer_rank`` takes
-sparse integer rows and creates no Fraction at all.
+result.  Kernels and spans take their rows dense, sparse or as sparse
+int rows, which go to the elimination as they are; ``integer_rank``
+and ``integer_basis`` create no Fraction at all.
 """
 
 from __future__ import annotations
@@ -60,10 +66,6 @@ def zero_vec(n: int) -> tuple:
 
 def unit_vec(n: int, i: int) -> tuple:
     return tuple(Fraction(1 if k == i else 0) for k in range(n))
-
-
-def vec_sub(u: tuple, v: tuple) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_is_zero(v: tuple) -> bool:
@@ -104,6 +106,39 @@ def sparse_columns(m: "RatMatrix") -> tuple:
     return tuple(sparse(m.column(j)) for j in range(m.cols))
 
 
+def integer_view(view, depth: int = 2) -> "tuple[int, tuple]":
+    """The integer twin (den, twin) of a sparse view with depth outer
+    indices (0 for a sparse vector, 1 for a tuple of them, 2 for a
+    table): den is the lcm of the denominators of its values (1 when it
+    has none), and twin is the view with every value t replaced by the
+    int den * t."""
+    flat = [view]
+    for _ in range(depth):
+        flat = [v for row in flat for v in row]
+    den = lcm(*[t.denominator for v in flat for _, t in v])
+
+    def scaled(x, d):
+        if d:
+            return tuple(scaled(r, d - 1) for r in x)
+        return tuple((k, t.numerator * (den // t.denominator)) for k, t in x)
+    return den, scaled(view, depth)
+
+
+def integer_entries(v: Sequence) -> "tuple[int, tuple]":
+    """The integer twin (den, entries) of a dense vector: den is the lcm
+    of the denominators of its nonzero entries, and entries the sparse
+    int vector of den times them."""
+    nz = [(k, t) for k, t in enumerate(v) if t]
+    den = lcm(*[t.denominator for _, t in nz])
+    return den, tuple((k, t.numerator * (den // t.denominator)) for k, t in nz)
+
+
+def rational(entries, den: int) -> list:
+    """The (index, value) entries of a sparse int vector divided by the
+    positive int den, as Fractions: where a value leaves the kernel."""
+    return [(k, Fraction(v, den)) for k, v in entries]
+
+
 def dense(entries, dim: int) -> tuple:
     """The dense vector with the given (index, value) entries, zero elsewhere."""
     out = [_ZERO] * dim
@@ -114,7 +149,8 @@ def dense(entries, dim: int) -> tuple:
 
 def accumulate(acc: dict, c, a, rows) -> None:
     """acc += c * (the sum of t * rows[l] over (l, t) in a), where a and
-    each rows[l] are sparse vectors and acc maps an index to a Fraction.
+    each rows[l] are sparse vectors and acc maps an index to a value: an
+    int when c and every value are ints, as on integer twins.
 
     For the bilinear map [., .] of a sparse table st, rows = st[i] adds
     c * [e_i, a] and rows = transposed(st, ...)[j] adds c * [a, e_j]; with
@@ -124,7 +160,7 @@ def accumulate(acc: dict, c, a, rows) -> None:
         if r:
             w = c * t
             for k, u in r:
-                acc[k] = acc.get(k, _ZERO) + w * u
+                acc[k] = acc.get(k, 0) + w * u
 
 
 def _entries(x, depth: int) -> list:
@@ -135,25 +171,33 @@ def _entries(x, depth: int) -> list:
     return [((p, q), a) for p, row in enumerate(x) for q, a in enumerate(row) if a]
 
 
-def join(terms) -> dict:
-    """The sums of the terms of a multilinear law, over nonzero entries only.
+def join(terms) -> "tuple[int, dict]":
+    """The sums of the terms of a multilinear law, over nonzero entries
+    only, on integer twins.
 
     A term (key, c, x, xs, y, ys) adds c * (x[p] through y[r]), as in
     accumulate, for every outer index p of the sparse table x and r of the
-    sparse table y.  x has one or two outer indices, named by the letters
-    of xs; y has the rows y[r][l] with one outer index named by the letter
-    ys, or none when ys is "" (then y is itself the rows).  Each sum goes
-    to the accumulator at key, a sequence of letters and constants, with
-    every letter replaced by its index.  This is the join of sparse tensor
-    algebra: for a nonempty x[p], only the r with a nonempty y[r][l] for
-    some nonzero entry (l, t) of x[p] are visited.  A key that no product
-    reaches has no entry; its sum is zero by construction.
+    sparse table y, where c is an int and x and y are integer twins
+    (den, view) (see integer_view).  x has one or two outer indices,
+    named by the letters of xs; y has the rows y[r][l] with one outer
+    index named by the letter ys, or none when ys is "" (then y is itself
+    the rows).  Each sum goes to the accumulator at key, a sequence of
+    letters and constants, with every letter replaced by its index.  This
+    is the join of sparse tensor algebra: for a nonempty x[p], only the r
+    with a nonempty y[r][l] for some nonzero entry (l, t) of x[p] are
+    visited.  A key that no product reaches has no entry; its sum is zero
+    by construction.  A term whose twins have the denominators dx and dy
+    is scaled by scale / (dx * dy), scale the lcm of those products over
+    all terms, so every accumulator holds scale times its sum, an int.
 
-    Returns {key tuple: accumulator}.
+    Returns (scale, {key tuple: accumulator}).
     """
+    terms = list(terms)
+    scale = lcm(*[x[0] * y[0] for _, _, x, _, y, _ in terms])
     out = {}
     meets = {}  # id(y) -> (y, {l: the r with a nonempty y[r][l]})
-    for key, c, x, xs, y, ys in terms:
+    for key, c, (dx, x), xs, (dy, y), ys in terms:
+        c *= scale // (dx * dy)
         if not ys:  # one row, at an index that no key names
             y, ys = (y,), "_"
         names = xs + ys
@@ -186,19 +230,21 @@ def join(terms) -> dict:
                 if acc is None:
                     acc = out[k] = {}
                 accumulate(acc, c, a, y[r])
-    return out
+    return scale, out
 
 
 def contract(st, x: Sequence, y: Sequence, dim: int) -> tuple:
     """The bilinear map with values st[i][j] on basis pairs, at (x, y):
-    the sum over i, j of x_i * y_j * st[i][j], for a sparse view st (see
-    sparse_table) and dense x, y; nonzero entries only."""
-    ys = sparse(y)
+    the sum over i, j of x_i * y_j * st[i][j], for the integer twin
+    (den, view) of a sparse view (see sparse_table and integer_view) and
+    dense x, y; nonzero entries only, on ints, divided once at the end."""
+    den, view = st
+    dx, xs = integer_entries(x)
+    dy, ys = integer_entries(y)
     acc = {}
-    for i, a in enumerate(x):
-        if a:
-            accumulate(acc, a, ys, st[i])
-    return dense(acc.items(), dim)
+    for i, a in xs:
+        accumulate(acc, a, ys, view[i])
+    return dense(rational(acc.items(), den * dx * dy), dim)
 
 
 @dataclass(frozen=True)
@@ -254,6 +300,11 @@ class RatMatrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i]
+
+    @cached_property
+    def zcols(self) -> "tuple[int, tuple]":
+        """The integer twin of the sparse columns, built once per matrix."""
+        return integer_view(sparse_columns(self), 1)
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
@@ -410,6 +461,14 @@ class Subspace:
             _eliminate([_integer_row(r) for r in rows if r]), ambient_dim))
 
     @classmethod
+    def from_integer_rows(cls, ambient_dim: int, rows: Iterable) -> "Subspace":
+        """The span of sparse int vectors ((index, int), ...) with nonzero
+        values and indices below ambient_dim, zero vectors allowed; each
+        goes to the elimination made primitive, with no Fraction."""
+        return cls(ambient_dim, *_normalised(
+            _eliminate([_primitive(dict(r)) for r in rows if r]), ambient_dim))
+
+    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, RatMatrix(0, ambient_dim, ()), ())
 
@@ -488,9 +547,10 @@ def kernel(m: RatMatrix) -> Subspace:
 
 def sparse_kernel(cols: int, rows: Iterable) -> Subspace:
     """The right null space of the matrix with cols columns whose nonzero
-    rows are the sparse vectors rows ((column, Fraction), ...), with
-    nonzero values; they go to the elimination without a dense copy."""
-    return _kernel([_integer_row(r) for r in rows if r], cols)
+    rows are the sparse int vectors rows ((column, int), ...), with
+    nonzero values; they go to the elimination made primitive, without a
+    dense copy or a Fraction."""
+    return _kernel([_primitive(dict(r)) for r in rows if r], cols)
 
 
 def integer_rank(rows: Iterable) -> int:
@@ -498,6 +558,14 @@ def integer_rank(rows: Iterable) -> int:
     {column: int} of rows, zero rows allowed; each goes to the
     elimination made primitive, without a dense copy or a Fraction."""
     return len(_eliminate([_primitive(r) for r in rows if r], reduce=False))
+
+
+def integer_basis(rows: Iterable) -> list:
+    """A basis of the span of the sparse int vectors rows ((index, int),
+    ...), zero vectors allowed, as sparse int vectors sorted by index:
+    the echelon rows of the elimination, primitive and not normalised."""
+    return [tuple(sorted(row.items())) for _, row in
+            _eliminate([_primitive(dict(r)) for r in rows if r], reduce=False)]
 
 
 def _kernel(rows: list, cols: int) -> Subspace:
@@ -538,6 +606,10 @@ class QuotientMap:
     the pivot rows' combination at v's pivot coordinates, which is the
     free part of v reduced by the relations; so the kernel is exactly
     the relation subspace, and lifting e_k is the ambient unit at free[k].
+    The maps run on integer twins: zimages, the images times one common
+    denominator (the lcm of the pivots of the integer echelon rows), and
+    zrows, each RREF row made a primitive int row; a value is divided
+    only when it leaves as a quotient-level Fraction.
     """
 
     ambient_dim: int
@@ -550,20 +622,38 @@ class QuotientMap:
     def dim(self) -> int:
         return len(self.free)
 
-    def image(self, a) -> dict:
-        """The image of a sparse vector a, as an accumulator: one
-        accumulate over the nonzero entries of a."""
+    @cached_property
+    def zimages(self) -> "tuple[int, tuple]":
+        """The integer twin (den, images) of images."""
+        return integer_view(self.images, 1)
+
+    @cached_property
+    def zrows(self) -> tuple:
+        """The relation rows as primitive sparse int rows, same span."""
+        return tuple(integer_view(r, 0)[1] for r in self.rows)
+
+    def integer_image(self, a) -> dict:
+        """den times the image of the sparse vector a, for den of zimages,
+        as an accumulator: an int one when a has int values."""
         acc = {}
-        accumulate(acc, ONE, a, self.images)
+        accumulate(acc, 1, a, self.zimages[1])
         return acc
 
+    def image(self, a, den: int = 1) -> dict:
+        """The image of a / den for a sparse vector a with int values and
+        a positive int den, as a {quotient index: Fraction} accumulator."""
+        return dict(rational(self.integer_image(a).items(),
+                             self.zimages[0] * den))
+
     def kills(self, a) -> bool:
-        """Whether the sparse vector a lies in the relation subspace."""
-        return not any(self.image(a).values())
+        """Whether the sparse vector a lies in the relation subspace; with
+        int values, a pure int test."""
+        return not any(self.integer_image(a).values())
 
     def project_sparse(self, a) -> tuple:
         """The class of the sparse vector a, as a dense quotient vector."""
-        return dense(self.image(a).items(), self.dim)
+        den, za = integer_view(a, 0)
+        return dense(self.image(za, den).items(), self.dim)
 
     def project(self, v: Sequence) -> tuple:
         """The class of the dense ambient vector v."""

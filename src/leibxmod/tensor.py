@@ -32,8 +32,8 @@ evaluation) are produced, each with its promised properties asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from .algebra import (
     AlgebraHom,
@@ -45,19 +45,21 @@ from .algebra import (
     check_leibniz,
 )
 from .ratlin import (
-    ONE,
     QuotientMap,
     RatMatrix,
     Subspace,
     accumulate,
     contract,
     dense,
+    integer_basis,
+    integer_entries,
+    integer_view,
     join,
     kernel,
     quotient,
     rank,
+    rational,
     sparse,
-    sparse_columns,
     transposed,
     unit_vec,
 )
@@ -68,8 +70,6 @@ from .xmod import (
     check_xmod,
     check_xmod_hom,
 )
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -102,24 +102,41 @@ class MutualActionPair:
         return ((self.m, self.n, self.m_on_n, self.n_on_m),
                 (self.n, self.m, self.n_on_m, self.m_on_n))
 
+    def _evaluate(self, views) -> tuple:
+        """The evaluations read off views(action) = (left, right) views."""
+        ev = []
+        for s, (X, Y, _, y_on_x) in enumerate(self.sides):
+            sl, sr = views(y_on_x)
+            blocks = [None, None]
+            blocks[s] = [sr[x][y] for x in range(X.dim) for y in range(Y.dim)]
+            blocks[1 - s] = [sl[y][x] for y in range(Y.dim) for x in range(X.dim)]
+            ev.append(tuple(blocks[0] + blocks[1]))
+        return tuple(ev)
+
     @cached_property
     def evaluations(self) -> tuple:
         """ev[s][k]: ambient symbol k evaluated into the first factor X of
         side s by the action of Y on X, x * y -> x^y and y * x -> ^y x,
         as a sparse vector."""
-        ev = []
-        for s, (X, Y, _, y_on_x) in enumerate(self.sides):
-            blocks = [None, None]
-            blocks[s] = [y_on_x.sr[x][y] for x in range(X.dim) for y in range(Y.dim)]
-            blocks[1 - s] = [y_on_x.sl[y][x] for y in range(Y.dim) for x in range(X.dim)]
-            ev.append(tuple(blocks[0] + blocks[1]))
-        return tuple(ev)
+        return self._evaluate(lambda act: (act.sl, act.sr))
+
+    @cached_property
+    def zevaluations(self) -> tuple:
+        """The evaluations on integer twins: ev[s] times den[s], the
+        denominator of the action of side s, as (den, ev).  A symbol
+        u * v with u from ev[0] and v from ev[1], in either block, is
+        den[0] * den[1] times its value."""
+        return ((self.n_on_m.zsl[0], self.m_on_n.zsl[0]),
+                self._evaluate(lambda act: (act.zsl[1], act.zsr[1])))
 
     @cached_property
     def evaluation_basis(self) -> list:
-        """A basis of W, the span in m + n of w_i = (ev[0][i], ev[1][i])
-        over every symbol i, as pairs of sparse vectors of m and n."""
-        return _pair_basis(self.m.dim, self.n.dim, zip(*self.evaluations))
+        """A basis of den W, the span in m + n of w_i = (den[0] ev[0][i],
+        den[1] ev[1][i]) over every symbol i, as pairs of sparse int
+        vectors of m and n (den and ev as in zevaluations).  Every family
+        read off it pairs the m part of one vector with the n part of
+        another, so it is den[0] * den[1] times that family on W."""
+        return _pair_basis(self.m.dim, self.n.dim, zip(*self.zevaluations[1]))
 
 
 def _through_base(x: CrossedModule, y: CrossedModule) -> LeibnizAction:
@@ -158,75 +175,70 @@ def _row(acc: dict) -> tuple:
     return tuple(sorted((k, t) for k, t in acc.items() if t))
 
 
-def _view(table) -> tuple:
-    """A table of sparse vectors as a sparse view: each entry sorted by
-    index, with its zero values dropped."""
-    return tuple(tuple(_row(dict(v)) for v in row) for row in table)
+def _view(twin) -> tuple:
+    """The sparse view of the integer twin (den, table), divided by den:
+    each entry sorted by index, with its zero values dropped."""
+    den, table = twin
+    return tuple(tuple(_row(dict(rational(v, den))) for v in row) for row in table)
 
 
-def _basis(dim: int, vectors) -> list:
-    """A basis of the span of sparse vectors in QQ^dim, as sparse vectors:
-    the rows of its canonical RREF."""
-    return [sparse(b) for b in Subspace.from_sparse(dim, vectors).basis.entries]
+def _basis(vectors) -> list:
+    """A basis of the span of sparse int vectors, as sparse int vectors
+    (see ratlin.integer_basis)."""
+    return integer_basis(vectors)
 
 
 def _pair_basis(du: int, dv: int, pairs) -> list:
-    """A basis of the span of the vectors (u, v) of X + Y, for sparse
-    vectors u of X = QQ^du and v of Y = QQ^dv, as pairs of sparse vectors."""
-    basis = _basis(du + dv, [u + tuple((du + k, t) for k, t in v) for u, v in pairs])
-    return [(tuple(e for e in w if e[0] < du), tuple((k - du, t) for k, t in w if k >= du))
-            for w in basis]
+    """A basis of the span of the vectors (u, v) of X + Y, for sparse int
+    vectors u of X = QQ^du and v of Y = QQ^dv, as pairs of sparse int
+    vectors."""
+    return [_pair_parts(du, w)
+            for w in _basis([u + tuple((du + k, t) for k, t in v) for u, v in pairs])]
+
+
+def _pair_parts(du: int, w) -> tuple:
+    """The parts (u, v) of a sparse vector w of X + Y, dim X = du."""
+    return (tuple(e for e in w if e[0] < du), tuple((k - du, t) for k, t in w if k >= du))
 
 
 def _symbols(dm: int, dn: int, terms) -> dict:
     """The sum of c * (u * v) over terms (c, s, u, v), the symbol u * v
     of sparse vectors u, v taken in block s and extended bilinearly, as a
-    sparse {ambient index: Fraction} accumulator."""
+    sparse {ambient index: value} accumulator: an int one when c and the
+    values of u and v are ints, as on integer twins."""
     acc = {}
     for c, s, u, v in terms:
         for x, ux in u:
             w, base = c * ux, _index(dm, dn, s, x, 0)
             for y, vy in v:
                 k = base + y
-                acc[k] = acc.get(k, _ZERO) + w * vy
+                acc[k] = acc.get(k, 0) + w * vy
     return acc
 
 
-def _sym(dm: int, dn: int, *terms) -> tuple:
-    """Dense ambient vector of _symbols(dm, dn, terms)."""
-    return dense(_symbols(dm, dn, terms).items(), 2 * dm * dn)
-
-
-def _bracket_term(pair: MutualActionPair, i: int, j: int, alt: bool = False) -> tuple:
+def _bracket_term(pair: MutualActionPair, i: int, j: int, alt: bool = False,
+                  ev=None) -> tuple:
     """[symbol_i, symbol_j] as one _symbols term: the first leg of symbol i
     acted on by symbol j, written in the block of symbol i (the primary
-    representative) or, with alt, in the other block."""
+    representative) or, with alt, in the other block.  Read off ev, the
+    evaluations of the pair or their int twin (see zevaluations)."""
     t = _legs(pair.m.dim, pair.n.dim, i)[0] ^ alt
-    ev = pair.evaluations
+    ev = ev or pair.evaluations
     return (1, t, ev[t][i], ev[1 - t][j])
 
 
-def _primary_entry(pair: MutualActionPair, i: int, j: int) -> tuple:
-    """The chosen bracket representative: lands in the block of symbol i."""
-    return _sym(pair.m.dim, pair.n.dim, _bracket_term(pair, i, j))
-
-
-def _alt_entry(pair: MutualActionPair, i: int, j: int) -> tuple:
-    """The other representative, congruent to the primary one modulo the
-    relation subspace (their differences are relation rows)."""
-    return _sym(pair.m.dim, pair.n.dim, _bracket_term(pair, i, j, alt=True))
-
-
 def _defining_rows(pair: MutualActionPair) -> list:
-    """Relation vectors, as sparse vectors sorted by index: the action rows
-    (_action_rows) and the agreement rows (_agreement_rows)."""
+    """Relation vectors, as sparse int vectors sorted by index: the action
+    rows (_action_rows) and the agreement rows (_agreement_rows)."""
     return _action_rows(pair) + _agreement_rows(pair)
 
 
 def _action_rows(pair: MutualActionPair) -> list:
     """A bracketed leg rewrites through the actions, and the two one-sided
     actions agree up to sign in the second slot; one row per basis triple
-    whose terms are not all empty."""
+    whose terms are not all empty.  The rows are read off integer twins,
+    each term scaled to the lcm of the denominators its row meets, so a
+    row is a positive multiple of the rational one: the same span."""
     dm, dn = pair.m.dim, pair.n.dim
     rows = []
 
@@ -236,26 +248,31 @@ def _action_rows(pair: MutualActionPair) -> list:
             rows.append(r)
 
     for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides):
-        ex = [((x, ONE),) for x in range(X.dim)]
-        ey = [((y, ONE),) for y in range(Y.dim)]
+        ex = [((x, 1),) for x in range(X.dim)]
+        ey = [((y, 1),) for y in range(Y.dim)]
+        (dY, Yst), (dA, ysr) = Y.zst, y_on_x.zsr
+        den = lcm(dY, dA)
+        cY, cA = den // dY, den // dA
         for x in range(X.dim):
-            xr = y_on_x.sr[x]
+            xr = ysr[x]
             for y in range(Y.dim):
                 for y2 in range(Y.dim):
-                    if Y.st[y][y2] or xr[y] or xr[y2]:
+                    if Yst[y][y2] or xr[y] or xr[y2]:
                         # x * [y, y2] = x^y * y2 - x^{y2} * y
-                        add((1, s, ex[x], Y.st[y][y2]),
-                            (-1, s, xr[y], ey[y2]),
-                            (1, s, xr[y2], ey[y]))
-        sl, sr = x_on_y.sl, x_on_y.sr
+                        add((cY, s, ex[x], Yst[y][y2]),
+                            (-cA, s, xr[y], ey[y2]),
+                            (cA, s, xr[y2], ey[y]))
+        (dX, Xst), (dB, sl), (_, sr) = X.zst, x_on_y.zsl, x_on_y.zsr
+        den = lcm(dX, dB)
+        cX, cB = den // dX, den // dB
         for x in range(X.dim):
             for x2 in range(X.dim):
                 for y in range(Y.dim):
-                    if X.st[x][x2] or sl[x][y] or sr[y][x2]:
+                    if Xst[x][x2] or sl[x][y] or sr[y][x2]:
                         # [x, x2] * y = ^x y * x2 - x * y^{x2}
-                        add((1, s, X.st[x][x2], ey[y]),
-                            (-1, 1 - s, sl[x][y], ex[x2]),
-                            (1, s, ex[x], sr[y][x2]))
+                        add((cX, s, Xst[x][x2], ey[y]),
+                            (-cB, 1 - s, sl[x][y], ex[x2]),
+                            (cB, s, ex[x], sr[y][x2]))
                     if sl[x2][y] or sr[y][x2]:
                         # x * ^{x2}y = - x * y^{x2}
                         add((1, s, ex[x], sl[x2][y]),
@@ -267,9 +284,9 @@ def _agreement_rows(pair: MutualActionPair) -> list:
     """Both representatives of every symbol bracket agree.  For symbols i
     and j they differ by plus or minus ev[0][i] * ev[1][j] - ev[1][i] *'
     ev[0][j], which is bilinear in w_i and w_j (see evaluation_basis); so
-    the rows on pairs of basis vectors of W span the same subspace as the
-    rows of all symbol pairs, and the relations' canonical RREF is the
-    same."""
+    the rows on pairs of basis vectors of den W, int rows, span the same
+    subspace as the rows of all symbol pairs, and the relations'
+    canonical RREF is the same."""
     dm, dn = pair.m.dim, pair.n.dim
     rows = []
     for a, b in pair.evaluation_basis:
@@ -316,18 +333,15 @@ class QuotientPresentation:
 
     def symbol_mn(self, u, v) -> tuple:
         """Ambient vector of u * v for u in m, v in n (bilinear)."""
-        return _sym(self.pair.m.dim, self.pair.n.dim, (1, 0, sparse(u), sparse(v)))
-
-    def symbol_nm(self, w, z) -> tuple:
-        """Ambient vector of w * z for w in n, z in m (bilinear)."""
-        return _sym(self.pair.m.dim, self.pair.n.dim, (1, 1, sparse(w), sparse(z)))
+        acc = _symbols(self.pair.m.dim, self.pair.n.dim, ((1, 0, sparse(u), sparse(v)),))
+        return dense(acc.items(), self.ambient_dim)
 
     def class_of(self, ambient_vec) -> tuple:
         return self.qmap.project(ambient_vec)
 
     def bracket_ambient(self, x, y) -> tuple:
         """Bilinear extension of the representative table."""
-        return contract(self.st, x, y, self.ambient_dim)
+        return contract(integer_view(self.st), x, y, self.ambient_dim)
 
 
 def _symbol_names(pair: MutualActionPair) -> tuple:
@@ -351,8 +365,8 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
     dm, dn = pair.m.dim, pair.n.dim
     amb = 2 * dm * dn
     rows = _defining_rows(pair)
-    rows.extend(sparse(r) for r in extra_rows)
-    relations = Subspace.from_sparse(amb, sorted(set(rows)))
+    rows.extend(integer_entries(r)[1] for r in extra_rows)
+    relations = Subspace.from_integer_rows(amb, sorted(set(rows)))
     qmap = quotient(amb, relations)
     if not _well_defined(pair, qmap):
         _scan(pair, qmap, name)
@@ -363,9 +377,10 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
 
     names = _symbol_names(pair)
     free = qmap.free
+    (d0, d1), zev = pair.zevaluations
     c = tuple(tuple(_row(qmap.image(
-        _symbols(dm, dn, (_bracket_term(pair, x, y),)).items())) for y in free)
-              for x in free)
+        _symbols(dm, dn, (_bracket_term(pair, x, y, ev=zev),)).items(), d0 * d1))
+        for y in free) for x in free)
     resolved = LeibnizAlgebra.from_sparse(name, tuple(names[f] for f in free), c)
     rep = check_leibniz(resolved)
     if not rep.valid:
@@ -382,21 +397,25 @@ def _well_defined(pair: MutualActionPair, qmap: QuotientMap) -> bool:
     bilinear map of (L(r), w_s), tested on a basis of L(R) times the basis
     of W.  [e_s, r] = ev[0][s] * G(r)_n for s in block 0 and ev[1][s] *'
     G(r)_m for s in block 1, where G(r) sums r_i w_i: tested on a basis
-    of the span of those ev[t][s] times one of the projection of G(R)."""
+    of the span of those ev[t][s] times one of the projection of G(R).
+    Everything runs on int twins: the primitive relation rows and the
+    evaluations times den (see zevaluations), which scale every m part
+    by den[0] and every n part by den[1], so every test vector by the
+    positive den[0] * den[1]; membership does not change."""
     dm, dn = pair.m.dim, pair.n.dim
     half = dm * dn
-    ev, none = pair.evaluations, ((),) * half
+    ev, none = pair.zevaluations[1], ((),) * half
     # the m and n parts of L(r) and G(r): the images of r under the
     # columns ev[0] on block 0 and ev[1] on block 1, and under ev
     lcols = (ev[0][:half] + none, none + ev[1][half:])
-    ls = [(_row(_image(r, lcols[0])), _row(_image(r, lcols[1]))) for r in qmap.rows]
-    gs = [(_row(_image(r, ev[0])), _row(_image(r, ev[1]))) for r in qmap.rows]
+    ls = [(_row(_image(r, lcols[0])), _row(_image(r, lcols[1]))) for r in qmap.zrows]
+    gs = [(_row(_image(r, ev[0])), _row(_image(r, ev[1]))) for r in qmap.zrows]
     tests = [((1, 0, a, d), (1, 1, b, c))
              for a, b in _pair_basis(dm, dn, ls) for c, d in pair.evaluation_basis]
-    tests += [((1, 0, u, v),) for u in _basis(dm, ev[0][:half])
-              for v in _basis(dn, [g for _, g in gs])]
-    tests += [((1, 1, u, v),) for u in _basis(dn, ev[1][half:])
-              for v in _basis(dm, [g for g, _ in gs])]
+    tests += [((1, 0, u, v),) for u in _basis(ev[0][:half])
+              for v in _basis([g for _, g in gs])]
+    tests += [((1, 1, u, v),) for u in _basis(ev[1][half:])
+              for v in _basis([g for g, _ in gs])]
     return all(qmap.kills(_symbols(dm, dn, t).items()) for t in tests)
 
 
@@ -421,15 +440,17 @@ def _scan(pair: MutualActionPair, qmap: QuotientMap, name: str) -> None:
 
 def _image(a, columns) -> dict:
     """The image of the sparse vector a under the linear map whose column
-    l is the sparse vector columns[l], as an accumulator."""
+    l is the sparse vector columns[l], as an accumulator (an int one on
+    int vectors)."""
     acc = {}
-    accumulate(acc, ONE, a, columns)
+    accumulate(acc, 1, a, columns)
     return acc
 
 
 def _preserves(qmap: QuotientMap, a, columns) -> bool:
     """Whether the linear map with the given sparse columns sends the
-    sparse vector a into the relation subspace of qmap."""
+    sparse vector a into the relation subspace of qmap (a pure int test
+    on int vectors and columns, whatever their positive scales)."""
     return qmap.kills(_image(a, columns).items())
 
 
@@ -443,7 +464,9 @@ def tensor_product(pair: MutualActionPair, name=None) -> QuotientPresentation:
 def square_subspace(eta: CrossedModule, delta: CrossedModule) -> Subspace:
     """The glue subspace in the tensor ambient of eta.top and delta.top:
     symbols u * v' - v * u' over pairs (u, v) from the pullback of the two
-    structure maps over the shared base."""
+    structure maps over the shared base, each pair an int multiple of a
+    basis vector of the pullback (the generators are bilinear in the
+    pairs, so that leaves their span alone)."""
     if eta.base != delta.base:
         raise ValueError("crossed modules must share the same base")
     m, n = eta.top, delta.top
@@ -454,14 +477,11 @@ def square_subspace(eta: CrossedModule, delta: CrossedModule) -> Subspace:
     for b in range(n.dim):
         cols.append(tuple(-x for x in delta.delta.column(b)))
     pullback = kernel(RatMatrix.from_columns(cols, rows=q.dim))
-    pairs = [(v[:m.dim], v[m.dim:]) for v in pullback.basis.entries]
-    pairs = [(sparse(u), sparse(v)) for u, v in pairs]
-    gens = []
-    for (u1, v1) in pairs:
-        for (u2, v2) in pairs:
-            acc = _symbols(m.dim, n.dim, ((1, 0, u1, v2), (-1, 1, v1, u2)))
-            gens.append(tuple((k, t) for k, t in acc.items() if t))
-    return Subspace.from_sparse(2 * m.dim * n.dim, gens)
+    pairs = [_pair_parts(m.dim, integer_entries(w)[1])
+             for w in pullback.basis.entries]
+    gens = [_row(_symbols(m.dim, n.dim, ((1, 0, u1, v2), (-1, 1, v1, u2))))
+            for u1, v1 in pairs for u2, v2 in pairs]
+    return Subspace.from_integer_rows(2 * m.dim * n.dim, gens)
 
 
 @lru_cache(maxsize=None)
@@ -482,21 +502,23 @@ def one_leg_span(pres: QuotientPresentation, m_sub: Subspace,
     qm = pres.qmap
 
     def cls(*terms):
-        acc = qm.image(_symbols(dm, dn, terms).items())
-        return tuple((k, t) for k, t in acc.items() if t)
+        return _row(qm.integer_image(_symbols(dm, dn, terms).items()))
+
+    def ints(s):  # int multiples of the basis vectors: the same span
+        return [integer_entries(u)[1] for u in s.basis.entries]
 
     gens = []
-    for u in map(sparse, m_sub.basis.entries):
+    for u in ints(m_sub):
         for j in range(dn):
-            ej = ((j, ONE),)
+            ej = ((j, 1),)
             gens.append(cls((1, 0, u, ej)))
             gens.append(cls((1, 1, ej, u)))
-    for v in map(sparse, n_sub.basis.entries):
+    for v in ints(n_sub):
         for i in range(dm):
-            ei = ((i, ONE),)
+            ei = ((i, 1),)
             gens.append(cls((1, 0, ei, v)))
             gens.append(cls((1, 1, v, ei)))
-    return Subspace.from_sparse(qm.dim, gens)
+    return Subspace.from_integer_rows(qm.dim, gens)
 
 
 @dataclass(frozen=True)
@@ -524,49 +546,54 @@ def _base_action_on_ambient(xm: CrossedModule, dn: int):
 
     with ^q x = [q, x] and x^q = [x, q] on the q factor.
 
-    Returns (left, right): left[i][k] is ^{q_i} of ambient symbol k and
-    right[i][k] is symbol k acted on by q_i on the right, as sparse
-    vectors, so left[i] and right[i] are the sparse columns of the two
-    maps of basis element q_i.
+    Returns (den, left, right): left[i][k] is den times ^{q_i} of ambient
+    symbol k and right[i][k] den times symbol k acted on by q_i on the
+    right, as sparse int vectors, so left[i] and right[i] are the sparse
+    columns of the two maps of basis element q_i, scaled by den, the lcm
+    of the denominators of q and of the action.
     """
     q, act = xm.base, xm.action
     dq = q.dim
     # indexed by factor, 0 for q and 1 for n; in block s, x lies in factor s
-    units = ([((a, ONE),) for a in range(dq)], [((b, ONE),) for b in range(dn)])
-    lefts, rights = (q.st, act.sl), (q.st, act.sr)
+    units = ([((a, 1),) for a in range(dq)], [((b, 1),) for b in range(dn)])
+    (dQ, qst), (dA, sl), (_, sr) = q.zst, act.zsl, act.zsr
+    den = lcm(dQ, dA)
+    cs = (den // dQ, den // dA)
+    lefts, rights = (qst, sl), (qst, sr)
     legs = [_legs(dq, dn, k) for k in range(2 * dq * dn)]
     left = tuple(
         tuple(tuple(_symbols(dq, dn, (
-            (1, s, lefts[s][i][x], units[1 - s][y]),
-            (-1, 1 - s, lefts[1 - s][i][y], units[s][x]))).items())
+            (cs[s], s, lefts[s][i][x], units[1 - s][y]),
+            (-cs[1 - s], 1 - s, lefts[1 - s][i][y], units[s][x]))).items())
             for s, x, y in legs)
         for i in range(dq))
     right = tuple(
         tuple(tuple(_symbols(dq, dn, (
-            (1, s, rights[s][x][i], units[1 - s][y]),
-            (1, s, units[s][x], rights[1 - s][y][i]))).items())
+            (cs[s], s, rights[s][x][i], units[1 - s][y]),
+            (cs[1 - s], s, units[s][x], rights[1 - s][y][i]))).items())
             for s, x, y in legs)
         for i in range(dq))
-    return left, right
+    return den, left, right
 
 
-def _descend_action(pres: QuotientPresentation, left, right, dq: int):
+def _descend_action(pres: QuotientPresentation, den: int, left, right, dq: int):
     """Push an ambient action of the base down to the resolved quotient,
     asserting the relation subspace is stable.  left[i] and right[i] are
-    the sparse columns of the two ambient maps of basis element i.
-    Returns the sparse views (sl, sr) of the action on the quotient."""
+    den times the sparse columns of the two ambient maps of basis element
+    i, as int vectors.  Returns the sparse views (sl, sr) of the action on
+    the quotient, divided by den."""
     qm = pres.qmap
     for i in range(dq):
-        for r in qm.rows:
+        for r in qm.zrows:
             if not _preserves(qm, r, left[i]):
                 raise AssertionError(
                     f"base action does not preserve the relations of {pres.name}")
             if not _preserves(qm, r, right[i]):
                 raise AssertionError(
                     f"base action does not preserve the relations of {pres.name}")
-    return (tuple(tuple(_row(qm.image(left[i][f])) for f in qm.free)
+    return (tuple(tuple(_row(qm.image(left[i][f], den)) for f in qm.free)
                   for i in range(dq)),
-            tuple(tuple(_row(qm.image(right[i][f])) for i in range(dq))
+            tuple(tuple(_row(qm.image(right[i][f], den)) for i in range(dq))
                   for f in qm.free))
 
 
@@ -587,11 +614,11 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     # factor through the base action, which is side 1's first factor.  On
     # the quotient, column j is the evaluation of the free symbol free[j]
     lam_amb, mu_amb = qn.pair.evaluations[1], qq.pair.evaluations[1]
-    for r in qn.qmap.rows:
-        if any(_image(r, lam_amb).values()):
+    for r in qn.qmap.zrows:
+        if any(_image(r, qn.pair.zevaluations[1][1]).values()):
             raise AssertionError("top evaluation map does not kill the relations")
-    for r in qq.qmap.rows:
-        if any(_image(r, mu_amb).values()):
+    for r in qq.qmap.zrows:
+        if any(_image(r, qq.pair.zevaluations[1][1]).values()):
             raise AssertionError("base evaluation map does not kill the relations")
     lambda_n = AlgebraHom(qn.resolved, n, RatMatrix.from_sparse_columns(
         [lam_amb[f] for f in qn.qmap.free], dn))
@@ -600,22 +627,22 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
 
     # connecting map on symbols: q_a * n_b -> q_a * dn_b, n_b * q_a -> dn_b * q_a
     idd_amb = _substitution(qn, qq, RatMatrix.identity(dq), xm.delta)
-    for r in qn.qmap.rows:
-        if not _preserves(qq.qmap, r, idd_amb):
+    for r in qn.qmap.zrows:
+        if not _preserves(qq.qmap, r, idd_amb[1]):
             raise AssertionError("connecting map does not preserve the relations")
     id_wedge_delta = AlgebraHom(qn.resolved, qq.resolved,
                                 _induced_matrix(qn, qq, idd_amb))
 
     # action of the base on the top square, then pulled back through mu
-    al_qn, ar_qn = _base_action_on_ambient(xm, dn)
-    base_on_top = LeibnizAction.from_sparse(q, qn.resolved,
-                                            *_descend_action(qn, al_qn, ar_qn, dq))
+    base_on_top = LeibnizAction.from_sparse(
+        q, qn.resolved, *_descend_action(qn, *_base_action_on_ambient(xm, dn), dq))
     # ^{mu(x)} e_j and e_j^{mu(x)}, through the sparse columns of mu
-    mus, dt = [mu_amb[f] for f in qq.qmap.free], qn.resolved.dim
+    mus = integer_view([mu_amb[f] for f in qq.qmap.free], 1)
+    dt = qn.resolved.dim
     action = LeibnizAction.from_sparse(
         qq.resolved, qn.resolved,
-        _view(_through(mus, base_on_top.sl_t, len(mus), dt)),
-        transposed(_view(_through(mus, base_on_top.sr, len(mus), dt)), dt))
+        _view(_through(mus, base_on_top.zsl_t, len(mus[1]), dt)),
+        transposed(_view(_through(mus, base_on_top.zsr, len(mus[1]), dt)), dt))
 
     induced = CrossedModule(f"({qn.name},{qq.name})", qn.resolved, qq.resolved,
                             id_wedge_delta.matrix, action)
@@ -645,12 +672,12 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
     esd = exterior_square_data(xm)
     kt = kernel(esd.lambda_n.matrix)
     kb = kernel(esd.mu_q.matrix)
-    kts = [sparse(u) for u in kt.basis.entries]
-    kbs = [sparse(u) for u in kb.basis.entries]
+    kts = integer_view([sparse(u) for u in kt.basis.entries], 1)
+    kbs = integer_view([sparse(u) for u in kb.basis.entries], 1)
     sq_top, sq_base, act = esd.qn.resolved, esd.qq.resolved, esd.action
-    if not _vanishes(sq_top.st, sq_top.st_t, kts, kts):
+    if not _vanishes(sq_top.zst_t, kts, kts):
         raise AssertionError("multiplier top is not abelian")
-    if not _vanishes(sq_base.st, sq_base.st_t, kbs, kbs):
+    if not _vanishes(sq_base.zst_t, kbs, kbs):
         raise AssertionError("multiplier base is not abelian")
     dcols = []
     for u in kt.basis.entries:
@@ -658,8 +685,7 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
         if not kb.contains_vector(w):
             raise AssertionError("connecting map does not restrict to the multiplier")
         dcols.append(kb.coords(w))
-    if not (_vanishes(act.sl, act.sl_t, kbs, kts)
-            and _vanishes(act.sr, act.sr_t, kts, kbs)):
+    if not (_vanishes(act.zsl_t, kbs, kts) and _vanishes(act.zsr_t, kts, kbs)):
         raise AssertionError("multiplier action is not trivial")
     top = LeibnizAlgebra.abelian(f"M({xm.name}).top", kt.dim,
                                  tuple(f"a{i+1}" for i in range(kt.dim)))
@@ -680,38 +706,43 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
     return mult, incl
 
 
-def _vanishes(table, table_t, us, vs) -> bool:
-    """Whether the bilinear map f with the sparse view table, f(e_i, e_j)
-    = table[i][j], and its transpose table_t is zero at every pair (u, v)
-    of the sparse vectors us and vs: each u goes through table_t once into
-    the rows f(u, e_j), and every v through those rows in one join."""
-    rows = _through(us, table_t, len(us), len(table_t))
+def _vanishes(table_t, us, vs) -> bool:
+    """Whether the bilinear map f with f(e_i, e_j) = table[i][j] is zero
+    at every pair (u, v) of the sparse vectors us and vs, for the integer
+    twins table_t (of the transposed view table_t[j][i] = table[i][j]),
+    us and vs: each u goes through table_t once into the rows f(u, e_j),
+    and every v through those rows in one join."""
+    rows = _through(us, table_t, len(us[1]), len(table_t[1]))
     return not any(any(acc.values())
-                   for acc in join([("pq", 1, vs, "q", rows, "p")]).values())
+                   for acc in join([("pq", 1, vs, "q", rows, "p")])[1].values())
 
 
 def _substitution(src: QuotientPresentation, tgt: QuotientPresentation,
-                  fm: RatMatrix, fn: RatMatrix) -> list:
+                  fm: RatMatrix, fn: RatMatrix) -> tuple:
     """Sparse ambient columns of componentwise symbol substitution: every
-    m-leg goes through fm and every n-leg through fn."""
-    maps = ((sparse_columns(fm), sparse_columns(fn)),
-            (sparse_columns(fn), sparse_columns(fm)))
+    m-leg goes through fm and every n-leg through fn.  Returns (den,
+    columns): the columns times den, the product of the denominators of
+    the twins of fm and fn, as int vectors."""
+    (dm, cm), (dn, cn) = fm.zcols, fn.zcols
+    maps = ((cm, cn), (cn, cm))
     cols = []
     for k in range(src.ambient_dim):
         s, x, y = _legs(src.pair.m.dim, src.pair.n.dim, k)
         fx, fy = maps[s]
         cols.append(tuple(_symbols(tgt.pair.m.dim, tgt.pair.n.dim,
                                    ((1, s, fx[x], fy[y]),)).items()))
-    return cols
+    return dm * dn, cols
 
 
 def _induced_matrix(src: QuotientPresentation, tgt: QuotientPresentation,
                     columns) -> RatMatrix:
-    """The quotient-level matrix of an ambient map with the given sparse
-    columns, which preserves the relations: column j is the class of the
-    image of the free symbol src.qmap.free[j]."""
+    """The quotient-level matrix of an ambient map with the sparse columns
+    of (den, columns) as _substitution gives them, which preserves the
+    relations: column j is the class of the image of the free symbol
+    src.qmap.free[j]."""
+    den, cols = columns
     return RatMatrix.from_sparse_columns(
-        [tgt.qmap.image(columns[f]).items() for f in src.qmap.free],
+        [tgt.qmap.image(cols[f], den).items() for f in src.qmap.free],
         tgt.qmap.dim)
 
 
@@ -720,8 +751,8 @@ def _induced_presentation_hom(src: QuotientPresentation,
                               fm: RatMatrix, fn: RatMatrix) -> AlgebraHom:
     """Quotient-level map induced by componentwise symbol substitution."""
     amb = _substitution(src, tgt, fm, fn)
-    for r in src.qmap.rows:
-        if not _preserves(tgt.qmap, r, amb):
+    for r in src.qmap.zrows:
+        if not _preserves(tgt.qmap, r, amb[1]):
             raise AssertionError(
                 f"induced map {src.name} -> {tgt.name} does not preserve relations")
     hom = AlgebraHom(src.resolved, tgt.resolved, _induced_matrix(src, tgt, amb))

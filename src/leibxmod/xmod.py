@@ -15,13 +15,12 @@ being silently absorbed.  The crossed module and homomorphism laws, like
 those of ``algebra``, cover every basis pair but are evaluated term by
 term over nonzero entries (``ratlin.join``), and each report is cached
 on the object it checks; the centers are kernels of sparse rows read
-off the action views.
+off the integer twins of the action views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .algebra import (
@@ -30,6 +29,7 @@ from .algebra import (
     LeibnizAlgebra,
     ValidityReport,
     _report,
+    _residual,
     _through,
     _violations,
     annihilator,
@@ -43,19 +43,15 @@ from .algebra import (
     subalgebra_on,
 )
 from .ratlin import (
-    ONE,
     RatMatrix,
     Subspace,
     join,
     kernel,
     quotient,
     rank,
-    sparse_columns,
     unit_vec,
     vec_is_zero,
 )
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -147,24 +143,24 @@ def check_xmod(xm: CrossedModule) -> ValidityReport:
 
 def _xmod_report(xm: CrossedModule) -> ValidityReport:
     top, base, act = xm.top, xm.base, xm.action
-    dcols = sparse_columns(xm.delta)
-    units = [((j, ONE),) for j in range(top.dim)]
+    dcols = xm.delta.zcols
+    units = (1, tuple(((j, 1),) for j in range(top.dim)))
     # q indexes the base, n, a and b the top; the report runs over (q, n)
     # for equivariance, then over (a, b) for Peiffer
     bad = _violations({"q": base.basis_names, "n": top.basis_names,
                        "a": top.basis_names, "b": top.basis_names}, [
         # (i) delta(^q n) - [q, delta n]
         ("equivariance-left ", 0, 0, base.dim, "qn", "qn",
-         ((1, act.sl, "qn", dcols, ""), (-1, dcols, "n", base.st, "q"))),
+         ((1, act.zsl, "qn", dcols, ""), (-1, dcols, "n", base.zst, "q"))),
         # (i) delta(n^q) - [delta n, q]
         ("equivariance-right ", 0, 1, base.dim, "qn", "nq",
-         ((1, act.sr, "nq", dcols, ""), (-1, dcols, "n", base.st_t, "q"))),
+         ((1, act.zsr, "nq", dcols, ""), (-1, dcols, "n", base.zst_t, "q"))),
         # (ii) ^{delta n1} n2 - [n1, n2]
         ("peiffer-left ", 1, 0, top.dim, "ab", "ab",
-         ((1, dcols, "a", act.sl_t, "b"), (-1, units, "b", top.st, "a"))),
+         ((1, dcols, "a", act.zsl_t, "b"), (-1, units, "b", top.zst, "a"))),
         # (ii) n1 ^ {delta n2} - [n1, n2]
         ("peiffer-right ", 1, 1, top.dim, "ab", "ab",
-         ((1, dcols, "b", act.sr, "a"), (-1, units, "b", top.st, "a"))),
+         ((1, dcols, "b", act.zsr, "a"), (-1, units, "b", top.zst, "a"))),
     ])
     return _report(f"crossed module {xm.name}",
                    [*check_action(act).violations, *bad])
@@ -258,10 +254,10 @@ def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
 def center_xmod(xm: CrossedModule) -> SubPair:
     """(n^q, st_q(n) & Z(q)): annihilated top part and annihilating center.
     n -> ^{q_i} n reads sl[i] and n -> n^{q_i} reads sr_t[i]; q -> ^q n_j
-    reads sl_t[j] and q -> n_j^q reads sr[j]."""
+    reads sl_t[j] and q -> n_j^q reads sr[j], each through its twin."""
     act = xm.action
-    top = annihilator(xm.top.dim, (act.sl, act.sr_t))
-    st = annihilator(xm.base.dim, (act.sl_t, act.sr))
+    top = annihilator(xm.top.dim, (act.zsl[1], act.zsr_t[1]))
+    st = annihilator(xm.base.dim, (act.zsl_t[1], act.zsr[1]))
     return SubPair(xm, top, st.intersect(center(xm.base)))
 
 
@@ -311,25 +307,26 @@ def _xmod_hom_report(f: XModHom) -> ValidityReport:
     src, tgt = f.source, f.target
     bad = [*check_hom(AlgebraHom(src.top, tgt.top, f.top_map)).violations,
            *check_hom(AlgebraHom(src.base, tgt.base, f.base_map)).violations]
-    tcols, bcols = sparse_columns(f.top_map), sparse_columns(f.base_map)
-    # base_map delta - delta' top_map, column by column
-    diff = join([("n", 1, sparse_columns(src.delta), "n", bcols, ""),
-                 ("n", -1, tcols, "n", sparse_columns(tgt.delta), "")])
-    if any(any(acc.values()) for acc in diff.values()):
-        bad.append(("delta compatibility", tuple(
-            diff.get((j,), {}).get(k, _ZERO)
-            for k in range(tgt.base.dim) for j in range(src.top.dim))))
+    tcols, bcols = f.top_map.zcols, f.base_map.zcols
+    # base_map delta - delta' top_map, column by column; the residual is
+    # the tgt.base.dim x src.top.dim matrix, row by row
+    scale, diff = join([("n", 1, src.delta.zcols, "n", bcols, ""),
+                        ("n", -1, tcols, "n", tgt.delta.zcols, "")])
+    n = src.top.dim
+    flat = {k * n + j: v for (j,), acc in diff.items() for k, v in acc.items()}
+    if any(flat.values()):
+        bad.append(("delta compatibility", _residual(flat, scale, tgt.base.dim * n)))
     # fl[i][k] = ^{f q_i} e_k and fr[j][k] = (f n_j)^{e_k}: the target
     # action expanded over f q and over f n
-    fl = _through(bcols, tgt.action.sl_t, src.base.dim, tgt.top.dim)
-    fr = _through(tcols, tgt.action.sr_t, src.top.dim, tgt.base.dim)
+    fl = _through(bcols, tgt.action.zsl_t, src.base.dim, tgt.top.dim)
+    fr = _through(tcols, tgt.action.zsr_t, src.top.dim, tgt.base.dim)
     bad += _violations({"q": src.base.basis_names, "n": src.top.basis_names}, [
         # f(^q n) - ^{f q}(f n)
         ("equivariance-left ", 0, 0, tgt.top.dim, "qn", "qn",
-         ((1, src.action.sl, "qn", tcols, ""), (-1, tcols, "n", fl, "q"))),
+         ((1, src.action.zsl, "qn", tcols, ""), (-1, tcols, "n", fl, "q"))),
         # f(n^q) - (f n)^{f q}
         ("equivariance-right ", 0, 1, tgt.top.dim, "qn", "nq",
-         ((1, src.action.sr, "nq", tcols, ""), (-1, bcols, "q", fr, "n"))),
+         ((1, src.action.zsr, "nq", tcols, ""), (-1, bcols, "q", fr, "n"))),
     ])
     return _report(f"crossed module hom {src.name} -> {tgt.name}", bad)
 

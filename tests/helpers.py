@@ -22,7 +22,7 @@ from leibxmod import algebra, xmod
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, check_leibniz
 from leibxmod.extensions import Extension
 from leibxmod.ratlin import RatMatrix, Subspace, dense, kernel, unit_vec, zero_vec
-from leibxmod.tensor import _alt_entry
+from leibxmod.tensor import _bracket_term, _symbols
 from leibxmod.xmod import CrossedModule, SubPair, XModHom, center_xmod
 
 
@@ -264,11 +264,31 @@ def central_fixture_extensions():
     ]
 
 
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _sym(dm, dn, *terms):
+    """Dense ambient vector of tensor._symbols(dm, dn, terms)."""
+    return dense(_symbols(dm, dn, terms).items(), 2 * dm * dn)
+
+
+def primary_entry(pair, i, j):
+    """The chosen bracket representative: lands in the block of symbol i."""
+    return _sym(pair.m.dim, pair.n.dim, _bracket_term(pair, i, j))
+
+
+def alt_entry(pair, i, j):
+    """The other representative, congruent to the primary one modulo the
+    relation subspace (their differences are relation rows)."""
+    return _sym(pair.m.dim, pair.n.dim, _bracket_term(pair, i, j, alt=True))
+
+
 def representatives(pres, i, j):
     """The two representatives of [symbol i, symbol j] in a presentation,
     as dense ambient vectors: the primary one read from its sparse table
     st, and the other one."""
-    return dense(pres.st[i][j], pres.ambient_dim), _alt_entry(pres.pair, i, j)
+    return dense(pres.st[i][j], pres.ambient_dim), alt_entry(pres.pair, i, j)
 
 
 def quotient_basis_lifts(pres):

@@ -24,11 +24,9 @@ from leibxmod.extensions import (
     stem_cover_of_perfect,
 )
 from leibxmod.homology import hl
-from leibxmod.ratlin import Subspace, kernel, unit_vec, vec_sub
+from leibxmod.ratlin import Subspace, kernel, unit_vec
 from leibxmod.tensor import (
     MutualActionPair,
-    _alt_entry,
-    _primary_entry,
     exterior_square_data,
     schur_multiplier,
     tensor_product,
@@ -42,6 +40,7 @@ from leibxmod.xmod import (
 )
 
 from helpers import (
+    alt_entry,
     central_fixture_extensions,
     child_env,
     fixture_algebras,
@@ -50,8 +49,10 @@ from helpers import (
     n2,
     n2_over_k,
     padded_split_extension,
+    primary_entry,
     random_leibniz_corpus,
     sl2,
+    vec_sub,
     zero_over,
 )
 
@@ -181,8 +182,8 @@ def test_criterion_6_well_definedness_suite():
                         pres.bracket_ambient(u, r)), pres.name
             for i in range(pres.ambient_dim):
                 for j in range(pres.ambient_dim):
-                    gap = vec_sub(_primary_entry(pres.pair, i, j),
-                                  _alt_entry(pres.pair, i, j))
+                    gap = vec_sub(primary_entry(pres.pair, i, j),
+                                  alt_entry(pres.pair, i, j))
                     assert pres.relations.contains_vector(gap), pres.name
             assert check_leibniz(pres.resolved).valid, pres.name
 

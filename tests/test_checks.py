@@ -22,7 +22,7 @@ from leibxmod.algebra import (
     check_leibniz,
 )
 from leibxmod.extensions import Extension
-from leibxmod.ratlin import RatMatrix, contract, sparse_table, unit_vec
+from leibxmod.ratlin import RatMatrix, contract, integer_view, sparse_table, unit_vec
 from leibxmod.xmod import (
     CrossedModule,
     XModHom,
@@ -120,7 +120,7 @@ def crossed_module_homs(draw):
 def test_contract_matches_reference(data):
     a = data.draw(algebras(max_dim=4))
     x, y = data.draw(vectors(a.dim)), data.draw(vectors(a.dim))
-    got = contract(sparse_table(a.c), x, y, a.dim)
+    got = contract(integer_view(sparse_table(a.c)), x, y, a.dim)
     assert got == ref.contract(a.c, x, y, a.dim)
     assert all(type(t) is Fraction for t in got)
 
@@ -346,8 +346,9 @@ def test_sparse_views_leave_equality_and_hashing_alone():
         assert check_leibniz(a).valid and check_xmod(xm).valid
         assert check_xmod_hom(f).valid
         act = xm.action
-        assert {"st", "st_t", "validity"} <= vars(a).keys()
-        assert {"sl", "sr", "sl_t", "sr_t", "validity"} <= vars(act).keys()
+        assert {"st", "zst", "zst_t", "validity"} <= vars(a).keys()
+        assert {"sl", "sr", "zsl", "zsr", "zsl_t", "zsr_t", "validity"} <= vars(act).keys()
+        assert "zcols" in vars(f.top_map) and "zcols" in vars(xm.delta)
         assert "validity" in vars(xm) and "validity" in vars(f)
         # a second check reads the cached report
         assert check_action(act) is check_action(act)

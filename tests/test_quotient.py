@@ -135,10 +135,17 @@ def test_factored_sweep_matches_scan_on_partial_relations():
 
 
 def _same_rows(pair):
-    # the action rows are the old ones row for row; the agreement rows
-    # come from bases of the evaluation spans, not from every symbol
-    # pair, and span the same subspace
-    assert _action_rows(pair) == ref.action_rows(pair)
+    # the action rows are the old ones row for row, each read off the
+    # integer twins as a positive int multiple of the old row; the
+    # agreement rows come from bases of the evaluation spans, not from
+    # every symbol pair, and span the same subspace
+    got, expect = _action_rows(pair), ref.action_rows(pair)
+    assert len(got) == len(expect)
+    for g, e in zip(got, expect):
+        assert all(type(t) is int for _, t in g)
+        assert [k for k, _ in g] == [k for k, _ in e]
+        ratios = {Fraction(t) / u for (_, t), (_, u) in zip(g, e)}
+        assert len(ratios) == 1 and ratios.pop() > 0
     amb = 2 * pair.m.dim * pair.n.dim
     assert (Subspace.from_sparse(amb, _agreement_rows(pair))
             == Subspace.from_sparse(amb, ref.agreement_rows(pair)))

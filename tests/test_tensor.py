@@ -12,6 +12,7 @@ from leibxmod.ratlin import (
     RatMatrix,
     Subspace,
     contract,
+    integer_view,
     kernel,
     rank,
     sparse,
@@ -327,9 +328,11 @@ def test_vanishes_matches_every_pairwise_contraction(data):
     view = sparse_table(data.draw(tables(d1, d2, d3)))
     us = [data.draw(vectors(d1)) for _ in range(data.draw(st.integers(0, 3)))]
     vs = [data.draw(vectors(d2)) for _ in range(data.draw(st.integers(0, 3)))]
-    expect = all(not any(contract(view, u, v, d3)) for u in us for v in vs)
-    assert tensor._vanishes(view, transposed(view, d2), [sparse(u) for u in us],
-                            [sparse(v) for v in vs]) == expect
+    expect = all(not any(contract(integer_view(view), u, v, d3))
+                 for u in us for v in vs)
+    assert tensor._vanishes(integer_view(transposed(view, d2)),
+                            integer_view([sparse(u) for u in us], 1),
+                            integer_view([sparse(v) for v in vs], 1)) == expect
 
 
 def test_presentation_builds_no_representative_table(monkeypatch):
@@ -432,12 +435,12 @@ def test_descent_reports_unstable_relations(monkeypatch, side):
     real = tensor._base_action_on_ambient
 
     def shifted(xm, dn):
-        maps = list(real(xm, dn))
+        den, *maps = real(xm, dn)
         amb = len(maps[side][0])
         maps[side] = tuple(tuple(_plus_unit(col, (l - 1) % amb)
                                  for l, col in enumerate(cols))
                            for cols in maps[side])
-        return tuple(maps)
+        return (den, *maps)
 
     monkeypatch.setattr(tensor, "_base_action_on_ambient", shifted)
     _raises_exactly("base action does not preserve the relations of n2(^)n2",
@@ -449,9 +452,10 @@ def test_connecting_map_reports_unpreserved_relations(monkeypatch):
     real = tensor._substitution
 
     def perturbed(src, tgt, fm, fn):
-        cols = list(real(src, tgt, fm, fn))
+        den, cols = real(src, tgt, fm, fn)
+        cols = list(cols)
         cols[0] = _plus_unit(cols[0], 0)
-        return cols
+        return den, cols
 
     monkeypatch.setattr(tensor, "_substitution", perturbed)
     _raises_exactly("connecting map does not preserve the relations",
