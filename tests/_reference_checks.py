@@ -9,6 +9,9 @@ the library's methods, so the differential tests in test_checks.py
 compare the library's sparse laws with an independent evaluation.
 center and center_xmod are the old dense centers verbatim: every
 kernel row is a dense row of the structure or action tables.
+accumulate, _entries and join are the old Fraction law evaluator
+verbatim, from before the integer twins: every value a Fraction, and
+the sums returned as they are, not scaled.
 """
 
 from fractions import Fraction
@@ -24,6 +27,86 @@ from leibxmod.algebra import (
 )
 from leibxmod.ratlin import RatMatrix, Subspace, kernel, unit_vec, vec_is_zero
 from leibxmod.xmod import CrossedModule, SubPair, XModHom
+
+
+_ZERO = Fraction(0)
+
+
+def accumulate(acc: dict, c, a, rows) -> None:
+    """acc += c * (the sum of t * rows[l] over (l, t) in a), where a and
+    each rows[l] are sparse vectors and acc maps an index to a Fraction.
+
+    For the bilinear map [., .] of a sparse table st, rows = st[i] adds
+    c * [e_i, a] and rows = transposed(st, ...)[j] adds c * [a, e_j]; with
+    rows the sparse columns of a matrix, it adds c times the image of a."""
+    for l, t in a:
+        r = rows[l]
+        if r:
+            w = c * t
+            for k, u in r:
+                acc[k] = acc.get(k, _ZERO) + w * u
+
+
+def _entries(x, depth: int) -> list:
+    """The nonempty sparse vectors of a table with depth outer indices (1
+    or 2), as (outer index tuple, vector)."""
+    if depth == 1:
+        return [((p,), a) for p, a in enumerate(x) if a]
+    return [((p, q), a) for p, row in enumerate(x) for q, a in enumerate(row) if a]
+
+
+def join(terms) -> dict:
+    """The sums of the terms of a multilinear law, over nonzero entries only.
+
+    A term (key, c, x, xs, y, ys) adds c * (x[p] through y[r]), as in
+    accumulate, for every outer index p of the sparse table x and r of the
+    sparse table y.  x has one or two outer indices, named by the letters
+    of xs; y has the rows y[r][l] with one outer index named by the letter
+    ys, or none when ys is "" (then y is itself the rows).  Each sum goes
+    to the accumulator at key, a sequence of letters and constants, with
+    every letter replaced by its index.  This is the join of sparse tensor
+    algebra: for a nonempty x[p], only the r with a nonempty y[r][l] for
+    some nonzero entry (l, t) of x[p] are visited.  A key that no product
+    reaches has no entry; its sum is zero by construction.
+
+    Returns {key tuple: accumulator}.
+    """
+    out = {}
+    meets = {}  # id(y) -> (y, {l: the r with a nonempty y[r][l]})
+    for key, c, x, xs, y, ys in terms:
+        if not ys:  # one row, at an index that no key names
+            y, ys = (y,), "_"
+        names = xs + ys
+        consts, at = [], []
+        for k in key:
+            if isinstance(k, str):
+                at.append(names.index(k))
+            else:
+                at.append(len(names) + len(consts))
+                consts.append(k)
+        consts = tuple(consts)
+        seen = meets.get(id(y))
+        if seen is None:
+            support = {}
+            for r, row in enumerate(y):
+                for l, v in enumerate(row):
+                    if v:
+                        support.setdefault(l, []).append(r)
+            seen = meets[id(y)] = (y, support)
+        support = seen[1]
+        for p, a in _entries(x, len(xs)):
+            if len(a) == 1:
+                rs = support.get(a[0][0], ())
+            else:
+                rs = set().union(*[support.get(l, ()) for l, _ in a])
+            for r in rs:
+                idx = p + (r,) + consts
+                k = tuple(idx[i] for i in at)
+                acc = out.get(k)
+                if acc is None:
+                    acc = out[k] = {}
+                accumulate(acc, c, a, y[r])
+    return out
 
 
 def _mul_vec(m: RatMatrix, v: Sequence) -> tuple:

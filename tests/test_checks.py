@@ -5,13 +5,16 @@ every report must be the same, subject, validity, and the violations in
 order with their labels and residual Fraction tuples, and every center
 the same subspaces."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_checks as ref
+from leibxmod import algebra, xmod
 from leibxmod.algebra import (
     AlgebraHom,
     LeibnizAction,
@@ -22,7 +25,15 @@ from leibxmod.algebra import (
     check_leibniz,
 )
 from leibxmod.extensions import Extension
-from leibxmod.ratlin import RatMatrix, contract, integer_view, sparse_table, unit_vec
+from leibxmod.ratlin import (
+    RatMatrix,
+    contract,
+    integer_view,
+    join,
+    rational,
+    sparse_table,
+    unit_vec,
+)
 from leibxmod.xmod import (
     CrossedModule,
     XModHom,
@@ -200,6 +211,84 @@ def test_cancelling_products_are_valid_and_one_coefficient_is_pinned():
         "  axiom2 (h,f,e): residual ('0', '0', '1')",
         "  axiom6 (f,h,e): residual ('0', '0', '-1')",
         "  axiom6 (h,h,e): residual ('2', '0', '0')"])
+
+
+# -- the integer join against the Fraction one it replaced -------------------------
+
+def _fractions(twin) -> tuple:
+    """The Fraction view of an integer twin (den, view), any depth."""
+    den, view = twin
+
+    def divided(v):
+        if v and all(e and isinstance(e[0], int) for e in v):
+            return tuple((k, Fraction(t, den)) for k, t in v)
+        return tuple(divided(e) for e in v)
+    return divided(view)
+
+
+def oracle_join(terms):
+    """The old Fraction join on the Fraction views of the twins of terms,
+    returned in the shape of join, at scale 1."""
+    return 1, ref.join([(key, c, _fractions(x), xs, _fractions(y), ys)
+                        for key, c, x, xs, y, ys in terms])
+
+
+@st.composite
+def law_terms(draw):
+    """One to three terms of mixed shapes over random rational tables with
+    mixed denominators, all-zero tables included: x with two outer indices
+    or one, y with one outer index or none."""
+    p, q, l, r, k = (draw(st.integers(0, 3)) for _ in range(5))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(st.integers(-3, 3))
+        if draw(st.booleans()):
+            x, xs, key = sparse_table(draw(tables(p, q, l))), "pq", "pqr"
+        else:
+            x, xs, key = sparse_table(draw(tables(1, p, l)))[0], "p", ("p", 1, "r")
+        if draw(st.booleans()):
+            y, ys = sparse_table(draw(tables(r, l, k))), "r"
+        else:
+            y, ys, key = sparse_table(draw(tables(1, l, k)))[0], "", key[:-1]
+        terms.append((key, c, x, xs, y, ys))
+    return terms
+
+
+@PROPERTY
+@given(law_terms())
+def test_integer_join_matches_the_fraction_oracle(terms):
+    scale, got = join([(key, c, integer_view(x, len(xs)), xs,
+                        integer_view(y, 2 if ys else 1), ys)
+                       for key, c, x, xs, y, ys in terms])
+    expect = ref.join(terms)
+    assert got.keys() == expect.keys()
+    for key, acc in got.items():
+        assert all(type(v) is int for v in acc.values())
+        assert dict(rational(acc.items(), scale)) == expect[key]
+
+
+REPORTS = {"leibniz": (algebras, algebra._leibniz_report),
+           "action": (actions, algebra._action_report),
+           "hom": (homs, algebra._hom_report),
+           "xmod": (crossed_modules, xmod._xmod_report),
+           "xmod_hom": (crossed_module_homs, xmod._xmod_hom_report)}
+
+
+@PROPERTY
+@given(st.data())
+def test_reports_match_the_fraction_oracle_join(data):
+    # the same report bodies with the integer join and with the Fraction
+    # one on the same views; the crossed module report reads the action
+    # report cached on its action, so the oracle gets a fresh action
+    draw, report = REPORTS[data.draw(st.sampled_from(sorted(REPORTS)))]
+    obj = data.draw(draw())
+    got = report(obj)
+    if isinstance(obj, CrossedModule):
+        obj = replace(obj, action=replace(obj.action))
+    with mock.patch.object(algebra, "join", oracle_join), \
+            mock.patch.object(xmod, "join", oracle_join):
+        expect = report(obj)
+    same_report(got, expect)
 
 
 # -- single-entry perturbations of the fixtures ------------------------------------

@@ -1,9 +1,15 @@
-"""Smoke test of the scaling ladder tool on its smallest rung."""
+"""Smoke test of the scaling ladder tool on its smallest rung, and the
+tables of every rung; the larger rungs themselves never run here."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from leibxmod.algebra import LeibnizAlgebra, check_leibniz, is_lie
 
 LADDER = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
 
@@ -18,6 +24,7 @@ def test_heis5_rung():
     assert (rung["square_dim"], rung["multiplier_dim"]) == (16, 15)
     assert rung["seconds"] > 0
     assert rung["hl3_seconds"] > 0
+    assert rung["hl2"] == 15
     assert proc.stdout == json.dumps(out, sort_keys=True) + "\n"
 
 
@@ -26,3 +33,28 @@ def test_unknown_rung_is_refused():
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "unknown rung 'heis4'" in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["free2-9", "tri5", "heisleib8"])
+def test_unknown_rung_near_a_new_one_is_refused(name):
+    proc = subprocess.run([sys.executable, str(LADDER), name],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"unknown rung '{name}'" in proc.stderr
+
+
+def test_every_rung_table_is_a_leibniz_algebra():
+    spec = importlib.util.spec_from_file_location("ladder", LADDER)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    dims = {}
+    for name in ladder.RUNGS:
+        c = ladder.rung_table(name)
+        a = LeibnizAlgebra(name, len(c), tuple(f"e{i + 1}" for i in range(len(c))),
+                           tuple(tuple(tuple(v) for v in row) for row in c))
+        assert check_leibniz(a).valid, name
+        assert is_lie(a) == (not name.startswith("heisleib")), name
+        dims[name] = a.dim
+    assert dims == {"heis5": 5, "heis7": 7, "heis9": 9, "heis11": 11, "sl2+sl2": 6,
+                    "sl2x5": 15, "tri6": 21, "free2-7": 28, "free2-8": 36,
+                    "heisleib16": 16, "heisleib24": 24}
