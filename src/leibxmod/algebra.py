@@ -147,11 +147,11 @@ class LeibnizAlgebra:
     @classmethod
     def from_sparse(cls, name: str, basis_names: Sequence[str], st) -> "LeibnizAlgebra":
         """The algebra whose sparse view is st, st[i][j] = ((k, t), ...)
-        sorted by k over the nonzero t: c is densified from it, and st is
-        kept as the view instead of being rebuilt from c."""
+        sorted by k over the nonzero t: c is densified from it, and its
+        integer twin is kept instead of being rebuilt from c."""
         d = len(basis_names)
         a = cls(name, d, tuple(basis_names), _densified(st, d))
-        vars(a)["st"] = st
+        vars(a)["zst"] = integer_view(st)
         return a
 
     @classmethod
@@ -165,18 +165,13 @@ class LeibnizAlgebra:
         return sparse_table(self.c)
 
     @cached_property
-    def st_t(self) -> tuple:
-        """Transposed sparse view: st_t[j][i] = st[i][j]."""
-        return transposed(self.st, self.dim)
-
-    @cached_property
     def zst(self) -> "tuple[int, tuple]":
-        """The integer twin (den, view) of st."""
-        return integer_view(self.st)
+        """The integer twin (den, view) of st, which is not kept."""
+        return integer_view(sparse_table(self.c))
 
     @cached_property
     def zst_t(self) -> "tuple[int, tuple]":
-        """The integer twin of st_t, with the denominator of zst."""
+        """The transposed twin: zst_t[1][j][i] = zst[1][i][j], same den."""
         den, view = self.zst
         return den, transposed(view, self.dim)
 
@@ -239,9 +234,10 @@ class LeibnizAction:
                     sl, sr) -> "LeibnizAction":
         """The action whose sparse views are sl and sr, entries sorted by
         index over the nonzero values: left and right are densified from
-        them, and they are kept as the views instead of being rebuilt."""
+        them, and their integer twins are kept instead of being rebuilt."""
         act = cls(actor, acted, _densified(sl, acted.dim), _densified(sr, acted.dim))
-        vars(act).update(sl=sl, sr=sr)
+        den, (zsl, zsr) = integer_view((sl, sr), 3)
+        vars(act)["_ztables"] = (den, zsl, zsr)
         return act
 
     @classmethod
@@ -267,19 +263,11 @@ class LeibnizAction:
         return sparse_table(self.right)
 
     @cached_property
-    def sl_t(self) -> tuple:
-        """Transposed: sl_t[j][i] = sl[i][j]."""
-        return transposed(self.sl, self.acted.dim)
-
-    @cached_property
-    def sr_t(self) -> tuple:
-        """Transposed: sr_t[i][j] = sr[j][i]."""
-        return transposed(self.sr, self.actor.dim)
-
-    @cached_property
     def _ztables(self) -> tuple:
-        """(den, sl twin, sr twin): one denominator for both tables."""
-        den, (sl, sr) = integer_view((self.sl, self.sr), 3)
+        """(den, sl twin, sr twin): one denominator for both tables, which
+        are not kept."""
+        den, (sl, sr) = integer_view(
+            (sparse_table(self.left), sparse_table(self.right)), 3)
         return den, sl, sr
 
     @cached_property
@@ -289,20 +277,18 @@ class LeibnizAction:
 
     @cached_property
     def zsr(self) -> "tuple[int, tuple]":
-        """The integer twin of sr."""
+        """The integer twin of sr, with the denominator of zsl."""
         return self._ztables[0], self._ztables[2]
 
     @cached_property
     def zsl_t(self) -> "tuple[int, tuple]":
-        """The integer twin of sl_t."""
-        den, view = self.zsl
-        return den, transposed(view, self.acted.dim)
+        """Transposed: zsl_t[1][j][i] = zsl[1][i][j]."""
+        return self.zsl[0], transposed(self.zsl[1], self.acted.dim)
 
     @cached_property
     def zsr_t(self) -> "tuple[int, tuple]":
-        """The integer twin of sr_t."""
-        den, view = self.zsr
-        return den, transposed(view, self.actor.dim)
+        """Transposed: zsr_t[1][i][j] = zsr[1][j][i]."""
+        return self.zsr[0], transposed(self.zsr[1], self.actor.dim)
 
     def act_left(self, mvec: Sequence, nvec: Sequence) -> tuple:
         """^x y for x in the actor, y in the acted algebra."""

@@ -116,11 +116,13 @@ def integer_view(view, depth: int = 2) -> "tuple[int, tuple]":
     for _ in range(depth):
         flat = [v for row in flat for v in row]
     den = lcm(*[t.denominator for v in flat for _, t in v])
+    seen = {}  # equal vectors of the twin share one tuple
 
     def scaled(x, d):
         if d:
             return tuple(scaled(r, d - 1) for r in x)
-        return tuple((k, t.numerator * (den // t.denominator)) for k, t in x)
+        v = tuple((k, t.numerator * (den // t.denominator)) for k, t in x)
+        return seen.setdefault(v, v)
     return den, scaled(view, depth)
 
 
@@ -128,9 +130,11 @@ def integer_entries(v: Sequence) -> "tuple[int, tuple]":
     """The integer twin (den, entries) of a dense vector: den is the lcm
     of the denominators of its nonzero entries, and entries the sparse
     int vector of den times them."""
-    nz = [(k, t) for k, t in enumerate(v) if t]
-    den = lcm(*[t.denominator for _, t in nz])
-    return den, tuple((k, t.numerator * (den // t.denominator)) for k, t in nz)
+    nz = [(k, t.numerator, t.denominator) for k, t in enumerate(v) if t]
+    den = lcm(*[d for _, _, d in nz])
+    if den == 1:
+        return 1, tuple([(k, n) for k, n, _ in nz])
+    return den, tuple([(k, n * (den // d)) for k, n, d in nz])
 
 
 def rational(entries, den: int) -> list:
@@ -301,9 +305,11 @@ class RatMatrix:
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
-    @cached_property
+    @property
     def zcols(self) -> "tuple[int, tuple]":
-        """The integer twin of the sparse columns, built once per matrix."""
+        """The integer twin of the sparse columns, built on each read: a
+        matrix is read by a law or two, while the squares that tensor
+        caches keep their matrices, and a kept twin, alive."""
         return integer_view(sparse_columns(self), 1)
 
     def column(self, j: int) -> tuple:
@@ -348,16 +354,10 @@ def _primitive(row: dict) -> dict:
     return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
-def _integer_row(nz) -> dict:
-    """A nonzero sparse rational row ((column, Fraction), ...) with its
-    denominators cleared (lcm), as a {column: int} dict with content 1."""
-    den = lcm(*[x.denominator for _, x in nz])
-    return _primitive({k: x.numerator * (den // x.denominator) for k, x in nz})
-
-
 def _integer_rows(m: RatMatrix) -> list:
-    """The nonzero rows of m as _integer_row dicts."""
-    return [_integer_row(nz) for nz in map(sparse, m.entries) if nz]
+    """The nonzero rows of m with their denominators cleared (lcm), as
+    {column: int} dicts with content 1."""
+    return [_primitive(dict(z)) for _, z in map(integer_entries, m.entries) if z]
 
 
 def _cancel(row: dict, piv: dict, c: int) -> dict:
@@ -451,14 +451,6 @@ class Subspace:
                 raise ValueError("vector length differs from ambient dimension")
         return cls(ambient_dim,
                    *rref(RatMatrix(len(rows), ambient_dim, tuple(rows))))
-
-    @classmethod
-    def from_sparse(cls, ambient_dim: int, rows: Iterable) -> "Subspace":
-        """The span of sparse vectors ((index, Fraction), ...) with nonzero
-        values and indices below ambient_dim; they go to the elimination
-        as they are, without a dense copy."""
-        return cls(ambient_dim, *_normalised(
-            _eliminate([_integer_row(r) for r in rows if r]), ambient_dim))
 
     @classmethod
     def from_integer_rows(cls, ambient_dim: int, rows: Iterable) -> "Subspace":
@@ -606,31 +598,33 @@ class QuotientMap:
     the pivot rows' combination at v's pivot coordinates, which is the
     free part of v reduced by the relations; so the kernel is exactly
     the relation subspace, and lifting e_k is the ambient unit at free[k].
-    The maps run on integer twins: zimages, the images times one common
-    denominator (the lcm of the pivots of the integer echelon rows), and
-    zrows, each RREF row made a primitive int row; a value is divided
-    only when it leaves as a quotient-level Fraction.
+    The map holds them as integer twins: zimages = (den, den * images),
+    den the lcm of the pivots of the integer echelon rows, and zrows,
+    each RREF row as a primitive int row; rows and images are built from
+    them only on request, and a value is divided only when it leaves as
+    a quotient-level Fraction.
     """
 
     ambient_dim: int
     relations: Subspace
     free: tuple
-    rows: tuple
-    images: tuple
+    zrows: tuple
+    zimages: tuple
 
     @property
     def dim(self) -> int:
         return len(self.free)
 
     @cached_property
-    def zimages(self) -> "tuple[int, tuple]":
-        """The integer twin (den, images) of images."""
-        return integer_view(self.images, 1)
+    def rows(self) -> tuple:
+        """The RREF rows of the relations, as sparse vectors."""
+        return tuple(sparse(row) for row in self.relations.basis.entries)
 
     @cached_property
-    def zrows(self) -> tuple:
-        """The relation rows as primitive sparse int rows, same span."""
-        return tuple(integer_view(r, 0)[1] for r in self.rows)
+    def images(self) -> tuple:
+        """The sparse images of the ambient columns, as Fractions."""
+        den, images = self.zimages
+        return tuple(tuple(rational(v, den)) for v in images)
 
     def integer_image(self, a) -> dict:
         """den times the image of the sparse vector a, for den of zimages,
@@ -685,13 +679,15 @@ def quotient(ambient_dim: int, r: Subspace) -> QuotientMap:
     pivset = set(r.pivots)
     free = tuple(c for c in range(ambient_dim) if c not in pivset)
     position = {f: k for k, f in enumerate(free)}
-    rows = tuple(sparse(row) for row in r.basis.entries)
+    rows = [integer_entries(row) for row in r.basis.entries]
+    den = lcm(*[d for d, _ in rows])  # row d is d times an RREF row
     images = [None] * ambient_dim
     for k, f in enumerate(free):
-        images[f] = ((k, ONE),)
-    for p, row in zip(r.pivots, rows):
-        images[p] = tuple((position[c], -t) for c, t in row if c != p)
-    return QuotientMap(ambient_dim, r, free, rows, tuple(images))
+        images[f] = ((k, den),)
+    for p, (d, row) in zip(r.pivots, rows):
+        images[p] = tuple((position[c], -t * (den // d)) for c, t in row if c != p)
+    return QuotientMap(ambient_dim, r, free, tuple(row for _, row in rows),
+                       (den, tuple(images)))
 
 
 def solve(m: RatMatrix, rhs: Sequence) -> tuple:

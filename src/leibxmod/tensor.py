@@ -182,18 +182,12 @@ def _view(twin) -> tuple:
     return tuple(tuple(_row(dict(rational(v, den))) for v in row) for row in table)
 
 
-def _basis(vectors) -> list:
-    """A basis of the span of sparse int vectors, as sparse int vectors
-    (see ratlin.integer_basis)."""
-    return integer_basis(vectors)
-
-
 def _pair_basis(du: int, dv: int, pairs) -> list:
     """A basis of the span of the vectors (u, v) of X + Y, for sparse int
     vectors u of X = QQ^du and v of Y = QQ^dv, as pairs of sparse int
     vectors."""
     return [_pair_parts(du, w)
-            for w in _basis([u + tuple((du + k, t) for k, t in v) for u, v in pairs])]
+            for w in integer_basis([u + tuple((du + k, t) for k, t in v) for u, v in pairs])]
 
 
 def _pair_parts(du: int, w) -> tuple:
@@ -412,10 +406,10 @@ def _well_defined(pair: MutualActionPair, qmap: QuotientMap) -> bool:
     gs = [(_row(_image(r, ev[0])), _row(_image(r, ev[1]))) for r in qmap.zrows]
     tests = [((1, 0, a, d), (1, 1, b, c))
              for a, b in _pair_basis(dm, dn, ls) for c, d in pair.evaluation_basis]
-    tests += [((1, 0, u, v),) for u in _basis(ev[0][:half])
-              for v in _basis([g for _, g in gs])]
-    tests += [((1, 1, u, v),) for u in _basis(ev[1][half:])
-              for v in _basis([g for g, _ in gs])]
+    tests += [((1, 0, u, v),) for u in integer_basis(ev[0][:half])
+              for v in integer_basis([g for _, g in gs])]
+    tests += [((1, 1, u, v),) for u in integer_basis(ev[1][half:])
+              for v in integer_basis([g for g, _ in gs])]
     return all(qmap.kills(_symbols(dm, dn, t).items()) for t in tests)
 
 
@@ -612,18 +606,22 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     # evaluation maps on ambient symbols: q * n -> ^q n, n * q -> n^q,
     # and q * q' -> [q, q'] on both blocks; both evaluate into the second
     # factor through the base action, which is side 1's first factor.  On
-    # the quotient, column j is the evaluation of the free symbol free[j]
-    lam_amb, mu_amb = qn.pair.evaluations[1], qq.pair.evaluations[1]
+    # the quotient, column j is the evaluation of the free symbol free[j];
+    # lam and mu are the integer twins of those columns
+    (_, dlam), ev = qn.pair.zevaluations
+    lam = (dlam, [ev[1][f] for f in qn.qmap.free])
     for r in qn.qmap.zrows:
-        if any(_image(r, qn.pair.zevaluations[1][1]).values()):
+        if any(_image(r, ev[1]).values()):
             raise AssertionError("top evaluation map does not kill the relations")
+    (_, dmu), ev = qq.pair.zevaluations
+    mu = (dmu, [ev[1][f] for f in qq.qmap.free])
     for r in qq.qmap.zrows:
-        if any(_image(r, qq.pair.zevaluations[1][1]).values()):
+        if any(_image(r, ev[1]).values()):
             raise AssertionError("base evaluation map does not kill the relations")
     lambda_n = AlgebraHom(qn.resolved, n, RatMatrix.from_sparse_columns(
-        [lam_amb[f] for f in qn.qmap.free], dn))
+        [rational(v, dlam) for v in lam[1]], dn))
     mu_q = AlgebraHom(qq.resolved, q, RatMatrix.from_sparse_columns(
-        [mu_amb[f] for f in qq.qmap.free], dq))
+        [rational(v, dmu) for v in mu[1]], dq))
 
     # connecting map on symbols: q_a * n_b -> q_a * dn_b, n_b * q_a -> dn_b * q_a
     idd_amb = _substitution(qn, qq, RatMatrix.identity(dq), xm.delta)
@@ -637,12 +635,11 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     base_on_top = LeibnizAction.from_sparse(
         q, qn.resolved, *_descend_action(qn, *_base_action_on_ambient(xm, dn), dq))
     # ^{mu(x)} e_j and e_j^{mu(x)}, through the sparse columns of mu
-    mus = integer_view([mu_amb[f] for f in qq.qmap.free], 1)
     dt = qn.resolved.dim
     action = LeibnizAction.from_sparse(
         qq.resolved, qn.resolved,
-        _view(_through(mus, base_on_top.zsl_t, len(mus[1]), dt)),
-        transposed(_view(_through(mus, base_on_top.zsr, len(mus[1]), dt)), dt))
+        _view(_through(mu, base_on_top.zsl_t, len(mu[1]), dt)),
+        transposed(_view(_through(mu, base_on_top.zsr, len(mu[1]), dt)), dt))
 
     induced = CrossedModule(f"({qn.name},{qq.name})", qn.resolved, qq.resolved,
                             id_wedge_delta.matrix, action)

@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_quotient as ref
-from leibxmod.ratlin import RatMatrix, Subspace, quotient, sparse, transposed, unit_vec
+from leibxmod.ratlin import (
+    RatMatrix,
+    Subspace,
+    dense,
+    quotient,
+    sparse,
+    transposed,
+    unit_vec,
+)
 from leibxmod.algebra import LeibnizAction
 from leibxmod.tensor import (
     MutualActionPair,
@@ -147,8 +155,8 @@ def _same_rows(pair):
         ratios = {Fraction(t) / u for (_, t), (_, u) in zip(g, e)}
         assert len(ratios) == 1 and ratios.pop() > 0
     amb = 2 * pair.m.dim * pair.n.dim
-    assert (Subspace.from_sparse(amb, _agreement_rows(pair))
-            == Subspace.from_sparse(amb, ref.agreement_rows(pair)))
+    assert (Subspace.from_integer_rows(amb, _agreement_rows(pair))
+            == Subspace.from_vectors(amb, [dense(r, amb) for r in ref.agreement_rows(pair)]))
 
 
 def test_defining_rows_match_every_candidate_on_corpus():

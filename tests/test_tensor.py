@@ -352,19 +352,23 @@ def test_presentation_builds_no_representative_table(monkeypatch):
 
 def test_views_built_from_sparse_images_equal_the_views_of_the_tables():
     # the resolved squares, the actions on them and the multiplier keep the
-    # sparse views they were built from; a rescan of their dense tables
-    # gives the same views, and equality reads only the dense fields
+    # integer twins of the sparse views they were built from; a rescan of
+    # their dense tables gives the same views and twins, and equality reads
+    # only the dense fields
     for xm in (CrossedModule.adjoint_identity(n2()),
                CrossedModule.adjoint_identity(heis3()),
                CrossedModule.adjoint_identity(sl2()), zero_over(n2())):
         esd = exterior_square_data(xm)
         mult, _ = schur_multiplier(xm)
         for a in (esd.qn.resolved, esd.qq.resolved, mult.top, mult.base):
-            assert vars(a)["st"] == sparse_table(a.c)
+            assert vars(a)["zst"] == integer_view(sparse_table(a.c))
+            assert a.st == sparse_table(a.c)
             assert a == LeibnizAlgebra(a.name, a.dim, a.basis_names, a.c)
         for act in (esd.action, mult.action):
-            assert vars(act)["sl"] == sparse_table(act.left)
-            assert vars(act)["sr"] == sparse_table(act.right)
+            den, sl, sr = vars(act)["_ztables"]
+            assert (den, (sl, sr)) == integer_view(
+                (sparse_table(act.left), sparse_table(act.right)), 3)
+            assert (act.sl, act.sr) == (sparse_table(act.left), sparse_table(act.right))
             assert act == LeibnizAction(act.actor, act.acted, act.left, act.right)
 
 
