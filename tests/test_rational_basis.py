@@ -16,7 +16,7 @@ from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, check_leibniz
 from leibxmod.extensions import Extension, classify
 from leibxmod.homology import hl
 from leibxmod.ratlin import RatMatrix
-from leibxmod.tensor import schur_multiplier
+from leibxmod.tensor import exterior_square_data, schur_multiplier
 from leibxmod.xmod import CrossedModule, XModHom, check_xmod
 
 from helpers import central_fixture_extensions, fixture_algebras
@@ -84,6 +84,22 @@ def test_multiplier_and_homology_survive_a_rational_basis(data):
     ma, mb = schur_multiplier(xm)[0], schur_multiplier(xb)[0]
     assert (ma.top.dim, ma.base.dim) == (mb.top.dim, mb.base.dim)
     assert hl(a, 2) == hl(b, 2)
+
+
+@PROPERTY
+@given(st.data())
+def test_crossed_module_squares_survive_rational_bases(data):
+    # top and base rebased apart, so that delta, the action and the base
+    # have twins with different denominators
+    xm = data.draw(st.sampled_from([e.total for e in central_fixture_extensions()]))
+    xb = rebased_xmod(xm, data.draw(rational_bases(xm.top.dim)),
+                      data.draw(rational_bases(xm.base.dim)))
+    assert check_xmod(xb).valid
+    ea, eb = exterior_square_data(xm), exterior_square_data(xb)
+    assert ((ea.qn.resolved.dim, ea.qq.resolved.dim)
+            == (eb.qn.resolved.dim, eb.qq.resolved.dim))
+    ma, mb = schur_multiplier(xm)[0], schur_multiplier(xb)[0]
+    assert (ma.top.dim, ma.base.dim) == (mb.top.dim, mb.base.dim)
 
 
 def test_a_rational_basis_scales_the_twins():
