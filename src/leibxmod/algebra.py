@@ -14,7 +14,8 @@ of every table and of its transpose (see ``ratlin.sparse_table``), and
 brackets, actions and the laws below read only those views, through
 their integer twins (``ratlin.integer_view``: one positive denominator
 per algebra, per action and per matrix, and int entries; ``zst``,
-``zsl``, ``RatMatrix.zcols`` and so on), also built once.  An object
+``zsl``, ``RatMatrix.zcols`` and so on), the tables' twins also built
+once.  An object
 built from sparse views (``from_sparse``) keeps them instead of
 rescanning the dense tables it was given.  Validity is always a report,
 not a boolean: downstream debugging needs the violating triple and its

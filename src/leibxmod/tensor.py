@@ -319,6 +319,11 @@ class QuotientPresentation:
         built on first use."""
         return _representatives(self.pair)
 
+    @cached_property
+    def zst(self) -> "tuple[int, tuple]":
+        """The integer twin of st, built on first use."""
+        return integer_view(self.st)
+
     def mn_index(self, a: int, b: int) -> int:
         return _index(self.pair.m.dim, self.pair.n.dim, 0, a, b)
 
@@ -335,7 +340,7 @@ class QuotientPresentation:
 
     def bracket_ambient(self, x, y) -> tuple:
         """Bilinear extension of the representative table."""
-        return contract(integer_view(self.st), x, y, self.ambient_dim)
+        return contract(self.zst, x, y, self.ambient_dim)
 
 
 def _symbol_names(pair: MutualActionPair) -> tuple:
