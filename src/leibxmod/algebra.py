@@ -271,12 +271,12 @@ class LeibnizAction:
             (sparse_table(self.left), sparse_table(self.right)), 3)
         return den, sl, sr
 
-    @cached_property
+    @property
     def zsl(self) -> "tuple[int, tuple]":
         """The integer twin of sl."""
         return self._ztables[:2]
 
-    @cached_property
+    @property
     def zsr(self) -> "tuple[int, tuple]":
         """The integer twin of sr, with the denominator of zsl."""
         return self._ztables[0], self._ztables[2]
