@@ -9,24 +9,24 @@ structure constants c[i][j] = coordinates of [e_i, e_j]; a Leibniz
 action of one algebra on another is a pair of trilinear tables (left
 ^m n and right n^m) subject to six compatibility axioms.  The tables
 are the dense fields that define equality, hashing and the fixture
-format; each object also builds, once and on first use, a sparse view
-of every table and of its transpose (see ``ratlin.sparse_table``), and
-brackets, actions and the laws below read only those views, through
-their integer twins (``ratlin.integer_view``: one positive denominator
-per algebra, per action and per matrix, and int entries; ``zst``,
-``zsl``, ``RatMatrix.zcols`` and so on), the tables' twins also built
-once.  An object
-built from sparse views (``from_sparse``) keeps them instead of
-rescanning the dense tables it was given.  Validity is always a report,
-not a boolean: downstream debugging needs the violating triple and its
-residual.  A law covers every basis pair or triple, but it is evaluated
-term by term: each term is joined over the nonzero entries of its
-twins (``ratlin.join``) into int residuals, all at one scale and keyed
-by the law's report order, so a pair or triple that no nonzero product
-reaches costs nothing, and only a nonzero residual is divided by the
-scale and becomes a dense tuple of Fractions.  Each object's report is
-a cached property (``validity``), evaluated once per object and kept
-outside the dataclass fields.
+format.  Brackets, actions and the laws below read the integer twin of
+the sparse view of every table (see ``ratlin.sparse_table`` and
+``ratlin.integer_view``: one positive denominator per algebra, per
+action and per matrix, and int entries), and of its transpose: ``zst``,
+``zst_t``, ``zsl``, ``zsr``, ``zsl_t``, ``zsr_t`` and
+``RatMatrix.zcols``.  An object builds the twins of its tables once, on
+first use, and the Fraction views ``st``, ``sl`` and ``sr`` only on
+request; an object built from twins (``from_sparse``) keeps them instead
+of rescanning the dense tables densified from them.  Validity is always
+a report, not a boolean: downstream debugging needs the violating
+triple and its residual.  A law covers every basis pair or triple, but
+it is evaluated term by term: each term is joined over the nonzero
+entries of its twins (``ratlin.join``) into int residuals, all at one
+scale and keyed by the law's report order, so a pair or triple that no
+nonzero product reaches costs nothing, and only a nonzero residual is
+divided by the scale and becomes a dense tuple of Fractions.  Each
+object's report is a cached property (``validity``), evaluated once per
+object and kept outside the dataclass fields.
 """
 
 from __future__ import annotations
@@ -116,11 +116,13 @@ def _through(cols, rows_t, n: int, m: int) -> tuple:
                               for k in range(m)) for i in range(n))
 
 
-def _densified(view, d: int) -> tuple:
-    """The dense table of length-d vectors with the given sparse view,
-    every empty entry one shared zero vector."""
+def _densified(twin, d: int) -> tuple:
+    """The dense table of length-d vectors whose sparse view has the
+    integer twin (den, view), every empty entry one shared zero vector."""
+    den, view = twin
     z = zero_vec(d)
-    return tuple(tuple(dense(v, d) if v else z for v in row) for row in view)
+    return tuple(tuple(dense(rational(v, den), d) if v else z for v in row)
+                 for row in view)
 
 
 @dataclass(frozen=True)
@@ -146,19 +148,20 @@ class LeibnizAlgebra:
         return cls(name, d, tuple(basis_names), c)
 
     @classmethod
-    def from_sparse(cls, name: str, basis_names: Sequence[str], st) -> "LeibnizAlgebra":
-        """The algebra whose sparse view is st, st[i][j] = ((k, t), ...)
-        sorted by k over the nonzero t: c is densified from it, and its
-        integer twin is kept instead of being rebuilt from c."""
+    def from_sparse(cls, name: str, basis_names: Sequence[str], zst) -> "LeibnizAlgebra":
+        """The algebra whose sparse view has the integer twin zst = (den,
+        view), view[i][j] = ((k, den * t), ...) sorted by k over the
+        nonzero t, for any positive int den: c is densified from it, and
+        zst is kept instead of being rebuilt from c."""
         d = len(basis_names)
-        a = cls(name, d, tuple(basis_names), _densified(st, d))
-        vars(a)["zst"] = integer_view(st)
+        a = cls(name, d, tuple(basis_names), _densified(zst, d))
+        vars(a)["zst"] = zst
         return a
 
     @classmethod
     def abelian(cls, name: str, dim: int, basis_names=None) -> "LeibnizAlgebra":
         names = tuple(basis_names) if basis_names else tuple(f"e{i+1}" for i in range(dim))
-        return cls.from_sparse(name, names, (((),) * dim,) * dim)
+        return cls.from_sparse(name, names, (1, (((),) * dim,) * dim))
 
     @cached_property
     def st(self) -> tuple:
@@ -232,18 +235,20 @@ class LeibnizAction:
 
     @classmethod
     def from_sparse(cls, actor: LeibnizAlgebra, acted: LeibnizAlgebra,
-                    sl, sr) -> "LeibnizAction":
-        """The action whose sparse views are sl and sr, entries sorted by
-        index over the nonzero values: left and right are densified from
-        them, and their integer twins are kept instead of being rebuilt."""
-        act = cls(actor, acted, _densified(sl, acted.dim), _densified(sr, acted.dim))
-        den, (zsl, zsr) = integer_view((sl, sr), 3)
-        vars(act)["_ztables"] = (den, zsl, zsr)
+                    den: int, sl, sr) -> "LeibnizAction":
+        """The action whose sparse views are sl / den and sr / den, for int
+        views sl and sr with entries sorted by index over the nonzero
+        values and a positive int den: left and right are densified from
+        them, and they are kept as the integer twins instead of being
+        rebuilt."""
+        act = cls(actor, acted, _densified((den, sl), acted.dim),
+                  _densified((den, sr), acted.dim))
+        vars(act)["_ztables"] = (den, sl, sr)
         return act
 
     @classmethod
     def trivial(cls, actor: LeibnizAlgebra, acted: LeibnizAlgebra) -> "LeibnizAction":
-        return cls.from_sparse(actor, acted, (((),) * acted.dim,) * actor.dim,
+        return cls.from_sparse(actor, acted, 1, (((),) * acted.dim,) * actor.dim,
                                (((),) * actor.dim,) * acted.dim)
 
     @classmethod

@@ -8,9 +8,10 @@ what the public objects store and print.  The hot paths run sparse and
 on plain ints.  A sparse vector is ``((index, value), ...)`` (or the
 items of a ``{index: value}`` accumulator), and structure and action
 tables are read through sparse views, ``st[i][j] = ((k, t), ...)`` over
-the nonzero ``t``.  Each view has an integer twin (``integer_view``):
-one positive denominator, the lcm of the denominators of its values,
-and the same view with every value times that denominator, so an int.
+the nonzero ``t``.  Each view has an integer twin: one positive
+denominator (``integer_view`` takes the lcm of the denominators of the
+view's values) and the same view with every value times that
+denominator, so an int.
 ``accumulate`` is the one step behind ``contract``, the bilinear
 contraction, behind quotient maps and behind ``join``, which evaluates
 the runtime-checked laws term by term over twins: each term is scaled

@@ -176,10 +176,10 @@ def _row(acc: dict) -> tuple:
 
 
 def _view(twin) -> tuple:
-    """The sparse view of the integer twin (den, table), divided by den:
-    each entry sorted by index, with its zero values dropped."""
+    """The integer twin (den, table) with each entry sorted by index and
+    its zero values dropped."""
     den, table = twin
-    return tuple(tuple(_row(dict(rational(v, den))) for v in row) for row in table)
+    return den, tuple(tuple(_row(dict(v)) for v in row) for row in table)
 
 
 def _pair_basis(du: int, dv: int, pairs) -> list:
@@ -377,10 +377,11 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
     names = _symbol_names(pair)
     free = qmap.free
     (d0, d1), zev = pair.zevaluations
-    c = tuple(tuple(_row(qmap.image(
-        _symbols(dm, dn, (_bracket_term(pair, x, y, ev=zev),)).items(), d0 * d1))
+    c = tuple(tuple(_row(qmap.integer_image(
+        _symbols(dm, dn, (_bracket_term(pair, x, y, ev=zev),)).items()))
         for y in free) for x in free)
-    resolved = LeibnizAlgebra.from_sparse(name, tuple(names[f] for f in free), c)
+    resolved = LeibnizAlgebra.from_sparse(name, tuple(names[f] for f in free),
+                                          (qmap.zimages[0] * d0 * d1, c))
     rep = check_leibniz(resolved)
     if not rep.valid:
         raise AssertionError(f"{name} lost the Leibniz identity:\n{rep.summary()}")
@@ -579,8 +580,8 @@ def _descend_action(pres: QuotientPresentation, den: int, left, right, dq: int):
     """Push an ambient action of the base down to the resolved quotient,
     asserting the relation subspace is stable.  left[i] and right[i] are
     den times the sparse columns of the two ambient maps of basis element
-    i, as int vectors.  Returns the sparse views (sl, sr) of the action on
-    the quotient, divided by den."""
+    i, as int vectors.  Returns (den', sl, sr): sl and sr are den' times
+    the sparse views of the action on the quotient, as int views."""
     qm = pres.qmap
     for i in range(dq):
         for r in qm.zrows:
@@ -590,9 +591,10 @@ def _descend_action(pres: QuotientPresentation, den: int, left, right, dq: int):
             if not _preserves(qm, r, right[i]):
                 raise AssertionError(
                     f"base action does not preserve the relations of {pres.name}")
-    return (tuple(tuple(_row(qm.image(left[i][f], den)) for f in qm.free)
+    return (qm.zimages[0] * den,
+            tuple(tuple(_row(qm.integer_image(left[i][f])) for f in qm.free)
                   for i in range(dq)),
-            tuple(tuple(_row(qm.image(right[i][f], den)) for i in range(dq))
+            tuple(tuple(_row(qm.integer_image(right[i][f])) for i in range(dq))
                   for f in qm.free))
 
 
@@ -639,12 +641,13 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     # action of the base on the top square, then pulled back through mu
     base_on_top = LeibnizAction.from_sparse(
         q, qn.resolved, *_descend_action(qn, *_base_action_on_ambient(xm, dn), dq))
-    # ^{mu(x)} e_j and e_j^{mu(x)}, through the sparse columns of mu
+    # ^{mu(x)} e_j and e_j^{mu(x)}, through the sparse columns of mu; both
+    # at the scale of mu times that of the base action
     dt = qn.resolved.dim
-    action = LeibnizAction.from_sparse(
-        qq.resolved, qn.resolved,
-        _view(_through(mu, base_on_top.zsl_t, len(mu[1]), dt)),
-        transposed(_view(_through(mu, base_on_top.zsr, len(mu[1]), dt)), dt))
+    den, sl = _view(_through(mu, base_on_top.zsl_t, len(mu[1]), dt))
+    _, sr = _view(_through(mu, base_on_top.zsr, len(mu[1]), dt))
+    action = LeibnizAction.from_sparse(qq.resolved, qn.resolved, den, sl,
+                                       transposed(sr, dt))
 
     induced = CrossedModule(f"({qn.name},{qq.name})", qn.resolved, qq.resolved,
                             id_wedge_delta.matrix, action)
