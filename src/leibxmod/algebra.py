@@ -26,7 +26,14 @@ scale and keyed by the law's report order, so a pair or triple that no
 nonzero product reaches costs nothing, and only a nonzero residual is
 divided by the scale and becomes a dense tuple of Fractions.  Each
 object's report is a cached property (``validity``), evaluated once per
-object and kept outside the dataclass fields.
+object and kept outside the dataclass fields.  Ideals, spans of
+brackets and actions, and the multiplier's laws in ``tensor`` read the
+twins through one pairwise product (``_pairwise``): the values of a
+bilinear map on every pair of basis vectors of two subspaces, as int
+vectors, from one join.  An action pulled back through a map into its
+actor is read through the twins too (``_pulled_back``).  The dense
+``bracket``, ``act_left`` and ``act_right`` remain public conveniences
+on dense vectors.
 """
 
 from __future__ import annotations
@@ -38,13 +45,14 @@ from typing import Sequence
 from .ratlin import (
     RatMatrix,
     Subspace,
+    _row,
     contract,
     dense,
     integer_view,
     join,
     quotient,
-    rat,
     rational,
+    sparse,
     sparse_kernel,
     sparse_table,
     transposed,
@@ -109,11 +117,31 @@ def _violations(names: dict, laws) -> list:
 def _through(cols, rows_t, n: int, m: int) -> tuple:
     """The integer twin of the sparse table out[i][k] = the sum over
     (l, x) in cols[i] of x * T[l][k], for i < n and k < m, where
-    rows_t[k][l] = T[l][k], from the twins cols and rows_t: the rows of a
-    law term whose outer element is itself a combination."""
+    rows_t[k][l] = T[l][k], from the twins cols and rows_t, each entry
+    sorted by index over its nonzero values: the rows of a law term whose
+    outer element is itself a combination, or a table pulled back."""
     scale, accs = join([("ik", 1, cols, "i", rows_t, "k")])
-    return scale, tuple(tuple(tuple(accs[i, k].items()) if (i, k) in accs else ()
+    return scale, tuple(tuple(_row(accs[i, k]) if (i, k) in accs else ()
                               for k in range(m)) for i in range(n))
+
+
+def _pairwise(table_t, us, vs) -> list:
+    """The nonzero values f(u, v) of the bilinear map f with f(e_i, e_j)
+    = table[i][j], over the pairs (u, v) of the sparse vectors of us and
+    vs, as sparse int vectors at one positive scale, for the integer
+    twins table_t (of the transposed view table_t[j][i] = table[i][j]),
+    us and vs: each u goes through table_t once into the rows f(u, e_j),
+    and every v through those rows in one join.  The one pairwise product
+    behind spans of brackets and actions, crossed-ideal closures and the
+    multiplier's laws."""
+    rows = _through(us, table_t, len(us[1]), len(table_t[1]))
+    return [r for r in map(_row, join([("pq", 1, vs, "q", rows, "p")])[1].values())
+            if r]
+
+
+def _twin(s: Subspace) -> tuple:
+    """The integer twin of the canonical basis of s, as sparse vectors."""
+    return integer_view([sparse(u) for u in s.basis.entries], 1)
 
 
 def _densified(twin, d: int) -> tuple:
@@ -310,6 +338,17 @@ class LeibnizAction:
         return _action_report(self)
 
 
+def _pulled_back(act: LeibnizAction, actor: LeibnizAlgebra, cols) -> LeibnizAction:
+    """The action of actor on act.acted through a map f of actor into
+    act.actor, ^x n = ^{f x} n and n^x = n^{f x}, for the integer twin
+    cols of the sparse columns of f: both tables are read through the
+    twins of act, at one scale, and kept as the twins of the result."""
+    d = act.acted.dim
+    den, sl = _through(cols, act.zsl_t, actor.dim, d)
+    _, sr = _through(cols, act.zsr, actor.dim, d)
+    return LeibnizAction.from_sparse(actor, act.acted, den, sl, transposed(sr, d))
+
+
 def check_action(act: LeibnizAction) -> ValidityReport:
     """All six action axioms evaluated on basis triples.
 
@@ -412,8 +451,7 @@ def span_brackets(a: LeibnizAlgebra, X: Subspace, Y: Subspace) -> Subspace:
     """Linear span of {[x, y] : x in X, y in Y} (basis pairs suffice)."""
     if X.ambient_dim != a.dim or Y.ambient_dim != a.dim:
         raise ValueError("subspace/algebra dimension mismatch")
-    out = [a.bracket(x, y) for x in X.basis.entries for y in Y.basis.entries]
-    return Subspace.from_vectors(a.dim, out)
+    return Subspace.from_integer_rows(a.dim, _pairwise(a.zst_t, _twin(X), _twin(Y)))
 
 
 def annihilator(dim: int, views) -> Subspace:

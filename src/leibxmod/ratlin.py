@@ -152,6 +152,12 @@ def dense(entries, dim: int) -> tuple:
     return tuple(out)
 
 
+def _row(acc: dict) -> tuple:
+    """The nonzero entries of an accumulator, as a sparse vector sorted
+    by index."""
+    return tuple(sorted((k, t) for k, t in acc.items() if t))
+
+
 def accumulate(acc: dict, c, a, rows) -> None:
     """acc += c * (the sum of t * rows[l] over (l, t) in a), where a and
     each rows[l] are sparse vectors and acc maps an index to a value: an

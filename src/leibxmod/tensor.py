@@ -39,7 +39,9 @@ from .algebra import (
     AlgebraHom,
     LeibnizAction,
     LeibnizAlgebra,
-    _through,
+    _pairwise,
+    _pulled_back,
+    _twin,
     check_action,
     check_hom,
     check_leibniz,
@@ -48,20 +50,19 @@ from .ratlin import (
     QuotientMap,
     RatMatrix,
     Subspace,
+    _row,
     accumulate,
     contract,
     dense,
     integer_basis,
     integer_entries,
     integer_view,
-    join,
     kernel,
     quotient,
     rank,
     rational,
     sparse,
     transposed,
-    unit_vec,
 )
 from .xmod import (
     CrossedModule,
@@ -146,13 +147,7 @@ def _through_base(x: CrossedModule, y: CrossedModule) -> LeibnizAction:
     sparse views and validity report."""
     if x.top == x.base and x.delta == RatMatrix.identity(x.base.dim):
         return y.action
-    m, n = x.top, y.top
-    return LeibnizAction(
-        m, n,
-        tuple(tuple(y.action.act_left(x.delta.column(a), unit_vec(n.dim, b))
-                    for b in range(n.dim)) for a in range(m.dim)),
-        tuple(tuple(y.action.act_right(unit_vec(n.dim, b), x.delta.column(a))
-                    for a in range(m.dim)) for b in range(n.dim)))
+    return _pulled_back(y.action, x.top, x.delta.zcols)
 
 
 # ambient layout: two mirrored blocks.  Side 0 is (X, Y) = (m, n) and side
@@ -167,19 +162,6 @@ def _legs(dm: int, dn: int, k: int) -> tuple:
     """Decode ambient index k to (block, x, y)."""
     s, r = divmod(k, dm * dn)
     return (s,) + divmod(r, (dn, dm)[s])
-
-
-def _row(acc: dict) -> tuple:
-    """The nonzero entries of an accumulator, as a sparse vector sorted
-    by index."""
-    return tuple(sorted((k, t) for k, t in acc.items() if t))
-
-
-def _view(twin) -> tuple:
-    """The integer twin (den, table) with each entry sorted by index and
-    its zero values dropped."""
-    den, table = twin
-    return den, tuple(tuple(_row(dict(v)) for v in row) for row in table)
 
 
 def _pair_basis(du: int, dv: int, pairs) -> list:
@@ -641,13 +623,7 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     # action of the base on the top square, then pulled back through mu
     base_on_top = LeibnizAction.from_sparse(
         q, qn.resolved, *_descend_action(qn, *_base_action_on_ambient(xm, dn), dq))
-    # ^{mu(x)} e_j and e_j^{mu(x)}, through the sparse columns of mu; both
-    # at the scale of mu times that of the base action
-    dt = qn.resolved.dim
-    den, sl = _view(_through(mu, base_on_top.zsl_t, len(mu[1]), dt))
-    _, sr = _view(_through(mu, base_on_top.zsr, len(mu[1]), dt))
-    action = LeibnizAction.from_sparse(qq.resolved, qn.resolved, den, sl,
-                                       transposed(sr, dt))
+    action = _pulled_back(base_on_top, qq.resolved, mu)
 
     induced = CrossedModule(f"({qn.name},{qq.name})", qn.resolved, qq.resolved,
                             id_wedge_delta.matrix, action)
@@ -677,12 +653,11 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
     esd = exterior_square_data(xm)
     kt = kernel(esd.lambda_n.matrix)
     kb = kernel(esd.mu_q.matrix)
-    kts = integer_view([sparse(u) for u in kt.basis.entries], 1)
-    kbs = integer_view([sparse(u) for u in kb.basis.entries], 1)
+    kts, kbs = _twin(kt), _twin(kb)
     sq_top, sq_base, act = esd.qn.resolved, esd.qq.resolved, esd.action
-    if not _vanishes(sq_top.zst_t, kts, kts):
+    if _pairwise(sq_top.zst_t, kts, kts):
         raise AssertionError("multiplier top is not abelian")
-    if not _vanishes(sq_base.zst_t, kbs, kbs):
+    if _pairwise(sq_base.zst_t, kbs, kbs):
         raise AssertionError("multiplier base is not abelian")
     dcols = []
     for u in kt.basis.entries:
@@ -690,7 +665,7 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
         if not kb.contains_vector(w):
             raise AssertionError("connecting map does not restrict to the multiplier")
         dcols.append(kb.coords(w))
-    if not (_vanishes(act.zsl_t, kbs, kts) and _vanishes(act.zsr_t, kts, kbs)):
+    if _pairwise(act.zsl_t, kbs, kts) or _pairwise(act.zsr_t, kts, kbs):
         raise AssertionError("multiplier action is not trivial")
     top = LeibnizAlgebra.abelian(f"M({xm.name}).top", kt.dim,
                                  tuple(f"a{i+1}" for i in range(kt.dim)))
@@ -709,17 +684,6 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
         raise AssertionError(
             f"multiplier inclusion is not a crossed module map:\n{irep.summary()}")
     return mult, incl
-
-
-def _vanishes(table_t, us, vs) -> bool:
-    """Whether the bilinear map f with f(e_i, e_j) = table[i][j] is zero
-    at every pair (u, v) of the sparse vectors us and vs, for the integer
-    twins table_t (of the transposed view table_t[j][i] = table[i][j]),
-    us and vs: each u goes through table_t once into the rows f(u, e_j),
-    and every v through those rows in one join."""
-    rows = _through(us, table_t, len(us[1]), len(table_t[1]))
-    return not any(any(acc.values())
-                   for acc in join([("pq", 1, vs, "q", rows, "p")])[1].values())
 
 
 def _substitution(src: QuotientPresentation, tgt: QuotientPresentation,

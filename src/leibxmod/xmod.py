@@ -11,11 +11,18 @@ abelianization and Liezation all live here.  "Generated by" is always
 implemented as linear span followed by a crossed-ideal closure; where
 the theory promises the closure is a no-op (commutator of crossed
 ideals) that promise is asserted, so a divergence raises instead of
-being silently absorbed.  The crossed module and homomorphism laws, like
-those of ``algebra``, cover every basis pair but are evaluated term by
-term over nonzero entries (``ratlin.join``), and each report is cached
-on the object it checks; the centers are kernels of sparse rows read
-off the integer twins of the action views.
+being silently absorbed.  The closure iterates one step (``_step``) to
+its fixpoint, and a pair is a crossed ideal exactly when that step
+leaves it alone.  The step, the commutator's span and ``span_brackets``
+read their generators off the integer twins through the one pairwise
+product (``algebra._pairwise``), on the twins of the subspaces'
+canonical bases, and span them as int rows; the dense ``bracket``,
+``act_left`` and ``act_right`` remain public conveniences, which only
+``CrossedModule.inclusion`` still calls here.  The crossed module and
+homomorphism laws, like those of ``algebra``, cover every basis pair but
+are evaluated term by term over nonzero entries (``ratlin.join``), and
+each report is cached on the object it checks; the centers are kernels
+of sparse rows read off the integer twins of the action views.
 """
 
 from __future__ import annotations
@@ -28,9 +35,11 @@ from .algebra import (
     LeibnizAction,
     LeibnizAlgebra,
     ValidityReport,
+    _pairwise,
     _report,
     _residual,
     _through,
+    _twin,
     _violations,
     annihilator,
     center,
@@ -45,6 +54,7 @@ from .algebra import (
 from .ratlin import (
     RatMatrix,
     Subspace,
+    _row,
     join,
     kernel,
     quotient,
@@ -166,58 +176,42 @@ def _xmod_report(xm: CrossedModule) -> ValidityReport:
                    [*check_action(act).violations, *bad])
 
 
+def _acts(xm: CrossedModule, ys, xs) -> list:
+    """The nonzero ^y x and x^y for y over the base twin ys and x over the
+    top twin xs, as sparse int vectors (see _pairwise)."""
+    act = xm.action
+    return _pairwise(act.zsl_t, ys, xs) + _pairwise(act.zsr_t, xs, ys)
+
+
+def _step(xm: CrossedModule, t: Subspace, b: Subspace) -> tuple:
+    """One round of the crossed-ideal closure of (t, b): the base b + [b, q]
+    + [q, b] + delta(t), then the top t with the actions of that base on
+    the top and of q on t added, every generator a sparse int vector read
+    off the integer twins."""
+    base, top = xm.base, xm.top
+    tz, bz = _twin(t), _twin(b)
+    qz, nz = _twin(Subspace.full(base.dim)), _twin(Subspace.full(top.dim))
+    _, images = join([("i", 1, tz, "i", xm.delta.zcols, "")])
+    nb = Subspace.from_integer_rows(base.dim, [
+        *bz[1], *_pairwise(base.zst_t, bz, qz), *_pairwise(base.zst_t, qz, bz),
+        *map(_row, images.values())])
+    nt = Subspace.from_integer_rows(top.dim, [
+        *tz[1], *_acts(xm, _twin(nb), nz), *_acts(xm, qz, tz)])
+    return nt, nb
+
+
 def is_crossed_ideal(xm: CrossedModule, sp: SubPair) -> bool:
-    """Stability of (top_sub, base_sub) under delta, brackets and actions."""
-    t, b = sp.top_sub, sp.base_sub
-    for v in t.basis.entries:
-        if not b.contains_vector(xm.delta_apply(v)):
-            return False
-    full_b = Subspace.full(xm.base.dim)
-    if not b.contains_subspace(span_brackets(xm.base, b, full_b)):
-        return False
-    if not b.contains_subspace(span_brackets(xm.base, full_b, b)):
-        return False
-    for y in b.basis.entries:
-        for j in range(xm.top.dim):
-            nj = unit_vec(xm.top.dim, j)
-            if not t.contains_vector(xm.action.act_left(y, nj)):
-                return False
-            if not t.contains_vector(xm.action.act_right(nj, y)):
-                return False
-    for i in range(xm.base.dim):
-        qi = unit_vec(xm.base.dim, i)
-        for x in t.basis.entries:
-            if not t.contains_vector(xm.action.act_left(qi, x)):
-                return False
-            if not t.contains_vector(xm.action.act_right(x, qi)):
-                return False
-    return True
+    """Stability of (top_sub, base_sub) under delta, brackets and actions:
+    a fixpoint of the closure step."""
+    return _step(xm, sp.top_sub, sp.base_sub) == (sp.top_sub, sp.base_sub)
 
 
 def crossed_ideal_closure(xm: CrossedModule, seed: SubPair) -> SubPair:
     """Least crossed ideal containing the seed, by fixpoint iteration."""
     t, b = seed.top_sub, seed.base_sub
-    full_b = Subspace.full(xm.base.dim)
-    while True:
-        nb = b.add(span_brackets(xm.base, b, full_b)) \
-             .add(span_brackets(xm.base, full_b, b)) \
-             .add(Subspace.from_vectors(
-                 xm.base.dim, [xm.delta_apply(v) for v in t.basis.entries]))
-        acts = []
-        for y in nb.basis.entries:
-            for j in range(xm.top.dim):
-                nj = unit_vec(xm.top.dim, j)
-                acts.append(xm.action.act_left(y, nj))
-                acts.append(xm.action.act_right(nj, y))
-        for i in range(xm.base.dim):
-            qi = unit_vec(xm.base.dim, i)
-            for x in t.basis.entries:
-                acts.append(xm.action.act_left(qi, x))
-                acts.append(xm.action.act_right(x, qi))
-        nt = t.add(Subspace.from_vectors(xm.top.dim, acts))
-        if nt == t and nb == b:
-            return SubPair(xm, t, b)
-        t, b = nt, nb
+    while (nxt := _step(xm, t, b)) != (t, b):
+        t, b = nxt
+    return SubPair(xm, t, b)
 
 
 def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
@@ -227,21 +221,12 @@ def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
     The result is asserted to be a crossed ideal already (closure no-op);
     a fixture violating that raises so the divergence is surfaced.
     """
-    if not is_crossed_ideal(xm, a) or not is_crossed_ideal(xm, b):
+    if not is_crossed_ideal(xm, a) or (b != a and not is_crossed_ideal(xm, b)):
         raise ValueError("commutator arguments must be crossed ideals")
-    s, h = a.top_sub, a.base_sub
-    t, j = b.top_sub, b.base_sub
-    gens = []
-    for y in h.basis.entries:
-        for x in t.basis.entries:
-            gens.append(xm.action.act_left(y, x))
-            gens.append(xm.action.act_right(x, y))
-    for y in j.basis.entries:
-        for x in s.basis.entries:
-            gens.append(xm.action.act_left(y, x))
-            gens.append(xm.action.act_right(x, y))
-    top = Subspace.from_vectors(xm.top.dim, gens)
-    base = span_brackets(xm.base, h, j)
+    s, h = _twin(a.top_sub), _twin(a.base_sub)
+    t, j = _twin(b.top_sub), _twin(b.base_sub)
+    top = Subspace.from_integer_rows(xm.top.dim, _acts(xm, h, t) + _acts(xm, j, s))
+    base = span_brackets(xm.base, a.base_sub, b.base_sub)
     out = SubPair(xm, top, base)
     closed = crossed_ideal_closure(xm, out)
     if not closed.same_spaces(out):

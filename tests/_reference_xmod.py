@@ -1,0 +1,124 @@
+"""The dense crossed-ideal routines that leibxmod used before they read
+the integer twins through one pairwise product, kept as a test oracle.
+
+is_crossed_ideal, crossed_ideal_closure and commutator are the old
+functions of leibxmod.xmod verbatim, span_brackets the old one of
+leibxmod.algebra and _through_base the old one of leibxmod.tensor: every
+bracket and action is one dense contraction of a pair of basis vectors
+(LeibnizAlgebra.bracket, LeibnizAction.act_left and act_right), and every
+membership test the dense Subspace.reduce.  The differential tests in
+test_xmod.py compare the library's routines with them.
+"""
+
+from leibxmod.algebra import LeibnizAction, LeibnizAlgebra
+from leibxmod.ratlin import RatMatrix, Subspace, unit_vec
+from leibxmod.xmod import CrossedModule, SubPair
+
+
+def span_brackets(a: LeibnizAlgebra, X: Subspace, Y: Subspace) -> Subspace:
+    """Linear span of {[x, y] : x in X, y in Y} (basis pairs suffice)."""
+    if X.ambient_dim != a.dim or Y.ambient_dim != a.dim:
+        raise ValueError("subspace/algebra dimension mismatch")
+    out = [a.bracket(x, y) for x in X.basis.entries for y in Y.basis.entries]
+    return Subspace.from_vectors(a.dim, out)
+
+
+def is_crossed_ideal(xm: CrossedModule, sp: SubPair) -> bool:
+    """Stability of (top_sub, base_sub) under delta, brackets and actions."""
+    t, b = sp.top_sub, sp.base_sub
+    for v in t.basis.entries:
+        if not b.contains_vector(xm.delta_apply(v)):
+            return False
+    full_b = Subspace.full(xm.base.dim)
+    if not b.contains_subspace(span_brackets(xm.base, b, full_b)):
+        return False
+    if not b.contains_subspace(span_brackets(xm.base, full_b, b)):
+        return False
+    for y in b.basis.entries:
+        for j in range(xm.top.dim):
+            nj = unit_vec(xm.top.dim, j)
+            if not t.contains_vector(xm.action.act_left(y, nj)):
+                return False
+            if not t.contains_vector(xm.action.act_right(nj, y)):
+                return False
+    for i in range(xm.base.dim):
+        qi = unit_vec(xm.base.dim, i)
+        for x in t.basis.entries:
+            if not t.contains_vector(xm.action.act_left(qi, x)):
+                return False
+            if not t.contains_vector(xm.action.act_right(x, qi)):
+                return False
+    return True
+
+
+def crossed_ideal_closure(xm: CrossedModule, seed: SubPair) -> SubPair:
+    """Least crossed ideal containing the seed, by fixpoint iteration."""
+    t, b = seed.top_sub, seed.base_sub
+    full_b = Subspace.full(xm.base.dim)
+    while True:
+        nb = b.add(span_brackets(xm.base, b, full_b)) \
+             .add(span_brackets(xm.base, full_b, b)) \
+             .add(Subspace.from_vectors(
+                 xm.base.dim, [xm.delta_apply(v) for v in t.basis.entries]))
+        acts = []
+        for y in nb.basis.entries:
+            for j in range(xm.top.dim):
+                nj = unit_vec(xm.top.dim, j)
+                acts.append(xm.action.act_left(y, nj))
+                acts.append(xm.action.act_right(nj, y))
+        for i in range(xm.base.dim):
+            qi = unit_vec(xm.base.dim, i)
+            for x in t.basis.entries:
+                acts.append(xm.action.act_left(qi, x))
+                acts.append(xm.action.act_right(x, qi))
+        nt = t.add(Subspace.from_vectors(xm.top.dim, acts))
+        if nt == t and nb == b:
+            return SubPair(xm, t, b)
+        t, b = nt, nb
+
+
+def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
+    """Commutator of two crossed ideals (s,h) and (t,j):
+    (span(D_h(t) + D_j(s)), [h, j]), where D_h(t) = span{^h t, t^h}.
+
+    The result is asserted to be a crossed ideal already (closure no-op);
+    a fixture violating that raises so the divergence is surfaced.
+    """
+    if not is_crossed_ideal(xm, a) or not is_crossed_ideal(xm, b):
+        raise ValueError("commutator arguments must be crossed ideals")
+    s, h = a.top_sub, a.base_sub
+    t, j = b.top_sub, b.base_sub
+    gens = []
+    for y in h.basis.entries:
+        for x in t.basis.entries:
+            gens.append(xm.action.act_left(y, x))
+            gens.append(xm.action.act_right(x, y))
+    for y in j.basis.entries:
+        for x in s.basis.entries:
+            gens.append(xm.action.act_left(y, x))
+            gens.append(xm.action.act_right(x, y))
+    top = Subspace.from_vectors(xm.top.dim, gens)
+    base = span_brackets(xm.base, h, j)
+    out = SubPair(xm, top, base)
+    closed = crossed_ideal_closure(xm, out)
+    if not closed.same_spaces(out):
+        raise AssertionError(
+            f"commutator span of {xm.name} is not already a crossed ideal: "
+            f"span dims {out.dims()}, closure dims {closed.dims()}")
+    return out
+
+
+def _through_base(x: CrossedModule, y: CrossedModule) -> LeibnizAction:
+    """The action of x.top on y.top that maps down by x.delta and acts by
+    y.action.  When x is the base with the identity, that is y.action
+    table for table, and y.action itself is returned, with its cached
+    sparse views and validity report."""
+    if x.top == x.base and x.delta == RatMatrix.identity(x.base.dim):
+        return y.action
+    m, n = x.top, y.top
+    return LeibnizAction(
+        m, n,
+        tuple(tuple(y.action.act_left(x.delta.column(a), unit_vec(n.dim, b))
+                    for b in range(n.dim)) for a in range(m.dim)),
+        tuple(tuple(y.action.act_right(unit_vec(n.dim, b), x.delta.column(a))
+                    for a in range(m.dim)) for b in range(n.dim)))

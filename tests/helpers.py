@@ -21,7 +21,15 @@ import leibxmod
 from leibxmod import algebra, xmod
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, check_leibniz
 from leibxmod.extensions import Extension
-from leibxmod.ratlin import RatMatrix, Subspace, dense, kernel, unit_vec, zero_vec
+from leibxmod.ratlin import (
+    RatMatrix,
+    Subspace,
+    _primitive,
+    dense,
+    kernel,
+    unit_vec,
+    zero_vec,
+)
 from leibxmod.tensor import _bracket_term, _symbols
 from leibxmod.xmod import CrossedModule, SubPair, XModHom, center_xmod
 
@@ -262,6 +270,12 @@ def central_fixture_extensions():
         padded_split_extension(xm_n2),
         padded_split_extension(xm_h, top_pad=2, base_pad=1),
     ]
+
+
+def direction(r):
+    """The nonzero sparse int vector r divided by its content: equal for
+    r and every positive multiple of it."""
+    return tuple(sorted(_primitive(dict(r)).items()))
 
 
 def vec_sub(u, v):

@@ -217,3 +217,11 @@ def test_json_corpus_matches_golden():
                           capture_output=True, env=child_env())
     assert proc.returncode == 0, proc.stderr.decode()[:500]
     assert proc.stdout == (here / "golden" / "json_corpus.txt").read_bytes()
+
+
+def test_src_keeps_its_runtime_assertions():
+    # every theorem the library asserts at runtime stays asserted: a check
+    # may become cheaper, never go away, so the count never drops below 51
+    src = Path(__file__).resolve().parent.parent / "src" / "leibxmod"
+    count = sum(p.read_text().count("raise AssertionError") for p in src.glob("*.py"))
+    assert count >= 51

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leibxmod import tensor
+from leibxmod import algebra, tensor
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, center, check_leibniz
 from leibxmod.homology import hl
 from leibxmod.ratlin import (
@@ -14,6 +14,7 @@ from leibxmod.ratlin import (
     RatMatrix,
     Subspace,
     contract,
+    integer_entries,
     integer_view,
     kernel,
     rank,
@@ -43,6 +44,7 @@ from leibxmod.xmod import (
 )
 
 from helpers import (
+    direction,
     fixture_algebras,
     heis3,
     k_abelian,
@@ -324,17 +326,29 @@ def test_multiplier_map_identity_and_projection():
 @PROPERTY
 @given(st.data())
 def test_vanishes_matches_every_pairwise_contraction(data):
-    # the multiplier's abelian and trivial-action checks: one join over
-    # the sparse bases against a dense contraction per pair
+    # the pairwise product behind the multiplier's abelian and
+    # trivial-action checks: one join over the sparse bases against a
+    # dense contraction per pair, value for value up to a positive scale
     d1, d2, d3 = (data.draw(st.integers(0, 3)) for _ in range(3))
     view = sparse_table(data.draw(tables(d1, d2, d3)))
     us = [data.draw(vectors(d1)) for _ in range(data.draw(st.integers(0, 3)))]
     vs = [data.draw(vectors(d2)) for _ in range(data.draw(st.integers(0, 3)))]
-    expect = all(not any(contract(integer_view(view), u, v, d3))
-                 for u in us for v in vs)
-    assert tensor._vanishes(integer_view(transposed(view, d2)),
+    expect = [contract(integer_view(view), u, v, d3) for u in us for v in vs]
+    got = algebra._pairwise(integer_view(transposed(view, d2)),
                             integer_view([sparse(u) for u in us], 1),
-                            integer_view([sparse(v) for v in vs], 1)) == expect
+                            integer_view([sparse(v) for v in vs], 1))
+    assert (not got) == all(not any(w) for w in expect)
+    assert (sorted(map(direction, got))
+            == sorted(direction(integer_entries(w)[1]) for w in expect if any(w)))
+
+
+def test_pairwise_drops_values_that_cancel():
+    # f(e1 + e2, e1 + e2) = f(e1, e1) + f(e2, e2) = 0 is reached by two
+    # nonzero products, and a value that cancels is not a nonzero value
+    one, z = (QQ(1),), (QQ(0),)
+    view = sparse_table(((one, z), (z, (QQ(-1),))))
+    u = integer_view([sparse((QQ(1), QQ(1)))], 1)
+    assert algebra._pairwise(integer_view(transposed(view, 2)), u, u) == []
 
 
 def test_presentation_builds_no_representative_table(monkeypatch):
@@ -429,11 +443,11 @@ def test_multiplier_reports_each_law(monkeypatch, failing, message):
     # the checks run top, base, left action, right action; the given one fails
     calls = []
 
-    def vanishes(*args):
+    def pairwise(*args):
         calls.append(args)
-        return len(calls) != failing
+        return [((0, 1),)] if len(calls) == failing else []
 
-    monkeypatch.setattr(tensor, "_vanishes", vanishes)
+    monkeypatch.setattr(tensor, "_pairwise", pairwise)
     _raises_exactly(message, schur_multiplier.__wrapped__,
                     CrossedModule.adjoint_identity(n2()))
 

@@ -1,19 +1,35 @@
 """Crossed-module layer: validity, ideals, commutators, quotient functors."""
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _reference_xmod as ref
+from leibxmod import algebra, cli, tensor, xmod
 from leibxmod.algebra import (
     LeibnizAction,
     center,
     is_lie,
     span_brackets,
 )
-from leibxmod.ratlin import QQ, RatMatrix, Subspace, unit_vec, vec_is_zero
+from leibxmod.ratlin import (
+    QQ,
+    RatMatrix,
+    Subspace,
+    integer_entries,
+    integer_view,
+    sparse,
+    unit_vec,
+    vec_is_zero,
+)
+from leibxmod.tensor import MutualActionPair
 from leibxmod.xmod import (
     CrossedModule,
     SubPair,
+    XModFlags,
     XModHom,
     abelianization,
     center_xmod,
@@ -30,6 +46,7 @@ from leibxmod.xmod import (
 )
 
 from helpers import (
+    direction,
     fixture_algebras,
     heis3,
     k_abelian,
@@ -37,7 +54,10 @@ from helpers import (
     r2_nonlie,
     random_leibniz_corpus,
     sl2,
+    zero_over,
 )
+from test_checks import crossed_modules, perturbed_crossed_modules, vectors
+from test_rational_basis import rational_bases, rebased, rebased_xmod
 
 
 def span_of(xm, top_vecs, base_vecs):
@@ -382,3 +402,207 @@ def test_kernel_pair_of_projection():
     assert kp.dims() == (1, 1)
     assert is_crossed_ideal(xm, kp)
     assert proj.is_surjective()
+
+
+# -- the integer-twin routines against the dense reference ------------------------
+# _reference_xmod.py keeps the dense closure, ideal test, commutator, span
+# of brackets and pulled-back action; the library's must give equal
+# subspaces, pairs and actions, and raise the same errors.
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+PROPERTY = settings(derandomize=True, database=None, max_examples=60,
+                    deadline=None)
+
+
+# the fixture algebras, with Leibniz algebras whose left and right
+# brackets span different subspaces
+ALGEBRAS = fixture_algebras() + [r2_nonlie()] + random_leibniz_corpus(4)
+
+
+def _pool():
+    """The fixture crossed modules, the totals and quotients of the
+    fixture extensions, and (0, q, i) and (n, q, i) for the derived
+    algebra and the center n of each q of ALGEBRAS: a delta that is not
+    injective or not onto, and an action whose left and right tables
+    differ in shape."""
+    out = [cli.load_fixture(p) for p in sorted(FIXTURES.glob("*.xmod"))]
+    for name in ("n2_over_k.extension", "split_over_n2.extension"):
+        e = cli.load_fixture(FIXTURES / name)
+        out += [e.total, e.quotient]
+    for q in ALGEBRAS:
+        full = Subspace.full(q.dim)
+        out += [zero_over(q), CrossedModule.inclusion(q, span_brackets(q, full, full)),
+                CrossedModule.inclusion(q, center(q))]
+    return out
+
+
+POOL = _pool()
+
+
+@st.composite
+def pool_xmods(draw):
+    """A crossed module of the pool, with its top and base rebased apart
+    in bases with denominators 2 and 3, or (q, q, id) of an algebra of
+    ALGEBRAS in such a basis."""
+    if draw(st.booleans()):
+        xm = draw(st.sampled_from(POOL))
+        return rebased_xmod(xm, draw(rational_bases(xm.top.dim)),
+                            draw(rational_bases(xm.base.dim)))
+    a = draw(st.sampled_from(ALGEBRAS))
+    return CrossedModule.adjoint_identity(rebased(a, draw(rational_bases(a.dim))))
+
+
+def any_xmods():
+    """A crossed module drawn by pool_xmods, a single-entry perturbation
+    of a fixture one, or random tables of dimension at most 3."""
+    return st.one_of(pool_xmods(), perturbed_crossed_modules(), crossed_modules())
+
+
+@st.composite
+def spans(draw, d):
+    """The span of 0 to 2 random rational vectors of length d."""
+    return Subspace.from_vectors(d, [draw(vectors(d)) for _ in range(draw(st.integers(0, 2)))])
+
+
+@st.composite
+def seed_pairs(draw, xm):
+    return SubPair(xm, draw(spans(xm.top.dim)), draw(spans(xm.base.dim)))
+
+
+@st.composite
+def pairs(draw, xm):
+    """A seed pair, its closure, or the full, zero or central pair."""
+    how = draw(st.sampled_from(["seed", "closure", "full", "zero", "center"]))
+    if how in ("seed", "closure"):
+        seed = draw(seed_pairs(xm))
+        return seed if how == "seed" else ref.crossed_ideal_closure(xm, seed)
+    if how == "center":
+        return center_xmod(xm)
+    return xm.full_pair() if how == "full" else xm.zero_pair()
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ValueError or
+    AssertionError it raises."""
+    try:
+        return f(*args)
+    except (ValueError, AssertionError) as err:
+        return type(err), str(err)
+
+
+def test_closure_and_ideal_test_match_the_dense_reference():
+    verdicts = set()
+
+    @PROPERTY
+    @given(st.data())
+    def check(data):
+        xm = data.draw(any_xmods())
+        seed = data.draw(seed_pairs(xm))
+        closed = crossed_ideal_closure(xm, seed)
+        assert closed == ref.crossed_ideal_closure(xm, seed)
+        assert is_crossed_ideal(xm, closed) and ref.is_crossed_ideal(xm, closed)
+        verdict = is_crossed_ideal(xm, seed)
+        assert verdict == ref.is_crossed_ideal(xm, seed)
+        verdicts.add(verdict)
+
+    check()
+    assert verdicts == {True, False}
+
+
+def test_commutator_matches_the_dense_reference():
+    # valid, perturbed and random crossed modules, with crossed ideals,
+    # arbitrary pairs and a repeated argument, as derived_xmod passes; an
+    # invalid module can give a span that is not closed
+    kinds = set()
+
+    @PROPERTY
+    @given(st.data())
+    def check(data):
+        xm = data.draw(any_xmods())
+        a = data.draw(pairs(xm))
+        b = a if data.draw(st.booleans()) else data.draw(pairs(xm))
+        for x, y in ((a, b), (b, a)):
+            got = _outcome(commutator, xm, x, y)
+            assert got == _outcome(ref.commutator, xm, x, y)
+            kinds.add(got[0] if isinstance(got, tuple) else SubPair)
+
+    check()
+    assert kinds == {SubPair, ValueError, AssertionError}
+
+
+@PROPERTY
+@given(st.data())
+def test_acts_match_every_pairwise_action(data):
+    # the generators ^y x and x^y of the closure step and the commutator,
+    # against one dense action per pair, value for value up to a positive
+    # scale
+    xm = data.draw(crossed_modules())
+    ys = [data.draw(vectors(xm.base.dim)) for _ in range(data.draw(st.integers(0, 3)))]
+    xs = [data.draw(vectors(xm.top.dim)) for _ in range(data.draw(st.integers(0, 3)))]
+    expect = [w for y in ys for x in xs
+              for w in (xm.action.act_left(y, x), xm.action.act_right(x, y)) if any(w)]
+    got = xmod._acts(xm, integer_view([sparse(y) for y in ys], 1),
+                     integer_view([sparse(x) for x in xs], 1))
+    assert (sorted(map(direction, got))
+            == sorted(direction(integer_entries(w)[1]) for w in expect))
+
+
+def test_commutator_with_the_full_pair_matches_the_dense_reference():
+    # [full, u] and [u, full] for the closure u of every basis vector of
+    # the top and the base: D_j(s) is not within D_h(t) in general, as for
+    # u = (span{e2}, n2) in (n2, n2, id)
+    for xm in [CrossedModule.adjoint_identity(a) for a in ALGEBRAS] + POOL:
+        full = xm.full_pair()
+        for k in range(xm.top.dim + xm.base.dim):
+            seed = (span_of(xm, [unit_vec(xm.top.dim, k)], []) if k < xm.top.dim
+                    else span_of(xm, [], [unit_vec(xm.base.dim, k - xm.top.dim)]))
+            u = ref.crossed_ideal_closure(xm, seed)
+            for a, b in ((full, u), (u, full)):
+                assert _outcome(commutator, xm, a, b) == _outcome(ref.commutator, xm, a, b)
+
+
+@PROPERTY
+@given(st.data())
+def test_span_brackets_matches_the_dense_reference(data):
+    xm = data.draw(pool_xmods())
+    a = data.draw(st.sampled_from([xm.top, xm.base]))
+    X = data.draw(spans(a.dim))
+    Y = data.draw(spans(data.draw(st.sampled_from([a.dim, a.dim, a.dim + 1]))))
+    assert _outcome(span_brackets, a, X, Y) == _outcome(ref.span_brackets, a, X, Y)
+
+
+@PROPERTY
+@given(st.data())
+def test_pulled_back_actions_match_the_dense_reference(data):
+    xm = data.draw(any_xmods())
+    other = data.draw(st.sampled_from([xm, CrossedModule.adjoint_identity(xm.base)]))
+    for x, y in ((xm, other), (other, xm)):
+        got, expect = tensor._through_base(x, y), ref._through_base(x, y)
+        assert got == expect and hash(got) == hash(expect)
+    pair = MutualActionPair.from_shared_base(xm, other)
+    assert (pair.m_on_n, pair.n_on_m) == (ref._through_base(xm, other),
+                                          ref._through_base(other, xm))
+
+
+def test_structure_theory_never_densifies(monkeypatch):
+    # closures, ideal tests, commutators, centers, predicates, the
+    # abelianization and the pulled-back actions read the integer twins:
+    # no bracket or action is evaluated on a pair of dense vectors
+    xms = (cli.load_fixture(FIXTURES / "split_over_n2.extension").total,
+           cli.load_fixture(FIXTURES / "n2pad.xmod"))
+
+    def densified(*args, **kwargs):
+        raise AssertionError("a bracket or an action was evaluated densely")
+
+    monkeypatch.setattr(algebra, "contract", densified)
+    for xm in xms:
+        seed = span_of(xm, [unit_vec(xm.top.dim, 1)], [])
+        closed = crossed_ideal_closure(xm, seed)
+        assert is_crossed_ideal(xm, closed) and not is_crossed_ideal(xm, seed)
+        assert derived_xmod(xm).dims() == (1, 1)
+        assert center_xmod(xm).dims() == (2, 2)
+        assert predicates(xm) == XModFlags(is_perfect=False, is_abelian=False)
+        ab, _ = abelianization(xm)
+        assert (ab.top.dim, ab.base.dim) == (2, 2)
+        pair = MutualActionPair.from_shared_base(CrossedModule.adjoint_identity(xm.base), xm)
+        assert pair.n_on_m.actor == xm.top
