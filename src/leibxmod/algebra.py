@@ -31,9 +31,9 @@ brackets and actions, and the multiplier's laws in ``tensor`` read the
 twins through one pairwise product (``_pairwise``): the values of a
 bilinear map on every pair of basis vectors of two subspaces, as int
 vectors, from one join.  An action pulled back through a map into its
-actor is read through the twins too (``_pulled_back``).  The dense
-``bracket``, ``act_left`` and ``act_right`` remain public conveniences
-on dense vectors.
+actor is read through the twins too (``_pulled_back``), and so are the
+brackets of a subalgebra.  The dense ``bracket``, ``act_left`` and
+``act_right`` remain public conveniences on dense vectors.
 """
 
 from __future__ import annotations
@@ -45,14 +45,15 @@ from typing import Sequence
 from .ratlin import (
     RatMatrix,
     Subspace,
+    _restriction,
     _row,
+    _twin,
     contract,
     dense,
     integer_view,
     join,
     quotient,
     rational,
-    sparse,
     sparse_kernel,
     sparse_table,
     transposed,
@@ -137,11 +138,6 @@ def _pairwise(table_t, us, vs) -> list:
     rows = _through(us, table_t, len(us[1]), len(table_t[1]))
     return [r for r in map(_row, join([("pq", 1, vs, "q", rows, "p")])[1].values())
             if r]
-
-
-def _twin(s: Subspace) -> tuple:
-    """The integer twin of the canonical basis of s, as sparse vectors."""
-    return integer_view([sparse(u) for u in s.basis.entries], 1)
 
 
 def _densified(twin, d: int) -> tuple:
@@ -519,17 +515,14 @@ def subalgebra_on(a: LeibnizAlgebra, s: Subspace, name: str) -> "tuple[LeibnizAl
     Returns the algebra in the coordinates of s's canonical basis plus
     the inclusion matrix (a.dim x s.dim).  Raises if s is not closed.
     """
-    base = s.basis.entries
-    c = []
-    for x in base:
-        row = []
-        for y in base:
-            b = a.bracket(x, y)
-            if not s.contains_vector(b):
-                raise ValueError("subspace is not bracket-closed")
-            row.append(s.coords(b))
-        c.append(tuple(row))
-    names = tuple(f"s{i+1}" for i in range(s.dim))
-    sub = LeibnizAlgebra(name, s.dim, names, tuple(c))
-    incl = RatMatrix.from_columns(list(base), rows=a.dim) if base else RatMatrix.zeros(a.dim, 0)
-    return sub, incl
+    d, us = s.dim, _twin(s)
+    # [e_k, u_j] for every basis element e_k, then c[i][j] = [u_i, u_j]
+    den, c = _through(us, _through(us, a.zst, d, a.dim), d, d)
+    coords = _restriction(s, (den, [v for row in c for v in row]))
+    if coords is None:
+        raise ValueError("subspace is not bracket-closed")
+    den, flat = coords
+    names = tuple(f"s{i+1}" for i in range(d))
+    sub = LeibnizAlgebra.from_sparse(
+        name, names, (den, tuple(flat[i * d:(i + 1) * d] for i in range(d))))
+    return sub, s.basis.transpose()

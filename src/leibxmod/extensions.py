@@ -3,10 +3,12 @@
 An extension is a surjective crossed module map together with its
 kernel pair.  Central extensions admit a connecting map from the Schur
 multiplier of the quotient to the kernel, built here from linear
-sections of the projection; centrality is exactly what makes the
-section-lifted evaluation vanish on the presentation relations, and
-independence from the section choice is asserted by recomputing with a
-second, skewed section.
+sections of the projection, read off the integer twins and descended
+to the squares like every map of ``tensor``; centrality is exactly what
+makes the section-lifted evaluation vanish on the presentation
+relations, and independence from the section choice is asserted by
+recomputing with a second, skewed section.  Maps into the kernel and
+the multipliers restrict through one helper (``ratlin._restriction``).
 
 The classification (central, stem extension, stem cover) follows the
 subspace inclusions kernel vs center and kernel vs derived pair; the
@@ -35,6 +37,10 @@ from .algebra import (
 from .ratlin import (
     RatMatrix,
     Subspace,
+    _images,
+    _matrix,
+    _restriction,
+    _twin,
     column_space,
     kernel,
     rank,
@@ -43,7 +49,10 @@ from .ratlin import (
     vec_is_zero,
 )
 from .tensor import (
+    MutualActionPair,
+    _descend,
     _induced_presentation_hom,
+    _substitution,
     exterior_presentation,
     exterior_square_data,
     multiplier_functorial_map,
@@ -164,10 +173,10 @@ class Extension:
         base = LeibnizAlgebra.abelian(f"ker({self.name}).base", b.dim,
                                       tuple(f"b{i+1}" for i in range(b.dim)))
         # the connecting map of the total restricted to the kernel pair
-        delta = RatMatrix.from_columns(
-            [b.coords(self.total.delta.mul_vec(v)) for v in a.basis.entries],
-            rows=b.dim)
-        kxm = CrossedModule(f"ker({self.name})", top, base, delta,
+        delta = _restriction(b, _images(self.total.delta.zcols, _twin(a)))
+        if delta is None:
+            raise ValueError("vector not in subspace")
+        kxm = CrossedModule(f"ker({self.name})", top, base, _matrix(delta, b.dim),
                             LeibnizAction.trivial(base, top))
         incl = XModHom(kxm, self.total, a.basis.transpose(), b.basis.transpose())
         rep = check_xmod_hom(incl)
@@ -271,52 +280,36 @@ def _sections(e: Extension, skew: bool) -> "tuple[RatMatrix, RatMatrix]":
 
 def _theta_matrices(e: Extension, kxm: CrossedModule,
                     skew: bool) -> "tuple[RatMatrix, RatMatrix]":
+    """theta* through the sections s1, s2 of the given policy: the lifted
+    evaluation q_a * n_b -> ^{s2 q_a}(s1 n_b), n_b * q_a -> (s1 n_b)^{s2 q_a}
+    and q_a * q_c -> [s2 q_a, s2 q_c] is the evaluation of the total's
+    symbols after s2 replaces every q-leg and s1 every n-leg, descended to
+    the squares of the quotient and restricted to the kernel."""
     esd = exterior_square_data(e.quotient)
     _, incl_m = schur_multiplier(e.quotient)
     s1, s2 = _sections(e, skew)
-    dq, dn = e.quotient.base.dim, e.quotient.top.dim
-    amb_top = [None] * esd.qn.ambient_dim
-    for a in range(dq):
-        pa = s2.column(a)
-        for b in range(dn):
-            hb = s1.column(b)
-            amb_top[esd.qn.mn_index(a, b)] = e.total.action.act_left(pa, hb)
-            amb_top[esd.qn.nm_index(b, a)] = e.total.action.act_right(hb, pa)
-    A = RatMatrix.from_columns(amb_top, rows=e.total.top.dim)
-    amb_base = [None] * esd.qq.ambient_dim
-    for a in range(dq):
-        for c in range(dq):
-            v = e.total.base.bracket(s2.column(a), s2.column(c))
-            amb_base[esd.qq.mn_index(a, c)] = amb_base[esd.qq.nm_index(a, c)] = v
-    B = RatMatrix.from_columns(amb_base, rows=e.total.base.dim)
+    qid = CrossedModule.adjoint_identity(e.total.base)
     # centrality makes the lifted evaluation kill the relations exactly
-    for r in esd.qn.relations.basis.entries:
-        if not vec_is_zero(A.mul_vec(r)):
-            raise AssertionError(
-                "lifted evaluation does not vanish on the top square relations")
-    for r in esd.qq.relations.basis.entries:
-        if not vec_is_zero(B.mul_vec(r)):
-            raise AssertionError(
-                "lifted evaluation does not vanish on the base square relations")
-    # on the quotient, column j is the lifted evaluation of the free symbol
-    theta_top = RatMatrix.from_columns([amb_top[f] for f in esd.qn.qmap.free],
-                                       rows=e.total.top.dim)
-    theta_base = RatMatrix.from_columns([amb_base[f] for f in esd.qq.qmap.free],
-                                        rows=e.total.base.dim)
-    tcols = []
-    for k in range(incl_m.top_map.cols):
-        v = theta_top.mul_vec(incl_m.top_map.column(k))
-        if not e.kernel.top_sub.contains_vector(v):
-            raise AssertionError("connecting image escapes the kernel top")
-        tcols.append(e.kernel.top_sub.coords(v))
-    bcols = []
-    for k in range(incl_m.base_map.cols):
-        v = theta_base.mul_vec(incl_m.base_map.column(k))
-        if not e.kernel.base_sub.contains_vector(v):
-            raise AssertionError("connecting image escapes the kernel base")
-        bcols.append(e.kernel.base_sub.coords(v))
-    return (RatMatrix.from_columns(tcols, rows=kxm.top.dim),
-            RatMatrix.from_columns(bcols, rows=kxm.base.dim))
+    lifted = []
+    for sq, xm, fn in ((esd.qn, e.total, s1), (esd.qq, qid, s2)):
+        pair = MutualActionPair.from_shared_base(qid, xm)
+        (_, d), ev = pair.zevaluations
+        subst = _substitution(sq.pair, pair, s2, fn)
+        lifted.append(_descend(sq, _images((d, ev[1]), subst), None))
+    theta_top, theta_base = lifted
+    if theta_top is None:
+        raise AssertionError(
+            "lifted evaluation does not vanish on the top square relations")
+    if theta_base is None:
+        raise AssertionError(
+            "lifted evaluation does not vanish on the base square relations")
+    tcols = _restriction(e.kernel.top_sub, _images(theta_top, incl_m.top_map.zcols))
+    if tcols is None:
+        raise AssertionError("connecting image escapes the kernel top")
+    bcols = _restriction(e.kernel.base_sub, _images(theta_base, incl_m.base_map.zcols))
+    if bcols is None:
+        raise AssertionError("connecting image escapes the kernel base")
+    return _matrix(tcols, kxm.top.dim), _matrix(bcols, kxm.base.dim)
 
 
 @dataclass(frozen=True)
@@ -405,25 +398,17 @@ def six_term_report(e: Extension) -> ExactnessReport:
     span, ideal, bp, psi2 = e.one_leg
     if ideal != span:
         raise AssertionError("one-leg span fails to be an ideal of the top square")
-    esd_t = exterior_square_data(e.total)
-    kt = kernel(esd_t.lambda_n.matrix)
-    kb = kernel(esd_t.mu_q.matrix)
-    f1_top = []
-    for v in ideal.basis.entries:
-        if not kt.contains_vector(v):
-            raise AssertionError("one-leg ideal escapes the multiplier top")
-        f1_top.append(kt.coords(v))
-    f1_base = []
-    for j in range(bp.resolved.dim):
-        w = psi2.matrix.column(j)
-        if not kb.contains_vector(w):
-            raise AssertionError("kernel-base square escapes the multiplier base")
-        f1_base.append(kb.coords(w))
+    kt, kb = exterior_square_data(e.total)._kernels
+    f1_top = _restriction(kt, _twin(ideal))
+    if f1_top is None:
+        raise AssertionError("one-leg ideal escapes the multiplier top")
+    f1_base = _restriction(kb, psi2.matrix.zcols)
+    if f1_base is None:
+        raise AssertionError("kernel-base square escapes the multiplier base")
     mm, th, abh = e.multiplier_map, e.theta, e.ab_proj
     _, kincl = e.kernel_xmod
     _, abproj_t = e.total_ab
-    maps = (("(I, b^p) -> M(total)", RatMatrix.from_columns(f1_top, rows=kt.dim),
-             RatMatrix.from_columns(f1_base, rows=kb.dim)),
+    maps = (("(I, b^p) -> M(total)", _matrix(f1_top, kt.dim), _matrix(f1_base, kb.dim)),
             ("M(total) -> M(quotient)", mm.top_map, mm.base_map),
             ("M(quotient) -> kernel", th.top_map, th.base_map),
             ("kernel -> total_ab", abproj_t.top_map.mul(kincl.top_map),

@@ -23,7 +23,9 @@ where it leaves the kernel, as a Fraction.  A ``QuotientMap`` is a
 sparse map too: the image of every ambient column in quotient
 coordinates, with an integer twin, so projecting a vector costs one
 ``accumulate`` over its nonzero entries, and membership in the relation
-subspace is an empty projection, a pure int test.
+subspace is an empty projection, a pure int test.  Restricting int
+vectors to a subspace (``_restriction``) reads their coordinates at its
+pivots and each residual once, on ints.
 Every operation is deterministic: the canonical form behind all
 subspace comparisons, kernels and quotients is *the* reduced row
 echelon form of a row space, which is unique and so does not depend on
@@ -539,6 +541,54 @@ class Subspace:
         return tuple(v[p] for p in self.pivots)
 
 
+def _image(a, columns) -> dict:
+    """The image of the sparse vector a under the linear map whose column
+    l is the sparse vector columns[l], as an accumulator (an int one on
+    int vectors)."""
+    acc = {}
+    accumulate(acc, 1, a, columns)
+    return acc
+
+
+def _images(cols, twin) -> tuple:
+    """The integer twin of the images of the sparse vectors of the twin
+    under the linear map whose sparse columns have the integer twin cols."""
+    (dc, cs), (dv, vs) = cols, twin
+    return dc * dv, tuple(_row(_image(v, cs)) for v in vs)
+
+
+def _twin(s: Subspace) -> tuple:
+    """The integer twin of the canonical basis of s, as sparse vectors."""
+    return integer_view([sparse(u) for u in s.basis.entries], 1)
+
+
+def _restriction(s: Subspace, twin) -> "tuple | None":
+    """The integer twin (den, coordinates) of the coordinates in the
+    canonical basis of s of the vectors of the integer twin (den,
+    vectors), or None when one of them is not in s.  The coordinate along
+    basis row i is the entry at the i-th pivot, and each vector's
+    residual (minus the coordinates times the basis) is read once, on ints."""
+    den, vectors = twin
+    dr, rows = _twin(s)  # rows[i] is dr times basis row i
+    out = []
+    for v in vectors:
+        at = dict(v)
+        coords = tuple((i, at[p]) for i, p in enumerate(s.pivots) if p in at)
+        residual = {k: dr * t for k, t in v}
+        accumulate(residual, -1, coords, rows)
+        if any(residual.values()):
+            return None
+        out.append(coords)
+    return den, tuple(out)
+
+
+def _matrix(twin, rows: int) -> RatMatrix:
+    """The matrix with the given number of rows whose columns are the
+    sparse vectors of the integer twin (den, columns), divided by den."""
+    den, cols = twin
+    return RatMatrix.from_sparse_columns([rational(v, den) for v in cols], rows)
+
+
 def kernel(m: RatMatrix) -> Subspace:
     """Basis of the right null space {v : m v = 0}."""
     return _kernel(_integer_rows(m), m.cols)
@@ -636,15 +686,7 @@ class QuotientMap:
     def integer_image(self, a) -> dict:
         """den times the image of the sparse vector a, for den of zimages,
         as an accumulator: an int one when a has int values."""
-        acc = {}
-        accumulate(acc, 1, a, self.zimages[1])
-        return acc
-
-    def image(self, a, den: int = 1) -> dict:
-        """The image of a / den for a sparse vector a with int values and
-        a positive int den, as a {quotient index: Fraction} accumulator."""
-        return dict(rational(self.integer_image(a).items(),
-                             self.zimages[0] * den))
+        return _image(a, self.zimages[1])
 
     def kills(self, a) -> bool:
         """Whether the sparse vector a lies in the relation subspace; with
@@ -654,7 +696,8 @@ class QuotientMap:
     def project_sparse(self, a) -> tuple:
         """The class of the sparse vector a, as a dense quotient vector."""
         den, za = integer_view(a, 0)
-        return dense(self.image(za, den).items(), self.dim)
+        return dense(rational(self.integer_image(za).items(), self.zimages[0] * den),
+                     self.dim)
 
     def project(self, v: Sequence) -> tuple:
         """The class of the dense ambient vector v."""

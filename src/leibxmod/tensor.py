@@ -26,7 +26,10 @@ The exterior product divides further by the subspace glued from the
 pullback of the two structure maps over the shared base.  From it the
 induced crossed module on the exterior squares, the evaluation maps
 onto the original pair, and the Schur multiplier (the kernel of that
-evaluation) are produced, each with its promised properties asserted.
+evaluation, once per square) are produced, each with its promised
+properties asserted.  Every map induced on the squares descends through
+one helper (``_descend``): the ambient map must kill the relation rows,
+and is read at the free symbols, on int vectors.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .algebra import (
     LeibnizAlgebra,
     _pairwise,
     _pulled_back,
-    _twin,
     check_action,
     check_hom,
     check_leibniz,
@@ -50,8 +52,12 @@ from .ratlin import (
     QuotientMap,
     RatMatrix,
     Subspace,
+    _image,
+    _images,
+    _matrix,
+    _restriction,
     _row,
-    accumulate,
+    _twin,
     contract,
     dense,
     integer_basis,
@@ -60,7 +66,6 @@ from .ratlin import (
     kernel,
     quotient,
     rank,
-    rational,
     sparse,
     transposed,
 )
@@ -420,20 +425,30 @@ def _scan(pair: MutualActionPair, qmap: QuotientMap, name: str) -> None:
                     f"relation escapes the relation subspace")
 
 
-def _image(a, columns) -> dict:
-    """The image of the sparse vector a under the linear map whose column
-    l is the sparse vector columns[l], as an accumulator (an int one on
-    int vectors)."""
-    acc = {}
-    accumulate(acc, 1, a, columns)
-    return acc
-
-
 def _preserves(qmap: QuotientMap, a, columns) -> bool:
     """Whether the linear map with the given sparse columns sends the
     sparse vector a into the relation subspace of qmap (a pure int test
     on int vectors and columns, whatever their positive scales)."""
     return qmap.kills(_image(a, columns).items())
+
+
+def _descend(pres: QuotientPresentation, cols, target: "QuotientMap | None"):
+    """The map on the resolved quotient of pres induced by an ambient map
+    whose sparse columns have the integer twin cols = (den, columns),
+    into the quotient of target, or into a plain vector space when target
+    is None: the integer twin of the images of the free symbols, in
+    target's coordinates.  None when the map does not send every relation
+    row of pres into the relations of target (to zero when None)."""
+    den, cols = cols
+    qm = pres.qmap
+    if target is None:
+        if any(any(_image(r, cols).values()) for r in qm.zrows):
+            return None
+        return den, tuple(cols[f] for f in qm.free)
+    if not all(_preserves(target, r, cols) for r in qm.zrows):
+        return None
+    return (target.zimages[0] * den,
+            tuple(_row(target.integer_image(cols[f])) for f in qm.free))
 
 
 @lru_cache(maxsize=None)
@@ -459,8 +474,7 @@ def square_subspace(eta: CrossedModule, delta: CrossedModule) -> Subspace:
     for b in range(n.dim):
         cols.append(tuple(-x for x in delta.delta.column(b)))
     pullback = kernel(RatMatrix.from_columns(cols, rows=q.dim))
-    pairs = [_pair_parts(m.dim, integer_entries(w)[1])
-             for w in pullback.basis.entries]
+    pairs = [_pair_parts(m.dim, w) for w in _twin(pullback)[1]]
     gens = [_row(_symbols(m.dim, n.dim, ((1, 0, u1, v2), (-1, 1, v1, u2))))
             for u1, v1 in pairs for u2, v2 in pairs]
     return Subspace.from_integer_rows(2 * m.dim * n.dim, gens)
@@ -486,16 +500,14 @@ def one_leg_span(pres: QuotientPresentation, m_sub: Subspace,
     def cls(*terms):
         return _row(qm.integer_image(_symbols(dm, dn, terms).items()))
 
-    def ints(s):  # int multiples of the basis vectors: the same span
-        return [integer_entries(u)[1] for u in s.basis.entries]
-
+    # the bases as int vectors at one scale each: the same spans
     gens = []
-    for u in ints(m_sub):
+    for u in _twin(m_sub)[1]:
         for j in range(dn):
             ej = ((j, 1),)
             gens.append(cls((1, 0, u, ej)))
             gens.append(cls((1, 1, ej, u)))
-    for v in ints(n_sub):
+    for v in _twin(n_sub)[1]:
         for i in range(dm):
             ei = ((i, 1),)
             gens.append(cls((1, 0, ei, v)))
@@ -518,6 +530,11 @@ class ExteriorSquareData:
     mu_q: AlgebraHom
     induced_xmod: CrossedModule
     phi: XModHom
+
+    @cached_property
+    def _kernels(self) -> "tuple[Subspace, Subspace]":
+        """The kernels of the two evaluations: the multiplier, once per square."""
+        return kernel(self.lambda_n.matrix), kernel(self.mu_q.matrix)
 
 
 def _base_action_on_ambient(xm: CrossedModule, dn: int):
@@ -558,28 +575,6 @@ def _base_action_on_ambient(xm: CrossedModule, dn: int):
     return den, left, right
 
 
-def _descend_action(pres: QuotientPresentation, den: int, left, right, dq: int):
-    """Push an ambient action of the base down to the resolved quotient,
-    asserting the relation subspace is stable.  left[i] and right[i] are
-    den times the sparse columns of the two ambient maps of basis element
-    i, as int vectors.  Returns (den', sl, sr): sl and sr are den' times
-    the sparse views of the action on the quotient, as int views."""
-    qm = pres.qmap
-    for i in range(dq):
-        for r in qm.zrows:
-            if not _preserves(qm, r, left[i]):
-                raise AssertionError(
-                    f"base action does not preserve the relations of {pres.name}")
-            if not _preserves(qm, r, right[i]):
-                raise AssertionError(
-                    f"base action does not preserve the relations of {pres.name}")
-    return (qm.zimages[0] * den,
-            tuple(tuple(_row(qm.integer_image(left[i][f])) for f in qm.free)
-                  for i in range(dq)),
-            tuple(tuple(_row(qm.integer_image(right[i][f])) for i in range(dq))
-                  for f in qm.free))
-
-
 @lru_cache(maxsize=None)
 def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     """Exterior squares of a crossed module with all induced structure."""
@@ -597,32 +592,36 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     # factor through the base action, which is side 1's first factor.  On
     # the quotient, column j is the evaluation of the free symbol free[j];
     # lam and mu are the integer twins of those columns
-    (_, dlam), ev = qn.pair.zevaluations
-    lam = (dlam, [ev[1][f] for f in qn.qmap.free])
-    for r in qn.qmap.zrows:
-        if any(_image(r, ev[1]).values()):
-            raise AssertionError("top evaluation map does not kill the relations")
-    (_, dmu), ev = qq.pair.zevaluations
-    mu = (dmu, [ev[1][f] for f in qq.qmap.free])
-    for r in qq.qmap.zrows:
-        if any(_image(r, ev[1]).values()):
-            raise AssertionError("base evaluation map does not kill the relations")
-    lambda_n = AlgebraHom(qn.resolved, n, RatMatrix.from_sparse_columns(
-        [rational(v, dlam) for v in lam[1]], dn))
-    mu_q = AlgebraHom(qq.resolved, q, RatMatrix.from_sparse_columns(
-        [rational(v, dmu) for v in mu[1]], dq))
+    (_, d), ev = qn.pair.zevaluations
+    lam = _descend(qn, (d, ev[1]), None)
+    if lam is None:
+        raise AssertionError("top evaluation map does not kill the relations")
+    (_, d), ev = qq.pair.zevaluations
+    mu = _descend(qq, (d, ev[1]), None)
+    if mu is None:
+        raise AssertionError("base evaluation map does not kill the relations")
+    lambda_n = AlgebraHom(qn.resolved, n, _matrix(lam, dn))
+    mu_q = AlgebraHom(qq.resolved, q, _matrix(mu, dq))
 
     # connecting map on symbols: q_a * n_b -> q_a * dn_b, n_b * q_a -> dn_b * q_a
-    idd_amb = _substitution(qn, qq, RatMatrix.identity(dq), xm.delta)
-    for r in qn.qmap.zrows:
-        if not _preserves(qq.qmap, r, idd_amb[1]):
-            raise AssertionError("connecting map does not preserve the relations")
-    id_wedge_delta = AlgebraHom(qn.resolved, qq.resolved,
-                                _induced_matrix(qn, qq, idd_amb))
+    idd = _descend(qn, _substitution(qn.pair, qq.pair, RatMatrix.identity(dq), xm.delta),
+                   qq.qmap)
+    if idd is None:
+        raise AssertionError("connecting map does not preserve the relations")
+    id_wedge_delta = AlgebraHom(qn.resolved, qq.resolved, _matrix(idd, qq.qmap.dim))
 
-    # action of the base on the top square, then pulled back through mu
+    # action of the base on the top square, each map of a basis element
+    # descended, then pulled back through mu
+    den, left, right = _base_action_on_ambient(xm, dn)
+    sl = [_descend(qn, (den, left[i]), qn.qmap) for i in range(dq)]
+    if None in sl:
+        raise AssertionError(f"base action does not preserve the relations of {qn.name}")
+    sr = [_descend(qn, (den, right[i]), qn.qmap) for i in range(dq)]
+    if None in sr:
+        raise AssertionError(f"base action does not preserve the relations of {qn.name}")
     base_on_top = LeibnizAction.from_sparse(
-        q, qn.resolved, *_descend_action(qn, *_base_action_on_ambient(xm, dn), dq))
+        q, qn.resolved, qn.qmap.zimages[0] * den, tuple(v for _, v in sl),
+        transposed(tuple(v for _, v in sr), qn.qmap.dim))
     action = _pulled_back(base_on_top, qq.resolved, mu)
 
     induced = CrossedModule(f"({qn.name},{qq.name})", qn.resolved, qq.resolved,
@@ -636,13 +635,14 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     if not prep.valid:
         raise AssertionError(
             f"evaluation is not a crossed module map:\n{prep.summary()}")
-    z = center_xmod(induced)
-    if not z.top_sub.contains_subspace(kernel(lambda_n.matrix)):
+    esd = ExteriorSquareData(qn, qq, id_wedge_delta, action, lambda_n, mu_q,
+                             induced, phi)
+    z, (kt, kb) = center_xmod(induced), esd._kernels
+    if not z.top_sub.contains_subspace(kt):
         raise AssertionError("kernel of the top evaluation is not central")
-    if not z.base_sub.contains_subspace(kernel(mu_q.matrix)):
+    if not z.base_sub.contains_subspace(kb):
         raise AssertionError("kernel of the base evaluation is not central")
-    return ExteriorSquareData(qn, qq, id_wedge_delta, action, lambda_n, mu_q,
-                              induced, phi)
+    return esd
 
 
 @lru_cache(maxsize=None)
@@ -651,34 +651,25 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
     module, as an abelian crossed module with trivial action, plus its
     inclusion into the induced crossed module on the squares."""
     esd = exterior_square_data(xm)
-    kt = kernel(esd.lambda_n.matrix)
-    kb = kernel(esd.mu_q.matrix)
+    kt, kb = esd._kernels
     kts, kbs = _twin(kt), _twin(kb)
     sq_top, sq_base, act = esd.qn.resolved, esd.qq.resolved, esd.action
     if _pairwise(sq_top.zst_t, kts, kts):
         raise AssertionError("multiplier top is not abelian")
     if _pairwise(sq_base.zst_t, kbs, kbs):
         raise AssertionError("multiplier base is not abelian")
-    dcols = []
-    for u in kt.basis.entries:
-        w = esd.id_wedge_delta.apply(u)
-        if not kb.contains_vector(w):
-            raise AssertionError("connecting map does not restrict to the multiplier")
-        dcols.append(kb.coords(w))
+    dcols = _restriction(kb, _images(esd.id_wedge_delta.matrix.zcols, kts))
+    if dcols is None:
+        raise AssertionError("connecting map does not restrict to the multiplier")
     if _pairwise(act.zsl_t, kbs, kts) or _pairwise(act.zsr_t, kts, kbs):
         raise AssertionError("multiplier action is not trivial")
     top = LeibnizAlgebra.abelian(f"M({xm.name}).top", kt.dim,
                                  tuple(f"a{i+1}" for i in range(kt.dim)))
     base = LeibnizAlgebra.abelian(f"M({xm.name}).base", kb.dim,
                                   tuple(f"b{i+1}" for i in range(kb.dim)))
-    delta = RatMatrix.from_columns(dcols, rows=kb.dim)
-    mult = CrossedModule(f"M({xm.name})", top, base, delta,
+    mult = CrossedModule(f"M({xm.name})", top, base, _matrix(dcols, kb.dim),
                          LeibnizAction.trivial(base, top))
-    incl = XModHom(mult, esd.induced_xmod,
-                   RatMatrix.from_columns(list(kt.basis.entries),
-                                          rows=esd.qn.resolved.dim),
-                   RatMatrix.from_columns(list(kb.basis.entries),
-                                          rows=esd.qq.resolved.dim))
+    incl = XModHom(mult, esd.induced_xmod, kt.basis.transpose(), kb.basis.transpose())
     irep = check_xmod_hom(incl)
     if not irep.valid:
         raise AssertionError(
@@ -686,45 +677,31 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
     return mult, incl
 
 
-def _substitution(src: QuotientPresentation, tgt: QuotientPresentation,
+def _substitution(src: MutualActionPair, tgt: MutualActionPair,
                   fm: RatMatrix, fn: RatMatrix) -> tuple:
-    """Sparse ambient columns of componentwise symbol substitution: every
-    m-leg goes through fm and every n-leg through fn.  Returns (den,
-    columns): the columns times den, the product of the denominators of
-    the twins of fm and fn, as int vectors."""
+    """Sparse columns of componentwise substitution from the ambient
+    symbols of src to those of tgt: every m-leg goes through fm and every
+    n-leg through fn.  Returns (den, columns): the columns times den, the
+    product of the denominators of the twins of fm and fn, as int vectors."""
     (dm, cm), (dn, cn) = fm.zcols, fn.zcols
     maps = ((cm, cn), (cn, cm))
     cols = []
-    for k in range(src.ambient_dim):
-        s, x, y = _legs(src.pair.m.dim, src.pair.n.dim, k)
+    for k in range(2 * src.m.dim * src.n.dim):
+        s, x, y = _legs(src.m.dim, src.n.dim, k)
         fx, fy = maps[s]
-        cols.append(tuple(_symbols(tgt.pair.m.dim, tgt.pair.n.dim,
-                                   ((1, s, fx[x], fy[y]),)).items()))
+        cols.append(tuple(_symbols(tgt.m.dim, tgt.n.dim, ((1, s, fx[x], fy[y]),)).items()))
     return dm * dn, cols
-
-
-def _induced_matrix(src: QuotientPresentation, tgt: QuotientPresentation,
-                    columns) -> RatMatrix:
-    """The quotient-level matrix of an ambient map with the sparse columns
-    of (den, columns) as _substitution gives them, which preserves the
-    relations: column j is the class of the image of the free symbol
-    src.qmap.free[j]."""
-    den, cols = columns
-    return RatMatrix.from_sparse_columns(
-        [tgt.qmap.image(cols[f], den).items() for f in src.qmap.free],
-        tgt.qmap.dim)
 
 
 def _induced_presentation_hom(src: QuotientPresentation,
                               tgt: QuotientPresentation,
                               fm: RatMatrix, fn: RatMatrix) -> AlgebraHom:
     """Quotient-level map induced by componentwise symbol substitution."""
-    amb = _substitution(src, tgt, fm, fn)
-    for r in src.qmap.zrows:
-        if not _preserves(tgt.qmap, r, amb[1]):
-            raise AssertionError(
-                f"induced map {src.name} -> {tgt.name} does not preserve relations")
-    hom = AlgebraHom(src.resolved, tgt.resolved, _induced_matrix(src, tgt, amb))
+    m = _descend(src, _substitution(src.pair, tgt.pair, fm, fn), tgt.qmap)
+    if m is None:
+        raise AssertionError(
+            f"induced map {src.name} -> {tgt.name} does not preserve relations")
+    hom = AlgebraHom(src.resolved, tgt.resolved, _matrix(m, tgt.qmap.dim))
     hrep = check_hom(hom)
     if not hrep.valid:
         raise AssertionError(
@@ -763,29 +740,17 @@ def induced_exterior_hom(f: XModHom) -> "tuple[AlgebraHom, AlgebraHom]":
 def multiplier_functorial_map(f: XModHom) -> XModHom:
     """Restriction of the induced exterior maps to the multipliers."""
     top_hom, base_hom = induced_exterior_hom(f)
-    m_src, _ = schur_multiplier(f.source)
+    m_src, incl = schur_multiplier(f.source)
     m_tgt, _ = schur_multiplier(f.target)
-    src = exterior_square_data(f.source)
-    tgt = exterior_square_data(f.target)
-    kt_src = kernel(src.lambda_n.matrix)
-    kb_src = kernel(src.mu_q.matrix)
-    kt_tgt = kernel(tgt.lambda_n.matrix)
-    kb_tgt = kernel(tgt.mu_q.matrix)
-    tcols = []
-    for u in kt_src.basis.entries:
-        w = top_hom.apply(u)
-        if not kt_tgt.contains_vector(w):
-            raise AssertionError("induced top map does not preserve the multiplier")
-        tcols.append(kt_tgt.coords(w))
-    bcols = []
-    for u in kb_src.basis.entries:
-        w = base_hom.apply(u)
-        if not kb_tgt.contains_vector(w):
-            raise AssertionError("induced base map does not preserve the multiplier")
-        bcols.append(kb_tgt.coords(w))
-    out = XModHom(m_src, m_tgt,
-                  RatMatrix.from_columns(tcols, rows=m_tgt.top.dim),
-                  RatMatrix.from_columns(bcols, rows=m_tgt.base.dim))
+    kt, kb = exterior_square_data(f.target)._kernels
+    tcols = _restriction(kt, _images(top_hom.matrix.zcols, incl.top_map.zcols))
+    if tcols is None:
+        raise AssertionError("induced top map does not preserve the multiplier")
+    bcols = _restriction(kb, _images(base_hom.matrix.zcols, incl.base_map.zcols))
+    if bcols is None:
+        raise AssertionError("induced base map does not preserve the multiplier")
+    out = XModHom(m_src, m_tgt, _matrix(tcols, m_tgt.top.dim),
+                  _matrix(bcols, m_tgt.base.dim))
     orep = check_xmod_hom(out)
     if not orep.valid:
         raise AssertionError(

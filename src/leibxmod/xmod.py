@@ -16,9 +16,9 @@ its fixpoint, and a pair is a crossed ideal exactly when that step
 leaves it alone.  The step, the commutator's span and ``span_brackets``
 read their generators off the integer twins through the one pairwise
 product (``algebra._pairwise``), on the twins of the subspaces'
-canonical bases, and span them as int rows; the dense ``bracket``,
-``act_left`` and ``act_right`` remain public conveniences, which only
-``CrossedModule.inclusion`` still calls here.  The crossed module and
+canonical bases, and span them as int rows; ``CrossedModule.inclusion``
+restricts its brackets, read off the twins, to the ideal through one
+helper (``ratlin._restriction``).  The crossed module and
 homomorphism laws, like those of ``algebra``, cover every basis pair but
 are evaluated term by term over nonzero entries (``ratlin.join``), and
 each report is cached on the object it checks; the centers are kernels
@@ -39,13 +39,11 @@ from .algebra import (
     _report,
     _residual,
     _through,
-    _twin,
     _violations,
     annihilator,
     center,
     check_action,
     check_hom,
-    is_ideal,
     is_lie,
     quotient_algebra,
     span_brackets,
@@ -54,12 +52,14 @@ from .algebra import (
 from .ratlin import (
     RatMatrix,
     Subspace,
-    _row,
+    _images,
+    _restriction,
+    _twin,
     join,
     kernel,
     quotient,
     rank,
-    unit_vec,
+    transposed,
     vec_is_zero,
 )
 
@@ -88,19 +88,22 @@ class CrossedModule:
 
     @classmethod
     def inclusion(cls, q: LeibnizAlgebra, s, name=None) -> "CrossedModule":
-        """(n, q, i) for a two-sided ideal n = s of q with the bracket action."""
-        if not is_ideal(q, s):
+        """(n, q, i) for a two-sided ideal n = s of q with the bracket action:
+        [e_i, u_j] and [u_j, e_i] for the basis u of s, read off the twins
+        and restricted to s at once, which is also the ideal test."""
+        if s.ambient_dim != q.dim:
+            raise ValueError("seed/algebra dimension mismatch")
+        us = _twin(s)
+        den, left = _through(us, q.zst, s.dim, q.dim)  # left[j][i] = [e_i, u_j]
+        _, right = _through(us, q.zst_t, s.dim, q.dim)  # right[j][i] = [u_j, e_i]
+        coords = _restriction(s, (den, [v for row in left + right for v in row]))
+        if coords is None:
             raise ValueError(f"subspace is not a two-sided ideal of {q.name}")
         top, incl = subalgebra_on(q, s, name or f"{q.name}_ideal")
-        left = tuple(
-            tuple(s.coords(q.bracket(unit_vec(q.dim, i), incl.column(j)))
-                  for j in range(top.dim))
-            for i in range(q.dim))
-        right = tuple(
-            tuple(s.coords(q.bracket(incl.column(j), unit_vec(q.dim, i)))
-                  for i in range(q.dim))
-            for j in range(top.dim))
-        action = LeibnizAction(q, top, left, right)
+        den, flat = coords
+        rows = [flat[j * q.dim:(j + 1) * q.dim] for j in range(2 * s.dim)]
+        action = LeibnizAction.from_sparse(q, top, den, transposed(rows[:s.dim], q.dim),
+                                           tuple(rows[s.dim:]))
         return cls(name or f"({top.name},{q.name},incl)", top, q, incl, action)
 
     def delta_apply(self, nvec) -> tuple:
@@ -191,10 +194,9 @@ def _step(xm: CrossedModule, t: Subspace, b: Subspace) -> tuple:
     base, top = xm.base, xm.top
     tz, bz = _twin(t), _twin(b)
     qz, nz = _twin(Subspace.full(base.dim)), _twin(Subspace.full(top.dim))
-    _, images = join([("i", 1, tz, "i", xm.delta.zcols, "")])
     nb = Subspace.from_integer_rows(base.dim, [
         *bz[1], *_pairwise(base.zst_t, bz, qz), *_pairwise(base.zst_t, qz, bz),
-        *map(_row, images.values())])
+        *_images(xm.delta.zcols, tz)[1]])
     nt = Subspace.from_integer_rows(top.dim, [
         *tz[1], *_acts(xm, _twin(nb), nz), *_acts(xm, qz, tz)])
     return nt, nb
@@ -216,7 +218,8 @@ def crossed_ideal_closure(xm: CrossedModule, seed: SubPair) -> SubPair:
 
 def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
     """Commutator of two crossed ideals (s,h) and (t,j):
-    (span(D_h(t) + D_j(s)), [h, j]), where D_h(t) = span{^h t, t^h}.
+    (span(D_h(t) + D_j(s)), [h, j] + [j, h]), where D_h(t) = span{^h t,
+    t^h}; the base needs both sides, since delta(t^h) = [delta t, h].
 
     The result is asserted to be a crossed ideal already (closure no-op);
     a fixture violating that raises so the divergence is surfaced.
@@ -226,7 +229,8 @@ def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
     s, h = _twin(a.top_sub), _twin(a.base_sub)
     t, j = _twin(b.top_sub), _twin(b.base_sub)
     top = Subspace.from_integer_rows(xm.top.dim, _acts(xm, h, t) + _acts(xm, j, s))
-    base = span_brackets(xm.base, a.base_sub, b.base_sub)
+    base = Subspace.from_integer_rows(
+        xm.base.dim, _pairwise(xm.base.zst_t, h, j) + _pairwise(xm.base.zst_t, j, h))
     out = SubPair(xm, top, base)
     closed = crossed_ideal_closure(xm, out)
     if not closed.same_spaces(out):

@@ -98,7 +98,7 @@ def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
             gens.append(xm.action.act_left(y, x))
             gens.append(xm.action.act_right(x, y))
     top = Subspace.from_vectors(xm.top.dim, gens)
-    base = span_brackets(xm.base, h, j)
+    base = span_brackets(xm.base, h, j).add(span_brackets(xm.base, j, h))
     out = SubPair(xm, top, base)
     closed = crossed_ideal_closure(xm, out)
     if not closed.same_spaces(out):

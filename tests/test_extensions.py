@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from leibxmod import cli, extensions, xmod
-from leibxmod.algebra import LeibnizAlgebra
+from leibxmod import algebra, cli, extensions, tensor, xmod
+from leibxmod.algebra import AlgebraHom, LeibnizAlgebra
 from leibxmod.extensions import (
     Extension,
     _theta_matrices,
@@ -20,7 +20,8 @@ from leibxmod.extensions import (
     stem_cover_of_perfect,
     theta_star,
 )
-from leibxmod.ratlin import QQ, RatMatrix, Subspace, unit_vec
+from leibxmod.tensor import exterior_square_data
+from leibxmod.ratlin import QQ, RatMatrix, Subspace, kernel, unit_vec
 from leibxmod.xmod import CrossedModule, SubPair, XModHom
 
 from helpers import (
@@ -315,6 +316,78 @@ def test_precondition_messages_pinned():
     assert str(ex.value) == "(n2,n2,id)_split is not a stem cover"
 
 
+# -- failure paths ------------------------------------------------------------------
+# Each runtime assertion below is reached through a perturbed input; the
+# messages are pinned exactly.
+
+def _swapped(m):
+    """m with its first two columns swapped."""
+    cols = [m.column(j) for j in range(m.cols)]
+    cols[:2] = cols[1::-1]
+    return RatMatrix.from_columns(cols, rows=m.rows)
+
+
+@pytest.mark.parametrize("side, xm, message", [
+    (0, CrossedModule.adjoint_identity(n2()),
+     "lifted evaluation does not vanish on the top square relations"),
+    (1, zero_over(n2()),
+     "lifted evaluation does not vanish on the base square relations"),
+])
+def test_theta_reports_a_lift_that_misses_the_relations(monkeypatch, side, xm, message):
+    # swapping the columns of a section of n2 gives a lift that is not a
+    # section; over (0, n2, i) the top square is zero and the base is reached
+    e = Extension.from_projection(XModHom.identity(xm), name="id")
+    real = extensions._sections
+
+    def swapped(e, skew):
+        out = list(real(e, skew))
+        out[side] = _swapped(out[side])
+        return tuple(out)
+
+    monkeypatch.setattr(extensions, "_sections", swapped)
+    with pytest.raises(AssertionError) as err:
+        _theta_matrices(e, central_kernel_xmod(e)[0], skew=False)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("e, message", [
+    (center_quotient(CrossedModule.adjoint_identity(n2()), "n2_mod_center"),
+     "connecting image escapes the kernel top"),
+    (n2_over_k(), "connecting image escapes the kernel base"),
+])
+def test_theta_reports_an_image_outside_the_kernel(e, message):
+    # the same extension with its kernel replaced by the zero pair, against
+    # which every nonzero connecting image escapes
+    kxm, _ = central_kernel_xmod(e)
+    shrunk = Extension(e.name, e.total, e.quotient, e.proj, e.total.zero_pair())
+    with pytest.raises(AssertionError) as err:
+        _theta_matrices(shrunk, kxm, skew=False)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("side, message", [
+    (0, "one-leg ideal escapes the multiplier top"),
+    (1, "kernel-base square escapes the multiplier base"),
+])
+def test_six_term_reports_a_first_map_outside_the_multiplier(side, message):
+    # the one-leg ideal replaced by the whole top square, or the map of the
+    # kernel-base square by one onto a basis vector outside the multiplier
+    e = center_quotient(CrossedModule.adjoint_identity(n2()), "n2_mod_center")
+    span, ideal, bp, psi2 = e.one_leg
+    esd = exterior_square_data(e.total)
+    if side == 0:
+        full = Subspace.full(ideal.ambient_dim)
+        vars(e)["one_leg"] = (full, full, bp, psi2)
+    else:
+        kb, d = kernel(esd.mu_q.matrix), esd.qq.resolved.dim
+        j = next(j for j in range(d) if not kb.contains_vector(unit_vec(d, j)))
+        onto = RatMatrix.from_columns([unit_vec(d, j)] * bp.resolved.dim, rows=d)
+        vars(e)["one_leg"] = (span, ideal, bp, AlgebraHom(bp.resolved, esd.qq.resolved, onto))
+    with pytest.raises(AssertionError) as err:
+        six_term_report(e)
+    assert str(err.value) == message
+
+
 # -- each derived object once per extension ---------------------------------------------
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -391,3 +464,26 @@ def test_classify_checks_the_projection_once(monkeypatch, capsys):
     capsys.readouterr()
     # Extension.validity and the induced exterior maps share one report
     assert calls["xmod_hom", e.total.name, e.quotient.name] == 1
+
+
+def test_extension_commands_never_densify(monkeypatch, capsys):
+    # the connecting map, the inclusion crossed modules and the subalgebras
+    # behind them read the integer twins: with no bracket or action
+    # evaluated on a pair of dense vectors, both commands print their
+    # golden --json bytes on both fixture extensions
+    golden = (Path(__file__).resolve().parent / "golden" / "json_corpus.txt").read_text()
+
+    def densified(*args, **kwargs):
+        raise AssertionError("a bracket or an action was evaluated densely")
+
+    monkeypatch.setattr(algebra, "contract", densified)
+    monkeypatch.chdir(FIXTURES)
+    for cached in (tensor.tensor_product, tensor.exterior_presentation,
+                   tensor.exterior_square_data, tensor.schur_multiplier):
+        cached.cache_clear()
+    for name in ("n2_over_k.extension", "split_over_n2.extension"):
+        for command in ("classify-extension", "verify-sequence"):
+            head = f"$ leibxmod {command} {name} --json\n"
+            expect = golden.split(head, 1)[1].split("[exit 0]\n", 1)[0]
+            assert cli.main([command, name, "--json"]) == 0, (command, name)
+            assert capsys.readouterr().out == expect, (command, name)

@@ -1,5 +1,6 @@
 """Tensor/exterior products of mutually acting algebras and the multiplier."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leibxmod import algebra, tensor
-from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, center, check_leibniz
+from leibxmod.algebra import (
+    AlgebraHom,
+    LeibnizAction,
+    LeibnizAlgebra,
+    center,
+    check_leibniz,
+)
 from leibxmod.homology import hl
 from leibxmod.ratlin import (
     QQ,
@@ -494,6 +501,79 @@ def test_induced_map_reports_unpreserved_relations():
     swap = RatMatrix.from_rows([[0, 1], [1, 0]])
     _raises_exactly("induced map n2(^)n2 -> n2(^)n2 does not preserve relations",
                     tensor._induced_presentation_hom, esd.qn, esd.qq, swap, swap)
+
+
+@pytest.mark.parametrize("square, message", [
+    ("heis3(^)heis3_ideal", "top evaluation map does not kill the relations"),
+    ("heis3(^)heis3", "base evaluation map does not kill the relations"),
+])
+def test_evaluation_reports_unkilled_relations(monkeypatch, square, message):
+    # the evaluation of the named square also sends the pivot symbol of its
+    # first relation row to e_1, so that row is no longer killed; the top
+    # and base squares of (Z(heis3), heis3, incl) have different names
+    real = tensor.exterior_presentation.__wrapped__
+
+    def perturbed(eta, delta, name=None):
+        pres = real(eta, delta, name)
+        if pres.name == square:
+            dens, ev = pres.pair.zevaluations
+            moved = list(ev[1])
+            p = pres.relations.pivots[0]
+            moved[p] = _plus_unit(moved[p], 0)
+            vars(pres.pair)["zevaluations"] = (dens, (ev[0], tuple(moved)))
+        return pres
+
+    monkeypatch.setattr(tensor, "exterior_presentation", perturbed)
+    _raises_exactly(message, exterior_square_data.__wrapped__,
+                    CrossedModule.inclusion(heis3(), center(heis3())))
+
+
+def _leaving(source, target, dim):
+    """A matrix with dim rows that sends the first basis vector of the
+    subspace source to a unit vector outside the subspace target."""
+    j = next(j for j in range(dim) if not target.contains_vector(unit_vec(dim, j)))
+    p = source.pivots[0]
+    cols = source.ambient_dim
+    return RatMatrix.from_rows([[QQ(int((r, c) == (j, p))) for c in range(cols)]
+                                for r in range(dim)], cols=cols)
+
+
+def test_multiplier_reports_a_connecting_map_that_leaves_it(monkeypatch):
+    real = tensor.exterior_square_data
+
+    def moved(xm):
+        esd = real(xm)
+        kt, kb = kernel(esd.lambda_n.matrix), kernel(esd.mu_q.matrix)
+        return dataclasses.replace(esd, id_wedge_delta=AlgebraHom(
+            esd.qn.resolved, esd.qq.resolved, _leaving(kt, kb, esd.qq.resolved.dim)))
+
+    monkeypatch.setattr(tensor, "exterior_square_data", moved)
+    _raises_exactly("connecting map does not restrict to the multiplier",
+                    schur_multiplier.__wrapped__, CrossedModule.adjoint_identity(n2()))
+
+
+@pytest.mark.parametrize("side, message", [
+    (0, "induced top map does not preserve the multiplier"),
+    (1, "induced base map does not preserve the multiplier"),
+])
+def test_multiplier_map_reports_a_square_map_that_leaves_it(monkeypatch, side, message):
+    # the induced map on one square replaced by one that sends the first
+    # multiplier basis vector out of the multiplier
+    real = tensor.induced_exterior_hom
+
+    def moved(f):
+        homs = list(real(f))
+        src, tgt = exterior_square_data(f.source), exterior_square_data(f.target)
+        ks = [kernel(m.matrix) for m in (src.lambda_n, src.mu_q)]
+        kt = [kernel(m.matrix) for m in (tgt.lambda_n, tgt.mu_q)]
+        h = homs[side]
+        homs[side] = AlgebraHom(h.source, h.target,
+                                _leaving(ks[side], kt[side], h.target.dim))
+        return tuple(homs)
+
+    monkeypatch.setattr(tensor, "induced_exterior_hom", moved)
+    _raises_exactly(message, multiplier_functorial_map,
+                    XModHom.identity(CrossedModule.adjoint_identity(n2())))
 
 
 def _plus_unit(col, k):

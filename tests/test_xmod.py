@@ -561,6 +561,25 @@ def test_commutator_with_the_full_pair_matches_the_dense_reference():
                 assert _outcome(commutator, xm, a, b) == _outcome(ref.commutator, xm, a, b)
 
 
+def test_commutator_is_symmetric():
+    # [a, b] = [b, a]: the base is spanned by [h, j] and [j, h], since delta
+    # of the top generator t^h is [delta t, h].  Pinned on (r2, r2, id) and
+    # u = (span{e2}, span{e2}), where [h, j] alone misses [e2, e1] = e2
+    xm = CrossedModule.adjoint_identity(r2_nonlie())
+    u = span_of(xm, [unit_vec(2, 1)], [unit_vec(2, 1)])
+    assert commutator(xm, xm.full_pair(), u) == commutator(xm, u, xm.full_pair())
+    assert commutator(xm, xm.full_pair(), u).dims() == (1, 1)
+
+    @PROPERTY
+    @given(st.data())
+    def check(data):
+        xm = data.draw(pool_xmods())
+        a, b = (crossed_ideal_closure(xm, data.draw(seed_pairs(xm))) for _ in range(2))
+        assert _outcome(commutator, xm, a, b) == _outcome(commutator, xm, b, a)
+
+    check()
+
+
 @PROPERTY
 @given(st.data())
 def test_span_brackets_matches_the_dense_reference(data):
