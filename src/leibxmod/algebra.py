@@ -43,11 +43,11 @@ from functools import cached_property
 from typing import Sequence
 
 from .ratlin import (
+    QuotientMap,
     RatMatrix,
     Subspace,
     _restriction,
     _row,
-    _twin,
     contract,
     dense,
     integer_view,
@@ -447,7 +447,7 @@ def span_brackets(a: LeibnizAlgebra, X: Subspace, Y: Subspace) -> Subspace:
     """Linear span of {[x, y] : x in X, y in Y} (basis pairs suffice)."""
     if X.ambient_dim != a.dim or Y.ambient_dim != a.dim:
         raise ValueError("subspace/algebra dimension mismatch")
-    return Subspace.from_integer_rows(a.dim, _pairwise(a.zst_t, _twin(X), _twin(Y)))
+    return Subspace.from_integer_rows(a.dim, _pairwise(a.zst_t, X.zbasis, Y.zbasis))
 
 
 def annihilator(dim: int, views) -> Subspace:
@@ -498,15 +498,23 @@ def quotient_algebra(a: LeibnizAlgebra, ideal: Subspace,
     """
     if not is_ideal(a, ideal):
         raise ValueError(f"subspace is not a two-sided ideal of {a.name}")
+    out, qm = _quotient(a, ideal, name or f"{a.name}_quot")
+    return out, AlgebraHom(a, out, qm.projection)
+
+
+def _quotient(a: LeibnizAlgebra, ideal: Subspace,
+              name: str) -> "tuple[LeibnizAlgebra, QuotientMap]":
+    """The quotient algebra by a subspace the caller knows to be an ideal,
+    with its quotient map; the Leibniz identity of the result is asserted."""
     qm = quotient(a.dim, ideal)
     names = tuple(a.basis_names[f] for f in qm.free)
     c = tuple(tuple(qm.project(a.c[i][j]) for j in qm.free) for i in qm.free)
-    out = LeibnizAlgebra(name or f"{a.name}_quot", qm.dim, names, c)
+    out = LeibnizAlgebra(name, qm.dim, names, c)
     rep = check_leibniz(out)
     if not rep.valid:
         raise AssertionError(f"quotient of {a.name} lost the Leibniz identity: "
                              f"{rep.summary()}")
-    return out, AlgebraHom(a, out, qm.projection)
+    return out, qm
 
 
 def subalgebra_on(a: LeibnizAlgebra, s: Subspace, name: str) -> "tuple[LeibnizAlgebra, RatMatrix]":
@@ -515,7 +523,7 @@ def subalgebra_on(a: LeibnizAlgebra, s: Subspace, name: str) -> "tuple[LeibnizAl
     Returns the algebra in the coordinates of s's canonical basis plus
     the inclusion matrix (a.dim x s.dim).  Raises if s is not closed.
     """
-    d, us = s.dim, _twin(s)
+    d, us = s.dim, s.zbasis
     # [e_k, u_j] for every basis element e_k, then c[i][j] = [u_i, u_j]
     den, c = _through(us, _through(us, a.zst, d, a.dim), d, d)
     coords = _restriction(s, (den, [v for row in c for v in row]))

@@ -40,7 +40,6 @@ from .ratlin import (
     _images,
     _matrix,
     _restriction,
-    _twin,
     column_space,
     kernel,
     rank,
@@ -173,7 +172,7 @@ class Extension:
         base = LeibnizAlgebra.abelian(f"ker({self.name}).base", b.dim,
                                       tuple(f"b{i+1}" for i in range(b.dim)))
         # the connecting map of the total restricted to the kernel pair
-        delta = _restriction(b, _images(self.total.delta.zcols, _twin(a)))
+        delta = _restriction(b, _images(self.total.delta.zcols, a.zbasis))
         if delta is None:
             raise ValueError("vector not in subspace")
         kxm = CrossedModule(f"ker({self.name})", top, base, _matrix(delta, b.dim),
@@ -399,7 +398,7 @@ def six_term_report(e: Extension) -> ExactnessReport:
     if ideal != span:
         raise AssertionError("one-leg span fails to be an ideal of the top square")
     kt, kb = exterior_square_data(e.total)._kernels
-    f1_top = _restriction(kt, _twin(ideal))
+    f1_top = _restriction(kt, ideal.zbasis)
     if f1_top is None:
         raise AssertionError("one-leg ideal escapes the multiplier top")
     f1_base = _restriction(kb, psi2.matrix.zcols)

@@ -23,18 +23,20 @@ where it leaves the kernel, as a Fraction.  A ``QuotientMap`` is a
 sparse map too: the image of every ambient column in quotient
 coordinates, with an integer twin, so projecting a vector costs one
 ``accumulate`` over its nonzero entries, and membership in the relation
-subspace is an empty projection, a pure int test.  Restricting int
-vectors to a subspace (``_restriction``) reads their coordinates at its
-pivots and each residual once, on ints.
+subspace is an empty projection, a pure int test.
 Every operation is deterministic: the canonical form behind all
 subspace comparisons, kernels and quotients is *the* reduced row
 echelon form of a row space, which is unique and so does not depend on
-which row supplies a pivot.  Identical inputs therefore always produce
-bit-identical outputs.  Elimination runs over integers (fraction-free,
-in the style of Bareiss); Fractions appear only in the normalised
-result.  Kernels and spans take their rows dense, sparse or as sparse
-int rows, which go to the elimination as they are; ``integer_rank``
-and ``integer_basis`` create no Fraction at all.
+which row supplies a pivot.  Elimination runs over integers
+(fraction-free, in the style of Bareiss), and a ``Subspace`` keeps the
+rows it returns, each RREF row made primitive and positive at its pivot:
+a unique form too, so identical inputs always give bit-identical
+outputs.  Sums, intersections, kernels, membership and restriction
+(``_restriction``: coordinates read at the pivots, each residual once)
+run on those int rows and create no Fraction; the dense RREF basis is a
+view built on request.  Spans and kernels take their rows dense, sparse
+or as sparse int rows; ``integer_rank`` and ``integer_basis`` create no
+Fraction at all.
 """
 
 from __future__ import annotations
@@ -73,15 +75,6 @@ def unit_vec(n: int, i: int) -> tuple:
 
 def vec_is_zero(v: tuple) -> bool:
     return not any(v)
-
-
-def vec_accum(acc: list, c: Fraction, v: Sequence) -> None:
-    """In-place acc += c*v on a mutable list accumulator (skips c = 0)."""
-    if not c:
-        return
-    for k, a in enumerate(v):
-        if a:
-            acc[k] += c * a
 
 
 _ZERO = Fraction(0)
@@ -419,25 +412,15 @@ def _eliminate(rows: list, reduce: bool = True) -> list:
     return echelon
 
 
-def _normalised(echelon: list, cols: int) -> "tuple[RatMatrix, tuple[int, ...]]":
-    """The reduced row echelon form, and its pivots, of a reduced echelon."""
-    kept = []
-    for c, row in echelon:
-        p = row[c]
-        out = [_ZERO] * cols
-        for k, v in row.items():
-            out[k] = Fraction(v, p)
-        kept.append(tuple(out))
-    return RatMatrix(len(kept), cols, tuple(kept)), tuple(c for c, _ in echelon)
-
-
 def rref(m: RatMatrix) -> "tuple[RatMatrix, tuple[int, ...]]":
     """Reduced row echelon form with zero rows dropped, and its pivots.
 
     This is the reduced row echelon form of the row space: unique, so
-    equality of row spaces is equality of rref forms.
+    equality of row spaces is equality of rref forms.  It is the dense
+    view of the row space's canonical rows (see Subspace).
     """
-    return _normalised(_eliminate(_integer_rows(m)), m.cols)
+    s = Subspace._spanned(m.cols, _integer_rows(m))
+    return s.basis, s.pivots
 
 
 def rank(m: RatMatrix) -> int:
@@ -446,95 +429,122 @@ def rank(m: RatMatrix) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of QQ^ambient_dim, held as a canonical RREF basis."""
+    """A subspace of QQ^ambient_dim, held as its canonical rows: zrows[i]
+    is RREF row i times the positive int that makes it primitive, a sparse
+    int vector sorted by index whose first entry is a positive one at
+    pivots[i].  The form is unique, so equality and hashing compare ints.
+    The dense basis and its integer twin (zbasis) are views built on
+    request; every operation reads the rows."""
 
     ambient_dim: int
-    basis: RatMatrix
     pivots: tuple
+    zrows: tuple
+
+    @classmethod
+    def _spanned(cls, ambient_dim: int, rows: list) -> "Subspace":
+        """The span of sparse {column: int} rows with content 1, straight
+        from the elimination (see _eliminate)."""
+        echelon = _eliminate(rows)
+        return cls(ambient_dim, tuple(c for c, _ in echelon), tuple(
+            tuple(sorted(row.items() if row[c] > 0 else [(k, -v) for k, v in row.items()]))
+            for c, row in echelon))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         rows = [vec(v) for v in vectors]
-        for v in rows:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length differs from ambient dimension")
-        return cls(ambient_dim,
-                   *rref(RatMatrix(len(rows), ambient_dim, tuple(rows))))
+        if any(len(v) != ambient_dim for v in rows):
+            raise ValueError("vector length differs from ambient dimension")
+        return cls.from_integer_rows(ambient_dim, [integer_entries(v)[1] for v in rows])
 
     @classmethod
     def from_integer_rows(cls, ambient_dim: int, rows: Iterable) -> "Subspace":
         """The span of sparse int vectors ((index, int), ...) with nonzero
         values and indices below ambient_dim, zero vectors allowed; each
         goes to the elimination made primitive, with no Fraction."""
-        return cls(ambient_dim, *_normalised(
-            _eliminate([_primitive(dict(r)) for r in rows if r]), ambient_dim))
+        return cls._spanned(ambient_dim, [_primitive(dict(r)) for r in rows if r])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RatMatrix(0, ambient_dim, ()), ())
+        return cls(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RatMatrix.identity(ambient_dim),
-                   tuple(range(ambient_dim)))
+        return cls(ambient_dim, tuple(range(ambient_dim)),
+                   tuple(((i, 1),) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivots)
 
-    def reduce(self, v: Sequence) -> tuple:
-        """Residual of v after eliminating all pivot coordinates."""
+    @cached_property
+    def basis(self) -> RatMatrix:
+        """The reduced row echelon form, as a dense matrix."""
+        return RatMatrix(self.dim, self.ambient_dim, tuple(
+            dense(rational(row, row[0][1]), self.ambient_dim) for row in self.zrows))
+
+    @cached_property
+    def zbasis(self) -> "tuple[int, tuple]":
+        """The integer twin (den, rows) of the canonical basis: den is the
+        lcm of the pivot entries of zrows, and rows[i] is den times RREF
+        row i, so coordinates read at the pivots share one denominator."""
+        den = lcm(*[row[0][1] for row in self.zrows])
+        return den, tuple(row if row[0][1] == den else
+                          tuple([(k, v * (den // row[0][1])) for k, v in row])
+                          for row in self.zrows)
+
+    def _split(self, v) -> "tuple[tuple, dict]":
+        """The coordinates of the sparse vector v along the canonical basis
+        (its entries at the pivots) and den times its residual, den of
+        zbasis, as an accumulator: zero exactly when v lies in the subspace."""
+        den, rows = self.zbasis
+        at = dict(v)
+        coords = tuple((i, at[p]) for i, p in enumerate(self.pivots) if p in at)
+        residual = {k: den * t for k, t in v}
+        accumulate(residual, -1, coords, rows)
+        return coords, residual
+
+    def _residual(self, v: Sequence) -> "tuple[int, dict]":
+        """(den, acc): den times the residual of the dense vector v after
+        eliminating all pivot coordinates, as an int accumulator."""
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
-        out = list(v)
-        for row, p in zip(self.basis.entries, self.pivots):
-            c = out[p]
-            if c:
-                for k, a in enumerate(row):
-                    if a:
-                        out[k] -= c * a
-        return tuple(out)
+        dv, z = integer_entries(v)
+        return dv * self.zbasis[0], self._split(z)[1]
+
+    def reduce(self, v: Sequence) -> tuple:
+        """Residual of v after eliminating all pivot coordinates."""
+        den, acc = self._residual(v)
+        return dense(rational(acc.items(), den), self.ambient_dim)
 
     def contains_vector(self, v: Sequence) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return not any(self._residual(v)[1].values())
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains_vector(v) for v in other.basis.entries)
+        return not any(any(self._split(r)[1].values()) for r in other.zrows)
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(
-            self.ambient_dim, self.basis.entries + other.basis.entries)
+        return Subspace._spanned(self.ambient_dim,
+                                 [dict(r) for r in self.zrows + other.zrows])
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked coefficient system."""
+        """The annihilator of the sum of the two annihilators (each the
+        kernel of a subspace's rows), on int rows."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        da, db = self.dim, other.dim
-        if da == 0 or db == 0:
-            return Subspace.zero(self.ambient_dim)
-        cols = [list(v) for v in self.basis.entries]
-        cols += [[-x for x in v] for v in other.basis.entries]
-        system = RatMatrix.from_columns(cols, rows=self.ambient_dim)
-        sols = kernel(system)
-        out = []
-        for w in sols.basis.entries:
-            x = [Fraction(0)] * self.ambient_dim
-            for i in range(da):
-                vec_accum(x, w[i], self.basis.entries[i])
-            out.append(tuple(x))
-        return Subspace.from_vectors(self.ambient_dim, out)
+        n = self.ambient_dim
+        if not (self.dim and other.dim):
+            return Subspace.zero(n)
+        return sparse_kernel(n, sparse_kernel(n, self.zrows).zrows
+                             + sparse_kernel(n, other.zrows).zrows)
 
     def coords(self, v: Sequence) -> tuple:
-        """Coordinates of v in this basis; raises if v is not a member.
-
-        Because the basis is RREF, the coordinate along basis row i is
-        just the entry of v at the i-th pivot column.
-        """
+        """Coordinates of v in the RREF basis, its entries at the pivots;
+        raises if v is not a member."""
         v = vec(v)
         if not self.contains_vector(v):
             raise ValueError("vector not in subspace")
@@ -557,11 +567,6 @@ def _images(cols, twin) -> tuple:
     return dc * dv, tuple(_row(_image(v, cs)) for v in vs)
 
 
-def _twin(s: Subspace) -> tuple:
-    """The integer twin of the canonical basis of s, as sparse vectors."""
-    return integer_view([sparse(u) for u in s.basis.entries], 1)
-
-
 def _restriction(s: Subspace, twin) -> "tuple | None":
     """The integer twin (den, coordinates) of the coordinates in the
     canonical basis of s of the vectors of the integer twin (den,
@@ -569,17 +574,10 @@ def _restriction(s: Subspace, twin) -> "tuple | None":
     basis row i is the entry at the i-th pivot, and each vector's
     residual (minus the coordinates times the basis) is read once, on ints."""
     den, vectors = twin
-    dr, rows = _twin(s)  # rows[i] is dr times basis row i
-    out = []
-    for v in vectors:
-        at = dict(v)
-        coords = tuple((i, at[p]) for i, p in enumerate(s.pivots) if p in at)
-        residual = {k: dr * t for k, t in v}
-        accumulate(residual, -1, coords, rows)
-        if any(residual.values()):
-            return None
-        out.append(coords)
-    return den, tuple(out)
+    split = [s._split(v) for v in vectors]
+    if any(any(residual.values()) for _, residual in split):
+        return None
+    return den, tuple(coords for coords, _ in split)
 
 
 def _matrix(twin, rows: int) -> RatMatrix:
@@ -633,12 +631,12 @@ def _kernel(rows: list, cols: int) -> Subspace:
         for c, b, a in terms:
             v[c] = -b * (scale // a)
         out.append(_primitive(v))
-    return Subspace(cols, *_normalised(_eliminate(out), cols))
+    return Subspace._spanned(cols, out)
 
 
 def column_space(m: RatMatrix) -> Subspace:
     """Image of the linear map represented by m (span of its columns)."""
-    return Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
+    return Subspace.from_integer_rows(m.rows, m.zcols[1])
 
 
 @dataclass(frozen=True)
@@ -655,17 +653,16 @@ class QuotientMap:
     the pivot rows' combination at v's pivot coordinates, which is the
     free part of v reduced by the relations; so the kernel is exactly
     the relation subspace, and lifting e_k is the ambient unit at free[k].
-    The map holds them as integer twins: zimages = (den, den * images),
-    den the lcm of the pivots of the integer echelon rows, and zrows,
-    each RREF row as a primitive int row; rows and images are built from
-    them only on request, and a value is divided only when it leaves as
-    a quotient-level Fraction.
+    The map holds the images as an integer twin, zimages = (den, den *
+    images), read off the relations' zbasis (den the lcm of the pivot
+    entries of their canonical rows, relations.zrows); rows and images
+    are built only on request, and a value is divided only when it
+    leaves as a quotient-level Fraction.
     """
 
     ambient_dim: int
     relations: Subspace
     free: tuple
-    zrows: tuple
     zimages: tuple
 
     @property
@@ -675,7 +672,7 @@ class QuotientMap:
     @cached_property
     def rows(self) -> tuple:
         """The RREF rows of the relations, as sparse vectors."""
-        return tuple(sparse(row) for row in self.relations.basis.entries)
+        return tuple(tuple(rational(row, row[0][1])) for row in self.relations.zrows)
 
     @cached_property
     def images(self) -> tuple:
@@ -729,15 +726,13 @@ def quotient(ambient_dim: int, r: Subspace) -> QuotientMap:
     pivset = set(r.pivots)
     free = tuple(c for c in range(ambient_dim) if c not in pivset)
     position = {f: k for k, f in enumerate(free)}
-    rows = [integer_entries(row) for row in r.basis.entries]
-    den = lcm(*[d for d, _ in rows])  # row d is d times an RREF row
+    den, rows = r.zbasis
     images = [None] * ambient_dim
     for k, f in enumerate(free):
         images[f] = ((k, den),)
-    for p, (d, row) in zip(r.pivots, rows):
-        images[p] = tuple((position[c], -t * (den // d)) for c, t in row if c != p)
-    return QuotientMap(ambient_dim, r, free, tuple(row for _, row in rows),
-                       (den, tuple(images)))
+    for p, row in zip(r.pivots, rows):
+        images[p] = tuple((position[c], -t) for c, t in row if c != p)
+    return QuotientMap(ambient_dim, r, free, (den, tuple(images)))
 
 
 def solve(m: RatMatrix, rhs: Sequence) -> tuple:

@@ -57,11 +57,9 @@ from .ratlin import (
     _matrix,
     _restriction,
     _row,
-    _twin,
     contract,
     dense,
     integer_basis,
-    integer_entries,
     integer_view,
     kernel,
     quotient,
@@ -339,11 +337,12 @@ def _symbol_names(pair: MutualActionPair) -> tuple:
 
 
 def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> QuotientPresentation:
-    """The quotient of the symbol space by the defining rows and extra_rows,
-    with the bracket asserted well-defined on it (_well_defined; a failure
-    is named by the per-symbol scan, _scan) and the Leibniz identity
-    asserted on the resolved algebra.  Only the brackets of the free
-    symbols are projected into it."""
+    """The quotient of the symbol space by the defining rows and extra_rows
+    (sparse int vectors sorted by index), with the bracket asserted
+    well-defined on it (_well_defined; a failure is named by the
+    per-symbol scan, _scan) and the Leibniz identity asserted on the
+    resolved algebra.  Only the brackets of the free symbols are
+    projected into it."""
     for act, side in ((pair.m_on_n, "m on n"), (pair.n_on_m, "n on m")):
         rep = check_action(act)
         if not rep.valid:
@@ -351,7 +350,7 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
     dm, dn = pair.m.dim, pair.n.dim
     amb = 2 * dm * dn
     rows = _defining_rows(pair)
-    rows.extend(integer_entries(r)[1] for r in extra_rows)
+    rows.extend(extra_rows)
     relations = Subspace.from_integer_rows(amb, sorted(set(rows)))
     qmap = quotient(amb, relations)
     if not _well_defined(pair, qmap):
@@ -395,8 +394,8 @@ def _well_defined(pair: MutualActionPair, qmap: QuotientMap) -> bool:
     # the m and n parts of L(r) and G(r): the images of r under the
     # columns ev[0] on block 0 and ev[1] on block 1, and under ev
     lcols = (ev[0][:half] + none, none + ev[1][half:])
-    ls = [(_row(_image(r, lcols[0])), _row(_image(r, lcols[1]))) for r in qmap.zrows]
-    gs = [(_row(_image(r, ev[0])), _row(_image(r, ev[1]))) for r in qmap.zrows]
+    ls = [(_row(_image(r, lcols[0])), _row(_image(r, lcols[1]))) for r in qmap.relations.zrows]
+    gs = [(_row(_image(r, ev[0])), _row(_image(r, ev[1]))) for r in qmap.relations.zrows]
     tests = [((1, 0, a, d), (1, 1, b, c))
              for a, b in _pair_basis(dm, dn, ls) for c, d in pair.evaluation_basis]
     tests += [((1, 0, u, v),) for u in integer_basis(ev[0][:half])
@@ -442,10 +441,10 @@ def _descend(pres: QuotientPresentation, cols, target: "QuotientMap | None"):
     den, cols = cols
     qm = pres.qmap
     if target is None:
-        if any(any(_image(r, cols).values()) for r in qm.zrows):
+        if any(any(_image(r, cols).values()) for r in qm.relations.zrows):
             return None
         return den, tuple(cols[f] for f in qm.free)
-    if not all(_preserves(target, r, cols) for r in qm.zrows):
+    if not all(_preserves(target, r, cols) for r in qm.relations.zrows):
         return None
     return (target.zimages[0] * den,
             tuple(_row(target.integer_image(cols[f])) for f in qm.free))
@@ -467,14 +466,9 @@ def square_subspace(eta: CrossedModule, delta: CrossedModule) -> Subspace:
     if eta.base != delta.base:
         raise ValueError("crossed modules must share the same base")
     m, n = eta.top, delta.top
-    q = eta.base
-    cols = []
-    for a in range(m.dim):
-        cols.append(eta.delta.column(a))
-    for b in range(n.dim):
-        cols.append(tuple(-x for x in delta.delta.column(b)))
-    pullback = kernel(RatMatrix.from_columns(cols, rows=q.dim))
-    pairs = [_pair_parts(m.dim, w) for w in _twin(pullback)[1]]
+    pullback = kernel(RatMatrix(eta.base.dim, m.dim + n.dim, tuple(
+        r + tuple(-x for x in t) for r, t in zip(eta.delta.entries, delta.delta.entries))))
+    pairs = [_pair_parts(m.dim, w) for w in pullback.zrows]
     gens = [_row(_symbols(m.dim, n.dim, ((1, 0, u1, v2), (-1, 1, v1, u2))))
             for u1, v1 in pairs for u2, v2 in pairs]
     return Subspace.from_integer_rows(2 * m.dim * n.dim, gens)
@@ -486,7 +480,7 @@ def exterior_presentation(eta: CrossedModule, delta: CrossedModule,
     """Tensor product of the two tops divided by the glue subspace."""
     pair = MutualActionPair.from_shared_base(eta, delta)
     box = square_subspace(eta, delta)
-    return _build_presentation(pair, box.basis.entries,
+    return _build_presentation(pair, box.zrows,
                                name or f"{eta.top.name}(^){delta.top.name}")
 
 
@@ -500,14 +494,14 @@ def one_leg_span(pres: QuotientPresentation, m_sub: Subspace,
     def cls(*terms):
         return _row(qm.integer_image(_symbols(dm, dn, terms).items()))
 
-    # the bases as int vectors at one scale each: the same spans
+    # the canonical rows, each at its own positive scale: the same spans
     gens = []
-    for u in _twin(m_sub)[1]:
+    for u in m_sub.zrows:
         for j in range(dn):
             ej = ((j, 1),)
             gens.append(cls((1, 0, u, ej)))
             gens.append(cls((1, 1, ej, u)))
-    for v in _twin(n_sub)[1]:
+    for v in n_sub.zrows:
         for i in range(dm):
             ei = ((i, 1),)
             gens.append(cls((1, 0, ei, v)))
@@ -652,7 +646,7 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
     inclusion into the induced crossed module on the squares."""
     esd = exterior_square_data(xm)
     kt, kb = esd._kernels
-    kts, kbs = _twin(kt), _twin(kb)
+    kts, kbs = kt.zbasis, kb.zbasis
     sq_top, sq_base, act = esd.qn.resolved, esd.qq.resolved, esd.action
     if _pairwise(sq_top.zst_t, kts, kts):
         raise AssertionError("multiplier top is not abelian")

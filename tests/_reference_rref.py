@@ -2,15 +2,15 @@
 before its fraction-free integer elimination, kept as a test oracle.
 
 rref is the old routine verbatim; rank, kernel, solve and solve_matrix
-are the old ones on top of it (kernel builds its Subspace through this
-rref too), so the differential tests in test_ratlin.py compare the
-library with an independent elimination.
+are the old ones on top of it (kernel gives the basis and pivots of the
+old Subspace, built through this rref too), so the differential tests
+in test_ratlin.py compare the library with an independent elimination.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
-from leibxmod.ratlin import RatMatrix, Subspace, vec
+from leibxmod.ratlin import RatMatrix, vec
 
 
 def rref(m: RatMatrix) -> "tuple[RatMatrix, tuple[int, ...]]":
@@ -53,8 +53,9 @@ def rank(m: RatMatrix) -> int:
     return rref(m)[0].rows
 
 
-def kernel(m: RatMatrix) -> Subspace:
-    """Basis of the right null space {v : m v = 0}."""
+def kernel(m: RatMatrix) -> "tuple[RatMatrix, tuple[int, ...]]":
+    """The canonical basis of the right null space {v : m v = 0}, and its
+    pivots."""
     r, piv = rref(m)
     pivset = set(piv)
     free = [c for c in range(m.cols) if c not in pivset]
@@ -65,8 +66,7 @@ def kernel(m: RatMatrix) -> Subspace:
         for i, p in enumerate(piv):
             v[p] = -r.entries[i][f]
         out.append(tuple(v))
-    b, p = rref(RatMatrix.from_rows(out, cols=m.cols))
-    return Subspace(m.cols, b, p)
+    return rref(RatMatrix.from_rows(out, cols=m.cols))
 
 
 def solve(m: RatMatrix, rhs: Sequence) -> tuple:

@@ -415,8 +415,7 @@ def test_sweep_reports_relation_times_symbol():
     _raises_exactly(
         "bracket of probe not well-defined: relation * symbol 2 escapes "
         "the relation subspace",
-        tensor._build_presentation, adjoint_pair(sl2()), [unit_vec(18, 12)],
-        "probe")
+        tensor._build_presentation, adjoint_pair(sl2()), [((12, 1),)], "probe")
 
 
 def test_sweep_reports_symbol_times_relation(monkeypatch):
@@ -426,8 +425,8 @@ def test_sweep_reports_symbol_times_relation(monkeypatch):
     _raises_exactly(
         "bracket of probe not well-defined: symbol 4 * relation escapes "
         "the relation subspace",
-        tensor._build_presentation, adjoint_pair(n2()),
-        [unit_vec(8, 0), unit_vec(8, 3)], "probe")
+        tensor._build_presentation, adjoint_pair(n2()), [((0, 1),), ((3, 1),)],
+        "probe")
 
 
 def test_sweep_reports_a_failure_the_scan_does_not_name(monkeypatch):

@@ -54,6 +54,7 @@ from helpers import (
     r2_nonlie,
     random_leibniz_corpus,
     sl2,
+    zero_algebra,
     zero_over,
 )
 from test_checks import crossed_modules, perturbed_crossed_modules, vectors
@@ -282,6 +283,18 @@ def test_quotient_rejects_non_ideal_pair():
     notideal = span_of(xm, [(QQ(1), QQ(0))], [(QQ(1), QQ(0))])
     with pytest.raises(ValueError):
         quotient_xmod(xm, notideal)
+
+
+def test_quotient_rejects_an_invalid_crossed_module_before_the_ideal_test():
+    # (n2, 0, 0) with the trivial action fails Peiffer, and span{e1}, not an
+    # ideal of n2, still passes the crossed-ideal test; the quotient reads
+    # the validity report first, so the input error is a ValueError
+    xm = CrossedModule("(n2,0,0)", n2(), zero_algebra(), RatMatrix(0, 2, ()),
+                       LeibnizAction.trivial(zero_algebra(), n2()))
+    t = span_of(xm, [(QQ(1), QQ(0))], [])
+    assert not check_xmod(xm).valid and is_crossed_ideal(xm, t)
+    with pytest.raises(ValueError, match="invalid crossed module"):
+        quotient_xmod(xm, t)
 
 
 def test_abelianization_of_n2_identity():
