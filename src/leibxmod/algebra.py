@@ -7,20 +7,19 @@ A Leibniz algebra is a vector space with a bilinear bracket satisfying
 a Lie algebra when additionally [x, x] = 0.  Algebras are presented by
 structure constants c[i][j] = coordinates of [e_i, e_j]; a Leibniz
 action of one algebra on another is a pair of trilinear tables (left
-^m n and right n^m) subject to six compatibility axioms.  The tables
-are the dense fields that define equality, hashing and the fixture
-format.  Brackets, actions and the laws below read the integer twin of
-the sparse view of every table (see ``ratlin.sparse_table`` and
-``ratlin.integer_view``: one positive denominator per algebra, per
-action and per matrix, and int entries), and of its transpose: ``zst``,
-``zst_t``, ``zsl``, ``zsr``, ``zsl_t``, ``zsr_t`` and
-``RatMatrix.zcols``.  An object builds the twins of its tables once, on
-first use, and the Fraction views ``st``, ``sl`` and ``sr`` only on
-request; an object built from twins (``from_sparse``) keeps them instead
-of rescanning the dense tables densified from them.  Validity is always
-a report, not a boolean: downstream debugging needs the violating
-triple and its residual.  A law covers every basis pair or triple, but
-it is evaluated term by term: each term is joined over the nonzero
+^m n and right n^m) subject to six compatibility axioms.  A table is
+stored only as the integer twin of its sparse view (see ``ratlin``): an
+algebra holds ``zst``, an action one ``den`` with the int views ``sl``
+and ``sr``, a matrix ``RatMatrix.zcols``, so equality and hashing
+compare ints.  ``from_sparse`` is the constructor and makes the
+denominator it is given canonical; the positional constructors convert
+dense tables once.  The dense ``c``, ``left``, ``right`` and
+``RatMatrix.entries`` are views for the public readers; everything
+below, and the fixture loader and writer, reads the twins and their
+transposes (``zst_t``, ``zsl_t``, ``zsr_t``).  Validity is always a
+report, not a boolean: downstream debugging needs the violating triple
+and its residual.  A law covers every basis pair or triple, but it is
+evaluated term by term: each term is joined over the nonzero
 entries of its twins (``ratlin.join``) into int residuals, all at one
 scale and keyed by the law's report order, so a pair or triple that no
 nonzero product reaches costs nothing, and only a nonzero residual is
@@ -46,8 +45,10 @@ from .ratlin import (
     QuotientMap,
     RatMatrix,
     Subspace,
+    _assign,
     _restriction,
     _row,
+    canonical,
     contract,
     dense,
     integer_view,
@@ -58,7 +59,6 @@ from .ratlin import (
     sparse_table,
     transposed,
     vec,
-    vec_is_zero,
     zero_vec,
 )
 
@@ -142,28 +142,33 @@ def _pairwise(table_t, us, vs) -> list:
 
 def _densified(twin, d: int) -> tuple:
     """The dense table of length-d vectors whose sparse view has the
-    integer twin (den, view), every empty entry one shared zero vector."""
+    integer twin (den, view), every empty entry one shared zero vector:
+    the body of the dense views."""
     den, view = twin
     z = zero_vec(d)
     return tuple(tuple(dense(rational(v, den), d) if v else z for v in row)
                  for row in view)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LeibnizAlgebra:
-    """Structure-constant presentation: [e_i, e_j] = sum_k c[i][j][k] e_k."""
+    """Structure constants [e_i, e_j] = sum_k c[i][j][k] e_k, held as the
+    integer twin zst = (den, view) of their sparse view: view[i][j] =
+    ((k, den * c[i][j][k]), ...) sorted by k over the nonzero entries, den
+    the lcm of their denominators.  The dense table c is a view."""
 
     name: str
     dim: int
     basis_names: tuple
-    c: tuple  # c[i][j] is the coordinate vector of [e_i, e_j]
+    zst: tuple
 
-    def __post_init__(self):
-        if len(self.basis_names) != self.dim or len(self.c) != self.dim:
+    def __init__(self, name: str, dim: int, basis_names: Sequence[str], c):
+        """The algebra with the dense table c, c[i][j] the coordinate
+        vector of [e_i, e_j], converted once."""
+        if len(basis_names) != dim or any(len(v) != dim for row in c for v in row):
             raise ValueError("structure table shape mismatch")
-        for row in self.c:
-            if len(row) != self.dim or any(len(v) != self.dim for v in row):
-                raise ValueError("structure table shape mismatch")
+        _assign(self, **vars(LeibnizAlgebra.from_sparse(
+            name, basis_names, integer_view(sparse_table(c)))))
 
     @classmethod
     def from_table(cls, name: str, basis_names: Sequence[str], table) -> "LeibnizAlgebra":
@@ -175,11 +180,11 @@ class LeibnizAlgebra:
     def from_sparse(cls, name: str, basis_names: Sequence[str], zst) -> "LeibnizAlgebra":
         """The algebra whose sparse view has the integer twin zst = (den,
         view), view[i][j] = ((k, den * t), ...) sorted by k over the
-        nonzero t, for any positive int den: c is densified from it, and
-        zst is kept instead of being rebuilt from c."""
-        d = len(basis_names)
-        a = cls(name, d, tuple(basis_names), _densified(zst, d))
-        vars(a)["zst"] = zst
+        nonzero t, for any positive int den."""
+        a, d = cls.__new__(cls), len(basis_names)
+        if len(zst[1]) != d or any(len(row) != d for row in zst[1]):
+            raise ValueError("structure table shape mismatch")
+        _assign(a, name=name, dim=d, basis_names=tuple(basis_names), zst=canonical(zst, 2))
         return a
 
     @classmethod
@@ -188,14 +193,9 @@ class LeibnizAlgebra:
         return cls.from_sparse(name, names, (1, (((),) * dim,) * dim))
 
     @cached_property
-    def st(self) -> tuple:
-        """Sparse view of c: st[i][j] = nonzero entries of [e_i, e_j]."""
-        return sparse_table(self.c)
-
-    @cached_property
-    def zst(self) -> "tuple[int, tuple]":
-        """The integer twin (den, view) of st, which is not kept."""
-        return integer_view(sparse_table(self.c))
+    def c(self) -> tuple:
+        """The dense table: c[i][j] is the coordinate vector of [e_i, e_j]."""
+        return _densified(self.zst, self.dim)
 
     @cached_property
     def zst_t(self) -> "tuple[int, tuple]":
@@ -231,43 +231,45 @@ def _leibniz_report(a: LeibnizAlgebra) -> ValidityReport:
 
 
 def is_lie(a: LeibnizAlgebra) -> bool:
-    """True iff the bracket is alternating ([x,x]=0; char 0 polarization)."""
-    for i in range(a.dim):
-        if not vec_is_zero(a.c[i][i]):
-            return False
-        for j in range(a.dim):
-            if not vec_is_zero(tuple(x + y for x, y in zip(a.c[i][j], a.c[j][i]))):
-                return False
-    return True
+    """True iff the bracket is alternating ([x,x]=0; char 0 polarization):
+    [e_i, e_j] = -[e_j, e_i] for every i <= j, read off the twin."""
+    st = a.zst[1]
+    return all(st[i][j] == tuple((k, -t) for k, t in st[j][i])
+               for i in range(a.dim) for j in range(i, a.dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LeibnizAction:
-    """Mutual-action tables: left[i][j] = ^{m_i} n_j, right[j][i] = n_j ^ {m_i}."""
+    """Mutual-action tables left[i][j] = ^{m_i} n_j and right[j][i] =
+    n_j ^ {m_i}, held as the int views sl and sr of their sparse views at
+    one denominator den, the lcm of those of both tables: sl[i][j] = ((k,
+    den * t), ...) sorted by k over the nonzero coordinates t of ^{m_i}
+    n_j, and sr likewise.  The dense left and right are views."""
 
     actor: LeibnizAlgebra
     acted: LeibnizAlgebra
-    left: tuple   # left[i][j]   in acted, i over actor, j over acted
-    right: tuple  # right[j][i]  in acted, j over acted, i over actor
+    den: int
+    sl: tuple  # sl[i][j]: i over actor, j over acted
+    sr: tuple  # sr[j][i]: j over acted, i over actor
 
-    def __post_init__(self):
-        dm, dn = self.actor.dim, self.acted.dim
-        if len(self.left) != dm or any(len(r) != dn for r in self.left):
-            raise ValueError("left action table shape mismatch")
-        if len(self.right) != dn or any(len(r) != dm for r in self.right):
-            raise ValueError("right action table shape mismatch")
+    def __init__(self, actor: LeibnizAlgebra, acted: LeibnizAlgebra, left, right):
+        """The action with the dense tables left and right, converted once."""
+        den, (sl, sr) = integer_view((sparse_table(left), sparse_table(right)), 3)
+        _assign(self, **vars(LeibnizAction.from_sparse(actor, acted, den, sl, sr)))
 
     @classmethod
     def from_sparse(cls, actor: LeibnizAlgebra, acted: LeibnizAlgebra,
                     den: int, sl, sr) -> "LeibnizAction":
         """The action whose sparse views are sl / den and sr / den, for int
         views sl and sr with entries sorted by index over the nonzero
-        values and a positive int den: left and right are densified from
-        them, and they are kept as the integer twins instead of being
-        rebuilt."""
-        act = cls(actor, acted, _densified((den, sl), acted.dim),
-                  _densified((den, sr), acted.dim))
-        vars(act)["_ztables"] = (den, sl, sr)
+        values and any positive int den."""
+        act, dm, dn = cls.__new__(cls), actor.dim, acted.dim
+        if len(sl) != dm or any(len(r) != dn for r in sl):
+            raise ValueError("left action table shape mismatch")
+        if len(sr) != dn or any(len(r) != dm for r in sr):
+            raise ValueError("right action table shape mismatch")
+        den, (sl, sr) = canonical((den, (sl, sr)), 3)
+        _assign(act, actor=actor, acted=acted, den=den, sl=sl, sr=sr)
         return act
 
     @classmethod
@@ -277,56 +279,38 @@ class LeibnizAction:
 
     @classmethod
     def adjoint(cls, a: LeibnizAlgebra) -> "LeibnizAction":
-        """Action of an algebra on itself by brackets: ^x y=[x,y], y^x=[y,x]."""
-        left = tuple(tuple(a.c[i][j] for j in range(a.dim)) for i in range(a.dim))
-        right = tuple(tuple(a.c[j][i] for i in range(a.dim)) for j in range(a.dim))
-        return cls(a, a, left, right)
+        """Action of an algebra on itself by brackets: ^x y=[x,y], y^x=[y,x];
+        both tables are the algebra's own."""
+        den, st = a.zst
+        return cls.from_sparse(a, a, den, st, st)
 
     @cached_property
-    def sl(self) -> tuple:
-        """Sparse view of left: sl[i][j] = nonzero entries of ^{m_i} n_j."""
-        return sparse_table(self.left)
+    def left(self) -> tuple:
+        """The dense table: left[i][j] is the vector ^{m_i} n_j."""
+        return _densified((self.den, self.sl), self.acted.dim)
 
     @cached_property
-    def sr(self) -> tuple:
-        """Sparse view of right: sr[j][i] = nonzero entries of n_j ^ {m_i}."""
-        return sparse_table(self.right)
-
-    @cached_property
-    def _ztables(self) -> tuple:
-        """(den, sl twin, sr twin): one denominator for both tables, which
-        are not kept."""
-        den, (sl, sr) = integer_view(
-            (sparse_table(self.left), sparse_table(self.right)), 3)
-        return den, sl, sr
-
-    @property
-    def zsl(self) -> "tuple[int, tuple]":
-        """The integer twin of sl."""
-        return self._ztables[:2]
-
-    @property
-    def zsr(self) -> "tuple[int, tuple]":
-        """The integer twin of sr, with the denominator of zsl."""
-        return self._ztables[0], self._ztables[2]
+    def right(self) -> tuple:
+        """The dense table: right[j][i] is the vector n_j ^ {m_i}."""
+        return _densified((self.den, self.sr), self.acted.dim)
 
     @cached_property
     def zsl_t(self) -> "tuple[int, tuple]":
-        """Transposed: zsl_t[1][j][i] = zsl[1][i][j]."""
-        return self.zsl[0], transposed(self.zsl[1], self.acted.dim)
+        """The twin of sl transposed: zsl_t[1][j][i] = sl[i][j]."""
+        return self.den, transposed(self.sl, self.acted.dim)
 
     @cached_property
     def zsr_t(self) -> "tuple[int, tuple]":
-        """Transposed: zsr_t[1][i][j] = zsr[1][j][i]."""
-        return self.zsr[0], transposed(self.zsr[1], self.actor.dim)
+        """The twin of sr transposed: zsr_t[1][i][j] = sr[j][i]."""
+        return self.den, transposed(self.sr, self.actor.dim)
 
     def act_left(self, mvec: Sequence, nvec: Sequence) -> tuple:
         """^x y for x in the actor, y in the acted algebra."""
-        return contract(self.zsl, mvec, nvec, self.acted.dim)
+        return contract((self.den, self.sl), mvec, nvec, self.acted.dim)
 
     def act_right(self, nvec: Sequence, mvec: Sequence) -> tuple:
         """y^x for y in the acted algebra, x in the actor."""
-        return contract(self.zsr, nvec, mvec, self.acted.dim)
+        return contract((self.den, self.sr), nvec, mvec, self.acted.dim)
 
     @cached_property
     def validity(self) -> ValidityReport:
@@ -341,7 +325,7 @@ def _pulled_back(act: LeibnizAction, actor: LeibnizAlgebra, cols) -> LeibnizActi
     twins of act, at one scale, and kept as the twins of the result."""
     d = act.acted.dim
     den, sl = _through(cols, act.zsl_t, actor.dim, d)
-    _, sr = _through(cols, act.zsr, actor.dim, d)
+    _, sr = _through(cols, (act.den, act.sr), actor.dim, d)
     return LeibnizAction.from_sparse(actor, act.acted, den, sl, transposed(sr, d))
 
 
@@ -370,7 +354,7 @@ def check_action(act: LeibnizAction) -> ValidityReport:
 
 def _action_report(act: LeibnizAction) -> ValidityReport:
     m, n = act.actor, act.acted
-    L, R, Lt, Rt = act.zsl, act.zsr, act.zsl_t, act.zsr_t
+    L, R, Lt, Rt = (act.den, act.sl), (act.den, act.sr), act.zsl_t, act.zsr_t
     cm, cn, cn_t = m.zst, n.zst, n.zst_t
     d = n.dim
     # the report runs over (i, i2, j) for axioms 1 and 5, (j, i, i2) for
@@ -507,9 +491,9 @@ def _quotient(a: LeibnizAlgebra, ideal: Subspace,
     """The quotient algebra by a subspace the caller knows to be an ideal,
     with its quotient map; the Leibniz identity of the result is asserted."""
     qm = quotient(a.dim, ideal)
-    names = tuple(a.basis_names[f] for f in qm.free)
-    c = tuple(tuple(qm.project(a.c[i][j]) for j in qm.free) for i in qm.free)
-    out = LeibnizAlgebra(name, qm.dim, names, c)
+    den, st = a.zst
+    out = LeibnizAlgebra.from_sparse(name, tuple(a.basis_names[f] for f in qm.free), (
+        qm.zimages[0] * den, _projected(qm, st, qm.free, qm.free)))
     rep = check_leibniz(out)
     if not rep.valid:
         raise AssertionError(f"quotient of {a.name} lost the Leibniz identity: "
@@ -517,11 +501,19 @@ def _quotient(a: LeibnizAlgebra, ideal: Subspace,
     return out, qm
 
 
+def _projected(qm: QuotientMap, view, outer, inner) -> tuple:
+    """The int view of the classes under qm of the entries view[i][j] of an
+    int view, for i in outer and j in inner: each is den times the class,
+    for den the product of the denominators of qm's zimages and of view."""
+    return tuple(tuple(_row(qm.integer_image(view[i][j])) for j in inner) for i in outer)
+
+
 def subalgebra_on(a: LeibnizAlgebra, s: Subspace, name: str) -> "tuple[LeibnizAlgebra, RatMatrix]":
     """Algebra structure induced on a bracket-closed subspace.
 
     Returns the algebra in the coordinates of s's canonical basis plus
-    the inclusion matrix (a.dim x s.dim).  Raises if s is not closed.
+    the inclusion matrix (a.dim x s.dim), whose columns are the twin
+    zbasis.  Raises if s is not closed.
     """
     d, us = s.dim, s.zbasis
     # [e_k, u_j] for every basis element e_k, then c[i][j] = [u_i, u_j]
@@ -533,4 +525,4 @@ def subalgebra_on(a: LeibnizAlgebra, s: Subspace, name: str) -> "tuple[LeibnizAl
     names = tuple(f"s{i+1}" for i in range(d))
     sub = LeibnizAlgebra.from_sparse(
         name, names, (den, tuple(flat[i * d:(i + 1) * d] for i in range(d))))
-    return sub, s.basis.transpose()
+    return sub, RatMatrix.from_sparse(a.dim, us)

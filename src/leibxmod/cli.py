@@ -65,7 +65,7 @@ from .extensions import (
     stem_cover_of_perfect,
 )
 from .homology import hl
-from .ratlin import RatMatrix, rank, zero_vec
+from .ratlin import RatMatrix, integer_view, rank
 from .tensor import exterior_square_data, schur_multiplier
 from .xmod import CrossedModule, XModHom, check_xmod, check_xmod_hom, liezation
 
@@ -105,25 +105,25 @@ def _rat(s, where):
 
 
 def _sparse_vec(doc, names, where):
+    """Sparse doc = {basis name: rational}, as a sorted sparse vector."""
     if not isinstance(doc, dict):
         raise FixtureError(f"{where}: expected a sparse mapping, got {doc!r}")
     index = {n: i for i, n in enumerate(names)}
-    v = [Fraction(0)] * len(names)
+    v = {}
     for k, s in doc.items():
         if k not in index:
             raise FixtureError(f"{where}: unknown basis name {k!r}")
         v[index[k]] = _rat(s, f"{where}[{k}]")
-    return tuple(v)
+    return tuple(sorted((i, t) for i, t in v.items() if t))
 
 
 def _table(doc, row_names, col_names, out_names, where):
-    """Sparse doc[row][col] = vector over out_names, as a dense tuple table."""
+    """Sparse doc[row][col] = vector over out_names, as a sparse view."""
     if not isinstance(doc, dict):
         raise FixtureError(f"{where}: expected a mapping")
     ri = {n: i for i, n in enumerate(row_names)}
     ci = {n: i for i, n in enumerate(col_names)}
-    z = zero_vec(len(out_names))
-    rows = [[z for _ in col_names] for _ in row_names]
+    rows = [[() for _ in col_names] for _ in row_names]
     for rn, row in doc.items():
         if rn not in ri:
             raise FixtureError(f"{where}: unknown basis name {rn!r}")
@@ -141,12 +141,12 @@ def _matrix(doc, src_names, tgt_names, where):
     if not isinstance(doc, dict):
         raise FixtureError(f"{where}: expected a mapping")
     si = {n: i for i, n in enumerate(src_names)}
-    cols = [zero_vec(len(tgt_names))] * len(src_names)
+    cols = [()] * len(src_names)
     for sn, sv in doc.items():
         if sn not in si:
             raise FixtureError(f"{where}: unknown basis name {sn!r}")
         cols[si[sn]] = _sparse_vec(sv, tgt_names, f"{where}[{sn}]")
-    return RatMatrix.from_columns(cols, rows=len(tgt_names))
+    return RatMatrix.from_sparse(len(tgt_names), integer_view(tuple(cols), 1))
 
 
 def _parse_algebra(doc, ctx, where):
@@ -159,8 +159,8 @@ def _parse_algebra(doc, ctx, where):
             or len(set(basis)) != dim
             or not all(isinstance(b, str) for b in basis)):
         raise FixtureError(f"{where}: basis must list {dim} distinct names")
-    c = _table(doc.get("brackets", {}), basis, basis, basis, f"{where}.brackets")
-    return LeibnizAlgebra(name, dim, tuple(basis), c)
+    st = _table(doc.get("brackets", {}), basis, basis, basis, f"{where}.brackets")
+    return LeibnizAlgebra.from_sparse(name, basis, integer_view(st))
 
 
 def _parse_action(doc, ctx, where):
@@ -170,7 +170,8 @@ def _parse_action(doc, ctx, where):
                   acted.basis_names, f"{where}.left")
     right = _table(doc.get("right", {}), acted.basis_names, actor.basis_names,
                    acted.basis_names, f"{where}.right")
-    return LeibnizAction(actor, acted, left, right)
+    den, (sl, sr) = integer_view((left, right), 3)
+    return LeibnizAction.from_sparse(actor, acted, den, sl, sr)
 
 
 def _parse_xmod(doc, ctx, where):
@@ -286,36 +287,33 @@ def load_fixture(path, expect=None, active=frozenset()):
 
 # -- canonical serialization -----------------------------------------------------
 
-def _sparse_from_vec(v, names):
-    return {names[i]: str(x) for i, x in enumerate(v) if x}
+def _sparse_from_vec(v, den, names):
+    """The sparse int vector v divided by den, keyed by basis name."""
+    return {names[k]: str(Fraction(t, den)) for k, t in v}
 
 
-def _sparse_from_table(table, row_names, col_names, out_names):
+def _sparse_from_table(twin, row_names, col_names, out_names):
+    """The sparse mapping of a table with the integer twin (den, view)."""
+    den, view = twin
     out = {}
     for i, rn in enumerate(row_names):
-        row = {}
-        for j, cn in enumerate(col_names):
-            ent = _sparse_from_vec(table[i][j], out_names)
-            if ent:
-                row[cn] = ent
+        row = {cn: _sparse_from_vec(view[i][j], den, out_names)
+               for j, cn in enumerate(col_names) if view[i][j]}
         if row:
             out[rn] = row
     return out
 
 
 def _sparse_from_matrix(m, src_names, tgt_names):
-    out = {}
-    for j, sn in enumerate(src_names):
-        ent = _sparse_from_vec(m.column(j), tgt_names)
-        if ent:
-            out[sn] = ent
-    return out
+    den, cols = m.zcols
+    return {sn: _sparse_from_vec(cols[j], den, tgt_names)
+            for j, sn in enumerate(src_names) if cols[j]}
 
 
 def algebra_doc(a):
     return {"kind": "algebra", "name": a.name, "dim": a.dim,
             "basis": list(a.basis_names),
-            "brackets": _sparse_from_table(a.c, a.basis_names, a.basis_names,
+            "brackets": _sparse_from_table(a.zst, a.basis_names, a.basis_names,
                                            a.basis_names)}
 
 
@@ -323,10 +321,10 @@ def action_doc(act, name=None):
     return {"kind": "action",
             "name": name or f"action({act.actor.name},{act.acted.name})",
             "actor": algebra_doc(act.actor), "acted": algebra_doc(act.acted),
-            "left": _sparse_from_table(act.left, act.actor.basis_names,
+            "left": _sparse_from_table((act.den, act.sl), act.actor.basis_names,
                                        act.acted.basis_names,
                                        act.acted.basis_names),
-            "right": _sparse_from_table(act.right, act.acted.basis_names,
+            "right": _sparse_from_table((act.den, act.sr), act.acted.basis_names,
                                         act.actor.basis_names,
                                         act.acted.basis_names)}
 

@@ -38,7 +38,7 @@ from .ratlin import (
     RatMatrix,
     Subspace,
     _images,
-    _matrix,
+    _plus,
     _restriction,
     column_space,
     kernel,
@@ -67,6 +67,7 @@ from .xmod import (
     check_xmod,
     check_xmod_hom,
     derived_xmod,
+    _quotient_xmod,
     is_crossed_ideal,
     predicates,
     quotient_xmod,
@@ -119,7 +120,7 @@ class Extension:
         if not is_crossed_ideal(self.total, self.kernel):
             bad.append(("kernel pair is not a crossed ideal", ()))
         elif not bad:
-            qx, qproj = quotient_xmod(self.total, self.kernel)
+            qx, qproj = _quotient_xmod(self.total, self.kernel)
             if (qx.top.dim, qx.base.dim) != (self.quotient.top.dim,
                                              self.quotient.base.dim):
                 bad.append(("quotient dimensions differ from total mod kernel", ()))
@@ -175,9 +176,10 @@ class Extension:
         delta = _restriction(b, _images(self.total.delta.zcols, a.zbasis))
         if delta is None:
             raise ValueError("vector not in subspace")
-        kxm = CrossedModule(f"ker({self.name})", top, base, _matrix(delta, b.dim),
+        kxm = CrossedModule(f"ker({self.name})", top, base, RatMatrix.from_sparse(b.dim, delta),
                             LeibnizAction.trivial(base, top))
-        incl = XModHom(kxm, self.total, a.basis.transpose(), b.basis.transpose())
+        incl = XModHom(kxm, self.total, RatMatrix.from_sparse(a.ambient_dim, a.zbasis),
+                       RatMatrix.from_sparse(b.ambient_dim, b.zbasis))
         rep = check_xmod_hom(incl)
         if not rep.valid:
             raise AssertionError(
@@ -269,10 +271,10 @@ def _sections(e: Extension, skew: bool) -> "tuple[RatMatrix, RatMatrix]":
                    (e.proj.base_map, e.kernel.base_sub)):
         s = solve_matrix(m, RatMatrix.identity(m.rows))
         if skew and ker.dim and s.cols:
-            s = RatMatrix.from_columns(
-                [tuple(x + y for x, y in zip(s.column(j),
-                                             ker.basis.entries[j % ker.dim]))
-                 for j in range(s.cols)], rows=s.rows)
+            # column j plus canonical kernel basis row j mod dim, on ints
+            (ds, cs), (dk, ks) = s.zcols, ker.zbasis
+            s = RatMatrix.from_sparse(s.rows, (ds * dk, tuple(
+                _plus(cs[j], ks[j % ker.dim], dk, ds) for j in range(s.cols))))
         out.append(s)
     return tuple(out)
 
@@ -308,7 +310,8 @@ def _theta_matrices(e: Extension, kxm: CrossedModule,
     bcols = _restriction(e.kernel.base_sub, _images(theta_base, incl_m.base_map.zcols))
     if bcols is None:
         raise AssertionError("connecting image escapes the kernel base")
-    return _matrix(tcols, kxm.top.dim), _matrix(bcols, kxm.base.dim)
+    return (RatMatrix.from_sparse(kxm.top.dim, tcols),
+            RatMatrix.from_sparse(kxm.base.dim, bcols))
 
 
 @dataclass(frozen=True)
@@ -407,7 +410,8 @@ def six_term_report(e: Extension) -> ExactnessReport:
     mm, th, abh = e.multiplier_map, e.theta, e.ab_proj
     _, kincl = e.kernel_xmod
     _, abproj_t = e.total_ab
-    maps = (("(I, b^p) -> M(total)", _matrix(f1_top, kt.dim), _matrix(f1_base, kb.dim)),
+    maps = (("(I, b^p) -> M(total)", RatMatrix.from_sparse(kt.dim, f1_top),
+             RatMatrix.from_sparse(kb.dim, f1_base)),
             ("M(total) -> M(quotient)", mm.top_map, mm.base_map),
             ("M(quotient) -> kernel", th.top_map, th.base_map),
             ("kernel -> total_ab", abproj_t.top_map.mul(kincl.top_map),

@@ -19,18 +19,17 @@ sparse integer row read off the integer twin of the structure constants
 denominators); that scales d_n by one positive integer and leaves its
 rank alone.  hl eliminates
 those rows as they are (rank(d_n) is the rank of its transpose), with
-no dense matrix and no Fraction; only boundary densifies them into the
+no matrix and no Fraction; boundary holds them as the int columns of the
 d^(n-1) x d^n matrix.  Either way the dense size is checked against
 MAX_BOUNDARY_ENTRIES before anything is built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .algebra import LeibnizAlgebra
-from .ratlin import RatMatrix, integer_rank
+from .ratlin import RatMatrix, _row, integer_rank
 
 MAX_BOUNDARY_DEGREE = 4
 # Largest boundary matrix, in entries, that boundary and hl will build:
@@ -85,9 +84,7 @@ def boundary(q: LeibnizAlgebra, n: int) -> RatMatrix:
         raise ValueError(f"boundary degree must be between 1 and {MAX_BOUNDARY_DEGREE}")
     rows, _ = _boundary_shape(q.dim, n)
     den, table = q.zst
-    return RatMatrix.from_sparse_columns(
-        [tuple((k, Fraction(v, den)) for k, v in img.items())
-         for img in _images(table, q.dim, n)], rows)
+    return RatMatrix.from_sparse(rows, (den, tuple(map(_row, _images(table, q.dim, n)))))
 
 
 def hl(q: LeibnizAlgebra, n: int) -> int:

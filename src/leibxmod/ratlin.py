@@ -3,15 +3,16 @@
 This is the only arithmetic layer of the package.  Scalars are
 ``fractions.Fraction`` (arbitrary precision, always normalized with a
 positive denominator) at every boundary: dense vectors are tuples of
-Fractions and matrices are immutable dense row-major grids; they are
-what the public objects store and print.  The hot paths run sparse and
-on plain ints.  A sparse vector is ``((index, value), ...)`` (or the
-items of a ``{index: value}`` accumulator), and structure and action
-tables are read through sparse views, ``st[i][j] = ((k, t), ...)`` over
-the nonzero ``t``.  Each view has an integer twin: one positive
-denominator (``integer_view`` takes the lcm of the denominators of the
-view's values) and the same view with every value times that
-denominator, so an int.
+Fractions, and dense grids are what the public objects print; what they
+store, and what the hot paths run on, is sparse and on plain ints.  A
+sparse vector is ``((index, value), ...)`` (or the items of a ``{index:
+value}`` accumulator), and structure and action tables are sparse
+views, ``st[i][j] = ((k, t), ...)`` over the nonzero ``t``.  Each view
+has an integer twin: one positive denominator (``integer_view`` takes
+the lcm of the denominators of the view's values, which makes the twin
+unique; ``canonical`` brings any other to it) and the view with every
+value times it, an int.  A matrix stores the twin of its sparse columns
+and nothing else, so equality and hashing compare ints.
 ``accumulate`` is the one step behind ``contract``, the bilinear
 contraction, behind quotient maps and behind ``join``, which evaluates
 the runtime-checked laws term by term over twins: each term is scaled
@@ -97,9 +98,17 @@ def transposed(st, cols: int) -> tuple:
     return tuple(tuple(row[j] for row in st) for j in range(cols))
 
 
-def sparse_columns(m: "RatMatrix") -> tuple:
-    """Sparse view of the columns of a matrix."""
-    return tuple(sparse(m.column(j)) for j in range(m.cols))
+def _flat(view, depth: int) -> list:
+    """The sparse vectors of a sparse view with depth outer indices."""
+    flat = [view]
+    for _ in range(depth):
+        flat = [v for row in flat for v in row]
+    return flat
+
+
+def _leaves(view, depth: int, f) -> tuple:
+    """The sparse view with every sparse vector v replaced by f(v)."""
+    return tuple(_leaves(r, depth - 1, f) for r in view) if depth else f(view)
 
 
 def integer_view(view, depth: int = 2) -> "tuple[int, tuple]":
@@ -108,18 +117,30 @@ def integer_view(view, depth: int = 2) -> "tuple[int, tuple]":
     table): den is the lcm of the denominators of its values (1 when it
     has none), and twin is the view with every value t replaced by the
     int den * t."""
-    flat = [view]
-    for _ in range(depth):
-        flat = [v for row in flat for v in row]
-    den = lcm(*[t.denominator for v in flat for _, t in v])
+    den = lcm(*[t.denominator for v in _flat(view, depth) for _, t in v])
     seen = {}  # equal vectors of the twin share one tuple
 
-    def scaled(x, d):
-        if d:
-            return tuple(scaled(r, d - 1) for r in x)
+    def scaled(x):
         v = tuple((k, t.numerator * (den // t.denominator)) for k, t in x)
         return seen.setdefault(v, v)
-    return den, scaled(view, depth)
+    return den, _leaves(view, depth, scaled)
+
+
+def canonical(twin, depth: int) -> "tuple[int, tuple]":
+    """The unique form of the integer twin (den, view) of a sparse view
+    with depth outer indices, for a positive int den: den and every value
+    divided by their gcd, the twin integer_view gives for the same values."""
+    den, view = twin
+    g = den if den == 1 else gcd(den, *[t for v in _flat(view, depth) for _, t in v])
+    if g == 1:
+        return twin
+    return den // g, _leaves(view, depth, lambda x: tuple((k, t // g) for k, t in x))
+
+
+def _assign(obj, **fields) -> None:
+    """Set the fields of a frozen dataclass instance, in its constructor."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
 
 
 def integer_entries(v: Sequence) -> "tuple[int, tuple]":
@@ -145,6 +166,11 @@ def dense(entries, dim: int) -> tuple:
     for k, t in entries:
         out[k] = t
     return tuple(out)
+
+
+def _scaled(v, c: int) -> tuple:
+    """The sparse vector v times the nonzero int c."""
+    return v if c == 1 else tuple((k, c * t) for k, t in v)
 
 
 def _row(acc: dict) -> tuple:
@@ -253,20 +279,36 @@ def contract(st, x: Sequence, y: Sequence, dim: int) -> tuple:
     return dense(rational(acc.items(), den * dx * dy), dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RatMatrix:
-    """Immutable dense rational matrix, row-major tuple of row tuples."""
+    """Immutable rational matrix, held as the integer twin of its sparse
+    columns: zcols = (den, cols), cols[j] den times column j as a sparse
+    int vector sorted by index over its nonzero entries, den the lcm of
+    the denominators of the entries.  The twin is unique (see canonical),
+    so equality and hashing compare ints; the dense row-major grid
+    (entries) is a view built on request."""
 
     rows: int
     cols: int
-    entries: tuple
+    zcols: tuple
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
+        """The matrix with the dense row-major grid entries, converted once."""
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise ValueError("column count mismatch")
+        if any(len(r) != cols for r in entries):
+            raise ValueError("column count mismatch")
+        _assign(self, **vars(RatMatrix.from_sparse(rows, integer_view(tuple(
+            tuple((i, r[j]) for i, r in enumerate(entries) if r[j]) for j in range(cols)), 1))))
+
+    @classmethod
+    def from_sparse(cls, rows: int, zcols) -> "RatMatrix":
+        """The matrix with the given number of rows whose columns are the
+        sparse int vectors of the integer twin zcols = (den, cols), sorted by
+        index over their nonzero values, divided by the positive int den."""
+        m = cls.__new__(cls)
+        _assign(m, rows=rows, cols=len(zcols[1]), zcols=canonical(zcols, 1))
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: "int | None" = None) -> "RatMatrix":
@@ -279,11 +321,11 @@ class RatMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, tuple(zero_vec(cols) for _ in range(rows)))
+        return cls.from_sparse(rows, (1, ((),) * cols))
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, tuple(unit_vec(n, i) for i in range(n)))
+        return cls.from_sparse(n, (1, tuple(((i, 1),) for i in range(n))))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: "int | None" = None) -> "RatMatrix":
@@ -294,60 +336,45 @@ class RatMatrix:
             raise ValueError("empty matrix needs an explicit row count")
         return cls(rows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(rows)))
 
-    @classmethod
-    def from_sparse_columns(cls, columns: Sequence, rows: int) -> "RatMatrix":
-        """The rows x len(columns) matrix whose column j has the (index,
-        value) entries of columns[j], zero elsewhere."""
-        grid = [[_ZERO] * len(columns) for _ in range(rows)]
-        for j, col in enumerate(columns):
-            for k, t in col:
-                grid[k][j] = t
-        return cls(rows, len(columns), tuple(tuple(r) for r in grid))
+    @cached_property
+    def entries(self) -> tuple:
+        """The dense row-major grid, as Fractions."""
+        den, cols = self.zcols
+        grid = [[_ZERO] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(cols):
+            for i, v in col:
+                grid[i][j] = Fraction(v, den)
+        return tuple(map(tuple, grid))
 
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
-    @property
-    def zcols(self) -> "tuple[int, tuple]":
-        """The integer twin of the sparse columns, built on each read: a
-        matrix is read by a law or two, while the squares that tensor
-        caches keep their matrices, and a kept twin, alive."""
-        return integer_view(sparse_columns(self), 1)
-
     def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
+        den, cols = self.zcols
+        return dense(rational(cols[j], den), self.rows)
 
     def mul_vec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise ValueError("matrix-vector shape mismatch")
-        vs = sparse(v)
-        out = []
-        for r in self.entries:
-            s = _ZERO
-            for k, b in vs:
-                a = r[k]
-                if a:
-                    s += a * b
-            out.append(s)
-        return tuple(out)
+        den, cols = self.zcols
+        dv, z = integer_entries(v)
+        return dense(rational(_image(z, cols).items(), den * dv), self.rows)
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix-matrix shape mismatch")
-        ot = other.transpose()
-        ent = tuple(
-            tuple(sum((a * b for a, b in zip(r, c) if a and b), _ZERO)
-                  for c in ot.entries)
-            for r in self.entries
-        )
-        return RatMatrix(self.rows, other.cols, ent)
+        return RatMatrix.from_sparse(self.rows, _images(self.zcols, other.zcols))
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         tuple(tuple(r[j] for r in self.entries) for j in range(self.cols)))
+        den, cols = self.zcols
+        rows = [[] for _ in range(self.rows)]
+        for j, col in enumerate(cols):
+            for i, v in col:
+                rows[i].append((j, v))
+        return RatMatrix.from_sparse(self.cols, (den, tuple(map(tuple, rows))))
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.entries)
+        return not any(self.zcols[1])
 
 
 def _primitive(row: dict) -> dict:
@@ -357,9 +384,9 @@ def _primitive(row: dict) -> dict:
 
 
 def _integer_rows(m: RatMatrix) -> list:
-    """The nonzero rows of m with their denominators cleared (lcm), as
-    {column: int} dicts with content 1."""
-    return [_primitive(dict(z)) for _, z in map(integer_entries, m.entries) if z]
+    """The nonzero rows of m with their denominators cleared, as {column:
+    int} dicts with content 1: the columns of the transpose's twin."""
+    return [_primitive(dict(r)) for r in m.transpose().zcols[1] if r]
 
 
 def _cancel(row: dict, piv: dict, c: int) -> dict:
@@ -424,7 +451,8 @@ def rref(m: RatMatrix) -> "tuple[RatMatrix, tuple[int, ...]]":
 
 
 def rank(m: RatMatrix) -> int:
-    return len(_eliminate(_integer_rows(m), reduce=False))
+    """The rank of m, read off its int columns."""
+    return integer_rank(dict(c) for c in m.zcols[1])
 
 
 @dataclass(frozen=True)
@@ -478,9 +506,8 @@ class Subspace:
 
     @cached_property
     def basis(self) -> RatMatrix:
-        """The reduced row echelon form, as a dense matrix."""
-        return RatMatrix(self.dim, self.ambient_dim, tuple(
-            dense(rational(row, row[0][1]), self.ambient_dim) for row in self.zrows))
+        """The reduced row echelon form, the transpose of the columns zbasis."""
+        return RatMatrix.from_sparse(self.ambient_dim, self.zbasis).transpose()
 
     @cached_property
     def zbasis(self) -> "tuple[int, tuple]":
@@ -560,6 +587,12 @@ def _image(a, columns) -> dict:
     return acc
 
 
+def _plus(u, v, a: int = 1, b: int = 1) -> tuple:
+    """a * u + b * v for sparse int vectors u and v, as a sparse vector
+    sorted by index over its nonzero entries."""
+    return _row(_image(((0, a), (1, b)), (u, v)))
+
+
 def _images(cols, twin) -> tuple:
     """The integer twin of the images of the sparse vectors of the twin
     under the linear map whose sparse columns have the integer twin cols."""
@@ -578,13 +611,6 @@ def _restriction(s: Subspace, twin) -> "tuple | None":
     if any(any(residual.values()) for _, residual in split):
         return None
     return den, tuple(coords for coords, _ in split)
-
-
-def _matrix(twin, rows: int) -> RatMatrix:
-    """The matrix with the given number of rows whose columns are the
-    sparse vectors of the integer twin (den, columns), divided by den."""
-    den, cols = twin
-    return RatMatrix.from_sparse_columns([rational(v, den) for v in cols], rows)
 
 
 def kernel(m: RatMatrix) -> Subspace:
@@ -645,19 +671,18 @@ class QuotientMap:
 
     The quotient basis is the classes of the free columns, the columns
     without a pivot in the relations' canonical RREF, so structure
-    constants computed through a QuotientMap are reproducible.  rows are
-    the RREF rows as sparse vectors, and images[c] is the sparse image of
-    ambient column c in quotient coordinates: e_k for the k-th free
-    column, and minus pivot row i restricted to the free columns for the
-    pivot column of row i.  The image of v is then v's free part minus
-    the pivot rows' combination at v's pivot coordinates, which is the
-    free part of v reduced by the relations; so the kernel is exactly
-    the relation subspace, and lifting e_k is the ambient unit at free[k].
-    The map holds the images as an integer twin, zimages = (den, den *
-    images), read off the relations' zbasis (den the lcm of the pivot
-    entries of their canonical rows, relations.zrows); rows and images
-    are built only on request, and a value is divided only when it
-    leaves as a quotient-level Fraction.
+    constants computed through a QuotientMap are reproducible.  The image
+    of ambient column c in quotient coordinates is e_k for the k-th free
+    column, and minus pivot row i of the RREF restricted to the free
+    columns for the pivot column of row i.  The image of v is then v's
+    free part minus the pivot rows' combination at v's pivot
+    coordinates, which is the free part of v reduced by the relations; so
+    the kernel is exactly the relation subspace, and lifting e_k is the
+    ambient unit at free[k].  The map holds the images as an integer
+    twin, zimages = (den, den * images), read off the relations' zbasis
+    (den the lcm of the pivot entries of their canonical rows,
+    relations.zrows), and a value is divided only when it leaves as a
+    quotient-level Fraction.
     """
 
     ambient_dim: int
@@ -668,17 +693,6 @@ class QuotientMap:
     @property
     def dim(self) -> int:
         return len(self.free)
-
-    @cached_property
-    def rows(self) -> tuple:
-        """The RREF rows of the relations, as sparse vectors."""
-        return tuple(tuple(rational(row, row[0][1])) for row in self.relations.zrows)
-
-    @cached_property
-    def images(self) -> tuple:
-        """The sparse images of the ambient columns, as Fractions."""
-        den, images = self.zimages
-        return tuple(tuple(rational(v, den)) for v in images)
 
     def integer_image(self, a) -> dict:
         """den times the image of the sparse vector a, for den of zimages,
@@ -710,14 +724,13 @@ class QuotientMap:
 
     @cached_property
     def projection(self) -> RatMatrix:
-        """The dense dim x ambient matrix of the projection."""
-        return RatMatrix.from_sparse_columns(self.images, self.dim)
+        """The dim x ambient matrix of the projection."""
+        return RatMatrix.from_sparse(self.dim, self.zimages)
 
     @cached_property
     def section(self) -> RatMatrix:
-        """The dense ambient x dim matrix of lift."""
-        return RatMatrix.from_sparse_columns(
-            [((f, ONE),) for f in self.free], self.ambient_dim)
+        """The ambient x dim matrix of lift."""
+        return RatMatrix.from_sparse(self.ambient_dim, (1, tuple(((f, 1),) for f in self.free)))
 
 
 def quotient(ambient_dim: int, r: Subspace) -> QuotientMap:
@@ -756,14 +769,17 @@ def solve_matrix(m: RatMatrix, rhs: RatMatrix) -> RatMatrix:
     if rhs.rows != m.rows:
         raise ValueError("right-hand side row mismatch")
     n = m.cols
-    aug = RatMatrix(m.rows, n + rhs.cols,
-                    tuple(r + b for r, b in zip(m.entries, rhs.entries)))
-    x = [[_ZERO] * rhs.cols for _ in range(n)]
-    for c, row in _eliminate(_integer_rows(aug)):
-        if c >= n:
-            raise ValueError("inconsistent linear system")
-        p = row[c]
+    (dm, cm), (dr, cr) = m.zcols, rhs.zcols
+    aug = RatMatrix.from_sparse(m.rows, (dm * dr, tuple(
+        [_scaled(c, dr) for c in cm] + [_scaled(c, dm) for c in cr])))
+    echelon = _eliminate(_integer_rows(aug))
+    if any(c >= n for c, _ in echelon):
+        raise ValueError("inconsistent linear system")
+    # X[c][j] = row[n + j] / row[c] on the pivot row of column c, at one scale
+    den = lcm(*[row[c] for c, row in echelon])
+    x = [[] for _ in range(rhs.cols)]
+    for c, row in echelon:
         for k, v in row.items():
             if k >= n:
-                x[c][k - n] = Fraction(v, p)
-    return RatMatrix(n, rhs.cols, tuple(tuple(r) for r in x))
+                x[k - n].append((c, v * (den // row[c])))
+    return RatMatrix.from_sparse(n, (den, tuple(map(tuple, x))))

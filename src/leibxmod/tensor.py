@@ -54,13 +54,12 @@ from .ratlin import (
     Subspace,
     _image,
     _images,
-    _matrix,
     _restriction,
     _row,
+    _scaled,
     contract,
     dense,
     integer_basis,
-    integer_view,
     kernel,
     quotient,
     rank,
@@ -70,6 +69,7 @@ from .ratlin import (
 from .xmod import (
     CrossedModule,
     XModHom,
+    _require_valid,
     center_xmod,
     check_xmod,
     check_xmod_hom,
@@ -106,32 +106,21 @@ class MutualActionPair:
         return ((self.m, self.n, self.m_on_n, self.n_on_m),
                 (self.n, self.m, self.n_on_m, self.m_on_n))
 
-    def _evaluate(self, views) -> tuple:
-        """The evaluations read off views(action) = (left, right) views."""
-        ev = []
-        for s, (X, Y, _, y_on_x) in enumerate(self.sides):
-            sl, sr = views(y_on_x)
-            blocks = [None, None]
-            blocks[s] = [sr[x][y] for x in range(X.dim) for y in range(Y.dim)]
-            blocks[1 - s] = [sl[y][x] for y in range(Y.dim) for x in range(X.dim)]
-            ev.append(tuple(blocks[0] + blocks[1]))
-        return tuple(ev)
-
-    @cached_property
-    def evaluations(self) -> tuple:
-        """ev[s][k]: ambient symbol k evaluated into the first factor X of
-        side s by the action of Y on X, x * y -> x^y and y * x -> ^y x,
-        as a sparse vector."""
-        return self._evaluate(lambda act: (act.sl, act.sr))
-
     @cached_property
     def zevaluations(self) -> tuple:
-        """The evaluations on integer twins: ev[s] times den[s], the
-        denominator of the action of side s, as (den, ev).  A symbol
+        """(den, ev): ev[s][k] is ambient symbol k evaluated into the first
+        factor X of side s by the action of Y on X, x * y -> x^y and
+        y * x -> ^y x, as a sparse int vector times den[s], the
+        denominator of that action, read off its int views.  A symbol
         u * v with u from ev[0] and v from ev[1], in either block, is
         den[0] * den[1] times its value."""
-        return ((self.n_on_m.zsl[0], self.m_on_n.zsl[0]),
-                self._evaluate(lambda act: (act.zsl[1], act.zsr[1])))
+        ev = []
+        for s, (X, Y, _, y_on_x) in enumerate(self.sides):
+            blocks = [None, None]
+            blocks[s] = [y_on_x.sr[x][y] for x in range(X.dim) for y in range(Y.dim)]
+            blocks[1 - s] = [y_on_x.sl[y][x] for y in range(Y.dim) for x in range(X.dim)]
+            ev.append(tuple(blocks[0] + blocks[1]))
+        return (self.n_on_m.den, self.m_on_n.den), tuple(ev)
 
     @cached_property
     def evaluation_basis(self) -> list:
@@ -195,14 +184,13 @@ def _symbols(dm: int, dn: int, terms) -> dict:
     return acc
 
 
-def _bracket_term(pair: MutualActionPair, i: int, j: int, alt: bool = False,
-                  ev=None) -> tuple:
-    """[symbol_i, symbol_j] as one _symbols term: the first leg of symbol i
+def _bracket_term(pair: MutualActionPair, i: int, j: int) -> tuple:
+    """den[0] * den[1] times [symbol_i, symbol_j] as one _symbols term, for
+    den and the evaluations of zevaluations: the first leg of symbol i
     acted on by symbol j, written in the block of symbol i (the primary
-    representative) or, with alt, in the other block.  Read off ev, the
-    evaluations of the pair or their int twin (see zevaluations)."""
-    t = _legs(pair.m.dim, pair.n.dim, i)[0] ^ alt
-    ev = ev or pair.evaluations
+    representative)."""
+    t = _legs(pair.m.dim, pair.n.dim, i)[0]
+    ev = pair.zevaluations[1]
     return (1, t, ev[t][i], ev[1 - t][j])
 
 
@@ -229,7 +217,7 @@ def _action_rows(pair: MutualActionPair) -> list:
     for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides):
         ex = [((x, 1),) for x in range(X.dim)]
         ey = [((y, 1),) for y in range(Y.dim)]
-        (dY, Yst), (dA, ysr) = Y.zst, y_on_x.zsr
+        (dY, Yst), dA, ysr = Y.zst, y_on_x.den, y_on_x.sr
         den = lcm(dY, dA)
         cY, cA = den // dY, den // dA
         for x in range(X.dim):
@@ -241,7 +229,7 @@ def _action_rows(pair: MutualActionPair) -> list:
                         add((cY, s, ex[x], Yst[y][y2]),
                             (-cA, s, xr[y], ey[y2]),
                             (cA, s, xr[y2], ey[y]))
-        (dX, Xst), (dB, sl), (_, sr) = X.zst, x_on_y.zsl, x_on_y.zsr
+        (dX, Xst), dB, sl, sr = X.zst, x_on_y.den, x_on_y.sl, x_on_y.sr
         den = lcm(dX, dB)
         cX, cB = den // dX, den // dB
         for x in range(X.dim):
@@ -277,8 +265,9 @@ def _agreement_rows(pair: MutualActionPair) -> list:
 
 
 def _representatives(pair: MutualActionPair) -> tuple:
-    """Sparse view of the primary table: [i][j] -> ((k, t), ...) over every
-    symbol pair, one product of two sparse vectors per entry, so no
+    """The int view of the primary table, [i][j] -> ((k, t), ...) over
+    every symbol pair, den[0] * den[1] times the bracket for den of
+    zevaluations: one product of two sparse vectors per entry, so no
     accumulated value is zero."""
     dm, dn = pair.m.dim, pair.n.dim
     amb = 2 * dm * dn
@@ -299,15 +288,11 @@ class QuotientPresentation:
     qmap: QuotientMap
 
     @cached_property
-    def st(self) -> tuple:
-        """Sparse view of the representative table, [i][j] -> ((k, t), ...),
-        built on first use."""
-        return _representatives(self.pair)
-
-    @cached_property
     def zst(self) -> "tuple[int, tuple]":
-        """The integer twin of st, built on first use."""
-        return integer_view(self.st)
+        """The integer twin of the representative table, built on first
+        use: den[0] * den[1] for den of zevaluations, and the int view."""
+        d0, d1 = self.pair.zevaluations[0]
+        return d0 * d1, _representatives(self.pair)
 
     def mn_index(self, a: int, b: int) -> int:
         return _index(self.pair.m.dim, self.pair.n.dim, 0, a, b)
@@ -362,9 +347,9 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
 
     names = _symbol_names(pair)
     free = qmap.free
-    (d0, d1), zev = pair.zevaluations
+    (d0, d1), _ = pair.zevaluations
     c = tuple(tuple(_row(qmap.integer_image(
-        _symbols(dm, dn, (_bracket_term(pair, x, y, ev=zev),)).items()))
+        _symbols(dm, dn, (_bracket_term(pair, x, y),)).items()))
         for y in free) for x in free)
     resolved = LeibnizAlgebra.from_sparse(name, tuple(names[f] for f in free),
                                           (qmap.zimages[0] * d0 * d1, c))
@@ -408,11 +393,12 @@ def _well_defined(pair: MutualActionPair, qmap: QuotientMap) -> bool:
 def _scan(pair: MutualActionPair, qmap: QuotientMap, name: str) -> None:
     """The per-symbol sweep: raise the AssertionError that names the first
     relation row r of qmap and symbol s, in that order, such that [r, e_s]
-    or then [e_s, r] escapes the relation subspace; return if none does."""
+    or then [e_s, r] escapes the relation subspace; return if none does.
+    It reads the int table and the canonical int rows of the relations."""
     st = _representatives(pair)
     # [r, e_s] has the sparse columns st_t[s], [e_s, r] those of st[s]
     st_t = transposed(st, len(st))
-    for r in qmap.rows:
+    for r in qmap.relations.zrows:
         for s in range(len(st)):
             if not _preserves(qmap, r, st_t[s]):
                 raise AssertionError(
@@ -466,8 +452,10 @@ def square_subspace(eta: CrossedModule, delta: CrossedModule) -> Subspace:
     if eta.base != delta.base:
         raise ValueError("crossed modules must share the same base")
     m, n = eta.top, delta.top
-    pullback = kernel(RatMatrix(eta.base.dim, m.dim + n.dim, tuple(
-        r + tuple(-x for x in t) for r, t in zip(eta.delta.entries, delta.delta.entries))))
+    # the kernel of [eta.delta | -delta.delta], its int columns at one scale
+    (de, ce), (dd, cd) = eta.delta.zcols, delta.delta.zcols
+    pullback = kernel(RatMatrix.from_sparse(eta.base.dim, (de * dd, tuple(
+        [_scaled(v, dd) for v in ce] + [_scaled(v, -de) for v in cd]))))
     pairs = [_pair_parts(m.dim, w) for w in pullback.zrows]
     gens = [_row(_symbols(m.dim, n.dim, ((1, 0, u1, v2), (-1, 1, v1, u2))))
             for u1, v1 in pairs for u2, v2 in pairs]
@@ -549,7 +537,7 @@ def _base_action_on_ambient(xm: CrossedModule, dn: int):
     dq = q.dim
     # indexed by factor, 0 for q and 1 for n; in block s, x lies in factor s
     units = ([((a, 1),) for a in range(dq)], [((b, 1),) for b in range(dn)])
-    (dQ, qst), (dA, sl), (_, sr) = q.zst, act.zsl, act.zsr
+    (dQ, qst), dA, sl, sr = q.zst, act.den, act.sl, act.sr
     den = lcm(dQ, dA)
     cs = (den // dQ, den // dA)
     lefts, rights = (qst, sl), (qst, sr)
@@ -572,9 +560,7 @@ def _base_action_on_ambient(xm: CrossedModule, dn: int):
 @lru_cache(maxsize=None)
 def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     """Exterior squares of a crossed module with all induced structure."""
-    rep = check_xmod(xm)
-    if not rep.valid:
-        raise ValueError(f"invalid crossed module:\n{rep.summary()}")
+    _require_valid(xm)
     q, n = xm.base, xm.top
     dq, dn = q.dim, n.dim
     qid = CrossedModule.adjoint_identity(q)
@@ -594,15 +580,15 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     mu = _descend(qq, (d, ev[1]), None)
     if mu is None:
         raise AssertionError("base evaluation map does not kill the relations")
-    lambda_n = AlgebraHom(qn.resolved, n, _matrix(lam, dn))
-    mu_q = AlgebraHom(qq.resolved, q, _matrix(mu, dq))
+    lambda_n = AlgebraHom(qn.resolved, n, RatMatrix.from_sparse(dn, lam))
+    mu_q = AlgebraHom(qq.resolved, q, RatMatrix.from_sparse(dq, mu))
 
     # connecting map on symbols: q_a * n_b -> q_a * dn_b, n_b * q_a -> dn_b * q_a
     idd = _descend(qn, _substitution(qn.pair, qq.pair, RatMatrix.identity(dq), xm.delta),
                    qq.qmap)
     if idd is None:
         raise AssertionError("connecting map does not preserve the relations")
-    id_wedge_delta = AlgebraHom(qn.resolved, qq.resolved, _matrix(idd, qq.qmap.dim))
+    id_wedge_delta = AlgebraHom(qn.resolved, qq.resolved, RatMatrix.from_sparse(qq.qmap.dim, idd))
 
     # action of the base on the top square, each map of a basis element
     # descended, then pulled back through mu
@@ -661,9 +647,10 @@ def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
                                  tuple(f"a{i+1}" for i in range(kt.dim)))
     base = LeibnizAlgebra.abelian(f"M({xm.name}).base", kb.dim,
                                   tuple(f"b{i+1}" for i in range(kb.dim)))
-    mult = CrossedModule(f"M({xm.name})", top, base, _matrix(dcols, kb.dim),
+    mult = CrossedModule(f"M({xm.name})", top, base, RatMatrix.from_sparse(kb.dim, dcols),
                          LeibnizAction.trivial(base, top))
-    incl = XModHom(mult, esd.induced_xmod, kt.basis.transpose(), kb.basis.transpose())
+    incl = XModHom(mult, esd.induced_xmod, RatMatrix.from_sparse(kt.ambient_dim, kts),
+                   RatMatrix.from_sparse(kb.ambient_dim, kbs))
     irep = check_xmod_hom(incl)
     if not irep.valid:
         raise AssertionError(
@@ -695,7 +682,7 @@ def _induced_presentation_hom(src: QuotientPresentation,
     if m is None:
         raise AssertionError(
             f"induced map {src.name} -> {tgt.name} does not preserve relations")
-    hom = AlgebraHom(src.resolved, tgt.resolved, _matrix(m, tgt.qmap.dim))
+    hom = AlgebraHom(src.resolved, tgt.resolved, RatMatrix.from_sparse(tgt.qmap.dim, m))
     hrep = check_hom(hom)
     if not hrep.valid:
         raise AssertionError(
@@ -743,8 +730,8 @@ def multiplier_functorial_map(f: XModHom) -> XModHom:
     bcols = _restriction(kb, _images(base_hom.matrix.zcols, incl.base_map.zcols))
     if bcols is None:
         raise AssertionError("induced base map does not preserve the multiplier")
-    out = XModHom(m_src, m_tgt, _matrix(tcols, m_tgt.top.dim),
-                  _matrix(bcols, m_tgt.base.dim))
+    out = XModHom(m_src, m_tgt, RatMatrix.from_sparse(m_tgt.top.dim, tcols),
+                  RatMatrix.from_sparse(m_tgt.base.dim, bcols))
     orep = check_xmod_hom(out)
     if not orep.valid:
         raise AssertionError(

@@ -36,6 +36,7 @@ from .algebra import (
     LeibnizAlgebra,
     ValidityReport,
     _pairwise,
+    _projected,
     _quotient,
     _report,
     _residual,
@@ -53,12 +54,12 @@ from .ratlin import (
     RatMatrix,
     Subspace,
     _images,
+    _plus,
     _restriction,
     join,
     kernel,
     rank,
     transposed,
-    vec_is_zero,
 )
 
 
@@ -154,7 +155,7 @@ def check_xmod(xm: CrossedModule) -> ValidityReport:
 
 def _xmod_report(xm: CrossedModule) -> ValidityReport:
     top, base, act = xm.top, xm.base, xm.action
-    dcols = xm.delta.zcols
+    dcols, L, R = xm.delta.zcols, (act.den, act.sl), (act.den, act.sr)
     units = (1, tuple(((j, 1),) for j in range(top.dim)))
     # q indexes the base, n, a and b the top; the report runs over (q, n)
     # for equivariance, then over (a, b) for Peiffer
@@ -162,16 +163,16 @@ def _xmod_report(xm: CrossedModule) -> ValidityReport:
                        "a": top.basis_names, "b": top.basis_names}, [
         # (i) delta(^q n) - [q, delta n]
         ("equivariance-left ", 0, 0, base.dim, "qn", "qn",
-         ((1, act.zsl, "qn", dcols, ""), (-1, dcols, "n", base.zst, "q"))),
+         ((1, L, "qn", dcols, ""), (-1, dcols, "n", base.zst, "q"))),
         # (i) delta(n^q) - [delta n, q]
         ("equivariance-right ", 0, 1, base.dim, "qn", "nq",
-         ((1, act.zsr, "nq", dcols, ""), (-1, dcols, "n", base.zst_t, "q"))),
+         ((1, R, "nq", dcols, ""), (-1, dcols, "n", base.zst_t, "q"))),
         # (ii) ^{delta n1} n2 - [n1, n2]
         ("peiffer-left ", 1, 0, top.dim, "ab", "ab",
          ((1, dcols, "a", act.zsl_t, "b"), (-1, units, "b", top.zst, "a"))),
         # (ii) n1 ^ {delta n2} - [n1, n2]
         ("peiffer-right ", 1, 1, top.dim, "ab", "ab",
-         ((1, dcols, "b", act.zsr, "a"), (-1, units, "b", top.zst, "a"))),
+         ((1, dcols, "b", R, "a"), (-1, units, "b", top.zst, "a"))),
     ])
     return _report(f"crossed module {xm.name}",
                    [*check_action(act).violations, *bad])
@@ -243,8 +244,8 @@ def center_xmod(xm: CrossedModule) -> SubPair:
     n -> ^{q_i} n reads sl[i] and n -> n^{q_i} reads sr_t[i]; q -> ^q n_j
     reads sl_t[j] and q -> n_j^q reads sr[j], each through its twin."""
     act = xm.action
-    top = annihilator(xm.top.dim, (act.zsl[1], act.zsr_t[1]))
-    st = annihilator(xm.base.dim, (act.zsl_t[1], act.zsr[1]))
+    top = annihilator(xm.top.dim, (act.sl, act.zsr_t[1]))
+    st = annihilator(xm.base.dim, (act.zsl_t[1], act.sr))
     return SubPair(xm, top, st.intersect(center(xm.base)))
 
 
@@ -311,37 +312,46 @@ def _xmod_hom_report(f: XModHom) -> ValidityReport:
     # action expanded over f q and over f n
     fl = _through(bcols, tgt.action.zsl_t, src.base.dim, tgt.top.dim)
     fr = _through(tcols, tgt.action.zsr_t, src.top.dim, tgt.base.dim)
+    act = src.action
     bad += _violations({"q": src.base.basis_names, "n": src.top.basis_names}, [
         # f(^q n) - ^{f q}(f n)
         ("equivariance-left ", 0, 0, tgt.top.dim, "qn", "qn",
-         ((1, src.action.zsl, "qn", tcols, ""), (-1, tcols, "n", fl, "q"))),
+         ((1, (act.den, act.sl), "qn", tcols, ""), (-1, tcols, "n", fl, "q"))),
         # f(n^q) - (f n)^{f q}
         ("equivariance-right ", 0, 1, tgt.top.dim, "qn", "nq",
-         ((1, src.action.zsr, "nq", tcols, ""), (-1, bcols, "q", fr, "n"))),
+         ((1, (act.den, act.sr), "nq", tcols, ""), (-1, bcols, "q", fr, "n"))),
     ])
     return _report(f"crossed module hom {src.name} -> {tgt.name}", bad)
 
 
-def quotient_xmod(xm: CrossedModule, ideal: SubPair,
-                  name=None) -> "tuple[CrossedModule, XModHom]":
-    """Componentwise quotient by a crossed ideal, with the projection hom.
-    The components of a crossed ideal of a valid crossed module are ideals
-    (the base by the closure step, the top by Peiffer): not tested again."""
+def _require_valid(xm: CrossedModule) -> None:
+    """Raise ValueError, with the report, unless xm is a valid crossed module."""
     rep = check_xmod(xm)
     if not rep.valid:
         raise ValueError(f"invalid crossed module:\n{rep.summary()}")
+
+
+def quotient_xmod(xm: CrossedModule, ideal: SubPair,
+                  name=None) -> "tuple[CrossedModule, XModHom]":
+    """Componentwise quotient by a crossed ideal, with the projection hom."""
+    _require_valid(xm)
     if not is_crossed_ideal(xm, ideal):
         raise ValueError(f"quotient of {xm.name} by a pair that is not a crossed ideal")
+    return _quotient_xmod(xm, ideal, name)
+
+
+def _quotient_xmod(xm: CrossedModule, ideal: SubPair,
+                   name=None) -> "tuple[CrossedModule, XModHom]":
+    """The quotient by a pair the caller knows to be a crossed ideal of the
+    valid crossed module xm, with the projection, both asserted; its
+    components are ideals (the base by the closure step, the top by
+    Peiffer).  The quotient bases are the classes of the free coordinates."""
     top_alg, qt = _quotient(xm.top, ideal.top_sub, f"{xm.top.name}_q")
     base_alg, qb = _quotient(xm.base, ideal.base_sub, f"{xm.base.name}_q")
-    # the quotient bases are the classes of the free coordinates
-    delta = RatMatrix.from_columns(
-        [qb.project(xm.delta.column(f)) for f in qt.free], rows=qb.dim)
-    left = tuple(tuple(qt.project(xm.action.left[i][j]) for j in qt.free)
-                 for i in qb.free)
-    right = tuple(tuple(qt.project(xm.action.right[j][i]) for i in qb.free)
-                  for j in qt.free)
-    action = LeibnizAction(base_alg, top_alg, left, right)
+    delta, act = qb.projection.mul(xm.delta.mul(qt.section)), xm.action
+    action = LeibnizAction.from_sparse(
+        base_alg, top_alg, qt.zimages[0] * act.den,
+        _projected(qt, act.sl, qb.free, qt.free), _projected(qt, act.sr, qt.free, qb.free))
     out = CrossedModule(name or f"{xm.name}_quot", top_alg, base_alg, delta, action)
     rep = check_xmod(out)
     if not rep.valid:
@@ -361,7 +371,9 @@ def abelianization(xm: CrossedModule, derived: "SubPair | None" = None
         derived = derived_xmod(xm)
     elif derived.parent != xm:
         raise ValueError(f"the derived pair given is not one of {xm.name}")
-    out, proj = quotient_xmod(xm, derived, name=f"{xm.name}_ab")
+    # commutator asserts the derived pair to be a crossed ideal
+    _require_valid(xm)
+    out, proj = _quotient_xmod(xm, derived, name=f"{xm.name}_ab")
     flags = predicates(out)
     if not flags.is_abelian:
         raise AssertionError("abelianization failed to be abelian")
@@ -376,32 +388,25 @@ def liezation(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
     Squares [x,x] are polarized into basis brackets [n_i,n_j]+[n_j,n_i]
     (including i = j), which spans the same subspace in characteristic 0.
     """
-    top, base = xm.top, xm.base
-    tgens = []
-    for i in range(top.dim):
-        for j in range(i, top.dim):
-            tgens.append(tuple(x + y for x, y in zip(top.c[i][j], top.c[j][i])))
-    for i in range(base.dim):
-        for j in range(top.dim):
-            tgens.append(tuple(x + y for x, y in zip(xm.action.left[i][j],
-                                                     xm.action.right[j][i])))
-    bgens = []
-    for i in range(base.dim):
-        for j in range(i, base.dim):
-            bgens.append(tuple(x + y for x, y in zip(base.c[i][j], base.c[j][i])))
+    top, base, act = xm.top, xm.base, xm.action
+    # every generator an int vector, each family at its table's scale
+    tgens = [_plus(top.zst[1][i][j], top.zst[1][j][i])
+             for i in range(top.dim) for j in range(i, top.dim)]
+    tgens += [_plus(act.sl[i][j], act.sr[j][i])
+              for i in range(base.dim) for j in range(top.dim)]
+    bgens = [_plus(base.zst[1][i][j], base.zst[1][j][i])
+             for i in range(base.dim) for j in range(i, base.dim)]
     seed = SubPair(xm,
-                   Subspace.from_vectors(top.dim, tgens),
-                   Subspace.from_vectors(base.dim, bgens))
+                   Subspace.from_integer_rows(top.dim, tgens),
+                   Subspace.from_integer_rows(base.dim, bgens))
     ideal = crossed_ideal_closure(xm, seed)
     out, proj = quotient_xmod(xm, ideal, name=f"{xm.name}_lie")
     if not (is_lie(out.top) and is_lie(out.base)):
         raise AssertionError("liezation failed to produce Lie algebras")
-    for i in range(out.base.dim):
-        for j in range(out.top.dim):
-            s = tuple(x + y for x, y in zip(out.action.left[i][j],
-                                            out.action.right[j][i]))
-            if not vec_is_zero(s):
-                raise AssertionError("liezation action is not antisymmetric")
+    act = out.action
+    if any(_plus(act.sl[i][j], act.sr[j][i])
+           for i in range(out.base.dim) for j in range(out.top.dim)):
+        raise AssertionError("liezation action is not antisymmetric")
     return out, proj
 
 
@@ -422,8 +427,8 @@ def predicates(xm: CrossedModule) -> XModFlags:
                          Subspace.full(xm.top.dim)).dim == 0
            and span_brackets(xm.base, Subspace.full(xm.base.dim),
                              Subspace.full(xm.base.dim)).dim == 0
-           and all(vec_is_zero(v) for row in xm.action.left for v in row)
-           and all(vec_is_zero(v) for row in xm.action.right for v in row))
+           and not any(v for row in xm.action.sl for v in row)
+           and not any(v for row in xm.action.sr for v in row))
     if alt != abelian:
         raise AssertionError(
             "center-based and component-based abelian predicates disagree")

@@ -7,8 +7,9 @@ dense projection and section matrices; project is the old
 QuotientMap.project, projection.mul_vec of the coerced vector.  The
 differential tests in test_quotient.py compare the sparse map with them.
 action_rows and agreement_rows are the old tensor._defining_rows
-verbatim, split into its two families: it builds a candidate row for
-every basis triple and every symbol pair, empty or not.
+verbatim, on the Fraction sparse views of helpers, split into its two
+families: it builds a candidate row for every basis triple and every
+symbol pair, empty or not.
 sweep_witness is the old well-definedness sweep of
 tensor._build_presentation, which tests every relation row against every
 symbol, on both sides, through the full representative table.
@@ -23,11 +24,14 @@ from leibxmod.ratlin import (
     RatMatrix,
     Subspace,
     accumulate,
+    rational,
     transposed,
     vec,
     vec_is_zero,
 )
-from leibxmod.tensor import MutualActionPair, _bracket_term, _symbols
+from leibxmod.tensor import MutualActionPair, _symbols
+
+from helpers import bracket_term, sparse_sl, sparse_sr, sparse_st
 
 
 def reduce(self: Subspace, v: Sequence) -> tuple:
@@ -99,23 +103,25 @@ def action_rows(pair: MutualActionPair) -> list:
     for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides):
         ex = [((x, ONE),) for x in range(X.dim)]
         ey = [((y, ONE),) for y in range(Y.dim)]
+        Xst, Yst, ysr = sparse_st(X), sparse_st(Y), sparse_sr(y_on_x)
+        sl, sr = sparse_sl(x_on_y), sparse_sr(x_on_y)
         for x in range(X.dim):
             for y in range(Y.dim):
                 for y2 in range(Y.dim):
                     # x * [y, y2] = x^y * y2 - x^{y2} * y
-                    add((1, s, ex[x], Y.st[y][y2]),
-                        (-1, s, y_on_x.sr[x][y], ey[y2]),
-                        (1, s, y_on_x.sr[x][y2], ey[y]))
+                    add((1, s, ex[x], Yst[y][y2]),
+                        (-1, s, ysr[x][y], ey[y2]),
+                        (1, s, ysr[x][y2], ey[y]))
         for x in range(X.dim):
             for x2 in range(X.dim):
                 for y in range(Y.dim):
                     # [x, x2] * y = ^x y * x2 - x * y^{x2}
-                    add((1, s, X.st[x][x2], ey[y]),
-                        (-1, 1 - s, x_on_y.sl[x][y], ex[x2]),
-                        (1, s, ex[x], x_on_y.sr[y][x2]))
+                    add((1, s, Xst[x][x2], ey[y]),
+                        (-1, 1 - s, sl[x][y], ex[x2]),
+                        (1, s, ex[x], sr[y][x2]))
                     # x * ^{x2}y = - x * y^{x2}
-                    add((1, s, ex[x], x_on_y.sl[x2][y]),
-                        (1, s, ex[x], x_on_y.sr[y][x2]))
+                    add((1, s, ex[x], sl[x2][y]),
+                        (1, s, ex[x], sr[y][x2]))
     return rows
 
 
@@ -126,8 +132,8 @@ def agreement_rows(pair: MutualActionPair) -> list:
     # both representatives of [symbol_i, symbol_j] agree
     for i in range(amb):
         for j in range(amb):
-            c, t, u, v = _bracket_term(pair, i, j, alt=True)
-            add(_bracket_term(pair, i, j), (-c, t, u, v))
+            c, t, u, v = bracket_term(pair, i, j, alt=True)
+            add(bracket_term(pair, i, j), (-c, t, u, v))
     return rows
 
 
@@ -137,7 +143,7 @@ def sweep_witness(pair: MutualActionPair, qmap: QuotientMap):
     relation", in the order the old sweep tested them; None if none does."""
     dm, dn = pair.m.dim, pair.n.dim
     amb = 2 * dm * dn
-    st = tuple(tuple(tuple(_symbols(dm, dn, (_bracket_term(pair, i, j),)).items())
+    st = tuple(tuple(tuple(_symbols(dm, dn, (bracket_term(pair, i, j),)).items())
                      for j in range(amb))
                for i in range(amb))
     st_t = transposed(st, amb)
@@ -147,7 +153,9 @@ def sweep_witness(pair: MutualActionPair, qmap: QuotientMap):
         accumulate(acc, ONE, a, columns)
         return qmap.kills(acc.items())
 
-    for n, r in enumerate(qmap.rows):
+    # the RREF rows of the relations, as Fraction sparse vectors
+    rows = [rational(row, row[0][1]) for row in qmap.relations.zrows]
+    for n, r in enumerate(rows):
         for s in range(amb):
             if not preserves(r, st_t[s]):
                 return n, s, "relation * symbol"

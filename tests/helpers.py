@@ -15,6 +15,7 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import leibxmod
@@ -27,10 +28,12 @@ from leibxmod.ratlin import (
     _primitive,
     dense,
     kernel,
+    rational,
+    sparse_table,
     unit_vec,
     zero_vec,
 )
-from leibxmod.tensor import _bracket_term, _symbols
+from leibxmod.tensor import _legs, _symbols
 from leibxmod.xmod import CrossedModule, SubPair, XModHom, center_xmod
 
 
@@ -287,22 +290,71 @@ def _sym(dm, dn, *terms):
     return dense(_symbols(dm, dn, terms).items(), 2 * dm * dn)
 
 
+# -- Fraction sparse views, read off the dense views of the tables -------------------
+
+def sparse_st(a):
+    """The Fraction sparse view of an algebra's table: st[i][j] = nonzero
+    entries of [e_i, e_j]."""
+    return sparse_table(a.c)
+
+
+def sparse_sl(act):
+    """sl[i][j] = nonzero entries of ^{m_i} n_j, as Fractions."""
+    return sparse_table(act.left)
+
+
+def sparse_sr(act):
+    """sr[j][i] = nonzero entries of n_j ^ {m_i}, as Fractions."""
+    return sparse_table(act.right)
+
+
+@lru_cache(maxsize=None)
+def evaluations(pair):
+    """ev[s][k]: ambient symbol k evaluated into the first factor X of side
+    s by the action of Y on X, x * y -> x^y and y * x -> ^y x, as a
+    Fraction sparse vector."""
+    ev = []
+    for s, (X, Y, _, y_on_x) in enumerate(pair.sides):
+        left, right = sparse_sl(y_on_x), sparse_sr(y_on_x)
+        blocks = [None, None]
+        blocks[s] = [right[x][y] for x in range(X.dim) for y in range(Y.dim)]
+        blocks[1 - s] = [left[y][x] for y in range(Y.dim) for x in range(X.dim)]
+        ev.append(tuple(blocks[0] + blocks[1]))
+    return tuple(ev)
+
+
+def bracket_term(pair, i, j, alt=False):
+    """[symbol_i, symbol_j] as one tensor._symbols term on Fractions: the
+    first leg of symbol i acted on by symbol j, written in the block of
+    symbol i (the primary representative) or, with alt, in the other."""
+    t = _legs(pair.m.dim, pair.n.dim, i)[0] ^ alt
+    ev = evaluations(pair)
+    return (1, t, ev[t][i], ev[1 - t][j])
+
+
+def representative_table(pres):
+    """The Fraction sparse view of the representative table of pres."""
+    den, view = pres.zst
+    return tuple(tuple(tuple(rational(v, den)) for v in row) for row in view)
+
+
 def primary_entry(pair, i, j):
     """The chosen bracket representative: lands in the block of symbol i."""
-    return _sym(pair.m.dim, pair.n.dim, _bracket_term(pair, i, j))
+    return _sym(pair.m.dim, pair.n.dim, bracket_term(pair, i, j))
 
 
 def alt_entry(pair, i, j):
     """The other representative, congruent to the primary one modulo the
     relation subspace (their differences are relation rows)."""
-    return _sym(pair.m.dim, pair.n.dim, _bracket_term(pair, i, j, alt=True))
+    return _sym(pair.m.dim, pair.n.dim, bracket_term(pair, i, j, alt=True))
 
 
 def representatives(pres, i, j):
     """The two representatives of [symbol i, symbol j] in a presentation,
-    as dense ambient vectors: the primary one read from its sparse table
-    st, and the other one."""
-    return dense(pres.st[i][j], pres.ambient_dim), alt_entry(pres.pair, i, j)
+    as dense ambient vectors: the primary one read from its integer twin
+    zst, and the other one."""
+    den, view = pres.zst
+    return dense(rational(view[i][j], den), pres.ambient_dim), alt_entry(pres.pair, i, j)
 
 
 def quotient_basis_lifts(pres):

@@ -27,6 +27,7 @@ from leibxmod.tensor import (
     _well_defined,
 )
 
+from helpers import representative_table
 from test_acceptance import _presentation_corpus
 from test_checks import algebras, tables
 from test_ratlin import RATIONALS, matrices
@@ -85,13 +86,14 @@ def _sweep_agrees(pres, relations):
     on both sides, equals the dense membership test."""
     amb = pres.ambient_dim
     qm = quotient(amb, relations)
-    st_t = transposed(pres.st, amb)
+    table = representative_table(pres)
+    st_t = transposed(table, amb)
     for r in relations.basis.entries:
         for s in range(amb):
             e = unit_vec(amb, s)
             assert (_preserves(qm, sparse(r), st_t[s])
                     == relations.contains_vector(pres.bracket_ambient(r, e))), pres.name
-            assert (_preserves(qm, sparse(r), pres.st[s])
+            assert (_preserves(qm, sparse(r), table[s])
                     == relations.contains_vector(pres.bracket_ambient(e, r))), pres.name
 
 

@@ -111,9 +111,9 @@ def test_a_rational_basis_scales_the_twins():
             e, einv = _elementary(a.dim, i, j, lam)
             g, ginv = g.mul(e), einv.mul(ginv)
         b = rebased(a, (g, ginv))
-        if any(v for row in a.st for v in row):
+        if any(v for row in a.zst[1] for v in row):
             assert b.zst[0] > 1, a.name
-            assert CrossedModule.adjoint_identity(b).action.zsl[0] > 1, a.name
+            assert CrossedModule.adjoint_identity(b).action.den > 1, a.name
 
 
 @PROPERTY

@@ -360,7 +360,7 @@ def test_pairwise_drops_values_that_cancel():
 
 def test_presentation_builds_no_representative_table(monkeypatch):
     # the sweep and the agreement rows run on the evaluation spans; the
-    # full table is built only when st is read, or to name a failure
+    # full table is built only when zst is read, or to name a failure
     real = tensor._representatives
 
     def refuse(pair):
@@ -368,29 +368,29 @@ def test_presentation_builds_no_representative_table(monkeypatch):
 
     monkeypatch.setattr(tensor, "_representatives", refuse)
     pres = tensor._build_presentation(adjoint_pair(sl2()), [], "probe")
-    assert "st" not in vars(pres)
+    assert "zst" not in vars(pres)
     monkeypatch.setattr(tensor, "_representatives", real)
-    assert pres.st == real(pres.pair) and "st" in vars(pres)
+    assert pres.zst[1] == real(pres.pair) and "zst" in vars(pres)
 
 
 def test_views_built_from_sparse_images_equal_the_views_of_the_tables():
-    # the resolved squares, the actions on them and the multiplier keep the
-    # integer twins of the sparse views they were built from; a rescan of
-    # their dense tables gives the same views and twins, and equality reads
-    # only the dense fields
+    # the resolved squares, the actions on them and the multiplier are
+    # built from integer twins; their dense views give back the same sparse
+    # views, and objects rebuilt from them, equal and with equal hashes
     for xm in (CrossedModule.adjoint_identity(n2()),
                CrossedModule.adjoint_identity(heis3()),
                CrossedModule.adjoint_identity(sl2()), zero_over(n2())):
         esd = exterior_square_data(xm)
         mult, _ = schur_multiplier(xm)
         for a in (esd.qn.resolved, esd.qq.resolved, mult.top, mult.base):
-            assert _divided(*vars(a)["zst"]) == a.st == sparse_table(a.c)
-            assert a == LeibnizAlgebra(a.name, a.dim, a.basis_names, a.c)
+            assert _divided(*a.zst) == sparse_table(a.c)
+            fresh = LeibnizAlgebra(a.name, a.dim, a.basis_names, a.c)
+            assert a == fresh and hash(a) == hash(fresh)
         for act in (esd.action, mult.action):
-            den, sl, sr = vars(act)["_ztables"]
-            assert _divided(den, sl) == act.sl == sparse_table(act.left)
-            assert _divided(den, sr) == act.sr == sparse_table(act.right)
-            assert act == LeibnizAction(act.actor, act.acted, act.left, act.right)
+            assert _divided(act.den, act.sl) == sparse_table(act.left)
+            assert _divided(act.den, act.sr) == sparse_table(act.right)
+            fresh = LeibnizAction(act.actor, act.acted, act.left, act.right)
+            assert act == fresh and hash(act) == hash(fresh)
 
 
 def _divided(den, view):
