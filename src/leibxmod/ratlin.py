@@ -79,7 +79,6 @@ def vec_is_zero(v: tuple) -> bool:
 
 
 _ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def sparse(v: Sequence) -> tuple:

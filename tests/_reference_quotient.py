@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from leibxmod.ratlin import (
-    ONE,
     QuotientMap,
     RatMatrix,
     Subspace,
@@ -32,6 +31,8 @@ from leibxmod.ratlin import (
 from leibxmod.tensor import MutualActionPair, _symbols
 
 from helpers import bracket_term, sparse_sl, sparse_sr, sparse_st
+
+ONE = Fraction(1)
 
 
 def reduce(self: Subspace, v: Sequence) -> tuple:
