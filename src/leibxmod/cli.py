@@ -153,7 +153,7 @@ def _parse_algebra(doc, ctx, where):
     name = _require(doc, "name", where)
     dim = _require(doc, "dim", where)
     basis = _require(doc, "basis", where)
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise FixtureError(f"{where}: dim must be a non-negative integer")
     if (not isinstance(basis, list) or len(basis) != dim
             or len(set(basis)) != dim
@@ -244,6 +244,8 @@ def _parse_doc(doc, expect, ctx, where):
     stray = set(doc) - _FIELDS[kind]
     if stray:
         raise FixtureError(f"{where}: unknown fields {sorted(stray)}")
+    if not isinstance(doc.get("name", ""), str):
+        raise FixtureError(f"{where}: name must be a string, got {doc['name']!r}")
     return _PARSERS[kind](doc, ctx, where)
 
 
@@ -275,11 +277,11 @@ def load_fixture(path, expect=None, active=frozenset()):
         if resolved in active:
             raise FixtureError(f"circular reference through {path.name}")
         text = path.read_text(encoding="utf-8")
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         raise FixtureError(f"cannot read {path}: {ex}") from None
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys(path.name))
-    except ValueError as ex:
+    except (ValueError, RecursionError) as ex:
         raise FixtureError(f"{path.name}: not a JSON document ({ex})") from None
     ctx = _Ctx(path.parent, active | {resolved})
     return _parse_doc(doc, expect, ctx, path.name)

@@ -29,7 +29,10 @@ onto the original pair, and the Schur multiplier (the kernel of that
 evaluation, once per square) are produced, each with its promised
 properties asserted.  Every map induced on the squares descends through
 one helper (``_descend``): the ambient map must kill the relation rows,
-and is read at the free symbols, on int vectors.
+and is read at the free symbols, on int vectors.  The one memo is
+``exterior_square_data``, for the last SQUARES_MEMO (two) crossed
+modules: a command reads again at most the squares of an extension's
+total and quotient.  Nothing else here is cached.
 """
 
 from __future__ import annotations
@@ -74,6 +77,8 @@ from .xmod import (
     check_xmod,
     check_xmod_hom,
 )
+
+SQUARES_MEMO = 2  # an extension's total and quotient: see the docstring
 
 
 @dataclass(frozen=True)
@@ -436,11 +441,9 @@ def _descend(pres: QuotientPresentation, cols, target: "QuotientMap | None"):
             tuple(_row(target.integer_image(cols[f])) for f in qm.free))
 
 
-@lru_cache(maxsize=None)
 def tensor_product(pair: MutualActionPair, name=None) -> QuotientPresentation:
     """The algebra generated by the pure symbols of the two factors."""
-    return _build_presentation(pair, (),
-                               name or f"{pair.m.name}(x){pair.n.name}")
+    return _build_presentation(pair, (), name or f"{pair.m.name}(x){pair.n.name}")
 
 
 def square_subspace(eta: CrossedModule, delta: CrossedModule) -> Subspace:
@@ -462,7 +465,6 @@ def square_subspace(eta: CrossedModule, delta: CrossedModule) -> Subspace:
     return Subspace.from_integer_rows(2 * m.dim * n.dim, gens)
 
 
-@lru_cache(maxsize=None)
 def exterior_presentation(eta: CrossedModule, delta: CrossedModule,
                           name=None) -> QuotientPresentation:
     """Tensor product of the two tops divided by the glue subspace."""
@@ -518,6 +520,34 @@ class ExteriorSquareData:
         """The kernels of the two evaluations: the multiplier, once per square."""
         return kernel(self.lambda_n.matrix), kernel(self.mu_q.matrix)
 
+    @cached_property
+    def multiplier(self) -> "tuple[CrossedModule, XModHom]":
+        """The kernels as an abelian crossed module, with its inclusion."""
+        name, (kt, kb) = self.phi.target.name, self._kernels
+        kts, kbs = kt.zbasis, kb.zbasis
+        if _pairwise(self.qn.resolved.zst_t, kts, kts):
+            raise AssertionError("multiplier top is not abelian")
+        if _pairwise(self.qq.resolved.zst_t, kbs, kbs):
+            raise AssertionError("multiplier base is not abelian")
+        dcols = _restriction(kb, _images(self.id_wedge_delta.matrix.zcols, kts))
+        if dcols is None:
+            raise AssertionError("connecting map does not restrict to the multiplier")
+        if _pairwise(self.action.zsl_t, kbs, kts) or _pairwise(self.action.zsr_t, kts, kbs):
+            raise AssertionError("multiplier action is not trivial")
+        top = LeibnizAlgebra.abelian(f"M({name}).top", kt.dim,
+                                     tuple(f"a{i+1}" for i in range(kt.dim)))
+        base = LeibnizAlgebra.abelian(f"M({name}).base", kb.dim,
+                                      tuple(f"b{i+1}" for i in range(kb.dim)))
+        mult = CrossedModule(f"M({name})", top, base, RatMatrix.from_sparse(kb.dim, dcols),
+                             LeibnizAction.trivial(base, top))
+        incl = XModHom(mult, self.induced_xmod, RatMatrix.from_sparse(kt.ambient_dim, kts),
+                       RatMatrix.from_sparse(kb.ambient_dim, kbs))
+        irep = check_xmod_hom(incl)
+        if not irep.valid:
+            raise AssertionError(
+                f"multiplier inclusion is not a crossed module map:\n{irep.summary()}")
+        return mult, incl
+
 
 def _base_action_on_ambient(xm: CrossedModule, dn: int):
     """Linear maps for the base q acting on the tensor ambient of (q, n)
@@ -557,7 +587,7 @@ def _base_action_on_ambient(xm: CrossedModule, dn: int):
     return den, left, right
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SQUARES_MEMO)
 def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     """Exterior squares of a crossed module with all induced structure."""
     _require_valid(xm)
@@ -565,7 +595,7 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     dq, dn = q.dim, n.dim
     qid = CrossedModule.adjoint_identity(q)
     qn = exterior_presentation(qid, xm, name=f"{q.name}(^){n.name}")
-    qq = exterior_presentation(qid, qid, name=f"{q.name}(^){q.name}")
+    qq = qn if xm == qid else exterior_presentation(qid, qid, name=f"{q.name}(^){q.name}")
 
     # evaluation maps on ambient symbols: q * n -> ^q n, n * q -> n^q,
     # and q * q' -> [q, q'] on both blocks; both evaluate into the second
@@ -615,8 +645,7 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     if not prep.valid:
         raise AssertionError(
             f"evaluation is not a crossed module map:\n{prep.summary()}")
-    esd = ExteriorSquareData(qn, qq, id_wedge_delta, action, lambda_n, mu_q,
-                             induced, phi)
+    esd = ExteriorSquareData(qn, qq, id_wedge_delta, action, lambda_n, mu_q, induced, phi)
     z, (kt, kb) = center_xmod(induced), esd._kernels
     if not z.top_sub.contains_subspace(kt):
         raise AssertionError("kernel of the top evaluation is not central")
@@ -625,37 +654,9 @@ def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     return esd
 
 
-@lru_cache(maxsize=None)
 def schur_multiplier(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
-    """Kernel of the evaluation of the exterior squares onto the crossed
-    module, as an abelian crossed module with trivial action, plus its
-    inclusion into the induced crossed module on the squares."""
-    esd = exterior_square_data(xm)
-    kt, kb = esd._kernels
-    kts, kbs = kt.zbasis, kb.zbasis
-    sq_top, sq_base, act = esd.qn.resolved, esd.qq.resolved, esd.action
-    if _pairwise(sq_top.zst_t, kts, kts):
-        raise AssertionError("multiplier top is not abelian")
-    if _pairwise(sq_base.zst_t, kbs, kbs):
-        raise AssertionError("multiplier base is not abelian")
-    dcols = _restriction(kb, _images(esd.id_wedge_delta.matrix.zcols, kts))
-    if dcols is None:
-        raise AssertionError("connecting map does not restrict to the multiplier")
-    if _pairwise(act.zsl_t, kbs, kts) or _pairwise(act.zsr_t, kts, kbs):
-        raise AssertionError("multiplier action is not trivial")
-    top = LeibnizAlgebra.abelian(f"M({xm.name}).top", kt.dim,
-                                 tuple(f"a{i+1}" for i in range(kt.dim)))
-    base = LeibnizAlgebra.abelian(f"M({xm.name}).base", kb.dim,
-                                  tuple(f"b{i+1}" for i in range(kb.dim)))
-    mult = CrossedModule(f"M({xm.name})", top, base, RatMatrix.from_sparse(kb.dim, dcols),
-                         LeibnizAction.trivial(base, top))
-    incl = XModHom(mult, esd.induced_xmod, RatMatrix.from_sparse(kt.ambient_dim, kts),
-                   RatMatrix.from_sparse(kb.ambient_dim, kbs))
-    irep = check_xmod_hom(incl)
-    if not irep.valid:
-        raise AssertionError(
-            f"multiplier inclusion is not a crossed module map:\n{irep.summary()}")
-    return mult, incl
+    """The multiplier of xm, with its inclusion into the squares."""
+    return exterior_square_data(xm).multiplier
 
 
 def _substitution(src: MutualActionPair, tgt: MutualActionPair,
@@ -721,9 +722,8 @@ def induced_exterior_hom(f: XModHom) -> "tuple[AlgebraHom, AlgebraHom]":
 def multiplier_functorial_map(f: XModHom) -> XModHom:
     """Restriction of the induced exterior maps to the multipliers."""
     top_hom, base_hom = induced_exterior_hom(f)
-    m_src, incl = schur_multiplier(f.source)
-    m_tgt, _ = schur_multiplier(f.target)
-    kt, kb = exterior_square_data(f.target)._kernels
+    (m_src, incl), tgt = schur_multiplier(f.source), exterior_square_data(f.target)
+    (m_tgt, _), (kt, kb) = tgt.multiplier, tgt._kernels
     tcols = _restriction(kt, _images(top_hom.matrix.zcols, incl.top_map.zcols))
     if tcols is None:
         raise AssertionError("induced top map does not preserve the multiplier")

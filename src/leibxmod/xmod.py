@@ -374,8 +374,7 @@ def abelianization(xm: CrossedModule, derived: "SubPair | None" = None
     # commutator asserts the derived pair to be a crossed ideal
     _require_valid(xm)
     out, proj = _quotient_xmod(xm, derived, name=f"{xm.name}_ab")
-    flags = predicates(out)
-    if not flags.is_abelian:
+    if not _is_abelian(out):
         raise AssertionError("abelianization failed to be abelian")
     return out, proj
 
@@ -418,18 +417,17 @@ class XModFlags:
 
 
 def predicates(xm: CrossedModule) -> XModFlags:
-    full = xm.full_pair()
-    perfect = derived_xmod(xm).same_spaces(full)
-    abelian = center_xmod(xm).same_spaces(full)
-    # cross-check the equivalent characterization: both algebras abelian
-    # and the action trivial
-    alt = (span_brackets(xm.top, Subspace.full(xm.top.dim),
-                         Subspace.full(xm.top.dim)).dim == 0
-           and span_brackets(xm.base, Subspace.full(xm.base.dim),
-                             Subspace.full(xm.base.dim)).dim == 0
-           and not any(v for row in xm.action.sl for v in row)
-           and not any(v for row in xm.action.sr for v in row))
+    return XModFlags(is_perfect=derived_xmod(xm).same_spaces(xm.full_pair()),
+                     is_abelian=_is_abelian(xm))
+
+
+def _is_abelian(xm: CrossedModule) -> bool:
+    """The center is the full pair, cross-checked: both algebras abelian, action trivial."""
+    abelian = center_xmod(xm).same_spaces(xm.full_pair())
+    alt = (all(span_brackets(a, Subspace.full(a.dim), Subspace.full(a.dim)).dim == 0
+               for a in (xm.top, xm.base))
+           and not any(v for t in (xm.action.sl, xm.action.sr) for row in t for v in row))
     if alt != abelian:
         raise AssertionError(
             "center-based and component-based abelian predicates disagree")
-    return XModFlags(is_perfect=perfect, is_abelian=abelian)
+    return abelian

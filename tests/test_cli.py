@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from leibxmod import cli, extensions, homology, tensor
 from leibxmod.extensions import stem_cover_of_perfect
 from leibxmod.ratlin import RatMatrix
@@ -105,6 +107,22 @@ def test_duplicate_key_rejected(tmp_path, capsys):
         assert "dup.algebra: duplicate key 'e1'" in err
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b'{"kind":"algebra","name":"\xff","dim":0,"basis":[]}', "codec can't decode byte 0xff"),
+    (b'{"kind":"algebra","name":"deep","dim":0,"basis":' + b"[" * 100_000 + b"]" * 100_000
+     + b"}", "maximum recursion depth exceeded"),
+    (b'{"kind":"algebra","name":"t","dim":true,"basis":["e1"]}',
+     "dim must be a non-negative integer"),
+    (b'{"kind":"algebra","name":7,"dim":0,"basis":[]}', "name must be a string, got 7"),
+], ids=["not-utf8", "too-deep", "dim-true", "name-not-string"])
+def test_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys, content, reason):
+    p = tmp_path / "odd.algebra"
+    p.write_bytes(content)
+    code, out, err = run(capsys, "check", p)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+
+
 def test_action_endpoint_mismatch_rejected(tmp_path, capsys):
     doc = {"kind": "xmod", "name": "bad", "top": "n2", "base": "n2",
            "delta": {}, "action": "sl2_adjoint"}
@@ -155,9 +173,7 @@ def test_multiplier_json(capsys):
 
 
 def test_multiplier_evaluates_each_law_once_per_object(monkeypatch, capsys):
-    for cached in (tensor.tensor_product, tensor.exterior_presentation,
-                   tensor.exterior_square_data, tensor.schur_multiplier):
-        cached.cache_clear()
+    tensor.exterior_square_data.cache_clear()
     calls = count_law_evaluations(monkeypatch)
     assert cli.main(["multiplier", str(FIXTURES / "heis3_id.xmod"), "--json"]) == 0
     capsys.readouterr()
@@ -165,6 +181,20 @@ def test_multiplier_evaluates_each_law_once_per_object(monkeypatch, capsys):
     # the squares; the input and the crossed module of its squares
     assert calls["action"] == 3
     assert calls["xmod"] == 2
+
+
+def test_multiplier_memo_stays_bounded(capsys):
+    # one process, more distinct inputs than the memo holds: it keeps the
+    # squares of the last SQUARES_MEMO of them, and each input misses once
+    memo = tensor.exterior_square_data
+    memo.cache_clear()
+    names = ["zero_k.xmod", "zero_n2.xmod", "n2_id.xmod", "n2pad.xmod", "heis3_id.xmod",
+             "sl2_id.xmod"]
+    for name in names:
+        assert cli.main(["multiplier", str(FIXTURES / name), "--json"]) == 0
+        assert memo.cache_info().currsize <= tensor.SQUARES_MEMO < len(names)
+    capsys.readouterr()
+    assert memo.cache_info().misses == len(names)
 
 
 def test_exterior_report(capsys):

@@ -150,9 +150,7 @@ def _refuse(self):
 def test_commands_hash_no_fraction_and_build_no_dense_table(monkeypatch, capsys):
     # the loaded and derived algebras, actions and matrices are compared,
     # hashed and cached by their ints, and no command reads a dense table
-    for cache in (tensor.tensor_product, tensor.exterior_presentation,
-                  tensor.exterior_square_data, tensor.schur_multiplier):
-        cache.cache_clear()
+    tensor.exterior_square_data.cache_clear()
     kinds = (LeibnizAlgebra, LeibnizAction)
     before = [o for o in gc.get_objects() if isinstance(o, kinds)]  # kept alive
     seen = {id(o) for o in before}

@@ -454,8 +454,8 @@ def test_multiplier_reports_each_law(monkeypatch, failing, message):
         return [((0, 1),)] if len(calls) == failing else []
 
     monkeypatch.setattr(tensor, "_pairwise", pairwise)
-    _raises_exactly(message, schur_multiplier.__wrapped__,
-                    CrossedModule.adjoint_identity(n2()))
+    exterior_square_data.cache_clear()  # so the multiplier is computed afresh
+    _raises_exactly(message, schur_multiplier, CrossedModule.adjoint_identity(n2()))
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -510,7 +510,7 @@ def test_evaluation_reports_unkilled_relations(monkeypatch, square, message):
     # the evaluation of the named square also sends the pivot symbol of its
     # first relation row to e_1, so that row is no longer killed; the top
     # and base squares of (Z(heis3), heis3, incl) have different names
-    real = tensor.exterior_presentation.__wrapped__
+    real = tensor.exterior_presentation
 
     def perturbed(eta, delta, name=None):
         pres = real(eta, delta, name)
@@ -525,6 +525,23 @@ def test_evaluation_reports_unkilled_relations(monkeypatch, square, message):
     monkeypatch.setattr(tensor, "exterior_presentation", perturbed)
     _raises_exactly(message, exterior_square_data.__wrapped__,
                     CrossedModule.inclusion(heis3(), center(heis3())))
+
+
+def test_squares_build_one_presentation_each(monkeypatch):
+    # (q, q, id) has one square, qn is qq; any other crossed module has two
+    built, real = [], tensor._build_presentation
+
+    def counted(pair, extra_rows, name):
+        built.append(name)
+        return real(pair, extra_rows, name)
+
+    monkeypatch.setattr(tensor, "_build_presentation", counted)
+    exterior_square_data.cache_clear()
+    esd = exterior_square_data(CrossedModule.adjoint_identity(heis3()))
+    assert built == ["heis3(^)heis3"] and esd.qn is esd.qq
+    built.clear()
+    exterior_square_data(CrossedModule.inclusion(heis3(), center(heis3())))
+    assert built == ["heis3(^)heis3_ideal", "heis3(^)heis3"]
 
 
 def _leaving(source, target, dim):
@@ -548,7 +565,7 @@ def test_multiplier_reports_a_connecting_map_that_leaves_it(monkeypatch):
 
     monkeypatch.setattr(tensor, "exterior_square_data", moved)
     _raises_exactly("connecting map does not restrict to the multiplier",
-                    schur_multiplier.__wrapped__, CrossedModule.adjoint_identity(n2()))
+                    schur_multiplier, CrossedModule.adjoint_identity(n2()))
 
 
 @pytest.mark.parametrize("side, message", [
