@@ -122,8 +122,10 @@ def _through(cols, rows_t, n: int, m: int) -> tuple:
     sorted by index over its nonzero values: the rows of a law term whose
     outer element is itself a combination, or a table pulled back."""
     scale, accs = join([("ik", 1, cols, "i", rows_t, "k")])
-    return scale, tuple(tuple(_row(accs[i, k]) if (i, k) in accs else ()
-                              for k in range(m)) for i in range(n))
+    rows, empty = {}, ((),) * m
+    for (i, k), acc in accs.items():
+        rows.setdefault(i, [()] * m)[k] = _row(acc)
+    return scale, tuple(tuple(rows[i]) if i in rows else empty for i in range(n))
 
 
 def _pairwise(table_t, us, vs) -> list:

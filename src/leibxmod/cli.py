@@ -32,6 +32,11 @@ document under ``--json``; ``--out`` redirects the payload to a file.
 ``stemcover`` and ``liezation`` always emit the constructed crossed
 module as a fixture document, so their output can be fed back in.
 
+Analyses are cached on the objects they belong to.  ``load_fixture``
+returns the object it loaded last in place of an equal one (equal
+integer twins and names), so a second command on the same input, say
+``verify-sequence`` after ``classify-extension``, reads them again.
+
 Exit codes: 0 the input was read and found valid (or the computation
 succeeded), 1 the input was read but is invalid or fails a precondition
 (not central, not perfect, degree out of range), 2 the input could not
@@ -42,6 +47,7 @@ runtime failed: an internal error, reported as one stderr line.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -269,6 +275,10 @@ def _unique_keys(where):
     return hook
 
 
+LOADED_MEMO = 1  # top-level inputs kept, with their analyses: see the docstring
+_interned = functools.lru_cache(maxsize=LOADED_MEMO)(lambda obj: obj)
+
+
 def load_fixture(path, expect=None, active=frozenset()):
     """Parse one fixture file (and whatever it references) to a domain object."""
     path = Path(path)
@@ -283,8 +293,8 @@ def load_fixture(path, expect=None, active=frozenset()):
         doc = json.loads(text, object_pairs_hook=_unique_keys(path.name))
     except (ValueError, RecursionError) as ex:
         raise FixtureError(f"{path.name}: not a JSON document ({ex})") from None
-    ctx = _Ctx(path.parent, active | {resolved})
-    return _parse_doc(doc, expect, ctx, path.name)
+    obj = _parse_doc(doc, expect, _Ctx(path.parent, active | {resolved}), path.name)
+    return obj if active else _interned(obj)  # the equal input loaded last, if any
 
 
 # -- canonical serialization -----------------------------------------------------
@@ -568,7 +578,8 @@ def cmd_hl(args):
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="leibxmod",
         description="Exact-rational invariants of Leibniz crossed modules.")
@@ -596,7 +607,11 @@ def main(argv=None) -> int:
                         help="machine-readable canonical JSON output")
         sp.add_argument("--out", default=None, help="write output to a file")
         sp.set_defaults(fn=fn)
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except FixtureError as ex:

@@ -29,16 +29,15 @@ onto the original pair, and the Schur multiplier (the kernel of that
 evaluation, once per square) are produced, each with its promised
 properties asserted.  Every map induced on the squares descends through
 one helper (``_descend``): the ambient map must kill the relation rows,
-and is read at the free symbols, on int vectors.  The one memo is
-``exterior_square_data``, for the last SQUARES_MEMO (two) crossed
-modules: a command reads again at most the squares of an extension's
-total and quotient.  Nothing else here is cached.
+and is read at the free symbols, on int vectors.  The squares are built
+once per crossed module object, as its cached property ``squares`` (body
+``_squares``); nothing here is memoized across objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 
 from .algebra import (
@@ -77,8 +76,6 @@ from .xmod import (
     check_xmod,
     check_xmod_hom,
 )
-
-SQUARES_MEMO = 2  # an extension's total and quotient: see the docstring
 
 
 @dataclass(frozen=True)
@@ -587,9 +584,13 @@ def _base_action_on_ambient(xm: CrossedModule, dn: int):
     return den, left, right
 
 
-@lru_cache(maxsize=SQUARES_MEMO)
 def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
     """Exterior squares of a crossed module with all induced structure."""
+    return xm.squares
+
+
+def _squares(xm: CrossedModule) -> ExteriorSquareData:
+    """The body of CrossedModule.squares."""
     _require_valid(xm)
     q, n = xm.base, xm.top
     dq, dn = q.dim, n.dim

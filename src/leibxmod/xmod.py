@@ -119,6 +119,12 @@ class CrossedModule:
         """The report of check_xmod, evaluated once per object."""
         return _xmod_report(self)
 
+    @cached_property
+    def squares(self):
+        """The exterior squares with their induced structure (tensor)."""
+        from .tensor import _squares
+        return _squares(self)
+
 
 @dataclass(frozen=True)
 class SubPair:

@@ -1,13 +1,16 @@
 """Fixture parsing, canonical serialization, and the command surface."""
 
+import gc
 import json
+import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from leibxmod import cli, extensions, homology, tensor
+from leibxmod import cli, extensions, homology
 from leibxmod.extensions import stem_cover_of_perfect
 from leibxmod.ratlin import RatMatrix
 from leibxmod.xmod import liezation
@@ -173,7 +176,6 @@ def test_multiplier_json(capsys):
 
 
 def test_multiplier_evaluates_each_law_once_per_object(monkeypatch, capsys):
-    tensor.exterior_square_data.cache_clear()
     calls = count_law_evaluations(monkeypatch)
     assert cli.main(["multiplier", str(FIXTURES / "heis3_id.xmod"), "--json"]) == 0
     capsys.readouterr()
@@ -185,16 +187,67 @@ def test_multiplier_evaluates_each_law_once_per_object(monkeypatch, capsys):
 
 def test_multiplier_memo_stays_bounded(capsys):
     # one process, more distinct inputs than the memo holds: it keeps the
-    # squares of the last SQUARES_MEMO of them, and each input misses once
-    memo = tensor.exterior_square_data
-    memo.cache_clear()
+    # last LOADED_MEMO of them, each input misses once, and an input that
+    # has left the memo is freed with the squares cached on it
+    memo = cli._interned
     names = ["zero_k.xmod", "zero_n2.xmod", "n2_id.xmod", "n2pad.xmod", "heis3_id.xmod",
              "sl2_id.xmod"]
-    for name in names:
+    for i, name in enumerate(names):
         assert cli.main(["multiplier", str(FIXTURES / name), "--json"]) == 0
-        assert memo.cache_info().currsize <= tensor.SQUARES_MEMO < len(names)
+        assert memo.cache_info().currsize <= cli.LOADED_MEMO < len(names)
+        if i == 0:
+            first = weakref.ref(cli.load_fixture(FIXTURES / name))
+            assert "squares" in vars(first())
     capsys.readouterr()
     assert memo.cache_info().misses == len(names)
+    gc.collect()
+    assert first() is None
+
+
+def test_an_equal_input_reuses_the_loaded_analyses(monkeypatch, capsys, tmp_path):
+    # a byte-identical copy at another path is the same input: the second
+    # command reads the reports the first one cached on it
+    copy = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, copy)
+    calls = count_law_evaluations(monkeypatch)
+    for command in ("classify-extension", "verify-sequence"):
+        code, first, _ = run(capsys, command, FIXTURES / "split_over_n2.extension", "--json")
+        assert code == 0 and calls
+        calls.clear()
+        code, again, _ = run(capsys, command, copy / "split_over_n2.extension", "--json")
+        assert (code, again) == (0, first) and not calls, command
+
+
+def test_an_input_that_differs_in_a_name_is_recomputed(monkeypatch, capsys, tmp_path):
+    # names are part of the memo's key, because outputs print them
+    doc = json.loads((FIXTURES / "split_over_n2.extension").read_text())
+    doc["name"] = "renamed_split"
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    renamed = tmp_path / "fixtures" / "renamed.extension"
+    renamed.write_text(json.dumps(doc))
+    code, first, _ = run(capsys, "verify-sequence", FIXTURES / "split_over_n2.extension",
+                         "--json")
+    assert code == 0
+    calls = count_law_evaluations(monkeypatch)
+    code, again, _ = run(capsys, "verify-sequence", renamed, "--json")
+    assert code == 0 and calls["xmod_hom"]
+    assert json.loads(again)["extension"] == "renamed_split"
+    assert again.replace("renamed_split", "split_over_n2") == first
+
+
+def test_the_parser_serves_every_command_of_a_process(capsys):
+    # built once: usage errors leave it as it was, and a valid command
+    # after them prints what it prints in a fresh process
+    for _ in range(2):
+        with pytest.raises(SystemExit) as ex:
+            cli.main(["multiplier"])
+        assert ex.value.code == 2
+    capsys.readouterr()
+    argv = ["multiplier", str(FIXTURES / "n2_id.xmod"), "--json"]
+    code, out, _ = run(capsys, *argv)
+    fresh = subprocess.run([sys.executable, "-m", "leibxmod", *argv],
+                           capture_output=True, text=True, env=child_env())
+    assert (code, out) == (fresh.returncode, fresh.stdout)
 
 
 def test_exterior_report(capsys):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import _reference_checks as ref
 import _reference_tables as old
-from leibxmod import cli, tensor
+from leibxmod import cli
 from leibxmod.algebra import (
     AlgebraHom,
     LeibnizAction,
@@ -150,7 +150,6 @@ def _refuse(self):
 def test_commands_hash_no_fraction_and_build_no_dense_table(monkeypatch, capsys):
     # the loaded and derived algebras, actions and matrices are compared,
     # hashed and cached by their ints, and no command reads a dense table
-    tensor.exterior_square_data.cache_clear()
     kinds = (LeibnizAlgebra, LeibnizAction)
     before = [o for o in gc.get_objects() if isinstance(o, kinds)]  # kept alive
     seen = {id(o) for o in before}

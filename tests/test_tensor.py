@@ -454,7 +454,7 @@ def test_multiplier_reports_each_law(monkeypatch, failing, message):
         return [((0, 1),)] if len(calls) == failing else []
 
     monkeypatch.setattr(tensor, "_pairwise", pairwise)
-    exterior_square_data.cache_clear()  # so the multiplier is computed afresh
+    # a new crossed module, so its multiplier is computed afresh
     _raises_exactly(message, schur_multiplier, CrossedModule.adjoint_identity(n2()))
 
 
@@ -474,7 +474,7 @@ def test_descent_reports_unstable_relations(monkeypatch, side):
 
     monkeypatch.setattr(tensor, "_base_action_on_ambient", shifted)
     _raises_exactly("base action does not preserve the relations of n2(^)n2",
-                    exterior_square_data.__wrapped__,
+                    tensor._squares,
                     CrossedModule.adjoint_identity(n2()))
 
 
@@ -489,7 +489,7 @@ def test_connecting_map_reports_unpreserved_relations(monkeypatch):
 
     monkeypatch.setattr(tensor, "_substitution", perturbed)
     _raises_exactly("connecting map does not preserve the relations",
-                    exterior_square_data.__wrapped__,
+                    tensor._squares,
                     CrossedModule.adjoint_identity(n2()))
 
 
@@ -523,7 +523,7 @@ def test_evaluation_reports_unkilled_relations(monkeypatch, square, message):
         return pres
 
     monkeypatch.setattr(tensor, "exterior_presentation", perturbed)
-    _raises_exactly(message, exterior_square_data.__wrapped__,
+    _raises_exactly(message, tensor._squares,
                     CrossedModule.inclusion(heis3(), center(heis3())))
 
 
@@ -536,12 +536,30 @@ def test_squares_build_one_presentation_each(monkeypatch):
         return real(pair, extra_rows, name)
 
     monkeypatch.setattr(tensor, "_build_presentation", counted)
-    exterior_square_data.cache_clear()
     esd = exterior_square_data(CrossedModule.adjoint_identity(heis3()))
     assert built == ["heis3(^)heis3"] and esd.qn is esd.qq
     built.clear()
     exterior_square_data(CrossedModule.inclusion(heis3(), center(heis3())))
     assert built == ["heis3(^)heis3_ideal", "heis3(^)heis3"]
+
+
+def test_squares_are_built_once_per_object(monkeypatch):
+    # the squares are a cached property of the crossed module: a second
+    # read of one object builds nothing, an equal new object builds afresh
+    built, real = [], tensor._build_presentation
+
+    def counted(pair, extra_rows, name):
+        built.append(name)
+        return real(pair, extra_rows, name)
+
+    monkeypatch.setattr(tensor, "_build_presentation", counted)
+    xm = CrossedModule.inclusion(heis3(), center(heis3()))
+    esd = exterior_square_data(xm)
+    assert exterior_square_data(xm) is esd and xm.squares is esd
+    assert schur_multiplier(xm) is esd.multiplier and len(built) == 2
+    twin = dataclasses.replace(xm)
+    assert twin == xm and exterior_square_data(twin) is not esd
+    assert len(built) == 4
 
 
 def _leaving(source, target, dim):
