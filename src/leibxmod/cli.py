@@ -39,11 +39,15 @@ integer twins and names), so a second command on the same input, say
 
 Exit codes: 0 the input was read and found valid (or the computation
 succeeded), 1 the input was read but is invalid or fails a precondition
-(not central, not perfect, degree out of range), 2 the input could not
+(not a valid crossed module, not central, not perfect, degree out of
+range): every ValueError the library raises, 2 the input could not
 be turned into a domain object at all (missing file, malformed JSON,
 a key repeated within one JSON object, zero denominator, unknown basis
 name, unresolvable reference), 3 a theorem the library asserts at
-runtime failed: an internal error, reported as one stderr line.
+runtime failed: an internal error, reported as one stderr line.  The
+commands raise; ``main`` alone turns each exception into its exit code
+and its ``error:`` message.  ``check`` prints the report of an invalid
+input on stdout and exits 1 without raising.
 """
 
 import argparse
@@ -110,49 +114,48 @@ def _rat(s, where):
         raise FixtureError(f"{where}: malformed rational {s!r}") from None
 
 
+def _by_name(doc, names, where, read):
+    """doc = {basis name: value} as {index in names: read(value, where)}."""
+    if not isinstance(doc, dict):
+        raise FixtureError(f"{where}: expected a mapping")
+    index = {n: i for i, n in enumerate(names)}
+    out = {}
+    for k, v in doc.items():
+        if k not in index:
+            raise FixtureError(f"{where}: unknown basis name {k!r}")
+        out[index[k]] = read(v, f"{where}[{k}]")
+    return out
+
+
 def _sparse_vec(doc, names, where):
     """Sparse doc = {basis name: rational}, as a sorted sparse vector."""
     if not isinstance(doc, dict):
         raise FixtureError(f"{where}: expected a sparse mapping, got {doc!r}")
-    index = {n: i for i, n in enumerate(names)}
-    v = {}
-    for k, s in doc.items():
-        if k not in index:
-            raise FixtureError(f"{where}: unknown basis name {k!r}")
-        v[index[k]] = _rat(s, f"{where}[{k}]")
+    v = _by_name(doc, names, where, _rat)
     return tuple(sorted((i, t) for i, t in v.items() if t))
 
 
 def _table(doc, row_names, col_names, out_names, where):
     """Sparse doc[row][col] = vector over out_names, as a sparse view."""
-    if not isinstance(doc, dict):
-        raise FixtureError(f"{where}: expected a mapping")
-    ri = {n: i for i, n in enumerate(row_names)}
-    ci = {n: i for i, n in enumerate(col_names)}
-    rows = [[() for _ in col_names] for _ in row_names]
-    for rn, row in doc.items():
-        if rn not in ri:
-            raise FixtureError(f"{where}: unknown basis name {rn!r}")
-        if not isinstance(row, dict):
-            raise FixtureError(f"{where}[{rn}]: expected a mapping")
-        for cn, sv in row.items():
-            if cn not in ci:
-                raise FixtureError(f"{where}[{rn}]: unknown basis name {cn!r}")
-            rows[ri[rn]][ci[cn]] = _sparse_vec(sv, out_names, f"{where}[{rn}][{cn}]")
-    return tuple(tuple(r) for r in rows)
+    def row(r, at):
+        return _by_name(r, col_names, at, lambda sv, at: _sparse_vec(sv, out_names, at))
+    rows = _by_name(doc, row_names, where, row)
+    return tuple(tuple(rows.get(i, {}).get(j, ()) for j in range(len(col_names)))
+                 for i in range(len(row_names)))
 
 
 def _matrix(doc, src_names, tgt_names, where):
     """Sparse doc[src] = vector over tgt_names, as a column matrix."""
-    if not isinstance(doc, dict):
-        raise FixtureError(f"{where}: expected a mapping")
-    si = {n: i for i, n in enumerate(src_names)}
-    cols = [()] * len(src_names)
-    for sn, sv in doc.items():
-        if sn not in si:
-            raise FixtureError(f"{where}: unknown basis name {sn!r}")
-        cols[si[sn]] = _sparse_vec(sv, tgt_names, f"{where}[{sn}]")
-    return RatMatrix.from_sparse(len(tgt_names), integer_view(tuple(cols), 1))
+    cols = _by_name(doc, src_names, where, lambda sv, at: _sparse_vec(sv, tgt_names, at))
+    return RatMatrix.from_sparse(len(tgt_names), integer_view(
+        tuple(cols.get(j, ()) for j in range(len(src_names))), 1))
+
+
+def _maps(doc, src, tgt, where):
+    """The top_map and base_map of doc, a crossed module map src -> tgt."""
+    return tuple(_matrix(_require(doc, key, where), getattr(src, side).basis_names,
+                         getattr(tgt, side).basis_names, f"{where}.{key}")
+                 for key, side in (("top_map", "top"), ("base_map", "base")))
 
 
 def _parse_algebra(doc, ctx, where):
@@ -204,11 +207,7 @@ def _parse_hom(doc, ctx, where):
                                             tgt.basis_names, f"{where}.matrix"))
     src = _subobject(_require(doc, "source", where), "xmod", ctx, f"{where}.source")
     tgt = _subobject(_require(doc, "target", where), "xmod", ctx, f"{where}.target")
-    top = _matrix(_require(doc, "top_map", where), src.top.basis_names,
-                  tgt.top.basis_names, f"{where}.top_map")
-    base = _matrix(_require(doc, "base_map", where), src.base.basis_names,
-                   tgt.base.basis_names, f"{where}.base_map")
-    return XModHom(src, tgt, top, base)
+    return XModHom(src, tgt, *_maps(doc, src, tgt, where))
 
 
 def _parse_extension(doc, ctx, where):
@@ -219,14 +218,7 @@ def _parse_extension(doc, ctx, where):
     pj = _require(doc, "projection", where)
     if not isinstance(pj, dict):
         raise FixtureError(f"{where}.projection: expected a mapping")
-    proj = XModHom(
-        total, quotient,
-        _matrix(_require(pj, "top_map", f"{where}.projection"),
-                total.top.basis_names, quotient.top.basis_names,
-                f"{where}.projection.top_map"),
-        _matrix(_require(pj, "base_map", f"{where}.projection"),
-                total.base.basis_names, quotient.base.basis_names,
-                f"{where}.projection.base_map"))
+    proj = XModHom(total, quotient, *_maps(pj, total, quotient, f"{where}.projection"))
     return Extension.from_projection(proj, name)
 
 
@@ -322,6 +314,13 @@ def _sparse_from_matrix(m, src_names, tgt_names):
             for j, sn in enumerate(src_names) if cols[j]}
 
 
+def _maps_doc(f):
+    """The top_map and base_map of a crossed module map, keyed by basis names."""
+    return {key: _sparse_from_matrix(getattr(f, key), getattr(f.source, side).basis_names,
+                                     getattr(f.target, side).basis_names)
+            for key, side in (("top_map", "top"), ("base_map", "base"))}
+
+
 def algebra_doc(a):
     return {"kind": "algebra", "name": a.name, "dim": a.dim,
             "basis": list(a.basis_names),
@@ -357,23 +356,13 @@ def hom_doc(h, name=None):
                 "matrix": _sparse_from_matrix(h.matrix, h.source.basis_names,
                                               h.target.basis_names)}
     return {"kind": "hom", "name": name or f"{h.source.name}->{h.target.name}",
-            "source": xmod_doc(h.source), "target": xmod_doc(h.target),
-            "top_map": _sparse_from_matrix(h.top_map, h.source.top.basis_names,
-                                           h.target.top.basis_names),
-            "base_map": _sparse_from_matrix(h.base_map, h.source.base.basis_names,
-                                            h.target.base.basis_names)}
+            "source": xmod_doc(h.source), "target": xmod_doc(h.target), **_maps_doc(h)}
 
 
 def extension_doc(e):
     return {"kind": "extension", "name": e.name,
             "total": xmod_doc(e.total), "quotient": xmod_doc(e.quotient),
-            "projection": {
-                "top_map": _sparse_from_matrix(e.proj.top_map,
-                                               e.total.top.basis_names,
-                                               e.quotient.top.basis_names),
-                "base_map": _sparse_from_matrix(e.proj.base_map,
-                                                e.total.base.basis_names,
-                                                e.quotient.base.basis_names)}}
+            "projection": _maps_doc(e.proj)}
 
 
 def emit(doc) -> str:
@@ -423,10 +412,6 @@ def cmd_check(args):
 
 def cmd_multiplier(args):
     xm = load_fixture(args.path, expect="xmod")
-    rep = check_xmod(xm)
-    if not rep.valid:
-        print(f"error: {rep.summary()}", file=sys.stderr)
-        return 1
     esd = exterior_square_data(xm)
     mult, _ = schur_multiplier(xm)
     r = rank(mult.delta)
@@ -453,10 +438,6 @@ def cmd_multiplier(args):
 
 def cmd_exterior(args):
     xm = load_fixture(args.path, expect="xmod")
-    rep = check_xmod(xm)
-    if not rep.valid:
-        print(f"error: {rep.summary()}", file=sys.stderr)
-        return 1
     esd = exterior_square_data(xm)
     lines = [
         f"q^n = {esd.qn.name}: dim {esd.qn.resolved.dim}, "
@@ -483,11 +464,7 @@ def cmd_exterior(args):
 
 def cmd_classify(args):
     e = load_fixture(args.path, expect="extension")
-    try:
-        fl = classify(e)
-    except ValueError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
+    fl = classify(e)
     lines = [f"central {_mark(fl.central)} stem {_mark(fl.stem_extension)} "
              f"cover {_mark(fl.stem_cover)}"]
     p41 = None
@@ -512,12 +489,7 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    e = load_fixture(args.path, expect="extension")
-    try:
-        rep = six_term_report(e)
-    except ValueError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
+    rep = six_term_report(load_fixture(args.path, expect="extension"))
     lines = []
     interior = rep.nodes[:-1]
     for n in interior:
@@ -545,34 +517,20 @@ def cmd_verify(args):
 
 
 def cmd_stemcover(args):
-    xm = load_fixture(args.path, expect="xmod")
-    try:
-        e = stem_cover_of_perfect(xm)
-    except ValueError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
+    e = stem_cover_of_perfect(load_fixture(args.path, expect="xmod"))
     _output(args, emit(xmod_doc(e.total)))
     return 0
 
 
 def cmd_liezation(args):
-    xm = load_fixture(args.path, expect="xmod")
-    rep = check_xmod(xm)
-    if not rep.valid:
-        print(f"error: {rep.summary()}", file=sys.stderr)
-        return 1
-    lz, _ = liezation(xm)
+    lz, _ = liezation(load_fixture(args.path, expect="xmod"))
     _output(args, emit(xmod_doc(lz)))
     return 0
 
 
 def cmd_hl(args):
     a = load_fixture(args.path, expect="algebra")
-    try:
-        n = hl(a, args.degree)
-    except ValueError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
+    n = hl(a, args.degree)
     _write(args, f"{n}\n",
            {"algebra": a.name, "degree": args.degree, "dim": n})
     return 0
@@ -617,6 +575,9 @@ def main(argv=None) -> int:
     except FixtureError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except ValueError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 1
     except AssertionError as ex:
         first = str(ex).partition("\n")[0]
         print(f"error: internal invariant failed: {first}", file=sys.stderr)

@@ -62,11 +62,8 @@ from .xmod import (
     CrossedModule,
     SubPair,
     XModHom,
-    abelianization,
-    center_xmod,
     check_xmod,
     check_xmod_hom,
-    derived_xmod,
     _quotient_xmod,
     is_crossed_ideal,
     predicates,
@@ -80,7 +77,9 @@ class Extension:
 
     Each derived object is a cached property, built at most once per
     Extension and kept outside the dataclass fields (equality, hashing and
-    repr are unchanged); a property that raises caches nothing."""
+    repr are unchanged); a property that raises caches nothing.  The
+    center, derived pair and abelianization it reads are those cached on
+    its total and quotient crossed modules."""
 
     name: str
     total: CrossedModule
@@ -138,12 +137,18 @@ class Extension:
         return _report(f"extension {self.name}", bad)
 
     @cached_property
-    def flags(self) -> "ExtensionFlags":
-        """Central / stem extension / stem cover flags (monotone by construction)."""
+    def _central(self) -> bool:
+        """Whether the kernel lies in the total's center; raises ValueError
+        unless the extension is valid."""
         if not self.validity.valid:
             raise ValueError(f"invalid extension:\n{self.validity.summary()}")
-        central = self.center.contains(self.kernel)
-        stem = central and self.derived.contains(self.kernel)
+        return self.total.center.contains(self.kernel)
+
+    @cached_property
+    def flags(self) -> "ExtensionFlags":
+        """Central / stem extension / stem cover flags (monotone by construction)."""
+        central = self._central
+        stem = central and self.total.derived.contains(self.kernel)
         cover = False
         if stem:
             mult, _ = schur_multiplier(self.quotient)
@@ -151,13 +156,6 @@ class Extension:
                      == (mult.top.dim, mult.base.dim, rank(mult.delta)))
         return ExtensionFlags(central, stem, cover)
 
-    # the total's center and derived pair, both abelianizations (each a
-    # crossed module with its projection), and the induced multiplier map
-    center = cached_property(lambda self: center_xmod(self.total))
-    derived = cached_property(lambda self: derived_xmod(self.total))
-    total_ab = cached_property(
-        lambda self: abelianization(self.total, self.derived))
-    quotient_ab = cached_property(lambda self: abelianization(self.quotient))
     multiplier_map = cached_property(
         lambda self: multiplier_functorial_map(self.proj))
 
@@ -165,7 +163,7 @@ class Extension:
     def kernel_xmod(self) -> "tuple[CrossedModule, XModHom]":
         """The kernel of a central extension as an abelian crossed module with
         trivial action, plus its inclusion into the total."""
-        if not self.center.contains(self.kernel):
+        if not self._central:
             raise ValueError("kernel crossed module needs a central extension")
         a, b = self.kernel.top_sub, self.kernel.base_sub
         top = LeibnizAlgebra.abelian(f"ker({self.name}).top", a.dim,
@@ -207,8 +205,8 @@ class Extension:
     @cached_property
     def ab_proj(self) -> XModHom:
         """Map between the abelianizations induced by the projection."""
-        ab_t, abproj_t = self.total_ab
-        ab_q, abproj_q = self.quotient_ab
+        ab_t, abproj_t = self.total.abelianization
+        ab_q, abproj_q = self.quotient.abelianization
         top = abproj_q.top_map.mul(self.proj.top_map).mul(
             solve_matrix(abproj_t.top_map, RatMatrix.identity(ab_t.top.dim)))
         base = abproj_q.base_map.mul(self.proj.base_map).mul(
@@ -337,7 +335,7 @@ def prop41_crosscheck(e: Extension) -> Prop41Report:
     # the extension is central, so stem means kernel inside the derived pair
     in_derived = flags.stem_extension
     surjective = th.is_surjective()
-    ab_t, abproj_t = e.total_ab
+    ab_t, abproj_t = e.total.abelianization
     _, kincl = e.kernel_xmod
     to_ab_zero = (abproj_t.top_map.mul(kincl.top_map).is_zero()
                   and abproj_t.base_map.mul(kincl.base_map).is_zero())
@@ -409,7 +407,7 @@ def six_term_report(e: Extension) -> ExactnessReport:
         raise AssertionError("kernel-base square escapes the multiplier base")
     mm, th, abh = e.multiplier_map, e.theta, e.ab_proj
     _, kincl = e.kernel_xmod
-    _, abproj_t = e.total_ab
+    _, abproj_t = e.total.abelianization
     maps = (("(I, b^p) -> M(total)", RatMatrix.from_sparse(kt.dim, f1_top),
              RatMatrix.from_sparse(kb.dim, f1_base)),
             ("M(total) -> M(quotient)", mm.top_map, mm.base_map),
@@ -480,7 +478,7 @@ def stem_cover_of_perfect(xm: CrossedModule) -> Extension:
                                   name=f"cover({xm.name})")
     if not e.flags.stem_cover:
         raise AssertionError(f"constructed extension of {xm.name} is not a cover")
-    ab, _ = e.total_ab
+    ab, _ = e.total.abelianization
     if (ab.top.dim, ab.base.dim) != (0, 0):
         raise AssertionError("cover total fails to be perfect")
     mt, _ = schur_multiplier(e.total)
@@ -498,8 +496,8 @@ def cor47_dimension_check(e1: Extension, e2: Extension) -> ValidityReport:
     for e in (e1, e2):
         if not e.flags.stem_cover:
             raise ValueError(f"{e.name} is not a stem cover")
-        (zt, zb), (kt, kb) = e.center.dims(), e.kernel.dims()
-        rows.append((e.derived.dims(),
+        (zt, zb), (kt, kb) = e.total.center.dims(), e.kernel.dims()
+        rows.append((e.total.derived.dims(),
                      (e.total.top.dim - zt, e.total.base.dim - zb),
                      (zt - kt, zb - kb)))
     bad = []

@@ -72,7 +72,6 @@ from .xmod import (
     CrossedModule,
     XModHom,
     _require_valid,
-    center_xmod,
     check_xmod,
     check_xmod_hom,
 )
@@ -647,7 +646,7 @@ def _squares(xm: CrossedModule) -> ExteriorSquareData:
         raise AssertionError(
             f"evaluation is not a crossed module map:\n{prep.summary()}")
     esd = ExteriorSquareData(qn, qq, id_wedge_delta, action, lambda_n, mu_q, induced, phi)
-    z, (kt, kb) = center_xmod(induced), esd._kernels
+    z, (kt, kb) = induced.center, esd._kernels
     if not z.top_sub.contains_subspace(kt):
         raise AssertionError("kernel of the top evaluation is not central")
     if not z.base_sub.contains_subspace(kb):

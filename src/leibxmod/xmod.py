@@ -7,7 +7,14 @@ with an action of the base on the top satisfying
   (ii) ^{delta(n1)} n2 = [n1, n2] = n1 ^ {delta(n2)}   (Peiffer).
 
 Crossed ideals, their commutator, the center, derived crossed module,
-abelianization and Liezation all live here.  "Generated by" is always
+abelianization and Liezation all live here.  The center, the derived pair
+and the abelianization are cached properties of the crossed module, as
+its validity report and its squares are; ``center_xmod``,
+``derived_xmod`` and ``abelianization`` read them.  What needs a valid
+crossed module (the derived pair and all built on it, quotients,
+Liezation) checks that first and raises ValueError with the report, so
+invalid input never reaches a runtime assertion; the center and the
+commutator are defined on any crossed module.  "Generated by" is always
 implemented as linear span followed by a crossed-ideal closure; where
 the theory promises the closure is a no-op (commutator of crossed
 ideals) that promise is asserted, so a divergence raises instead of
@@ -124,6 +131,32 @@ class CrossedModule:
         """The exterior squares with their induced structure (tensor)."""
         from .tensor import _squares
         return _squares(self)
+
+    @cached_property
+    def center(self) -> "SubPair":
+        """(n^q, st_q(n) & Z(q)): annihilated top part and annihilating center.
+        n -> ^{q_i} n reads sl[i] and n -> n^{q_i} reads sr_t[i]; q -> ^q n_j
+        reads sl_t[j] and q -> n_j^q reads sr[j], each through its twin."""
+        act = self.action
+        top = annihilator(self.top.dim, (act.sl, act.zsr_t[1]))
+        st = annihilator(self.base.dim, (act.zsl_t[1], act.sr))
+        return SubPair(self, top, st.intersect(center(self.base)))
+
+    @cached_property
+    def derived(self) -> "SubPair":
+        """The commutator of the full pair with itself; raises ValueError
+        unless the crossed module is valid."""
+        _require_valid(self)
+        return commutator(self, self.full_pair(), self.full_pair())
+
+    @cached_property
+    def abelianization(self) -> "tuple[CrossedModule, XModHom]":
+        """The quotient by the derived pair, with the projection."""
+        # commutator asserts the derived pair to be a crossed ideal
+        out, proj = _quotient_xmod(self, self.derived, name=f"{self.name}_ab")
+        if not _is_abelian(out):
+            raise AssertionError("abelianization failed to be abelian")
+        return out, proj
 
 
 @dataclass(frozen=True)
@@ -246,17 +279,11 @@ def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
 
 
 def center_xmod(xm: CrossedModule) -> SubPair:
-    """(n^q, st_q(n) & Z(q)): annihilated top part and annihilating center.
-    n -> ^{q_i} n reads sl[i] and n -> n^{q_i} reads sr_t[i]; q -> ^q n_j
-    reads sl_t[j] and q -> n_j^q reads sr[j], each through its twin."""
-    act = xm.action
-    top = annihilator(xm.top.dim, (act.sl, act.zsr_t[1]))
-    st = annihilator(xm.base.dim, (act.zsl_t[1], act.sr))
-    return SubPair(xm, top, st.intersect(center(xm.base)))
+    return xm.center
 
 
 def derived_xmod(xm: CrossedModule) -> SubPair:
-    return commutator(xm, xm.full_pair(), xm.full_pair())
+    return xm.derived
 
 
 @dataclass(frozen=True)
@@ -369,20 +396,8 @@ def _quotient_xmod(xm: CrossedModule, ideal: SubPair,
     return out, proj
 
 
-def abelianization(xm: CrossedModule, derived: "SubPair | None" = None
-                   ) -> "tuple[CrossedModule, XModHom]":
-    """The quotient of xm by its derived pair, with the projection; derived
-    is that pair when the caller already holds it (derived_xmod(xm))."""
-    if derived is None:
-        derived = derived_xmod(xm)
-    elif derived.parent != xm:
-        raise ValueError(f"the derived pair given is not one of {xm.name}")
-    # commutator asserts the derived pair to be a crossed ideal
-    _require_valid(xm)
-    out, proj = _quotient_xmod(xm, derived, name=f"{xm.name}_ab")
-    if not _is_abelian(out):
-        raise AssertionError("abelianization failed to be abelian")
-    return out, proj
+def abelianization(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
+    return xm.abelianization
 
 
 def liezation(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
@@ -393,6 +408,7 @@ def liezation(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
     Squares [x,x] are polarized into basis brackets [n_i,n_j]+[n_j,n_i]
     (including i = j), which spans the same subspace in characteristic 0.
     """
+    _require_valid(xm)
     top, base, act = xm.top, xm.base, xm.action
     # every generator an int vector, each family at its table's scale
     tgens = [_plus(top.zst[1][i][j], top.zst[1][j][i])
@@ -423,13 +439,13 @@ class XModFlags:
 
 
 def predicates(xm: CrossedModule) -> XModFlags:
-    return XModFlags(is_perfect=derived_xmod(xm).same_spaces(xm.full_pair()),
+    return XModFlags(is_perfect=xm.derived.same_spaces(xm.full_pair()),
                      is_abelian=_is_abelian(xm))
 
 
 def _is_abelian(xm: CrossedModule) -> bool:
     """The center is the full pair, cross-checked: both algebras abelian, action trivial."""
-    abelian = center_xmod(xm).same_spaces(xm.full_pair())
+    abelian = xm.center.same_spaces(xm.full_pair())
     alt = (all(span_brackets(a, Subspace.full(a.dim), Subspace.full(a.dim)).dim == 0
                for a in (xm.top, xm.base))
            and not any(v for t in (xm.action.sl, xm.action.sr) for row in t for v in row))

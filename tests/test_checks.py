@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_checks as ref
-from leibxmod import algebra, xmod
+from leibxmod import algebra, cli, xmod
 from leibxmod.algebra import (
     AlgebraHom,
     LeibnizAction,
@@ -461,9 +461,8 @@ def test_extension_fields_leave_equality_and_hashing_alone():
     # outside the dataclass fields
     fields = {name for name, v in vars(Extension).items()
               if isinstance(v, cached_property)}
-    assert fields == {"validity", "flags", "center", "derived", "total_ab",
-                      "quotient_ab", "multiplier_map", "kernel_xmod", "theta",
-                      "ab_proj", "one_leg"}
+    assert fields == {"validity", "_central", "flags", "multiplier_map",
+                      "kernel_xmod", "theta", "ab_proj", "one_leg"}
     for e in central_fixture_extensions():
         for name in fields:
             getattr(e, name)
@@ -471,3 +470,22 @@ def test_extension_fields_leave_equality_and_hashing_alone():
         fresh = Extension(e.name, e.total, e.quotient, e.proj, e.kernel)
         assert not fields & vars(fresh).keys()
         assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+
+
+def test_crossed_module_analyses_leave_equality_hashing_and_the_memo_alone():
+    # the analyses of a crossed module are cached on it, outside the
+    # dataclass fields, so an uncached equal object is still the load
+    # memo's hit for it
+    fields = {name for name, v in vars(CrossedModule).items()
+              if isinstance(v, cached_property)}
+    assert fields == {"validity", "squares", "center", "derived", "abelianization"}
+    for e in central_fixture_extensions():
+        for xm in (e.total, e.quotient):
+            for name in fields:
+                getattr(xm, name)
+            assert fields <= vars(xm).keys()
+            fresh = CrossedModule(xm.name, xm.top, xm.base, xm.delta, xm.action)
+            assert not fields & vars(fresh).keys()
+            assert xm == fresh and hash(xm) == hash(fresh) and repr(xm) == repr(fresh)
+            cli._interned.cache_clear()
+            assert cli._interned(xm) is xm and cli._interned(fresh) is xm

@@ -13,7 +13,7 @@ import pytest
 from leibxmod import cli, extensions, homology
 from leibxmod.extensions import stem_cover_of_perfect
 from leibxmod.ratlin import RatMatrix
-from leibxmod.xmod import liezation
+from leibxmod.xmod import abelianization, derived_xmod, liezation, predicates
 
 from helpers import child_env, count_law_evaluations
 
@@ -323,6 +323,43 @@ def test_stemcover_emits_reloadable_total(tmp_path, capsys):
 def test_stemcover_refuses_non_perfect(capsys):
     code, _, err = run(capsys, "stemcover", FIXTURES / "n2_id.xmod")
     assert code == 1 and "not perfect" in err
+
+
+# (q,q,id) with the adjoint action and a delta that breaks the laws
+INVALID_XMODS = {
+    "n2-zero-delta": ("n2", {}),
+    "n2-swapped-delta": ("n2", {"e1": {"e2": "1"}, "e2": {"e1": "1"}}),
+    "sl2-doubled-delta": ("sl2", {b: {b: "2"} for b in ("e", "f", "h")}),
+}
+
+
+def invalid_xmod(tmp_path, variant):
+    """The fixture file of one invalid variant, written into tmp_path."""
+    q, delta = INVALID_XMODS[variant]
+    for name in (f"{q}.algebra", f"{q}_adjoint.action"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    p = tmp_path / f"{variant}.xmod"
+    p.write_text(json.dumps({"kind": "xmod", "name": f"({q},{q},id)", "top": q,
+                             "base": q, "delta": delta, "action": f"{q}_adjoint"}))
+    return p
+
+
+@pytest.mark.parametrize("variant", sorted(INVALID_XMODS))
+@pytest.mark.parametrize("command", ["multiplier", "exterior", "stemcover", "liezation"])
+def test_invalid_crossed_module_exits_1(tmp_path, capsys, command, variant):
+    # invalid input, not an internal error: no command reaches exit 3
+    code, out, err = run(capsys, command, invalid_xmod(tmp_path, variant))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid crossed module:")
+
+
+@pytest.mark.parametrize("variant", sorted(INVALID_XMODS))
+def test_library_refuses_an_invalid_crossed_module(tmp_path, variant):
+    xm = cli.load_fixture(invalid_xmod(tmp_path, variant))
+    for fn in (derived_xmod, abelianization, predicates, stem_cover_of_perfect,
+               liezation):
+        with pytest.raises(ValueError, match="^invalid crossed module:"):
+            fn(xm)
 
 
 def test_liezation_emits_reloadable_quotient(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Extensions of crossed modules: classification, connecting map, exactness."""
 
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -393,15 +394,21 @@ def test_six_term_reports_a_first_map_outside_the_multiplier(side, message):
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+ANALYSES = ("center", "derived", "abelianization")
+
+
 def count_calls(monkeypatch):
-    """Counting wrappers over the derived-object functions that extensions
-    imports; the counter is keyed by (function name, crossed module name)."""
+    """Counting wrappers over the bodies of the analyses a crossed module
+    caches, and of its validity report; the counter is keyed by (property
+    name, crossed module name)."""
     calls = Counter()
-    for name in ("center_xmod", "derived_xmod", "abelianization", "check_xmod"):
-        def counted(xm, *args, _real=getattr(extensions, name), _name=name):
+    for name in (*ANALYSES, "validity"):
+        def counted(xm, _real=vars(CrossedModule)[name].func, _name=name):
             calls[(_name, xm.name)] += 1
-            return _real(xm, *args)
-        monkeypatch.setattr(extensions, name, counted)
+            return _real(xm)
+        prop = cached_property(counted)
+        prop.__set_name__(CrossedModule, name)
+        monkeypatch.setattr(CrossedModule, name, prop)
     return calls
 
 
@@ -415,24 +422,34 @@ def test_each_derived_object_computed_once(monkeypatch):
         prop41_crosscheck(e)
         six_term_report(e)
         lemma35_check(e)
-    # check_xmod of total and quotient is the validity check; lemma35_check
-    # adds one on its own connecting structure, a new object each call
+    # the validity of total and quotient is the extension's check;
+    # lemma35_check adds one on its own connecting structure, a new object
+    # each call
     assert {k: v for k, v in calls.items() if k[1] in (t, q)} == {
-        ("center_xmod", t): 1, ("derived_xmod", t): 1,
+        ("center", t): 1, ("derived", t): 1, ("derived", q): 1,
         ("abelianization", t): 1, ("abelianization", q): 1,
-        ("check_xmod", t): 1, ("check_xmod", q): 1}
+        ("validity", t): 1, ("validity", q): 1}
 
 
 def test_each_command_computes_each_object_once(monkeypatch, capsys):
     # classify-extension then verify-sequence on one input: the second
-    # command reads what the first cached on the loaded extension
+    # command reads what the first cached on the loaded extension and on
+    # its crossed modules
     path = FIXTURES / "split_over_n2.extension"
     e = cli.load_fixture(path)
     calls = count_calls(monkeypatch)
     for command in ("classify-extension", "verify-sequence"):
         assert cli.main([command, str(path), "--json"]) == 0
     mine = {k: v for k, v in calls.items() if k[1] in (e.total.name, e.quotient.name)}
-    assert mine and set(mine.values()) == {1}, mine
+    assert {k for k in mine if k[0] != "validity"} == {
+        ("center", e.total.name), ("derived", e.total.name),
+        ("derived", e.quotient.name), ("abelianization", e.total.name),
+        ("abelianization", e.quotient.name)}
+    assert set(mine.values()) == {1}, mine
+    # no crossed module of the run, the squares and kernels included, has
+    # an analysis computed twice
+    analysed = {k: v for k, v in calls.items() if k[0] in ANALYSES}
+    assert set(analysed.values()) == {1}, analysed
     capsys.readouterr()
 
 
@@ -450,7 +467,7 @@ def test_each_command_builds_the_total_derived_pair_once(monkeypatch, capsys):
     monkeypatch.setattr(xmod, "commutator", counted)
     for command in ("classify-extension", "verify-sequence"):
         assert cli.main([command, str(path), "--json"]) == 0
-    # the total's abelianization divides by Extension.derived
+    # the total's abelianization divides by its cached derived pair
     assert calls["derived"] == 1
     capsys.readouterr()
 

@@ -306,14 +306,6 @@ def test_abelianization_of_n2_identity():
     assert check_xmod_hom(proj).valid
 
 
-def test_abelianization_takes_the_derived_pair_of_its_own_module():
-    xm = CrossedModule.adjoint_identity(n2())
-    assert abelianization(xm, derived_xmod(xm)) == abelianization(xm)
-    other = CrossedModule.adjoint_identity(heis3())
-    with pytest.raises(ValueError, match="not one of"):
-        abelianization(xm, derived_xmod(other))
-
-
 def test_abelianization_of_perfect_is_zero():
     xm = CrossedModule.adjoint_identity(sl2())
     ab, _ = abelianization(xm)
