@@ -13,15 +13,15 @@ kernel of the exterior-square bracket map, which is how the rest of the
 package is cross-validated.  Degrees are capped at 4 (boundary) and 3
 (homology): enough for the oracle at desk scale.
 
-One generator, _images, emits the image of each basis tensor as a
-sparse integer row read off the integer twin of the structure constants
-(``LeibnizAlgebra.zst``: all of them scaled once by the lcm of their
-denominators); that scales d_n by one positive integer and leaves its
-rank alone.  hl eliminates
-those rows as they are (rank(d_n) is the rank of its transpose), with
-no matrix and no Fraction; boundary holds them as the int columns of the
-d^(n-1) x d^n matrix.  Either way the dense size is checked against
-MAX_BOUNDARY_ENTRIES before anything is built.
+One generator, _images, builds d_1, ..., d_top in one pass as sparse
+integer rows, one per basis tensor, off the integer twin ``LeibnizAlgebra.zst``
+(the constants times the lcm of their denominators: no rank changes).
+As d_m(p (x) x) = d_(m-1)(p) (x) x + (-1)^m sum_i p_1 (x) ... (x)
+[p_i, x] (x) ... (x) p_(m-1), the row of p (x) x is the row of p with its
+targets shifted, plus at most m - 1 brackets.  hl ranks the transposes
+of the rows of d_n and d_(n+1), d times fewer rows, with no matrix and
+no Fraction; boundary holds the rows as its matrix's int columns.  Either
+way the dense size is checked against MAX_BOUNDARY_ENTRIES first.
 """
 
 from __future__ import annotations
@@ -48,34 +48,39 @@ def _boundary_shape(d: int, n: int) -> "tuple[int, int]":
     return rows, cols
 
 
-def _tensor_index(idx: tuple, d: int) -> int:
-    out = 0
-    for i in idx:
-        out = out * d + i
-    return out
+def _images(table: tuple, d: int, top: int):
+    """The rows of den * d_1, ..., den * d_top, one list per degree, off the
+    int view of the twin (den, table) of the structure constants: row t is
+    the image of basis tensor t, a sparse {target: int} without zeros."""
+    rows = [{}] * d  # d_1 = 0 into the ground field
+    yield rows
+    for m in range(2, top + 1):
+        sign = -1 if m % 2 else 1
+        weights = [d ** (m - 2 - i) for i in range(m - 1)]  # of slot i of a target
+        below, rows = rows, []
+        for t, (prefix, p) in enumerate(zip(below, product(range(d), repeat=m - 1))):
+            slots = [(t - pi * w, w, table[pi]) for pi, w in zip(p, weights)]
+            for x in range(d):
+                img = {s * d + x: v for s, v in prefix.items()}
+                for at, w, br in slots:
+                    for k, c in br[x]:
+                        key = at + k * w
+                        v = img.get(key, 0) + sign * c
+                        if v:
+                            img[key] = v
+                        else:
+                            del img[key]
+                rows.append(img)
+        yield rows
 
 
-def _images(table: tuple, d: int, n: int):
-    """den * d_n of each basis tensor x_1 (x) ... (x) x_n, in lexicographic
-    order, as a sparse {target index: int} row, for the int view of the
-    twin (den, table) of a dimension-d algebra's structure constants (see
-    LeibnizAlgebra.zst); a sum that cancels is dropped."""
-    weight = [d ** (n - 2 - i) for i in range(n - 1)]  # of slot i of a target
-    for idx in product(range(d), repeat=n):
-        img = {}
-        for j in range(1, n):
-            sign = -1 if (j + 1) % 2 else 1
-            rest = _tensor_index(idx[:j] + idx[j + 1:], d)
-            for i in range(j):
-                at = rest - idx[i] * weight[i]
-                for k, t in table[idx[i]][idx[j]]:
-                    key = at + k * weight[i]
-                    v = img.get(key, 0) + sign * t
-                    if v:
-                        img[key] = v
-                    else:
-                        del img[key]
-        yield img
+def _transposed(rows: list) -> list:
+    """The sparse rows of the transpose of the matrix with these rows."""
+    out = {}
+    for s, row in enumerate(rows):
+        for t, v in row.items():
+            out.setdefault(t, {})[s] = v
+    return list(out.values())
 
 
 def boundary(q: LeibnizAlgebra, n: int) -> RatMatrix:
@@ -83,8 +88,8 @@ def boundary(q: LeibnizAlgebra, n: int) -> RatMatrix:
     if not 1 <= n <= MAX_BOUNDARY_DEGREE:
         raise ValueError(f"boundary degree must be between 1 and {MAX_BOUNDARY_DEGREE}")
     rows, _ = _boundary_shape(q.dim, n)
-    den, table = q.zst
-    return RatMatrix.from_sparse(rows, (den, tuple(map(_row, _images(table, q.dim, n)))))
+    *_, images = _images(q.zst[1], q.dim, n)
+    return RatMatrix.from_sparse(rows, (q.zst[0], tuple(map(_row, images))))
 
 
 def hl(q: LeibnizAlgebra, n: int) -> int:
@@ -95,6 +100,5 @@ def hl(q: LeibnizAlgebra, n: int) -> int:
     if n == 0:
         return 1  # CL_0 is the ground field and d_1 = 0
     _boundary_shape(q.dim, n + 1)  # the larger of the two boundaries
-    _, table = q.zst
-    return (q.dim ** n - integer_rank(_images(table, q.dim, n))
-            - integer_rank(_images(table, q.dim, n + 1)))
+    *_, dn, dn1 = _images(q.zst[1], q.dim, n + 1)
+    return q.dim ** n - sum(integer_rank(_transposed(r)) for r in (dn, dn1))

@@ -11,10 +11,10 @@ abelianization and Liezation all live here.  The center, the derived pair
 and the abelianization are cached properties of the crossed module, as
 its validity report and its squares are; ``center_xmod``,
 ``derived_xmod`` and ``abelianization`` read them.  What needs a valid
-crossed module (the derived pair and all built on it, quotients,
-Liezation) checks that first and raises ValueError with the report, so
-invalid input never reaches a runtime assertion; the center and the
-commutator are defined on any crossed module.  "Generated by" is always
+crossed module (the commutator, the derived pair and all built on it,
+quotients, Liezation) checks that first and raises ValueError with the
+report, so invalid input never reaches a runtime assertion; the center
+is defined on any crossed module.  "Generated by" is always
 implemented as linear span followed by a crossed-ideal closure; where
 the theory promises the closure is a no-op (commutator of crossed
 ideals) that promise is asserted, so a divergence raises instead of
@@ -146,7 +146,6 @@ class CrossedModule:
     def derived(self) -> "SubPair":
         """The commutator of the full pair with itself; raises ValueError
         unless the crossed module is valid."""
-        _require_valid(self)
         return commutator(self, self.full_pair(), self.full_pair())
 
     @cached_property
@@ -259,9 +258,10 @@ def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
     (span(D_h(t) + D_j(s)), [h, j] + [j, h]), where D_h(t) = span{^h t,
     t^h}; the base needs both sides, since delta(t^h) = [delta t, h].
 
-    The result is asserted to be a crossed ideal already (closure no-op);
-    a fixture violating that raises so the divergence is surfaced.
+    Raises ValueError, with the report, unless xm is valid; the result is
+    asserted to be a crossed ideal already (closure no-op).
     """
+    _require_valid(xm)
     if not is_crossed_ideal(xm, a) or (b != a and not is_crossed_ideal(xm, b)):
         raise ValueError("commutator arguments must be crossed ideals")
     s, h = a.top_sub.zbasis, a.base_sub.zbasis

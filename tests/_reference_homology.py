@@ -2,17 +2,27 @@
 sparse integer rows, kept as a test oracle.
 
 boundary is the old routine verbatim: it fills the whole d^(n-1) x d^n
-grid of Fractions, pair by pair; hl is the old value on top of it,
-d^n - rank(d_n) - rank(d_(n+1)), with the rank of the dense matrices.
-The differential tests in test_homology.py compare the library's
-sparse rows, and the matrix it densifies from them, with this one.
+grid of Fractions, pair by pair, straight from the defining sum over
+all slot pairs i < j (the library builds each degree from the one below
+instead), with its own tensor indexing; hl is the old value on top of
+it, d^n - rank(d_n) - rank(d_(n+1)), with the rank of the dense
+matrices.  The differential tests in test_homology.py compare the
+library's sparse rows, and the matrix it densifies from them, with this
+one.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from leibxmod.homology import MAX_BOUNDARY_DEGREE, _boundary_shape, _tensor_index
+from leibxmod.homology import MAX_BOUNDARY_DEGREE, _boundary_shape
 from leibxmod.ratlin import RatMatrix, rank
+
+
+def _tensor_index(idx: tuple, d: int) -> int:
+    out = 0
+    for i in idx:
+        out = out * d + i
+    return out
 
 
 def boundary(q, n: int) -> RatMatrix:

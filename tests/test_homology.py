@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import _reference_homology as ref
 from leibxmod import homology, ratlin
-from leibxmod.algebra import LeibnizAlgebra
+from leibxmod.algebra import LeibnizAlgebra, check_leibniz, is_lie
 from leibxmod.homology import boundary, hl
 from leibxmod.ratlin import RatMatrix, rank
 
@@ -176,3 +176,38 @@ def test_boundary_and_hl_match_reference(q):
 def test_fixture_boundaries_and_hl_match_reference():
     for q in fixture_algebras() + [heisenberg(5)]:
         same_as_reference(q)
+
+
+def dense_non_lie_5():
+    """n2 + heis3 ([e1, e1] = e2, [e3, e4] = e5 = -[e4, e3]), a Leibniz
+    algebra of dimension 5 that is not Lie, conjugated by a product of
+    transvections over every ordered pair of basis vectors: nearly every
+    structure constant is nonzero, and some have denominator 2."""
+    d = 5
+    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    c[0][0][1] = c[2][3][4] = Fraction(1)
+    c[3][2][4] = Fraction(-1)
+    a = LeibnizAlgebra.from_table("n2+heis3", [f"e{i + 1}" for i in range(d)], c)
+    g = ginv = RatMatrix.identity(d)
+    pairs = [(i, j) for i in range(d) for j in range(d) if i < j]
+    pairs += [(j, i) for i, j in pairs]
+    for n, (i, j) in enumerate(pairs):
+        lam = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))[n % 4]
+        e = [[Fraction(int(r == k)) for k in range(d)] for r in range(d)]
+        einv = [row[:] for row in e]
+        e[i][j], einv[i][j] = lam, -lam
+        g, ginv = g.mul(RatMatrix.from_rows(e)), RatMatrix.from_rows(einv).mul(ginv)
+    dense = [[ginv.mul_vec(a.bracket(g.column(i), g.column(j))) for j in range(d)]
+             for i in range(d)]
+    return LeibnizAlgebra.from_table("dense5", a.basis_names, dense)
+
+
+def test_dense_non_lie_dimension_5_matches_reference():
+    # the only other dimension-5 case, heis5, is Lie and sparse
+    q = dense_non_lie_5()
+    assert check_leibniz(q).valid and not is_lie(q)
+    assert sum(1 for row in q.c for br in row for x in br if x) > 100
+    assert any(x.denominator > 1 for row in q.c for br in row for x in br)
+    for n in range(1, homology.MAX_BOUNDARY_DEGREE + 1):
+        assert boundary(q, n) == ref.boundary(q, n), n
+    assert hl(q, 3) == ref.hl(q, 3)

@@ -517,7 +517,8 @@ def test_closure_and_ideal_test_match_the_dense_reference():
 def test_commutator_matches_the_dense_reference():
     # valid, perturbed and random crossed modules, with crossed ideals,
     # arbitrary pairs and a repeated argument, as derived_xmod passes; an
-    # invalid module can give a span that is not closed
+    # invalid module, on which the dense reference can give a span that
+    # is not closed, is refused first with its report
     kinds = set()
 
     @PROPERTY
@@ -526,13 +527,34 @@ def test_commutator_matches_the_dense_reference():
         xm = data.draw(any_xmods())
         a = data.draw(pairs(xm))
         b = a if data.draw(st.booleans()) else data.draw(pairs(xm))
+        rep = check_xmod(xm)
         for x, y in ((a, b), (b, a)):
             got = _outcome(commutator, xm, x, y)
-            assert got == _outcome(ref.commutator, xm, x, y)
-            kinds.add(got[0] if isinstance(got, tuple) else SubPair)
+            if rep.valid:
+                assert got == _outcome(ref.commutator, xm, x, y)
+                kinds.add(got[0] if isinstance(got, tuple) else SubPair)
+            else:
+                assert got == (ValueError, f"invalid crossed module:\n{rep.summary()}")
+                kinds.add("invalid")
 
     check()
-    assert kinds == {SubPair, ValueError, AssertionError}
+    assert kinds == {SubPair, ValueError, "invalid"}
+
+
+def test_commutator_refuses_an_invalid_crossed_module_before_the_closure():
+    # (n2, n2, id) with delta swapping e1 and e2: the span of the full
+    # pair's commutator is not closed, which the closure assertion would
+    # report as a failed theorem; the validity report comes first
+    q = n2()
+    swapped = RatMatrix.from_rows([(QQ(0), QQ(1)), (QQ(1), QQ(0))], cols=2)
+    xm = CrossedModule("(n2,n2,id)", q, q, swapped, LeibnizAction.adjoint(q))
+    rep = check_xmod(xm)
+    assert not rep.valid
+    with pytest.raises(AssertionError, match="is not already a crossed ideal"):
+        ref.commutator(xm, xm.full_pair(), xm.full_pair())
+    with pytest.raises(ValueError) as err:
+        commutator(xm, xm.full_pair(), xm.full_pair())
+    assert str(err.value) == f"invalid crossed module:\n{rep.summary()}"
 
 
 @PROPERTY
