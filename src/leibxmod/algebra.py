@@ -217,6 +217,12 @@ class LeibnizAlgebra:
         """The report of check_leibniz, evaluated once per object."""
         return _leibniz_report(self)
 
+    @cached_property
+    def adjoint(self) -> "LeibnizAction":
+        """The action on itself by brackets (LeibnizAction.adjoint), once."""
+        den, st = self.zst
+        return LeibnizAction.from_sparse(self, self, den, st, st)
+
 
 def check_leibniz(a: LeibnizAlgebra) -> ValidityReport:
     """Leibniz identity residuals on all basis triples."""
@@ -282,9 +288,8 @@ class LeibnizAction:
     @classmethod
     def adjoint(cls, a: LeibnizAlgebra) -> "LeibnizAction":
         """Action of an algebra on itself by brackets: ^x y=[x,y], y^x=[y,x];
-        both tables are the algebra's own."""
-        den, st = a.zst
-        return cls.from_sparse(a, a, den, st, st)
+        both tables are the algebra's own.  The one cached on a."""
+        return a.adjoint
 
     @cached_property
     def left(self) -> tuple:

@@ -34,7 +34,8 @@ module as a fixture document, so their output can be fed back in.
 
 Analyses are cached on the objects they belong to.  ``load_fixture``
 returns the object it loaded last in place of an equal one (equal
-integer twins and names), so a second command on the same input, say
+integer twins and names), and for the same text if that referenced no
+file, without parsing it; so a second command on the same input, say
 ``verify-sequence`` after ``classify-extension``, reads them again.
 
 Exit codes: 0 the input was read and found valid (or the computation
@@ -53,8 +54,9 @@ input on stdout and exits 1 without raising.
 import argparse
 import functools
 import json
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,6 +99,7 @@ _FIELDS = {
 class _Ctx:
     directory: Path
     active: frozenset  # resolved paths currently being loaded (cycle guard)
+    parsed: dict = field(default_factory=dict)  # one load's objects: see _subobject
 
 
 def _require(doc, field, where):
@@ -105,32 +108,42 @@ def _require(doc, field, where):
     return doc[field]
 
 
+def _at(where):
+    """The text of a location: a string, or (where, key) for the entry at key."""
+    return where if isinstance(where, str) else f"{_at(where[0])}[{where[1]}]"
+
+
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # read without Fraction's parser
+
+
 def _rat(s, where):
     if not isinstance(s, str):
-        raise FixtureError(f"{where}: rationals must be strings, got {s!r}")
+        raise FixtureError(f"{_at(where)}: rationals must be strings, got {s!r}")
     try:
-        return Fraction(s)
+        m = _PLAIN.fullmatch(s)
+        return (Fraction(s) if m is None else int(m[1]) if m[2] is None
+                else Fraction(int(m[1]), int(m[2])))
     except (ValueError, ZeroDivisionError):
-        raise FixtureError(f"{where}: malformed rational {s!r}") from None
+        raise FixtureError(f"{_at(where)}: malformed rational {s!r}") from None
 
 
 def _by_name(doc, names, where, read):
-    """doc = {basis name: value} as {index in names: read(value, where)}."""
+    """doc = {basis name: value} as {index in names: read(value, (where, name))}."""
     if not isinstance(doc, dict):
-        raise FixtureError(f"{where}: expected a mapping")
+        raise FixtureError(f"{_at(where)}: expected a mapping")
     index = {n: i for i, n in enumerate(names)}
     out = {}
     for k, v in doc.items():
         if k not in index:
-            raise FixtureError(f"{where}: unknown basis name {k!r}")
-        out[index[k]] = read(v, f"{where}[{k}]")
+            raise FixtureError(f"{_at(where)}: unknown basis name {k!r}")
+        out[index[k]] = read(v, (where, k))
     return out
 
 
 def _sparse_vec(doc, names, where):
     """Sparse doc = {basis name: rational}, as a sorted sparse vector."""
     if not isinstance(doc, dict):
-        raise FixtureError(f"{where}: expected a sparse mapping, got {doc!r}")
+        raise FixtureError(f"{_at(where)}: expected a sparse mapping, got {doc!r}")
     v = _by_name(doc, names, where, _rat)
     return tuple(sorted((i, t) for i, t in v.items() if t))
 
@@ -173,8 +186,8 @@ def _parse_algebra(doc, ctx, where):
 
 
 def _parse_action(doc, ctx, where):
-    actor = _subobject(_require(doc, "actor", where), "algebra", ctx, f"{where}.actor")
-    acted = _subobject(_require(doc, "acted", where), "algebra", ctx, f"{where}.acted")
+    actor = _subobject(doc, "actor", "algebra", ctx, where)
+    acted = _subobject(doc, "acted", "algebra", ctx, where)
     left = _table(doc.get("left", {}), actor.basis_names, acted.basis_names,
                   acted.basis_names, f"{where}.left")
     right = _table(doc.get("right", {}), acted.basis_names, actor.basis_names,
@@ -185,12 +198,11 @@ def _parse_action(doc, ctx, where):
 
 def _parse_xmod(doc, ctx, where):
     name = _require(doc, "name", where)
-    top = _subobject(_require(doc, "top", where), "algebra", ctx, f"{where}.top")
-    base = _subobject(_require(doc, "base", where), "algebra", ctx, f"{where}.base")
+    top = _subobject(doc, "top", "algebra", ctx, where)
+    base = _subobject(doc, "base", "algebra", ctx, where)
     delta = _matrix(doc.get("delta", {}), top.basis_names, base.basis_names,
                     f"{where}.delta")
-    action = _subobject(_require(doc, "action", where), "action", ctx,
-                        f"{where}.action")
+    action = _subobject(doc, "action", "action", ctx, where)
     if action.actor != base or action.acted != top:
         raise FixtureError(
             f"{where}: action endpoints disagree with the base/top algebras")
@@ -199,22 +211,19 @@ def _parse_xmod(doc, ctx, where):
 
 def _parse_hom(doc, ctx, where):
     if "matrix" in doc:
-        src = _subobject(_require(doc, "source", where), "algebra", ctx,
-                         f"{where}.source")
-        tgt = _subobject(_require(doc, "target", where), "algebra", ctx,
-                         f"{where}.target")
+        src = _subobject(doc, "source", "algebra", ctx, where)
+        tgt = _subobject(doc, "target", "algebra", ctx, where)
         return AlgebraHom(src, tgt, _matrix(doc["matrix"], src.basis_names,
                                             tgt.basis_names, f"{where}.matrix"))
-    src = _subobject(_require(doc, "source", where), "xmod", ctx, f"{where}.source")
-    tgt = _subobject(_require(doc, "target", where), "xmod", ctx, f"{where}.target")
+    src = _subobject(doc, "source", "xmod", ctx, where)
+    tgt = _subobject(doc, "target", "xmod", ctx, where)
     return XModHom(src, tgt, *_maps(doc, src, tgt, where))
 
 
 def _parse_extension(doc, ctx, where):
     name = _require(doc, "name", where)
-    total = _subobject(_require(doc, "total", where), "xmod", ctx, f"{where}.total")
-    quotient = _subobject(_require(doc, "quotient", where), "xmod", ctx,
-                          f"{where}.quotient")
+    total = _subobject(doc, "total", "xmod", ctx, where)
+    quotient = _subobject(doc, "quotient", "xmod", ctx, where)
     pj = _require(doc, "projection", where)
     if not isinstance(pj, dict):
         raise FixtureError(f"{where}.projection: expected a mapping")
@@ -247,11 +256,20 @@ def _parse_doc(doc, expect, ctx, where):
     return _PARSERS[kind](doc, ctx, where)
 
 
-def _subobject(ref, kind, ctx, where):
-    if isinstance(ref, str):
-        return load_fixture(ctx.directory / f"{ref}.{kind}", expect=kind,
-                            active=ctx.active)
-    return _parse_doc(ref, kind, ctx, where)
+def _subobject(doc, field, kind, ctx, where):
+    """The object of doc[field], inline or the file its name refers to; in
+    one load, each file and each inline document of one kind, directory and
+    canonical JSON text (which tells true from 1) is parsed once."""
+    ref, where = _require(doc, field, where), f"{where}.{field}"
+    try:
+        key = (ctx.directory / f"{ref}.{kind}" if isinstance(ref, str)
+               else (kind, ctx.directory, json.dumps(ref, sort_keys=True)))
+    except RecursionError:  # too deep to be valid: parsed to its error
+        key = id(ref)
+    if key not in ctx.parsed:
+        ctx.parsed[key] = (load_fixture(key, kind, ctx) if isinstance(ref, str)
+                           else _parse_doc(ref, kind, ctx, where))
+    return ctx.parsed[key]
 
 
 def _unique_keys(where):
@@ -269,11 +287,13 @@ def _unique_keys(where):
 
 LOADED_MEMO = 1  # top-level inputs kept, with their analyses: see the docstring
 _interned = functools.lru_cache(maxsize=LOADED_MEMO)(lambda obj: obj)
+_last = {}  # (expect, text) of the last input, if it references no file: its object
 
 
-def load_fixture(path, expect=None, active=frozenset()):
+def load_fixture(path, expect=None, within=None):
     """Parse one fixture file (and whatever it references) to a domain object."""
     path = Path(path)
+    active = within.active if within else frozenset()
     try:
         resolved = path.resolve()
         if resolved in active:
@@ -281,12 +301,21 @@ def load_fixture(path, expect=None, active=frozenset()):
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as ex:
         raise FixtureError(f"cannot read {path}: {ex}") from None
+    if not within and (expect, text) in _last:
+        return _last[expect, text]
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys(path.name))
     except (ValueError, RecursionError) as ex:
         raise FixtureError(f"{path.name}: not a JSON document ({ex})") from None
-    obj = _parse_doc(doc, expect, _Ctx(path.parent, active | {resolved}), path.name)
-    return obj if active else _interned(obj)  # the equal input loaded last, if any
+    ctx = _Ctx(path.parent, active | {resolved}, within.parsed if within else {})
+    obj = _parse_doc(doc, expect, ctx, path.name)
+    if within:
+        return obj
+    obj = _interned(obj)  # the equal input loaded last, if any
+    _last.clear()
+    if not any(isinstance(k, Path) for k in ctx.parsed):  # it referenced no file
+        _last[expect, text] = obj
+    return obj
 
 
 # -- canonical serialization -----------------------------------------------------

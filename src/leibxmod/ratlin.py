@@ -43,9 +43,10 @@ Fraction at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 QQ = Fraction
@@ -202,6 +203,16 @@ def _entries(x, depth: int) -> list:
     return [((p, q), a) for p, row in enumerate(x) for q, a in enumerate(row) if a]
 
 
+@lru_cache(maxsize=256)
+def _keyed(key: tuple, names: str) -> tuple:
+    """(getter of the key of (p, r) from p + (r,) + consts, consts), once
+    per key shape, for p and r indexed by the letters of names."""
+    consts = tuple(k for k in key if not isinstance(k, str))
+    # a letter at its index; a constant after p + (r,) (equal ones read alike)
+    at = [names.index(k) if isinstance(k, str) else len(names) + consts.index(k) for k in key]
+    return (itemgetter(*at) if len(at) > 1 else lambda idx, i=at[0]: (idx[i],)), consts
+
+
 def join(terms) -> "tuple[int, dict]":
     """The sums of the terms of a multilinear law, over nonzero entries
     only, on integer twins.
@@ -231,15 +242,7 @@ def join(terms) -> "tuple[int, dict]":
         c *= scale // (dx * dy)
         if not ys:  # one row, at an index that no key names
             y, ys = (y,), "_"
-        names = xs + ys
-        consts, at = [], []
-        for k in key:
-            if isinstance(k, str):
-                at.append(names.index(k))
-            else:
-                at.append(len(names) + len(consts))
-                consts.append(k)
-        consts = tuple(consts)
+        keyed, consts = _keyed(tuple(key), xs + ys)
         seen = meets.get(id(y))
         if seen is None:
             support = {}
@@ -250,17 +253,18 @@ def join(terms) -> "tuple[int, dict]":
             seen = meets[id(y)] = (y, support)
         support = seen[1]
         for p, a in _entries(x, len(xs)):
-            if len(a) == 1:
-                rs = support.get(a[0][0], ())
-            else:
-                rs = set().union(*[support.get(l, ()) for l, _ in a])
+            (l, t), one = a[0], len(a) == 1
+            rs = support.get(l, ()) if one else set().union(*[support.get(l, ()) for l, _ in a])
             for r in rs:
-                idx = p + (r,) + consts
-                k = tuple(idx[i] for i in at)
+                k = keyed(p + (r,) + consts)
                 acc = out.get(k)
                 if acc is None:
                     acc = out[k] = {}
-                accumulate(acc, c, a, y[r])
+                if one:  # c * t * y[r][l], inline
+                    for i, u in y[r][l]:
+                        acc[i] = acc.get(i, 0) + c * t * u
+                else:
+                    accumulate(acc, c, a, y[r])
     return scale, out
 
 

@@ -19,8 +19,8 @@ in vectors of m + n, and holds for every symbol pair exactly when it
 holds on products of bases of the spans involved, at most (dm + dn)^2
 products instead of (2 dm dn)^2.  Well-definedness of the bracket on
 the quotient is asserted that way, not assumed, and a failure is named
-by the per-symbol scan; the Leibniz identity of the result is asserted
-too.
+by the per-symbol scan; the resolved table is read the same way
+(``_brackets``), and its Leibniz identity is asserted too.
 
 The exterior product divides further by the subspace glued from the
 pullback of the two structure maps over the shared base.  From it the
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import (
     AlgebraHom,
@@ -185,14 +185,19 @@ def _symbols(dm: int, dn: int, terms) -> dict:
     return acc
 
 
-def _bracket_term(pair: MutualActionPair, i: int, j: int) -> tuple:
-    """den[0] * den[1] times [symbol_i, symbol_j] as one _symbols term, for
-    den and the evaluations of zevaluations: the first leg of symbol i
-    acted on by symbol j, written in the block of symbol i (the primary
-    representative)."""
-    t = _legs(pair.m.dim, pair.n.dim, i)[0]
-    ev = pair.zevaluations[1]
-    return (1, t, ev[t][i], ev[1 - t][j])
+def _brackets(pair: MutualActionPair, symbols, image) -> tuple:
+    """The int view [i][j] over the symbols of image(den[0] * den[1] [symbol_i,
+    symbol_j]), for den and ev of zevaluations and a linear map image: the
+    primary representative ev[t][i] * ev[1 - t][j], in the block t of i,
+    is ev[1 - t][j] through the images a[b] of ev[t][i] * e_b."""
+    dm, dn = pair.m.dim, pair.n.dim
+    ev, out, empty = pair.zevaluations[1], [], ((),) * len(symbols)
+    for i in symbols:
+        t = _legs(dm, dn, i)[0]
+        a = [_row(image([(_index(dm, dn, t, x, b), u) for x, u in ev[t][i]]))
+             for b in range((dn, dm)[t])]
+        out.append(tuple(_row(_image(ev[1 - t][j], a)) for j in symbols) if any(a) else empty)
+    return tuple(out)
 
 
 def _defining_rows(pair: MutualActionPair) -> list:
@@ -268,13 +273,8 @@ def _agreement_rows(pair: MutualActionPair) -> list:
 def _representatives(pair: MutualActionPair) -> tuple:
     """The int view of the primary table, [i][j] -> ((k, t), ...) over
     every symbol pair, den[0] * den[1] times the bracket for den of
-    zevaluations: one product of two sparse vectors per entry, so no
-    accumulated value is zero."""
-    dm, dn = pair.m.dim, pair.n.dim
-    amb = 2 * dm * dn
-    return tuple(tuple(tuple(_symbols(dm, dn, (_bracket_term(pair, i, j),)).items())
-                       for j in range(amb))
-                 for i in range(amb))
+    zevaluations."""
+    return _brackets(pair, range(2 * pair.m.dim * pair.n.dim), dict)
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,10 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
     amb = 2 * dm * dn
     rows = _defining_rows(pair)
     rows.extend(extra_rows)
-    relations = Subspace.from_integer_rows(amb, sorted(set(rows)))
+    # each row primitive with a positive lead, so that multiples meet in the set
+    rows = {tuple([(k, t // g) for k, t in r]) for r in rows
+            for g in [gcd(*[t for _, t in r]) * (1 if r[0][1] > 0 else -1)]}
+    relations = Subspace.from_integer_rows(amb, sorted(rows))
     qmap = quotient(amb, relations)
     if not _well_defined(pair, qmap):
         _scan(pair, qmap, name)
@@ -347,13 +350,9 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
             f"relation subspace")
 
     names = _symbol_names(pair)
-    free = qmap.free
     (d0, d1), _ = pair.zevaluations
-    c = tuple(tuple(_row(qmap.integer_image(
-        _symbols(dm, dn, (_bracket_term(pair, x, y),)).items()))
-        for y in free) for x in free)
-    resolved = LeibnizAlgebra.from_sparse(name, tuple(names[f] for f in free),
-                                          (qmap.zimages[0] * d0 * d1, c))
+    resolved = LeibnizAlgebra.from_sparse(name, tuple(names[f] for f in qmap.free), (
+        qmap.zimages[0] * d0 * d1, _brackets(pair, qmap.free, qmap.integer_image)))
     rep = check_leibniz(resolved)
     if not rep.valid:
         raise AssertionError(f"{name} lost the Leibniz identity:\n{rep.summary()}")
@@ -594,8 +593,9 @@ def _squares(xm: CrossedModule) -> ExteriorSquareData:
     q, n = xm.base, xm.top
     dq, dn = q.dim, n.dim
     qid = CrossedModule.adjoint_identity(q)
+    qid = xm if xm == qid else qid  # xm itself, its action checked already
     qn = exterior_presentation(qid, xm, name=f"{q.name}(^){n.name}")
-    qq = qn if xm == qid else exterior_presentation(qid, qid, name=f"{q.name}(^){q.name}")
+    qq = qn if xm is qid else exterior_presentation(qid, qid, name=f"{q.name}(^){q.name}")
 
     # evaluation maps on ambient symbols: q * n -> ^q n, n * q -> n^q,
     # and q * q' -> [q, q'] on both blocks; both evaluate into the second
@@ -603,13 +603,14 @@ def _squares(xm: CrossedModule) -> ExteriorSquareData:
     # the quotient, column j is the evaluation of the free symbol free[j];
     # lam and mu are the integer twins of those columns
     (_, d), ev = qn.pair.zevaluations
-    lam = _descend(qn, (d, ev[1]), None)
+    lam = mu = _descend(qn, (d, ev[1]), None)
     if lam is None:
         raise AssertionError("top evaluation map does not kill the relations")
-    (_, d), ev = qq.pair.zevaluations
-    mu = _descend(qq, (d, ev[1]), None)
-    if mu is None:
-        raise AssertionError("base evaluation map does not kill the relations")
+    if qq is not qn:
+        (_, d), ev = qq.pair.zevaluations
+        mu = _descend(qq, (d, ev[1]), None)
+        if mu is None:
+            raise AssertionError("base evaluation map does not kill the relations")
     lambda_n = AlgebraHom(qn.resolved, n, RatMatrix.from_sparse(dn, lam))
     mu_q = AlgebraHom(qq.resolved, q, RatMatrix.from_sparse(dq, mu))
 

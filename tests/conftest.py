@@ -1,4 +1,4 @@
-"""Each test loads its fixtures afresh: the load memo starts empty."""
+"""Each test loads its fixtures afresh: the load memos start empty."""
 
 import pytest
 
@@ -8,3 +8,4 @@ from leibxmod import cli
 @pytest.fixture(autouse=True)
 def _fresh_load_memo():
     cli._interned.cache_clear()
+    cli._last.clear()

@@ -1,14 +1,20 @@
 """Fixture parsing, canonical serialization, and the command surface."""
 
+import contextlib
 import gc
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leibxmod import cli, extensions, homology
 from leibxmod.extensions import stem_cover_of_perfect
@@ -16,6 +22,7 @@ from leibxmod.ratlin import RatMatrix
 from leibxmod.xmod import abelianization, derived_xmod, liezation, predicates
 
 from helpers import child_env, count_law_evaluations
+from test_checks import PROPERTY
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -179,9 +186,10 @@ def test_multiplier_evaluates_each_law_once_per_object(monkeypatch, capsys):
     calls = count_law_evaluations(monkeypatch)
     assert cli.main(["multiplier", str(FIXTURES / "heis3_id.xmod"), "--json"]) == 0
     capsys.readouterr()
-    # the input's action, the bracket action of the base and the action on
-    # the squares; the input and the crossed module of its squares
-    assert calls["action"] == 3
+    # the input's action, which is also the bracket action of its base
+    # since the input is (q, q, id), and the action on the squares; the
+    # input and the crossed module of its squares
+    assert calls["action"] == 2
     assert calls["xmod"] == 2
 
 
@@ -233,6 +241,151 @@ def test_an_input_that_differs_in_a_name_is_recomputed(monkeypatch, capsys, tmp_
     assert code == 0 and calls["xmod_hom"]
     assert json.loads(again)["extension"] == "renamed_split"
     assert again.replace("renamed_split", "split_over_n2") == first
+
+
+def _inline_adjoint_identity(q):
+    """The document of (q, q, id) with q written out at each of its four
+    places, as perfbench writes its squares inputs."""
+    a = cli.algebra_doc(q)
+    return {"kind": "xmod", "name": f"({q.name},{q.name},id)", "top": a, "base": a,
+            "delta": {b: {b: "1"} for b in q.basis_names},
+            "action": {"kind": "action", "name": "adjoint", "actor": a, "acted": a,
+                       "left": a["brackets"], "right": a["brackets"]}}
+
+
+def test_an_inline_adjoint_identity_parses_one_algebra(tmp_path):
+    p = tmp_path / "q.xmod"
+    p.write_text(json.dumps(_inline_adjoint_identity(cli.load_fixture(FIXTURES / "heis3.algebra"))))
+    xm = cli.load_fixture(p)
+    assert xm.top is xm.base is xm.action.actor is xm.action.acted
+
+
+def _counting_parses(monkeypatch):
+    parsed, real = [], cli._parse_doc
+    monkeypatch.setattr(cli, "_parse_doc", lambda doc, *a: parsed.append(doc) or real(doc, *a))
+    return parsed
+
+
+def test_a_repeated_self_contained_text_is_not_parsed_again(monkeypatch, capsys, tmp_path):
+    # the text of the last input, at any path and with no file referenced,
+    # is the same input: neither decoded nor parsed
+    text = (FIXTURES / "n2pad.xmod").read_text()
+    for name in ("a.xmod", "b.xmod"):
+        (tmp_path / name).write_text(text)
+    parsed = _counting_parses(monkeypatch)
+    code, first, _ = run(capsys, "multiplier", tmp_path / "a.xmod", "--json")
+    assert code == 0 and parsed
+    parsed.clear()
+    code, again, _ = run(capsys, "exterior", tmp_path / "b.xmod", "--json")
+    assert code == 0 and not parsed
+    xm = cli.load_fixture(tmp_path / "a.xmod", expect="xmod")
+    assert xm is cli.load_fixture(tmp_path / "b.xmod", expect="xmod") and not parsed
+    assert "squares" in vars(xm)
+    # the same text under another expected kind is read again, to its error
+    code, _, err = run(capsys, "classify-extension", tmp_path / "a.xmod")
+    assert code == 2 and err == "error: a.xmod: expected kind 'extension', found 'xmod'\n"
+
+
+def test_a_referencing_input_is_parsed_again_and_sees_edits(monkeypatch, capsys, tmp_path):
+    for name in ("n2.algebra", "n2_adjoint.action", "n2_id.xmod"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    parsed = _counting_parses(monkeypatch)
+    code, first, _ = run(capsys, "exterior", tmp_path / "n2_id.xmod", "--json")
+    assert code == 0 and parsed
+    # one load reads n2.algebra three times and parses it once
+    assert [d["kind"] for d in parsed].count("algebra") == 1
+    parsed.clear()
+    code, again, _ = run(capsys, "exterior", tmp_path / "n2_id.xmod", "--json")
+    assert (code, again) == (0, first) and parsed
+    doc = json.loads((tmp_path / "n2.algebra").read_text())
+    doc["name"] = "m2"
+    (tmp_path / "n2.algebra").write_text(json.dumps(doc))
+    code, edited, _ = run(capsys, "exterior", tmp_path / "n2_id.xmod", "--json")
+    assert code == 0 and json.loads(edited)["qn"]["name"] == "m2(^)m2"
+
+
+def test_sub_documents_that_differ_in_true_and_1_are_not_merged(tmp_path, capsys):
+    # {"dim": 1} == {"dim": True} in Python; their JSON texts differ
+    k1 = {"kind": "algebra", "name": "k", "dim": 1, "basis": ["e"], "brackets": {}}
+    doc = _inline_adjoint_identity(cli.load_fixture(FIXTURES / "k1.algebra"))
+    doc.update(top=k1, base={**k1, "dim": True})
+    p = tmp_path / "t.xmod"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", p)
+    assert (code, out) == (2, "")
+    assert err == "error: t.xmod.base: dim must be a non-negative integer\n"
+
+
+def test_a_sub_document_nested_near_the_recursion_limit_exits_2(tmp_path, capsys):
+    # decoded, but too deep to key: it still parses to its error
+    (tmp_path / "k1.algebra").write_text((FIXTURES / "k1.algebra").read_text())
+    p = tmp_path / "deep.xmod"
+    for depth in range(sys.getrecursionlimit() - 150, sys.getrecursionlimit(), 3):
+        actor = {"kind": "algebra", "name": "t", "dim": 0, "basis": [], "brackets": 0}
+        text = json.dumps({"kind": "xmod", "name": "x", "top": "k1", "base": "k1",
+                           "action": {"kind": "action", "actor": actor, "acted": "k1"}})
+        p.write_text(text.replace('"brackets": 0', '"brackets": ' + "[" * depth + "]" * depth))
+        code, out, err = run(capsys, "check", p)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err in ("error: deep.xmod.action.actor.brackets: expected a mapping\n",
+                       "error: deep.xmod: not a JSON document (maximum recursion depth "
+                       "exceeded while decoding a JSON array from a unicode string)\n")
+
+
+@pytest.mark.parametrize("place, entry, value, message", [
+    ("base", ("x", "y", "w"), "1", "t.xmod.base.brackets[x][y]: unknown basis name 'w'"),
+    ("top", ("y", "x", "z"), "--1", "t.xmod.top.brackets[y][x][z]: malformed rational '--1'"),
+    ("top", ("y", "x", "z"), 1, "t.xmod.top.brackets[y][x][z]: rationals must be strings, got 1"),
+    ("left", ("y", "x", "z"), "1/0", "t.xmod.action.left[y][x][z]: malformed rational '1/0'"),
+    ("right", ("y", "x", "q"), "1", "t.xmod.action.right[y][x]: unknown basis name 'q'"),
+    ("right", ("y", "x"), [], "t.xmod.action.right[y][x]: expected a sparse mapping, got []"),
+    ("left", ("y",), "x", "t.xmod.action.left[y]: expected a mapping"),
+])
+def test_a_deep_error_names_its_place_byte_for_byte(tmp_path, capsys, place, entry,
+                                                     value, message):
+    # the location of an entry is formatted only when it is an error's
+    doc = _inline_adjoint_identity(cli.load_fixture(FIXTURES / "heis3.algebra"))
+    doc = json.loads(json.dumps(doc))  # four separate copies of heis3
+    table = (doc[place]["brackets"] if place in ("top", "base")
+             else doc["action"][place])
+    for k in entry[:-1]:
+        table = table.setdefault(k, {})
+    table[entry[-1]] = value
+    p = tmp_path / "t.xmod"
+    p.write_text(json.dumps(doc))
+    for command in ("check", "multiplier"):
+        code, out, err = run(capsys, command, p)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# strings near the grammar of Fraction: signs, slashes, points, exponents,
+# underscores, blanks and a non-ASCII digit, and plain quotients
+RATIONAL_TEXTS = st.one_of(
+    st.text(alphabet="0123456789-+/._eE \u0663", max_size=8),
+    st.from_regex(r"-?[0-9]{1,5}(/[0-9]{1,3})?", fullmatch=True),
+    st.fractions().map(str),
+)
+
+
+@PROPERTY
+@given(RATIONAL_TEXTS)
+def test_a_rational_reads_as_fraction_reads_it(s):
+    # the direct path for plain integers and quotients gives Fraction(s);
+    # every string Fraction refuses exits 2 with the message of the parent
+    try:
+        want = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        doc = {"kind": "algebra", "name": "t", "dim": 1, "basis": ["e"],
+               "brackets": {"e": {"e": {"e": s}}}}
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "t.algebra"
+            p.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert cli.main(["check", str(p)]) == 2
+        assert err.getvalue() == f"error: t.algebra.brackets[e][e][e]: malformed rational {s!r}\n"
+    else:
+        assert cli._rat(s, "t") == want
 
 
 def test_the_parser_serves_every_command_of_a_process(capsys):

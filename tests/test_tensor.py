@@ -2,12 +2,14 @@
 
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leibxmod import algebra, tensor
+import _reference_bracket as ref_bracket
+from leibxmod import algebra, cli, tensor
 from leibxmod.algebra import (
     AlgebraHom,
     LeibnizAction,
@@ -51,18 +53,25 @@ from leibxmod.xmod import (
 )
 
 from helpers import (
+    central_fixture_extensions,
+    count_law_evaluations,
     direction,
     fixture_algebras,
     heis3,
     k_abelian,
     n2,
     quotient_basis_lifts,
+    r2_nonlie,
     random_leibniz_corpus,
     representatives,
     sl2,
+    sol2_lie,
     zero_over,
 )
 from test_checks import PROPERTY, tables, vectors
+from test_rational_basis import rational_bases, rebased
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def adjoint_pair(a):
@@ -541,6 +550,69 @@ def test_squares_build_one_presentation_each(monkeypatch):
     built.clear()
     exterior_square_data(CrossedModule.inclusion(heis3(), center(heis3())))
     assert built == ["heis3(^)heis3_ideal", "heis3(^)heis3"]
+
+
+def _oracle_crossed_modules():
+    """The .xmod fixtures, the totals and quotients of the central fixture
+    extensions, (q, q, id) and (Z(q), q, incl) of the fixture algebras and
+    of the random corpus."""
+    out = [cli.load_fixture(p) for p in sorted(FIXTURES.glob("*.xmod"))]
+    out += [xm for e in central_fixture_extensions() for xm in (e.total, e.quotient)]
+    for q in fixture_algebras() + random_leibniz_corpus():
+        out += [CrossedModule.adjoint_identity(q), CrossedModule.inclusion(q, center(q))]
+    return [xm for xm in out if check_xmod(xm).valid]
+
+
+def _matches_the_bracket_reference(press) -> int:
+    """Assert that each presentation's resolved table is the old loop's;
+    the number of nonzero tables."""
+    for pres in press:
+        assert pres.resolved.zst == ref_bracket.resolved_table(pres), pres.name
+        assert pres.zst[1] == ref_bracket.representatives(pres.pair), pres.name
+    return sum(any(v for row in pres.resolved.zst[1] for v in row) for pres in press)
+
+
+def test_resolved_bracket_matches_the_entry_by_entry_reference():
+    # the bracket of a square factors through its evaluations; the old
+    # loop projects one symbol per pair of free symbols
+    press = [tensor_product(adjoint_pair(q))
+             for q in fixture_algebras() + random_leibniz_corpus() + [r2_nonlie(), sol2_lie()]]
+    for xm in _oracle_crossed_modules():
+        esd = exterior_square_data(xm)
+        press += {id(p): p for p in (esd.qn, esd.qq)}.values()
+    assert _matches_the_bracket_reference(press) >= 4
+
+
+@PROPERTY
+@given(st.data())
+def test_resolved_bracket_matches_the_reference_in_rational_bases(data):
+    q = data.draw(st.sampled_from(fixture_algebras() + [r2_nonlie(), sol2_lie()]))
+    b = rebased(q, data.draw(rational_bases(q.dim)))
+    press = [tensor_product(adjoint_pair(b))]
+    for xm in (CrossedModule.adjoint_identity(b), CrossedModule.inclusion(b, center(b))):
+        esd = exterior_square_data(xm)
+        press += [esd.qn, esd.qq]
+    _matches_the_bracket_reference(press)
+
+
+def test_an_adjoint_identity_input_is_its_own_base_square(monkeypatch):
+    # an input equal to (q, q, id) builds its one square from its own
+    # action, which check_xmod has checked, and descends one evaluation
+    calls, real = count_law_evaluations(monkeypatch), tensor._descend
+    descents = []
+    monkeypatch.setattr(tensor, "_descend",
+                        lambda *a: descents.append(a[2]) or real(*a))
+    q = heis3()
+    xm = CrossedModule(f"({q.name},{q.name},id)", q, q, RatMatrix.identity(q.dim),
+                       LeibnizAction(q, q, q.c, q.c))
+    assert xm.action is not q.adjoint and xm == CrossedModule.adjoint_identity(q)
+    esd = exterior_square_data(xm)
+    assert esd.qn is esd.qq and esd.qn.pair.m_on_n is xm.action
+    assert esd.qn.pair.n_on_m is xm.action
+    assert esd.lambda_n.matrix == esd.mu_q.matrix
+    # lambda, then id ^ delta and the 2 * dim q maps of the base action
+    assert descents.count(None) == 1 and len(descents) == 2 + 2 * q.dim
+    assert calls["action"] == 2 and "validity" not in vars(q.adjoint)
 
 
 def test_squares_are_built_once_per_object(monkeypatch):

@@ -46,6 +46,7 @@ from leibxmod.xmod import (
 )
 
 from helpers import (
+    count_law_evaluations,
     direction,
     fixture_algebras,
     heis3,
@@ -72,6 +73,20 @@ def span_of(xm, top_vecs, base_vecs):
 def test_adjoint_identity_valid_on_fixtures():
     for a in fixture_algebras():
         assert check_xmod(CrossedModule.adjoint_identity(a)).valid
+
+
+def test_adjoint_identity_evaluates_its_action_report_once(monkeypatch):
+    # the bracket action is one object per algebra object, with its report;
+    # an equal algebra is another object and is checked again
+    calls = count_law_evaluations(monkeypatch)
+    q = heis3()
+    one, two = CrossedModule.adjoint_identity(q), CrossedModule.adjoint_identity(q)
+    assert one is not two and one.action is two.action is LeibnizAction.adjoint(q)
+    assert check_xmod(one).valid and check_xmod(two).valid
+    assert (calls["action"], calls["xmod"]) == (1, 2)
+    other = CrossedModule.adjoint_identity(heis3())
+    assert other.action == one.action and check_xmod(other).valid
+    assert (calls["action"], calls["xmod"]) == (2, 3)
 
 
 def test_inclusion_of_ideal_valid():
