@@ -34,9 +34,10 @@ module as a fixture document, so their output can be fed back in.
 
 Analyses are cached on the objects they belong to.  ``load_fixture``
 returns the object it loaded last in place of an equal one (equal
-integer twins and names), and for the same text if that referenced no
-file, without parsing it; so a second command on the same input, say
-``verify-sequence`` after ``classify-extension``, reads them again.
+integer twins and names), and for the same text, without parsing it, if
+that names its kind and references no file; so a second command on the
+same input, say ``verify-sequence`` after ``classify-extension``, reads
+them again.
 
 Exit codes: 0 the input was read and found valid (or the computation
 succeeded), 1 the input was read but is invalid or fails a precondition
@@ -54,7 +55,6 @@ input on stdout and exits 1 without raising.
 import argparse
 import functools
 import json
-import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -113,16 +113,11 @@ def _at(where):
     return where if isinstance(where, str) else f"{_at(where[0])}[{where[1]}]"
 
 
-_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # read without Fraction's parser
-
-
 def _rat(s, where):
     if not isinstance(s, str):
         raise FixtureError(f"{_at(where)}: rationals must be strings, got {s!r}")
     try:
-        m = _PLAIN.fullmatch(s)
-        return (Fraction(s) if m is None else int(m[1]) if m[2] is None
-                else Fraction(int(m[1]), int(m[2])))
+        return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise FixtureError(f"{_at(where)}: malformed rational {s!r}") from None
 
@@ -285,13 +280,14 @@ def _unique_keys(where):
     return hook
 
 
-LOADED_MEMO = 1  # top-level inputs kept, with their analyses: see the docstring
-_interned = functools.lru_cache(maxsize=LOADED_MEMO)(lambda obj: obj)
-_last = {}  # (expect, text) of the last input, if it references no file: its object
+# the last top-level input, with its analyses (see the docstring): its text
+# if it names its kind and references no file, else None; its kind; the object
+_last = (None, None, None)
 
 
 def load_fixture(path, expect=None, within=None):
     """Parse one fixture file (and whatever it references) to a domain object."""
+    global _last
     path = Path(path)
     active = within.active if within else frozenset()
     try:
@@ -301,8 +297,8 @@ def load_fixture(path, expect=None, within=None):
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as ex:
         raise FixtureError(f"cannot read {path}: {ex}") from None
-    if not within and (expect, text) in _last:
-        return _last[expect, text]
+    if not within and text == _last[0] and expect in (None, _last[1]):
+        return _last[2]
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys(path.name))
     except (ValueError, RecursionError) as ex:
@@ -311,10 +307,9 @@ def load_fixture(path, expect=None, within=None):
     obj = _parse_doc(doc, expect, ctx, path.name)
     if within:
         return obj
-    obj = _interned(obj)  # the equal input loaded last, if any
-    _last.clear()
-    if not any(isinstance(k, Path) for k in ctx.parsed):  # it referenced no file
-        _last[expect, text] = obj
+    obj = _last[2] if obj == _last[2] else obj
+    alone = "kind" in doc and not any(isinstance(k, Path) for k in ctx.parsed)
+    _last = (text if alone else None, doc.get("kind"), obj)
     return obj
 
 

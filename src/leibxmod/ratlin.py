@@ -253,18 +253,16 @@ def join(terms) -> "tuple[int, dict]":
             seen = meets[id(y)] = (y, support)
         support = seen[1]
         for p, a in _entries(x, len(xs)):
-            (l, t), one = a[0], len(a) == 1
-            rs = support.get(l, ()) if one else set().union(*[support.get(l, ()) for l, _ in a])
+            if len(a) == 1:
+                rs = support.get(a[0][0], ())
+            else:
+                rs = set().union(*[support.get(l, ()) for l, _ in a])
             for r in rs:
                 k = keyed(p + (r,) + consts)
                 acc = out.get(k)
                 if acc is None:
                     acc = out[k] = {}
-                if one:  # c * t * y[r][l], inline
-                    for i, u in y[r][l]:
-                        acc[i] = acc.get(i, 0) + c * t * u
-                else:
-                    accumulate(acc, c, a, y[r])
+                accumulate(acc, c, a, y[r])
     return scale, out
 
 
@@ -491,8 +489,15 @@ class Subspace:
     def from_integer_rows(cls, ambient_dim: int, rows: Iterable) -> "Subspace":
         """The span of sparse int vectors ((index, int), ...) with nonzero
         values and indices below ambient_dim, zero vectors allowed; each
-        goes to the elimination made primitive, with no Fraction."""
-        return cls._spanned(ambient_dim, [_primitive(dict(r)) for r in rows if r])
+        is made primitive, and rows equal up to sign go to the elimination
+        once, with no Fraction."""
+        out = {}
+        for r in rows:
+            if r:
+                r = _primitive(dict(r))
+                out.setdefault(frozenset(r.items()) if r[min(r)] > 0 else
+                               frozenset((k, -v) for k, v in r.items()), r)
+        return cls._spanned(ambient_dim, list(out.values()))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

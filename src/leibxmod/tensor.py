@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from .algebra import (
     AlgebraHom,
@@ -337,10 +337,7 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
     amb = 2 * dm * dn
     rows = _defining_rows(pair)
     rows.extend(extra_rows)
-    # each row primitive with a positive lead, so that multiples meet in the set
-    rows = {tuple([(k, t // g) for k, t in r]) for r in rows
-            for g in [gcd(*[t for _, t in r]) * (1 if r[0][1] > 0 else -1)]}
-    relations = Subspace.from_integer_rows(amb, sorted(rows))
+    relations = Subspace.from_integer_rows(amb, rows)
     qmap = quotient(amb, relations)
     if not _well_defined(pair, qmap):
         _scan(pair, qmap, name)

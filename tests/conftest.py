@@ -1,4 +1,4 @@
-"""Each test loads its fixtures afresh: the load memos start empty."""
+"""Each test loads its fixtures afresh: the load memo starts empty."""
 
 import pytest
 
@@ -7,5 +7,4 @@ from leibxmod import cli
 
 @pytest.fixture(autouse=True)
 def _fresh_load_memo():
-    cli._interned.cache_clear()
-    cli._last.clear()
+    cli._last = (None, None, None)

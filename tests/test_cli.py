@@ -195,19 +195,18 @@ def test_multiplier_evaluates_each_law_once_per_object(monkeypatch, capsys):
 
 def test_multiplier_memo_stays_bounded(capsys):
     # one process, more distinct inputs than the memo holds: it keeps the
-    # last LOADED_MEMO of them, each input misses once, and an input that
-    # has left the memo is freed with the squares cached on it
-    memo = cli._interned
+    # last of them, in place of an equal reload, and an input that has
+    # left the memo is freed with the squares cached on it
     names = ["zero_k.xmod", "zero_n2.xmod", "n2_id.xmod", "n2pad.xmod", "heis3_id.xmod",
              "sl2_id.xmod"]
     for i, name in enumerate(names):
         assert cli.main(["multiplier", str(FIXTURES / name), "--json"]) == 0
-        assert memo.cache_info().currsize <= cli.LOADED_MEMO < len(names)
+        last = cli.load_fixture(FIXTURES / name)
+        assert cli._last[2] is last and "squares" in vars(last)
         if i == 0:
-            first = weakref.ref(cli.load_fixture(FIXTURES / name))
-            assert "squares" in vars(first())
+            first = weakref.ref(last)
+        del last
     capsys.readouterr()
-    assert memo.cache_info().misses == len(names)
     gc.collect()
     assert first() is None
 
@@ -278,12 +277,20 @@ def test_a_repeated_self_contained_text_is_not_parsed_again(monkeypatch, capsys,
     parsed.clear()
     code, again, _ = run(capsys, "exterior", tmp_path / "b.xmod", "--json")
     assert code == 0 and not parsed
-    xm = cli.load_fixture(tmp_path / "a.xmod", expect="xmod")
+    assert run(capsys, "check", tmp_path / "a.xmod")[0] == 0 and not parsed
+    xm = cli.load_fixture(tmp_path / "a.xmod")
     assert xm is cli.load_fixture(tmp_path / "b.xmod", expect="xmod") and not parsed
     assert "squares" in vars(xm)
     # the same text under another expected kind is read again, to its error
     code, _, err = run(capsys, "classify-extension", tmp_path / "a.xmod")
     assert code == 2 and err == "error: a.xmod: expected kind 'extension', found 'xmod'\n"
+    # a text that leaves its kind to the command is read again by each
+    doc = json.loads(text)
+    del doc["kind"]
+    (tmp_path / "c.xmod").write_text(json.dumps(doc))
+    assert run(capsys, "multiplier", tmp_path / "c.xmod")[0] == 0
+    code, _, err = run(capsys, "check", tmp_path / "c.xmod")
+    assert code == 2 and err == "error: c.xmod: unknown kind None\n"
 
 
 def test_a_referencing_input_is_parsed_again_and_sees_edits(monkeypatch, capsys, tmp_path):
@@ -359,7 +366,7 @@ def test_a_deep_error_names_its_place_byte_for_byte(tmp_path, capsys, place, ent
 
 
 # strings near the grammar of Fraction: signs, slashes, points, exponents,
-# underscores, blanks and a non-ASCII digit, and plain quotients
+# underscores, blanks and a non-ASCII digit, and quotients
 RATIONAL_TEXTS = st.one_of(
     st.text(alphabet="0123456789-+/._eE \u0663", max_size=8),
     st.from_regex(r"-?[0-9]{1,5}(/[0-9]{1,3})?", fullmatch=True),
@@ -370,8 +377,8 @@ RATIONAL_TEXTS = st.one_of(
 @PROPERTY
 @given(RATIONAL_TEXTS)
 def test_a_rational_reads_as_fraction_reads_it(s):
-    # the direct path for plain integers and quotients gives Fraction(s);
-    # every string Fraction refuses exits 2 with the message of the parent
+    # a rational is Fraction(s); every string Fraction refuses exits 2
+    # with one message
     try:
         want = Fraction(s)
     except (ValueError, ZeroDivisionError):

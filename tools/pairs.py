@@ -1,7 +1,7 @@
 """Alternating perfbench pairs between two checkouts.
 
     python3 tools/pairs.py --src PARENT --src CHANGE [--workload W ...]
-        [--pairs 10] [--seed 800] [--seconds 25] [--no-gc] [--out FILE]
+        [--pairs 10] [--seed 800] [--seconds 25] [--out FILE]
 
 Each --src is the root of a checkout with its own perfbench/ and src/.
 For each workload, pair i runs ``perfbench/run.py --workload W --seed
@@ -12,8 +12,7 @@ checkout's program.  Right after the plain runs of a pair, the same two
 runs are made again, in the same order, through a wrapper that imports
 the checkout's ``perfbench/run.py`` and calls ``gc.collect()`` after each
 set-up sample (the control for ``peak_rss_mb``: perfbench leaves the
-garbage of its repeated imports to the collector); ``--no-gc`` skips
-them.  Nothing under perfbench/ is written to or changed.
+garbage of its repeated imports to the collector).  Nothing under perfbench/ is written to or changed.
 
 The output is one JSON object (sorted keys), on stdout or in FILE: for
 "plain" and "gc", per workload, whether every run was correct, the
@@ -31,6 +30,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+MODES = ("plain", "gc")  # the plain runs, then the gc control
 
 # run.py of the checkout, with gc.collect() after each set-up sample
 GC_WRAPPER = """
@@ -109,7 +110,6 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=800, help="seed of the first pair")
     ap.add_argument("--seconds", type=int, default=25)
-    ap.add_argument("--no-gc", action="store_true", help="skip the gc control")
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
     if len(args.src) != 2:
@@ -117,12 +117,11 @@ def main(argv=None):
     trees = dict(zip(("parent", "change"), (Path(s).resolve() for s in args.src)))
     spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    modes = ("plain",) if args.no_gc else ("plain", "gc")
-    runs = {mode: {w: {"parent": [], "change": []} for w in workloads} for mode in modes}
+    runs = {mode: {w: {"parent": [], "change": []} for w in workloads} for mode in MODES}
     for w in workloads:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for mode in modes:
+            for mode in MODES:
                 for side in order:
                     r = run_once(trees[side], w, args.seed + i, args.seconds, mode == "gc")
                     runs[mode][w][side].append(r)
@@ -132,9 +131,9 @@ def main(argv=None):
     doc = {"method": f"{args.pairs} alternating pairs per workload, seeds {args.seed}-"
                      f"{args.seed + args.pairs - 1}, parent first in even pairs",
            "parent": trees["parent"].name, "change": trees["change"].name}
-    for mode in modes:
+    for mode in MODES:
         doc[mode] = {w: workload_result(runs[mode][w], spec["end_to_end"]) for w in workloads}
-    doc["notes"] = {f"{mode} {w}": note(doc[mode][w]) for mode in modes for w in workloads}
+    doc["notes"] = {f"{mode} {w}": note(doc[mode][w]) for mode in MODES for w in workloads}
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
