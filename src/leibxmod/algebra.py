@@ -54,6 +54,7 @@ from .ratlin import (
     integer_view,
     join,
     quotient,
+    rank,
     rational,
     sparse_kernel,
     sparse_table,
@@ -410,7 +411,6 @@ class AlgebraHom:
         return self.matrix.mul_vec(vec(v))
 
     def is_surjective(self) -> bool:
-        from .ratlin import rank
         return rank(self.matrix) == self.target.dim
 
     @cached_property

@@ -463,13 +463,14 @@ def cmd_multiplier(args):
 def cmd_exterior(args):
     xm = load_fixture(args.path, expect="xmod")
     esd = exterior_square_data(xm)
+    r_lambda, r_mu = rank(esd.lambda_n.matrix), rank(esd.mu_q.matrix)
     lines = [
         f"q^n = {esd.qn.name}: dim {esd.qn.resolved.dim}, "
         f"basis [{', '.join(esd.qn.resolved.basis_names)}]",
         f"q^q = {esd.qq.name}: dim {esd.qq.resolved.dim}, "
         f"basis [{', '.join(esd.qq.resolved.basis_names)}]",
-        f"evaluation to top: rank {rank(esd.lambda_n.matrix)}",
-        f"evaluation to base: rank {rank(esd.mu_q.matrix)}",
+        f"evaluation to top: rank {r_lambda}",
+        f"evaluation to base: rank {r_mu}",
         f"induced crossed module: {esd.induced_xmod.name}",
     ]
     doc = {"xmod": xm.name,
@@ -477,8 +478,8 @@ def cmd_exterior(args):
                   "basis": list(esd.qn.resolved.basis_names)},
            "qq": {"name": esd.qq.name, "dim": esd.qq.resolved.dim,
                   "basis": list(esd.qq.resolved.basis_names)},
-           "rank_lambda": rank(esd.lambda_n.matrix),
-           "rank_mu": rank(esd.mu_q.matrix),
+           "rank_lambda": r_lambda,
+           "rank_mu": r_mu,
            "id_wedge_delta": _sparse_from_matrix(
                esd.id_wedge_delta.matrix, esd.qn.resolved.basis_names,
                esd.qq.resolved.basis_names)}

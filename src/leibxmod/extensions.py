@@ -48,7 +48,6 @@ from .ratlin import (
     vec_is_zero,
 )
 from .tensor import (
-    MutualActionPair,
     _descend,
     _induced_presentation_hom,
     _substitution,
@@ -172,8 +171,9 @@ class Extension:
                                       tuple(f"b{i+1}" for i in range(b.dim)))
         # the connecting map of the total restricted to the kernel pair
         delta = _restriction(b, _images(self.total.delta.zcols, a.zbasis))
-        if delta is None:
-            raise ValueError("vector not in subspace")
+        if delta is None:  # validity made the kernel pair a crossed ideal
+            raise AssertionError(f"delta of {self.name} does not map the kernel top "
+                                 "into the kernel base")
         kxm = CrossedModule(f"ker({self.name})", top, base, RatMatrix.from_sparse(b.dim, delta),
                             LeibnizAction.trivial(base, top))
         incl = XModHom(kxm, self.total, RatMatrix.from_sparse(a.ambient_dim, a.zbasis),
@@ -283,15 +283,15 @@ def _theta_matrices(e: Extension, kxm: CrossedModule,
     evaluation q_a * n_b -> ^{s2 q_a}(s1 n_b), n_b * q_a -> (s1 n_b)^{s2 q_a}
     and q_a * q_c -> [s2 q_a, s2 q_c] is the evaluation of the total's
     symbols after s2 replaces every q-leg and s1 every n-leg, descended to
-    the squares of the quotient and restricted to the kernel."""
+    the squares of the quotient and restricted to the kernel; the total's
+    symbols are read through the pairs of its own squares."""
     esd = exterior_square_data(e.quotient)
     _, incl_m = schur_multiplier(e.quotient)
     s1, s2 = _sections(e, skew)
-    qid = CrossedModule.adjoint_identity(e.total.base)
+    total = exterior_square_data(e.total)
     # centrality makes the lifted evaluation kill the relations exactly
     lifted = []
-    for sq, xm, fn in ((esd.qn, e.total, s1), (esd.qq, qid, s2)):
-        pair = MutualActionPair.from_shared_base(qid, xm)
+    for sq, pair, fn in ((esd.qn, total.qn.pair, s1), (esd.qq, total.qq.pair, s2)):
         (_, d), ev = pair.zevaluations
         subst = _substitution(sq.pair, pair, s2, fn)
         lifted.append(_descend(sq, _images((d, ev[1]), subst), None))
@@ -349,8 +349,8 @@ def prop41_crosscheck(e: Extension) -> Prop41Report:
             f"stem characterizations disagree on {e.name}: "
             f"derived={in_derived} surjective={surjective} "
             f"ab-zero={to_ab_zero} ab-iso={ab_iso}")
-    bijective = (surjective and kernel(th.top_map).dim == 0
-                 and kernel(th.base_map).dim == 0)
+    bijective = (surjective and rank(th.top_map) == th.top_map.cols
+                 and rank(th.base_map) == th.base_map.cols)
     mm = e.multiplier_map
     mm_zero = mm.top_map.is_zero() and mm.base_map.is_zero()
     if not (flags.stem_cover == bijective == (ab_iso and mm_zero)):

@@ -36,8 +36,8 @@ outputs.  Sums, intersections, kernels, membership and restriction
 (``_restriction``: coordinates read at the pivots, each residual once)
 run on those int rows and create no Fraction; the dense RREF basis is a
 view built on request.  Spans and kernels take their rows dense, sparse
-or as sparse int rows; ``integer_rank`` and ``integer_basis`` create no
-Fraction at all.
+or as sparse int rows; ``integer_rank`` creates no Fraction at all, and
+a span's basis is the canonical rows of its ``Subspace``.
 """
 
 from __future__ import annotations
@@ -622,8 +622,8 @@ def _restriction(s: Subspace, twin) -> "tuple | None":
 
 
 def kernel(m: RatMatrix) -> Subspace:
-    """Basis of the right null space {v : m v = 0}."""
-    return _kernel(_integer_rows(m), m.cols)
+    """Basis of the right null space {v : m v = 0}, from m's int rows."""
+    return sparse_kernel(m.cols, m.transpose().zcols[1])
 
 
 def sparse_kernel(cols: int, rows: Iterable) -> Subspace:
@@ -631,27 +631,7 @@ def sparse_kernel(cols: int, rows: Iterable) -> Subspace:
     rows are the sparse int vectors rows ((column, int), ...), with
     nonzero values; they go to the elimination made primitive, without a
     dense copy or a Fraction."""
-    return _kernel([_primitive(dict(r)) for r in rows if r], cols)
-
-
-def integer_rank(rows: Iterable) -> int:
-    """The rank of the matrix whose rows are the sparse integer rows
-    {column: int} of rows, zero rows allowed; each goes to the
-    elimination made primitive, without a dense copy or a Fraction."""
-    return len(_eliminate([_primitive(r) for r in rows if r], reduce=False))
-
-
-def integer_basis(rows: Iterable) -> list:
-    """A basis of the span of the sparse int vectors rows ((index, int),
-    ...), zero vectors allowed, as sparse int vectors sorted by index:
-    the echelon rows of the elimination, primitive and not normalised."""
-    return [tuple(sorted(row.items())) for _, row in
-            _eliminate([_primitive(dict(r)) for r in rows if r], reduce=False)]
-
-
-def _kernel(rows: list, cols: int) -> Subspace:
-    """The right null space of the sparse integer rows (see _eliminate)."""
-    echelon = _eliminate(rows)
+    echelon = _eliminate([_primitive(dict(r)) for r in rows if r])
     pivots = {c for c, _ in echelon}
     out = []
     for f in range(cols):
@@ -666,6 +646,13 @@ def _kernel(rows: list, cols: int) -> Subspace:
             v[c] = -b * (scale // a)
         out.append(_primitive(v))
     return Subspace._spanned(cols, out)
+
+
+def integer_rank(rows: Iterable) -> int:
+    """The rank of the matrix whose rows are the sparse integer rows
+    {column: int} of rows, zero rows allowed; each goes to the
+    elimination made primitive, without a dense copy or a Fraction."""
+    return len(_eliminate([_primitive(r) for r in rows if r], reduce=False))
 
 
 def column_space(m: RatMatrix) -> Subspace:

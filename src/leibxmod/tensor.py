@@ -61,7 +61,6 @@ from .ratlin import (
     _scaled,
     contract,
     dense,
-    integer_basis,
     kernel,
     quotient,
     rank,
@@ -160,9 +159,9 @@ def _legs(dm: int, dn: int, k: int) -> tuple:
 def _pair_basis(du: int, dv: int, pairs) -> list:
     """A basis of the span of the vectors (u, v) of X + Y, for sparse int
     vectors u of X = QQ^du and v of Y = QQ^dv, as pairs of sparse int
-    vectors."""
-    return [_pair_parts(du, w)
-            for w in integer_basis([u + tuple((du + k, t) for k, t in v) for u, v in pairs])]
+    vectors: the canonical rows of the span."""
+    return [_pair_parts(du, w) for w in Subspace.from_integer_rows(
+        du + dv, [u + tuple((du + k, t) for k, t in v) for u, v in pairs]).zrows]
 
 
 def _pair_parts(du: int, w) -> tuple:
@@ -380,10 +379,10 @@ def _well_defined(pair: MutualActionPair, qmap: QuotientMap) -> bool:
     gs = [(_row(_image(r, ev[0])), _row(_image(r, ev[1]))) for r in qmap.relations.zrows]
     tests = [((1, 0, a, d), (1, 1, b, c))
              for a, b in _pair_basis(dm, dn, ls) for c, d in pair.evaluation_basis]
-    tests += [((1, 0, u, v),) for u in integer_basis(ev[0][:half])
-              for v in integer_basis([g for _, g in gs])]
-    tests += [((1, 1, u, v),) for u in integer_basis(ev[1][half:])
-              for v in integer_basis([g for g, _ in gs])]
+    tests += [((1, 0, u, v),) for u in Subspace.from_integer_rows(dm, ev[0][:half]).zrows
+              for v in Subspace.from_integer_rows(dn, [g for _, g in gs]).zrows]
+    tests += [((1, 1, u, v),) for u in Subspace.from_integer_rows(dn, ev[1][half:]).zrows
+              for v in Subspace.from_integer_rows(dm, [g for g, _ in gs]).zrows]
     return all(qmap.kills(_symbols(dm, dn, t).items()) for t in tests)
 
 

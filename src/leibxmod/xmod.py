@@ -28,8 +28,9 @@ restricts its brackets, read off the twins, to the ideal through one
 helper (``ratlin._restriction``).  The crossed module and
 homomorphism laws, like those of ``algebra``, cover every basis pair but
 are evaluated term by term over nonzero entries (``ratlin.join``), and
-each report is cached on the object it checks; the centers are kernels
-of sparse rows read off the integer twins of the action views.
+each report is cached on the object it checks; the center is two
+kernels of sparse rows read off the integer twins, the base part one
+annihilator over the action and base tables.
 """
 
 from __future__ import annotations
@@ -50,11 +51,9 @@ from .algebra import (
     _through,
     _violations,
     annihilator,
-    center,
     check_action,
     check_hom,
     is_lie,
-    span_brackets,
     subalgebra_on,
 )
 from .ratlin import (
@@ -136,11 +135,11 @@ class CrossedModule:
     def center(self) -> "SubPair":
         """(n^q, st_q(n) & Z(q)): annihilated top part and annihilating center.
         n -> ^{q_i} n reads sl[i] and n -> n^{q_i} reads sr_t[i]; q -> ^q n_j
-        reads sl_t[j] and q -> n_j^q reads sr[j], each through its twin."""
-        act = self.action
-        top = annihilator(self.top.dim, (act.sl, act.zsr_t[1]))
-        st = annihilator(self.base.dim, (act.zsl_t[1], act.sr))
-        return SubPair(self, top, st.intersect(center(self.base)))
+        reads sl_t[j], q -> n_j^q sr[j], q -> [q, e_j] st_t[j] and q -> [e_j, q]
+        st[j], each through its twin: the base is one annihilator."""
+        act, q = self.action, self.base
+        return SubPair(self, annihilator(self.top.dim, (act.sl, act.zsr_t[1])),
+                       annihilator(q.dim, (act.zsl_t[1], act.sr, q.zst_t[1], q.zst[1])))
 
     @cached_property
     def derived(self) -> "SubPair":
@@ -444,11 +443,10 @@ def predicates(xm: CrossedModule) -> XModFlags:
 
 
 def _is_abelian(xm: CrossedModule) -> bool:
-    """The center is the full pair, cross-checked: both algebras abelian, action trivial."""
+    """The center is the full pair, cross-checked: no bracket and no action in the tables."""
     abelian = xm.center.same_spaces(xm.full_pair())
-    alt = (all(span_brackets(a, Subspace.full(a.dim), Subspace.full(a.dim)).dim == 0
-               for a in (xm.top, xm.base))
-           and not any(v for t in (xm.action.sl, xm.action.sr) for row in t for v in row))
+    alt = not any(v for t in (xm.top.zst[1], xm.base.zst[1], xm.action.sl, xm.action.sr)
+                  for row in t for v in row)
     if alt != abelian:
         raise AssertionError(
             "center-based and component-based abelian predicates disagree")

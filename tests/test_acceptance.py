@@ -219,9 +219,22 @@ def test_json_corpus_matches_golden():
     assert proc.stdout == (here / "golden" / "json_corpus.txt").read_bytes()
 
 
+def test_text_corpus_matches_golden():
+    # the human-readable output, the stderr and the exit code of all eight
+    # commands on every fixture, invalid fixtures and mismatched kinds
+    # included
+    here = Path(__file__).resolve().parent
+    proc = subprocess.run([sys.executable, str(here / "_text_corpus_driver.py")],
+                          capture_output=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr.decode()[:500]
+    assert proc.stdout == (here / "golden" / "text_corpus.txt").read_bytes()
+
+
 def test_src_keeps_its_runtime_assertions():
     # every theorem the library asserts at runtime stays asserted: a check
-    # may become cheaper, never go away, so the count never drops below 51
+    # may become cheaper, never go away, so the count never drops below 52
+    # (the last one added asserts that delta maps a central kernel's top
+    # into its base)
     src = Path(__file__).resolve().parent.parent / "src" / "leibxmod"
     count = sum(p.read_text().count("raise AssertionError") for p in src.glob("*.py"))
-    assert count >= 51
+    assert count >= 52

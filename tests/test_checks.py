@@ -8,6 +8,7 @@ the same subspaces."""
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings
@@ -54,6 +55,7 @@ from helpers import (
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100,
                     deadline=None)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # Zero is drawn often, so that tables are sparse and residuals cancel.
 RATIONALS = st.one_of(
@@ -179,6 +181,21 @@ def test_center_xmod_matches_reference(xm):
     # the actor and acted dimensions are drawn independently
     got, expect = center_xmod(xm), ref.center_xmod(xm)
     assert (got.top_sub, got.base_sub) == (expect.top_sub, expect.base_sub)
+
+
+def test_center_xmod_matches_reference_on_valid_crossed_modules():
+    # the strategy above draws mostly invalid crossed modules; these are
+    # the totals, quotients and abelianizations of the constructed
+    # extensions and of the fixture ones, every one of them valid
+    exts = central_fixture_extensions() + [
+        cli.load_fixture(FIXTURES / name)
+        for name in ("n2_over_k.extension", "split_over_n2.extension")]
+    xms = [x for e in exts for x in (e.total, e.quotient)]
+    xms += [x.abelianization[0] for x in xms]
+    for xm in xms:
+        assert check_xmod(xm).valid, xm.name
+        got, expect = center_xmod(xm), ref.center_xmod(xm)
+        assert (got.top_sub, got.base_sub) == (expect.top_sub, expect.base_sub), xm.name
 
 
 def test_cancelling_products_are_valid_and_one_coefficient_is_pinned():

@@ -21,7 +21,7 @@ from leibxmod.extensions import (
     stem_cover_of_perfect,
     theta_star,
 )
-from leibxmod.tensor import exterior_square_data
+from leibxmod.tensor import MutualActionPair, exterior_square_data
 from leibxmod.ratlin import QQ, RatMatrix, Subspace, kernel, unit_vec
 from leibxmod.xmod import CrossedModule, SubPair, XModHom
 
@@ -389,6 +389,24 @@ def test_six_term_reports_a_first_map_outside_the_multiplier(side, message):
     assert str(err.value) == message
 
 
+KERNEL_DELTA = "delta of n2_over_k does not map the kernel top into the kernel base"
+
+
+def test_kernel_xmod_reports_a_delta_outside_the_kernel(monkeypatch):
+    # validity makes the kernel pair a crossed ideal, so delta maps its top
+    # into its base; a restriction that finds otherwise is a failed invariant
+    monkeypatch.setattr(extensions, "_restriction", lambda s, twin: None)
+    with pytest.raises(AssertionError) as err:
+        central_kernel_xmod(cli.load_fixture(FIXTURES / "n2_over_k.extension"))
+    assert str(err.value) == KERNEL_DELTA
+
+
+def test_kernel_xmod_failure_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(extensions, "_restriction", lambda s, twin: None)
+    assert cli.main(["classify-extension", str(FIXTURES / "n2_over_k.extension")]) == 3
+    assert capsys.readouterr().err == f"error: internal invariant failed: {KERNEL_DELTA}\n"
+
+
 # -- each derived object once per extension ---------------------------------------------
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -501,3 +519,35 @@ def test_extension_commands_never_densify(monkeypatch, capsys):
             expect = golden.split(head, 1)[1].split("[exit 0]\n", 1)[0]
             assert cli.main([command, name, "--json"]) == 0, (command, name)
             assert capsys.readouterr().out == expect, (command, name)
+
+
+@pytest.mark.parametrize("name, tables", [
+    ("n2_over_k.extension", 5), ("split_over_n2.extension", 4)])
+def test_extension_commands_build_each_evaluation_table_once(monkeypatch, capsys, name, tables):
+    # theta* reads the total's symbols through the pairs of the total's own
+    # squares, with their evaluations: one table per pair of a square, and
+    # one for the kernel-base square of the one-leg ideal
+    built = []
+
+    def counted(pair, _real=vars(MutualActionPair)["zevaluations"].func):
+        built.append((pair.m.name, pair.n.name))
+        return _real(pair)
+
+    prop = cached_property(counted)
+    prop.__set_name__(MutualActionPair, "zevaluations")
+    monkeypatch.setattr(MutualActionPair, "zevaluations", prop)
+    for command in ("classify-extension", "verify-sequence"):
+        assert cli.main([command, str(FIXTURES / name), "--json"]) == 0
+    capsys.readouterr()
+    assert len(built) == tables, built
+
+
+def test_prop41_reads_injectivity_off_the_rank(monkeypatch):
+    # theta* is bijective when it is surjective and each component has full
+    # column rank; no kernel is computed
+    def no_kernel(m):
+        raise AssertionError("prop41_crosscheck computed a kernel")
+
+    monkeypatch.setattr(extensions, "kernel", no_kernel)
+    for e in central_fixture_extensions():
+        assert prop41_crosscheck(e).theta_bijective == e.flags.stem_cover, e.name

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_checks as ref_checks
 import _reference_xmod as ref
-from leibxmod import algebra, cli, tensor, xmod
+from leibxmod import algebra, cli, ratlin, tensor, xmod
 from leibxmod.algebra import (
     LeibnizAction,
     center,
@@ -383,6 +384,45 @@ def test_predicates_k_identity():
 def test_predicates_n2_neither():
     flags = predicates(CrossedModule.adjoint_identity(n2()))
     assert not flags.is_perfect and not flags.is_abelian
+
+
+DISAGREE = "center-based and component-based abelian predicates disagree"
+
+
+@pytest.mark.parametrize("xm, wrong", [
+    # sl2 is not abelian, and a full center says it is; k2 is, and a zero
+    # center says it is not
+    (CrossedModule.adjoint_identity(sl2()), Subspace.full),
+    (CrossedModule.adjoint_identity(k_abelian(2)), Subspace.zero),
+])
+def test_abelian_predicates_that_disagree_raise(monkeypatch, xm, wrong):
+    monkeypatch.setattr(xmod, "annihilator", lambda dim, views: wrong(dim))
+    with pytest.raises(AssertionError) as err:
+        predicates(xm)
+    assert str(err.value) == DISAGREE
+
+
+def test_abelian_predicates_that_disagree_exit_3(monkeypatch, capsys):
+    # stemcover asks whether its perfect input is abelian
+    monkeypatch.setattr(xmod, "annihilator", lambda dim, views: Subspace.full(dim))
+    assert cli.main(["stemcover", str(FIXTURES / "sl2_id.xmod")]) == 3
+    assert capsys.readouterr().err == f"error: internal invariant failed: {DISAGREE}\n"
+
+
+@pytest.mark.parametrize("name", ["n2_id.xmod", "heis3_id.xmod", "n2pad.xmod"])
+def test_center_takes_four_eliminations(monkeypatch, name):
+    # one annihilator per part: each a kernel, which eliminates its rows
+    # and then spans its basis
+    xm = cli.load_fixture(FIXTURES / name)
+    expect, calls, real = ref_checks.center_xmod(xm), [], ratlin._eliminate
+
+    def counted(rows, reduce=True):
+        calls.append(len(rows))
+        return real(rows, reduce)
+
+    monkeypatch.setattr(ratlin, "_eliminate", counted)
+    assert center_xmod(xm) == expect
+    assert len(calls) == 4
 
 
 # -- homomorphisms ----------------------------------------------------------------
