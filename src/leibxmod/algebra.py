@@ -25,14 +25,17 @@ scale and keyed by the law's report order, so a pair or triple that no
 nonzero product reaches costs nothing, and only a nonzero residual is
 divided by the scale and becomes a dense tuple of Fractions.  Each
 object's report is a cached property (``validity``), evaluated once per
-object and kept outside the dataclass fields.  Ideals, spans of
-brackets and actions, and the multiplier's laws in ``tensor`` read the
-twins through one pairwise product (``_pairwise``): the values of a
-bilinear map on every pair of basis vectors of two subspaces, as int
-vectors, from one join.  An action pulled back through a map into its
-actor is read through the twins too (``_pulled_back``), and so are the
-brackets of a subalgebra.  The dense ``bracket``, ``act_left`` and
-``act_right`` remain public conveniences on dense vectors.
+object and kept outside the dataclass fields.  Every product reads the
+twins through one idiom (``_products``): the values of a bilinear map on
+each basis vector of a subspace against every basis element, as int
+vectors, from one join.  A round of an ideal's closure is two of them;
+the product of two subspaces (``_pairwise``: spans of brackets and
+actions, the multiplier's laws in ``tensor``) is the second one's
+against the rows of the first one's.  An action pulled back through a
+map into its actor is read through the twins too (``_pulled_back``),
+and so are the brackets of a subalgebra.  The dense ``bracket``,
+``act_left`` and ``act_right`` remain public conveniences on dense
+vectors.
 """
 
 from __future__ import annotations
@@ -129,18 +132,24 @@ def _through(cols, rows_t, n: int, m: int) -> tuple:
     return scale, tuple(tuple(rows[i]) if i in rows else empty for i in range(n))
 
 
-def _pairwise(table_t, us, vs) -> list:
-    """The nonzero values f(u, v) of the bilinear map f with f(e_i, e_j)
-    = table[i][j], over the pairs (u, v) of the sparse vectors of us and
-    vs, as sparse int vectors at one positive scale, for the integer
-    twins table_t (of the transposed view table_t[j][i] = table[i][j]),
-    us and vs: each u goes through table_t once into the rows f(u, e_j),
-    and every v through those rows in one join.  The one pairwise product
-    behind spans of brackets and actions, crossed-ideal closures and the
-    multiplier's laws."""
-    rows = _through(us, table_t, len(us[1]), len(table_t[1]))
-    return [r for r in map(_row, join([("pq", 1, vs, "q", rows, "p")])[1].values())
+def _products(us, table_t) -> list:
+    """The nonzero values f(u, e_j) of the bilinear map f with f(e_i, e_j)
+    = table[i][j], over the sparse vectors u of us and every basis element
+    e_j, as sparse int vectors at one positive scale, for the integer
+    twins us and table_t (of the transposed view table_t[j][i] =
+    table[i][j]), from one join; the table itself in place of table_t
+    gives the f(e_j, u).  The one product behind ideal and crossed-ideal
+    closures, spans of brackets and actions and the multiplier's laws."""
+    return [r for r in map(_row, join([("ik", 1, us, "i", table_t, "k")])[1].values())
             if r]
+
+
+def _pairwise(table_t, us, vs) -> list:
+    """The nonzero f(u, v) of the bilinear map of _products over the pairs
+    (u, v) of the sparse vectors of the twins us and vs: each u goes
+    through table_t once into the rows f(u, e_j), and the products of vs
+    against those rows are the f(u, v)."""
+    return _products(vs, _through(us, table_t, len(us[1]), len(table_t[1])))
 
 
 def _densified(twin, d: int) -> tuple:
@@ -209,9 +218,6 @@ class LeibnizAlgebra:
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear extension of the structure constants."""
         return contract(self.zst, x, y, self.dim)
-
-    def full_subspace(self) -> Subspace:
-        return Subspace.full(self.dim)
 
     @cached_property
     def validity(self) -> ValidityReport:
@@ -463,16 +469,15 @@ def center(a: LeibnizAlgebra) -> Subspace:
 
 
 def ideal_closure(a: LeibnizAlgebra, seed: Subspace) -> Subspace:
-    """Least two-sided ideal containing seed, by fixpoint iteration."""
+    """Least two-sided ideal containing seed, by fixpoint iteration: each
+    round spans s, [a, s] and [s, a] at once."""
     if seed.ambient_dim != a.dim:
         raise ValueError("seed/algebra dimension mismatch")
     s = seed
-    full = a.full_subspace()
-    while True:
-        nxt = s.add(span_brackets(a, full, s)).add(span_brackets(a, s, full))
-        if nxt == s:
-            return s
+    while (nxt := Subspace.from_integer_rows(a.dim, [
+            *s.zbasis[1], *_products(s.zbasis, a.zst), *_products(s.zbasis, a.zst_t)])) != s:
         s = nxt
+    return s
 
 
 def is_ideal(a: LeibnizAlgebra, s: Subspace) -> bool:

@@ -41,8 +41,9 @@ them again.
 
 Exit codes: 0 the input was read and found valid (or the computation
 succeeded), 1 the input was read but is invalid or fails a precondition
-(not a valid crossed module, not central, not perfect, degree out of
-range): every ValueError the library raises, 2 the input could not
+(not a valid crossed module, not a Leibniz algebra for ``hl``, not
+central, not perfect, degree out of range): every ValueError the
+library raises, 2 the input could not
 be turned into a domain object at all (missing file, malformed JSON,
 a key repeated within one JSON object, zero denominator, unknown basis
 name, unresolvable reference), 3 a theorem the library asserts at
@@ -60,17 +61,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import (
-    AlgebraHom,
-    LeibnizAction,
-    LeibnizAlgebra,
-    check_action,
-    check_hom,
-    check_leibniz,
-)
+from .algebra import AlgebraHom, LeibnizAction, LeibnizAlgebra
 from .extensions import (
     Extension,
-    check_extension,
     classify,
     prop41_crosscheck,
     six_term_report,
@@ -79,7 +72,7 @@ from .extensions import (
 from .homology import hl
 from .ratlin import RatMatrix, integer_view, rank
 from .tensor import exterior_square_data, schur_multiplier
-from .xmod import CrossedModule, XModHom, check_xmod, check_xmod_hom, liezation
+from .xmod import CrossedModule, XModHom, liezation
 
 
 class FixtureError(Exception):
@@ -414,19 +407,8 @@ def _mark(b):
     return "✓" if b else "✗"
 
 
-_CHECKS = {
-    LeibnizAlgebra: check_leibniz,
-    LeibnizAction: check_action,
-    CrossedModule: check_xmod,
-    AlgebraHom: check_hom,
-    XModHom: check_xmod_hom,
-    Extension: check_extension,
-}
-
-
 def cmd_check(args):
-    obj = load_fixture(args.path)
-    rep = _CHECKS[type(obj)](obj)
+    rep = load_fixture(args.path).validity
     doc = {"subject": rep.subject, "valid": rep.valid,
            "violations": [{"label": label, "residual": [str(x) for x in res]}
                           for label, res in rep.violations]}
@@ -555,6 +537,8 @@ def cmd_liezation(args):
 
 def cmd_hl(args):
     a = load_fixture(args.path, expect="algebra")
+    if not a.validity.valid:
+        raise ValueError(f"invalid Leibniz algebra:\n{a.validity.summary()}")
     n = hl(a, args.degree)
     _write(args, f"{n}\n",
            {"algebra": a.name, "degree": args.degree, "dim": n})

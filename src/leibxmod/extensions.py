@@ -44,7 +44,6 @@ from .ratlin import (
     kernel,
     rank,
     solve,
-    solve_matrix,
     vec_is_zero,
 )
 from .tensor import (
@@ -123,12 +122,9 @@ class Extension:
                                              self.quotient.base.dim):
                 bad.append(("quotient dimensions differ from total mod kernel", ()))
             else:
-                ind = XModHom(
-                    qx, self.quotient,
-                    self.proj.top_map.mul(solve_matrix(
-                        qproj.top_map, RatMatrix.identity(qx.top.dim))),
-                    self.proj.base_map.mul(solve_matrix(
-                        qproj.base_map, RatMatrix.identity(qx.base.dim))))
+                st, sb = qproj.sections
+                ind = XModHom(qx, self.quotient, self.proj.top_map.mul(st),
+                              self.proj.base_map.mul(sb))
                 bad.extend(check_xmod_hom(ind).violations)
                 # square, since the dimensions agree: bijective iff surjective
                 if not ind.is_surjective():
@@ -207,10 +203,9 @@ class Extension:
         """Map between the abelianizations induced by the projection."""
         ab_t, abproj_t = self.total.abelianization
         ab_q, abproj_q = self.quotient.abelianization
-        top = abproj_q.top_map.mul(self.proj.top_map).mul(
-            solve_matrix(abproj_t.top_map, RatMatrix.identity(ab_t.top.dim)))
-        base = abproj_q.base_map.mul(self.proj.base_map).mul(
-            solve_matrix(abproj_t.base_map, RatMatrix.identity(ab_t.base.dim)))
+        st, sb = abproj_t.sections
+        top = abproj_q.top_map.mul(self.proj.top_map).mul(st)
+        base = abproj_q.base_map.mul(self.proj.base_map).mul(sb)
         out = XModHom(ab_t, ab_q, top, base)
         rep = check_xmod_hom(out)
         if not rep.valid:
@@ -261,13 +256,11 @@ def theta_star(e: Extension) -> XModHom:
 
 def _sections(e: Extension, skew: bool) -> "tuple[RatMatrix, RatMatrix]":
     """Linear sections of both projection components.  The plain policy
-    zeroes all free variables; the skew policy adds kernel basis vectors
-    cyclically, giving a genuinely different section when the kernel is
-    nonzero."""
+    takes the projection's sections, solved once per projection; the skew
+    policy adds kernel basis vectors to them cyclically, giving a
+    genuinely different section when the kernel is nonzero."""
     out = []
-    for m, ker in ((e.proj.top_map, e.kernel.top_sub),
-                   (e.proj.base_map, e.kernel.base_sub)):
-        s = solve_matrix(m, RatMatrix.identity(m.rows))
+    for s, ker in zip(e.proj.sections, (e.kernel.top_sub, e.kernel.base_sub)):
         if skew and ker.dim and s.cols:
             # column j plus canonical kernel basis row j mod dim, on ints
             (ds, cs), (dk, ks) = s.zcols, ker.zbasis
@@ -334,7 +327,9 @@ def prop41_crosscheck(e: Extension) -> Prop41Report:
     th = e.theta
     # the extension is central, so stem means kernel inside the derived pair
     in_derived = flags.stem_extension
-    surjective = th.is_surjective()
+    # theta*'s ranks, each taken at most once, for surjectivity and bijectivity
+    rt = rank(th.top_map)
+    surjective = rt == th.top_map.rows and (rb := rank(th.base_map)) == th.base_map.rows
     ab_t, abproj_t = e.total.abelianization
     _, kincl = e.kernel_xmod
     to_ab_zero = (abproj_t.top_map.mul(kincl.top_map).is_zero()
@@ -349,8 +344,7 @@ def prop41_crosscheck(e: Extension) -> Prop41Report:
             f"stem characterizations disagree on {e.name}: "
             f"derived={in_derived} surjective={surjective} "
             f"ab-zero={to_ab_zero} ab-iso={ab_iso}")
-    bijective = (surjective and rank(th.top_map) == th.top_map.cols
-                 and rank(th.base_map) == th.base_map.cols)
+    bijective = surjective and (rt, rb) == (th.top_map.cols, th.base_map.cols)
     mm = e.multiplier_map
     mm_zero = mm.top_map.is_zero() and mm.base_map.is_zero()
     if not (flags.stem_cover == bijective == (ab_iso and mm_zero)):

@@ -20,10 +20,12 @@ the theory promises the closure is a no-op (commutator of crossed
 ideals) that promise is asserted, so a divergence raises instead of
 being silently absorbed.  The closure iterates one step (``_step``) to
 its fixpoint, and a pair is a crossed ideal exactly when that step
-leaves it alone.  The step, the commutator's span and ``span_brackets``
-read their generators off the integer twins through the one pairwise
-product (``algebra._pairwise``), on the twins of the subspaces'
-canonical bases, and span them as int rows; ``CrossedModule.inclusion``
+leaves it alone.  The step and the commutator's span read their
+generators off the integer twins through the one product idiom
+(``algebra._products``), on the twins of the subspaces' canonical bases,
+and span them as int rows: each of the step's six families is one
+product of a subspace with the whole algebra, and the commutator of a
+pair with itself takes each product once.  ``CrossedModule.inclusion``
 restricts its brackets, read off the twins, to the ideal through one
 helper (``ratlin._restriction``).  The crossed module and
 homomorphism laws, like those of ``algebra``, cover every basis pair but
@@ -44,6 +46,7 @@ from .algebra import (
     LeibnizAlgebra,
     ValidityReport,
     _pairwise,
+    _products,
     _projected,
     _quotient,
     _report,
@@ -65,6 +68,7 @@ from .ratlin import (
     join,
     kernel,
     rank,
+    solve_matrix,
     transposed,
 )
 
@@ -224,17 +228,18 @@ def _acts(xm: CrossedModule, ys, xs) -> list:
 
 def _step(xm: CrossedModule, t: Subspace, b: Subspace) -> tuple:
     """One round of the crossed-ideal closure of (t, b): the base b + [b, q]
-    + [q, b] + delta(t), then the top t with the actions of that base on
-    the top and of q on t added, every generator a sparse int vector read
-    off the integer twins."""
-    base, top = xm.base, xm.top
+    + [q, b] + delta(t), then the top t with ^b n and n^b for that base b
+    and ^q t and t^q added, each family one product of a subspace with
+    the whole algebra (see _products), every generator a sparse int vector."""
+    base, act = xm.base, xm.action
     tz, bz = t.zbasis, b.zbasis
-    qz, nz = Subspace.full(base.dim).zbasis, Subspace.full(top.dim).zbasis
     nb = Subspace.from_integer_rows(base.dim, [
-        *bz[1], *_pairwise(base.zst_t, bz, qz), *_pairwise(base.zst_t, qz, bz),
+        *bz[1], *_products(bz, base.zst_t), *_products(bz, base.zst),
         *_images(xm.delta.zcols, tz)[1]])
-    nt = Subspace.from_integer_rows(top.dim, [
-        *tz[1], *_acts(xm, nb.zbasis, nz), *_acts(xm, qz, tz)])
+    nz = nb.zbasis
+    nt = Subspace.from_integer_rows(xm.top.dim, [
+        *tz[1], *_products(nz, act.zsl_t), *_products(nz, (act.den, act.sr)),
+        *_products(tz, (act.den, act.sl)), *_products(tz, act.zsr_t)])
     return nt, nb
 
 
@@ -261,14 +266,16 @@ def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
     asserted to be a crossed ideal already (closure no-op).
     """
     _require_valid(xm)
-    if not is_crossed_ideal(xm, a) or (b != a and not is_crossed_ideal(xm, b)):
+    same = b == a  # then both sides are the same products, taken once
+    if not is_crossed_ideal(xm, a) or (not same and not is_crossed_ideal(xm, b)):
         raise ValueError("commutator arguments must be crossed ideals")
     s, h = a.top_sub.zbasis, a.base_sub.zbasis
     t, j = b.top_sub.zbasis, b.base_sub.zbasis
-    top = Subspace.from_integer_rows(xm.top.dim, _acts(xm, h, t) + _acts(xm, j, s))
-    base = Subspace.from_integer_rows(
-        xm.base.dim, _pairwise(xm.base.zst_t, h, j) + _pairwise(xm.base.zst_t, j, h))
-    out = SubPair(xm, top, base)
+    top, base = _acts(xm, h, t), _pairwise(xm.base.zst_t, h, j)
+    if not same:
+        top, base = top + _acts(xm, j, s), base + _pairwise(xm.base.zst_t, j, h)
+    out = SubPair(xm, Subspace.from_integer_rows(xm.top.dim, top),
+                  Subspace.from_integer_rows(xm.base.dim, base))
     closed = crossed_ideal_closure(xm, out)
     if not closed.same_spaces(out):
         raise AssertionError(
@@ -315,6 +322,13 @@ class XModHom:
     # the kernels of both component maps, once per object
     _kernels = cached_property(
         lambda self: SubPair(self.source, kernel(self.top_map), kernel(self.base_map)))
+
+    @cached_property
+    def sections(self) -> "tuple[RatMatrix, RatMatrix]":
+        """Linear sections of both components of a surjective map, every
+        free variable zero: solved once per object."""
+        return tuple(solve_matrix(m, RatMatrix.identity(m.rows))
+                     for m in (self.top_map, self.base_map))
 
     @cached_property
     def validity(self) -> ValidityReport:

@@ -3,11 +3,13 @@ the integer twins through one pairwise product, kept as a test oracle.
 
 is_crossed_ideal, crossed_ideal_closure and commutator are the old
 functions of leibxmod.xmod verbatim, span_brackets the old one of
-leibxmod.algebra and _through_base the old one of leibxmod.tensor: every
+leibxmod.algebra and _through_base the old one of leibxmod.tensor;
+ideal_closure is the old loop of leibxmod.algebra (two spans of brackets
+with the full subspace, then two sums), on this dense span_brackets: every
 bracket and action is one dense contraction of a pair of basis vectors
 (LeibnizAlgebra.bracket, LeibnizAction.act_left and act_right), and every
 membership test the dense Subspace.reduce.  The differential tests in
-test_xmod.py compare the library's routines with them.
+test_xmod.py and test_descent.py compare the library's routines with them.
 """
 
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra
@@ -21,6 +23,19 @@ def span_brackets(a: LeibnizAlgebra, X: Subspace, Y: Subspace) -> Subspace:
         raise ValueError("subspace/algebra dimension mismatch")
     out = [a.bracket(x, y) for x in X.basis.entries for y in Y.basis.entries]
     return Subspace.from_vectors(a.dim, out)
+
+
+def ideal_closure(a: LeibnizAlgebra, seed: Subspace) -> Subspace:
+    """Least two-sided ideal containing seed, by fixpoint iteration."""
+    if seed.ambient_dim != a.dim:
+        raise ValueError("seed/algebra dimension mismatch")
+    s = seed
+    full = Subspace.full(a.dim)
+    while True:
+        nxt = s.add(span_brackets(a, full, s)).add(span_brackets(a, s, full))
+        if nxt == s:
+            return s
+        s = nxt
 
 
 def is_crossed_ideal(xm: CrossedModule, sp: SubPair) -> bool:

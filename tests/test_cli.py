@@ -470,6 +470,25 @@ def test_hl_over_size_budget_exits_1(capsys, monkeypatch):
     assert code == 0 and out == "2\n"  # heis3 / [heis3, heis3]
 
 
+def test_hl_refuses_a_non_leibniz_algebra(capsys):
+    # the command reads the algebra's report first; homology.hl itself
+    # stays defined on any table
+    rep = cli.load_fixture(FIXTURES / "bad_dim1.algebra").validity
+    assert not rep.valid
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(capsys, "hl", FIXTURES / "bad_dim1.algebra", "2", *json_flag)
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid Leibniz algebra:\n{rep.summary()}\n"
+    assert homology.hl(cli.load_fixture(FIXTURES / "bad_dim1.algebra"), 2) == -1
+
+
+def test_check_prints_the_report_cached_on_the_object(capsys):
+    for name in GOOD + ["bad_dim1.algebra", "bad_hom.hom"]:
+        rep = cli.load_fixture(FIXTURES / name).validity
+        code, out, _ = run(capsys, "check", FIXTURES / name)
+        assert (code, out) == (0 if rep.valid else 1, rep.summary() + "\n"), name
+
+
 def test_stemcover_emits_reloadable_total(tmp_path, capsys):
     out_file = tmp_path / "cover.xmod"
     code, _, _ = run(capsys, "stemcover", FIXTURES / "sl2_id.xmod",

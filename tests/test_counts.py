@@ -1,0 +1,39 @@
+"""The call counts of tools/counts.py on perfbench job lists: deterministic,
+so each is pinned against the count of the code it replaced."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+COUNTS = Path(__file__).resolve().parent.parent / "tools" / "counts.py"
+
+
+def counts(workload: str, seed: int) -> dict:
+    proc = subprocess.run([sys.executable, str(COUNTS), "--workload", workload,
+                           "--seed", str(seed)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    out = json.loads(proc.stdout)
+    assert proc.stdout == json.dumps(out, sort_keys=True) + "\n"
+    return out
+
+
+def test_extension_job_counts():
+    out = counts("extensions", 201)
+    assert out["jobs"] == 53
+    # a closure step is six products with the whole algebra (it was twelve
+    # joins), and the derived pair takes each product once: 254.66 joins
+    # per job before
+    assert out["ratlin.join"] <= 211
+    assert out["ratlin._eliminate"] <= 146
+    # theta* solves its two sections once (twice before): 8 solves before
+    assert out["ratlin.solve_matrix"] == 6
+    assert out["xmod._step"] == 5
+
+
+def test_homology_job_counts():
+    # the one join of a job is the Leibniz report the hl command reads
+    out = counts("homology", 201)
+    assert out["jobs"] == 15
+    assert (out["ratlin.join"], out["algebra._violations"]) == (1, 1)
+    assert out["ratlin._eliminate"] == 2

@@ -13,14 +13,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _reference_descent as ref
+import _reference_xmod as ref_xmod
 from leibxmod.algebra import center, ideal_closure, span_brackets, subalgebra_on
 from leibxmod.extensions import Extension, _theta_matrices
 from leibxmod.ratlin import Subspace, unit_vec
-from leibxmod.tensor import multiplier_functorial_map
+from leibxmod.tensor import exterior_square_data, multiplier_functorial_map
 from leibxmod.xmod import CrossedModule, SubPair
 
 import helpers
-from helpers import central_fixture_extensions, padded_split_extension
+from helpers import (
+    central_fixture_extensions,
+    fixture_algebras,
+    padded_split_extension,
+    random_leibniz_corpus,
+)
 from test_rational_basis import rational_bases, rebased
 from test_xmod import ALGEBRAS, POOL, PROPERTY, _outcome, spans
 
@@ -72,6 +78,37 @@ def test_connecting_and_multiplier_maps_match_the_dense_reference():
     # every kind of draw was reached
     assert {"n2_over_k", "(n2,n2,id)_split"} <= names
     assert any(n.endswith("+1") for n in names) and any(n.endswith("+2") for n in names)
+
+
+CLOSURE_ALGEBRAS = fixture_algebras() + random_leibniz_corpus()
+
+
+@st.composite
+def closure_seeds(draw):
+    """("span", a, s) for a fixture algebra or one of the random Leibniz
+    corpus and a span s in it, or ("one-leg", a, s) for the top square a of
+    a central extension's total and the one-leg span s of the kernel."""
+    if draw(st.booleans()):
+        a = draw(st.sampled_from(CLOSURE_ALGEBRAS))
+        return "span", a, draw(spans(a.dim))
+    e = draw(central_extensions())
+    return "one-leg", exterior_square_data(e.total).qn.resolved, e.one_leg[0]
+
+
+def test_ideal_closure_matches_the_dense_reference():
+    met = set()
+
+    @PROPERTY
+    @given(closure_seeds())
+    def check(drawn):
+        kind, a, s = drawn
+        got, expect = ideal_closure(a, s), ref_xmod.ideal_closure(a, s)
+        assert got == expect and hash(got) == hash(expect)
+        met.add((kind, got != s))
+
+    check()
+    # one-leg spans are ideals already; some spans grow and some do not
+    assert met == {("one-leg", False), ("span", False), ("span", True)}
 
 
 @st.composite

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from leibxmod import algebra, cli, extensions, xmod
+from leibxmod import algebra, cli, extensions, ratlin, tensor, xmod
 from leibxmod.algebra import AlgebraHom, LeibnizAlgebra
 from leibxmod.extensions import (
     Extension,
@@ -551,3 +551,36 @@ def test_prop41_reads_injectivity_off_the_rank(monkeypatch):
     monkeypatch.setattr(extensions, "kernel", no_kernel)
     for e in central_fixture_extensions():
         assert prop41_crosscheck(e).theta_bijective == e.flags.stem_cover, e.name
+
+
+def _calls_of(monkeypatch, name) -> list:
+    """The first argument of every call of the ratlin routine name, wrapped
+    in every module of the package that imported it."""
+    calls, real = [], getattr(ratlin, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    for module in (ratlin, algebra, xmod, tensor, extensions):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, ranks", [("split_over_n2.extension", 1),
+                                         ("n2_over_k.extension", 2)])
+def test_theta_solves_its_sections_once_and_ranks_its_matrices_once(monkeypatch, name, ranks):
+    # theta* solves the plain sections once and skews those, and prop41
+    # reads each of theta*'s ranks once, for surjectivity and bijectivity
+    # alike; the theta* of split_over_n2 is not surjective on the top, so
+    # its base is never ranked
+    e = cli.load_fixture(FIXTURES / name)
+    e.flags, e.kernel_xmod, e.ab_proj, e.multiplier_map  # their own solves and ranks
+    solves = _calls_of(monkeypatch, "solve_matrix")
+    th = e.theta
+    assert len(solves) == 2
+    assert solves[0] is e.proj.top_map and solves[1] is e.proj.base_map
+    ranked = _calls_of(monkeypatch, "rank")
+    prop41_crosscheck(e)
+    assert sum(m is th.top_map or m is th.base_map for m in ranked) == ranks

@@ -425,6 +425,103 @@ def test_center_takes_four_eliminations(monkeypatch, name):
     assert len(calls) == 4
 
 
+def _no_pairwise_and_no_full_basis(monkeypatch):
+    """Make a product of two subspaces (algebra._pairwise) and a basis of
+    a whole space (Subspace.full) raise, wherever they are called."""
+    def pairwise(*args):
+        raise AssertionError("a product of two subspaces was taken")
+
+    def full(cls, dim):
+        raise AssertionError("a basis of the whole space was built")
+
+    for module in (algebra, xmod):
+        monkeypatch.setattr(module, "_pairwise", pairwise)
+    monkeypatch.setattr(Subspace, "full", classmethod(full))
+
+
+def _counted_joins(monkeypatch) -> list:
+    """One entry per join that algebra makes (every product is one)."""
+    joins, real = [], algebra.join
+
+    def counted(terms):
+        joins.append(1)
+        return real(terms)
+
+    monkeypatch.setattr(algebra, "join", counted)
+    return joins
+
+
+@pytest.mark.parametrize("name", ["n2_id.xmod", "heis3_id.xmod", "n2pad.xmod"])
+def test_closure_step_takes_six_products_with_the_whole_algebra(monkeypatch, name):
+    # [b, q], [q, b], ^b n, n^b, ^q t and t^q: one join each, no product of
+    # two subspaces and no basis of a whole space
+    xm = cli.load_fixture(FIXTURES / name)
+    seeds = [xm.zero_pair(), xm.full_pair(), span_of(xm, [unit_vec(xm.top.dim, 0)], []),
+             span_of(xm, [], [unit_vec(xm.base.dim, xm.base.dim - 1)])]
+    expect = [ref.crossed_ideal_closure(xm, sp) for sp in seeds]
+    _no_pairwise_and_no_full_basis(monkeypatch)
+    joins = _counted_joins(monkeypatch)
+    for sp, closed in zip(seeds, expect):
+        joins.clear()
+        t, b = xmod._step(xm, sp.top_sub, sp.base_sub)
+        assert len(joins) == 6
+        assert closed.top_sub.contains_subspace(t) and closed.base_sub.contains_subspace(b)
+        assert t.contains_subspace(sp.top_sub) and b.contains_subspace(sp.base_sub)
+    assert crossed_ideal_closure(xm, seeds[2]) == expect[2]
+
+
+def test_ideal_closure_takes_no_product_of_two_subspaces(monkeypatch):
+    # a round is s, [a, s] and [s, a] read through the algebra's twins
+    cases = [(a, Subspace.from_vectors(a.dim, [unit_vec(a.dim, k)]))
+             for a in ALGEBRAS if a.dim for k in range(a.dim)]
+    expect = [ref.ideal_closure(a, s) for a, s in cases]
+    _no_pairwise_and_no_full_basis(monkeypatch)
+    assert [algebra.ideal_closure(a, s) for a, s in cases] == expect
+
+
+def _counted_sides(monkeypatch) -> dict:
+    """The products that a commutator takes: the calls of xmod._acts (the
+    top side) and those of xmod._pairwise that _acts does not make (the
+    base side)."""
+    calls = {"top": 0, "base": 0}
+    real_acts, real_pairwise = xmod._acts, xmod._pairwise
+
+    def acts(xm, ys, xs):
+        calls["top"] += 1
+        calls["base"] -= 2  # its two _pairwise calls are not the base's
+        return real_acts(xm, ys, xs)
+
+    def pairwise(table_t, us, vs):
+        calls["base"] += 1
+        return real_pairwise(table_t, us, vs)
+
+    monkeypatch.setattr(xmod, "_acts", acts)
+    monkeypatch.setattr(xmod, "_pairwise", pairwise)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["n2_id.xmod", "heis3_id.xmod", "n2pad.xmod"])
+def test_commutator_of_a_pair_with_itself_takes_each_product_once(monkeypatch, name):
+    xm = cli.load_fixture(FIXTURES / name)
+    pairs = [xm.full_pair(), xm.center,
+             ref.crossed_ideal_closure(xm, span_of(xm, [unit_vec(xm.top.dim, 0)], []))]
+    expect = [ref.commutator(xm, p, p) for p in pairs]
+    calls = _counted_sides(monkeypatch)
+    for p, out in zip(pairs, expect):
+        calls.update(top=0, base=0)
+        assert commutator(xm, p, p) == out
+        assert calls == {"top": 1, "base": 1}
+    # the derived pair is that commutator on the full pair
+    fresh = CrossedModule(xm.name, xm.top, xm.base, xm.delta, xm.action)
+    calls.update(top=0, base=0)
+    assert fresh.derived == expect[0]
+    assert calls == {"top": 1, "base": 1}
+    # two different pairs, the full pair and the center, take both sides
+    calls.update(top=0, base=0)
+    assert commutator(xm, pairs[0], pairs[1]) == ref.commutator(xm, pairs[0], pairs[1])
+    assert calls == {"top": 2, "base": 2}
+
+
 # -- homomorphisms ----------------------------------------------------------------
 
 def test_identity_hom_valid():
