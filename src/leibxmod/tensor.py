@@ -29,9 +29,9 @@ onto the original pair, and the Schur multiplier (the kernel of that
 evaluation, once per square) are produced, each with its promised
 properties asserted.  Every map induced on the squares descends through
 one helper (``_descend``): the ambient map must kill the relation rows,
-and is read at the free symbols, on int vectors.  The squares are built
-once per crossed module object, as its cached property ``squares`` (body
-``_squares``); nothing here is memoized across objects.
+and is read at the free symbols, on int vectors.  The squares (one for
+a (q, q, id) of any name) are the cached property ``squares`` of a
+crossed module (body ``_squares``); nothing is memoized across objects.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .ratlin import (
     dense,
     kernel,
     quotient,
-    rank,
     sparse,
     transposed,
 )
@@ -588,8 +587,8 @@ def _squares(xm: CrossedModule) -> ExteriorSquareData:
     _require_valid(xm)
     q, n = xm.base, xm.top
     dq, dn = q.dim, n.dim
-    qid = CrossedModule.adjoint_identity(q)
-    qid = xm if xm == qid else qid  # xm itself, its action checked already
+    qid = CrossedModule.adjoint_identity(q)  # xm itself when (q, q, id) by structure
+    qid = xm if (xm.top, xm.delta, xm.action) == (q, qid.delta, qid.action) else qid
     qn = exterior_presentation(qid, xm, name=f"{q.name}(^){n.name}")
     qq = qn if xm is qid else exterior_presentation(qid, qid, name=f"{q.name}(^){q.name}")
 
@@ -692,7 +691,7 @@ def _induced_presentation_hom(src: QuotientPresentation,
 def induced_exterior_hom(f: XModHom) -> "tuple[AlgebraHom, AlgebraHom]":
     """Maps induced on the exterior squares by a surjective crossed module
     map, with surjectivity and the one-leg description of the kernels
-    asserted."""
+    asserted off one elimination of each map."""
     if not f.is_surjective():
         raise ValueError("induced exterior maps need a surjective homomorphism")
     frep = check_xmod_hom(f)
@@ -702,15 +701,16 @@ def induced_exterior_hom(f: XModHom) -> "tuple[AlgebraHom, AlgebraHom]":
     tgt = exterior_square_data(f.target)
     top_hom = _induced_presentation_hom(src.qn, tgt.qn, f.base_map, f.top_map)
     base_hom = _induced_presentation_hom(src.qq, tgt.qq, f.base_map, f.base_map)
-    if rank(top_hom.matrix) != tgt.qn.resolved.dim:
+    kt, kb = kernel(top_hom.matrix), kernel(base_hom.matrix)
+    if src.qn.resolved.dim - kt.dim != tgt.qn.resolved.dim:
         raise AssertionError("induced top map is not surjective")
-    if rank(base_hom.matrix) != tgt.qq.resolved.dim:
+    if src.qq.resolved.dim - kb.dim != tgt.qq.resolved.dim:
         raise AssertionError("induced base map is not surjective")
     kp = f.kernel_pair()
-    if kernel(top_hom.matrix) != one_leg_span(src.qn, kp.base_sub, kp.top_sub):
+    if kt != one_leg_span(src.qn, kp.base_sub, kp.top_sub):
         raise AssertionError(
             "kernel of the induced top map differs from the one-leg span")
-    if kernel(base_hom.matrix) != one_leg_span(src.qq, kp.base_sub, kp.base_sub):
+    if kb != one_leg_span(src.qq, kp.base_sub, kp.base_sub):
         raise AssertionError(
             "kernel of the induced base map differs from the one-leg span")
     return top_hom, base_hom

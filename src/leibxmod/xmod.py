@@ -20,19 +20,19 @@ the theory promises the closure is a no-op (commutator of crossed
 ideals) that promise is asserted, so a divergence raises instead of
 being silently absorbed.  The closure iterates one step (``_step``) to
 its fixpoint, and a pair is a crossed ideal exactly when that step
-leaves it alone.  The step and the commutator's span read their
-generators off the integer twins through the one product idiom
-(``algebra._products``), on the twins of the subspaces' canonical bases,
-and span them as int rows: each of the step's six families is one
-product of a subspace with the whole algebra, and the commutator of a
-pair with itself takes each product once.  ``CrossedModule.inclusion``
-restricts its brackets, read off the twins, to the ideal through one
-helper (``ratlin._restriction``).  The crossed module and
-homomorphism laws, like those of ``algebra``, cover every basis pair but
-are evaluated term by term over nonzero entries (``ratlin.join``), and
-each report is cached on the object it checks; the center is two
-kernels of sparse rows read off the integer twins, the base part one
-annihilator over the action and base tables.
+leaves it alone; the whole pair is one by definition.  The step and the
+commutator's span read their generators off the integer twins through
+the one product idiom (``algebra._products``), on the twins of the
+subspaces' canonical bases, and span them as int rows: each of the
+step's six families is one product of a subspace with the whole algebra,
+and the commutator of a pair with itself takes each product once.
+``CrossedModule.inclusion`` restricts its brackets, read off the twins,
+to the ideal through one helper (``ratlin._restriction``).  The crossed
+module and homomorphism laws, like those of ``algebra``, cover every
+basis pair but are evaluated term by term over nonzero entries
+(``ratlin.join``), and each report is cached on the object it checks;
+the center is two kernels of sparse rows read off the integer twins, the
+base part one annihilator over the action and base tables.
 """
 
 from __future__ import annotations
@@ -245,8 +245,9 @@ def _step(xm: CrossedModule, t: Subspace, b: Subspace) -> tuple:
 
 def is_crossed_ideal(xm: CrossedModule, sp: SubPair) -> bool:
     """Stability of (top_sub, base_sub) under delta, brackets and actions:
-    a fixpoint of the closure step."""
-    return _step(xm, sp.top_sub, sp.base_sub) == (sp.top_sub, sp.base_sub)
+    a fixpoint of the closure step, which the whole pair is by definition."""
+    return (sp.dims() == (xm.top.dim, xm.base.dim)
+            or _step(xm, sp.top_sub, sp.base_sub) == (sp.top_sub, sp.base_sub))
 
 
 def crossed_ideal_closure(xm: CrossedModule, seed: SubPair) -> SubPair:
@@ -448,17 +449,16 @@ def liezation(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
 class XModFlags:
     is_perfect: bool
     is_abelian: bool
-    is_finite_dimensional: bool = True
 
 
 def predicates(xm: CrossedModule) -> XModFlags:
-    return XModFlags(is_perfect=xm.derived.same_spaces(xm.full_pair()),
+    return XModFlags(is_perfect=xm.derived.dims() == (xm.top.dim, xm.base.dim),
                      is_abelian=_is_abelian(xm))
 
 
 def _is_abelian(xm: CrossedModule) -> bool:
     """The center is the full pair, cross-checked: no bracket and no action in the tables."""
-    abelian = xm.center.same_spaces(xm.full_pair())
+    abelian = xm.center.dims() == (xm.top.dim, xm.base.dim)
     alt = not any(v for t in (xm.top.zst[1], xm.base.zst[1], xm.action.sl, xm.action.sr)
                   for row in t for v in row)
     if alt != abelian:

@@ -2,14 +2,16 @@
 the integer twins through one pairwise product, kept as a test oracle.
 
 is_crossed_ideal, crossed_ideal_closure and commutator are the old
-functions of leibxmod.xmod verbatim, span_brackets the old one of
-leibxmod.algebra and _through_base the old one of leibxmod.tensor;
-ideal_closure is the old loop of leibxmod.algebra (two spans of brackets
-with the full subspace, then two sums), on this dense span_brackets: every
-bracket and action is one dense contraction of a pair of basis vectors
-(LeibnizAlgebra.bracket, LeibnizAction.act_left and act_right), and every
-membership test the dense Subspace.reduce.  The differential tests in
-test_xmod.py and test_descent.py compare the library's routines with them.
+functions of leibxmod.xmod verbatim, predicates their old comparison of
+the derived pair and the center with the whole pair, row for row,
+span_brackets the old one of leibxmod.algebra and _through_base the old
+one of leibxmod.tensor; ideal_closure is the old loop of
+leibxmod.algebra (two spans of brackets with the full subspace, then two
+sums), on this dense span_brackets: every bracket and action is one
+dense contraction of a pair of basis vectors (LeibnizAlgebra.bracket,
+LeibnizAction.act_left and act_right), and every membership test the
+dense Subspace.reduce.  The differential tests in test_xmod.py and
+test_descent.py compare the library's routines with them.
 """
 
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra
@@ -121,6 +123,13 @@ def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
             f"commutator span of {xm.name} is not already a crossed ideal: "
             f"span dims {out.dims()}, closure dims {closed.dims()}")
     return out
+
+
+def predicates(xm: CrossedModule) -> tuple:
+    """(is_perfect, is_abelian): whether the derived pair and the center
+    of xm span the same subspaces as its full pair."""
+    full = xm.full_pair()
+    return xm.derived.same_spaces(full), xm.center.same_spaces(full)
 
 
 def _through_base(x: CrossedModule, y: CrossedModule) -> LeibnizAction:

@@ -22,13 +22,27 @@ def test_extension_job_counts():
     out = counts("extensions", 201)
     assert out["jobs"] == 53
     # a closure step is six products with the whole algebra (it was twelve
-    # joins), and the derived pair takes each product once: 254.66 joins
-    # per job before
-    assert out["ratlin.join"] <= 211
-    assert out["ratlin._eliminate"] <= 146
+    # joins) and the derived pair takes each product once (254.66 joins per
+    # job before); the whole pair is a crossed ideal without a step (210.66
+    # joins, 139.96 eliminations and 5 steps per job before)
+    assert out["ratlin.join"] <= 199
+    assert out["ratlin._eliminate"] <= 134
+    assert out["xmod._step"] == 3
     # theta* solves its two sections once (twice before): 8 solves before
     assert out["ratlin.solve_matrix"] == 6
-    assert out["xmod._step"] == 5
+    # each induced square map is eliminated once, for its kernel and its
+    # surjectivity alike: 12.59 ranks per job before
+    assert out["ratlin.integer_rank"] <= 10.6
+    # a (q, q, id) builds one square, whatever its name
+    assert out["tensor._build_presentation"] == 4.132
+
+
+def test_squares_job_counts():
+    # every job is a (q, q, id): one presentation each
+    out = counts("squares", 201)
+    assert out["jobs"] == 18
+    assert out["tensor._build_presentation"] == 1
+    assert (out["ratlin.join"], out["ratlin._eliminate"]) == (31, 19.889)
 
 
 def test_homology_job_counts():

@@ -21,7 +21,7 @@ from leibxmod.extensions import (
     stem_cover_of_perfect,
     theta_star,
 )
-from leibxmod.tensor import MutualActionPair, exterior_square_data
+from leibxmod.tensor import MutualActionPair, exterior_square_data, induced_exterior_hom
 from leibxmod.ratlin import QQ, RatMatrix, Subspace, kernel, unit_vec
 from leibxmod.xmod import CrossedModule, SubPair, XModHom
 
@@ -241,6 +241,13 @@ def test_stem_cover_of_sl2():
     assert e.quotient == xm
     # the multiplier of (sl2, sl2, id) vanishes, so the cover has zero kernel
     assert (e.kernel.top_sub.dim, e.kernel.base_sub.dim) == (0, 0)
+
+
+def test_stem_cover_reads_its_total_perfect_off_the_derived_pair():
+    # the flags have computed the total's derived pair; the total's
+    # abelianization is not built
+    e = stem_cover_of_perfect(cli.load_fixture(FIXTURES / "sl2_id.xmod"))
+    assert "derived" in vars(e.total) and "abelianization" not in vars(e.total)
 
 
 def test_stem_cover_refuses_non_perfect():
@@ -566,6 +573,36 @@ def _calls_of(monkeypatch, name) -> list:
         if getattr(module, name, None) is real:
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("name", ["split_over_n2.extension", "n2_over_k.extension"])
+def test_induced_square_maps_are_eliminated_once(monkeypatch, name):
+    # one kernel per induced map gives both its surjectivity and its
+    # one-leg kernel; the only ranks are the surjection's own
+    f = cli.load_fixture(FIXTURES / name).proj
+    f.kernel_pair(), exterior_square_data(f.source), exterior_square_data(f.target)
+    kernels, ranks = _calls_of(monkeypatch, "kernel"), _calls_of(monkeypatch, "rank")
+    top_hom, base_hom = induced_exterior_hom(f)
+    assert len(kernels) == 2
+    assert kernels[0] is top_hom.matrix and kernels[1] is base_hom.matrix
+    assert ranks == [f.top_map, f.base_map]
+
+
+def test_an_induced_map_that_misses_a_class_is_not_surjective(monkeypatch):
+    # the identity of (n2, n2, id) with the first column of each induced
+    # map dropped: the kernel grows and the image misses a class
+    real = tensor._induced_presentation_hom
+
+    def dropped(src, tgt, fm, fn):
+        hom = real(src, tgt, fm, fn)
+        rows = [(QQ(0), *row[1:]) for row in hom.matrix.entries]
+        return AlgebraHom(hom.source, hom.target,
+                          RatMatrix.from_rows(rows, cols=hom.matrix.cols))
+
+    monkeypatch.setattr(tensor, "_induced_presentation_hom", dropped)
+    with pytest.raises(AssertionError) as err:
+        induced_exterior_hom(XModHom.identity(CrossedModule.adjoint_identity(n2())))
+    assert str(err.value) == "induced top map is not surjective"
 
 
 @pytest.mark.parametrize("name, ranks", [("split_over_n2.extension", 1),

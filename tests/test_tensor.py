@@ -1,6 +1,7 @@
 """Tensor/exterior products of mutually acting algebras and the multiplier."""
 
 import dataclasses
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -536,8 +537,9 @@ def test_evaluation_reports_unkilled_relations(monkeypatch, square, message):
                     CrossedModule.inclusion(heis3(), center(heis3())))
 
 
-def test_squares_build_one_presentation_each(monkeypatch):
-    # (q, q, id) has one square, qn is qq; any other crossed module has two
+def test_squares_build_one_presentation_each(monkeypatch, capsys, tmp_path):
+    # (q, q, id) has one square, qn is qq, whatever the crossed module's
+    # name; any other crossed module has two
     built, real = [], tensor._build_presentation
 
     def counted(pair, extra_rows, name):
@@ -545,11 +547,29 @@ def test_squares_build_one_presentation_each(monkeypatch):
         return real(pair, extra_rows, name)
 
     monkeypatch.setattr(tensor, "_build_presentation", counted)
-    esd = exterior_square_data(CrossedModule.adjoint_identity(heis3()))
-    assert built == ["heis3(^)heis3"] and esd.qn is esd.qq
+    q = heis3()
+    for xm in (CrossedModule.adjoint_identity(q),
+               CrossedModule("renamed", q, q, RatMatrix.identity(q.dim), q.adjoint)):
+        built.clear()
+        esd = exterior_square_data(xm)
+        assert built == ["heis3(^)heis3"] and esd.qn is esd.qq
+        assert esd.lambda_n == esd.mu_q
     built.clear()
     exterior_square_data(CrossedModule.inclusion(heis3(), center(heis3())))
     assert built == ["heis3(^)heis3_ideal", "heis3(^)heis3"]
+    # the square names come from the algebras, so the renamed (q, q, id)
+    # prints the default-named one's multiplier but for the xmod field
+    for name in ("heis3.algebra", "heis3_adjoint.action"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    doc = json.loads((FIXTURES / "heis3_id.xmod").read_text())
+    doc["name"] = "renamed"
+    (tmp_path / "renamed.xmod").write_text(json.dumps(doc))
+    payloads = []
+    for path in (FIXTURES / "heis3_id.xmod", tmp_path / "renamed.xmod"):
+        assert cli.main(["multiplier", str(path), "--json"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    assert [p.pop("xmod") for p in payloads] == ["(heis3,heis3,id)", "renamed"]
+    assert payloads[0] == payloads[1]
 
 
 def _oracle_crossed_modules():

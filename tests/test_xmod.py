@@ -370,7 +370,6 @@ def test_liezation_valid_on_fixtures_and_randoms():
 def test_predicates_sl2():
     flags = predicates(CrossedModule.adjoint_identity(sl2()))
     assert flags.is_perfect and not flags.is_abelian
-    assert flags.is_finite_dimensional
 
 
 def test_predicates_k_identity():
@@ -594,6 +593,36 @@ def _pool():
 
 
 POOL = _pool()
+
+
+def test_the_whole_pair_is_a_crossed_ideal_without_a_step(monkeypatch):
+    # by definition, on a valid crossed module and an invalid one alike:
+    # the (n2, n2, id) whose delta swaps e1 and e2 fails the laws
+    q = n2()
+    swapped = RatMatrix.from_rows([(QQ(0), QQ(1)), (QQ(1), QQ(0))], cols=2)
+    xms = [cli.load_fixture(p) for p in sorted(FIXTURES.glob("*.xmod"))]
+    xms.append(CrossedModule("(n2,n2,id)", q, q, swapped, LeibnizAction.adjoint(q)))
+    assert not check_xmod(xms[-1]).valid
+    assert all(ref.is_crossed_ideal(xm, xm.full_pair()) for xm in xms)
+
+    def step(*args):
+        raise AssertionError("the whole pair was stepped")
+
+    monkeypatch.setattr(xmod, "_step", step)
+    assert all(is_crossed_ideal(xm, xm.full_pair()) for xm in xms)
+
+
+def test_predicates_match_the_whole_pair_reference():
+    # the whole pair read off the dimensions of the derived pair and the
+    # center, against the old row-for-row comparison with the full pair
+    xms = [xm for xm in POOL + [CrossedModule.adjoint_identity(a) for a in ALGEBRAS]
+           if check_xmod(xm).valid]
+    seen = set()
+    for xm in xms:
+        flags = predicates(xm)
+        assert (flags.is_perfect, flags.is_abelian) == ref.predicates(xm), xm.name
+        seen.add((flags.is_perfect, flags.is_abelian))
+    assert {(True, False), (False, True), (False, False)} <= seen
 
 
 @st.composite
