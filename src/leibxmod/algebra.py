@@ -57,7 +57,6 @@ from .ratlin import (
     integer_view,
     join,
     quotient,
-    rank,
     rational,
     sparse_kernel,
     sparse_table,
@@ -415,9 +414,6 @@ class AlgebraHom:
 
     def apply(self, v: Sequence) -> tuple:
         return self.matrix.mul_vec(vec(v))
-
-    def is_surjective(self) -> bool:
-        return rank(self.matrix) == self.target.dim
 
     @cached_property
     def validity(self) -> ValidityReport:

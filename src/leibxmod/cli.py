@@ -46,10 +46,11 @@ central, not perfect, degree out of range): every ValueError the
 library raises, 2 the input could not
 be turned into a domain object at all (missing file, malformed JSON,
 a key repeated within one JSON object, zero denominator, unknown basis
-name, unresolvable reference), 3 a theorem the library asserts at
-runtime failed: an internal error, reported as one stderr line.  The
-commands raise; ``main`` alone turns each exception into its exit code
-and its ``error:`` message.  ``check`` prints the report of an invalid
+name, unresolvable reference) or the output could not be written
+(``--out`` in a missing directory, or naming one), 3 a theorem the
+library asserts at runtime failed: an internal error, reported as one
+stderr line.  The commands raise; ``main`` alone turns each exception
+into its exit code and its ``error:`` message.  ``check`` prints the report of an invalid
 input on stdout and exits 1 without raising.
 """
 
@@ -70,13 +71,13 @@ from .extensions import (
     stem_cover_of_perfect,
 )
 from .homology import hl
-from .ratlin import RatMatrix, integer_view, rank
+from .ratlin import RatMatrix, integer_view, kernel, rank
 from .tensor import exterior_square_data, schur_multiplier
 from .xmod import CrossedModule, XModHom, liezation
 
 
 class FixtureError(Exception):
-    """Anything that prevents a file from becoming a domain object."""
+    """Anything that keeps a file from being read as a domain object or written."""
 
 
 _FIELDS = {
@@ -394,7 +395,10 @@ def _dense(m):
 
 def _output(args, payload):
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        try:
+            Path(args.out).write_text(payload, encoding="utf-8")
+        except OSError as ex:
+            raise FixtureError(f"cannot write {args.out}: {ex}") from None
     else:
         sys.stdout.write(payload)
 
@@ -445,7 +449,8 @@ def cmd_multiplier(args):
 def cmd_exterior(args):
     xm = load_fixture(args.path, expect="xmod")
     esd = exterior_square_data(xm)
-    r_lambda, r_mu = rank(esd.lambda_n.matrix), rank(esd.mu_q.matrix)
+    # rank-nullity on the kernels the squares took for their centrality
+    r_lambda, r_mu = (m.cols - kernel(m).dim for m in (esd.lambda_n.matrix, esd.mu_q.matrix))
     lines = [
         f"q^n = {esd.qn.name}: dim {esd.qn.resolved.dim}, "
         f"basis [{', '.join(esd.qn.resolved.basis_names)}]",

@@ -328,9 +328,7 @@ def prop41_crosscheck(e: Extension) -> Prop41Report:
     th = e.theta
     # the extension is central, so stem means kernel inside the derived pair
     in_derived = flags.stem_extension
-    # theta*'s ranks, each taken at most once, for surjectivity and bijectivity
-    rt = rank(th.top_map)
-    surjective = rt == th.top_map.rows and (rb := rank(th.base_map)) == th.base_map.rows
+    surjective = th.is_surjective()
     ab_t, abproj_t = e.total.abelianization
     _, kincl = e.kernel_xmod
     to_ab_zero = (abproj_t.top_map.mul(kincl.top_map).is_zero()
@@ -345,7 +343,7 @@ def prop41_crosscheck(e: Extension) -> Prop41Report:
             f"stem characterizations disagree on {e.name}: "
             f"derived={in_derived} surjective={surjective} "
             f"ab-zero={to_ab_zero} ab-iso={ab_iso}")
-    bijective = surjective and (rt, rb) == (th.top_map.cols, th.base_map.cols)
+    bijective = surjective and kernel(th.top_map).dim == kernel(th.base_map).dim == 0
     mm = e.multiplier_map
     mm_zero = mm.top_map.is_zero() and mm.base_map.is_zero()
     if not (flags.stem_cover == bijective == (ab_iso and mm_zero)):
@@ -393,7 +391,8 @@ def six_term_report(e: Extension) -> ExactnessReport:
     span, ideal, bp, psi2 = e.one_leg
     if ideal != span:
         raise AssertionError("one-leg span fails to be an ideal of the top square")
-    kt, kb = exterior_square_data(e.total)._kernels
+    esd = exterior_square_data(e.total)
+    kt, kb = kernel(esd.lambda_n.matrix), kernel(esd.mu_q.matrix)
     f1_top = _restriction(kt, ideal.zbasis)
     if f1_top is None:
         raise AssertionError("one-leg ideal escapes the multiplier top")

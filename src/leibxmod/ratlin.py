@@ -12,7 +12,8 @@ has an integer twin: one positive denominator (``integer_view`` takes
 the lcm of the denominators of the view's values, which makes the twin
 unique; ``canonical`` brings any other to it) and the view with every
 value times it, an int.  A matrix stores the twin of its sparse columns
-and nothing else, so equality and hashing compare ints.
+and nothing else, so equality and hashing compare ints; its kernel is
+taken once per matrix object and cached on it, outside those fields.
 ``accumulate`` is the one step behind ``contract``, the bilinear
 contraction, behind quotient maps and behind ``join``, which evaluates
 the runtime-checked laws term by term over twins: each term is scaled
@@ -347,6 +348,11 @@ class RatMatrix:
                 grid[i][j] = Fraction(v, den)
         return tuple(map(tuple, grid))
 
+    @cached_property
+    def _kernel(self) -> "Subspace":
+        """The right null space, from the int rows: once per matrix object."""
+        return sparse_kernel(self.cols, self.transpose().zcols[1])
+
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
@@ -622,8 +628,8 @@ def _restriction(s: Subspace, twin) -> "tuple | None":
 
 
 def kernel(m: RatMatrix) -> Subspace:
-    """Basis of the right null space {v : m v = 0}, from m's int rows."""
-    return sparse_kernel(m.cols, m.transpose().zcols[1])
+    """Basis of the right null space {v : m v = 0}, cached on m."""
+    return m._kernel
 
 
 def sparse_kernel(cols: int, rows: Iterable) -> Subspace:

@@ -26,7 +26,7 @@ The exterior product divides further by the subspace glued from the
 pullback of the two structure maps over the shared base.  From it the
 induced crossed module on the exterior squares, the evaluation maps
 onto the original pair, and the Schur multiplier (the kernel of that
-evaluation, once per square) are produced, each with its promised
+evaluation, taken once per matrix) are produced, each with its promised
 properties asserted.  Every map induced on the squares descends through
 one helper (``_descend``): the ambient map must kill the relation rows,
 and is read at the free symbols, on int vectors.  The squares (one for
@@ -506,14 +506,9 @@ class ExteriorSquareData:
     phi: XModHom
 
     @cached_property
-    def _kernels(self) -> "tuple[Subspace, Subspace]":
-        """The kernels of the two evaluations: the multiplier, once per square."""
-        return kernel(self.lambda_n.matrix), kernel(self.mu_q.matrix)
-
-    @cached_property
     def multiplier(self) -> "tuple[CrossedModule, XModHom]":
-        """The kernels as an abelian crossed module, with its inclusion."""
-        name, (kt, kb) = self.phi.target.name, self._kernels
+        """The evaluations' kernels as an abelian crossed module, with its inclusion."""
+        name, kt, kb = self.phi.target.name, kernel(self.lambda_n.matrix), kernel(self.mu_q.matrix)
         kts, kbs = kt.zbasis, kb.zbasis
         if _pairwise(self.qn.resolved.zst_t, kts, kts):
             raise AssertionError("multiplier top is not abelian")
@@ -642,7 +637,7 @@ def _squares(xm: CrossedModule) -> ExteriorSquareData:
         raise AssertionError(
             f"evaluation is not a crossed module map:\n{prep.summary()}")
     esd = ExteriorSquareData(qn, qq, id_wedge_delta, action, lambda_n, mu_q, induced, phi)
-    z, (kt, kb) = induced.center, esd._kernels
+    z, kt, kb = induced.center, kernel(lambda_n.matrix), kernel(mu_q.matrix)
     if not z.top_sub.contains_subspace(kt):
         raise AssertionError("kernel of the top evaluation is not central")
     if not z.base_sub.contains_subspace(kb):
@@ -691,7 +686,7 @@ def _induced_presentation_hom(src: QuotientPresentation,
 def induced_exterior_hom(f: XModHom) -> "tuple[AlgebraHom, AlgebraHom]":
     """Maps induced on the exterior squares by a surjective crossed module
     map, with surjectivity and the one-leg description of the kernels
-    asserted off one elimination of each map."""
+    asserted off each map's kernel, taken once per matrix."""
     if not f.is_surjective():
         raise ValueError("induced exterior maps need a surjective homomorphism")
     frep = check_xmod_hom(f)
@@ -720,7 +715,7 @@ def multiplier_functorial_map(f: XModHom) -> XModHom:
     """Restriction of the induced exterior maps to the multipliers."""
     top_hom, base_hom = induced_exterior_hom(f)
     (m_src, incl), tgt = schur_multiplier(f.source), exterior_square_data(f.target)
-    (m_tgt, _), (kt, kb) = tgt.multiplier, tgt._kernels
+    (m_tgt, _), kt, kb = tgt.multiplier, kernel(tgt.lambda_n.matrix), kernel(tgt.mu_q.matrix)
     tcols = _restriction(kt, _images(top_hom.matrix.zcols, incl.top_map.zcols))
     if tcols is None:
         raise AssertionError("induced top map does not preserve the multiplier")

@@ -32,7 +32,8 @@ module and homomorphism laws, like those of ``algebra``, cover every
 basis pair but are evaluated term by term over nonzero entries
 (``ratlin.join``), and each report is cached on the object it checks;
 the center is two kernels of sparse rows read off the integer twins, the
-base part one annihilator over the action and base tables.
+base part one annihilator over the action and base tables.  A map's
+surjectivity and kernel pair read the same cached kernels of its maps.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .ratlin import (
     _restriction,
     join,
     kernel,
-    rank,
     solve_matrix,
     transposed,
 )
@@ -314,15 +314,11 @@ class XModHom:
                    RatMatrix.identity(xm.base.dim))
 
     def is_surjective(self) -> bool:
-        return (rank(self.top_map) == self.target.top.dim
-                and rank(self.base_map) == self.target.base.dim)
+        """Source dim - kernel dim = target dim, for both components."""
+        return all(m.cols - kernel(m).dim == m.rows for m in (self.top_map, self.base_map))
 
     def kernel_pair(self) -> SubPair:
-        return self._kernels
-
-    # the kernels of both component maps, once per object
-    _kernels = cached_property(
-        lambda self: SubPair(self.source, kernel(self.top_map), kernel(self.base_map)))
+        return SubPair(self.source, kernel(self.top_map), kernel(self.base_map))
 
     @cached_property
     def sections(self) -> "tuple[RatMatrix, RatMatrix]":

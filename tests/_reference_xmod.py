@@ -10,13 +10,16 @@ leibxmod.algebra (two spans of brackets with the full subspace, then two
 sums), on this dense span_brackets: every bracket and action is one
 dense contraction of a pair of basis vectors (LeibnizAlgebra.bracket,
 LeibnizAction.act_left and act_right), and every membership test the
-dense Subspace.reduce.  The differential tests in test_xmod.py and
-test_descent.py compare the library's routines with them.
+dense Subspace.reduce.  is_surjective is the old XModHom.is_surjective
+and is_bijective the old reading of theta*'s bijectivity in
+prop41_crosscheck, both off the uncached ranks of the component maps.
+The differential tests in test_xmod.py, test_descent.py and
+test_extensions.py compare the library's routines with them.
 """
 
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra
-from leibxmod.ratlin import RatMatrix, Subspace, unit_vec
-from leibxmod.xmod import CrossedModule, SubPair
+from leibxmod.ratlin import RatMatrix, Subspace, rank, unit_vec
+from leibxmod.xmod import CrossedModule, SubPair, XModHom
 
 
 def span_brackets(a: LeibnizAlgebra, X: Subspace, Y: Subspace) -> Subspace:
@@ -146,3 +149,15 @@ def _through_base(x: CrossedModule, y: CrossedModule) -> LeibnizAction:
                     for b in range(n.dim)) for a in range(m.dim)),
         tuple(tuple(y.action.act_right(unit_vec(n.dim, b), x.delta.column(a))
                     for a in range(m.dim)) for b in range(n.dim)))
+
+
+def is_surjective(f: XModHom) -> bool:
+    """Both component maps have full row rank."""
+    return (rank(f.top_map) == f.target.top.dim
+            and rank(f.base_map) == f.target.base.dim)
+
+
+def is_bijective(f: XModHom) -> bool:
+    """Surjective, and both component maps have full column rank."""
+    return is_surjective(f) and (rank(f.top_map), rank(f.base_map)) == (
+        f.source.top.dim, f.source.base.dim)

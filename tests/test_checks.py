@@ -31,6 +31,7 @@ from leibxmod.ratlin import (
     contract,
     integer_view,
     join,
+    kernel,
     rational,
     sparse_table,
     unit_vec,
@@ -508,3 +509,10 @@ def test_crossed_module_analyses_leave_equality_hashing_and_the_memo_alone(tmp_p
             path.write_text(cli.emit(cli.xmod_doc(fresh)), encoding="utf-8")
             cli._last = (None, None, xm)
             assert cli.load_fixture(path) is xm
+        # so is a map's kernel, on its matrix
+        m = e.proj.top_map
+        kernel(m)
+        fresh = RatMatrix.from_sparse(m.rows, m.zcols)
+        assert "_kernel" in vars(m) and "_kernel" not in vars(fresh)
+        assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+        assert kernel(fresh) == kernel(m)

@@ -619,3 +619,18 @@ def test_module_entry_point():
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "n2.algebra"), ("multiplier", "n2_id.xmod", "--json"),
+    ("exterior", "n2_id.xmod"), ("classify-extension", "n2_over_k.extension"),
+    ("verify-sequence", "n2_over_k.extension", "--json"), ("stemcover", "sl2_id.xmod"),
+    ("liezation", "n2_id.xmod"), ("hl", "n2.algebra", "2")], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_an_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, argv, target):
+    out = tmp_path / "missing" / "x.json" if target == "missing" else tmp_path
+    command, name, *rest = argv
+    code, stdout, err = run(capsys, command, FIXTURES / name, *rest, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err

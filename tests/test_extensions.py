@@ -29,14 +29,17 @@ from helpers import (
     count_law_evaluations,
     center_quotient,
     central_fixture_extensions,
+    fixture_algebras,
     heis3,
     k_abelian,
     n2,
     n2_over_k,
     padded_split_extension,
+    random_leibniz_corpus,
     sl2,
     zero_over,
 )
+import _reference_xmod as ref_xmod
 
 
 # -- construction and validity --------------------------------------------------
@@ -549,15 +552,17 @@ def test_extension_commands_build_each_evaluation_table_once(monkeypatch, capsys
     assert len(built) == tables, built
 
 
-def test_prop41_reads_injectivity_off_the_rank(monkeypatch):
-    # theta* is bijective when it is surjective and each component has full
-    # column rank; no kernel is computed
-    def no_kernel(m):
-        raise AssertionError("prop41_crosscheck computed a kernel")
-
-    monkeypatch.setattr(extensions, "kernel", no_kernel)
+def test_prop41_reads_theta_off_its_kernels(monkeypatch):
+    # theta* is surjective when source dim - kernel dim = target dim in both
+    # components, and bijective when both kernels are zero besides: neither
+    # theta* nor the surjection is ranked
+    ranked = _calls_of(monkeypatch, "rank")
     for e in central_fixture_extensions():
+        th = e.theta
         assert prop41_crosscheck(e).theta_bijective == e.flags.stem_cover, e.name
+        maps = (th.top_map, th.base_map, e.proj.top_map, e.proj.base_map)
+        assert not any(m is f for m in ranked for f in maps), e.name
+        assert "_kernel" in vars(th.top_map), e.name
 
 
 def _calls_of(monkeypatch, name) -> list:
@@ -575,17 +580,33 @@ def _calls_of(monkeypatch, name) -> list:
     return calls
 
 
+def _kernels_taken(monkeypatch) -> list:
+    """Every matrix object whose kernel is eliminated from now on, in order:
+    RatMatrix's cached kernel, wrapped."""
+    taken = []
+
+    def counted(m, _real=vars(RatMatrix)["_kernel"].func):
+        taken.append(m)
+        return _real(m)
+
+    prop = cached_property(counted)
+    prop.__set_name__(RatMatrix, "_kernel")
+    monkeypatch.setattr(RatMatrix, "_kernel", prop)
+    return taken
+
+
 @pytest.mark.parametrize("name", ["split_over_n2.extension", "n2_over_k.extension"])
 def test_induced_square_maps_are_eliminated_once(monkeypatch, name):
     # one kernel per induced map gives both its surjectivity and its
-    # one-leg kernel; the only ranks are the surjection's own
+    # one-leg kernel; the surjection's surjectivity reads the kernels its
+    # kernel pair has already taken, and nothing is ranked
     f = cli.load_fixture(FIXTURES / name).proj
     f.kernel_pair(), exterior_square_data(f.source), exterior_square_data(f.target)
-    kernels, ranks = _calls_of(monkeypatch, "kernel"), _calls_of(monkeypatch, "rank")
+    eliminated, ranks = _calls_of(monkeypatch, "sparse_kernel"), _calls_of(monkeypatch, "rank")
     top_hom, base_hom = induced_exterior_hom(f)
-    assert len(kernels) == 2
-    assert kernels[0] is top_hom.matrix and kernels[1] is base_hom.matrix
-    assert ranks == [f.top_map, f.base_map]
+    assert eliminated == [top_hom.matrix.cols, base_hom.matrix.cols]
+    assert "_kernel" in vars(top_hom.matrix) and "_kernel" in vars(base_hom.matrix)
+    assert ranks == []
 
 
 def test_an_induced_map_that_misses_a_class_is_not_surjective(monkeypatch):
@@ -605,19 +626,76 @@ def test_an_induced_map_that_misses_a_class_is_not_surjective(monkeypatch):
     assert str(err.value) == "induced top map is not surjective"
 
 
-@pytest.mark.parametrize("name, ranks", [("split_over_n2.extension", 1),
-                                         ("n2_over_k.extension", 2)])
-def test_theta_solves_its_sections_once_and_ranks_its_matrices_once(monkeypatch, name, ranks):
-    # theta* solves the plain sections once and skews those, and prop41
-    # reads each of theta*'s ranks once, for surjectivity and bijectivity
-    # alike; the theta* of split_over_n2 is not surjective on the top, so
-    # its base is never ranked
+@pytest.mark.parametrize("name, in_prop41", [("split_over_n2.extension", 1),
+                                             ("n2_over_k.extension", 2)])
+def test_theta_solves_and_eliminates_once(monkeypatch, name, in_prop41):
+    # theta* solves the plain sections once and skews those; prop41 reads
+    # its surjectivity and bijectivity off its kernels, and the exactness
+    # node at M(quotient) reads the same kernels: each of theta*'s matrices
+    # is eliminated once.  The theta* of split_over_n2 is not surjective on
+    # the top, so prop41 leaves its base alone
     e = cli.load_fixture(FIXTURES / name)
-    e.flags, e.kernel_xmod, e.ab_proj, e.multiplier_map  # their own solves and ranks
+    e.flags, e.kernel_xmod, e.ab_proj, e.multiplier_map  # their own solves
     solves = _calls_of(monkeypatch, "solve_matrix")
     th = e.theta
     assert len(solves) == 2
     assert solves[0] is e.proj.top_map and solves[1] is e.proj.base_map
-    ranked = _calls_of(monkeypatch, "rank")
+    eliminated, ranked = _kernels_taken(monkeypatch), _calls_of(monkeypatch, "rank")
+
+    def of_theta():
+        return [m for m in eliminated if m is th.top_map or m is th.base_map]
+
     prop41_crosscheck(e)
-    assert sum(m is th.top_map or m is th.base_map for m in ranked) == ranks
+    assert len(of_theta()) == in_prop41 and of_theta()[0] is th.top_map
+    six_term_report(e)
+    assert len(of_theta()) == 2 and of_theta()[1] is th.base_map
+    assert not any(m is th.top_map or m is th.base_map for m in ranked)
+
+
+
+
+def _oracle_extensions() -> list:
+    """The central fixture extensions, and each algebra of the oracle
+    corpora as (q, q, id) over its quotient by the center."""
+    algebras = fixture_algebras() + random_leibniz_corpus()
+    return central_fixture_extensions() + [
+        center_quotient(CrossedModule.adjoint_identity(a), f"{a.name}_mod_center")
+        for a in algebras]
+
+
+def test_surjectivity_and_bijectivity_match_the_rank_reference():
+    # read off the cached kernels, as the old ranks of the component maps
+    # read them: on every map an analysis of a central extension reads,
+    # onto and not onto
+    for e in _oracle_extensions():
+        (_, kincl), (_, abproj) = e.kernel_xmod, e.total.abelianization
+        esd = exterior_square_data(e.total)
+        maps = (e.proj, e.theta, e.ab_proj, e.multiplier_map, kincl, abproj,
+                esd.phi, esd.multiplier[1])
+        for f in maps:
+            assert f.is_surjective() == ref_xmod.is_surjective(f), (e.name, f.target.name)
+        rep = prop41_crosscheck(e)
+        assert rep.theta_surjective == ref_xmod.is_surjective(e.theta), e.name
+        assert rep.theta_bijective == ref_xmod.is_bijective(e.theta), e.name
+
+
+def test_no_matrix_is_ranked_after_its_kernel_is_taken(monkeypatch, capsys):
+    # a map whose kernel is cached reads its rank off it; rank is for maps
+    # whose kernel nothing reads
+    late = []
+
+    def counted(m, _real=ratlin.rank):
+        late.append("_kernel" in vars(m))
+        return _real(m)
+
+    for module in (algebra, xmod, tensor, extensions, cli):
+        if getattr(module, "rank", None) is ratlin.rank:
+            monkeypatch.setattr(module, "rank", counted)
+    runs = [(command, name) for name in ("n2_over_k.extension", "split_over_n2.extension")
+            for command in ("classify-extension", "verify-sequence")]
+    runs += [(command, name) for name in ("n2_id.xmod", "sl2_id.xmod")
+             for command in ("multiplier", "exterior")] + [("stemcover", "sl2_id.xmod")]
+    for command, name in runs:
+        assert cli.main([command, str(FIXTURES / name)]) == 0, (command, name)
+    capsys.readouterr()
+    assert late and not any(late)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTED = ("ratlin._eliminate", "ratlin.join", "ratlin.solve_matrix",
-           "ratlin.integer_rank", "ratlin.kernel", "xmod._step",
+           "ratlin.integer_rank", "ratlin.sparse_kernel", "xmod._step",
            "algebra._violations", "tensor._build_presentation")
 
 
