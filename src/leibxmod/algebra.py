@@ -33,9 +33,11 @@ the product of two subspaces (``_pairwise``: spans of brackets and
 actions, the multiplier's laws in ``tensor``) is the second one's
 against the rows of the first one's.  An action pulled back through a
 map into its actor is read through the twins too (``_pulled_back``),
-and so are the brackets of a subalgebra.  The dense ``bracket``,
-``act_left`` and ``act_right`` remain public conveniences on dense
-vectors.
+and so are the brackets of a subalgebra.  There is no dense bracket or
+action: a product of vectors is one of the products above, on twins.
+An action's report starts with the Leibniz reports of its algebras, so
+an action over an algebra that is not Leibniz is invalid, and so is a
+crossed module built on it.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .ratlin import (
     _restriction,
     _row,
     canonical,
-    contract,
     dense,
     integer_view,
     join,
@@ -61,8 +62,6 @@ from .ratlin import (
     sparse_kernel,
     sparse_table,
     transposed,
-    vec,
-    zero_vec,
 )
 
 
@@ -156,7 +155,7 @@ def _densified(twin, d: int) -> tuple:
     integer twin (den, view), every empty entry one shared zero vector:
     the body of the dense views."""
     den, view = twin
-    z = zero_vec(d)
+    z = dense((), d)
     return tuple(tuple(dense(rational(v, den), d) if v else z for v in row)
                  for row in view)
 
@@ -180,12 +179,6 @@ class LeibnizAlgebra:
             raise ValueError("structure table shape mismatch")
         _assign(self, **vars(LeibnizAlgebra.from_sparse(
             name, basis_names, integer_view(sparse_table(c)))))
-
-    @classmethod
-    def from_table(cls, name: str, basis_names: Sequence[str], table) -> "LeibnizAlgebra":
-        d = len(basis_names)
-        c = tuple(tuple(vec(table[i][j]) for j in range(d)) for i in range(d))
-        return cls(name, d, tuple(basis_names), c)
 
     @classmethod
     def from_sparse(cls, name: str, basis_names: Sequence[str], zst) -> "LeibnizAlgebra":
@@ -213,10 +206,6 @@ class LeibnizAlgebra:
         """The transposed twin: zst_t[1][j][i] = zst[1][i][j], same den."""
         den, view = self.zst
         return den, transposed(view, self.dim)
-
-    def bracket(self, x: Sequence, y: Sequence) -> tuple:
-        """Bilinear extension of the structure constants."""
-        return contract(self.zst, x, y, self.dim)
 
     @cached_property
     def validity(self) -> ValidityReport:
@@ -317,14 +306,6 @@ class LeibnizAction:
         """The twin of sr transposed: zsr_t[1][i][j] = sr[j][i]."""
         return self.den, transposed(self.sr, self.actor.dim)
 
-    def act_left(self, mvec: Sequence, nvec: Sequence) -> tuple:
-        """^x y for x in the actor, y in the acted algebra."""
-        return contract((self.den, self.sl), mvec, nvec, self.acted.dim)
-
-    def act_right(self, nvec: Sequence, mvec: Sequence) -> tuple:
-        """y^x for y in the acted algebra, x in the actor."""
-        return contract((self.den, self.sr), nvec, mvec, self.acted.dim)
-
     @cached_property
     def validity(self) -> ValidityReport:
         """The report of check_action, evaluated once per object."""
@@ -343,7 +324,9 @@ def _pulled_back(act: LeibnizAction, actor: LeibnizAlgebra, cols) -> LeibnizActi
 
 
 def check_action(act: LeibnizAction) -> ValidityReport:
-    """All six action axioms evaluated on basis triples.
+    """All six action axioms evaluated on basis triples, after the
+    Leibniz identity of the actor and of the acted algebra, each of the
+    cached reports once (labelled "leibniz <name> (...)").
 
     With L[i][j] = ^{m_i} n_j and R[j][i] = n_j ^ {m_i}, cm/cn the actor
     and acted structure constants, the axioms read:
@@ -370,10 +353,13 @@ def _action_report(act: LeibnizAction) -> ValidityReport:
     L, R, Lt, Rt = (act.den, act.sl), (act.den, act.sr), act.zsl_t, act.zsr_t
     cm, cn, cn_t = m.zst, n.zst, n.zst_t
     d = n.dim
+    # the axioms presume Leibniz algebras: their reports come first
+    bad = [(f"leibniz {a.name} {label}", r) for a in ((m,) if n is m else (m, n))
+           for label, r in check_leibniz(a).violations]
     # the report runs over (i, i2, j) for axioms 1 and 5, (j, i, i2) for
     # axiom 3 and (i, j, j2) for axioms 2, 4 and 6, in that order
-    bad = _violations({"a": m.basis_names, "b": m.basis_names,
-                       "x": n.basis_names, "y": n.basis_names}, [
+    bad += _violations({"a": m.basis_names, "b": m.basis_names,
+                        "x": n.basis_names, "y": n.basis_names}, [
         # 1. ^{[m,m']}n - ^m(^{m'}n) - (^m n)^{m'}
         ("axiom1 ", 0, 0, d, "abx", "abx",
          ((1, cm, "ab", Lt, "x"), (-1, L, "bx", L, "a"), (-1, L, "ax", Rt, "b"))),
@@ -412,9 +398,6 @@ class AlgebraHom:
     def identity(cls, a: LeibnizAlgebra) -> "AlgebraHom":
         return cls(a, a, RatMatrix.identity(a.dim))
 
-    def apply(self, v: Sequence) -> tuple:
-        return self.matrix.mul_vec(vec(v))
-
     @cached_property
     def validity(self) -> ValidityReport:
         """The report of check_hom, evaluated once per object."""
@@ -434,13 +417,6 @@ def _hom_report(f: AlgebraHom) -> ValidityReport:
     bad = _violations({"i": a.basis_names, "j": a.basis_names}, [
         ("", 0, 0, b.dim, "ij", "ij", ((1, a.zst, "ij", cols, ""), (-1, cols, "j", fb, "i")))])
     return _report(f"homomorphism {a.name} -> {b.name}", bad)
-
-
-def span_brackets(a: LeibnizAlgebra, X: Subspace, Y: Subspace) -> Subspace:
-    """Linear span of {[x, y] : x in X, y in Y} (basis pairs suffice)."""
-    if X.ambient_dim != a.dim or Y.ambient_dim != a.dim:
-        raise ValueError("subspace/algebra dimension mismatch")
-    return Subspace.from_integer_rows(a.dim, _pairwise(a.zst_t, X.zbasis, Y.zbasis))
 
 
 def annihilator(dim: int, views) -> Subspace:
@@ -474,24 +450,6 @@ def ideal_closure(a: LeibnizAlgebra, seed: Subspace) -> Subspace:
             *s.zbasis[1], *_products(s.zbasis, a.zst), *_products(s.zbasis, a.zst_t)])) != s:
         s = nxt
     return s
-
-
-def is_ideal(a: LeibnizAlgebra, s: Subspace) -> bool:
-    return ideal_closure(a, s) == s
-
-
-def quotient_algebra(a: LeibnizAlgebra, ideal: Subspace,
-                     name: "str | None" = None) -> "tuple[LeibnizAlgebra, AlgebraHom]":
-    """Quotient by a two-sided ideal, with the projection homomorphism.
-
-    The quotient basis is the pivot-complement of the ideal, so the
-    returned structure constants are deterministic; basis names are the
-    names of the surviving coordinates.
-    """
-    if not is_ideal(a, ideal):
-        raise ValueError(f"subspace is not a two-sided ideal of {a.name}")
-    out, qm = _quotient(a, ideal, name or f"{a.name}_quot")
-    return out, AlgebraHom(a, out, qm.projection)
 
 
 def _quotient(a: LeibnizAlgebra, ideal: Subspace,

@@ -41,9 +41,10 @@ them again.
 
 Exit codes: 0 the input was read and found valid (or the computation
 succeeded), 1 the input was read but is invalid or fails a precondition
-(not a valid crossed module, not a Leibniz algebra for ``hl``, not
-central, not perfect, degree out of range): every ValueError the
-library raises, 2 the input could not
+(not a valid crossed module, an action or crossed module over an
+algebra that fails the Leibniz identity, not a Leibniz algebra for
+``hl``, not central, not perfect, degree out of range): every
+ValueError the library raises, 2 the input could not
 be turned into a domain object at all (missing file, malformed JSON,
 a key repeated within one JSON object, zero denominator, unknown basis
 name, unresolvable reference) or the output could not be written

@@ -33,6 +33,9 @@ from .algebra import (
     LeibnizAlgebra,
     ValidityReport,
     _report,
+    _residual,
+    _through,
+    _violations,
     ideal_closure,
 )
 from .ratlin import (
@@ -42,10 +45,11 @@ from .ratlin import (
     _plus,
     _restriction,
     column_space,
+    integer_view,
     kernel,
     rank,
-    solve,
-    vec_is_zero,
+    rational,
+    solve_matrix,
 )
 from .tensor import (
     _descend,
@@ -423,40 +427,40 @@ def lemma35_check(e: Extension) -> ValidityReport:
     """Abelianness of the one-leg ideal and of the kernel-base square, and
     validity of the connecting structure between them.
 
+    The brackets of the ideal's canonical basis are one law over its
+    twin, and those of the kernel-base square are read off its table.
     The connecting map applies the structure map to the top leg; its lift
     through the kernel-base square is chosen deterministically (pivot
-    solve), which is immaterial for the validity being checked.
+    solve, one column at a time), which is immaterial for the validity
+    being checked.
     """
     if not e.flags.central:
         raise ValueError("the abelian connecting structure needs a central extension")
-    bad = []
     esd_t = exterior_square_data(e.total)
     span, ideal, bp, psi2 = e.one_leg
-    if ideal != span:
-        bad.append(("one-leg span is not already an ideal", ()))
-    for i, u in enumerate(ideal.basis.entries):
-        for j, v in enumerate(ideal.basis.entries):
-            r = esd_t.qn.resolved.bracket(u, v)
-            if not vec_is_zero(r):
-                bad.append((f"one-leg ideal bracket ({i},{j})", r))
-    for i, row in enumerate(bp.resolved.c):
-        for j, r in enumerate(row):
-            if not vec_is_zero(r):
-                bad.append((f"kernel-base square bracket ({i},{j})", r))
-    dcols = []
-    for v in ideal.basis.entries:
-        y = esd_t.id_wedge_delta.apply(v)
+    bad = [] if ideal == span else [("one-leg span is not already an ideal", ())]
+    res, us, index = esd_t.qn.resolved, ideal.zbasis, [str(k) for k in range(ideal.dim)]
+    # [u_i, u_j] is u_j through the rows [u_i, e_k]
+    rows = _through(us, res.zst_t, ideal.dim, res.dim)
+    bad += _violations({"i": index, "j": index}, [
+        ("one-leg ideal bracket ", 0, 0, res.dim, "ij", "ij", ((1, us, "j", rows, "i"),))])
+    den, st = bp.resolved.zst
+    bad += [(f"kernel-base square bracket ({i},{j})", _residual(dict(v), den, bp.resolved.dim))
+            for i, row in enumerate(st) for j, v in enumerate(row) if v]
+    dcols, (dy, ys) = [], _images(esd_t.id_wedge_delta.matrix.zcols, us)
+    for y in ys:
+        rhs = RatMatrix.from_sparse(psi2.matrix.rows, (dy, (y,)))
         try:
-            dcols.append(solve(psi2.matrix, y))
+            dcols.append(solve_matrix(psi2.matrix, rhs).zcols)
         except ValueError:
-            bad.append(("connecting image escapes the kernel-base square", y))
+            bad.append(("connecting image escapes the kernel-base square", rhs.column(0)))
     if not bad:
         top = LeibnizAlgebra.abelian(f"I({e.name})", ideal.dim,
                                      tuple(f"i{k+1}" for k in range(ideal.dim)))
-        cm = CrossedModule(
-            f"(I,b^p)({e.name})", top, bp.resolved,
-            RatMatrix.from_columns(dcols, rows=bp.resolved.dim),
-            LeibnizAction.trivial(bp.resolved, top))
+        delta = integer_view(tuple(rational(c, d) for d, (c,) in dcols), 1)
+        cm = CrossedModule(f"(I,b^p)({e.name})", top, bp.resolved,
+                           RatMatrix.from_sparse(bp.resolved.dim, delta),
+                           LeibnizAction.trivial(bp.resolved, top))
         bad.extend(check_xmod(cm).violations)
     return _report(f"abelian connecting structure of {e.name}", bad)
 

@@ -2,30 +2,30 @@
 
 This is the only arithmetic layer of the package.  Scalars are
 ``fractions.Fraction`` (arbitrary precision, always normalized with a
-positive denominator) at every boundary: dense vectors are tuples of
-Fractions, and dense grids are what the public objects print; what they
-store, and what the hot paths run on, is sparse and on plain ints.  A
-sparse vector is ``((index, value), ...)`` (or the items of a ``{index:
-value}`` accumulator), and structure and action tables are sparse
-views, ``st[i][j] = ((k, t), ...)`` over the nonzero ``t``.  Each view
-has an integer twin: one positive denominator (``integer_view`` takes
-the lcm of the denominators of the view's values, which makes the twin
-unique; ``canonical`` brings any other to it) and the view with every
-value times it, an int.  A matrix stores the twin of its sparse columns
-and nothing else, so equality and hashing compare ints; its kernel is
-taken once per matrix object and cached on it, outside those fields.
-``accumulate`` is the one step behind ``contract``, the bilinear
-contraction, behind quotient maps and behind ``join``, which evaluates
-the runtime-checked laws term by term over twins: each term is scaled
-by the complementary denominators so that all terms share one scale,
-and is joined over the nonzero entries of its views into int residuals
-keyed by the law's report order, so a basis triple that no nonzero
-product reaches costs nothing.  A value is divided by its scale only
-where it leaves the kernel, as a Fraction.  A ``QuotientMap`` is a
-sparse map too: the image of every ambient column in quotient
-coordinates, with an integer twin, so projecting a vector costs one
-``accumulate`` over its nonzero entries, and membership in the relation
-subspace is an empty projection, a pure int test.
+positive denominator) where a value leaves the package: the dense grids
+and tables the public objects print are views built on request.  What
+they store, and what every operation runs on, is sparse and on plain
+ints.  A sparse vector is ``((index, value), ...)`` (or the items of a
+``{index: value}`` accumulator), and structure and action tables are
+sparse views, ``st[i][j] = ((k, t), ...)`` over the nonzero ``t``.  Each
+view has an integer twin: one positive denominator (``integer_view``
+takes the lcm of the denominators of the view's values, which makes the
+twin unique; ``canonical`` brings any other to it) and the view with
+every value times it, an int.  A matrix stores the twin of its sparse
+columns and nothing else, so equality and hashing compare ints; its
+kernel is taken once per matrix object and cached on it, outside those
+fields.  ``accumulate`` is the one step behind the bilinear maps, behind
+quotient maps and behind ``join``, which evaluates the runtime-checked
+laws term by term over twins: each term is scaled by the complementary
+denominators so that all terms share one scale, and is joined over the
+nonzero entries of its views into int residuals keyed by the law's
+report order, so a basis triple that no nonzero product reaches costs
+nothing.  A value is divided by its scale only where it leaves the
+kernel, as a Fraction.  A ``QuotientMap`` is a sparse map too: the image
+of every ambient column in quotient coordinates, with an integer twin,
+so the class of a vector is one ``accumulate`` over its nonzero entries,
+and membership in the relation subspace is an empty image, a pure int
+test.
 Every operation is deterministic: the canonical form behind all
 subspace comparisons, kernels and quotients is *the* reduced row
 echelon form of a row space, which is unique and so does not depend on
@@ -33,11 +33,10 @@ which row supplies a pivot.  Elimination runs over integers
 (fraction-free, in the style of Bareiss), and a ``Subspace`` keeps the
 rows it returns, each RREF row made primitive and positive at its pivot:
 a unique form too, so identical inputs always give bit-identical
-outputs.  Sums, intersections, kernels, membership and restriction
+outputs.  Spans, sums, kernels, solutions, membership and restriction
 (``_restriction``: coordinates read at the pivots, each residual once)
-run on those int rows and create no Fraction; the dense RREF basis is a
-view built on request.  Spans and kernels take their rows dense, sparse
-or as sparse int rows; ``integer_rank`` creates no Fraction at all, and
+take sparse int rows and create no Fraction; the dense RREF basis is a
+view built on request.  ``integer_rank`` creates no Fraction at all, and
 a span's basis is the canonical rows of its ``Subspace``.
 """
 
@@ -49,36 +48,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
-
-QQ = Fraction
-
-
-def rat(x) -> Fraction:
-    """Coerce an int, a string like ``"p/q"`` or a Fraction to a Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
-
-
-def vec(entries: Iterable) -> tuple:
-    return tuple(rat(x) for x in entries)
-
-
-def zero_vec(n: int) -> tuple:
-    return (Fraction(0),) * n
-
-
-def unit_vec(n: int, i: int) -> tuple:
-    return tuple(Fraction(1 if k == i else 0) for k in range(n))
-
-
-def vec_is_zero(v: tuple) -> bool:
-    return not any(v)
-
 
 _ZERO = Fraction(0)
 
@@ -142,17 +111,6 @@ def _assign(obj, **fields) -> None:
     """Set the fields of a frozen dataclass instance, in its constructor."""
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
-
-
-def integer_entries(v: Sequence) -> "tuple[int, tuple]":
-    """The integer twin (den, entries) of a dense vector: den is the lcm
-    of the denominators of its nonzero entries, and entries the sparse
-    int vector of den times them."""
-    nz = [(k, t.numerator, t.denominator) for k, t in enumerate(v) if t]
-    den = lcm(*[d for _, _, d in nz])
-    if den == 1:
-        return 1, tuple([(k, n) for k, n, _ in nz])
-    return den, tuple([(k, n * (den // d)) for k, n, d in nz])
 
 
 def rational(entries, den: int) -> list:
@@ -267,20 +225,6 @@ def join(terms) -> "tuple[int, dict]":
     return scale, out
 
 
-def contract(st, x: Sequence, y: Sequence, dim: int) -> tuple:
-    """The bilinear map with values st[i][j] on basis pairs, at (x, y):
-    the sum over i, j of x_i * y_j * st[i][j], for the integer twin
-    (den, view) of a sparse view (see sparse_table and integer_view) and
-    dense x, y; nonzero entries only, on ints, divided once at the end."""
-    den, view = st
-    dx, xs = integer_entries(x)
-    dy, ys = integer_entries(y)
-    acc = {}
-    for i, a in xs:
-        accumulate(acc, a, ys, view[i])
-    return dense(rational(acc.items(), den * dx * dy), dim)
-
-
 @dataclass(frozen=True, init=False)
 class RatMatrix:
     """Immutable rational matrix, held as the integer twin of its sparse
@@ -313,30 +257,12 @@ class RatMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: "int | None" = None) -> "RatMatrix":
-        rows = [vec(r) for r in rows]
-        if rows:
-            cols = len(rows[0])
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return cls(len(rows), cols, tuple(rows))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls.from_sparse(rows, (1, ((),) * cols))
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         return cls.from_sparse(n, (1, tuple(((i, 1),) for i in range(n))))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: "int | None" = None) -> "RatMatrix":
-        cols = [vec(c) for c in columns]
-        if cols:
-            rows = len(cols[0])
-        elif rows is None:
-            raise ValueError("empty matrix needs an explicit row count")
-        return cls(rows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(rows)))
 
     @cached_property
     def entries(self) -> tuple:
@@ -353,19 +279,9 @@ class RatMatrix:
         """The right null space, from the int rows: once per matrix object."""
         return sparse_kernel(self.cols, self.transpose().zcols[1])
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple:
         den, cols = self.zcols
         return dense(rational(cols[j], den), self.rows)
-
-    def mul_vec(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise ValueError("matrix-vector shape mismatch")
-        den, cols = self.zcols
-        dv, z = integer_entries(v)
-        return dense(rational(_image(z, cols).items(), den * dv), self.rows)
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -446,17 +362,6 @@ def _eliminate(rows: list, reduce: bool = True) -> list:
     return echelon
 
 
-def rref(m: RatMatrix) -> "tuple[RatMatrix, tuple[int, ...]]":
-    """Reduced row echelon form with zero rows dropped, and its pivots.
-
-    This is the reduced row echelon form of the row space: unique, so
-    equality of row spaces is equality of rref forms.  It is the dense
-    view of the row space's canonical rows (see Subspace).
-    """
-    s = Subspace._spanned(m.cols, _integer_rows(m))
-    return s.basis, s.pivots
-
-
 def rank(m: RatMatrix) -> int:
     """The rank of m, read off its int columns."""
     return integer_rank(dict(c) for c in m.zcols[1])
@@ -483,13 +388,6 @@ class Subspace:
         return cls(ambient_dim, tuple(c for c, _ in echelon), tuple(
             tuple(sorted(row.items() if row[c] > 0 else [(k, -v) for k, v in row.items()]))
             for c, row in echelon))
-
-    @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [vec(v) for v in vectors]
-        if any(len(v) != ambient_dim for v in rows):
-            raise ValueError("vector length differs from ambient dimension")
-        return cls.from_integer_rows(ambient_dim, [integer_entries(v)[1] for v in rows])
 
     @classmethod
     def from_integer_rows(cls, ambient_dim: int, rows: Iterable) -> "Subspace":
@@ -544,23 +442,6 @@ class Subspace:
         accumulate(residual, -1, coords, rows)
         return coords, residual
 
-    def _residual(self, v: Sequence) -> "tuple[int, dict]":
-        """(den, acc): den times the residual of the dense vector v after
-        eliminating all pivot coordinates, as an int accumulator."""
-        v = vec(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length differs from ambient dimension")
-        dv, z = integer_entries(v)
-        return dv * self.zbasis[0], self._split(z)[1]
-
-    def reduce(self, v: Sequence) -> tuple:
-        """Residual of v after eliminating all pivot coordinates."""
-        den, acc = self._residual(v)
-        return dense(rational(acc.items(), den), self.ambient_dim)
-
-    def contains_vector(self, v: Sequence) -> bool:
-        return not any(self._residual(v)[1].values())
-
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
@@ -571,26 +452,6 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         return Subspace._spanned(self.ambient_dim,
                                  [dict(r) for r in self.zrows + other.zrows])
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """The annihilator of the sum of the two annihilators (each the
-        kernel of a subspace's rows), on int rows."""
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        n = self.ambient_dim
-        if not (self.dim and other.dim):
-            return Subspace.zero(n)
-        return sparse_kernel(n, sparse_kernel(n, self.zrows).zrows
-                             + sparse_kernel(n, other.zrows).zrows)
-
-    def coords(self, v: Sequence) -> tuple:
-        """Coordinates of v in the RREF basis, its entries at the pivots;
-        raises if v is not a member."""
-        v = vec(v)
-        if not self.contains_vector(v):
-            raise ValueError("vector not in subspace")
-        return tuple(v[p] for p in self.pivots)
-
 
 def _image(a, columns) -> dict:
     """The image of the sparse vector a under the linear map whose column
@@ -705,24 +566,6 @@ class QuotientMap:
         int values, a pure int test."""
         return not any(self.integer_image(a).values())
 
-    def project_sparse(self, a) -> tuple:
-        """The class of the sparse vector a, as a dense quotient vector."""
-        den, za = integer_view(a, 0)
-        return dense(rational(self.integer_image(za).items(), self.zimages[0] * den),
-                     self.dim)
-
-    def project(self, v: Sequence) -> tuple:
-        """The class of the dense ambient vector v."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("matrix-vector shape mismatch")
-        return self.project_sparse(sparse(v))
-
-    def lift(self, v: Sequence) -> tuple:
-        """The ambient vector with v at the free columns, zero elsewhere."""
-        if len(v) != self.dim:
-            raise ValueError("matrix-vector shape mismatch")
-        return dense(zip(self.free, vec(v)), self.ambient_dim)
-
     @cached_property
     def projection(self) -> RatMatrix:
         """The dim x ambient matrix of the projection."""
@@ -730,7 +573,7 @@ class QuotientMap:
 
     @cached_property
     def section(self) -> RatMatrix:
-        """The ambient x dim matrix of lift."""
+        """The ambient x dim matrix sending e_k to the ambient unit at free[k]."""
         return RatMatrix.from_sparse(self.ambient_dim, (1, tuple(((f, 1),) for f in self.free)))
 
 
@@ -747,17 +590,6 @@ def quotient(ambient_dim: int, r: Subspace) -> QuotientMap:
     for p, row in zip(r.pivots, rows):
         images[p] = tuple((position[c], -t) for c, t in row if c != p)
     return QuotientMap(ambient_dim, r, free, (den, tuple(images)))
-
-
-def solve(m: RatMatrix, rhs: Sequence) -> tuple:
-    """One exact solution of m x = rhs with all free variables set to 0.
-
-    Deterministic (pivot-based); raises ValueError when inconsistent.
-    """
-    rhs = vec(rhs)
-    if len(rhs) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    return solve_matrix(m, RatMatrix(m.rows, 1, tuple((b,) for b in rhs))).column(0)
 
 
 def solve_matrix(m: RatMatrix, rhs: RatMatrix) -> RatMatrix:

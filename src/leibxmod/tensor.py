@@ -59,11 +59,8 @@ from .ratlin import (
     _restriction,
     _row,
     _scaled,
-    contract,
-    dense,
     kernel,
     quotient,
-    sparse,
     transposed,
 )
 from .xmod import (
@@ -286,31 +283,6 @@ class QuotientPresentation:
     resolved: LeibnizAlgebra
     qmap: QuotientMap
 
-    @cached_property
-    def zst(self) -> "tuple[int, tuple]":
-        """The integer twin of the representative table, built on first
-        use: den[0] * den[1] for den of zevaluations, and the int view."""
-        d0, d1 = self.pair.zevaluations[0]
-        return d0 * d1, _representatives(self.pair)
-
-    def mn_index(self, a: int, b: int) -> int:
-        return _index(self.pair.m.dim, self.pair.n.dim, 0, a, b)
-
-    def nm_index(self, b: int, a: int) -> int:
-        return _index(self.pair.m.dim, self.pair.n.dim, 1, b, a)
-
-    def symbol_mn(self, u, v) -> tuple:
-        """Ambient vector of u * v for u in m, v in n (bilinear)."""
-        acc = _symbols(self.pair.m.dim, self.pair.n.dim, ((1, 0, sparse(u), sparse(v)),))
-        return dense(acc.items(), self.ambient_dim)
-
-    def class_of(self, ambient_vec) -> tuple:
-        return self.qmap.project(ambient_vec)
-
-    def bracket_ambient(self, x, y) -> tuple:
-        """Bilinear extension of the representative table."""
-        return contract(self.zst, x, y, self.ambient_dim)
-
 
 def _symbol_names(pair: MutualActionPair) -> tuple:
     mn = [f"{pair.m.basis_names[a]}*{pair.n.basis_names[b]}"
@@ -429,11 +401,6 @@ def _descend(pres: QuotientPresentation, cols, target: "QuotientMap | None"):
         return None
     return (target.zimages[0] * den,
             tuple(_row(target.integer_image(cols[f])) for f in qm.free))
-
-
-def tensor_product(pair: MutualActionPair, name=None) -> QuotientPresentation:
-    """The algebra generated by the pure symbols of the two factors."""
-    return _build_presentation(pair, (), name or f"{pair.m.name}(x){pair.n.name}")
 
 
 def square_subspace(eta: CrossedModule, delta: CrossedModule) -> Subspace:

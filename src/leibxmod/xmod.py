@@ -115,14 +115,8 @@ class CrossedModule:
                                            tuple(rows[s.dim:]))
         return cls(name or f"({top.name},{q.name},incl)", top, q, incl, action)
 
-    def delta_apply(self, nvec) -> tuple:
-        return self.delta.mul_vec(nvec)
-
     def full_pair(self) -> "SubPair":
         return SubPair(self, Subspace.full(self.top.dim), Subspace.full(self.base.dim))
-
-    def zero_pair(self) -> "SubPair":
-        return SubPair(self, Subspace.zero(self.top.dim), Subspace.zero(self.base.dim))
 
     @cached_property
     def validity(self) -> ValidityReport:

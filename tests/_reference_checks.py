@@ -2,13 +2,17 @@
 kept as a test oracle.
 
 contract, check_leibniz, check_action, check_hom, check_xmod and
-check_xmod_hom are the old functions verbatim, except that every
-bracket, action and matrix product they take goes through the dense
+check_xmod_hom are the old functions verbatim (check_action with the
+Leibniz reports of its algebras first, as the library's), except that
+every bracket, action and matrix product they take goes through the dense
 contract and the dense matrix products copied here rather than through
 the library's methods, so the differential tests in test_checks.py
 compare the library's sparse laws with an independent evaluation.
-center and center_xmod are the old dense centers verbatim: every
-kernel row is a dense row of the structure or action tables.
+center and center_xmod are the old dense centers: every kernel row is
+a dense row of the structure or action tables, and the base part is
+one kernel of the stabilizer's rows and the center's rows together.
+_bracket, _act_left, _act_right and _mul_vec are the tests' dense
+bracket, actions and matrix-vector product.
 accumulate, _entries and join are the old Fraction law evaluator
 verbatim, from before the integer twins: every value a Fraction, and
 the sums returned as they are, not scaled.
@@ -25,7 +29,8 @@ from leibxmod.algebra import (
     ValidityReport,
     _report,
 )
-from leibxmod.ratlin import RatMatrix, Subspace, kernel, unit_vec, vec_is_zero
+from _dense import from_rows, unit_vec, vec_is_zero
+from leibxmod.ratlin import RatMatrix, Subspace, kernel
 from leibxmod.xmod import CrossedModule, SubPair, XModHom
 
 
@@ -192,6 +197,9 @@ def check_action(act: LeibnizAction) -> ValidityReport:
       4. [n,n']^m     = [n^m, n'] + [n, n'^m]
       5. ^m(^{m'}n)   = -^m(n^{m'})
       6. [n, ^m n']   = -[n, n'^m]
+
+    The Leibniz reports of the actor and of the acted algebra (once when
+    they are one object) come first.
     """
     m, n = act.actor, act.acted
     L, R = act.left, act.right
@@ -200,7 +208,8 @@ def check_action(act: LeibnizAction) -> ValidityReport:
     em = [unit_vec(m.dim, i) for i in range(m.dim)]
     en = [unit_vec(n.dim, j) for j in range(n.dim)]
     mb, nb = m.basis_names, n.basis_names
-    bad = []
+    bad = [(f"leibniz {a.name} {label}", r) for a in ((m,) if n is m else (m, n))
+           for label, r in check_leibniz(a).violations]
 
     def flag(axiom, r, *names):
         if not vec_is_zero(r):
@@ -332,14 +341,18 @@ def check_xmod_hom(f: XModHom) -> ValidityReport:
     return _report(f"crossed module hom {src.name} -> {tgt.name}", bad)
 
 
-def center(a: LeibnizAlgebra) -> Subspace:
-    """Two-sided center {x : [x, a] = [a, x] = 0}."""
+def _center_rows(a: LeibnizAlgebra) -> list:
     rows = []
     for j in range(a.dim):
         for k in range(a.dim):
             rows.append(tuple(a.c[i][j][k] for i in range(a.dim)))  # x -> [x, e_j]
             rows.append(tuple(a.c[j][i][k] for i in range(a.dim)))  # x -> [e_j, x]
-    return kernel(RatMatrix.from_rows(rows, cols=a.dim))
+    return rows
+
+
+def center(a: LeibnizAlgebra) -> Subspace:
+    """Two-sided center {x : [x, a] = [a, x] = 0}."""
+    return kernel(from_rows(_center_rows(a), cols=a.dim))
 
 
 def center_xmod(xm: CrossedModule) -> SubPair:
@@ -350,11 +363,11 @@ def center_xmod(xm: CrossedModule) -> SubPair:
         for k in range(dt):
             rows.append(tuple(xm.action.left[i][j][k] for j in range(dt)))
             rows.append(tuple(xm.action.right[j][i][k] for j in range(dt)))
-    top = kernel(RatMatrix.from_rows(rows, cols=dt))
+    top = kernel(from_rows(rows, cols=dt))
     rows = []
     for j in range(dt):
         for k in range(dt):
             rows.append(tuple(xm.action.left[i][j][k] for i in range(db)))
             rows.append(tuple(xm.action.right[j][i][k] for i in range(db)))
-    st = kernel(RatMatrix.from_rows(rows, cols=db))
-    return SubPair(xm, top, st.intersect(center(xm.base)))
+    # the stabilizer meets the center: one kernel of both families of rows
+    return SubPair(xm, top, kernel(from_rows(rows + _center_rows(xm.base), cols=db)))

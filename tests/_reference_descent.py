@@ -10,20 +10,35 @@ written CrossedModule).  Every bracket and action is one dense
 contraction of a pair of vectors (LeibnizAlgebra.bracket,
 LeibnizAction.act_left and act_right), every relation is tested by a
 dense matrix-vector product, and every restriction to a subspace tests
-membership with contains_vector and then again inside coords.  The
-differential tests in test_descent.py compare the library's routines
-with them.
+membership with contains_vector and then again inside coords.
+lemma35_check is the old one of leibxmod.extensions, each dense call
+that left the library replaced by its twin among the oracles.  The
+differential tests in test_descent.py and test_extensions.py compare
+the library's routines with them.
 """
 
-from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, is_ideal
+import _reference_rref
+from _dense import from_columns, unit_vec, vec_is_zero
+from _reference_checks import _act_left, _act_right, _bracket, _mul_vec
+from _reference_quotient import contains_vector
+from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, _report, ideal_closure
 from leibxmod.extensions import Extension, _sections
-from leibxmod.ratlin import RatMatrix, Subspace, kernel, unit_vec, vec_is_zero
+from leibxmod.ratlin import RatMatrix, Subspace, kernel
 from leibxmod.tensor import (
+    _index,
     exterior_square_data,
     induced_exterior_hom,
     schur_multiplier,
 )
-from leibxmod.xmod import CrossedModule, XModHom, check_xmod_hom
+from leibxmod.xmod import CrossedModule, XModHom, check_xmod, check_xmod_hom
+
+
+def coords(s: Subspace, v) -> tuple:
+    """The coordinates of v in the canonical basis of s, its entries at the
+    pivots; raises if v is not a member."""
+    if not contains_vector(s, v):
+        raise ValueError("vector not in subspace")
+    return tuple(v[p] for p in s.pivots)
 
 
 def _theta_matrices(e: Extension, kxm: CrossedModule,
@@ -37,43 +52,43 @@ def _theta_matrices(e: Extension, kxm: CrossedModule,
         pa = s2.column(a)
         for b in range(dn):
             hb = s1.column(b)
-            amb_top[esd.qn.mn_index(a, b)] = e.total.action.act_left(pa, hb)
-            amb_top[esd.qn.nm_index(b, a)] = e.total.action.act_right(hb, pa)
-    A = RatMatrix.from_columns(amb_top, rows=e.total.top.dim)
+            amb_top[_index(dq, dn, 0, a, b)] = _act_left(e.total.action, pa, hb)
+            amb_top[_index(dq, dn, 1, b, a)] = _act_right(e.total.action, hb, pa)
+    A = from_columns(amb_top, rows=e.total.top.dim)
     amb_base = [None] * esd.qq.ambient_dim
     for a in range(dq):
         for c in range(dq):
-            v = e.total.base.bracket(s2.column(a), s2.column(c))
-            amb_base[esd.qq.mn_index(a, c)] = amb_base[esd.qq.nm_index(a, c)] = v
-    B = RatMatrix.from_columns(amb_base, rows=e.total.base.dim)
+            v = _bracket(e.total.base, s2.column(a), s2.column(c))
+            amb_base[_index(dq, dq, 0, a, c)] = amb_base[_index(dq, dq, 1, a, c)] = v
+    B = from_columns(amb_base, rows=e.total.base.dim)
     # centrality makes the lifted evaluation kill the relations exactly
     for r in esd.qn.relations.basis.entries:
-        if not vec_is_zero(A.mul_vec(r)):
+        if not vec_is_zero(_mul_vec(A, r)):
             raise AssertionError(
                 "lifted evaluation does not vanish on the top square relations")
     for r in esd.qq.relations.basis.entries:
-        if not vec_is_zero(B.mul_vec(r)):
+        if not vec_is_zero(_mul_vec(B, r)):
             raise AssertionError(
                 "lifted evaluation does not vanish on the base square relations")
     # on the quotient, column j is the lifted evaluation of the free symbol
-    theta_top = RatMatrix.from_columns([amb_top[f] for f in esd.qn.qmap.free],
-                                       rows=e.total.top.dim)
-    theta_base = RatMatrix.from_columns([amb_base[f] for f in esd.qq.qmap.free],
-                                        rows=e.total.base.dim)
+    theta_top = from_columns([amb_top[f] for f in esd.qn.qmap.free],
+                             rows=e.total.top.dim)
+    theta_base = from_columns([amb_base[f] for f in esd.qq.qmap.free],
+                              rows=e.total.base.dim)
     tcols = []
     for k in range(incl_m.top_map.cols):
-        v = theta_top.mul_vec(incl_m.top_map.column(k))
-        if not e.kernel.top_sub.contains_vector(v):
+        v = _mul_vec(theta_top, incl_m.top_map.column(k))
+        if not contains_vector(e.kernel.top_sub, v):
             raise AssertionError("connecting image escapes the kernel top")
-        tcols.append(e.kernel.top_sub.coords(v))
+        tcols.append(coords(e.kernel.top_sub, v))
     bcols = []
     for k in range(incl_m.base_map.cols):
-        v = theta_base.mul_vec(incl_m.base_map.column(k))
-        if not e.kernel.base_sub.contains_vector(v):
+        v = _mul_vec(theta_base, incl_m.base_map.column(k))
+        if not contains_vector(e.kernel.base_sub, v):
             raise AssertionError("connecting image escapes the kernel base")
-        bcols.append(e.kernel.base_sub.coords(v))
-    return (RatMatrix.from_columns(tcols, rows=kxm.top.dim),
-            RatMatrix.from_columns(bcols, rows=kxm.base.dim))
+        bcols.append(coords(e.kernel.base_sub, v))
+    return (from_columns(tcols, rows=kxm.top.dim),
+            from_columns(bcols, rows=kxm.base.dim))
 
 
 def multiplier_functorial_map(f: XModHom) -> XModHom:
@@ -89,19 +104,19 @@ def multiplier_functorial_map(f: XModHom) -> XModHom:
     kb_tgt = kernel(tgt.mu_q.matrix)
     tcols = []
     for u in kt_src.basis.entries:
-        w = top_hom.apply(u)
-        if not kt_tgt.contains_vector(w):
+        w = _mul_vec(top_hom.matrix, u)
+        if not contains_vector(kt_tgt, w):
             raise AssertionError("induced top map does not preserve the multiplier")
-        tcols.append(kt_tgt.coords(w))
+        tcols.append(coords(kt_tgt, w))
     bcols = []
     for u in kb_src.basis.entries:
-        w = base_hom.apply(u)
-        if not kb_tgt.contains_vector(w):
+        w = _mul_vec(base_hom.matrix, u)
+        if not contains_vector(kb_tgt, w):
             raise AssertionError("induced base map does not preserve the multiplier")
-        bcols.append(kb_tgt.coords(w))
+        bcols.append(coords(kb_tgt, w))
     out = XModHom(m_src, m_tgt,
-                  RatMatrix.from_columns(tcols, rows=m_tgt.top.dim),
-                  RatMatrix.from_columns(bcols, rows=m_tgt.base.dim))
+                  from_columns(tcols, rows=m_tgt.top.dim),
+                  from_columns(bcols, rows=m_tgt.base.dim))
     orep = check_xmod_hom(out)
     if not orep.valid:
         raise AssertionError(
@@ -120,29 +135,64 @@ def subalgebra_on(a: LeibnizAlgebra, s: Subspace, name: str) -> "tuple[LeibnizAl
     for x in base:
         row = []
         for y in base:
-            b = a.bracket(x, y)
-            if not s.contains_vector(b):
+            b = _bracket(a, x, y)
+            if not contains_vector(s, b):
                 raise ValueError("subspace is not bracket-closed")
-            row.append(s.coords(b))
+            row.append(coords(s, b))
         c.append(tuple(row))
     names = tuple(f"s{i+1}" for i in range(s.dim))
     sub = LeibnizAlgebra(name, s.dim, names, tuple(c))
-    incl = RatMatrix.from_columns(list(base), rows=a.dim) if base else RatMatrix.zeros(a.dim, 0)
+    incl = from_columns(list(base), rows=a.dim) if base else RatMatrix.zeros(a.dim, 0)
     return sub, incl
 
 
 def inclusion(q: LeibnizAlgebra, s, name=None) -> CrossedModule:
     """(n, q, i) for a two-sided ideal n = s of q with the bracket action."""
-    if not is_ideal(q, s):
+    if ideal_closure(q, s) != s:
         raise ValueError(f"subspace is not a two-sided ideal of {q.name}")
     top, incl = subalgebra_on(q, s, name or f"{q.name}_ideal")
     left = tuple(
-        tuple(s.coords(q.bracket(unit_vec(q.dim, i), incl.column(j)))
+        tuple(coords(s, _bracket(q, unit_vec(q.dim, i), incl.column(j)))
               for j in range(top.dim))
         for i in range(q.dim))
     right = tuple(
-        tuple(s.coords(q.bracket(incl.column(j), unit_vec(q.dim, i)))
+        tuple(coords(s, _bracket(q, incl.column(j), unit_vec(q.dim, i)))
               for i in range(q.dim))
         for j in range(top.dim))
     action = LeibnizAction(q, top, left, right)
     return CrossedModule(name or f"({top.name},{q.name},incl)", top, q, incl, action)
+
+
+def lemma35_check(e: Extension):
+    if not e.flags.central:
+        raise ValueError("the abelian connecting structure needs a central extension")
+    bad = []
+    esd_t = exterior_square_data(e.total)
+    span, ideal, bp, psi2 = e.one_leg
+    if ideal != span:
+        bad.append(("one-leg span is not already an ideal", ()))
+    for i, u in enumerate(ideal.basis.entries):
+        for j, v in enumerate(ideal.basis.entries):
+            r = _bracket(esd_t.qn.resolved, u, v)
+            if not vec_is_zero(r):
+                bad.append((f"one-leg ideal bracket ({i},{j})", r))
+    for i, row in enumerate(bp.resolved.c):
+        for j, r in enumerate(row):
+            if not vec_is_zero(r):
+                bad.append((f"kernel-base square bracket ({i},{j})", r))
+    dcols = []
+    for v in ideal.basis.entries:
+        y = _mul_vec(esd_t.id_wedge_delta.matrix, v)
+        try:
+            dcols.append(_reference_rref.solve(psi2.matrix, y))
+        except ValueError:
+            bad.append(("connecting image escapes the kernel-base square", y))
+    if not bad:
+        top = LeibnizAlgebra.abelian(f"I({e.name})", ideal.dim,
+                                     tuple(f"i{k+1}" for k in range(ideal.dim)))
+        cm = CrossedModule(
+            f"(I,b^p)({e.name})", top, bp.resolved,
+            from_columns(dcols, rows=bp.resolved.dim),
+            LeibnizAction.trivial(bp.resolved, top))
+        bad.extend(check_xmod(cm).violations)
+    return _report(f"abelian connecting structure of {e.name}", bad)

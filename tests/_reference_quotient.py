@@ -2,9 +2,11 @@
 QuotientMap, kept as a test oracle.
 
 reduce is the old Subspace.reduce verbatim, contains_vector the old
-membership test on top of it, and quotient the old construction of the
-dense projection and section matrices; project is the old
-QuotientMap.project, projection.mul_vec of the coerced vector.  The
+membership test on top of it (both read any Subspace through its dense
+basis: they are the tests' dense membership test), and quotient the old
+construction of the dense projection and section matrices; project is
+the old QuotientMap.project, the projection matrix times the coerced
+vector, so it reads the projection of a sparse QuotientMap too.  The
 differential tests in test_quotient.py compare the sparse map with them.
 action_rows and agreement_rows are the old tensor._defining_rows
 verbatim, on the Fraction sparse views of helpers, split into its two
@@ -25,11 +27,11 @@ from leibxmod.ratlin import (
     accumulate,
     rational,
     transposed,
-    vec,
-    vec_is_zero,
 )
 from leibxmod.tensor import MutualActionPair, _symbols
 
+from _dense import vec, vec_is_zero
+from _reference_checks import _mul_vec
 from helpers import bracket_term, sparse_sl, sparse_sr, sparse_st
 
 ONE = Fraction(1)
@@ -85,7 +87,7 @@ def quotient(ambient_dim: int, r: Subspace) -> DenseQuotient:
 
 
 def project(qm: DenseQuotient, v: Sequence) -> tuple:
-    return qm.projection.mul_vec(vec(v))
+    return _mul_vec(qm.projection, vec(v))
 
 
 def _adder(pair: MutualActionPair, rows: list):

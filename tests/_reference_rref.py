@@ -10,7 +10,8 @@ in test_ratlin.py compare the library with an independent elimination.
 from fractions import Fraction
 from typing import Sequence
 
-from leibxmod.ratlin import RatMatrix, vec
+from _dense import from_columns, from_rows, vec
+from leibxmod.ratlin import RatMatrix
 
 
 def rref(m: RatMatrix) -> "tuple[RatMatrix, tuple[int, ...]]":
@@ -66,7 +67,7 @@ def kernel(m: RatMatrix) -> "tuple[RatMatrix, tuple[int, ...]]":
         for i, p in enumerate(piv):
             v[p] = -r.entries[i][f]
         out.append(tuple(v))
-    return rref(RatMatrix.from_rows(out, cols=m.cols))
+    return rref(from_rows(out, cols=m.cols))
 
 
 def solve(m: RatMatrix, rhs: Sequence) -> tuple:
@@ -93,4 +94,4 @@ def solve_matrix(m: RatMatrix, rhs: RatMatrix) -> RatMatrix:
     if rhs.rows != m.rows:
         raise ValueError("right-hand side row mismatch")
     cols = [solve(m, rhs.column(j)) for j in range(rhs.cols)]
-    return RatMatrix.from_columns(cols, rows=m.cols)
+    return from_columns(cols, rows=m.cols)

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from _dense import from_columns, vec, vec_is_zero
 from _reference_rref import kernel, rref
 from leibxmod.ratlin import (
     RatMatrix,
     accumulate,
     integer_view,
     sparse,
-    vec,
-    vec_is_zero,
 )
 
 
@@ -101,7 +100,7 @@ class Subspace:
             return Subspace.zero(self.ambient_dim)
         cols = [list(v) for v in self.basis.entries]
         cols += [[-x for x in v] for v in other.basis.entries]
-        system = RatMatrix.from_columns(cols, rows=self.ambient_dim)
+        system = from_columns(cols, rows=self.ambient_dim)
         sols = Subspace(system.cols, *kernel(system))
         out = []
         for w in sols.basis.entries:

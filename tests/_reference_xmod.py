@@ -8,17 +8,21 @@ span_brackets the old one of leibxmod.algebra and _through_base the old
 one of leibxmod.tensor; ideal_closure is the old loop of
 leibxmod.algebra (two spans of brackets with the full subspace, then two
 sums), on this dense span_brackets: every bracket and action is one
-dense contraction of a pair of basis vectors (LeibnizAlgebra.bracket,
-LeibnizAction.act_left and act_right), and every membership test the
-dense Subspace.reduce.  is_surjective is the old XModHom.is_surjective
+dense contraction of a pair of basis vectors (the dense bracket and
+actions of _reference_checks, once methods of the algebra and the
+action), and every membership test the dense reduce of
+_reference_quotient.  is_surjective is the old XModHom.is_surjective
 and is_bijective the old reading of theta*'s bijectivity in
 prop41_crosscheck, both off the uncached ranks of the component maps.
 The differential tests in test_xmod.py, test_descent.py and
 test_extensions.py compare the library's routines with them.
 """
 
+from _dense import span, unit_vec
+from _reference_checks import _act_left, _act_right, _bracket, _mul_vec
+from _reference_quotient import contains_vector
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra
-from leibxmod.ratlin import RatMatrix, Subspace, rank, unit_vec
+from leibxmod.ratlin import RatMatrix, Subspace, rank
 from leibxmod.xmod import CrossedModule, SubPair, XModHom
 
 
@@ -26,8 +30,8 @@ def span_brackets(a: LeibnizAlgebra, X: Subspace, Y: Subspace) -> Subspace:
     """Linear span of {[x, y] : x in X, y in Y} (basis pairs suffice)."""
     if X.ambient_dim != a.dim or Y.ambient_dim != a.dim:
         raise ValueError("subspace/algebra dimension mismatch")
-    out = [a.bracket(x, y) for x in X.basis.entries for y in Y.basis.entries]
-    return Subspace.from_vectors(a.dim, out)
+    out = [_bracket(a, x, y) for x in X.basis.entries for y in Y.basis.entries]
+    return span(a.dim, out)
 
 
 def ideal_closure(a: LeibnizAlgebra, seed: Subspace) -> Subspace:
@@ -47,7 +51,7 @@ def is_crossed_ideal(xm: CrossedModule, sp: SubPair) -> bool:
     """Stability of (top_sub, base_sub) under delta, brackets and actions."""
     t, b = sp.top_sub, sp.base_sub
     for v in t.basis.entries:
-        if not b.contains_vector(xm.delta_apply(v)):
+        if not contains_vector(b, _mul_vec(xm.delta, v)):
             return False
     full_b = Subspace.full(xm.base.dim)
     if not b.contains_subspace(span_brackets(xm.base, b, full_b)):
@@ -57,16 +61,16 @@ def is_crossed_ideal(xm: CrossedModule, sp: SubPair) -> bool:
     for y in b.basis.entries:
         for j in range(xm.top.dim):
             nj = unit_vec(xm.top.dim, j)
-            if not t.contains_vector(xm.action.act_left(y, nj)):
+            if not contains_vector(t, _act_left(xm.action, y, nj)):
                 return False
-            if not t.contains_vector(xm.action.act_right(nj, y)):
+            if not contains_vector(t, _act_right(xm.action, nj, y)):
                 return False
     for i in range(xm.base.dim):
         qi = unit_vec(xm.base.dim, i)
         for x in t.basis.entries:
-            if not t.contains_vector(xm.action.act_left(qi, x)):
+            if not contains_vector(t, _act_left(xm.action, qi, x)):
                 return False
-            if not t.contains_vector(xm.action.act_right(x, qi)):
+            if not contains_vector(t, _act_right(xm.action, x, qi)):
                 return False
     return True
 
@@ -78,20 +82,20 @@ def crossed_ideal_closure(xm: CrossedModule, seed: SubPair) -> SubPair:
     while True:
         nb = b.add(span_brackets(xm.base, b, full_b)) \
              .add(span_brackets(xm.base, full_b, b)) \
-             .add(Subspace.from_vectors(
-                 xm.base.dim, [xm.delta_apply(v) for v in t.basis.entries]))
+             .add(span(
+                 xm.base.dim, [_mul_vec(xm.delta, v) for v in t.basis.entries]))
         acts = []
         for y in nb.basis.entries:
             for j in range(xm.top.dim):
                 nj = unit_vec(xm.top.dim, j)
-                acts.append(xm.action.act_left(y, nj))
-                acts.append(xm.action.act_right(nj, y))
+                acts.append(_act_left(xm.action, y, nj))
+                acts.append(_act_right(xm.action, nj, y))
         for i in range(xm.base.dim):
             qi = unit_vec(xm.base.dim, i)
             for x in t.basis.entries:
-                acts.append(xm.action.act_left(qi, x))
-                acts.append(xm.action.act_right(x, qi))
-        nt = t.add(Subspace.from_vectors(xm.top.dim, acts))
+                acts.append(_act_left(xm.action, qi, x))
+                acts.append(_act_right(xm.action, x, qi))
+        nt = t.add(span(xm.top.dim, acts))
         if nt == t and nb == b:
             return SubPair(xm, t, b)
         t, b = nt, nb
@@ -111,13 +115,13 @@ def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
     gens = []
     for y in h.basis.entries:
         for x in t.basis.entries:
-            gens.append(xm.action.act_left(y, x))
-            gens.append(xm.action.act_right(x, y))
+            gens.append(_act_left(xm.action, y, x))
+            gens.append(_act_right(xm.action, x, y))
     for y in j.basis.entries:
         for x in s.basis.entries:
-            gens.append(xm.action.act_left(y, x))
-            gens.append(xm.action.act_right(x, y))
-    top = Subspace.from_vectors(xm.top.dim, gens)
+            gens.append(_act_left(xm.action, y, x))
+            gens.append(_act_right(xm.action, x, y))
+    top = span(xm.top.dim, gens)
     base = span_brackets(xm.base, h, j).add(span_brackets(xm.base, j, h))
     out = SubPair(xm, top, base)
     closed = crossed_ideal_closure(xm, out)
@@ -145,9 +149,9 @@ def _through_base(x: CrossedModule, y: CrossedModule) -> LeibnizAction:
     m, n = x.top, y.top
     return LeibnizAction(
         m, n,
-        tuple(tuple(y.action.act_left(x.delta.column(a), unit_vec(n.dim, b))
+        tuple(tuple(_act_left(y.action, x.delta.column(a), unit_vec(n.dim, b))
                     for b in range(n.dim)) for a in range(m.dim)),
-        tuple(tuple(y.action.act_right(unit_vec(n.dim, b), x.delta.column(a))
+        tuple(tuple(_act_right(y.action, unit_vec(n.dim, b), x.delta.column(a))
                     for a in range(m.dim)) for b in range(n.dim)))
 
 

@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+from _dense import from_rows, span, unit_vec, zero_vec
+from _reference_checks import _bracket, _mul_vec
 import leibxmod
 from leibxmod import algebra, xmod
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, check_leibniz
@@ -30,10 +32,8 @@ from leibxmod.ratlin import (
     kernel,
     rational,
     sparse_table,
-    unit_vec,
-    zero_vec,
 )
-from leibxmod.tensor import _legs, _symbols
+from leibxmod.tensor import _legs, _representatives, _symbols
 from leibxmod.xmod import CrossedModule, SubPair, XModHom, center_xmod
 
 
@@ -112,7 +112,7 @@ def _cocycle_solutions(base):
                     row[p * b + k] -= base.c[i][j][p]       # w([e_i,e_j], e_k)
                     row[p * b + j] += base.c[i][k][p]       # w([e_i,e_k], e_j)
                 rows.append(row)
-    return kernel(RatMatrix.from_rows(rows, cols=nvars))
+    return kernel(from_rows(rows, cols=nvars))
 
 
 def _central_extension(base, socle_dim, rng, name):
@@ -157,10 +157,10 @@ def _change_basis(a, rng):
         e[i][j] = lam
         einv = [[Fraction(1 if r == c else 0) for c in range(d)] for r in range(d)]
         einv[i][j] = -lam
-        g = g.mul(RatMatrix.from_rows(e))
-        ginv = RatMatrix.from_rows(einv).mul(ginv)
+        g = g.mul(from_rows(e))
+        ginv = from_rows(einv).mul(ginv)
     c = tuple(
-        tuple(ginv.mul_vec(a.bracket(g.column(i), g.column(j))) for j in range(d))
+        tuple(_mul_vec(ginv, _bracket(a, g.column(i), g.column(j))) for j in range(d))
         for i in range(d))
     return LeibnizAlgebra(a.name + "'", d, a.basis_names, c)
 
@@ -207,8 +207,8 @@ def padded_split_extension(xm, top_pad=1, base_pad=1, name=None):
     dt, db = xm.top.dim, xm.base.dim
     top = _padded_algebra(xm.top, top_pad)
     base = _padded_algebra(xm.base, base_pad)
-    delta = RatMatrix.from_rows(
-        [[xm.delta.row(i)[j] if j < dt else Fraction(0) for j in range(top.dim)]
+    delta = from_rows(
+        [[xm.delta.entries[i][j] if j < dt else Fraction(0) for j in range(top.dim)]
          for i in range(db)]
         + [[Fraction(0)] * top.dim for _ in range(base_pad)],
         cols=top.dim)
@@ -226,12 +226,12 @@ def padded_split_extension(xm, top_pad=1, base_pad=1, name=None):
                           LeibnizAction(base, top, left, right))
     proj = XModHom(
         total, xm,
-        RatMatrix.from_rows([[Fraction(1 if i == j else 0)
-                              for j in range(top.dim)] for i in range(dt)],
-                            cols=top.dim),
-        RatMatrix.from_rows([[Fraction(1 if i == j else 0)
-                              for j in range(base.dim)] for i in range(db)],
-                            cols=base.dim))
+        from_rows([[Fraction(1 if i == j else 0)
+                    for j in range(top.dim)] for i in range(dt)],
+                  cols=top.dim),
+        from_rows([[Fraction(1 if i == j else 0)
+                    for j in range(base.dim)] for i in range(db)],
+                  cols=base.dim))
     return Extension.from_projection(proj, name or f"{xm.name}_split")
 
 
@@ -246,8 +246,12 @@ def n2_over_k():
     """The stem cover presentation of (0, k, i) by (0, n2, i)."""
     total = zero_over(n2())
     ker = SubPair(total, Subspace.zero(0),
-                  Subspace.from_vectors(2, [unit_vec(2, 1)]))
+                  span(2, [unit_vec(2, 1)]))
     return Extension.from_quotient_by(total, ker, name="n2_over_k")
+
+
+def zero_pair(xm):
+    return SubPair(xm, Subspace.zero(xm.top.dim), Subspace.zero(xm.base.dim))
 
 
 def center_quotient(xm, name):
@@ -262,7 +266,7 @@ def central_fixture_extensions():
     xm_n2 = CrossedModule.adjoint_identity(n2())
     xm_h = CrossedModule.adjoint_identity(heis3())
     xm_k2 = CrossedModule.adjoint_identity(k_abelian(2))
-    line = Subspace.from_vectors(2, [unit_vec(2, 0)])
+    line = span(2, [unit_vec(2, 0)])
     return [
         n2_over_k(),
         Extension.from_projection(XModHom.identity(xm_n2), name="id_n2"),
@@ -332,10 +336,18 @@ def bracket_term(pair, i, j, alt=False):
     return (1, t, ev[t][i], ev[1 - t][j])
 
 
+@lru_cache(maxsize=None)
 def representative_table(pres):
     """The Fraction sparse view of the representative table of pres."""
-    den, view = pres.zst
-    return tuple(tuple(tuple(rational(v, den)) for v in row) for row in view)
+    (d0, d1), view = pres.pair.zevaluations[0], _representatives(pres.pair)
+    return tuple(tuple(tuple(rational(v, d0 * d1)) for v in row) for row in view)
+
+
+@lru_cache(maxsize=None)
+def bracket_table(pres):
+    """The dense representative table of pres, for the dense contract."""
+    return tuple(tuple(dense(v, pres.ambient_dim) for v in row)
+                 for row in representative_table(pres))
 
 
 def primary_entry(pair, i, j):
@@ -351,10 +363,9 @@ def alt_entry(pair, i, j):
 
 def representatives(pres, i, j):
     """The two representatives of [symbol i, symbol j] in a presentation,
-    as dense ambient vectors: the primary one read from its integer twin
-    zst, and the other one."""
-    den, view = pres.zst
-    return dense(rational(view[i][j], den), pres.ambient_dim), alt_entry(pres.pair, i, j)
+    as dense ambient vectors: the primary one read from the table, and
+    the other one."""
+    return bracket_table(pres)[i][j], alt_entry(pres.pair, i, j)
 
 
 def quotient_basis_lifts(pres):

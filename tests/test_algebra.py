@@ -11,12 +11,16 @@ from leibxmod.algebra import (
     check_hom,
     check_leibniz,
     ideal_closure,
+    _quotient,
     is_lie,
-    quotient_algebra,
-    span_brackets,
     subalgebra_on,
 )
-from leibxmod.ratlin import RatMatrix, Subspace, zero_vec
+from leibxmod.ratlin import RatMatrix, Subspace
+from leibxmod.xmod import CrossedModule, SubPair, quotient_xmod
+
+from _dense import from_rows, span, zero_vec
+from _reference_checks import _bracket
+from _reference_xmod import span_brackets
 
 from helpers import (
     bad_dim1,
@@ -154,19 +158,26 @@ def test_every_axiom_term_reported():
         (label, tuple(Fraction(x) for x in r)) for label, r in expected)
 
 
+def quotient_algebra(a, ideal):
+    """The quotient algebra by an ideal, with its projection."""
+    q, qm = _quotient(a, ideal, f"{a.name}_quot")
+    return q, AlgebraHom(a, q, qm.projection)
+
+
 def test_span_brackets():
-    full2 = Subspace.full(2)
-    assert span_brackets(k_abelian(2), full2, full2) == Subspace.zero(2)
-    assert span_brackets(n2(), full2, full2) == Subspace.from_vectors(2, [[0, 1]])
-    full3 = Subspace.full(3)
-    assert span_brackets(sl2(), full3, full3) == Subspace.full(3)
+    # [a, a] is the base of the derived pair of (a, a, id), and the dense span
+    for a, expect in ((k_abelian(2), Subspace.zero(2)), (n2(), span(2, [[0, 1]])),
+                      (sl2(), Subspace.full(3))):
+        full = Subspace.full(a.dim)
+        assert CrossedModule.adjoint_identity(a).derived.base_sub == expect
+        assert span_brackets(a, full, full) == expect
 
 
 def test_center():
     assert center(k_abelian(3)) == Subspace.full(3)
-    assert center(n2()) == Subspace.from_vectors(2, [[0, 1]])
+    assert center(n2()) == span(2, [[0, 1]])
     assert center(sl2()) == Subspace.zero(3)
-    assert center(heis3()) == Subspace.from_vectors(3, [[0, 0, 1]])
+    assert center(heis3()) == span(3, [[0, 0, 1]])
 
 
 def test_center_brackets_vanish():
@@ -175,16 +186,16 @@ def test_center_brackets_vanish():
         for v in z.basis.entries:
             for i in range(a.dim):
                 e = tuple(Fraction(1 if t == i else 0) for t in range(a.dim))
-                assert a.bracket(v, e) == zero_vec(a.dim)
-                assert a.bracket(e, v) == zero_vec(a.dim)
+                assert _bracket(a, v, e) == zero_vec(a.dim)
+                assert _bracket(a, e, v) == zero_vec(a.dim)
 
 
 def test_ideal_closure():
     a = n2()
     assert ideal_closure(a, Subspace.zero(2)) == Subspace.zero(2)
-    assert ideal_closure(a, Subspace.from_vectors(2, [[1, 0]])) == Subspace.full(2)
+    assert ideal_closure(a, span(2, [[1, 0]])) == Subspace.full(2)
     b = k_abelian(3)
-    seed = Subspace.from_vectors(3, [[1, 1, 0]])
+    seed = span(3, [[1, 1, 0]])
     assert ideal_closure(b, seed) == seed
 
 
@@ -200,7 +211,7 @@ def test_quotient_algebra():
     assert q0.dim == 2 and q0.c == a.c
     assert check_hom(h0).valid
 
-    q1, h1 = quotient_algebra(a, Subspace.from_vectors(2, [[0, 1]]))
+    q1, h1 = quotient_algebra(a, span(2, [[0, 1]]))
     assert q1.dim == 1
     assert q1.c[0][0] == zero_vec(1)
     assert check_hom(h1).valid
@@ -211,8 +222,9 @@ def test_quotient_algebra():
 
 
 def test_quotient_rejects_non_ideal():
-    with pytest.raises(ValueError):
-        quotient_algebra(n2(), Subspace.from_vectors(2, [[1, 0]]))
+    xm, line = CrossedModule.adjoint_identity(n2()), span(2, [[1, 0]])
+    with pytest.raises(ValueError, match="not a crossed ideal"):
+        quotient_xmod(xm, SubPair(xm, line, line))
 
 
 def test_quotient_stability_randomized():
@@ -239,7 +251,7 @@ def test_every_hom_term_reported():
     # a linear map sol2 -> r2 on which flipping the sign of either term of
     # f([x,y]) - [f x, f y], dropping it, putting the other term in its
     # place, or swapping its arguments changes this report
-    f = AlgebraHom(sol2_lie(), r2_nonlie(), RatMatrix.from_rows([[-1, 2], [-1, 0]]))
+    f = AlgebraHom(sol2_lie(), r2_nonlie(), from_rows([[-1, 2], [-1, 0]]))
     expected = [("(e1,e1)", (0, -1)), ("(e1,e2)", (2, 2)), ("(e2,e1)", (-2, 0))]
     assert check_hom(f).violations == tuple(
         (label, tuple(Fraction(x) for x in r)) for label, r in expected)
@@ -257,11 +269,11 @@ def test_lie_adjoint_antisymmetry():
 
 def test_subalgebra_on():
     a = sl2()
-    sub, incl = subalgebra_on(a, Subspace.from_vectors(3, [[1, 0, 0]]), "line_e")
+    sub, incl = subalgebra_on(a, span(3, [[1, 0, 0]]), "line_e")
     assert sub.dim == 1 and sub.c[0][0] == zero_vec(1)
     assert incl.column(0) == (Fraction(1), Fraction(0), Fraction(0))
     with pytest.raises(ValueError):
-        subalgebra_on(a, Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]]), "bad")
+        subalgebra_on(a, span(3, [[1, 0, 0], [0, 1, 0]]), "bad")
 
 
 def test_random_corpus_is_deterministic_and_valid():

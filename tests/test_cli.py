@@ -541,6 +541,53 @@ def test_library_refuses_an_invalid_crossed_module(tmp_path, variant):
             fn(xm)
 
 
+def non_leibniz_inputs(tmp_path):
+    """The trivial action of nj3 on the zero algebra, the crossed module
+    (0, nj3, 0) on it and its identity extension, written into tmp_path:
+    nj3 ([e1,e2] = e3 = -[e2,e1], [e1,e3] = e1 = -[e3,e1]) is
+    anticommutative and fails the Jacobi, so the Leibniz, identity."""
+    docs = {
+        "nj3.algebra": {"kind": "algebra", "name": "nj3", "dim": 3,
+                        "basis": ["e1", "e2", "e3"],
+                        "brackets": {"e1": {"e2": {"e3": "1"}, "e3": {"e1": "1"}},
+                                     "e2": {"e1": {"e3": "-1"}},
+                                     "e3": {"e1": {"e1": "-1"}}}},
+        "zero.algebra": {"kind": "algebra", "name": "zero", "dim": 0, "basis": []},
+        "trivial.action": {"kind": "action", "name": "trivial", "actor": "nj3",
+                           "acted": "zero"},
+        "nj3.xmod": {"kind": "xmod", "name": "(0,nj3,0)", "top": "zero",
+                     "base": "nj3", "action": "trivial"},
+        "nj3.extension": {"kind": "extension", "name": "id", "total": "nj3",
+                          "quotient": "nj3",
+                          "projection": {"top_map": {}, "base_map": {
+                              b: {b: "1"} for b in ("e1", "e2", "e3")}}},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    return {name: tmp_path / name for name in docs}
+
+
+def test_check_refuses_an_action_over_a_non_leibniz_algebra(tmp_path, capsys):
+    paths = non_leibniz_inputs(tmp_path)
+    assert run(capsys, "check", paths["nj3.algebra"])[0] == 1
+    for name in ("trivial.action", "nj3.xmod"):
+        code, out, _ = run(capsys, "check", paths[name])
+        assert code == 1 and "  leibniz nj3 (e1,e2,e3): residual ('0', '0', '1')" in out, name
+
+
+@pytest.mark.parametrize("command, name, error", [
+    *[(c, "nj3.xmod", "invalid crossed module")
+      for c in ("multiplier", "exterior", "stemcover", "liezation")],
+    *[(c, "nj3.extension", "invalid extension")
+      for c in ("classify-extension", "verify-sequence")]])
+def test_commands_refuse_a_crossed_module_over_a_non_leibniz_algebra(
+        tmp_path, capsys, command, name, error):
+    # invalid input, refused with its reason, never an internal error
+    code, out, err = run(capsys, command, non_leibniz_inputs(tmp_path)[name])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {error}:") and "leibniz nj3 (" in err
+
+
 def test_liezation_emits_reloadable_quotient(tmp_path, capsys):
     out_file = tmp_path / "lz.xmod"
     code, _, _ = run(capsys, "liezation", FIXTURES / "n2_id.xmod",

@@ -24,8 +24,10 @@ def test_extension_job_counts():
     # a closure step is six products with the whole algebra (it was twelve
     # joins) and the derived pair takes each product once (254.66 joins per
     # job before); the whole pair is a crossed ideal without a step (210.66
-    # joins, 139.96 eliminations and 5 steps per job before)
-    assert out["ratlin.join"] <= 199
+    # joins, 139.96 eliminations and 5 steps per job before); an action's
+    # report starts with the Leibniz reports of its algebras, one more join
+    # for each algebra object that had none (<= 199 before)
+    assert out["ratlin.join"] <= 203
     # a map's kernel is taken once per matrix object and surjectivity and
     # injectivity are read off it (133.96 eliminations per job before)
     assert out["ratlin._eliminate"] <= 129
@@ -48,7 +50,9 @@ def test_squares_job_counts():
     out = counts("squares", 201)
     assert out["jobs"] == 18
     assert out["tensor._build_presentation"] == 1
-    assert (out["ratlin.join"], out["ratlin._eliminate"]) == (31, 19.889)
+    # the action's report reads the Leibniz report of its algebra (31 joins
+    # before)
+    assert (out["ratlin.join"], out["ratlin._eliminate"]) == (32, 19.889)
     assert out["ratlin.sparse_kernel"] == 5
 
 

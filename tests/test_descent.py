@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import _reference_descent as ref
 import _reference_xmod as ref_xmod
-from leibxmod.algebra import center, ideal_closure, span_brackets, subalgebra_on
+from _dense import span, unit_vec
+from leibxmod.algebra import center, ideal_closure, subalgebra_on
 from leibxmod.extensions import Extension, _theta_matrices
-from leibxmod.ratlin import Subspace, unit_vec
+from leibxmod.ratlin import Subspace
 from leibxmod.tensor import exterior_square_data, multiplier_functorial_map
 from leibxmod.xmod import CrossedModule, SubPair
 
@@ -37,8 +38,7 @@ def _socle_extension(base, socle_dim, seed, top_too):
     central crossed ideal (t, t), or (0, t) when not top_too."""
     a = helpers._central_extension(base, socle_dim, random.Random(seed), "A")
     xm = CrossedModule.adjoint_identity(a)
-    t = Subspace.from_vectors(a.dim, [unit_vec(a.dim, k)
-                                      for k in range(base.dim, a.dim)])
+    t = span(a.dim, [unit_vec(a.dim, k) for k in range(base.dim, a.dim)])
     return Extension.from_quotient_by(
         xm, SubPair(xm, t if top_too else Subspace.zero(a.dim), t),
         name=f"{base.name}+{socle_dim}")
@@ -120,7 +120,7 @@ def rebased_subspaces(draw):
     full = Subspace.full(a.dim)
     how = draw(st.sampled_from(["derived", "center", "closure", "span"]))
     if how == "derived":
-        return a, span_brackets(a, full, full)
+        return a, ref_xmod.span_brackets(a, full, full)
     if how == "center":
         return a, center(a)
     s = draw(spans(a.dim))

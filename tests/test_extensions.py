@@ -1,6 +1,7 @@
 """Extensions of crossed modules: classification, connecting map, exactness."""
 
 from collections import Counter
+from fractions import Fraction as QQ
 from functools import cached_property
 from pathlib import Path
 
@@ -22,11 +23,12 @@ from leibxmod.extensions import (
     theta_star,
 )
 from leibxmod.tensor import MutualActionPair, exterior_square_data, induced_exterior_hom
-from leibxmod.ratlin import QQ, RatMatrix, Subspace, kernel, unit_vec
+from leibxmod.ratlin import RatMatrix, Subspace, kernel
 from leibxmod.xmod import CrossedModule, SubPair, XModHom
 
 from helpers import (
     count_law_evaluations,
+    zero_pair,
     center_quotient,
     central_fixture_extensions,
     fixture_algebras,
@@ -39,7 +41,10 @@ from helpers import (
     sl2,
     zero_over,
 )
+import _reference_descent as ref_descent
 import _reference_xmod as ref_xmod
+from _dense import from_columns, from_rows, span, unit_vec
+from _reference_quotient import contains_vector
 
 
 # -- construction and validity --------------------------------------------------
@@ -82,7 +87,7 @@ def test_check_extension_flags_non_surjective():
 def test_from_quotient_by_rejects_non_ideal():
     xm = CrossedModule.adjoint_identity(n2())
     # span{e1} is not an ideal of n2 ([e1,e1] = e2 escapes)
-    bad = SubPair(xm, Subspace.zero(2), Subspace.from_vectors(2, [unit_vec(2, 0)]))
+    bad = SubPair(xm, Subspace.zero(2), span(2, [unit_vec(2, 0)]))
     with pytest.raises(ValueError):
         Extension.from_quotient_by(xm, bad)
 
@@ -235,6 +240,49 @@ def test_lemma35_needs_central():
         lemma35_check(Extension.from_quotient_by(xm, xm.full_pair()))
 
 
+def _lemma35_cases():
+    """The shared corpus and the center quotients of (q, q, id) over heis3,
+    n2, sl2 and six random algebras: central extensions all."""
+    return central_fixture_extensions() + [
+        center_quotient(CrossedModule.adjoint_identity(q), f"{q.name}_mod_center")
+        for q in [heis3(), n2(), sl2()] + random_leibniz_corpus(6)]
+
+
+def test_lemma35_matches_the_dense_reference():
+    cases = _lemma35_cases()
+    assert len(cases) == 16
+    for e in cases:
+        assert lemma35_check(e) == ref_descent.lemma35_check(e), e.name
+
+
+def test_lemma35_violations_match_the_dense_reference():
+    # over sl2 mod its (zero) center: the one-leg ideal replaced by the whole
+    # top square (not the span, not abelian, and escaping the zero
+    # kernel-base square), then the kernel-base square by the whole base
+    # square (not abelian)
+    labels = set()
+    for side in (0, 1):
+        e = center_quotient(CrossedModule.adjoint_identity(sl2()), "sl2_mod_center")
+        span, ideal, bp, psi2 = e.one_leg
+        esd = exterior_square_data(e.total)
+        vars(e)["one_leg"] = ((span, Subspace.full(esd.qn.resolved.dim), bp, psi2) if side == 0
+                              else (span, ideal, esd.qq, AlgebraHom.identity(esd.qq.resolved)))
+        rep = lemma35_check(e)
+        assert not rep.valid and rep == ref_descent.lemma35_check(e)
+        labels |= {label.split(" (")[0] for label, _ in rep.violations}
+    assert labels == {"one-leg span is not already an ideal", "one-leg ideal bracket",
+                      "kernel-base square bracket",
+                      "connecting image escapes the kernel-base square"}
+
+
+def test_lemma35_refuses_a_non_central_extension_as_the_reference():
+    xm = CrossedModule.adjoint_identity(n2())
+    e = Extension.from_quotient_by(xm, xm.full_pair())
+    for check in (lemma35_check, ref_descent.lemma35_check):
+        with pytest.raises(ValueError, match="^the abelian connecting structure needs"):
+            check(e)
+
+
 # -- stem covers of perfect crossed modules -------------------------------------------
 
 def test_stem_cover_of_sl2():
@@ -271,10 +319,10 @@ def test_cover_dimensions_agree_across_covers():
     t2 = zero_over(swapped, name="(0,n2s,i)")
     e1 = Extension.from_projection(
         XModHom(t1, q0, RatMatrix.zeros(0, 0),
-                RatMatrix.from_rows([[QQ(1), QQ(0)]], cols=2)), name="cov1")
+                from_rows([[QQ(1), QQ(0)]], cols=2)), name="cov1")
     e2 = Extension.from_projection(
         XModHom(t2, q0, RatMatrix.zeros(0, 0),
-                RatMatrix.from_rows([[QQ(0), QQ(1)]], cols=2)), name="cov2")
+                from_rows([[QQ(0), QQ(1)]], cols=2)), name="cov2")
     assert classify(e1).stem_cover and classify(e2).stem_cover
     rep = cor47_dimension_check(e1, e2)
     assert rep.valid, rep.summary()
@@ -335,7 +383,7 @@ def _swapped(m):
     """m with its first two columns swapped."""
     cols = [m.column(j) for j in range(m.cols)]
     cols[:2] = cols[1::-1]
-    return RatMatrix.from_columns(cols, rows=m.rows)
+    return from_columns(cols, rows=m.rows)
 
 
 @pytest.mark.parametrize("side, xm, message", [
@@ -370,7 +418,7 @@ def test_theta_reports_an_image_outside_the_kernel(e, message):
     # the same extension with its kernel replaced by the zero pair, against
     # which every nonzero connecting image escapes
     kxm, _ = central_kernel_xmod(e)
-    shrunk = Extension(e.name, e.total, e.quotient, e.proj, e.total.zero_pair())
+    shrunk = Extension(e.name, e.total, e.quotient, e.proj, zero_pair(e.total))
     with pytest.raises(AssertionError) as err:
         _theta_matrices(shrunk, kxm, skew=False)
     assert str(err.value) == message
@@ -391,8 +439,8 @@ def test_six_term_reports_a_first_map_outside_the_multiplier(side, message):
         vars(e)["one_leg"] = (full, full, bp, psi2)
     else:
         kb, d = kernel(esd.mu_q.matrix), esd.qq.resolved.dim
-        j = next(j for j in range(d) if not kb.contains_vector(unit_vec(d, j)))
-        onto = RatMatrix.from_columns([unit_vec(d, j)] * bp.resolved.dim, rows=d)
+        j = next(j for j in range(d) if not contains_vector(kb, unit_vec(d, j)))
+        onto = from_columns([unit_vec(d, j)] * bp.resolved.dim, rows=d)
         vars(e)["one_leg"] = (span, ideal, bp, AlgebraHom(bp.resolved, esd.qq.resolved, onto))
     with pytest.raises(AssertionError) as err:
         six_term_report(e)
@@ -513,15 +561,15 @@ def test_classify_checks_the_projection_once(monkeypatch, capsys):
 
 def test_extension_commands_never_densify(monkeypatch, capsys):
     # the connecting map, the inclusion crossed modules and the subalgebras
-    # behind them read the integer twins: with no bracket or action
-    # evaluated on a pair of dense vectors, both commands print their
-    # golden --json bytes on both fixture extensions
+    # behind them read the integer twins: with no dense table (the body of
+    # c, left and right) built, both commands print their golden --json
+    # bytes on both fixture extensions
     golden = (Path(__file__).resolve().parent / "golden" / "json_corpus.txt").read_text()
 
     def densified(*args, **kwargs):
-        raise AssertionError("a bracket or an action was evaluated densely")
+        raise AssertionError("a dense table was built")
 
-    monkeypatch.setattr(algebra, "contract", densified)
+    monkeypatch.setattr(algebra, "_densified", densified)
     monkeypatch.chdir(FIXTURES)
     for name in ("n2_over_k.extension", "split_over_n2.extension"):
         for command in ("classify-extension", "verify-sequence"):
@@ -618,7 +666,7 @@ def test_an_induced_map_that_misses_a_class_is_not_surjective(monkeypatch):
         hom = real(src, tgt, fm, fn)
         rows = [(QQ(0), *row[1:]) for row in hom.matrix.entries]
         return AlgebraHom(hom.source, hom.target,
-                          RatMatrix.from_rows(rows, cols=hom.matrix.cols))
+                          from_rows(rows, cols=hom.matrix.cols))
 
     monkeypatch.setattr(tensor, "_induced_presentation_hom", dropped)
     with pytest.raises(AssertionError) as err:

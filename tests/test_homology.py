@@ -10,6 +10,8 @@ from leibxmod.algebra import LeibnizAlgebra, check_leibniz, is_lie
 from leibxmod.homology import boundary, hl
 from leibxmod.ratlin import RatMatrix, rank
 
+from _dense import from_rows
+from _reference_checks import _bracket, _mul_vec
 from helpers import fixture_algebras, k_abelian, n2, random_leibniz_corpus, sl2
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60,
@@ -107,7 +109,7 @@ def heisenberg(d):
     for i in range(0, d - 1, 2):
         c[i][i + 1][d - 1] = Fraction(1)
         c[i + 1][i][d - 1] = Fraction(-1)
-    return LeibnizAlgebra.from_table(f"heis{d}", [f"e{i + 1}" for i in range(d)], c)
+    return LeibnizAlgebra(f"heis{d}", d, [f"e{i + 1}" for i in range(d)], c)
 
 
 def test_hl_never_densifies(monkeypatch):
@@ -147,7 +149,7 @@ def tables(draw):
     one, so these are compared too."""
     d = draw(st.integers(0, 3))
     c = [[[draw(RATIONALS) for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    return LeibnizAlgebra.from_table(f"t{d}", [f"e{i + 1}" for i in range(d)], c)
+    return LeibnizAlgebra(f"t{d}", d, [f"e{i + 1}" for i in range(d)], c)
 
 
 @st.composite
@@ -187,7 +189,7 @@ def dense_non_lie_5():
     c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     c[0][0][1] = c[2][3][4] = Fraction(1)
     c[3][2][4] = Fraction(-1)
-    a = LeibnizAlgebra.from_table("n2+heis3", [f"e{i + 1}" for i in range(d)], c)
+    a = LeibnizAlgebra("n2+heis3", d, [f"e{i + 1}" for i in range(d)], c)
     g = ginv = RatMatrix.identity(d)
     pairs = [(i, j) for i in range(d) for j in range(d) if i < j]
     pairs += [(j, i) for i, j in pairs]
@@ -196,10 +198,10 @@ def dense_non_lie_5():
         e = [[Fraction(int(r == k)) for k in range(d)] for r in range(d)]
         einv = [row[:] for row in e]
         e[i][j], einv[i][j] = lam, -lam
-        g, ginv = g.mul(RatMatrix.from_rows(e)), RatMatrix.from_rows(einv).mul(ginv)
-    dense = [[ginv.mul_vec(a.bracket(g.column(i), g.column(j))) for j in range(d)]
+        g, ginv = g.mul(from_rows(e)), from_rows(einv).mul(ginv)
+    dense = [[_mul_vec(ginv, _bracket(a, g.column(i), g.column(j))) for j in range(d)]
              for i in range(d)]
-    return LeibnizAlgebra.from_table("dense5", a.basis_names, dense)
+    return LeibnizAlgebra("dense5", d, a.basis_names, dense)
 
 
 def test_dense_non_lie_dimension_5_matches_reference():

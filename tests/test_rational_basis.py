@@ -19,6 +19,8 @@ from leibxmod.ratlin import RatMatrix
 from leibxmod.tensor import exterior_square_data, schur_multiplier
 from leibxmod.xmod import CrossedModule, XModHom, check_xmod
 
+from _dense import from_rows
+from _reference_checks import _act_left, _act_right, _bracket, _mul_vec
 from helpers import central_fixture_extensions, fixture_algebras
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=20,
@@ -33,7 +35,7 @@ def _elementary(d, i, j, lam):
     einv = [row[:] for row in e]
     e[i][j] = lam
     einv[i][j] = 1 / lam if i == j else -lam
-    return RatMatrix.from_rows(e, d), RatMatrix.from_rows(einv, d)
+    return from_rows(e, d), from_rows(einv, d)
 
 
 @st.composite
@@ -57,7 +59,7 @@ def rational_bases(draw, d):
 def rebased(a, basis):
     """The algebra a in the basis of the columns of g, basis = (g, g^-1)."""
     g, ginv = basis
-    c = tuple(tuple(ginv.mul_vec(a.bracket(g.column(i), g.column(j)))
+    c = tuple(tuple(_mul_vec(ginv, _bracket(a, g.column(i), g.column(j)))
                     for j in range(a.dim)) for i in range(a.dim))
     return LeibnizAlgebra(a.name, a.dim, a.basis_names, c)
 
@@ -66,9 +68,9 @@ def rebased_xmod(xm, top_basis, base_basis):
     """The crossed module xm with its top and base rebased."""
     (gt, gtinv), (gb, gbinv) = top_basis, base_basis
     top, base = rebased(xm.top, top_basis), rebased(xm.base, base_basis)
-    left = tuple(tuple(gtinv.mul_vec(xm.action.act_left(gb.column(i), gt.column(j)))
+    left = tuple(tuple(_mul_vec(gtinv, _act_left(xm.action, gb.column(i), gt.column(j)))
                        for j in range(top.dim)) for i in range(base.dim))
-    right = tuple(tuple(gtinv.mul_vec(xm.action.act_right(gt.column(j), gb.column(i)))
+    right = tuple(tuple(_mul_vec(gtinv, _act_right(xm.action, gt.column(j), gb.column(i)))
                         for i in range(base.dim)) for j in range(top.dim))
     return CrossedModule(xm.name, top, base, gbinv.mul(xm.delta).mul(gt),
                          LeibnizAction(base, top, left, right))

@@ -109,7 +109,6 @@ def test_views_are_the_old_dense_fields(acts, matrices):
     assert act.right == was.right and _fractions(act.right)
     assert m.entries == om.entries and _fractions((m.entries,))
     assert [m.column(j) for j in range(m.cols)] == [om.column(j) for j in range(om.cols)]
-    assert [m.row(i) for i in range(m.rows)] == [om.row(i) for i in range(om.rows)]
 
 
 @PROPERTY

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 from fractions import Fraction
+from fractions import Fraction as QQ
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _reference_bracket as ref_bracket
+from _dense import from_rows, integer_entries, unit_vec
+from _reference_checks import _mul_vec, contract
+from _reference_quotient import contains_vector, project
 from leibxmod import algebra, cli, tensor
 from leibxmod.algebra import (
     AlgebraHom,
@@ -20,18 +24,15 @@ from leibxmod.algebra import (
 )
 from leibxmod.homology import hl
 from leibxmod.ratlin import (
-    QQ,
     RatMatrix,
     Subspace,
-    contract,
-    integer_entries,
+    dense,
     integer_view,
     kernel,
     rank,
     sparse,
     sparse_table,
     transposed,
-    unit_vec,
 )
 from leibxmod.tensor import (
     MutualActionPair,
@@ -42,7 +43,6 @@ from leibxmod.tensor import (
     one_leg_span,
     schur_multiplier,
     square_subspace,
-    tensor_product,
 )
 from leibxmod.xmod import (
     CrossedModule,
@@ -54,6 +54,7 @@ from leibxmod.xmod import (
 )
 
 from helpers import (
+    bracket_table,
     central_fixture_extensions,
     count_law_evaluations,
     direction,
@@ -84,7 +85,7 @@ def abelian_module(top_dim, base_dim, sigma_rows, name="ab"):
     """Any linear map between abelian algebras with the trivial action."""
     top = LeibnizAlgebra.abelian(f"{name}.top", top_dim)
     base = LeibnizAlgebra.abelian(f"{name}.base", base_dim)
-    sigma = RatMatrix.from_rows(sigma_rows, cols=top_dim)
+    sigma = from_rows(sigma_rows, cols=top_dim)
     return CrossedModule(name, top, base, sigma, LeibnizAction.trivial(base, top))
 
 
@@ -101,6 +102,11 @@ def test_shared_base_requires_common_base():
         MutualActionPair.from_shared_base(
             CrossedModule.adjoint_identity(n2()),
             CrossedModule.adjoint_identity(sl2()))
+
+
+def tensor_product(pair):
+    """The tensor product of a mutual action pair: no glue rows."""
+    return tensor._build_presentation(pair, (), f"{pair.m.name}(x){pair.n.name}")
 
 
 def test_tensor_rejects_invalid_action():
@@ -122,13 +128,14 @@ def test_tensor_n2_adjoint():
     assert t.relations.dim == 5
     assert t.resolved.dim == 3
     assert t.resolved.basis_names == ("e1*e1", "e1*e1", "e2*e1")
-    u = lambda i: unit_vec(8, i)
+    # the class of the symbol of block s at (x, y)
+    cls = lambda s, x, y: project(t.qmap, unit_vec(8, tensor._index(2, 2, s, x, y)))
     # e2 legs against e2 die; the two mixed symbols are identified
     zero = (QQ(0),) * 3
-    for i in (t.mn_index(0, 1), t.mn_index(1, 1), t.nm_index(0, 1), t.nm_index(1, 1)):
-        assert t.class_of(u(i)) == zero
-    assert t.class_of(u(t.mn_index(1, 0))) == t.class_of(u(t.nm_index(1, 0)))
-    assert t.class_of(u(t.mn_index(0, 0))) != t.class_of(u(t.nm_index(0, 0)))
+    for s, x, y in ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)):
+        assert cls(s, x, y) == zero
+    assert cls(0, 1, 0) == cls(1, 1, 0)
+    assert cls(0, 0, 0) != cls(1, 0, 0)
 
 
 def test_tensor_representative_consistency():
@@ -137,7 +144,7 @@ def test_tensor_representative_consistency():
         for i in range(t.ambient_dim):
             for j in range(t.ambient_dim):
                 primary, alt = representatives(t, i, j)
-                assert t.class_of(primary) == t.class_of(alt)
+                assert project(t.qmap, primary) == project(t.qmap, alt)
 
 
 def test_tensor_bracket_well_defined_on_classes():
@@ -145,8 +152,8 @@ def test_tensor_bracket_well_defined_on_classes():
     for r in t.relations.basis.entries:
         for s in range(t.ambient_dim):
             e = unit_vec(t.ambient_dim, s)
-            assert t.relations.contains_vector(t.bracket_ambient(r, e))
-            assert t.relations.contains_vector(t.bracket_ambient(e, r))
+            assert contains_vector(t.relations, contract(bracket_table(t), r, e, t.ambient_dim))
+            assert contains_vector(t.relations, contract(bracket_table(t), e, r, t.ambient_dim))
 
 
 def test_tensor_resolved_matches_ambient_bracket():
@@ -155,8 +162,8 @@ def test_tensor_resolved_matches_ambient_bracket():
     assert len(sec) == t.resolved.dim
     for i in range(t.resolved.dim):
         for j in range(t.resolved.dim):
-            assert t.resolved.c[i][j] == \
-                t.class_of(t.bracket_ambient(sec[i], sec[j]))
+            assert t.resolved.c[i][j] == project(
+                t.qmap, contract(bracket_table(t), sec[i], sec[j], t.ambient_dim))
     assert check_leibniz(t.resolved).valid
 
 
@@ -166,9 +173,9 @@ def test_symbol_maps_are_bilinear():
     by_parts = [QQ(0)] * 8
     for a, ca in enumerate(u):
         for b, cb in enumerate(v):
-            idx = t.mn_index(a, b)
-            by_parts[idx] += ca * cb
-    assert t.symbol_mn(u, v) == tuple(by_parts)
+            by_parts[tensor._index(2, 2, 0, a, b)] += ca * cb
+    symbol = tensor._symbols(2, 2, ((1, 0, sparse(u), sparse(v)),))
+    assert dense(symbol.items(), t.ambient_dim) == tuple(by_parts)
 
 
 # -- glue subspace and exterior product ----------------------------------------
@@ -186,7 +193,7 @@ def test_square_subspace_n2():
     assert box.dim == 4
     u = lambda i: unit_vec(8, i)
     diff = tuple(x - y for x, y in zip(u(0), u(4)))
-    assert box.contains_vector(diff)
+    assert contains_vector(box, diff)
 
 
 def test_exterior_square_n2():
@@ -198,16 +205,16 @@ def test_exterior_square_n2():
     # the square of this algebra is abelian
     zero = (QQ(0),) * 2
     assert all(v == zero for row in qq.resolved.c for v in row)
-    u = lambda i: unit_vec(8, i)
-    assert qq.class_of(u(qq.mn_index(0, 0))) == qq.class_of(u(qq.nm_index(0, 0)))
-    assert qq.class_of(u(qq.mn_index(0, 0))) != zero
-    assert qq.class_of(u(qq.mn_index(0, 1))) == zero
-    assert qq.class_of(u(qq.mn_index(1, 1))) == zero
+    cls = lambda s, x, y: project(qq.qmap, unit_vec(8, tensor._index(2, 2, s, x, y)))
+    assert cls(0, 0, 0) == cls(1, 0, 0)
+    assert cls(0, 0, 0) != zero
+    assert cls(0, 0, 1) == zero
+    assert cls(0, 1, 1) == zero
     # evaluation sends e1*e1 to [e1,e1] = e2 and e2*e1 to 0
-    assert esd.mu_q.apply(unit_vec(2, 0)) == (QQ(0), QQ(1))
-    assert esd.mu_q.apply(unit_vec(2, 1)) == (QQ(0), QQ(0))
-    assert esd.lambda_n.apply(unit_vec(2, 0)) == (QQ(0), QQ(1))
-    assert esd.lambda_n.apply(unit_vec(2, 1)) == (QQ(0), QQ(0))
+    assert _mul_vec(esd.mu_q.matrix, unit_vec(2, 0)) == (QQ(0), QQ(1))
+    assert _mul_vec(esd.mu_q.matrix, unit_vec(2, 1)) == (QQ(0), QQ(0))
+    assert _mul_vec(esd.lambda_n.matrix, unit_vec(2, 0)) == (QQ(0), QQ(1))
+    assert _mul_vec(esd.lambda_n.matrix, unit_vec(2, 1)) == (QQ(0), QQ(0))
     # delta is the identity here, so the connecting map is too
     assert esd.id_wedge_delta.matrix == RatMatrix.identity(2)
 
@@ -347,10 +354,11 @@ def test_vanishes_matches_every_pairwise_contraction(data):
     # trivial-action checks: one join over the sparse bases against a
     # dense contraction per pair, value for value up to a positive scale
     d1, d2, d3 = (data.draw(st.integers(0, 3)) for _ in range(3))
-    view = sparse_table(data.draw(tables(d1, d2, d3)))
+    table = data.draw(tables(d1, d2, d3))
+    view = sparse_table(table)
     us = [data.draw(vectors(d1)) for _ in range(data.draw(st.integers(0, 3)))]
     vs = [data.draw(vectors(d2)) for _ in range(data.draw(st.integers(0, 3)))]
-    expect = [contract(integer_view(view), u, v, d3) for u in us for v in vs]
+    expect = [contract(table, u, v, d3) for u in us for v in vs]
     got = algebra._pairwise(integer_view(transposed(view, d2)),
                             integer_view([sparse(u) for u in us], 1),
                             integer_view([sparse(v) for v in vs], 1))
@@ -370,7 +378,7 @@ def test_pairwise_drops_values_that_cancel():
 
 def test_presentation_builds_no_representative_table(monkeypatch):
     # the sweep and the agreement rows run on the evaluation spans; the
-    # full table is built only when zst is read, or to name a failure
+    # full table is built only to name a failure
     real = tensor._representatives
 
     def refuse(pair):
@@ -378,9 +386,8 @@ def test_presentation_builds_no_representative_table(monkeypatch):
 
     monkeypatch.setattr(tensor, "_representatives", refuse)
     pres = tensor._build_presentation(adjoint_pair(sl2()), [], "probe")
-    assert "zst" not in vars(pres)
     monkeypatch.setattr(tensor, "_representatives", real)
-    assert pres.zst[1] == real(pres.pair) and "zst" in vars(pres)
+    assert pres.resolved.zst == ref_bracket.resolved_table(pres)
 
 
 def test_views_built_from_sparse_images_equal_the_views_of_the_tables():
@@ -507,7 +514,7 @@ def test_induced_map_reports_unpreserved_relations():
     # swapping e1 and e2 is not a homomorphism of n2, and the substitution
     # it induces does not respect the relations of the squares
     esd = exterior_square_data(CrossedModule.adjoint_identity(n2()))
-    swap = RatMatrix.from_rows([[0, 1], [1, 0]])
+    swap = from_rows([[0, 1], [1, 0]])
     _raises_exactly("induced map n2(^)n2 -> n2(^)n2 does not preserve relations",
                     tensor._induced_presentation_hom, esd.qn, esd.qq, swap, swap)
 
@@ -588,7 +595,7 @@ def _matches_the_bracket_reference(press) -> int:
     the number of nonzero tables."""
     for pres in press:
         assert pres.resolved.zst == ref_bracket.resolved_table(pres), pres.name
-        assert pres.zst[1] == ref_bracket.representatives(pres.pair), pres.name
+        assert tensor._representatives(pres.pair) == ref_bracket.representatives(pres.pair), pres.name
     return sum(any(v for row in pres.resolved.zst[1] for v in row) for pres in press)
 
 
@@ -657,10 +664,10 @@ def test_squares_are_built_once_per_object(monkeypatch):
 def _leaving(source, target, dim):
     """A matrix with dim rows that sends the first basis vector of the
     subspace source to a unit vector outside the subspace target."""
-    j = next(j for j in range(dim) if not target.contains_vector(unit_vec(dim, j)))
+    j = next(j for j in range(dim) if not contains_vector(target, unit_vec(dim, j)))
     p = source.pivots[0]
     cols = source.ambient_dim
-    return RatMatrix.from_rows([[QQ(int((r, c) == (j, p))) for c in range(cols)]
+    return from_rows([[QQ(int((r, c) == (j, p))) for c in range(cols)]
                                 for r in range(dim)], cols=cols)
 
 

@@ -1,6 +1,7 @@
 """Crossed-module layer: validity, ideals, commutators, quotient functors."""
 
 import random
+from fractions import Fraction as QQ
 from pathlib import Path
 
 import pytest
@@ -9,22 +10,19 @@ from hypothesis import strategies as st
 
 import _reference_checks as ref_checks
 import _reference_xmod as ref
+from _dense import from_rows, integer_entries, span, unit_vec, vec_is_zero
+from _reference_quotient import contains_vector
 from leibxmod import algebra, cli, ratlin, tensor, xmod
 from leibxmod.algebra import (
     LeibnizAction,
     center,
     is_lie,
-    span_brackets,
 )
 from leibxmod.ratlin import (
-    QQ,
     RatMatrix,
     Subspace,
-    integer_entries,
     integer_view,
     sparse,
-    unit_vec,
-    vec_is_zero,
 )
 from leibxmod.tensor import MutualActionPair
 from leibxmod.xmod import (
@@ -48,6 +46,7 @@ from leibxmod.xmod import (
 
 from helpers import (
     count_law_evaluations,
+    zero_pair,
     direction,
     fixture_algebras,
     heis3,
@@ -65,8 +64,8 @@ from test_rational_basis import rational_bases, rebased, rebased_xmod
 
 def span_of(xm, top_vecs, base_vecs):
     return SubPair(xm,
-                   Subspace.from_vectors(xm.top.dim, top_vecs),
-                   Subspace.from_vectors(xm.base.dim, base_vecs))
+                   span(xm.top.dim, top_vecs),
+                   span(xm.base.dim, base_vecs))
 
 
 # -- validity ----------------------------------------------------------------
@@ -92,19 +91,19 @@ def test_adjoint_identity_evaluates_its_action_report_once(monkeypatch):
 
 def test_inclusion_of_ideal_valid():
     q = n2()
-    s = Subspace.from_vectors(2, [(QQ(0), QQ(1))])
+    s = span(2, [(QQ(0), QQ(1))])
     xm = CrossedModule.inclusion(q, s)
     assert check_xmod(xm).valid
     assert xm.top.dim == 1 and xm.base.dim == 2
 
     h = heis3()
-    zc = Subspace.from_vectors(3, [(QQ(0), QQ(0), QQ(1))])
+    zc = span(3, [(QQ(0), QQ(0), QQ(1))])
     assert check_xmod(CrossedModule.inclusion(h, zc)).valid
 
 
 def test_inclusion_rejects_non_ideal():
     q = n2()
-    s = Subspace.from_vectors(2, [(QQ(1), QQ(0))])
+    s = span(2, [(QQ(1), QQ(0))])
     with pytest.raises(ValueError):
         CrossedModule.inclusion(q, s)
 
@@ -142,7 +141,7 @@ def test_every_xmod_term_reported():
     z, one = QQ(0), QQ(1)
     left = (((z, z), (z, z)), ((z, -one), (z, z)))
     right = (((z, z), (z, z)), ((z, one), (z, z)))
-    delta = RatMatrix.from_rows([[-1, 1], [-1, 0]])
+    delta = from_rows([[-1, 1], [-1, 0]])
     rep = check_xmod(CrossedModule("xm", q, q, delta, LeibnizAction(q, q, left, right)))
     expected = [
         ("equivariance-right (e1,e1)", (0, 1)), ("equivariance-right (e2,e1)", (1, 0)),
@@ -164,7 +163,7 @@ def test_delta_shape_mismatch_rejected():
 
 def test_closure_of_zero_is_zero():
     xm = CrossedModule.adjoint_identity(n2())
-    out = crossed_ideal_closure(xm, xm.zero_pair())
+    out = crossed_ideal_closure(xm, zero_pair(xm))
     assert out.dims() == (0, 0)
 
 
@@ -176,7 +175,7 @@ def test_closure_from_base_line_on_n2():
     seed = span_of(xm, [], [(QQ(1), QQ(0))])
     out = crossed_ideal_closure(xm, seed)
     assert out.dims() == (1, 2)
-    assert out.top_sub.contains_vector((QQ(0), QQ(1)))
+    assert contains_vector(out.top_sub, (QQ(0), QQ(1)))
     assert is_crossed_ideal(xm, out)
     # and it is least: dropping the top line breaks the ideal invariants
     assert not is_crossed_ideal(xm, span_of(xm, [], [(QQ(1), QQ(0)),
@@ -206,7 +205,7 @@ def test_closure_output_is_crossed_ideal():
 
 def test_commutator_of_zeros_is_zero():
     xm = CrossedModule.adjoint_identity(sl2())
-    out = commutator(xm, xm.zero_pair(), xm.zero_pair())
+    out = commutator(xm, zero_pair(xm), zero_pair(xm))
     assert out.dims() == (0, 0)
 
 
@@ -222,7 +221,7 @@ def test_derived_of_n2_identity():
     d = derived_xmod(xm)
     e2 = (QQ(0), QQ(1))
     assert d.dims() == (1, 1)
-    assert d.top_sub.contains_vector(e2) and d.base_sub.contains_vector(e2)
+    assert contains_vector(d.top_sub, e2) and contains_vector(d.base_sub, e2)
 
 
 def test_derived_of_sl2_identity_is_full():
@@ -242,7 +241,7 @@ def test_center_of_n2_identity():
     z = center_xmod(xm)
     e2 = (QQ(0), QQ(1))
     assert z.dims() == (1, 1)
-    assert z.top_sub.contains_vector(e2) and z.base_sub.contains_vector(e2)
+    assert contains_vector(z.top_sub, e2) and contains_vector(z.base_sub, e2)
 
 
 def test_center_of_sl2_identity_is_zero():
@@ -261,20 +260,20 @@ def test_derived_top_matches_bracket_and_action_span():
     # top of the derived pair = span{[n_i,n_j]} + span{^q n, n^q}
     fixtures = [CrossedModule.adjoint_identity(a) for a in fixture_algebras()]
     q = n2()
-    s = Subspace.from_vectors(2, [(QQ(0), QQ(1))])
+    s = span(2, [(QQ(0), QQ(1))])
     fixtures.append(CrossedModule.inclusion(q, s))
     for a in random_leibniz_corpus(count=4, seed=31):
         fixtures.append(CrossedModule.adjoint_identity(a))
     for xm in fixtures:
         d = derived_xmod(xm)
-        expect = span_brackets(xm.top, Subspace.full(xm.top.dim),
+        expect = ref.span_brackets(xm.top, Subspace.full(xm.top.dim),
                                Subspace.full(xm.top.dim))
         acts = []
         for i in range(xm.base.dim):
             for j in range(xm.top.dim):
                 acts.append(xm.action.left[i][j])
                 acts.append(xm.action.right[j][i])
-        expect = expect.add(Subspace.from_vectors(xm.top.dim, acts))
+        expect = expect.add(span(xm.top.dim, acts))
         assert d.top_sub == expect
 
 
@@ -282,7 +281,7 @@ def test_derived_top_matches_bracket_and_action_span():
 
 def test_quotient_by_zero_is_isomorphic_copy():
     xm = CrossedModule.adjoint_identity(heis3())
-    out, proj = quotient_xmod(xm, xm.zero_pair())
+    out, proj = quotient_xmod(xm, zero_pair(xm))
     assert (out.top.dim, out.base.dim) == (3, 3)
     assert out.top.c == xm.top.c and out.base.c == xm.base.c
     assert check_xmod_hom(proj).valid
@@ -455,7 +454,7 @@ def test_closure_step_takes_six_products_with_the_whole_algebra(monkeypatch, nam
     # [b, q], [q, b], ^b n, n^b, ^q t and t^q: one join each, no product of
     # two subspaces and no basis of a whole space
     xm = cli.load_fixture(FIXTURES / name)
-    seeds = [xm.zero_pair(), xm.full_pair(), span_of(xm, [unit_vec(xm.top.dim, 0)], []),
+    seeds = [zero_pair(xm), xm.full_pair(), span_of(xm, [unit_vec(xm.top.dim, 0)], []),
              span_of(xm, [], [unit_vec(xm.base.dim, xm.base.dim - 1)])]
     expect = [ref.crossed_ideal_closure(xm, sp) for sp in seeds]
     _no_pairwise_and_no_full_basis(monkeypatch)
@@ -471,7 +470,7 @@ def test_closure_step_takes_six_products_with_the_whole_algebra(monkeypatch, nam
 
 def test_ideal_closure_takes_no_product_of_two_subspaces(monkeypatch):
     # a round is s, [a, s] and [s, a] read through the algebra's twins
-    cases = [(a, Subspace.from_vectors(a.dim, [unit_vec(a.dim, k)]))
+    cases = [(a, span(a.dim, [unit_vec(a.dim, k)]))
              for a in ALGEBRAS if a.dim for k in range(a.dim)]
     expect = [ref.ideal_closure(a, s) for a, s in cases]
     _no_pairwise_and_no_full_basis(monkeypatch)
@@ -530,7 +529,7 @@ def test_identity_hom_valid():
 
 def test_inclusion_into_adjoint_identity_is_a_hom():
     q = n2()
-    s = Subspace.from_vectors(2, [(QQ(0), QQ(1))])
+    s = span(2, [(QQ(0), QQ(1))])
     sub = CrossedModule.inclusion(q, s)
     whole = CrossedModule.adjoint_identity(q)
     f = XModHom(sub, whole, sub.delta, RatMatrix.identity(2))
@@ -545,8 +544,8 @@ def test_broken_hom_reported():
     # base map sends e2 -> e, so it is not an algebra hom and clashes
     # with delta compatibility against the top map e1 -> e, e2 -> 0
     f = XModHom(xm, tgt,
-                RatMatrix.from_rows([(QQ(1), QQ(0))]),
-                RatMatrix.from_rows([(QQ(0), QQ(1))]))
+                from_rows([(QQ(1), QQ(0))]),
+                from_rows([(QQ(0), QQ(1))]))
     rep = check_xmod_hom(f)
     assert not rep.valid
 
@@ -587,7 +586,7 @@ def _pool():
         out += [e.total, e.quotient]
     for q in ALGEBRAS:
         full = Subspace.full(q.dim)
-        out += [zero_over(q), CrossedModule.inclusion(q, span_brackets(q, full, full)),
+        out += [zero_over(q), CrossedModule.inclusion(q, ref.span_brackets(q, full, full)),
                 CrossedModule.inclusion(q, center(q))]
     return out
 
@@ -599,7 +598,7 @@ def test_the_whole_pair_is_a_crossed_ideal_without_a_step(monkeypatch):
     # by definition, on a valid crossed module and an invalid one alike:
     # the (n2, n2, id) whose delta swaps e1 and e2 fails the laws
     q = n2()
-    swapped = RatMatrix.from_rows([(QQ(0), QQ(1)), (QQ(1), QQ(0))], cols=2)
+    swapped = from_rows([(QQ(0), QQ(1)), (QQ(1), QQ(0))], cols=2)
     xms = [cli.load_fixture(p) for p in sorted(FIXTURES.glob("*.xmod"))]
     xms.append(CrossedModule("(n2,n2,id)", q, q, swapped, LeibnizAction.adjoint(q)))
     assert not check_xmod(xms[-1]).valid
@@ -647,7 +646,7 @@ def any_xmods():
 @st.composite
 def spans(draw, d):
     """The span of 0 to 2 random rational vectors of length d."""
-    return Subspace.from_vectors(d, [draw(vectors(d)) for _ in range(draw(st.integers(0, 2)))])
+    return span(d, [draw(vectors(d)) for _ in range(draw(st.integers(0, 2)))])
 
 
 @st.composite
@@ -664,7 +663,7 @@ def pairs(draw, xm):
         return seed if how == "seed" else ref.crossed_ideal_closure(xm, seed)
     if how == "center":
         return center_xmod(xm)
-    return xm.full_pair() if how == "full" else xm.zero_pair()
+    return xm.full_pair() if how == "full" else zero_pair(xm)
 
 
 def _outcome(f, *args):
@@ -727,7 +726,7 @@ def test_commutator_refuses_an_invalid_crossed_module_before_the_closure():
     # pair's commutator is not closed, which the closure assertion would
     # report as a failed theorem; the validity report comes first
     q = n2()
-    swapped = RatMatrix.from_rows([(QQ(0), QQ(1)), (QQ(1), QQ(0))], cols=2)
+    swapped = from_rows([(QQ(0), QQ(1)), (QQ(1), QQ(0))], cols=2)
     xm = CrossedModule("(n2,n2,id)", q, q, swapped, LeibnizAction.adjoint(q))
     rep = check_xmod(xm)
     assert not rep.valid
@@ -748,7 +747,8 @@ def test_acts_match_every_pairwise_action(data):
     ys = [data.draw(vectors(xm.base.dim)) for _ in range(data.draw(st.integers(0, 3)))]
     xs = [data.draw(vectors(xm.top.dim)) for _ in range(data.draw(st.integers(0, 3)))]
     expect = [w for y in ys for x in xs
-              for w in (xm.action.act_left(y, x), xm.action.act_right(x, y)) if any(w)]
+              for w in (ref_checks._act_left(xm.action, y, x),
+                        ref_checks._act_right(xm.action, x, y)) if any(w)]
     got = xmod._acts(xm, integer_view([sparse(y) for y in ys], 1),
                      integer_view([sparse(x) for x in xs], 1))
     assert (sorted(map(direction, got))
@@ -791,6 +791,13 @@ def test_commutator_is_symmetric():
 @PROPERTY
 @given(st.data())
 def test_span_brackets_matches_the_dense_reference(data):
+    def span_brackets(a, X, Y):
+        # the product of two subspaces, as the commutator and the
+        # multiplier's laws take it
+        if X.ambient_dim != a.dim or Y.ambient_dim != a.dim:
+            raise ValueError("subspace/algebra dimension mismatch")
+        return Subspace.from_integer_rows(a.dim, algebra._pairwise(a.zst_t, X.zbasis, Y.zbasis))
+
     xm = data.draw(pool_xmods())
     a = data.draw(st.sampled_from([xm.top, xm.base]))
     X = data.draw(spans(a.dim))
@@ -814,14 +821,14 @@ def test_pulled_back_actions_match_the_dense_reference(data):
 def test_structure_theory_never_densifies(monkeypatch):
     # closures, ideal tests, commutators, centers, predicates, the
     # abelianization and the pulled-back actions read the integer twins:
-    # no bracket or action is evaluated on a pair of dense vectors
+    # no dense table (the body of c, left and right) is built
     xms = (cli.load_fixture(FIXTURES / "split_over_n2.extension").total,
            cli.load_fixture(FIXTURES / "n2pad.xmod"))
 
     def densified(*args, **kwargs):
-        raise AssertionError("a bracket or an action was evaluated densely")
+        raise AssertionError("a dense table was built")
 
-    monkeypatch.setattr(algebra, "contract", densified)
+    monkeypatch.setattr(algebra, "_densified", densified)
     for xm in xms:
         seed = span_of(xm, [unit_vec(xm.top.dim, 1)], [])
         closed = crossed_ideal_closure(xm, seed)
