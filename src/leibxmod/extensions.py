@@ -110,11 +110,10 @@ class Extension:
 
     @cached_property
     def validity(self) -> ValidityReport:
-        """Component validity, surjectivity, the kernel pair, and the induced
-        isomorphism between total-mod-kernel and the quotient."""
-        bad = [*check_xmod(self.total).violations,
-               *check_xmod(self.quotient).violations,
-               *check_xmod_hom(self.proj).violations]
+        """Component validity (each distinct component once), surjectivity, the
+        kernel pair, and the induced isomorphism total/kernel -> quotient."""
+        bad = [*(v for xm in dict.fromkeys((self.total, self.quotient))
+                 for v in check_xmod(xm).violations), *check_xmod_hom(self.proj).violations]
         if not self.proj.is_surjective():
             bad.append(("projection not surjective in both components", ()))
         if not self.kernel.same_spaces(self.proj.kernel_pair()):

@@ -3,12 +3,14 @@
 The tensor product of two Leibniz algebras with mutual actions is
 modelled as a quotient of the linear span of the pure symbols
 m_a * n_b (block 0) and n_b * m_a (block 1).  Swapping the factors
-maps one block onto the other, so every rule is written once per side
-and run on both.  Scalar and additivity rules are absorbed by linearity
-of the symbol space; the remaining defining relations become vectors
-spanning a relation subspace, and the bracket is given on symbols by
-one fixed representative per block pair, the other representative being
-congruent modulo the relations.
+maps one block onto the other, so every action rule is written once per
+side and run on both, and every family p_m * q_n +- p_n *' q_m over
+pairs p, q of vectors of m + n (agreement rows, glue, well-definedness
+tests, one-leg span, induced substitutions) is one outer product,
+``_cross``.  Scalar and additivity rules are absorbed by linearity; the
+other relations span a relation subspace, and the bracket is given on
+symbols by one representative per block pair, the other congruent to it
+modulo the relations.
 
 The bracket of two symbols factors through the evaluation maps ev[0]
 (into m) and ev[1] (into n): with u * v the symbol in block 0 and
@@ -180,6 +182,14 @@ def _symbols(dm: int, dn: int, terms) -> dict:
     return acc
 
 
+def _cross(dm: int, dn: int, ps, qs, sign=1) -> list:
+    """The outer product: for each p in ps and q in qs, in that order, the
+    sorted int row p_m * q_n + sign p_n *' q_m (zero rows kept), for pairs
+    p, q = (m part, n part) of sparse int vectors of m + n."""
+    return [_row(_symbols(dm, dn, ((1, 0, a, d), (sign, 1, b, c))))
+            for a, b in ps for c, d in qs]
+
+
 def _brackets(pair: MutualActionPair, symbols, image) -> tuple:
     """The int view [i][j] over the symbols of image(den[0] * den[1] [symbol_i,
     symbol_j]), for den and ev of zevaluations and a linear map image: the
@@ -255,14 +265,8 @@ def _agreement_rows(pair: MutualActionPair) -> list:
     the rows on pairs of basis vectors of den W, int rows, span the same
     subspace as the rows of all symbol pairs, and the relations'
     canonical RREF is the same."""
-    dm, dn = pair.m.dim, pair.n.dim
-    rows = []
-    for a, b in pair.evaluation_basis:
-        for c, d in pair.evaluation_basis:
-            r = _row(_symbols(dm, dn, ((1, 0, a, d), (-1, 1, b, c))))
-            if r:
-                rows.append(r)
-    return rows
+    basis = pair.evaluation_basis
+    return [r for r in _cross(pair.m.dim, pair.n.dim, basis, basis, -1) if r]
 
 
 def _representatives(pair: MutualActionPair) -> tuple:
@@ -285,11 +289,8 @@ class QuotientPresentation:
 
 
 def _symbol_names(pair: MutualActionPair) -> tuple:
-    mn = [f"{pair.m.basis_names[a]}*{pair.n.basis_names[b]}"
-          for a in range(pair.m.dim) for b in range(pair.n.dim)]
-    nm = [f"{pair.n.basis_names[b]}*{pair.m.basis_names[a]}"
-          for b in range(pair.n.dim) for a in range(pair.m.dim)]
-    return tuple(mn + nm)
+    return tuple(f"{x}*{y}" for X, Y, _, _ in pair.sides
+                 for x in X.basis_names for y in Y.basis_names)
 
 
 def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> QuotientPresentation:
@@ -348,13 +349,16 @@ def _well_defined(pair: MutualActionPair, qmap: QuotientMap) -> bool:
     lcols = (ev[0][:half] + none, none + ev[1][half:])
     ls = [(_row(_image(r, lcols[0])), _row(_image(r, lcols[1]))) for r in qmap.relations.zrows]
     gs = [(_row(_image(r, ev[0])), _row(_image(r, ev[1]))) for r in qmap.relations.zrows]
-    tests = [((1, 0, a, d), (1, 1, b, c))
-             for a, b in _pair_basis(dm, dn, ls) for c, d in pair.evaluation_basis]
-    tests += [((1, 0, u, v),) for u in Subspace.from_integer_rows(dm, ev[0][:half]).zrows
-              for v in Subspace.from_integer_rows(dn, [g for _, g in gs]).zrows]
-    tests += [((1, 1, u, v),) for u in Subspace.from_integer_rows(dn, ev[1][half:]).zrows
-              for v in Subspace.from_integer_rows(dm, [g for g, _ in gs]).zrows]
-    return all(qmap.kills(_symbols(dm, dn, t).items()) for t in tests)
+    tests = _cross(dm, dn, _pair_basis(dm, dn, ls), pair.evaluation_basis)
+    # [e_s, r] for s in block t: u of the span of ev[t][s] as part t of a pair,
+    # v of part 1 - t of G(R), spanned once and only against a nonzero span
+    for t, du, dv in ((0, dm, dn), (1, dn, dm)):
+        us = Subspace.from_integer_rows(du, ev[t][t * half:][:half]).zrows
+        if us:
+            vs = Subspace.from_integer_rows(dv, [g[1 - t] for g in gs]).zrows
+            tests += _cross(dm, dn, [((u, ()), ((), u))[t] for u in us],
+                            [((v, ()), ((), v))[1 - t] for v in vs])
+    return all(qmap.kills(r) for r in tests)
 
 
 def _scan(pair: MutualActionPair, qmap: QuotientMap, name: str) -> None:
@@ -417,9 +421,7 @@ def square_subspace(eta: CrossedModule, delta: CrossedModule) -> Subspace:
     pullback = kernel(RatMatrix.from_sparse(eta.base.dim, (de * dd, tuple(
         [_scaled(v, dd) for v in ce] + [_scaled(v, -de) for v in cd]))))
     pairs = [_pair_parts(m.dim, w) for w in pullback.zrows]
-    gens = [_row(_symbols(m.dim, n.dim, ((1, 0, u1, v2), (-1, 1, v1, u2))))
-            for u1, v1 in pairs for u2, v2 in pairs]
-    return Subspace.from_integer_rows(2 * m.dim * n.dim, gens)
+    return Subspace.from_integer_rows(2 * m.dim * n.dim, _cross(m.dim, n.dim, pairs, pairs, -1))
 
 
 def exterior_presentation(eta: CrossedModule, delta: CrossedModule,
@@ -435,25 +437,13 @@ def one_leg_span(pres: QuotientPresentation, m_sub: Subspace,
                  n_sub: Subspace) -> Subspace:
     """Span, inside the resolved quotient, of the classes of all symbols
     with the m-leg in m_sub or the n-leg in n_sub."""
-    dm, dn = pres.pair.m.dim, pres.pair.n.dim
-    qm = pres.qmap
-
-    def cls(*terms):
-        return _row(qm.integer_image(_symbols(dm, dn, terms).items()))
-
+    dm, dn, qm = pres.pair.m.dim, pres.pair.n.dim, pres.qmap
     # the canonical rows, each at its own positive scale: the same spans
-    gens = []
-    for u in m_sub.zrows:
-        for j in range(dn):
-            ej = ((j, 1),)
-            gens.append(cls((1, 0, u, ej)))
-            gens.append(cls((1, 1, ej, u)))
-    for v in n_sub.zrows:
-        for i in range(dm):
-            ei = ((i, 1),)
-            gens.append(cls((1, 0, ei, v)))
-            gens.append(cls((1, 1, v, ei)))
-    return Subspace.from_integer_rows(qm.dim, gens)
+    ms, ns = [(u, ()) for u in m_sub.zrows], [((), v) for v in n_sub.zrows]
+    ems, ens = [(((i, 1),), ()) for i in range(dm)], [((), ((j, 1),)) for j in range(dn)]
+    symbols = (_cross(dm, dn, ms, ens) + _cross(dm, dn, ens, ms)
+               + _cross(dm, dn, ems, ns) + _cross(dm, dn, ns, ems))
+    return Subspace.from_integer_rows(qm.dim, [_row(qm.integer_image(r)) for r in symbols])
 
 
 @dataclass(frozen=True)
@@ -624,13 +614,8 @@ def _substitution(src: MutualActionPair, tgt: MutualActionPair,
     n-leg through fn.  Returns (den, columns): the columns times den, the
     product of the denominators of the twins of fm and fn, as int vectors."""
     (dm, cm), (dn, cn) = fm.zcols, fn.zcols
-    maps = ((cm, cn), (cn, cm))
-    cols = []
-    for k in range(2 * src.m.dim * src.n.dim):
-        s, x, y = _legs(src.m.dim, src.n.dim, k)
-        fx, fy = maps[s]
-        cols.append(tuple(_symbols(tgt.m.dim, tgt.n.dim, ((1, s, fx[x], fy[y]),)).items()))
-    return dm * dn, cols
+    ms, ns = [(c, ()) for c in cm], [((), c) for c in cn]
+    return dm * dn, _cross(tgt.m.dim, tgt.n.dim, ms, ns) + _cross(tgt.m.dim, tgt.n.dim, ns, ms)
 
 
 def _induced_presentation_hom(src: QuotientPresentation,

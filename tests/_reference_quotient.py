@@ -15,6 +15,10 @@ symbol pair, empty or not.
 sweep_witness is the old well-definedness sweep of
 tensor._build_presentation, which tests every relation row against every
 symbol, on both sides, through the full representative table.
+square_subspace, one_leg_span and substitution are the old tensor.square_subspace,
+tensor.one_leg_span and tensor._substitution verbatim: each builds its
+family of symbols with one _symbols call per generator, where the library
+takes every family through its one outer product (tensor._cross).
 """
 
 from fractions import Fraction
@@ -24,11 +28,14 @@ from leibxmod.ratlin import (
     QuotientMap,
     RatMatrix,
     Subspace,
+    _row,
+    _scaled,
     accumulate,
+    kernel,
     rational,
     transposed,
 )
-from leibxmod.tensor import MutualActionPair, _symbols
+from leibxmod.tensor import MutualActionPair, _legs, _pair_parts, _symbols
 
 from _dense import vec, vec_is_zero
 from _reference_checks import _mul_vec
@@ -165,3 +172,51 @@ def sweep_witness(pair: MutualActionPair, qmap: QuotientMap):
             if not preserves(r, st[s]):
                 return n, s, "symbol * relation"
     return None
+
+
+def square_subspace(eta, delta) -> Subspace:
+    if eta.base != delta.base:
+        raise ValueError("crossed modules must share the same base")
+    m, n = eta.top, delta.top
+    # the kernel of [eta.delta | -delta.delta], its int columns at one scale
+    (de, ce), (dd, cd) = eta.delta.zcols, delta.delta.zcols
+    pullback = kernel(RatMatrix.from_sparse(eta.base.dim, (de * dd, tuple(
+        [_scaled(v, dd) for v in ce] + [_scaled(v, -de) for v in cd]))))
+    pairs = [_pair_parts(m.dim, w) for w in pullback.zrows]
+    gens = [_row(_symbols(m.dim, n.dim, ((1, 0, u1, v2), (-1, 1, v1, u2))))
+            for u1, v1 in pairs for u2, v2 in pairs]
+    return Subspace.from_integer_rows(2 * m.dim * n.dim, gens)
+
+
+def one_leg_span(pres, m_sub: Subspace, n_sub: Subspace) -> Subspace:
+    dm, dn = pres.pair.m.dim, pres.pair.n.dim
+    qm = pres.qmap
+
+    def cls(*terms):
+        return _row(qm.integer_image(_symbols(dm, dn, terms).items()))
+
+    # the canonical rows, each at its own positive scale: the same spans
+    gens = []
+    for u in m_sub.zrows:
+        for j in range(dn):
+            ej = ((j, 1),)
+            gens.append(cls((1, 0, u, ej)))
+            gens.append(cls((1, 1, ej, u)))
+    for v in n_sub.zrows:
+        for i in range(dm):
+            ei = ((i, 1),)
+            gens.append(cls((1, 0, ei, v)))
+            gens.append(cls((1, 1, v, ei)))
+    return Subspace.from_integer_rows(qm.dim, gens)
+
+
+def substitution(src: MutualActionPair, tgt: MutualActionPair,
+                 fm: RatMatrix, fn: RatMatrix) -> tuple:
+    (dm, cm), (dn, cn) = fm.zcols, fn.zcols
+    maps = ((cm, cn), (cn, cm))
+    cols = []
+    for k in range(2 * src.m.dim * src.n.dim):
+        s, x, y = _legs(src.m.dim, src.n.dim, k)
+        fx, fy = maps[s]
+        cols.append(tuple(_symbols(tgt.m.dim, tgt.n.dim, ((1, s, fx[x], fy[y]),)).items()))
+    return dm * dn, cols

@@ -1,5 +1,6 @@
-"""Shared constructions for the test suite: standard algebras and a
-seeded random generator of valid Leibniz algebras.
+"""Shared constructions for the test suite: standard algebras, a seeded
+random generator of valid Leibniz algebras, and a seeded corpus of central
+extensions over them (central_extension_corpus).
 
 The random generator works by relation-solving: it fixes a valid base
 algebra B from a small catalogue, appends a central annihilating socle
@@ -399,3 +400,82 @@ def count_law_evaluations(monkeypatch):
             return _real(obj)
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+# -- a generated corpus of central extensions ------------------------------------
+
+def heisenberg(k):
+    """The Heisenberg Lie algebra of dimension 2k + 1: [x_i, y_i] = z = -[y_i, x_i]."""
+    d = 2 * k + 1
+    c = [[zero_vec(d)] * d for _ in range(d)]
+    for i in range(0, 2 * k, 2):
+        c[i][i + 1] = unit_vec(d, d - 1)
+        c[i + 1][i] = tuple(-x for x in unit_vec(d, d - 1))
+    names = tuple(f"{v}{i + 1}" for i in range(k) for v in "xy") + ("z",)
+    return LeibnizAlgebra(f"heis{d}", d, names, tuple(map(tuple, c)))
+
+
+def direct_sum(a, b):
+    """a + b, the basis of a first, with the basis names e1, e2, ..."""
+    d = a.dim + b.dim
+    c = tuple(
+        tuple(tuple(a.c[i][j]) + zero_vec(b.dim) if i < a.dim and j < a.dim
+              else zero_vec(a.dim) + tuple(b.c[i - a.dim][j - a.dim])
+              if i >= a.dim and j >= a.dim else zero_vec(d)
+              for j in range(d))
+        for i in range(d))
+    return LeibnizAlgebra(f"{a.name}+{b.name}", d, tuple(f"e{i + 1}" for i in range(d)), c)
+
+
+def _combination(rng, rows, d):
+    """A random combination of the rows, coefficients in -2..2."""
+    out = zero_vec(d)
+    for r in rows:
+        c = rng.randint(-2, 2)
+        out = tuple(x + c * y for x, y in zip(out, r))
+    return out
+
+
+def random_central_kernel(t, rng):
+    """A random central crossed ideal K of the crossed module t: its top
+    spanned by random combinations of a basis of the top of Z(t), its base
+    by their images under delta and random combinations of a basis of the
+    base of Z(t).  delta maps the top of Z(t) into its base, so K lies in
+    Z(t) and contains delta(K_top): a central crossed ideal."""
+    z = t.center
+    zt, zb = z.top_sub.basis.entries, z.base_sub.basis.entries
+    tops = [_combination(rng, zt, t.top.dim) for _ in range(rng.randint(0, len(zt)))]
+    bases = [_mul_vec(t.delta, v) for v in tops]
+    bases += [_combination(rng, zb, t.base.dim) for _ in range(rng.randint(0, len(zb)))]
+    return SubPair(t, span(t.top.dim, tops), span(t.base.dim, bases))
+
+
+def corpus_crossed_modules(seed):
+    """(q, q, id), (Z(q), q, incl) and ([q, q], q, incl) for the algebras
+    q of random_leibniz_corpus(12), n2, heis3, sl2, r2, sol2, ten random
+    direct sums of two of those (drawn with the seed), heis5 and heis7."""
+    rng = random.Random(seed)
+    small = random_leibniz_corpus(12) + [n2(), heis3(), sl2(), r2_nonlie(), sol2_lie()]
+    algebras = small + [direct_sum(*rng.sample(small, 2)) for _ in range(10)]
+    algebras += [heisenberg(2), heisenberg(3)]
+    out = []
+    for i, q in enumerate(algebras):
+        qid = CrossedModule.adjoint_identity(q, name=f"q{i}")
+        out += [qid, CrossedModule.inclusion(q, qid.center.base_sub, name=f"z{i}"),
+                CrossedModule.inclusion(q, qid.derived.base_sub, name=f"d{i}")]
+    return tuple(out)
+
+
+def central_extension_corpus(seed):
+    """The distinct central extensions T -> T/K over the crossed modules T of
+    corpus_crossed_modules(seed), five random kernels K each
+    (random_central_kernel), drawn with the seed."""
+    rng, seen, out = random.Random(seed), set(), []
+    for t in corpus_crossed_modules(seed):
+        for _ in range(5):
+            k = random_central_kernel(t, rng)
+            key = (t.name, k.top_sub, k.base_sub)
+            if key not in seen:
+                seen.add(key)
+                out.append(Extension.from_quotient_by(t, k, name=f"{t.name}/K{len(out)}"))
+    return out

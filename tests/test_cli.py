@@ -575,6 +575,14 @@ def test_check_refuses_an_action_over_a_non_leibniz_algebra(tmp_path, capsys):
         assert code == 1 and "  leibniz nj3 (e1,e2,e3): residual ('0', '0', '1')" in out, name
 
 
+def test_check_lists_a_crossed_module_that_is_total_and_quotient_once(tmp_path, capsys):
+    # the identity extension of (0, nj3, 0): one crossed module, six Leibniz violations
+    code, out, _ = run(capsys, "check", non_leibniz_inputs(tmp_path)["nj3.extension"])
+    lines = [line for line in out.splitlines() if line.startswith("  leibniz nj3 (")]
+    assert code == 1 and "INVALID (6 violation(s))" in out
+    assert len(lines) == len(set(lines)) == 6
+
+
 @pytest.mark.parametrize("command, name, error", [
     *[(c, "nj3.xmod", "invalid crossed module")
       for c in ("multiplier", "exterior", "stemcover", "liezation")],

@@ -1,9 +1,11 @@
 """The sparse quotient map against the dense one it replaced, the
 well-definedness sweep against dense membership tests, the factored
 sweep against the per-symbol scan, and the relation rows against the
-construction that visited every candidate."""
+construction that visited every candidate, and the families of symbols
+built through the one outer product against the loops they replaced."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,15 +24,30 @@ from leibxmod.ratlin import (
     transposed,
 )
 from leibxmod.algebra import LeibnizAction
+from leibxmod.extensions import _sections
 from leibxmod.tensor import (
     MutualActionPair,
     _action_rows,
     _agreement_rows,
+    _defining_rows,
     _preserves,
+    _substitution,
     _well_defined,
+    exterior_square_data,
+    one_leg_span,
+    square_subspace,
 )
+from leibxmod.xmod import CrossedModule
 
-from helpers import bracket_table, representative_table
+from helpers import (
+    bracket_table,
+    central_fixture_extensions,
+    fixture_algebras,
+    k_abelian,
+    n2,
+    representative_table,
+    zero_over,
+)
 from test_acceptance import _presentation_corpus
 from test_checks import algebras, tables
 from test_ratlin import RATIONALS, matrices
@@ -179,3 +196,106 @@ def test_defining_rows_match_every_candidate_on_random_pairs(data):
                       data.draw(tables(n.dim, m.dim, n.dim))),
         LeibnizAction(n, m, data.draw(tables(n.dim, m.dim, m.dim)),
                       data.draw(tables(m.dim, n.dim, m.dim)))))
+
+
+# -- the outer product against the loops it replaced ----------------------------
+
+def _subspaces(d):
+    """Zero, full, a unit line and the line of (1, 2, ..., d)."""
+    out = [Subspace.zero(d), Subspace.full(d)]
+    if d:
+        out += [Subspace.from_integer_rows(d, [((0, 1),)]),
+                Subspace.from_integer_rows(d, [tuple((k, k + 1) for k in range(d))])]
+    return out
+
+
+def _matrix(rows, cols, seed):
+    """A fixed rational matrix with mixed signs and denominators."""
+    return RatMatrix(rows, cols, tuple(
+        tuple(Fraction((3 * i + 5 * j + seed) % 7 - 3, 1 + (i + j + seed) % 3)
+              for j in range(cols)) for i in range(rows)))
+
+
+def _same_families(pres, other):
+    """one_leg_span of pres and _substitution from its pair to the pair of
+    other agree with the old loops."""
+    m, n, tm, tn = pres.pair.m.dim, pres.pair.n.dim, other.pair.m.dim, other.pair.n.dim
+    for a in _subspaces(m):
+        for b in _subspaces(n):
+            assert one_leg_span(pres, a, b) == ref.one_leg_span(pres, a, b), pres.name
+    for fm, fn in ((_matrix(tm, m, 0), _matrix(tn, n, 1)), (_matrix(tm, m, 2), _matrix(tn, n, 0))):
+        got = _substitution(pres.pair, other.pair, fm, fn)
+        assert got == ref.substitution(pres.pair, other.pair, fm, fn), pres.name
+
+
+def test_outer_product_families_match_the_old_loops_on_corpus():
+    corpus = _presentation_corpus()
+    for pres, other in zip(corpus, corpus[-1:] + corpus[:-1]):
+        _same_families(pres, pres)
+        _same_families(pres, other)
+    # the glue of the squares of the corpus, and of (q, q, id) with itself
+    for xm in [CrossedModule.adjoint_identity(a) for a in fixture_algebras()] + [
+            zero_over(n2()), zero_over(k_abelian(1))]:
+        qid = CrossedModule.adjoint_identity(xm.base)
+        for eta, delta in ((qid, xm), (xm, qid), (qid, qid)):
+            assert square_subspace(eta, delta) == ref.square_subspace(eta, delta), xm.name
+
+
+def test_outer_product_families_match_the_old_loops_on_central_extensions():
+    for e in central_fixture_extensions():
+        f, kp = e.proj, e.kernel
+        src, tgt = exterior_square_data(e.total), exterior_square_data(e.quotient)
+        # the induced maps on the squares and the one-leg spans of their kernels
+        for a, b, fn, sub in ((src.qn, tgt.qn, f.top_map, kp.top_sub),
+                              (src.qq, tgt.qq, f.base_map, kp.base_sub)):
+            assert (_substitution(a.pair, b.pair, f.base_map, fn)
+                    == ref.substitution(a.pair, b.pair, f.base_map, fn)), e.name
+            assert one_leg_span(a, kp.base_sub, sub) == ref.one_leg_span(a, kp.base_sub, sub)
+        # theta*'s lifted substitutions, through both sections
+        for skew in (False, True):
+            s1, s2 = _sections(e, skew)
+            for sq, pair, fn in ((tgt.qn, src.qn.pair, s1), (tgt.qq, src.qq.pair, s2)):
+                assert (_substitution(sq.pair, pair, s2, fn)
+                        == ref.substitution(sq.pair, pair, s2, fn)), e.name
+        # the glue of the total's squares and of the kernel-base square
+        qid = CrossedModule.adjoint_identity(e.total.base)
+        for delta in (e.total, qid, CrossedModule.inclusion(e.total.base, kp.base_sub)):
+            assert square_subspace(qid, delta) == ref.square_subspace(qid, delta), e.name
+
+
+@st.composite
+def mutual_pairs(draw):
+    """Two random algebras with random, not necessarily valid, actions."""
+    m, n = draw(algebras()), draw(algebras())
+    return MutualActionPair(
+        m, n,
+        LeibnizAction(m, n, draw(tables(m.dim, n.dim, n.dim)),
+                      draw(tables(n.dim, m.dim, n.dim))),
+        LeibnizAction(n, m, draw(tables(n.dim, m.dim, m.dim)),
+                      draw(tables(m.dim, n.dim, m.dim))))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_outer_product_families_match_the_old_loops_on_random_pairs(data):
+    pair, q = data.draw(mutual_pairs()), data.draw(algebras())
+    m, n = pair.m, pair.n
+    # _substitution reads only the dimensions of its target pair
+    tm, tn = k_abelian(data.draw(st.integers(0, 3))), k_abelian(data.draw(st.integers(0, 3)))
+    other = MutualActionPair(tm, tn, LeibnizAction.trivial(tm, tn), LeibnizAction.trivial(tn, tm))
+    amb = 2 * m.dim * n.dim
+    # one_leg_span reads only the pair and the quotient map of a presentation
+    pres = SimpleNamespace(pair=pair, qmap=quotient(amb, Subspace.from_integer_rows(
+        amb, _defining_rows(pair))))
+    a = span(m.dim, data.draw(matrices(cols=m.dim)).entries)
+    b = span(n.dim, data.draw(matrices(cols=n.dim)).entries)
+    assert one_leg_span(pres, a, b) == ref.one_leg_span(pres, a, b)
+    fm = data.draw(matrices(rows=other.m.dim, cols=m.dim))
+    fn = data.draw(matrices(rows=other.n.dim, cols=n.dim))
+    assert _substitution(pair, other, fm, fn) == ref.substitution(pair, other, fm, fn)
+    # square_subspace reads only the structure maps into the shared base
+    eta = CrossedModule("eta", m, q, data.draw(matrices(rows=q.dim, cols=m.dim)),
+                        LeibnizAction.trivial(q, m))
+    delta = CrossedModule("delta", n, q, data.draw(matrices(rows=q.dim, cols=n.dim)),
+                          LeibnizAction.trivial(q, n))
+    assert square_subspace(eta, delta) == ref.square_subspace(eta, delta)

@@ -156,6 +156,30 @@ def test_tensor_bracket_well_defined_on_classes():
             assert contains_vector(t.relations, contract(bracket_table(t), e, r, t.ambient_dim))
 
 
+def test_well_definedness_spans_each_projection_of_the_relations_once(monkeypatch):
+    # on the squares of (sl2, sl2, id): the basis of L(R), the two spans of
+    # the evaluations and the two projections of G(R), each once (a
+    # projection spanned again for every basis vector it was paired with
+    # made nine)
+    real_span, real_test, inside, spans = Subspace.from_integer_rows, tensor._well_defined, [], []
+
+    def span(*args, **kwargs):
+        spans.extend(inside)
+        return real_span(*args, **kwargs)
+
+    def well_defined(pair, qmap):
+        inside.append(1)
+        try:
+            return real_test(pair, qmap)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Subspace, "from_integer_rows", span)
+    monkeypatch.setattr(tensor, "_well_defined", well_defined)
+    exterior_square_data(cli.load_fixture(FIXTURES / "sl2_id.xmod"))
+    assert len(spans) == 5
+
+
 def test_tensor_resolved_matches_ambient_bracket():
     t = tensor_product(adjoint_pair(n2()))
     sec = quotient_basis_lifts(t)
