@@ -2,13 +2,13 @@
 
 An extension is a surjective crossed module map together with its
 kernel pair.  Central extensions admit a connecting map from the Schur
-multiplier of the quotient to the kernel, built here from linear
-sections of the projection, read off the integer twins and descended
-to the squares like every map of ``tensor``; centrality is exactly what
-makes the section-lifted evaluation vanish on the presentation
-relations, and independence from the section choice is asserted by
-recomputing with a second, skewed section.  Maps into the kernel and
-the multipliers restrict through one helper (``ratlin._restriction``).
+multiplier of the quotient to the kernel: lift through the map the
+projection induces on the squares (built once per map, and read by the
+multiplier map too), then evaluate in the total.  Two lifts differ by
+the kernel of that map, the one-leg span, which the evaluation kills
+exactly when the kernel is central; that is asserted on its basis.
+Maps into the kernel and the multipliers restrict through one helper
+(``ratlin._restriction``).
 
 The classification (central, stem extension, stem cover) follows the
 subspace inclusions kernel vs center and kernel vs derived pair; the
@@ -42,7 +42,6 @@ from .ratlin import (
     RatMatrix,
     Subspace,
     _images,
-    _plus,
     _restriction,
     column_space,
     integer_view,
@@ -52,13 +51,10 @@ from .ratlin import (
     solve_matrix,
 )
 from .tensor import (
-    _descend,
     _induced_presentation_hom,
-    _substitution,
     exterior_presentation,
     exterior_square_data,
     multiplier_functorial_map,
-    one_leg_span,
     schur_multiplier,
 )
 from .xmod import (
@@ -187,15 +183,35 @@ class Extension:
     @cached_property
     def theta(self) -> XModHom:
         """Connecting map from the multiplier of the quotient to the kernel,
-        computed through lifted sections and asserted section-independent."""
+        lifted through the induced square maps and evaluated in the total."""
         if not self.flags.central:
             raise ValueError("connecting map needs a central extension")
         kxm, _ = self.kernel_xmod
-        mult, _ = schur_multiplier(self.quotient)
-        top, base = _theta_matrices(self, kxm, skew=False)
-        if (top, base) != _theta_matrices(self, kxm, skew=True):
+        mult, incl = schur_multiplier(self.quotient)
+        esd, (top_hom, base_hom) = exterior_square_data(self.total), self.proj.square_maps
+        lam, mu = esd.lambda_n.matrix.zcols, esd.mu_q.matrix.zcols
+        # two lifts differ by the kernel of the induced map, the one-leg
+        # span, which the evaluation kills exactly when the kernel is central
+        if (any(_images(lam, kernel(top_hom.matrix).zbasis)[1])
+                or any(_images(mu, kernel(base_hom.matrix).zbasis)[1])):
             raise AssertionError("connecting map depends on the chosen sections")
-        out = XModHom(mult, kxm, top, base)
+        # the induced maps are asserted surjective, so a failed solve is internal
+        try:
+            top = solve_matrix(top_hom.matrix, incl.top_map)
+        except ValueError:
+            raise AssertionError("multiplier top does not lift to the total") from None
+        try:
+            base = solve_matrix(base_hom.matrix, incl.base_map)
+        except ValueError:
+            raise AssertionError("multiplier base does not lift to the total") from None
+        tcols = _restriction(self.kernel.top_sub, _images(lam, top.zcols))
+        if tcols is None:
+            raise AssertionError("connecting image escapes the kernel top")
+        bcols = _restriction(self.kernel.base_sub, _images(mu, base.zcols))
+        if bcols is None:
+            raise AssertionError("connecting image escapes the kernel base")
+        out = XModHom(mult, kxm, RatMatrix.from_sparse(kxm.top.dim, tcols),
+                      RatMatrix.from_sparse(kxm.base.dim, bcols))
         rep = check_xmod_hom(out)
         if not rep.valid:
             raise AssertionError(
@@ -218,12 +234,19 @@ class Extension:
         return out
 
     @cached_property
+    def kernel_to_ab(self) -> "tuple[RatMatrix, RatMatrix]":
+        """The kernel's inclusion followed by the total's abelianization, per component."""
+        (_, kincl), (_, abproj_t) = self.kernel_xmod, self.total.abelianization
+        return (abproj_t.top_map.mul(kincl.top_map), abproj_t.base_map.mul(kincl.base_map))
+
+    @cached_property
     def one_leg(self) -> tuple:
         """(span, ideal, bp, psi2): the kernel's one-leg span in the total's
         top square, its ideal closure, and the kernel-base square bp with
         its induced map psi2 into the total's base square."""
         esd_t = exterior_square_data(self.total)
-        span = one_leg_span(esd_t.qn, self.kernel.base_sub, self.kernel.top_sub)
+        # the induced top map's kernel is asserted to be the one-leg span
+        span = kernel(self.proj.square_maps[0].matrix)
         ideal = ideal_closure(esd_t.qn.resolved, span)
         bxm = CrossedModule.inclusion(self.total.base, self.kernel.base_sub)
         bp = exterior_presentation(
@@ -258,57 +281,6 @@ def theta_star(e: Extension) -> XModHom:
     return e.theta
 
 
-def _sections(e: Extension, skew: bool) -> "tuple[RatMatrix, RatMatrix]":
-    """Linear sections of both projection components.  The plain policy
-    takes the projection's sections, solved once per projection; the skew
-    policy adds kernel basis vectors to them cyclically, giving a
-    genuinely different section when the kernel is nonzero."""
-    out = []
-    for s, ker in zip(e.proj.sections, (e.kernel.top_sub, e.kernel.base_sub)):
-        if skew and ker.dim and s.cols:
-            # column j plus canonical kernel basis row j mod dim, on ints
-            (ds, cs), (dk, ks) = s.zcols, ker.zbasis
-            s = RatMatrix.from_sparse(s.rows, (ds * dk, tuple(
-                _plus(cs[j], ks[j % ker.dim], dk, ds) for j in range(s.cols))))
-        out.append(s)
-    return tuple(out)
-
-
-def _theta_matrices(e: Extension, kxm: CrossedModule,
-                    skew: bool) -> "tuple[RatMatrix, RatMatrix]":
-    """theta* through the sections s1, s2 of the given policy: the lifted
-    evaluation q_a * n_b -> ^{s2 q_a}(s1 n_b), n_b * q_a -> (s1 n_b)^{s2 q_a}
-    and q_a * q_c -> [s2 q_a, s2 q_c] is the evaluation of the total's
-    symbols after s2 replaces every q-leg and s1 every n-leg, descended to
-    the squares of the quotient and restricted to the kernel; the total's
-    symbols are read through the pairs of its own squares."""
-    esd = exterior_square_data(e.quotient)
-    _, incl_m = schur_multiplier(e.quotient)
-    s1, s2 = _sections(e, skew)
-    total = exterior_square_data(e.total)
-    # centrality makes the lifted evaluation kill the relations exactly
-    lifted = []
-    for sq, pair, fn in ((esd.qn, total.qn.pair, s1), (esd.qq, total.qq.pair, s2)):
-        (_, d), ev = pair.zevaluations
-        subst = _substitution(sq.pair, pair, s2, fn)
-        lifted.append(_descend(sq, _images((d, ev[1]), subst), None))
-    theta_top, theta_base = lifted
-    if theta_top is None:
-        raise AssertionError(
-            "lifted evaluation does not vanish on the top square relations")
-    if theta_base is None:
-        raise AssertionError(
-            "lifted evaluation does not vanish on the base square relations")
-    tcols = _restriction(e.kernel.top_sub, _images(theta_top, incl_m.top_map.zcols))
-    if tcols is None:
-        raise AssertionError("connecting image escapes the kernel top")
-    bcols = _restriction(e.kernel.base_sub, _images(theta_base, incl_m.base_map.zcols))
-    if bcols is None:
-        raise AssertionError("connecting image escapes the kernel base")
-    return (RatMatrix.from_sparse(kxm.top.dim, tcols),
-            RatMatrix.from_sparse(kxm.base.dim, bcols))
-
-
 @dataclass(frozen=True)
 class Prop41Report:
     """Four equivalent stem characterizations of a central extension plus
@@ -332,10 +304,8 @@ def prop41_crosscheck(e: Extension) -> Prop41Report:
     # the extension is central, so stem means kernel inside the derived pair
     in_derived = flags.stem_extension
     surjective = th.is_surjective()
-    ab_t, abproj_t = e.total.abelianization
-    _, kincl = e.kernel_xmod
-    to_ab_zero = (abproj_t.top_map.mul(kincl.top_map).is_zero()
-                  and abproj_t.base_map.mul(kincl.base_map).is_zero())
+    ab_t, _ = e.total.abelianization
+    to_ab_zero = all(m.is_zero() for m in e.kernel_to_ab)
     abh = e.ab_proj
     # between equal dimensions, bijective means surjective
     ab_iso = ((ab_t.top.dim, ab_t.base.dim) == (abh.target.top.dim,
@@ -403,14 +373,11 @@ def six_term_report(e: Extension) -> ExactnessReport:
     if f1_base is None:
         raise AssertionError("kernel-base square escapes the multiplier base")
     mm, th, abh = e.multiplier_map, e.theta, e.ab_proj
-    _, kincl = e.kernel_xmod
-    _, abproj_t = e.total.abelianization
     maps = (("(I, b^p) -> M(total)", RatMatrix.from_sparse(kt.dim, f1_top),
              RatMatrix.from_sparse(kb.dim, f1_base)),
             ("M(total) -> M(quotient)", mm.top_map, mm.base_map),
             ("M(quotient) -> kernel", th.top_map, th.base_map),
-            ("kernel -> total_ab", abproj_t.top_map.mul(kincl.top_map),
-             abproj_t.base_map.mul(kincl.base_map)),
+            ("kernel -> total_ab", *e.kernel_to_ab),
             ("total_ab -> quotient_ab", abh.top_map, abh.base_map))
     # the sequence ends in zero, so exactness at the last node is
     # surjectivity of the abelianized projection

@@ -33,7 +33,8 @@ properties asserted.  Every map induced on the squares descends through
 one helper (``_descend``): the ambient map must kill the relation rows,
 and is read at the free symbols, on int vectors.  The squares (one for
 a (q, q, id) of any name) are the cached property ``squares`` of a
-crossed module (body ``_squares``); nothing is memoized across objects.
+crossed module (body ``_squares``), and the maps a surjection induces on
+them its cached ``square_maps``; nothing is memoized across objects.
 """
 
 from __future__ import annotations
@@ -639,6 +640,11 @@ def induced_exterior_hom(f: XModHom) -> "tuple[AlgebraHom, AlgebraHom]":
     """Maps induced on the exterior squares by a surjective crossed module
     map, with surjectivity and the one-leg description of the kernels
     asserted off each map's kernel, taken once per matrix."""
+    return f.square_maps
+
+
+def _square_maps(f: XModHom) -> "tuple[AlgebraHom, AlgebraHom]":
+    """The body of XModHom.square_maps."""
     if not f.is_surjective():
         raise ValueError("induced exterior maps need a surjective homomorphism")
     frep = check_xmod_hom(f)

@@ -33,7 +33,8 @@ basis pair but are evaluated term by term over nonzero entries
 (``ratlin.join``), and each report is cached on the object it checks;
 the center is two kernels of sparse rows read off the integer twins, the
 base part one annihilator over the action and base tables.  A map's
-surjectivity and kernel pair read the same cached kernels of its maps.
+surjectivity and kernel pair read the same cached kernels of its maps,
+and the maps it induces on the squares are cached on it like the squares.
 """
 
 from __future__ import annotations
@@ -325,6 +326,12 @@ class XModHom:
     def validity(self) -> ValidityReport:
         """The report of check_xmod_hom, evaluated once per object."""
         return _xmod_hom_report(self)
+
+    @cached_property
+    def square_maps(self):
+        """The maps induced on the exterior squares by a surjective map (tensor)."""
+        from .tensor import _square_maps
+        return _square_maps(self)
 
 
 def check_xmod_hom(f: XModHom) -> ValidityReport:

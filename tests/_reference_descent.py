@@ -6,7 +6,12 @@ _theta_matrices is the old function of leibxmod.extensions,
 multiplier_functorial_map the old one of leibxmod.tensor, subalgebra_on
 the old one of leibxmod.algebra, all verbatim, and inclusion the old
 classmethod CrossedModule.inclusion of leibxmod.xmod as a function (cls
-written CrossedModule).  Every bracket and action is one dense
+written CrossedModule).  _sections, the linear sections of the
+projection under a plain or a skewed policy through which
+_theta_matrices lifts, is a later function of leibxmod.extensions,
+verbatim; the library's connecting map lifts through the induced square
+maps instead, and the tests compare it with _theta_matrices under both
+policies.  Every bracket and action is one dense
 contraction of a pair of vectors (LeibnizAlgebra.bracket,
 LeibnizAction.act_left and act_right), every relation is tested by a
 dense matrix-vector product, and every restriction to a subspace tests
@@ -22,8 +27,8 @@ from _dense import from_columns, unit_vec, vec_is_zero
 from _reference_checks import _act_left, _act_right, _bracket, _mul_vec
 from _reference_quotient import contains_vector
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, _report, ideal_closure
-from leibxmod.extensions import Extension, _sections
-from leibxmod.ratlin import RatMatrix, Subspace, kernel
+from leibxmod.extensions import Extension
+from leibxmod.ratlin import RatMatrix, Subspace, _plus, kernel
 from leibxmod.tensor import (
     _index,
     exterior_square_data,
@@ -39,6 +44,22 @@ def coords(s: Subspace, v) -> tuple:
     if not contains_vector(s, v):
         raise ValueError("vector not in subspace")
     return tuple(v[p] for p in s.pivots)
+
+
+def _sections(e: Extension, skew: bool) -> "tuple[RatMatrix, RatMatrix]":
+    """Linear sections of both projection components.  The plain policy
+    takes the projection's sections, solved once per projection; the skew
+    policy adds kernel basis vectors to them cyclically, giving a
+    genuinely different section when the kernel is nonzero."""
+    out = []
+    for s, ker in zip(e.proj.sections, (e.kernel.top_sub, e.kernel.base_sub)):
+        if skew and ker.dim and s.cols:
+            # column j plus canonical kernel basis row j mod dim, on ints
+            (ds, cs), (dk, ks) = s.zcols, ker.zbasis
+            s = RatMatrix.from_sparse(s.rows, (ds * dk, tuple(
+                _plus(cs[j], ks[j % ker.dim], dk, ds) for j in range(s.cols))))
+        out.append(s)
+    return tuple(out)
 
 
 def _theta_matrices(e: Extension, kxm: CrossedModule,

@@ -16,12 +16,12 @@ import pytest
 from leibxmod.algebra import LeibnizAction, check_leibniz
 from leibxmod.extensions import (
     Extension,
-    _theta_matrices,
     central_kernel_xmod,
     classify,
     prop41_crosscheck,
     six_term_report,
     stem_cover_of_perfect,
+    theta_star,
 )
 from leibxmod.homology import hl
 from leibxmod.ratlin import kernel
@@ -41,6 +41,7 @@ from leibxmod.xmod import (
 
 from _dense import span, unit_vec
 from _reference_checks import _mul_vec, contract
+from _reference_descent import _theta_matrices
 from _reference_quotient import contains_vector
 from helpers import (
     alt_entry,
@@ -192,11 +193,14 @@ def test_criterion_6_well_definedness_suite():
 
 
 def test_criterion_7_section_independence():
+    # theta* asserts itself independent of the lift; the reference lifts
+    # through a plain and a skewed section of the projection
     with criterion(7, "connecting map independent of sections"):
         for e in central_fixture_extensions():
             kxm, _ = central_kernel_xmod(e)
-            assert (_theta_matrices(e, kxm, skew=False)
-                    == _theta_matrices(e, kxm, skew=True)), e.name
+            th = theta_star(e)
+            for skew in (False, True):
+                assert (th.top_map, th.base_map) == _theta_matrices(e, kxm, skew), e.name
 
 
 def test_criterion_8_deterministic_json_corpus():

@@ -483,18 +483,23 @@ def test_sparse_views_leave_equality_and_hashing_alone():
 
 def test_extension_fields_leave_equality_and_hashing_alone():
     # every derived object of an extension is cached on the instance,
-    # outside the dataclass fields
+    # outside the dataclass fields, and so are the square maps of its
+    # projection
     fields = {name for name, v in vars(Extension).items()
               if isinstance(v, cached_property)}
     assert fields == {"validity", "_central", "flags", "multiplier_map",
-                      "kernel_xmod", "theta", "ab_proj", "one_leg"}
+                      "kernel_xmod", "theta", "ab_proj", "kernel_to_ab", "one_leg"}
     for e in central_fixture_extensions():
         for name in fields:
             getattr(e, name)
-        assert fields <= vars(e).keys()
+        assert fields <= vars(e).keys() and "square_maps" in vars(e.proj)
         fresh = Extension(e.name, e.total, e.quotient, e.proj, e.kernel)
         assert not fields & vars(fresh).keys()
         assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+        f = e.proj
+        fresh = XModHom(f.source, f.target, f.top_map, f.base_map)
+        assert "square_maps" not in vars(fresh)
+        assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
 
 
 def test_crossed_module_analyses_leave_equality_hashing_and_the_memo_alone(tmp_path):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from leibxmod import cli, extensions, homology
 from leibxmod.extensions import stem_cover_of_perfect
-from leibxmod.ratlin import RatMatrix
+from leibxmod.ratlin import Subspace
 from leibxmod.xmod import abelianization, derived_xmod, liezation, predicates
 
 from helpers import child_env, count_law_evaluations
@@ -628,28 +628,45 @@ def test_verify_refuses_non_central(tmp_path, capsys):
 
 
 def test_failed_invariant_exits_3(capsys, monkeypatch):
-    # a connecting map that depends on the section breaks a runtime-asserted
-    # theorem: that is an internal error (3), not invalid input (1)
-    real = extensions._theta_matrices
-
-    def skewed_differs(e, kxm, skew):
-        top, base = real(e, kxm, skew)
-        return (top, RatMatrix.zeros(base.rows, base.cols)) if skew else (top, base)
-
-    monkeypatch.setattr(extensions, "_theta_matrices", skewed_differs)
-    code, out, err = run(capsys, "classify-extension",
-                         FIXTURES / "n2_over_k.extension")
+    # a connecting map that depends on the lift breaks a runtime-asserted
+    # theorem: that is an internal error (3), not invalid input (1).  Here
+    # the induced map on the base square of n2_over_k is taken to have the
+    # whole square as its kernel, on which the evaluation does not vanish
+    with monkeypatch.context() as patch:
+        patch.setattr(extensions, "kernel", lambda m: Subspace.full(m.cols))
+        code, out, err = run(capsys, "classify-extension",
+                             FIXTURES / "n2_over_k.extension")
     assert code == 3 and out == ""
     assert err == ("error: internal invariant failed: "
                    "connecting map depends on the chosen sections\n")
 
     # only the first line of a multi-line report is printed
-    def fails_with_report(e, kxm, skew):
+    def fails_with_report(m, rhs):
         raise AssertionError("law broken:\n  witness (e1,e2)")
 
-    monkeypatch.setattr(extensions, "_theta_matrices", fails_with_report)
-    code, _, err = run(capsys, "verify-sequence", FIXTURES / "n2_over_k.extension")
+    monkeypatch.setattr(extensions, "solve_matrix", fails_with_report)
+    code, _, err = run(capsys, "verify-sequence", FIXTURES / "split_over_n2.extension")
     assert code == 3 and err == "error: internal invariant failed: law broken:\n"
+
+
+@pytest.mark.parametrize("side", ["top", "base"])
+def test_a_multiplier_that_does_not_lift_exits_3(capsys, monkeypatch, side):
+    # the connecting map lifts the multiplier through the induced square
+    # maps, which are asserted surjective: a failed solve is internal (3),
+    # not invalid input (1)
+    real, calls = extensions.solve_matrix, []
+
+    def fails(m, rhs):
+        calls.append(m)
+        if len(calls) == ("top", "base").index(side) + 1:
+            raise ValueError("inconsistent linear system")
+        return real(m, rhs)
+
+    monkeypatch.setattr(extensions, "solve_matrix", fails)
+    code, out, err = run(capsys, "classify-extension", FIXTURES / "n2_over_k.extension")
+    assert (code, out) == (3, "")
+    assert err == ("error: internal invariant failed: "
+                   f"multiplier {side} does not lift to the total\n")
 
 
 def test_json_outputs_stable(capsys):

@@ -1,7 +1,9 @@
 """The paper's theorems on a generated corpus of central extensions: the
 six-term exact sequence, the stem characterizations of Proposition 4.1,
 Lemma 3.5, the cover criterion and the dimensions of Corollary 4.7, on
-central_extension_corpus (helpers), with a round trip through the CLI."""
+central_extension_corpus (helpers), with a round trip through the CLI,
+and the first five with the connecting map against the dense reference
+on the center quotients of three rungs of the scaling ladder."""
 
 import itertools
 import json
@@ -9,9 +11,11 @@ import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_descent as ref
 from leibxmod import cli
 from leibxmod.extensions import (
     Extension,
@@ -23,9 +27,10 @@ from leibxmod.extensions import (
 )
 from leibxmod.ratlin import RatMatrix
 from leibxmod.tensor import schur_multiplier
-from leibxmod.xmod import XModHom
+from leibxmod.xmod import CrossedModule, XModHom
 
-from helpers import central_extension_corpus
+from helpers import center_quotient, central_extension_corpus
+from test_ladder import load_ladder, rung_algebra
 from test_rational_basis import _elementary, rebased_xmod
 
 
@@ -115,3 +120,22 @@ def test_paper_theorems_hold_on_generated_central_extensions(tmp_path):
     run()
     assert sum(kinds.values()) >= 200
     assert min(kinds[k] for k in ("not stem", "stem", "cover")) >= 10, kinds
+
+
+@pytest.mark.parametrize("name, kind", [("heis9", "stem"), ("sl2x5", "cover"),
+                                        ("tri6", "not stem")])
+def test_paper_theorems_hold_on_ladder_center_quotients(name, kind):
+    # the slow case of the corpus: (q, q, id) over its quotient by the
+    # center, for q of dimension 9, 15 and 21; the dense reference lifts
+    # through a plain and a skewed section of the projection
+    e = center_quotient(CrossedModule.adjoint_identity(rung_algebra(load_ladder(), name)), name)
+    flags = classify(e)
+    assert flags.central and _kind(flags) == kind
+    prop41_crosscheck(e)
+    assert six_term_report(e).exact and lemma35_check(e).valid
+    mult, _ = schur_multiplier(e.quotient)
+    assert flags.stem_cover == (flags.stem_extension
+                                and e.kernel.dims() == (mult.top.dim, mult.base.dim))
+    kxm, _ = e.kernel_xmod
+    for skew in (False, True):
+        assert (e.theta.top_map, e.theta.base_map) == ref._theta_matrices(e, kxm, skew)

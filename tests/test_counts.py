@@ -30,11 +30,20 @@ def test_extension_job_counts():
     assert out["ratlin.join"] <= 203
     # a map's kernel is taken once per matrix object and surjectivity and
     # injectivity are read off it (133.96 eliminations per job before); the
-    # well-definedness test spans each projection of G(R) once (128.774)
-    assert out["ratlin._eliminate"] <= 128.283
+    # well-definedness test spans each projection of G(R) once (128.774);
+    # the one-leg span of an extension is the induced top map's kernel
+    # (128.283)
+    assert out["ratlin._eliminate"] <= 127.283
     assert out["xmod._step"] == 3
-    # theta* solves its two sections once (twice before): 8 solves before
+    # theta* solves against the two induced square maps once each (against
+    # the sections before, and twice each before that: 8 solves)
     assert out["ratlin.solve_matrix"] == 6
+    # theta* lifts through the induced square maps in place of descending
+    # the evaluation of a plain and a skewed section (22.057 descents, 9
+    # substitutions and 3 one-leg spans per job before)
+    assert out["tensor._descend"] == 18.057
+    assert out["tensor._substitution"] == 5
+    assert out["tensor.one_leg_span"] == 2
     # each induced square map is eliminated once, for its kernel and its
     # surjectivity alike (12.59 ranks per job before); no surjection or
     # theta* is ranked, their kernels tell (10.59 ranks and 32.132 kernel
@@ -56,6 +65,10 @@ def test_squares_job_counts():
     # (19.889 eliminations before)
     assert (out["ratlin.join"], out["ratlin._eliminate"]) == (32, 19.0)
     assert out["ratlin.sparse_kernel"] == 5
+    # one square per job: its evaluation, id ^ delta and the 2 dim q maps of
+    # the base action descend; id ^ delta is the one substitution
+    assert (out["tensor._descend"], out["tensor._substitution"]) == (10.222, 1)
+    assert out["tensor.one_leg_span"] == 0
 
 
 def test_homology_job_counts():
@@ -64,3 +77,6 @@ def test_homology_job_counts():
     assert out["jobs"] == 15
     assert (out["ratlin.join"], out["algebra._violations"]) == (1, 1)
     assert out["ratlin._eliminate"] == 2
+    # no square is built
+    assert (out["tensor._descend"], out["tensor._substitution"],
+            out["tensor.one_leg_span"]) == (0, 0, 0)

@@ -11,7 +11,6 @@ from leibxmod import algebra, cli, extensions, ratlin, tensor, xmod
 from leibxmod.algebra import AlgebraHom, LeibnizAlgebra
 from leibxmod.extensions import (
     Extension,
-    _theta_matrices,
     central_kernel_xmod,
     check_extension,
     classify,
@@ -150,13 +149,14 @@ def test_theta_needs_central():
 
 
 def test_theta_section_independent():
-    # the skewed policy displaces each section column by a kernel vector,
-    # so the two policies genuinely differ whenever the kernel is nonzero
+    # the oracle lifts through sections of the projection; the skewed policy
+    # displaces each section column by a kernel vector, so the two policies
+    # genuinely differ whenever the kernel is nonzero
     for e in central_fixture_extensions():
         kxm, _ = central_kernel_xmod(e)
-        plain = _theta_matrices(e, kxm, skew=False)
-        skewed = _theta_matrices(e, kxm, skew=True)
-        assert plain == skewed, e.name
+        th = theta_star(e)
+        for skew in (False, True):
+            assert (th.top_map, th.base_map) == ref_descent._theta_matrices(e, kxm, skew), e.name
 
 
 # -- stem characterizations --------------------------------------------------------
@@ -379,34 +379,24 @@ def test_precondition_messages_pinned():
 # Each runtime assertion below is reached through a perturbed input; the
 # messages are pinned exactly.
 
-def _swapped(m):
-    """m with its first two columns swapped."""
-    cols = [m.column(j) for j in range(m.cols)]
-    cols[:2] = cols[1::-1]
-    return from_columns(cols, rows=m.rows)
+@pytest.mark.parametrize("side", [0, 1])
+def test_theta_reports_an_evaluation_that_depends_on_the_lift(monkeypatch, side):
+    # the identity of (n2, n2, id) with its induced map on one square
+    # replaced by zero: that map's kernel is the whole square, on which the
+    # evaluation does not vanish, so two lifts give different images
+    real = tensor._square_maps
 
+    def zeroed(f):
+        homs = list(real(f))
+        h = homs[side]
+        homs[side] = AlgebraHom(h.source, h.target, RatMatrix.zeros(h.matrix.rows, h.matrix.cols))
+        return tuple(homs)
 
-@pytest.mark.parametrize("side, xm, message", [
-    (0, CrossedModule.adjoint_identity(n2()),
-     "lifted evaluation does not vanish on the top square relations"),
-    (1, zero_over(n2()),
-     "lifted evaluation does not vanish on the base square relations"),
-])
-def test_theta_reports_a_lift_that_misses_the_relations(monkeypatch, side, xm, message):
-    # swapping the columns of a section of n2 gives a lift that is not a
-    # section; over (0, n2, i) the top square is zero and the base is reached
-    e = Extension.from_projection(XModHom.identity(xm), name="id")
-    real = extensions._sections
-
-    def swapped(e, skew):
-        out = list(real(e, skew))
-        out[side] = _swapped(out[side])
-        return tuple(out)
-
-    monkeypatch.setattr(extensions, "_sections", swapped)
+    monkeypatch.setattr(tensor, "_square_maps", zeroed)
+    e = Extension.from_projection(XModHom.identity(CrossedModule.adjoint_identity(n2())), "id")
     with pytest.raises(AssertionError) as err:
-        _theta_matrices(e, central_kernel_xmod(e)[0], skew=False)
-    assert str(err.value) == message
+        theta_star(e)
+    assert str(err.value) == "connecting map depends on the chosen sections"
 
 
 @pytest.mark.parametrize("e, message", [
@@ -416,11 +406,12 @@ def test_theta_reports_a_lift_that_misses_the_relations(monkeypatch, side, xm, m
 ])
 def test_theta_reports_an_image_outside_the_kernel(e, message):
     # the same extension with its kernel replaced by the zero pair, against
-    # which every nonzero connecting image escapes
-    kxm, _ = central_kernel_xmod(e)
+    # which every nonzero connecting image escapes; the zero pair fails
+    # validity, so the flags and kernel crossed module are those of e
     shrunk = Extension(e.name, e.total, e.quotient, e.proj, zero_pair(e.total))
+    vars(shrunk).update(flags=e.flags, kernel_xmod=e.kernel_xmod)
     with pytest.raises(AssertionError) as err:
-        _theta_matrices(shrunk, kxm, skew=False)
+        theta_star(shrunk)
     assert str(err.value) == message
 
 
@@ -677,17 +668,19 @@ def test_an_induced_map_that_misses_a_class_is_not_surjective(monkeypatch):
 @pytest.mark.parametrize("name, in_prop41", [("split_over_n2.extension", 1),
                                              ("n2_over_k.extension", 2)])
 def test_theta_solves_and_eliminates_once(monkeypatch, name, in_prop41):
-    # theta* solves the plain sections once and skews those; prop41 reads
-    # its surjectivity and bijectivity off its kernels, and the exactness
-    # node at M(quotient) reads the same kernels: each of theta*'s matrices
-    # is eliminated once.  The theta* of split_over_n2 is not surjective on
-    # the top, so prop41 leaves its base alone
+    # theta* solves the multiplier against each induced square map once
+    # (the multiplier map has built them); prop41 reads its surjectivity and
+    # bijectivity off its kernels, and the exactness node at M(quotient)
+    # reads the same kernels: each of theta*'s matrices is eliminated once.
+    # The theta* of split_over_n2 is not surjective on the top, so prop41
+    # leaves its base alone
     e = cli.load_fixture(FIXTURES / name)
     e.flags, e.kernel_xmod, e.ab_proj, e.multiplier_map  # their own solves
     solves = _calls_of(monkeypatch, "solve_matrix")
     th = e.theta
+    top_hom, base_hom = e.proj.square_maps
     assert len(solves) == 2
-    assert solves[0] is e.proj.top_map and solves[1] is e.proj.base_map
+    assert solves[0] is top_hom.matrix and solves[1] is base_hom.matrix
     eliminated, ranked = _kernels_taken(monkeypatch), _calls_of(monkeypatch, "rank")
 
     def of_theta():

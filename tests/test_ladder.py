@@ -43,15 +43,26 @@ def test_unknown_rung_near_a_new_one_is_refused(name):
     assert f"unknown rung '{name}'" in proc.stderr
 
 
-def test_every_rung_table_is_a_leibniz_algebra():
+def load_ladder():
+    """tools/ladder.py as a module."""
     spec = importlib.util.spec_from_file_location("ladder", LADDER)
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
+    return ladder
+
+
+def rung_algebra(ladder, name: str) -> LeibnizAlgebra:
+    """The algebra of the table of a rung of the ladder module."""
+    c = ladder.rung_table(name)
+    return LeibnizAlgebra(name, len(c), tuple(f"e{i + 1}" for i in range(len(c))),
+                          tuple(tuple(tuple(v) for v in row) for row in c))
+
+
+def test_every_rung_table_is_a_leibniz_algebra():
+    ladder = load_ladder()
     dims = {}
     for name in ladder.RUNGS:
-        c = ladder.rung_table(name)
-        a = LeibnizAlgebra(name, len(c), tuple(f"e{i + 1}" for i in range(len(c))),
-                           tuple(tuple(tuple(v) for v in row) for row in c))
+        a = rung_algebra(ladder, name)
         assert check_leibniz(a).valid, name
         assert is_lie(a) == (not name.startswith("heisleib")), name
         dims[name] = a.dim

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_quotient as ref
+from _reference_descent import _sections
 from _dense import span, unit_vec
 from _reference_checks import contract
 from leibxmod.ratlin import (
@@ -24,7 +25,6 @@ from leibxmod.ratlin import (
     transposed,
 )
 from leibxmod.algebra import LeibnizAction
-from leibxmod.extensions import _sections
 from leibxmod.tensor import (
     MutualActionPair,
     _action_rows,
