@@ -42,7 +42,8 @@ them again.
 Exit codes: 0 the input was read and found valid (or the computation
 succeeded), 1 the input was read but is invalid or fails a precondition
 (not a valid crossed module, an action or crossed module over an
-algebra that fails the Leibniz identity, not a Leibniz algebra for
+algebra that fails the Leibniz identity, a homomorphism between
+invalid endpoints, not a Leibniz algebra for
 ``hl``, not central, not perfect, degree out of range): every
 ValueError the library raises, 2 the input could not
 be turned into a domain object at all (missing file, malformed JSON,
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import AlgebraHom, LeibnizAction, LeibnizAlgebra
+from .algebra import AlgebraHom, LeibnizAction, LeibnizAlgebra, ValidityReport
 from .extensions import (
     Extension,
     classify,
@@ -413,7 +414,15 @@ def _mark(b):
 
 
 def cmd_check(args):
-    rep = load_fixture(args.path).validity
+    obj = load_fixture(args.path)
+    rep = obj.validity
+    if isinstance(obj, (AlgebraHom, XModHom)):
+        # a hom's laws presume valid endpoints: each distinct one's violations
+        # come first, an algebra's labelled as in an action's report
+        ends = [(f"leibniz {e.name} {label}" if isinstance(e, LeibnizAlgebra) else label, r)
+                for e in dict.fromkeys((obj.source, obj.target))
+                for label, r in e.validity.violations]
+        rep = ValidityReport(rep.subject, rep.valid and not ends, (*ends, *rep.violations))
     doc = {"subject": rep.subject, "valid": rep.valid,
            "violations": [{"label": label, "residual": [str(x) for x in res]}
                           for label, res in rep.violations]}

@@ -13,15 +13,16 @@ kernel of the exterior-square bracket map, which is how the rest of the
 package is cross-validated.  Degrees are capped at 4 (boundary) and 3
 (homology): enough for the oracle at desk scale.
 
-One generator, _images, builds d_1, ..., d_top in one pass as sparse
-integer rows, one per basis tensor, off the integer twin ``LeibnizAlgebra.zst``
-(the constants times the lcm of their denominators: no rank changes).
-As d_m(p (x) x) = d_(m-1)(p) (x) x + (-1)^m sum_i p_1 (x) ... (x)
-[p_i, x] (x) ... (x) p_(m-1), the row of p (x) x is the row of p with its
-targets shifted, plus at most m - 1 brackets.  hl ranks the transposes
-of the rows of d_n and d_(n+1), d times fewer rows, with no matrix and
-no Fraction; boundary holds the rows as its matrix's int columns.  Either
-way the dense size is checked against MAX_BOUNDARY_ENTRIES first.
+One generator, _images, builds d_1, ..., d_top in one pass, transposed:
+one sparse integer row per target tensor, off the integer twin
+``LeibnizAlgebra.zst`` (the constants times the lcm of their
+denominators: no rank changes).  As d_m(p (x) x) = d_(m-1)(p) (x) x +
+(-1)^m sum_i p_1 (x) ... (x) [p_i, x] (x) ... (x) p_(m-1), row s (x) x of
+d_m is row s of d_(m-1) with each source p moved to p (x) x, and each
+bracket [p_i, x] writes p (x) x into the row of its target.  hl ranks the
+rows of d_n and d_(n+1) as they come, with no matrix and no Fraction;
+boundary turns them into its matrix's int columns once.  Either way the
+dense size is checked against MAX_BOUNDARY_ENTRIES first.
 """
 
 from __future__ import annotations
@@ -49,47 +50,37 @@ def _boundary_shape(d: int, n: int) -> "tuple[int, int]":
 
 
 def _images(table: tuple, d: int, top: int):
-    """The rows of den * d_1, ..., den * d_top, one list per degree, off the
-    int view of the twin (den, table) of the structure constants: row t is
-    the image of basis tensor t, a sparse {target: int} without zeros."""
-    rows = [{}] * d  # d_1 = 0 into the ground field
+    """The rows of den * d_1^T, ..., den * d_top^T, one list per degree, off
+    the int view of the twin (den, table) of the structure constants: row u
+    of degree m is the column of d_m at basis tensor u of degree m - 1, a
+    sparse {source tensor: int} without zeros."""
+    rows = [{}]  # d_1 = 0 into the ground field
     yield rows
     for m in range(2, top + 1):
         sign = -1 if m % 2 else 1
         weights = [d ** (m - 2 - i) for i in range(m - 1)]  # of slot i of a target
-        below, rows = rows, []
-        for t, (prefix, p) in enumerate(zip(below, product(range(d), repeat=m - 1))):
-            slots = [(t - pi * w, w, table[pi]) for pi, w in zip(p, weights)]
-            for x in range(d):
-                img = {s * d + x: v for s, v in prefix.items()}
-                for at, w, br in slots:
+        # d_(m-1)(p) (x) x: row s (x) x is row s below, each source p moved to p (x) x
+        rows = [{t * d + x: v for t, v in row.items()} for row in rows for x in range(d)]
+        for t, p in enumerate(product(range(d), repeat=m - 1)):
+            for pi, w in zip(p, weights):
+                at, br = t - pi * w, table[pi]
+                for x in range(d):
+                    key = t * d + x  # p (x) x
                     for k, c in br[x]:
-                        key = at + k * w
-                        v = img.get(key, 0) + sign * c
-                        if v:
-                            img[key] = v
-                        else:
-                            del img[key]
-                rows.append(img)
+                        row = rows[at + k * w]
+                        row[key] = v = row.get(key, 0) + sign * c
+                        if not v:
+                            del row[key]
         yield rows
-
-
-def _transposed(rows: list) -> list:
-    """The sparse rows of the transpose of the matrix with these rows."""
-    out = {}
-    for s, row in enumerate(rows):
-        for t, v in row.items():
-            out.setdefault(t, {})[s] = v
-    return list(out.values())
 
 
 def boundary(q: LeibnizAlgebra, n: int) -> RatMatrix:
     """Matrix of d_n: q^{(x)n} -> q^{(x)(n-1)} on the lexicographic basis."""
     if not 1 <= n <= MAX_BOUNDARY_DEGREE:
         raise ValueError(f"boundary degree must be between 1 and {MAX_BOUNDARY_DEGREE}")
-    rows, _ = _boundary_shape(q.dim, n)
+    _, cols = _boundary_shape(q.dim, n)
     *_, images = _images(q.zst[1], q.dim, n)
-    return RatMatrix.from_sparse(rows, (q.zst[0], tuple(map(_row, images))))
+    return RatMatrix.from_sparse(cols, (q.zst[0], tuple(map(_row, images)))).transpose()
 
 
 def hl(q: LeibnizAlgebra, n: int) -> int:
@@ -101,4 +92,4 @@ def hl(q: LeibnizAlgebra, n: int) -> int:
         return 1  # CL_0 is the ground field and d_1 = 0
     _boundary_shape(q.dim, n + 1)  # the larger of the two boundaries
     *_, dn, dn1 = _images(q.zst[1], q.dim, n + 1)
-    return q.dim ** n - sum(integer_rank(_transposed(r)) for r in (dn, dn1))
+    return q.dim ** n - integer_rank(dn) - integer_rank(dn1)

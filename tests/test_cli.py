@@ -543,7 +543,8 @@ def test_library_refuses_an_invalid_crossed_module(tmp_path, variant):
 
 def non_leibniz_inputs(tmp_path):
     """The trivial action of nj3 on the zero algebra, the crossed module
-    (0, nj3, 0) on it and its identity extension, written into tmp_path:
+    (0, nj3, 0) on it, its identity extension and the identity
+    homomorphisms of nj3 and of (0, nj3, 0), written into tmp_path:
     nj3 ([e1,e2] = e3 = -[e2,e1], [e1,e3] = e1 = -[e3,e1]) is
     anticommutative and fails the Jacobi, so the Leibniz, identity."""
     docs = {
@@ -561,6 +562,10 @@ def non_leibniz_inputs(tmp_path):
                           "quotient": "nj3",
                           "projection": {"top_map": {}, "base_map": {
                               b: {b: "1"} for b in ("e1", "e2", "e3")}}},
+        "nj3.hom": {"kind": "hom", "name": "id", "source": "nj3", "target": "nj3",
+                    "matrix": {b: {b: "1"} for b in ("e1", "e2", "e3")}},
+        "nj3_xmod.hom": {"kind": "hom", "name": "id", "source": "nj3", "target": "nj3",
+                         "top_map": {}, "base_map": {b: {b: "1"} for b in ("e1", "e2", "e3")}},
     }
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
@@ -578,6 +583,16 @@ def test_check_refuses_an_action_over_a_non_leibniz_algebra(tmp_path, capsys):
 def test_check_lists_a_crossed_module_that_is_total_and_quotient_once(tmp_path, capsys):
     # the identity extension of (0, nj3, 0): one crossed module, six Leibniz violations
     code, out, _ = run(capsys, "check", non_leibniz_inputs(tmp_path)["nj3.extension"])
+    lines = [line for line in out.splitlines() if line.startswith("  leibniz nj3 (")]
+    assert code == 1 and "INVALID (6 violation(s))" in out
+    assert len(lines) == len(set(lines)) == 6
+
+
+@pytest.mark.parametrize("name", ["nj3.hom", "nj3_xmod.hom"])
+def test_check_lists_the_invalid_endpoint_of_a_hom_once(tmp_path, capsys, name):
+    # the identity of nj3 and of (0, nj3, 0): the hom's own laws hold, and
+    # the endpoint's six Leibniz violations make it invalid
+    code, out, _ = run(capsys, "check", non_leibniz_inputs(tmp_path)[name])
     lines = [line for line in out.splitlines() if line.startswith("  leibniz nj3 (")]
     assert code == 1 and "INVALID (6 violation(s))" in out
     assert len(lines) == len(set(lines)) == 6

@@ -133,6 +133,29 @@ def test_hl_refuses_before_the_generator_runs(monkeypatch):
         hl(n2(), 2)
 
 
+def test_hl_ranks_the_transposed_rows_as_generated(monkeypatch):
+    # degree m yields one row per target tensor, d^(m-1) of them, and hl
+    # ranks those very lists: no transpose between generator and rank
+    images, generated, ranked = homology._images, [], []
+
+    def watched(*args):
+        for rows in images(*args):
+            generated.append(rows)
+            yield rows
+
+    def integer_rank(rows):
+        ranked.append(rows)
+        return ratlin.integer_rank(rows)
+
+    monkeypatch.setattr(homology, "_images", watched)
+    monkeypatch.setattr(homology, "integer_rank", integer_rank)
+    assert hl(heisenberg(5), 2) == 15
+    assert len(generated) == 3
+    for m, rows in enumerate(generated, 1):
+        assert len(rows) <= 5 ** (m - 1), m
+    assert list(map(id, ranked)) == list(map(id, generated[1:]))
+
+
 # -- the sparse rows against the old dense boundary --------------------------------
 
 # Zero is drawn often, so that rows cancel; denominators differ, so that

@@ -23,6 +23,7 @@ def test_heis5_rung():
     rung = out["heis5"]
     assert (rung["square_dim"], rung["multiplier_dim"]) == (16, 15)
     assert rung["seconds"] > 0
+    assert rung["hl2_seconds"] > 0
     assert rung["hl3_seconds"] > 0
     assert rung["hl2"] == 15
     assert proc.stdout == json.dumps(out, sort_keys=True) + "\n"

@@ -22,14 +22,16 @@ the clock, computes, and stops it.  The rungs, in order, are:
 
 Without RUNG arguments every rung runs.  Each rung also reports
 ``hl(q, 2)``, the Loday-complex homology in degree 2 (hl2, which equals
-the multiplier dimension), and times ``hl(q, 3)`` (hl3_seconds), each on
-a new copy of q; either is null where its boundary is over the budget
-and hl refuses it.
+the multiplier dimension), and times ``hl(q, 2)`` and ``hl(q, 3)``
+(hl2_seconds and hl3_seconds), each on a new copy of q; hl2 and
+hl2_seconds are null where d_3 is over the budget and hl refuses it,
+hl3_seconds where d_4 is.
 
 The program is imported from DIR (default: src of this checkout), so the
 same ladder can time another checkout.  The output is one canonical JSON
-object (sorted keys): for each rung its seconds, hl2, hl3_seconds, the
-dimension of the exterior square and that of the multiplier.
+object (sorted keys): for each rung its seconds, hl2, hl2_seconds,
+hl3_seconds, the dimension of the exterior square and that of the
+multiplier.
 """
 
 import argparse
@@ -126,9 +128,8 @@ def rung_table(name: str) -> list:
 
 def run_rung(name: str) -> dict:
     """Build the rung's algebra, then time its squares and multiplier, and
-    compute hl(q, 2) and time hl(q, 3), each on a new copy of the algebra."""
+    hl(q, 2) and hl(q, 3), each on a new copy of the algebra."""
     from leibxmod.algebra import LeibnizAlgebra
-    from leibxmod.homology import hl
     from leibxmod.tensor import exterior_square_data, schur_multiplier
     from leibxmod.xmod import CrossedModule
 
@@ -144,19 +145,24 @@ def run_rung(name: str) -> dict:
     esd = exterior_square_data(xm)
     mult, _ = schur_multiplier(xm)
     seconds = time.perf_counter() - start
-    try:
-        hl2 = hl(algebra(), 2)
-    except ValueError:  # d_3 is over the boundary budget
-        hl2 = None
-    q = algebra()
+    hl2, hl2_seconds = timed_hl(algebra(), 2)
+    _, hl3_seconds = timed_hl(algebra(), 3)
+    return {"seconds": round(seconds, 3), "square_dim": esd.qq.resolved.dim,
+            "multiplier_dim": mult.base.dim, "hl2": hl2, "hl2_seconds": hl2_seconds,
+            "hl3_seconds": hl3_seconds}
+
+
+def timed_hl(q, n: int) -> tuple:
+    """hl(q, n) and its wall seconds, or (None, None) where d_(n+1) is over
+    the boundary budget and hl refuses it."""
+    from leibxmod.homology import hl
+
     start = time.perf_counter()
     try:
-        hl(q, 3)
-        hl3_seconds = round(time.perf_counter() - start, 4)
-    except ValueError:  # d_4 is over the boundary budget
-        hl3_seconds = None
-    return {"seconds": round(seconds, 3), "square_dim": esd.qq.resolved.dim,
-            "multiplier_dim": mult.base.dim, "hl2": hl2, "hl3_seconds": hl3_seconds}
+        value = hl(q, n)
+    except ValueError:
+        return None, None
+    return value, round(time.perf_counter() - start, 6)
 
 
 def main(argv=None) -> int:
