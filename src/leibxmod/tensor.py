@@ -29,12 +29,15 @@ pullback of the two structure maps over the shared base.  From it the
 induced crossed module on the exterior squares, the evaluation maps
 onto the original pair, and the Schur multiplier (the kernel of that
 evaluation, taken once per matrix) are produced, each with its promised
-properties asserted.  Every map induced on the squares descends through
-one helper (``_descend``): the ambient map must kill the relation rows,
-and is read at the free symbols, on int vectors.  The squares (one for
-a (q, q, id) of any name) are the cached property ``squares`` of a
-crossed module (body ``_squares``), and the maps a surjection induces on
-them its cached ``square_maps``; nothing is memoized across objects.
+properties asserted.  The evaluations, id ^ delta and the maps a
+surjection induces descend through one helper (``_descend``): the
+ambient map must kill the relation rows, and is read at the free
+symbols, on int vectors.  The base action on the top square is read off
+the top evaluation (``_base_on_top``) and asserted to commute with it.
+The squares (one for a (q, q, id) of any name) are the cached property
+``squares`` of a crossed module (body ``_squares``), and the maps a
+surjection induces on them its cached ``square_maps``; nothing is
+memoized across objects.
 """
 
 from __future__ import annotations
@@ -492,42 +495,17 @@ class ExteriorSquareData:
         return mult, incl
 
 
-def _base_action_on_ambient(xm: CrossedModule, dn: int):
-    """Linear maps for the base q acting on the tensor ambient of (q, n)
-    symbols, where q acts on n = xm.top by xm.action:
-
-      ^q (x * y) = (^q x) * y - (^q y) * x,    (x * y)^q = x^q * y + x * y^q,
-
-    with ^q x = [q, x] and x^q = [x, q] on the q factor.
-
-    Returns (den, left, right): left[i][k] is den times ^{q_i} of ambient
-    symbol k and right[i][k] den times symbol k acted on by q_i on the
-    right, as sparse int vectors, so left[i] and right[i] are the sparse
-    columns of the two maps of basis element q_i, scaled by den, the lcm
-    of the denominators of q and of the action.
-    """
-    q, act = xm.base, xm.action
-    dq = q.dim
-    # indexed by factor, 0 for q and 1 for n; in block s, x lies in factor s
-    units = ([((a, 1),) for a in range(dq)], [((b, 1),) for b in range(dn)])
-    (dQ, qst), dA, sl, sr = q.zst, act.den, act.sl, act.sr
-    den = lcm(dQ, dA)
-    cs = (den // dQ, den // dA)
-    lefts, rights = (qst, sl), (qst, sr)
-    legs = [_legs(dq, dn, k) for k in range(2 * dq * dn)]
-    left = tuple(
-        tuple(tuple(_symbols(dq, dn, (
-            (cs[s], s, lefts[s][i][x], units[1 - s][y]),
-            (-cs[1 - s], 1 - s, lefts[1 - s][i][y], units[s][x]))).items())
-            for s, x, y in legs)
-        for i in range(dq))
-    right = tuple(
-        tuple(tuple(_symbols(dq, dn, (
-            (cs[s], s, rights[s][x][i], units[1 - s][y]),
-            (cs[1 - s], s, units[s][x], rights[1 - s][y][i]))).items())
-            for s, x, y in legs)
-        for i in range(dq))
-    return den, left, right
+def _base_on_top(xm: CrossedModule, qn: QuotientPresentation, lam) -> LeibnizAction:
+    """The action of xm.base on the top square qn.  Modulo the action rows,
+    ^p t = p * lambda(t) and t^p = lambda(t) *' p for every symbol t, so both
+    are lambda(t) (the twin lam on the free symbols) through the images of
+    the symbols p * e_y, at p dn + y, and e_y *' p, at dq dn + y dq + p."""
+    (dz, zim), (d, lcols), dq, dn = qn.qmap.zimages, lam, xm.base.dim, xm.top.dim
+    left = [zim[p * dn:(p + 1) * dn] for p in range(dq)]
+    right = [zim[dq * dn + p::dq] for p in range(dq)]
+    return LeibnizAction.from_sparse(xm.base, qn.resolved, dz * d, tuple(
+        tuple(_row(_image(v, a)) for v in lcols) for a in left),
+        tuple(tuple(_row(_image(v, b)) for b in right) for v in lcols))
 
 
 def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
@@ -569,18 +547,15 @@ def _squares(xm: CrossedModule) -> ExteriorSquareData:
         raise AssertionError("connecting map does not preserve the relations")
     id_wedge_delta = AlgebraHom(qn.resolved, qq.resolved, RatMatrix.from_sparse(qq.qmap.dim, idd))
 
-    # action of the base on the top square, each map of a basis element
-    # descended, then pulled back through mu
-    den, left, right = _base_action_on_ambient(xm, dn)
-    sl = [_descend(qn, (den, left[i]), qn.qmap) for i in range(dq)]
-    if None in sl:
-        raise AssertionError(f"base action does not preserve the relations of {qn.name}")
-    sr = [_descend(qn, (den, right[i]), qn.qmap) for i in range(dq)]
-    if None in sr:
-        raise AssertionError(f"base action does not preserve the relations of {qn.name}")
-    base_on_top = LeibnizAction.from_sparse(
-        q, qn.resolved, qn.qmap.zimages[0] * den, tuple(v for _, v in sl),
-        transposed(tuple(v for _, v in sr), qn.qmap.dim))
+    # the base action on the top square, asserted to commute with lambda
+    base_on_top, act, lcols = _base_on_top(xm, qn, lam), xm.action, lam[1]
+    for p, name in enumerate(q.basis_names):
+        if ([_scaled(_row(_image(u, lcols)), act.den) for u in base_on_top.sl[p]]
+                != [_scaled(_row(_image(v, act.sl[p])), base_on_top.den) for v in lcols]):
+            raise AssertionError(f"lambda(^p t) != ^p lambda(t) on {qn.name} at p = {name}")
+        if ([_scaled(_row(_image(r[p], lcols)), act.den) for r in base_on_top.sr]
+                != [_scaled(_row(_image(v, act.zsr_t[1][p])), base_on_top.den) for v in lcols]):
+            raise AssertionError(f"lambda(t^p) != lambda(t)^p on {qn.name} at p = {name}")
     action = _pulled_back(base_on_top, qq.resolved, mu)
 
     induced = CrossedModule(f"({qn.name},{qq.name})", qn.resolved, qq.resolved,

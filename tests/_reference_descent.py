@@ -17,10 +17,16 @@ LeibnizAction.act_left and act_right), every relation is tested by a
 dense matrix-vector product, and every restriction to a subspace tests
 membership with contains_vector and then again inside coords.
 lemma35_check is the old one of leibxmod.extensions, each dense call
-that left the library replaced by its twin among the oracles.  The
-differential tests in test_descent.py and test_extensions.py compare
-the library's routines with them.
+that left the library replaced by its twin among the oracles.
+_base_action_on_ambient is the old function of leibxmod.tensor,
+verbatim, and base_on_top the old descent of its 2 dim q maps in
+_squares, verbatim as a function; the library reads the base action on
+the top square off the top evaluation instead.  The differential tests
+in test_descent.py and test_extensions.py compare the library's
+routines with them.
 """
+
+from math import lcm
 
 import _reference_rref
 from _dense import from_columns, unit_vec, vec_is_zero
@@ -28,9 +34,12 @@ from _reference_checks import _act_left, _act_right, _bracket, _mul_vec
 from _reference_quotient import contains_vector
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, _report, ideal_closure
 from leibxmod.extensions import Extension
-from leibxmod.ratlin import RatMatrix, Subspace, _plus, kernel
+from leibxmod.ratlin import RatMatrix, Subspace, _plus, kernel, transposed
 from leibxmod.tensor import (
+    _descend,
     _index,
+    _legs,
+    _symbols,
     exterior_square_data,
     induced_exterior_hom,
     schur_multiplier,
@@ -217,3 +226,57 @@ def lemma35_check(e: Extension):
             LeibnizAction.trivial(bp.resolved, top))
         bad.extend(check_xmod(cm).violations)
     return _report(f"abelian connecting structure of {e.name}", bad)
+
+
+def _base_action_on_ambient(xm: CrossedModule, dn: int):
+    """Linear maps for the base q acting on the tensor ambient of (q, n)
+    symbols, where q acts on n = xm.top by xm.action:
+
+      ^q (x * y) = (^q x) * y - (^q y) * x,    (x * y)^q = x^q * y + x * y^q,
+
+    with ^q x = [q, x] and x^q = [x, q] on the q factor.
+
+    Returns (den, left, right): left[i][k] is den times ^{q_i} of ambient
+    symbol k and right[i][k] den times symbol k acted on by q_i on the
+    right, as sparse int vectors, so left[i] and right[i] are the sparse
+    columns of the two maps of basis element q_i, scaled by den, the lcm
+    of the denominators of q and of the action.
+    """
+    q, act = xm.base, xm.action
+    dq = q.dim
+    # indexed by factor, 0 for q and 1 for n; in block s, x lies in factor s
+    units = ([((a, 1),) for a in range(dq)], [((b, 1),) for b in range(dn)])
+    (dQ, qst), dA, sl, sr = q.zst, act.den, act.sl, act.sr
+    den = lcm(dQ, dA)
+    cs = (den // dQ, den // dA)
+    lefts, rights = (qst, sl), (qst, sr)
+    legs = [_legs(dq, dn, k) for k in range(2 * dq * dn)]
+    left = tuple(
+        tuple(tuple(_symbols(dq, dn, (
+            (cs[s], s, lefts[s][i][x], units[1 - s][y]),
+            (-cs[1 - s], 1 - s, lefts[1 - s][i][y], units[s][x]))).items())
+            for s, x, y in legs)
+        for i in range(dq))
+    right = tuple(
+        tuple(tuple(_symbols(dq, dn, (
+            (cs[s], s, rights[s][x][i], units[1 - s][y]),
+            (cs[1 - s], s, units[s][x], rights[1 - s][y][i]))).items())
+            for s, x, y in legs)
+        for i in range(dq))
+    return den, left, right
+
+
+def base_on_top(xm: CrossedModule, qn) -> LeibnizAction:
+    """The action of xm.base on the top square qn: each map of a basis
+    element descended."""
+    q, dq, dn = xm.base, xm.base.dim, xm.top.dim
+    den, left, right = _base_action_on_ambient(xm, dn)
+    sl = [_descend(qn, (den, left[i]), qn.qmap) for i in range(dq)]
+    if None in sl:
+        raise AssertionError(f"base action does not preserve the relations of {qn.name}")
+    sr = [_descend(qn, (den, right[i]), qn.qmap) for i in range(dq)]
+    if None in sr:
+        raise AssertionError(f"base action does not preserve the relations of {qn.name}")
+    return LeibnizAction.from_sparse(
+        q, qn.resolved, qn.qmap.zimages[0] * den, tuple(v for _, v in sl),
+        transposed(tuple(v for _, v in sr), qn.qmap.dim))

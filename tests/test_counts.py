@@ -40,8 +40,9 @@ def test_extension_job_counts():
     assert out["ratlin.solve_matrix"] == 6
     # theta* lifts through the induced square maps in place of descending
     # the evaluation of a plain and a skewed section (22.057 descents, 9
-    # substitutions and 3 one-leg spans per job before)
-    assert out["tensor._descend"] == 18.057
+    # substitutions and 3 one-leg spans per job before); the base action on
+    # a top square is read off its evaluation, not descended (18.057)
+    assert out["tensor._descend"] == 8.132
     assert out["tensor._substitution"] == 5
     assert out["tensor.one_leg_span"] == 2
     # each induced square map is eliminated once, for its kernel and its
@@ -65,9 +66,10 @@ def test_squares_job_counts():
     # (19.889 eliminations before)
     assert (out["ratlin.join"], out["ratlin._eliminate"]) == (32, 19.0)
     assert out["ratlin.sparse_kernel"] == 5
-    # one square per job: its evaluation, id ^ delta and the 2 dim q maps of
-    # the base action descend; id ^ delta is the one substitution
-    assert (out["tensor._descend"], out["tensor._substitution"]) == (10.222, 1)
+    # one square per job: its evaluation and id ^ delta descend, and the base
+    # action is read off the evaluation (10.222 descents with its 2 dim q
+    # maps); id ^ delta is the one substitution
+    assert (out["tensor._descend"], out["tensor._substitution"]) == (2, 1)
     assert out["tensor.one_leg_span"] == 0
 
 

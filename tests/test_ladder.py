@@ -69,4 +69,4 @@ def test_every_rung_table_is_a_leibniz_algebra():
         dims[name] = a.dim
     assert dims == {"heis5": 5, "heis7": 7, "heis9": 9, "heis11": 11, "sl2+sl2": 6,
                     "sl2x5": 15, "tri6": 21, "free2-7": 28, "free2-8": 36,
-                    "heisleib16": 16, "heisleib24": 24}
+                    "free2-10": 55, "heisleib16": 16, "heisleib24": 24, "heisleib32": 32}

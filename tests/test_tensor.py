@@ -26,6 +26,7 @@ from leibxmod.homology import hl
 from leibxmod.ratlin import (
     RatMatrix,
     Subspace,
+    _plus,
     dense,
     integer_view,
     kernel,
@@ -499,24 +500,24 @@ def test_multiplier_reports_each_law(monkeypatch, failing, message):
     _raises_exactly(message, schur_multiplier, CrossedModule.adjoint_identity(n2()))
 
 
-@pytest.mark.parametrize("side", [0, 1])
-def test_descent_reports_unstable_relations(monkeypatch, side):
-    # add to every left (side 0) or right (side 1) action map the shift
-    # that sends symbol l to l - 1
-    real = tensor._base_action_on_ambient
+@pytest.mark.parametrize("side, message", [
+    (0, "lambda(^p t) != ^p lambda(t) on n2(^)n2 at p = e1"),
+    (1, "lambda(t^p) != lambda(t)^p on n2(^)n2 at p = e1"),
+])
+def test_base_action_reports_a_table_off_the_evaluation(monkeypatch, side, message):
+    # add to ^{e1} t_1 (side 0) or t_1^{e1} (side 1) of the base action on
+    # the top square a free symbol that lambda does not kill
+    real = tensor._base_on_top
 
-    def shifted(xm, dn):
-        den, *maps = real(xm, dn)
-        amb = len(maps[side][0])
-        maps[side] = tuple(tuple(_plus_unit(col, (l - 1) % amb)
-                                 for l, col in enumerate(cols))
-                           for cols in maps[side])
-        return (den, *maps)
+    def perturbed(xm, qn, lam):
+        b = real(xm, qn, lam)
+        k = next(j for j, v in enumerate(lam[1]) if v)
+        tables = [[list(r) for r in b.sl], [list(r) for r in b.sr]]
+        tables[side][0][0] = _plus(tables[side][0][0], ((k, 1),))
+        return LeibnizAction.from_sparse(b.actor, b.acted, b.den, *tables)
 
-    monkeypatch.setattr(tensor, "_base_action_on_ambient", shifted)
-    _raises_exactly("base action does not preserve the relations of n2(^)n2",
-                    tensor._squares,
-                    CrossedModule.adjoint_identity(n2()))
+    monkeypatch.setattr(tensor, "_base_on_top", perturbed)
+    _raises_exactly(message, tensor._squares, CrossedModule.adjoint_identity(n2()))
 
 
 def test_connecting_map_reports_unpreserved_relations(monkeypatch):
@@ -661,8 +662,8 @@ def test_an_adjoint_identity_input_is_its_own_base_square(monkeypatch):
     assert esd.qn is esd.qq and esd.qn.pair.m_on_n is xm.action
     assert esd.qn.pair.n_on_m is xm.action
     assert esd.lambda_n.matrix == esd.mu_q.matrix
-    # lambda, then id ^ delta and the 2 * dim q maps of the base action
-    assert descents.count(None) == 1 and len(descents) == 2 + 2 * q.dim
+    # lambda, then id ^ delta; the base action is read off lambda
+    assert descents.count(None) == 1 and len(descents) == 2
     assert calls["action"] == 2 and "validity" not in vars(q.adjoint)
 
 

@@ -14,10 +14,10 @@ the clock, computes, and stops it.  The rungs, in order, are:
   of basis (perfbench/gen.py, imported read-only);
 - sl2x5, the direct sum of five copies of sl2 (dimension 15);
 - tri6, the Lie algebra of upper-triangular 6 x 6 matrices (21);
-- free2-7 and free2-8, the free 2-step nilpotent Lie algebras on 7 and
-  8 generators x_i, with [x_i, x_j] = z_ij = -[x_j, x_i] for i < j (28
-  and 36);
-- heisleib16 and heisleib24, the Leibniz algebras with
+- free2-7, free2-8 and free2-10, the free 2-step nilpotent Lie algebras
+  on 7, 8 and 10 generators x_i, with [x_i, x_j] = z_ij = -[x_j, x_i] for
+  i < j (28, 36 and 55);
+- heisleib16, heisleib24 and heisleib32, the Leibniz algebras with
   [e_i, e_i] = e_d for i < d and no other bracket, which are not Lie.
 
 Without RUNG arguments every rung runs.  Each rung also reports
@@ -45,7 +45,7 @@ from random import Random
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNGS = ("heis5", "heis7", "heis9", "heis11", "sl2+sl2", "sl2x5", "tri6",
-         "free2-7", "free2-8", "heisleib16", "heisleib24")
+         "free2-7", "free2-8", "free2-10", "heisleib16", "heisleib24", "heisleib32")
 
 
 def _table(d: int, brackets) -> list:
