@@ -140,12 +140,11 @@ def _sparse_vec(doc, names, where):
 
 
 def _table(doc, row_names, col_names, out_names, where):
-    """Sparse doc[row][col] = vector over out_names, as a sparse view."""
+    """Sparse doc[row][col] = vector over out_names, as table entries."""
     def row(r, at):
         return _by_name(r, col_names, at, lambda sv, at: _sparse_vec(sv, out_names, at))
     rows = _by_name(doc, row_names, where, row)
-    return tuple(tuple(rows.get(i, {}).get(j, ()) for j in range(len(col_names)))
-                 for i in range(len(row_names)))
+    return tuple(sorted(((i, j), v) for i, r in rows.items() for j, v in r.items() if v))
 
 
 def _matrix(doc, src_names, tgt_names, where):
@@ -317,14 +316,11 @@ def _sparse_from_vec(v, den, names):
 
 
 def _sparse_from_table(twin, row_names, col_names, out_names):
-    """The sparse mapping of a table with the integer twin (den, view)."""
-    den, view = twin
+    """The sparse mapping of a table with the integer twin (den, entries)."""
+    den, entries = twin
     out = {}
-    for i, rn in enumerate(row_names):
-        row = {cn: _sparse_from_vec(view[i][j], den, out_names)
-               for j, cn in enumerate(col_names) if view[i][j]}
-        if row:
-            out[rn] = row
+    for (i, j), v in entries:
+        out.setdefault(row_names[i], {})[col_names[j]] = _sparse_from_vec(v, den, out_names)
     return out
 
 

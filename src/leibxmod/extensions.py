@@ -407,12 +407,12 @@ def lemma35_check(e: Extension) -> ValidityReport:
     bad = [] if ideal == span else [("one-leg span is not already an ideal", ())]
     res, us, index = esd_t.qn.resolved, ideal.zbasis, [str(k) for k in range(ideal.dim)]
     # [u_i, u_j] is u_j through the rows [u_i, e_k]
-    rows = _through(us, res.zst_t, ideal.dim, res.dim)
+    rows = _through(us, res.zst, ".r")
     bad += _violations({"i": index, "j": index}, [
-        ("one-leg ideal bracket ", 0, 0, res.dim, "ij", "ij", ((1, us, "j", rows, "i"),))])
+        ("one-leg ideal bracket ", 0, 0, res.dim, "ij", "ij", ((1, us, "j", rows, "i."),))])
     den, st = bp.resolved.zst
     bad += [(f"kernel-base square bracket ({i},{j})", _residual(dict(v), den, bp.resolved.dim))
-            for i, row in enumerate(st) for j, v in enumerate(row) if v]
+            for (i, j), v in st]
     dcols, (dy, ys) = [], _images(esd_t.id_wedge_delta.matrix.zcols, us)
     for y in ys:
         rhs = RatMatrix.from_sparse(psi2.matrix.rows, (dy, (y,)))

@@ -14,12 +14,13 @@ package is cross-validated.  Degrees are capped at 4 (boundary) and 3
 (homology): enough for the oracle at desk scale.
 
 One generator, _images, builds d_1, ..., d_top in one pass, transposed:
-one sparse integer row per target tensor, off the integer twin
+one sparse integer row per target tensor, off the entries of the twin
 ``LeibnizAlgebra.zst`` (the constants times the lcm of their
-denominators: no rank changes).  As d_m(p (x) x) = d_(m-1)(p) (x) x +
-(-1)^m sum_i p_1 (x) ... (x) [p_i, x] (x) ... (x) p_(m-1), row s (x) x of
-d_m is row s of d_(m-1) with each source p moved to p (x) x, and each
-bracket [p_i, x] writes p (x) x into the row of its target.  hl ranks the
+denominators: no rank changes), grouped once by first index.  As d_m(p
+(x) x) = d_(m-1)(p) (x) x + (-1)^m sum_i p_1 (x) ... (x) [p_i, x] (x) ...
+(x) p_(m-1), row s (x) x of d_m is row s of d_(m-1) with each source p
+moved to p (x) x, and each bracket [p_i, x] writes p (x) x into the row
+of its target.  hl ranks the
 rows of d_n and d_(n+1) as they come, with no matrix and no Fraction;
 boundary turns them into its matrix's int columns once.  Either way the
 dense size is checked against MAX_BOUNDARY_ENTRIES first.
@@ -30,7 +31,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import LeibnizAlgebra
-from .ratlin import RatMatrix, _row, integer_rank
+from .ratlin import RatMatrix, _row, _rows, integer_rank
 
 MAX_BOUNDARY_DEGREE = 4
 # Largest boundary matrix, in entries, that boundary and hl will build:
@@ -51,9 +52,10 @@ def _boundary_shape(d: int, n: int) -> "tuple[int, int]":
 
 def _images(table: tuple, d: int, top: int):
     """The rows of den * d_1^T, ..., den * d_top^T, one list per degree, off
-    the int view of the twin (den, table) of the structure constants: row u
-    of degree m is the column of d_m at basis tensor u of degree m - 1, a
-    sparse {source tensor: int} without zeros."""
+    the int entries of the twin (den, table) of the structure constants:
+    row u of degree m is the column of d_m at basis tensor u of degree
+    m - 1, a sparse {source tensor: int} without zeros."""
+    brackets = [list(row.items()) for row in _rows(table, d)]
     rows = [{}]  # d_1 = 0 into the ground field
     yield rows
     for m in range(2, top + 1):
@@ -63,10 +65,10 @@ def _images(table: tuple, d: int, top: int):
         rows = [{t * d + x: v for t, v in row.items()} for row in rows for x in range(d)]
         for t, p in enumerate(product(range(d), repeat=m - 1)):
             for pi, w in zip(p, weights):
-                at, br = t - pi * w, table[pi]
-                for x in range(d):
+                at = t - pi * w
+                for x, br in brackets[pi]:
                     key = t * d + x  # p (x) x
-                    for k, c in br[x]:
+                    for k, c in br:
                         row = rows[at + k * w]
                         row[key] = v = row.get(key, 0) + sign * c
                         if not v:

@@ -6,21 +6,22 @@ positive denominator) where a value leaves the package: the dense grids
 and tables the public objects print are views built on request.  What
 they store, and what every operation runs on, is sparse and on plain
 ints.  A sparse vector is ``((index, value), ...)`` (or the items of a
-``{index: value}`` accumulator), and structure and action tables are
-sparse views, ``st[i][j] = ((k, t), ...)`` over the nonzero ``t``.  Each
-view has an integer twin: one positive denominator (``integer_view``
-takes the lcm of the denominators of the view's values, which makes the
+``{index: value}`` accumulator), and a structure or action table is its
+entries ``(((i, j), ((k, t), ...)), ...)`` over the nonempty vectors, in
+key order: no empty slot is stored or walked.  Each view has an integer
+twin: one positive denominator (``integer_view`` takes the lcm of the denominators of the view's values, which makes the
 twin unique; ``canonical`` brings any other to it) and the view with
 every value times it, an int.  A matrix stores the twin of its sparse
 columns and nothing else, so equality and hashing compare ints; its
 kernel is taken once per matrix object and cached on it, outside those
-fields.  ``accumulate`` is the one step behind the bilinear maps, behind
-quotient maps and behind ``join``, which evaluates the runtime-checked
-laws term by term over twins: each term is scaled by the complementary
-denominators so that all terms share one scale, and is joined over the
-nonzero entries of its views into int residuals keyed by the law's
+fields.  ``accumulate`` is the one step behind the bilinear maps and
+quotient maps, and ``join`` adds each product the same way: it evaluates
+the runtime-checked laws term by term over twins, each term scaled by
+the complementary denominators so that all terms share one scale, and
+joined over the nonzero entries of its views into int residuals keyed by the law's
 report order, so a basis triple that no nonzero product reaches costs
-nothing.  A value is divided by its scale only where it leaves the
+nothing; a term contracts either slot of a table, so none is stored
+transposed.  A value is divided by its scale only where it leaves the
 kernel, as a Fraction.  A ``QuotientMap`` is a sparse map too: the image
 of every ambient column in quotient coordinates, with an integer twin,
 so the class of a vector is one ``accumulate`` over its nonzero entries,
@@ -42,6 +43,7 @@ a span's basis is the canonical rows of its ``Subspace``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -58,35 +60,47 @@ def sparse(v: Sequence) -> tuple:
 
 
 def sparse_table(table) -> tuple:
-    """Sparse view of a table of dense vectors: st[i][j] = sparse(table[i][j])."""
-    return tuple(tuple(sparse(v) for v in row) for row in table)
+    """The entries of a table of dense vectors: ((i, j), sparse(table[i][j]))
+    over its nonzero vectors, sorted by (i, j)."""
+    return tuple(((i, j), s) for i, row in enumerate(table)
+                 for j, v in enumerate(row) if (s := sparse(v)))
 
 
-def transposed(st, cols: int) -> tuple:
-    """A sparse view with its two outer indices swapped: out[j][i] = st[i][j].
-    cols is the length of the rows of st (needed when st has no rows)."""
-    return tuple(tuple(row[j] for row in st) for j in range(cols))
+def transposed(entries) -> tuple:
+    """The entries of a table with its two indices swapped: ((j, i), v) for
+    every ((i, j), v), sorted by key."""
+    return tuple(sorted(((j, i), v) for (i, j), v in entries))
+
+
+def _rows(entries, n: int) -> list:
+    """The n rows of a table, read off its entries: row i is {j: vector},
+    and reads () at a j it lacks, so it serves as the columns of a map."""
+    rows = [defaultdict(tuple) for _ in range(n)]
+    for (i, j), v in entries:
+        rows[i][j] = v
+    return rows
 
 
 def _flat(view, depth: int) -> list:
     """The sparse vectors of a sparse view with depth outer indices."""
-    flat = [view]
-    for _ in range(depth):
-        flat = [v for row in flat for v in row]
-    return flat
+    if depth == 2:
+        return [v for _, v in view]
+    return [v for x in view for v in _flat(x, depth - 1)] if depth else [view]
 
 
 def _leaves(view, depth: int, f) -> tuple:
     """The sparse view with every sparse vector v replaced by f(v)."""
-    return tuple(_leaves(r, depth - 1, f) for r in view) if depth else f(view)
+    if depth == 2:
+        return tuple((p, f(v)) for p, v in view)
+    return tuple(_leaves(x, depth - 1, f) for x in view) if depth else f(view)
 
 
 def integer_view(view, depth: int = 2) -> "tuple[int, tuple]":
     """The integer twin (den, twin) of a sparse view with depth outer
-    indices (0 for a sparse vector, 1 for a tuple of them, 2 for a
-    table): den is the lcm of the denominators of its values (1 when it
-    has none), and twin is the view with every value t replaced by the
-    int den * t."""
+    indices (0 for a sparse vector, 1 for a tuple of them, 2 for the
+    entries of a table, 3 for a tuple of tables): den is the lcm of the
+    denominators of its values (1 when it has none), and twin is the view
+    with every value t replaced by the int den * t."""
     den = lcm(*[t.denominator for v in _flat(view, depth) for _, t in v])
     seen = {}  # equal vectors of the twin share one tuple
 
@@ -141,25 +155,14 @@ def _row(acc: dict) -> tuple:
 def accumulate(acc: dict, c, a, rows) -> None:
     """acc += c * (the sum of t * rows[l] over (l, t) in a), where a and
     each rows[l] are sparse vectors and acc maps an index to a value: an
-    int when c and every value are ints, as on integer twins.
-
-    For the bilinear map [., .] of a sparse table st, rows = st[i] adds
-    c * [e_i, a] and rows = transposed(st, ...)[j] adds c * [a, e_j]; with
-    rows the sparse columns of a matrix, it adds c times the image of a."""
+    int when c and every value are ints, as on integer twins.  With rows
+    the sparse columns of a matrix, it adds c times the image of a."""
     for l, t in a:
         r = rows[l]
         if r:
             w = c * t
             for k, u in r:
                 acc[k] = acc.get(k, 0) + w * u
-
-
-def _entries(x, depth: int) -> list:
-    """The nonempty sparse vectors of a table with depth outer indices (1
-    or 2), as (outer index tuple, vector)."""
-    if depth == 1:
-        return [((p,), a) for p, a in enumerate(x) if a]
-    return [((p, q), a) for p, row in enumerate(x) for q, a in enumerate(row) if a]
 
 
 @lru_cache(maxsize=256)
@@ -176,52 +179,48 @@ def join(terms) -> "tuple[int, dict]":
     """The sums of the terms of a multilinear law, over nonzero entries
     only, on integer twins.
 
-    A term (key, c, x, xs, y, ys) adds c * (x[p] through y[r]), as in
-    accumulate, for every outer index p of the sparse table x and r of the
-    sparse table y, where c is an int and x and y are integer twins
-    (den, view) (see integer_view).  x has one or two outer indices,
-    named by the letters of xs; y has the rows y[r][l] with one outer
-    index named by the letter ys, or none when ys is "" (then y is itself
-    the rows).  Each sum goes to the accumulator at key, a sequence of
-    letters and constants, with every letter replaced by its index.  This
-    is the join of sparse tensor algebra: for a nonempty x[p], only the r
-    with a nonempty y[r][l] for some nonzero entry (l, t) of x[p] are
-    visited.  A key that no product reaches has no entry; its sum is zero
-    by construction.  A term whose twins have the denominators dx and dy
-    is scaled by scale / (dx * dy), scale the lcm of those products over
-    all terms, so every accumulator holds scale times its sum, an int.
+    A term (key, c, x, xs, y, ys) adds c * t * y[r, l] for every entry (l,
+    t) of every x[p] and every r, where c is an int and x and y are integer
+    twins (den, view) (see integer_view): x the entries of a table, its
+    indices named by the letters of xs, or a tuple of sparse vectors, its
+    index named by the letter xs; y a table read at the slot spec ys, "r."
+    for y[r, l] or ".r" for y[l, r], or with ys "" a tuple of vectors y[l].
+    Each sum goes to the accumulator at key, a sequence of letters and
+    constants, with every letter replaced by its index.  This is the join
+    of sparse tensor algebra: an entry (l, t) of x[p] meets only the
+    nonempty y at l, from y's support, built once off its entries.  A key
+    that no product reaches has no entry; its sum is zero by construction.
+    A term whose twins have the denominators dx and dy is scaled by scale
+    / (dx * dy), scale the lcm of those products over all terms, so every
+    accumulator holds scale times its sum, an int.
 
     Returns (scale, {key tuple: accumulator}).
     """
     terms = list(terms)
     scale = lcm(*[x[0] * y[0] for _, _, x, _, y, _ in terms])
     out = {}
-    meets = {}  # id(y) -> (y, {l: the r with a nonempty y[r][l]})
+    supports = {}  # (id(y), ys) -> (y, {l: [(r, nonempty vector), ...]})
     for key, c, (dx, x), xs, (dy, y), ys in terms:
         c *= scale // (dx * dy)
-        if not ys:  # one row, at an index that no key names
-            y, ys = (y,), "_"
-        keyed, consts = _keyed(tuple(key), xs + ys)
-        seen = meets.get(id(y))
+        keyed, consts = _keyed(tuple(key), xs + (ys.strip(".") or "_"))
+        seen = supports.get((id(y), ys))
         if seen is None:
-            support = {}
-            for r, row in enumerate(y):
-                for l, v in enumerate(row):
-                    if v:
-                        support.setdefault(l, []).append(r)
-            seen = meets[id(y)] = (y, support)
+            support = {} if ys else {l: [(0, v)] for l, v in enumerate(y) if v}
+            for (i, j), v in y if ys else ():
+                l, r = (i, j) if ys[0] == "." else (j, i)
+                support.setdefault(l, []).append((r, v))
+            seen = supports[id(y), ys] = (y, support)
         support = seen[1]
-        for p, a in _entries(x, len(xs)):
-            if len(a) == 1:
-                rs = support.get(a[0][0], ())
-            else:
-                rs = set().union(*[support.get(l, ()) for l, _ in a])
-            for r in rs:
-                k = keyed(p + (r,) + consts)
-                acc = out.get(k)
-                if acc is None:
-                    acc = out[k] = {}
-                accumulate(acc, c, a, y[r])
+        for p, a in x if len(xs) == 2 else [((p,), a) for p, a in enumerate(x) if a]:
+            for l, t in a:
+                w = c * t
+                for r, v in support.get(l, ()):
+                    k = keyed(p + (r,) + consts)
+                    acc = out.get(k)
+                    if acc is None:
+                        acc = out[k] = {}
+                    for m, u in v:
+                        acc[m] = acc.get(m, 0) + w * u
     return scale, out
 
 

@@ -64,6 +64,7 @@ from .ratlin import (
     _images,
     _restriction,
     _row,
+    _rows,
     _scaled,
     kernel,
     quotient,
@@ -113,15 +114,16 @@ class MutualActionPair:
         """(den, ev): ev[s][k] is ambient symbol k evaluated into the first
         factor X of side s by the action of Y on X, x * y -> x^y and
         y * x -> ^y x, as a sparse int vector times den[s], the
-        denominator of that action, read off its int views.  A symbol
+        denominator of that action, read off its int entries.  A symbol
         u * v with u from ev[0] and v from ev[1], in either block, is
         den[0] * den[1] times its value."""
-        ev = []
-        for s, (X, Y, _, y_on_x) in enumerate(self.sides):
-            blocks = [None, None]
-            blocks[s] = [y_on_x.sr[x][y] for x in range(X.dim) for y in range(Y.dim)]
-            blocks[1 - s] = [y_on_x.sl[y][x] for y in range(Y.dim) for x in range(X.dim)]
-            ev.append(tuple(blocks[0] + blocks[1]))
+        dm, dn, ev = self.m.dim, self.n.dim, []
+        for s, (_, _, _, y_on_x) in enumerate(self.sides):
+            e = [()] * (2 * dm * dn)  # x * y at _index(s, x, y), y * x at _index(1 - s, y, x)
+            for t, table in ((s, y_on_x.sr), (1 - s, y_on_x.sl)):
+                for (a, b), v in table:
+                    e[_index(dm, dn, t, a, b)] = v
+            ev.append(tuple(e))
         return (self.n_on_m.den, self.m_on_n.den), tuple(ev)
 
     @cached_property
@@ -195,17 +197,20 @@ def _cross(dm: int, dn: int, ps, qs, sign=1) -> list:
 
 
 def _brackets(pair: MutualActionPair, symbols, image) -> tuple:
-    """The int view [i][j] over the symbols of image(den[0] * den[1] [symbol_i,
-    symbol_j]), for den and ev of zevaluations and a linear map image: the
-    primary representative ev[t][i] * ev[1 - t][j], in the block t of i,
-    is ev[1 - t][j] through the images a[b] of ev[t][i] * e_b."""
+    """The int entries, keyed by the positions (p, q) in symbols of i and
+    j, of image(den[0] * den[1] [symbol_i, symbol_j]), for den and ev of
+    zevaluations and a linear map image: the primary representative
+    ev[t][i] * ev[1 - t][j], in the block t of i, is ev[1 - t][j] through
+    the images a[b] of ev[t][i] * e_b."""
     dm, dn = pair.m.dim, pair.n.dim
-    ev, out, empty = pair.zevaluations[1], [], ((),) * len(symbols)
-    for i in symbols:
+    ev, out = pair.zevaluations[1], []
+    for p, i in enumerate(symbols):
         t = _legs(dm, dn, i)[0]
         a = [_row(image([(_index(dm, dn, t, x, b), u) for x, u in ev[t][i]]))
              for b in range((dn, dm)[t])]
-        out.append(tuple(_row(_image(ev[1 - t][j], a)) for j in symbols) if any(a) else empty)
+        if any(a):
+            out += [((p, q), r) for q, j in enumerate(symbols)
+                    if (r := _row(_image(ev[1 - t][j], a)))]
     return tuple(out)
 
 
@@ -218,9 +223,10 @@ def _defining_rows(pair: MutualActionPair) -> list:
 def _action_rows(pair: MutualActionPair) -> list:
     """A bracketed leg rewrites through the actions, and the two one-sided
     actions agree up to sign in the second slot; one row per basis triple
-    whose terms are not all empty.  The rows are read off integer twins,
-    each term scaled to the lcm of the denominators its row meets, so a
-    row is a positive multiple of the rational one: the same span."""
+    whose terms are not all empty, in the order of the triples, which are
+    found from the rows of the tables.  The rows are read off integer
+    twins, each term scaled to the lcm of the denominators its row meets,
+    so a row is a positive multiple of the rational one: the same span."""
     dm, dn = pair.m.dim, pair.n.dim
     rows = []
 
@@ -230,35 +236,33 @@ def _action_rows(pair: MutualActionPair) -> list:
             rows.append(r)
 
     for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides):
-        ex = [((x, 1),) for x in range(X.dim)]
-        ey = [((y, 1),) for y in range(Y.dim)]
-        (dY, Yst), dA, ysr = Y.zst, y_on_x.den, y_on_x.sr
-        den = lcm(dY, dA)
-        cY, cA = den // dY, den // dA
-        for x in range(X.dim):
-            xr = ysr[x]
-            for y in range(Y.dim):
-                for y2 in range(Y.dim):
-                    if Yst[y][y2] or xr[y] or xr[y2]:
-                        # x * [y, y2] = x^y * y2 - x^{y2} * y
-                        add((cY, s, ex[x], Yst[y][y2]),
-                            (-cA, s, xr[y], ey[y2]),
-                            (cA, s, xr[y2], ey[y]))
-        (dX, Xst), dB, sl, sr = X.zst, x_on_y.den, x_on_y.sl, x_on_y.sr
-        den = lcm(dX, dB)
-        cX, cB = den // dX, den // dB
-        for x in range(X.dim):
+        ex, ey = ([((i, 1),) for i in range(d)] for d in (X.dim, Y.dim))
+        Yst, ysr = _rows(Y.zst[1], Y.dim), _rows(y_on_x.sr, X.dim)
+        den = lcm(Y.zst[0], y_on_x.den)
+        cY, cA = den // Y.zst[0], den // y_on_x.den
+        for x, xr in enumerate(ysr):
+            for y, yr in enumerate(Yst):
+                for y2 in range(Y.dim) if y in xr else sorted(yr.keys() | xr.keys()):
+                    # x * [y, y2] = x^y * y2 - x^{y2} * y
+                    add((cY, s, ex[x], yr.get(y2, ())),
+                        (-cA, s, xr.get(y, ()), ey[y2]),
+                        (cA, s, xr.get(y2, ()), ey[y]))
+        Xst, sl, sr = (_rows(t, X.dim) for t in (X.zst[1], x_on_y.sl, transposed(x_on_y.sr)))
+        den = lcm(X.zst[0], x_on_y.den)
+        cX, cB = den // X.zst[0], den // x_on_y.den
+        for x, (xr, lx) in enumerate(zip(Xst, sl)):
             for x2 in range(X.dim):
-                for y in range(Y.dim):
-                    if Xst[x][x2] or sl[x][y] or sr[y][x2]:
+                b, l2, c2 = xr.get(x2, ()), sl[x2], sr[x2]
+                for y in range(Y.dim) if b else sorted(lx.keys() | l2.keys() | c2.keys()):
+                    if b or y in lx or y in c2:
                         # [x, x2] * y = ^x y * x2 - x * y^{x2}
-                        add((cX, s, Xst[x][x2], ey[y]),
-                            (-cB, 1 - s, sl[x][y], ex[x2]),
-                            (cB, s, ex[x], sr[y][x2]))
-                    if sl[x2][y] or sr[y][x2]:
+                        add((cX, s, b, ey[y]),
+                            (-cB, 1 - s, lx.get(y, ()), ex[x2]),
+                            (cB, s, ex[x], c2.get(y, ())))
+                    if y in l2 or y in c2:
                         # x * ^{x2}y = - x * y^{x2}
-                        add((1, s, ex[x], sl[x2][y]),
-                            (1, s, ex[x], sr[y][x2]))
+                        add((1, s, ex[x], l2.get(y, ())),
+                            (1, s, ex[x], c2.get(y, ())))
     return rows
 
 
@@ -274,8 +278,8 @@ def _agreement_rows(pair: MutualActionPair) -> list:
 
 
 def _representatives(pair: MutualActionPair) -> tuple:
-    """The int view of the primary table, [i][j] -> ((k, t), ...) over
-    every symbol pair, den[0] * den[1] times the bracket for den of
+    """The int entries of the primary table, ((i, j), ((k, t), ...)) over
+    the symbol pairs with a nonzero bracket, den[0] * den[1] times it, for den of
     zevaluations."""
     return _brackets(pair, range(2 * pair.m.dim * pair.n.dim), dict)
 
@@ -370,16 +374,16 @@ def _scan(pair: MutualActionPair, qmap: QuotientMap, name: str) -> None:
     relation row r of qmap and symbol s, in that order, such that [r, e_s]
     or then [e_s, r] escapes the relation subspace; return if none does.
     It reads the int table and the canonical int rows of the relations."""
-    st = _representatives(pair)
-    # [r, e_s] has the sparse columns st_t[s], [e_s, r] those of st[s]
-    st_t = transposed(st, len(st))
+    st, amb = _representatives(pair), 2 * pair.m.dim * pair.n.dim
+    # [r, e_s] has the sparse columns [e_l, e_s], [e_s, r] those of [e_s, e_l]
+    right, left = _rows(transposed(st), amb), _rows(st, amb)
     for r in qmap.relations.zrows:
-        for s in range(len(st)):
-            if not _preserves(qmap, r, st_t[s]):
+        for s in range(amb):
+            if not _preserves(qmap, r, right[s]):
                 raise AssertionError(
                     f"bracket of {name} not well-defined: relation * symbol "
                     f"{s} escapes the relation subspace")
-            if not _preserves(qmap, r, st[s]):
+            if not _preserves(qmap, r, left[s]):
                 raise AssertionError(
                     f"bracket of {name} not well-defined: symbol {s} * "
                     f"relation escapes the relation subspace")
@@ -470,15 +474,15 @@ class ExteriorSquareData:
     def multiplier(self) -> "tuple[CrossedModule, XModHom]":
         """The evaluations' kernels as an abelian crossed module, with its inclusion."""
         name, kt, kb = self.phi.target.name, kernel(self.lambda_n.matrix), kernel(self.mu_q.matrix)
-        kts, kbs = kt.zbasis, kb.zbasis
-        if _pairwise(self.qn.resolved.zst_t, kts, kts):
+        kts, kbs, act = kt.zbasis, kb.zbasis, self.action
+        if _pairwise(self.qn.resolved.zst, kts, kts):
             raise AssertionError("multiplier top is not abelian")
-        if _pairwise(self.qq.resolved.zst_t, kbs, kbs):
+        if _pairwise(self.qq.resolved.zst, kbs, kbs):
             raise AssertionError("multiplier base is not abelian")
         dcols = _restriction(kb, _images(self.id_wedge_delta.matrix.zcols, kts))
         if dcols is None:
             raise AssertionError("connecting map does not restrict to the multiplier")
-        if _pairwise(self.action.zsl_t, kbs, kts) or _pairwise(self.action.zsr_t, kts, kbs):
+        if _pairwise((act.den, act.sl), kbs, kts) or _pairwise((act.den, act.sr), kts, kbs):
             raise AssertionError("multiplier action is not trivial")
         top = LeibnizAlgebra.abelian(f"M({name}).top", kt.dim,
                                      tuple(f"a{i+1}" for i in range(kt.dim)))
@@ -503,9 +507,11 @@ def _base_on_top(xm: CrossedModule, qn: QuotientPresentation, lam) -> LeibnizAct
     (dz, zim), (d, lcols), dq, dn = qn.qmap.zimages, lam, xm.base.dim, xm.top.dim
     left = [zim[p * dn:(p + 1) * dn] for p in range(dq)]
     right = [zim[dq * dn + p::dq] for p in range(dq)]
+    lams = [(t, v) for t, v in enumerate(lcols) if v]
     return LeibnizAction.from_sparse(xm.base, qn.resolved, dz * d, tuple(
-        tuple(_row(_image(v, a)) for v in lcols) for a in left),
-        tuple(tuple(_row(_image(v, b)) for b in right) for v in lcols))
+        ((p, t), r) for p, a in enumerate(left) for t, v in lams if (r := _row(_image(v, a)))),
+        tuple(((t, p), r) for t, v in lams for p, b in enumerate(right)
+              if (r := _row(_image(v, b)))))
 
 
 def exterior_square_data(xm: CrossedModule) -> ExteriorSquareData:
@@ -547,14 +553,20 @@ def _squares(xm: CrossedModule) -> ExteriorSquareData:
         raise AssertionError("connecting map does not preserve the relations")
     id_wedge_delta = AlgebraHom(qn.resolved, qq.resolved, RatMatrix.from_sparse(qq.qmap.dim, idd))
 
-    # the base action on the top square, asserted to commute with lambda
+    # the base action on the top square commutes with lambda, asserted one row
+    # of p at a time, {t: lambda(^p t)} against {t: ^p lambda(t)}, and alike
     base_on_top, act, lcols = _base_on_top(xm, qn, lam), xm.action, lam[1]
+    lams = {t: v for t, v in enumerate(lcols) if v}
+    rows = [_rows(e, dq) for e in (base_on_top.sl, transposed(base_on_top.sr),
+                                   act.sl, transposed(act.sr))]
+
+    def moved(vs, cols, c):  # {t: c times the image of vs[t]}, the nonzero ones
+        return {t: _scaled(r, c) for t, v in vs.items() if (r := _row(_image(v, cols)))}
     for p, name in enumerate(q.basis_names):
-        if ([_scaled(_row(_image(u, lcols)), act.den) for u in base_on_top.sl[p]]
-                != [_scaled(_row(_image(v, act.sl[p])), base_on_top.den) for v in lcols]):
+        bl, br, al, ar = (r[p] for r in rows)
+        if moved(bl, lcols, act.den) != moved(lams, al, base_on_top.den):
             raise AssertionError(f"lambda(^p t) != ^p lambda(t) on {qn.name} at p = {name}")
-        if ([_scaled(_row(_image(r[p], lcols)), act.den) for r in base_on_top.sr]
-                != [_scaled(_row(_image(v, act.zsr_t[1][p])), base_on_top.den) for v in lcols]):
+        if moved(br, lcols, act.den) != moved(lams, ar, base_on_top.den):
             raise AssertionError(f"lambda(t^p) != lambda(t)^p on {qn.name} at p = {name}")
     action = _pulled_back(base_on_top, qq.resolved, mu)
 

@@ -104,16 +104,16 @@ class CrossedModule:
         if s.ambient_dim != q.dim:
             raise ValueError("seed/algebra dimension mismatch")
         us = s.zbasis
-        den, left = _through(us, q.zst, s.dim, q.dim)  # left[j][i] = [e_i, u_j]
-        _, right = _through(us, q.zst_t, s.dim, q.dim)  # right[j][i] = [u_j, e_i]
-        coords = _restriction(s, (den, [v for row in left + right for v in row]))
+        den, left = _through(us, q.zst, "r.")  # keyed (j, i): [e_i, u_j]
+        _, right = _through(us, q.zst, ".r")  # keyed (j, i): [u_j, e_i]
+        coords = _restriction(s, (den, [v for _, v in left + right]))
         if coords is None:
             raise ValueError(f"subspace is not a two-sided ideal of {q.name}")
         top, incl = subalgebra_on(q, s, name or f"{q.name}_ideal")
         den, flat = coords
-        rows = [flat[j * q.dim:(j + 1) * q.dim] for j in range(2 * s.dim)]
-        action = LeibnizAction.from_sparse(q, top, den, transposed(rows[:s.dim], q.dim),
-                                           tuple(rows[s.dim:]))
+        rows = tuple(zip([k for k, _ in left + right], flat))
+        action = LeibnizAction.from_sparse(q, top, den, transposed(rows[:len(left)]),
+                                           rows[len(left):])
         return cls(name or f"({top.name},{q.name},incl)", top, q, incl, action)
 
     def full_pair(self) -> "SubPair":
@@ -133,12 +133,13 @@ class CrossedModule:
     @cached_property
     def center(self) -> "SubPair":
         """(n^q, st_q(n) & Z(q)): annihilated top part and annihilating center.
-        n -> ^{q_i} n reads sl[i] and n -> n^{q_i} reads sr_t[i]; q -> ^q n_j
-        reads sl_t[j], q -> n_j^q sr[j], q -> [q, e_j] st_t[j] and q -> [e_j, q]
-        st[j], each through its twin: the base is one annihilator."""
+        n -> ^{q_i} n and n -> n^{q_i} contract the acted slot of sl and sr,
+        q -> ^q n_j and q -> n_j^q their actor slot, and q -> [q, e_j] and q
+        -> [e_j, q] either slot of st: the base is one annihilator."""
         act, q = self.action, self.base
-        return SubPair(self, annihilator(self.top.dim, (act.sl, act.zsr_t[1])),
-                       annihilator(q.dim, (act.zsl_t[1], act.sr, q.zst_t[1], q.zst[1])))
+        return SubPair(self, annihilator(self.top.dim, ((act.sl, "r."), (act.sr, ".r"))),
+                       annihilator(q.dim, ((act.sl, ".r"), (act.sr, "r."),
+                                           (q.zst[1], ".r"), (q.zst[1], "r."))))
 
     @cached_property
     def derived(self) -> "SubPair":
@@ -199,16 +200,16 @@ def _xmod_report(xm: CrossedModule) -> ValidityReport:
                        "a": top.basis_names, "b": top.basis_names}, [
         # (i) delta(^q n) - [q, delta n]
         ("equivariance-left ", 0, 0, base.dim, "qn", "qn",
-         ((1, L, "qn", dcols, ""), (-1, dcols, "n", base.zst, "q"))),
+         ((1, L, "qn", dcols, ""), (-1, dcols, "n", base.zst, "q."))),
         # (i) delta(n^q) - [delta n, q]
         ("equivariance-right ", 0, 1, base.dim, "qn", "nq",
-         ((1, R, "nq", dcols, ""), (-1, dcols, "n", base.zst_t, "q"))),
+         ((1, R, "nq", dcols, ""), (-1, dcols, "n", base.zst, ".q"))),
         # (ii) ^{delta n1} n2 - [n1, n2]
         ("peiffer-left ", 1, 0, top.dim, "ab", "ab",
-         ((1, dcols, "a", act.zsl_t, "b"), (-1, units, "b", top.zst, "a"))),
+         ((1, dcols, "a", L, ".b"), (-1, units, "b", top.zst, "a."))),
         # (ii) n1 ^ {delta n2} - [n1, n2]
         ("peiffer-right ", 1, 1, top.dim, "ab", "ab",
-         ((1, dcols, "b", R, "a"), (-1, units, "b", top.zst, "a"))),
+         ((1, dcols, "b", R, "a."), (-1, units, "b", top.zst, "a."))),
     ])
     return _report(f"crossed module {xm.name}",
                    [*check_action(act).violations, *bad])
@@ -218,7 +219,7 @@ def _acts(xm: CrossedModule, ys, xs) -> list:
     """The nonzero ^y x and x^y for y over the base twin ys and x over the
     top twin xs, as sparse int vectors (see _pairwise)."""
     act = xm.action
-    return _pairwise(act.zsl_t, ys, xs) + _pairwise(act.zsr_t, xs, ys)
+    return _pairwise((act.den, act.sl), ys, xs) + _pairwise((act.den, act.sr), xs, ys)
 
 
 def _step(xm: CrossedModule, t: Subspace, b: Subspace) -> tuple:
@@ -227,14 +228,14 @@ def _step(xm: CrossedModule, t: Subspace, b: Subspace) -> tuple:
     and ^q t and t^q added, each family one product of a subspace with
     the whole algebra (see _products), every generator a sparse int vector."""
     base, act = xm.base, xm.action
-    tz, bz = t.zbasis, b.zbasis
+    L, R, tz, bz = (act.den, act.sl), (act.den, act.sr), t.zbasis, b.zbasis
     nb = Subspace.from_integer_rows(base.dim, [
-        *bz[1], *_products(bz, base.zst_t), *_products(bz, base.zst),
+        *bz[1], *_products(bz, base.zst, ".r"), *_products(bz, base.zst, "r."),
         *_images(xm.delta.zcols, tz)[1]])
     nz = nb.zbasis
     nt = Subspace.from_integer_rows(xm.top.dim, [
-        *tz[1], *_products(nz, act.zsl_t), *_products(nz, (act.den, act.sr)),
-        *_products(tz, (act.den, act.sl)), *_products(tz, act.zsr_t)])
+        *tz[1], *_products(nz, L, ".r"), *_products(nz, R, "r."),
+        *_products(tz, L, "r."), *_products(tz, R, ".r")])
     return nt, nb
 
 
@@ -267,9 +268,9 @@ def commutator(xm: CrossedModule, a: SubPair, b: SubPair) -> SubPair:
         raise ValueError("commutator arguments must be crossed ideals")
     s, h = a.top_sub.zbasis, a.base_sub.zbasis
     t, j = b.top_sub.zbasis, b.base_sub.zbasis
-    top, base = _acts(xm, h, t), _pairwise(xm.base.zst_t, h, j)
+    top, base = _acts(xm, h, t), _pairwise(xm.base.zst, h, j)
     if not same:
-        top, base = top + _acts(xm, j, s), base + _pairwise(xm.base.zst_t, j, h)
+        top, base = top + _acts(xm, j, s), base + _pairwise(xm.base.zst, j, h)
     out = SubPair(xm, Subspace.from_integer_rows(xm.top.dim, top),
                   Subspace.from_integer_rows(xm.base.dim, base))
     closed = crossed_ideal_closure(xm, out)
@@ -354,16 +355,16 @@ def _xmod_hom_report(f: XModHom) -> ValidityReport:
         bad.append(("delta compatibility", _residual(flat, scale, tgt.base.dim * n)))
     # fl[i][k] = ^{f q_i} e_k and fr[j][k] = (f n_j)^{e_k}: the target
     # action expanded over f q and over f n
-    fl = _through(bcols, tgt.action.zsl_t, src.base.dim, tgt.top.dim)
-    fr = _through(tcols, tgt.action.zsr_t, src.top.dim, tgt.base.dim)
-    act = src.action
+    ta, act = tgt.action, src.action
+    fl = _through(bcols, (ta.den, ta.sl), ".r")
+    fr = _through(tcols, (ta.den, ta.sr), ".r")
     bad += _violations({"q": src.base.basis_names, "n": src.top.basis_names}, [
         # f(^q n) - ^{f q}(f n)
         ("equivariance-left ", 0, 0, tgt.top.dim, "qn", "qn",
-         ((1, (act.den, act.sl), "qn", tcols, ""), (-1, tcols, "n", fl, "q"))),
+         ((1, (act.den, act.sl), "qn", tcols, ""), (-1, tcols, "n", fl, "q."))),
         # f(n^q) - (f n)^{f q}
         ("equivariance-right ", 0, 1, tgt.top.dim, "qn", "nq",
-         ((1, (act.den, act.sr), "nq", tcols, ""), (-1, bcols, "q", fr, "n"))),
+         ((1, (act.den, act.sr), "nq", tcols, ""), (-1, bcols, "q", fr, "n."))),
     ])
     return _report(f"crossed module hom {src.name} -> {tgt.name}", bad)
 
@@ -422,24 +423,25 @@ def liezation(xm: CrossedModule) -> "tuple[CrossedModule, XModHom]":
     _require_valid(xm)
     top, base, act = xm.top, xm.base, xm.action
     # every generator an int vector, each family at its table's scale
-    tgens = [_plus(top.zst[1][i][j], top.zst[1][j][i])
-             for i in range(top.dim) for j in range(i, top.dim)]
-    tgens += [_plus(act.sl[i][j], act.sr[j][i])
-              for i in range(base.dim) for j in range(top.dim)]
-    bgens = [_plus(base.zst[1][i][j], base.zst[1][j][i])
-             for i in range(base.dim) for j in range(i, base.dim)]
+    tgens = _sums(top.zst[1], top.zst[1]) + _sums(act.sl, act.sr)
     seed = SubPair(xm,
                    Subspace.from_integer_rows(top.dim, tgens),
-                   Subspace.from_integer_rows(base.dim, bgens))
+                   Subspace.from_integer_rows(base.dim, _sums(base.zst[1], base.zst[1])))
     ideal = crossed_ideal_closure(xm, seed)
     out, proj = quotient_xmod(xm, ideal, name=f"{xm.name}_lie")
     if not (is_lie(out.top) and is_lie(out.base)):
         raise AssertionError("liezation failed to produce Lie algebras")
-    act = out.action
-    if any(_plus(act.sl[i][j], act.sr[j][i])
-           for i in range(out.base.dim) for j in range(out.top.dim)):
+    if _sums(out.action.sl, out.action.sr):
         raise AssertionError("liezation action is not antisymmetric")
     return out, proj
+
+
+def _sums(a, b) -> list:
+    """The nonzero a[i, j] + b[j, i] over the keys of the int entries a and
+    b, at one scale."""
+    a, b = dict(a), dict(b)
+    return [v for i, j in sorted(a.keys() | {(j, i) for i, j in b})
+            if (v := _plus(a.get((i, j), ()), b.get((j, i), ())))]
 
 
 @dataclass(frozen=True)
@@ -456,8 +458,7 @@ def predicates(xm: CrossedModule) -> XModFlags:
 def _is_abelian(xm: CrossedModule) -> bool:
     """The center is the full pair, cross-checked: no bracket and no action in the tables."""
     abelian = xm.center.dims() == (xm.top.dim, xm.base.dim)
-    alt = not any(v for t in (xm.top.zst[1], xm.base.zst[1], xm.action.sl, xm.action.sr)
-                  for row in t for v in row)
+    alt = not any((xm.top.zst[1], xm.base.zst[1], xm.action.sl, xm.action.sr))
     if alt != abelian:
         raise AssertionError(
             "center-based and component-based abelian predicates disagree")

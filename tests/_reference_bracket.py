@@ -2,7 +2,8 @@
 square's bracket factored through its evaluations, kept as a test oracle.
 
 resolved_table is the old loop of leibxmod.tensor._build_presentation,
-verbatim but for its inputs, which are read off a presentation, and
+verbatim but for its inputs, which are read off a presentation, and its
+grid, which is made canonical as the entries the library stores, and
 _bracket_term the old helper of leibxmod.tensor, verbatim: one symbol
 per pair of free symbols, the first leg of symbol x acted on by symbol
 y in the block of x, projected through the quotient map.  representatives
@@ -11,6 +12,7 @@ symbol pair unprojected.  test_tensor.py compares the library's resolved
 and representative tables with them.
 """
 
+from _reference_grid import entries
 from leibxmod.ratlin import _row, canonical
 from leibxmod.tensor import _legs, _symbols
 
@@ -35,7 +37,7 @@ def resolved_table(pres) -> tuple:
     c = tuple(tuple(_row(qmap.integer_image(
         _symbols(dm, dn, (_bracket_term(pair, x, y),)).items()))
         for y in free) for x in free)
-    return canonical((qmap.zimages[0] * d0 * d1, c), 2)
+    return canonical((qmap.zimages[0] * d0 * d1, entries(c)), 2)
 
 
 def representatives(pair) -> tuple:

@@ -34,7 +34,8 @@ from _reference_checks import _act_left, _act_right, _bracket, _mul_vec
 from _reference_quotient import contains_vector
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, _report, ideal_closure
 from leibxmod.extensions import Extension
-from leibxmod.ratlin import RatMatrix, Subspace, _plus, kernel, transposed
+from _reference_grid import entries, grid, transposed
+from leibxmod.ratlin import RatMatrix, Subspace, _plus, kernel
 from leibxmod.tensor import (
     _descend,
     _index,
@@ -246,7 +247,8 @@ def _base_action_on_ambient(xm: CrossedModule, dn: int):
     dq = q.dim
     # indexed by factor, 0 for q and 1 for n; in block s, x lies in factor s
     units = ([((a, 1),) for a in range(dq)], [((b, 1),) for b in range(dn)])
-    (dQ, qst), dA, sl, sr = q.zst, act.den, act.sl, act.sr
+    (dQ, qst), dA = q.zst, act.den
+    qst, sl, sr = grid(qst, dq, dq), grid(act.sl, dq, dn), grid(act.sr, dn, dq)
     den = lcm(dQ, dA)
     cs = (den // dQ, den // dA)
     lefts, rights = (qst, sl), (qst, sr)
@@ -278,5 +280,5 @@ def base_on_top(xm: CrossedModule, qn) -> LeibnizAction:
     if None in sr:
         raise AssertionError(f"base action does not preserve the relations of {qn.name}")
     return LeibnizAction.from_sparse(
-        q, qn.resolved, qn.qmap.zimages[0] * den, tuple(v for _, v in sl),
-        transposed(tuple(v for _, v in sr), qn.qmap.dim))
+        q, qn.resolved, qn.qmap.zimages[0] * den, entries(tuple(v for _, v in sl)),
+        entries(transposed(tuple(v for _, v in sr), qn.qmap.dim)))

@@ -33,8 +33,8 @@ from leibxmod.ratlin import (
     accumulate,
     kernel,
     rational,
-    transposed,
 )
+from _reference_grid import transposed
 from leibxmod.tensor import MutualActionPair, _legs, _pair_parts, _symbols
 
 from _dense import vec, vec_is_zero

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from _dense import from_rows, span, unit_vec, zero_vec
 from _reference_checks import _bracket, _mul_vec
+from _reference_grid import grid, sparse_table
 import leibxmod
 from leibxmod import algebra, xmod
 from leibxmod.algebra import LeibnizAction, LeibnizAlgebra, check_leibniz
@@ -32,7 +33,6 @@ from leibxmod.ratlin import (
     dense,
     kernel,
     rational,
-    sparse_table,
 )
 from leibxmod.tensor import _legs, _representatives, _symbols
 from leibxmod.xmod import CrossedModule, SubPair, XModHom, center_xmod
@@ -340,7 +340,8 @@ def bracket_term(pair, i, j, alt=False):
 @lru_cache(maxsize=None)
 def representative_table(pres):
     """The Fraction sparse view of the representative table of pres."""
-    (d0, d1), view = pres.pair.zevaluations[0], _representatives(pres.pair)
+    (d0, d1), amb = pres.pair.zevaluations[0], pres.ambient_dim
+    view = grid(_representatives(pres.pair), amb, amb)
     return tuple(tuple(tuple(rational(v, d0 * d1)) for v in row) for row in view)
 
 

@@ -1,5 +1,7 @@
-"""Smoke test of the scaling ladder tool on its smallest rung, and the
-tables of every rung; the larger rungs themselves never run here."""
+"""Smoke test of the scaling ladder tool on its smallest rung, the values
+of heisleib16, whose squares are abelian (every table of the squares
+holds no entry), and the tables of every rung; the larger rungs
+themselves never run here."""
 
 import importlib.util
 import json
@@ -27,6 +29,11 @@ def test_heis5_rung():
     assert rung["hl3_seconds"] > 0
     assert rung["hl2"] == 15
     assert proc.stdout == json.dumps(out, sort_keys=True) + "\n"
+
+
+def test_heisleib16_rung_in_process():
+    rung = load_ladder().run_rung("heisleib16")
+    assert (rung["square_dim"], rung["multiplier_dim"], rung["hl2"]) == (225, 224, 224)
 
 
 def test_unknown_rung_is_refused():

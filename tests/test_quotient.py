@@ -14,6 +14,7 @@ import _reference_quotient as ref
 from _reference_descent import _sections
 from _dense import span, unit_vec
 from _reference_checks import contract
+from _reference_grid import transposed
 from leibxmod.ratlin import (
     RatMatrix,
     Subspace,
@@ -22,7 +23,6 @@ from leibxmod.ratlin import (
     quotient,
     rational,
     sparse,
-    transposed,
 )
 from leibxmod.algebra import LeibnizAction
 from leibxmod.tensor import (

@@ -190,7 +190,7 @@ def test_subspace_operations_create_no_fraction(monkeypatch):
         z = center_xmod(xm)
         pairs = [closed, derived, z, commutator(xm, derived, full)]
         spans = [Subspace.from_integer_rows(top.dim, _pairwise(
-                     top.zst_t, full.top_sub.zbasis, closed.top_sub.zbasis)),
+                     top.zst, full.top_sub.zbasis, closed.top_sub.zbasis)),
                  ideal_closure(top, seed.top_sub), kernel(xm.delta),
                  sparse_kernel(base.dim, xm.delta.zcols[1])]
         subs = [s for p in pairs for s in (p.top_sub, p.base_sub)] + spans

@@ -63,7 +63,10 @@ def matrix_pairs(draw, rows=None, cols=None):
 
 
 def _times(view, k: int, depth: int) -> tuple:
-    """An int view with depth outer indices, every value times k."""
+    """An int view with depth outer indices (2 for the entries of a
+    table), every value times k."""
+    if depth == 2:
+        return tuple((key, _times(v, k, 0)) for key, v in view)
     if depth:
         return tuple(_times(r, k, depth - 1) for r in view)
     return tuple((i, k * t) for i, t in view)

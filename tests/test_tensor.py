@@ -22,6 +22,7 @@ from leibxmod.algebra import (
     center,
     check_leibniz,
 )
+from _reference_grid import entries
 from leibxmod.homology import hl
 from leibxmod.ratlin import (
     RatMatrix,
@@ -33,7 +34,6 @@ from leibxmod.ratlin import (
     rank,
     sparse,
     sparse_table,
-    transposed,
 )
 from leibxmod.tensor import (
     MutualActionPair,
@@ -384,7 +384,7 @@ def test_vanishes_matches_every_pairwise_contraction(data):
     us = [data.draw(vectors(d1)) for _ in range(data.draw(st.integers(0, 3)))]
     vs = [data.draw(vectors(d2)) for _ in range(data.draw(st.integers(0, 3)))]
     expect = [contract(table, u, v, d3) for u in us for v in vs]
-    got = algebra._pairwise(integer_view(transposed(view, d2)),
+    got = algebra._pairwise(integer_view(view),
                             integer_view([sparse(u) for u in us], 1),
                             integer_view([sparse(v) for v in vs], 1))
     assert (not got) == all(not any(w) for w in expect)
@@ -398,7 +398,7 @@ def test_pairwise_drops_values_that_cancel():
     one, z = (QQ(1),), (QQ(0),)
     view = sparse_table(((one, z), (z, (QQ(-1),))))
     u = integer_view([sparse((QQ(1), QQ(1)))], 1)
-    assert algebra._pairwise(integer_view(transposed(view, 2)), u, u) == []
+    assert algebra._pairwise(integer_view(view), u, u) == []
 
 
 def test_presentation_builds_no_representative_table(monkeypatch):
@@ -436,9 +436,8 @@ def test_views_built_from_sparse_images_equal_the_views_of_the_tables():
 
 
 def _divided(den, view):
-    """The sparse view with the int view view of an integer twin."""
-    return tuple(tuple(tuple((k, Fraction(t, den)) for k, t in v) for v in row)
-                 for row in view)
+    """The Fraction entries of the int entries view of an integer twin."""
+    return tuple((key, tuple((k, Fraction(t, den)) for k, t in v)) for key, v in view)
 
 
 # -- failure paths -------------------------------------------------------------
@@ -512,9 +511,10 @@ def test_base_action_reports_a_table_off_the_evaluation(monkeypatch, side, messa
     def perturbed(xm, qn, lam):
         b = real(xm, qn, lam)
         k = next(j for j, v in enumerate(lam[1]) if v)
-        tables = [[list(r) for r in b.sl], [list(r) for r in b.sr]]
-        tables[side][0][0] = _plus(tables[side][0][0], ((k, 1),))
-        return LeibnizAction.from_sparse(b.actor, b.acted, b.den, *tables)
+        tables = [dict(b.sl), dict(b.sr)]
+        tables[side][0, 0] = _plus(tables[side].get((0, 0), ()), ((k, 1),))
+        return LeibnizAction.from_sparse(b.actor, b.acted, b.den,
+                                         *(tuple(sorted(t.items())) for t in tables))
 
     monkeypatch.setattr(tensor, "_base_on_top", perturbed)
     _raises_exactly(message, tensor._squares, CrossedModule.adjoint_identity(n2()))
@@ -620,8 +620,9 @@ def _matches_the_bracket_reference(press) -> int:
     the number of nonzero tables."""
     for pres in press:
         assert pres.resolved.zst == ref_bracket.resolved_table(pres), pres.name
-        assert tensor._representatives(pres.pair) == ref_bracket.representatives(pres.pair), pres.name
-    return sum(any(v for row in pres.resolved.zst[1] for v in row) for pres in press)
+        assert (tensor._representatives(pres.pair)
+                == entries(ref_bracket.representatives(pres.pair))), pres.name
+    return sum(bool(pres.resolved.zst[1]) for pres in press)
 
 
 def test_resolved_bracket_matches_the_entry_by_entry_reference():

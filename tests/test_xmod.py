@@ -796,7 +796,7 @@ def test_span_brackets_matches_the_dense_reference(data):
         # multiplier's laws take it
         if X.ambient_dim != a.dim or Y.ambient_dim != a.dim:
             raise ValueError("subspace/algebra dimension mismatch")
-        return Subspace.from_integer_rows(a.dim, algebra._pairwise(a.zst_t, X.zbasis, Y.zbasis))
+        return Subspace.from_integer_rows(a.dim, algebra._pairwise(a.zst, X.zbasis, Y.zbasis))
 
     xm = data.draw(pool_xmods())
     a = data.draw(st.sampled_from([xm.top, xm.base]))
