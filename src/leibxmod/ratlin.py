@@ -430,13 +430,18 @@ class Subspace:
                           tuple([(k, v * (den // row[0][1])) for k, v in row])
                           for row in self.zrows)
 
+    @cached_property
+    def _row_at(self) -> dict:
+        """{pivots[i]: i}, to read coordinates off a vector's own entries."""
+        return {p: i for i, p in enumerate(self.pivots)}
+
     def _split(self, v) -> "tuple[tuple, dict]":
-        """The coordinates of the sparse vector v along the canonical basis
-        (its entries at the pivots) and den times its residual, den of
+        """The coordinates of the sorted sparse vector v along the canonical
+        basis (its entries at the pivots) and den times its residual, den of
         zbasis, as an accumulator: zero exactly when v lies in the subspace."""
         den, rows = self.zbasis
-        at = dict(v)
-        coords = tuple((i, at[p]) for i, p in enumerate(self.pivots) if p in at)
+        at = self._row_at
+        coords = tuple((at[k], t) for k, t in v if k in at)
         residual = {k: den * t for k, t in v}
         accumulate(residual, -1, coords, rows)
         return coords, residual

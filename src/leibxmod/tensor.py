@@ -1,16 +1,16 @@
 """Non-abelian tensor and exterior products, and the Schur multiplier.
 
 The tensor product of two Leibniz algebras with mutual actions is
-modelled as a quotient of the linear span of the pure symbols
-m_a * n_b (block 0) and n_b * m_a (block 1).  Swapping the factors
-maps one block onto the other, so every action rule is written once per
-side and run on both, and every family p_m * q_n +- p_n *' q_m over
-pairs p, q of vectors of m + n (agreement rows, glue, well-definedness
-tests, one-leg span, induced substitutions) is one outer product,
-``_cross``.  Scalar and additivity rules are absorbed by linearity; the
-other relations span a relation subspace, and the bracket is given on
-symbols by one representative per block pair, the other congruent to it
-modulo the relations.
+modelled as a quotient of the linear span of the pure symbols m_a * n_b
+(block 0) and n_b * m_a (block 1).  Swapping the factors maps one block
+onto the other, so every action rule is written once per side and run on
+both (on side 0 alone where the glue identifies the blocks), and every
+family p_m * q_n +- p_n *' q_m over pairs p, q of vectors of m + n
+(agreement rows, glue, well-definedness tests, one-leg span, induced
+substitutions) is one outer product, ``_cross``.  Scalar and additivity
+rules are absorbed by linearity; the other relations span a relation
+subspace, and the bracket is given on symbols by one representative per
+block pair, the other congruent to it modulo the relations.
 
 The bracket of two symbols factors through the evaluation maps ev[0]
 (into m) and ev[1] (into n): with u * v the symbol in block 0 and
@@ -24,20 +24,21 @@ the quotient is asserted that way, not assumed, and a failure is named
 by the per-symbol scan; the resolved table is read the same way
 (``_brackets``), and its Leibniz identity is asserted too.
 
-The exterior product divides further by the subspace glued from the
-pullback of the two structure maps over the shared base.  From it the
-induced crossed module on the exterior squares, the evaluation maps
-onto the original pair, and the Schur multiplier (the kernel of that
-evaluation, taken once per matrix) are produced, each with its promised
-properties asserted.  The evaluations, id ^ delta and the maps a
-surjection induces descend through one helper (``_descend``): the
-ambient map must kill the relation rows, and is read at the free
-symbols, on int vectors.  The base action on the top square is read off
-the top evaluation (``_base_on_top``) and asserted to commute with it.
-The squares (one for a (q, q, id) of any name) are the cached property
-``squares`` of a crossed module (body ``_squares``), and the maps a
-surjection induces on them its cached ``square_maps``; nothing is
-memoized across objects.
+The exterior product divides further by the glue, spanned from the
+pullback of the two structure maps over the shared base; for two equal
+crossed modules the pullback holds the diagonal, so the glue identifies
+the blocks.  From it the induced crossed module on the exterior squares,
+the evaluation maps onto the original pair, and the Schur multiplier
+(the kernel of that evaluation, taken once per matrix) are produced,
+each with its promised properties asserted.  The evaluations, id ^ delta
+and the maps a surjection induces descend through one helper
+(``_descend``): the ambient map must kill the relation rows, and is read
+at the free symbols, on int vectors.  The base action on the top square
+is read off the top evaluation (``_base_on_top``) and asserted to
+commute with it.  The squares (one for a (q, q, id) of any name) are the
+cached property ``squares`` of a crossed module (body ``_squares``), and
+the maps a surjection induces on them its cached ``square_maps``;
+nothing is memoized across objects.
 """
 
 from __future__ import annotations
@@ -214,19 +215,19 @@ def _brackets(pair: MutualActionPair, symbols, image) -> tuple:
     return tuple(out)
 
 
-def _defining_rows(pair: MutualActionPair) -> list:
+def _defining_rows(pair: MutualActionPair, sides: int = 2) -> list:
     """Relation vectors, as sparse int vectors sorted by index: the action
     rows (_action_rows) and the agreement rows (_agreement_rows)."""
-    return _action_rows(pair) + _agreement_rows(pair)
+    return _action_rows(pair, sides) + _agreement_rows(pair)
 
 
-def _action_rows(pair: MutualActionPair) -> list:
+def _action_rows(pair: MutualActionPair, sides: int = 2) -> list:
     """A bracketed leg rewrites through the actions, and the two one-sided
     actions agree up to sign in the second slot; one row per basis triple
-    whose terms are not all empty, in the order of the triples, which are
-    found from the rows of the tables.  The rows are read off integer
-    twins, each term scaled to the lcm of the denominators its row meets,
-    so a row is a positive multiple of the rational one: the same span."""
+    of side 0, and of side 1 unless sides is 1, whose terms are not all
+    empty, in the order of the triples, found from the rows of the tables.
+    The rows are read off integer twins, each term scaled to the lcm of the
+    denominators its row meets: a positive multiple of the rational row."""
     dm, dn = pair.m.dim, pair.n.dim
     rows = []
 
@@ -235,7 +236,7 @@ def _action_rows(pair: MutualActionPair) -> list:
         if r:
             rows.append(r)
 
-    for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides):
+    for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides[:sides]):
         ex, ey = ([((i, 1),) for i in range(d)] for d in (X.dim, Y.dim))
         Yst, ysr = _rows(Y.zst[1], Y.dim), _rows(y_on_x.sr, X.dim)
         den = lcm(Y.zst[0], y_on_x.den)
@@ -296,27 +297,20 @@ class QuotientPresentation:
     qmap: QuotientMap
 
 
-def _symbol_names(pair: MutualActionPair) -> tuple:
-    return tuple(f"{x}*{y}" for X, Y, _, _ in pair.sides
-                 for x in X.basis_names for y in Y.basis_names)
-
-
-def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> QuotientPresentation:
-    """The quotient of the symbol space by the defining rows and extra_rows
-    (sparse int vectors sorted by index), with the bracket asserted
-    well-defined on it (_well_defined; a failure is named by the
-    per-symbol scan, _scan) and the Leibniz identity asserted on the
-    resolved algebra.  Only the brackets of the free symbols are
-    projected into it."""
+def _build_presentation(pair: MutualActionPair, extra_rows, name: str,
+                        sides: int = 2) -> QuotientPresentation:
+    """The quotient of the symbol space by the defining rows (side 0's
+    action rows alone when sides is 1) and extra_rows (sparse int vectors
+    sorted by index, zero vectors allowed), with the bracket asserted
+    well-defined on it (_well_defined; a failure is named by the per-symbol
+    scan, _scan) and the Leibniz identity asserted on the resolved algebra.
+    Only the brackets of the free symbols are projected into it."""
     for act, side in ((pair.m_on_n, "m on n"), (pair.n_on_m, "n on m")):
         rep = check_action(act)
         if not rep.valid:
             raise ValueError(f"invalid action ({side}) for {name}:\n{rep.summary()}")
-    dm, dn = pair.m.dim, pair.n.dim
-    amb = 2 * dm * dn
-    rows = _defining_rows(pair)
-    rows.extend(extra_rows)
-    relations = Subspace.from_integer_rows(amb, rows)
+    amb = 2 * pair.m.dim * pair.n.dim
+    relations = Subspace.from_integer_rows(amb, _defining_rows(pair, sides) + [*extra_rows])
     qmap = quotient(amb, relations)
     if not _well_defined(pair, qmap):
         _scan(pair, qmap, name)
@@ -325,7 +319,8 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str) -> Quotie
             f"but the scan finds no relation and symbol that escape the "
             f"relation subspace")
 
-    names = _symbol_names(pair)
+    names = tuple(f"{x}*{y}" for X, Y, _, _ in pair.sides
+                  for x in X.basis_names for y in Y.basis_names)
     (d0, d1), _ = pair.zevaluations
     resolved = LeibnizAlgebra.from_sparse(name, tuple(names[f] for f in qmap.free), (
         qmap.zimages[0] * d0 * d1, _brackets(pair, qmap.free, qmap.integer_image)))
@@ -415,30 +410,30 @@ def _descend(pres: QuotientPresentation, cols, target: "QuotientMap | None"):
             tuple(_row(target.integer_image(cols[f])) for f in qm.free))
 
 
-def square_subspace(eta: CrossedModule, delta: CrossedModule) -> Subspace:
-    """The glue subspace in the tensor ambient of eta.top and delta.top:
-    symbols u * v' - v * u' over pairs (u, v) from the pullback of the two
-    structure maps over the shared base, each pair an int multiple of a
-    basis vector of the pullback (the generators are bilinear in the
-    pairs, so that leaves their span alone)."""
-    if eta.base != delta.base:
-        raise ValueError("crossed modules must share the same base")
+def _glue(eta: CrossedModule, delta: CrossedModule) -> list:
+    """The glue generators in the tensor ambient of eta.top and delta.top,
+    as sorted int rows (zero rows kept): u * v' - v *' u' over pairs (u, v)
+    of a basis of the pullback of the two structure maps over the shared
+    base (they are bilinear in the pairs, so that spans the glue)."""
     m, n = eta.top, delta.top
     # the kernel of [eta.delta | -delta.delta], its int columns at one scale
     (de, ce), (dd, cd) = eta.delta.zcols, delta.delta.zcols
     pullback = kernel(RatMatrix.from_sparse(eta.base.dim, (de * dd, tuple(
         [_scaled(v, dd) for v in ce] + [_scaled(v, -de) for v in cd]))))
     pairs = [_pair_parts(m.dim, w) for w in pullback.zrows]
-    return Subspace.from_integer_rows(2 * m.dim * n.dim, _cross(m.dim, n.dim, pairs, pairs, -1))
+    return _cross(m.dim, n.dim, pairs, pairs, -1)
 
 
 def exterior_presentation(eta: CrossedModule, delta: CrossedModule,
                           name=None) -> QuotientPresentation:
-    """Tensor product of the two tops divided by the glue subspace."""
+    """Tensor product of the two tops divided by the glue.  For eta and delta
+    equal by structure, the glue holds e_k minus its mirror in the other
+    block for each symbol k, so side 1's action rows, the mirrors of side
+    0's, add nothing to the span, and only side 0's are generated."""
     pair = MutualActionPair.from_shared_base(eta, delta)
-    box = square_subspace(eta, delta)
-    return _build_presentation(pair, box.zrows,
-                               name or f"{eta.top.name}(^){delta.top.name}")
+    same = (eta.top, eta.delta, eta.action) == (delta.top, delta.delta, delta.action)
+    return _build_presentation(pair, _glue(eta, delta),
+                               name or f"{eta.top.name}(^){delta.top.name}", 1 if same else 2)
 
 
 def one_leg_span(pres: QuotientPresentation, m_sub: Subspace,

@@ -19,6 +19,11 @@ square_subspace, one_leg_span and substitution are the old tensor.square_subspac
 tensor.one_leg_span and tensor._substitution verbatim: each builds its
 family of symbols with one _symbols call per generator, where the library
 takes every family through its one outer product (tensor._cross).
+exterior_relations is the relation subspace of the old
+tensor.exterior_presentation: the action rows of both sides, the
+agreement rows and the canonical rows of the glue subspace, where the
+library takes the action rows of side 0 alone for two equal crossed
+modules and eliminates the glue generators with the defining rows.
 """
 
 from fractions import Fraction
@@ -35,7 +40,14 @@ from leibxmod.ratlin import (
     rational,
 )
 from _reference_grid import transposed
-from leibxmod.tensor import MutualActionPair, _legs, _pair_parts, _symbols
+from leibxmod.tensor import (
+    MutualActionPair,
+    _action_rows,
+    _agreement_rows,
+    _legs,
+    _pair_parts,
+    _symbols,
+)
 
 from _dense import vec, vec_is_zero
 from _reference_checks import _mul_vec
@@ -186,6 +198,13 @@ def square_subspace(eta, delta) -> Subspace:
     gens = [_row(_symbols(m.dim, n.dim, ((1, 0, u1, v2), (-1, 1, v1, u2))))
             for u1, v1 in pairs for u2, v2 in pairs]
     return Subspace.from_integer_rows(2 * m.dim * n.dim, gens)
+
+
+def exterior_relations(eta, delta) -> Subspace:
+    pair = MutualActionPair.from_shared_base(eta, delta)
+    rows = _action_rows(pair, 2) + _agreement_rows(pair)
+    return Subspace.from_integer_rows(2 * pair.m.dim * pair.n.dim,
+                                      rows + list(square_subspace(eta, delta).zrows))
 
 
 def one_leg_span(pres, m_sub: Subspace, n_sub: Subspace) -> Subspace:

@@ -1,10 +1,13 @@
 """The sparse quotient map against the dense one it replaced, the
 well-definedness sweep against dense membership tests, the factored
 sweep against the per-symbol scan, and the relation rows against the
-construction that visited every candidate, and the families of symbols
-built through the one outer product against the loops they replaced."""
+construction that visited every candidate, the families of symbols
+built through the one outer product against the loops they replaced,
+and the exterior relations, side 0's action rows alone for two equal
+crossed modules, against those of both sides."""
 
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -24,32 +27,42 @@ from leibxmod.ratlin import (
     rational,
     sparse,
 )
+from leibxmod import cli, tensor
 from leibxmod.algebra import LeibnizAction
 from leibxmod.tensor import (
     MutualActionPair,
     _action_rows,
     _agreement_rows,
     _defining_rows,
+    _glue,
     _preserves,
     _substitution,
     _well_defined,
+    exterior_presentation,
     exterior_square_data,
     one_leg_span,
-    square_subspace,
 )
-from leibxmod.xmod import CrossedModule
+from leibxmod.xmod import CrossedModule, check_xmod
 
 from helpers import (
     bracket_table,
+    central_extension_corpus,
     central_fixture_extensions,
     fixture_algebras,
+    heis3,
     k_abelian,
     n2,
+    r2_nonlie,
+    random_leibniz_corpus,
     representative_table,
+    sl2,
+    sol2_lie,
     zero_over,
 )
 from test_acceptance import _presentation_corpus
 from test_checks import algebras, tables
+from test_ladder import load_ladder, rung_algebra
+from test_rational_basis import rational_bases, rebased
 from test_ratlin import RATIONALS, matrices
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200,
@@ -228,6 +241,11 @@ def _same_families(pres, other):
         assert got == ref.substitution(pres.pair, other.pair, fm, fn), pres.name
 
 
+def _glue_span(eta, delta):
+    """The span of the glue generators, to compare with the old glue subspace."""
+    return Subspace.from_integer_rows(2 * eta.top.dim * delta.top.dim, _glue(eta, delta))
+
+
 def test_outer_product_families_match_the_old_loops_on_corpus():
     corpus = _presentation_corpus()
     for pres, other in zip(corpus, corpus[-1:] + corpus[:-1]):
@@ -238,7 +256,7 @@ def test_outer_product_families_match_the_old_loops_on_corpus():
             zero_over(n2()), zero_over(k_abelian(1))]:
         qid = CrossedModule.adjoint_identity(xm.base)
         for eta, delta in ((qid, xm), (xm, qid), (qid, qid)):
-            assert square_subspace(eta, delta) == ref.square_subspace(eta, delta), xm.name
+            assert _glue_span(eta, delta) == ref.square_subspace(eta, delta), xm.name
 
 
 def test_outer_product_families_match_the_old_loops_on_central_extensions():
@@ -260,7 +278,7 @@ def test_outer_product_families_match_the_old_loops_on_central_extensions():
         # the glue of the total's squares and of the kernel-base square
         qid = CrossedModule.adjoint_identity(e.total.base)
         for delta in (e.total, qid, CrossedModule.inclusion(e.total.base, kp.base_sub)):
-            assert square_subspace(qid, delta) == ref.square_subspace(qid, delta), e.name
+            assert _glue_span(qid, delta) == ref.square_subspace(qid, delta), e.name
 
 
 @st.composite
@@ -293,9 +311,79 @@ def test_outer_product_families_match_the_old_loops_on_random_pairs(data):
     fm = data.draw(matrices(rows=other.m.dim, cols=m.dim))
     fn = data.draw(matrices(rows=other.n.dim, cols=n.dim))
     assert _substitution(pair, other, fm, fn) == ref.substitution(pair, other, fm, fn)
-    # square_subspace reads only the structure maps into the shared base
+    # the glue reads only the structure maps into the shared base
     eta = CrossedModule("eta", m, q, data.draw(matrices(rows=q.dim, cols=m.dim)),
                         LeibnizAction.trivial(q, m))
     delta = CrossedModule("delta", n, q, data.draw(matrices(rows=q.dim, cols=n.dim)),
                           LeibnizAction.trivial(q, n))
-    assert square_subspace(eta, delta) == ref.square_subspace(eta, delta)
+    assert _glue_span(eta, delta) == ref.square_subspace(eta, delta)
+
+
+# -- the exterior relations against both sides' action rows ---------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _same_exterior_relations(xm) -> None:
+    """The exterior presentations of xm with itself and of (q, q, id) with
+    xm and with itself, q the base, have the relation subspace of the old
+    construction, equal and with equal hashes; the first and last take
+    side 0's action rows alone."""
+    qid = CrossedModule.adjoint_identity(xm.base)
+    for eta, delta in dict.fromkeys([(xm, xm), (qid, xm), (qid, qid)]):
+        got, expect = (exterior_presentation(eta, delta).relations,
+                       ref.exterior_relations(eta, delta))
+        assert got == expect and hash(got) == hash(expect), (eta.name, delta.name)
+
+
+def test_exterior_relations_match_both_sides_on_fixtures_and_ladder_rungs():
+    xms = [xm for xm in map(cli.load_fixture, sorted(FIXTURES.glob("*.xmod")))
+           if check_xmod(xm).valid]
+    assert len(xms) >= 5
+    ladder = load_ladder()
+    xms += [CrossedModule.adjoint_identity(rung_algebra(ladder, name))
+            for name in ("heis5", "heis7", "heis9", "sl2+sl2", "tri6")]
+    for xm in xms:
+        _same_exterior_relations(xm)
+
+
+def test_exterior_relations_match_both_sides_on_the_generated_corpus():
+    seen = set()
+    for e in central_extension_corpus(0):
+        for xm in (e.total, e.quotient):
+            key = (xm.top, xm.base, xm.delta, xm.action)
+            if key not in seen:
+                seen.add(key)
+                _same_exterior_relations(xm)
+    assert len(seen) >= 100
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.data())
+def test_exterior_relations_match_both_sides_in_rational_bases(data):
+    q = data.draw(st.sampled_from(fixture_algebras() + random_leibniz_corpus()
+                                  + [r2_nonlie(), sol2_lie()]))
+    _same_exterior_relations(CrossedModule.adjoint_identity(
+        rebased(q, data.draw(rational_bases(q.dim)))))
+
+
+def test_a_symmetric_pair_with_no_glue_keeps_both_sides(monkeypatch):
+    # with no glue the blocks are not identified: the tensor product of a
+    # symmetric pair takes the action rows of both sides, and its
+    # dimensions are those it had; the exterior square takes side 0's
+    seen, real = [], tensor._action_rows
+    monkeypatch.setattr(tensor, "_action_rows",
+                        lambda pair, sides=2: seen.append(sides) or real(pair, sides))
+    for q, dims in ((n2(), (8, 5, 3)), (heis3(), (18, 8, 10)), (sl2(), (18, 15, 3)),
+                    (r2_nonlie(), (8, 5, 3))):
+        ad = LeibnizAction.adjoint(q)
+        pair = MutualActionPair(q, q, ad, ad)
+        pres = tensor._build_presentation(pair, (), f"{q.name}(x){q.name}")
+        assert seen == [2] and (pres.ambient_dim, pres.relations.dim, pres.resolved.dim) == dims
+        assert pres.relations == Subspace.from_integer_rows(
+            pres.ambient_dim, real(pair, 2) + _agreement_rows(pair))
+        qid = CrossedModule.adjoint_identity(q)
+        seen.clear()
+        exterior_presentation(qid, qid)
+        assert seen == [1]
+        seen.clear()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import _reference_bracket as ref_bracket
 from _dense import from_rows, integer_entries, unit_vec
 from _reference_checks import _mul_vec, contract
+import _reference_quotient as ref_quotient
 from _reference_quotient import contains_vector, project
 from leibxmod import algebra, cli, tensor
 from leibxmod.algebra import (
@@ -43,7 +44,6 @@ from leibxmod.tensor import (
     multiplier_functorial_map,
     one_leg_span,
     schur_multiplier,
-    square_subspace,
 )
 from leibxmod.xmod import (
     CrossedModule,
@@ -206,14 +206,19 @@ def test_symbol_maps_are_bilinear():
 # -- glue subspace and exterior product ----------------------------------------
 
 def test_square_subspace_requires_shared_base():
+    # the mutual actions, and so the exterior product, need one base
+    eta, delta = CrossedModule.adjoint_identity(n2()), CrossedModule.adjoint_identity(sl2())
     with pytest.raises(ValueError):
-        square_subspace(CrossedModule.adjoint_identity(n2()),
-                        CrossedModule.adjoint_identity(sl2()))
+        MutualActionPair.from_shared_base(eta, delta)
+    with pytest.raises(ValueError):
+        exterior_presentation(eta, delta)
 
 
 def test_square_subspace_n2():
+    # the span of the glue generators, as the old glue subspace built it
     qid = CrossedModule.adjoint_identity(n2())
-    box = square_subspace(qid, qid)
+    box = Subspace.from_integer_rows(8, tensor._glue(qid, qid))
+    assert box == ref_quotient.square_subspace(qid, qid)
     # pullback is the diagonal, so one generator per ordered basis pair
     assert box.dim == 4
     u = lambda i: unit_vec(8, i)
@@ -462,7 +467,7 @@ def test_sweep_reports_relation_times_symbol():
 def test_sweep_reports_symbol_times_relation(monkeypatch):
     # with no defining rows the relations are the span of e_0 and e_3, and
     # the sweep's first failure is symbol 4 times a relation
-    monkeypatch.setattr(tensor, "_defining_rows", lambda pair: [])
+    monkeypatch.setattr(tensor, "_defining_rows", lambda pair, sides: [])
     _raises_exactly(
         "bracket of probe not well-defined: symbol 4 * relation escapes "
         "the relation subspace",
@@ -574,9 +579,9 @@ def test_squares_build_one_presentation_each(monkeypatch, capsys, tmp_path):
     # name; any other crossed module has two
     built, real = [], tensor._build_presentation
 
-    def counted(pair, extra_rows, name):
+    def counted(pair, extra_rows, name, sides):
         built.append(name)
-        return real(pair, extra_rows, name)
+        return real(pair, extra_rows, name, sides)
 
     monkeypatch.setattr(tensor, "_build_presentation", counted)
     q = heis3()
@@ -673,9 +678,9 @@ def test_squares_are_built_once_per_object(monkeypatch):
     # read of one object builds nothing, an equal new object builds afresh
     built, real = [], tensor._build_presentation
 
-    def counted(pair, extra_rows, name):
+    def counted(pair, extra_rows, name, sides):
         built.append(name)
-        return real(pair, extra_rows, name)
+        return real(pair, extra_rows, name, sides)
 
     monkeypatch.setattr(tensor, "_build_presentation", counted)
     xm = CrossedModule.inclusion(heis3(), center(heis3()))

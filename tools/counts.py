@@ -29,7 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COUNTED = ("ratlin._eliminate", "ratlin.join", "ratlin.solve_matrix",
            "ratlin.integer_rank", "ratlin.sparse_kernel", "xmod._step",
            "algebra._violations", "tensor._build_presentation", "tensor._descend",
-           "tensor._substitution", "tensor.one_leg_span")
+           "tensor._substitution", "tensor.one_leg_span", "tensor._symbols")
 
 
 def wrap(counts: dict) -> None:
