@@ -352,12 +352,12 @@ def _eliminate(rows: list, reduce: bool = True) -> list:
                     by_lead.setdefault(min(row), []).append(row)
         echelon.append((c, piv))
     if reduce:
-        for i in range(len(echelon) - 1, 0, -1):
-            c, piv = echelon[i]
-            for j in range(i):
-                cj, row = echelon[j]
-                if c in row:
-                    echelon[j] = (cj, _cancel(row, piv, c))
+        done = {}  # last to first: pivot column -> reduced row, no other pivot in it
+        for i in range(len(echelon) - 1, -1, -1):
+            c, row = echelon[i]
+            for k in done.keys() & row.keys():
+                row = _cancel(row, done[k], k)
+            done[c], echelon[i] = row, (c, row)
     return echelon
 
 

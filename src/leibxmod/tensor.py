@@ -4,13 +4,13 @@ The tensor product of two Leibniz algebras with mutual actions is
 modelled as a quotient of the linear span of the pure symbols m_a * n_b
 (block 0) and n_b * m_a (block 1).  Swapping the factors maps one block
 onto the other, so every action rule is written once per side and run on
-both (on side 0 alone where the glue identifies the blocks), and every
-family p_m * q_n +- p_n *' q_m over pairs p, q of vectors of m + n
-(agreement rows, glue, well-definedness tests, one-leg span, induced
-substitutions) is one outer product, ``_cross``.  Scalar and additivity
-rules are absorbed by linearity; the other relations span a relation
-subspace, and the bracket is given on symbols by one representative per
-block pair, the other congruent to it modulo the relations.
+both (side 0's rule 1 alone for the square of equal crossed modules),
+and every family p_m * q_n +- p_n *' q_m over pairs p, q of vectors of
+m + n (agreement rows, glue, well-definedness tests, one-leg span,
+induced substitutions) is one outer product, ``_cross``.  Scalar and
+additivity rules are absorbed by linearity; the other relations span a
+relation subspace, and the bracket is given on symbols by one
+representative per block pair, the other congruent to it modulo them.
 
 The bracket of two symbols factors through the evaluation maps ev[0]
 (into m) and ev[1] (into n): with u * v the symbol in block 0 and
@@ -215,19 +215,15 @@ def _brackets(pair: MutualActionPair, symbols, image) -> tuple:
     return tuple(out)
 
 
-def _defining_rows(pair: MutualActionPair, sides: int = 2) -> list:
-    """Relation vectors, as sparse int vectors sorted by index: the action
-    rows (_action_rows) and the agreement rows (_agreement_rows)."""
-    return _action_rows(pair, sides) + _agreement_rows(pair)
-
-
 def _action_rows(pair: MutualActionPair, sides: int = 2) -> list:
-    """A bracketed leg rewrites through the actions, and the two one-sided
-    actions agree up to sign in the second slot; one row per basis triple
-    of side 0, and of side 1 unless sides is 1, whose terms are not all
-    empty, in the order of the triples, found from the rows of the tables.
-    The rows are read off integer twins, each term scaled to the lcm of the
-    denominators its row meets: a positive multiple of the rational row."""
+    """A bracketed leg rewrites through the actions (rules 1 and 2), and the
+    one-sided actions agree up to sign in the second slot (rule 3); one row
+    per basis triple of each side whose terms are not all empty, in order,
+    found from the rows of the tables; side 0's rule 1 rows alone when sides
+    is 1.  Where both actions are the bracket, rule 3 at (x, x2, y) is
+    R1(x; x2, y) + R1(x; y, x2), and rule 2 is R1(x; y, x2) plus the glue
+    row [x, y] * x2 - [x, y] *' x2.  Rows are read off integer twins, each
+    term scaled to the lcm of its row's denominators (a positive multiple)."""
     dm, dn = pair.m.dim, pair.n.dim
     rows = []
 
@@ -236,7 +232,7 @@ def _action_rows(pair: MutualActionPair, sides: int = 2) -> list:
         if r:
             rows.append(r)
 
-    for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides[:sides]):
+    for s, (X, Y, x_on_y, y_on_x) in enumerate(pair.sides):
         ex, ey = ([((i, 1),) for i in range(d)] for d in (X.dim, Y.dim))
         Yst, ysr = _rows(Y.zst[1], Y.dim), _rows(y_on_x.sr, X.dim)
         den = lcm(Y.zst[0], y_on_x.den)
@@ -244,10 +240,12 @@ def _action_rows(pair: MutualActionPair, sides: int = 2) -> list:
         for x, xr in enumerate(ysr):
             for y, yr in enumerate(Yst):
                 for y2 in range(Y.dim) if y in xr else sorted(yr.keys() | xr.keys()):
-                    # x * [y, y2] = x^y * y2 - x^{y2} * y
+                    # rule 1: x * [y, y2] = x^y * y2 - x^{y2} * y
                     add((cY, s, ex[x], yr.get(y2, ())),
                         (-cA, s, xr.get(y, ()), ey[y2]),
                         (cA, s, xr.get(y2, ()), ey[y]))
+        if sides == 1:
+            break
         Xst, sl, sr = (_rows(t, X.dim) for t in (X.zst[1], x_on_y.sl, transposed(x_on_y.sr)))
         den = lcm(X.zst[0], x_on_y.den)
         cX, cB = den // X.zst[0], den // x_on_y.den
@@ -256,12 +254,12 @@ def _action_rows(pair: MutualActionPair, sides: int = 2) -> list:
                 b, l2, c2 = xr.get(x2, ()), sl[x2], sr[x2]
                 for y in range(Y.dim) if b else sorted(lx.keys() | l2.keys() | c2.keys()):
                     if b or y in lx or y in c2:
-                        # [x, x2] * y = ^x y * x2 - x * y^{x2}
+                        # rule 2: [x, x2] * y = ^x y * x2 - x * y^{x2}
                         add((cX, s, b, ey[y]),
                             (-cB, 1 - s, lx.get(y, ()), ex[x2]),
                             (cB, s, ex[x], c2.get(y, ())))
                     if y in l2 or y in c2:
-                        # x * ^{x2}y = - x * y^{x2}
+                        # rule 3: x * ^{x2}y = - x * y^{x2}
                         add((1, s, ex[x], l2.get(y, ())),
                             (1, s, ex[x], c2.get(y, ())))
     return rows
@@ -299,9 +297,9 @@ class QuotientPresentation:
 
 def _build_presentation(pair: MutualActionPair, extra_rows, name: str,
                         sides: int = 2) -> QuotientPresentation:
-    """The quotient of the symbol space by the defining rows (side 0's
-    action rows alone when sides is 1) and extra_rows (sparse int vectors
-    sorted by index, zero vectors allowed), with the bracket asserted
+    """The quotient of the symbol space by the action rows (side 0's rule 1
+    rows alone when sides is 1), the agreement rows and extra_rows (sparse
+    int vectors sorted by index, zeros allowed), with the bracket asserted
     well-defined on it (_well_defined; a failure is named by the per-symbol
     scan, _scan) and the Leibniz identity asserted on the resolved algebra.
     Only the brackets of the free symbols are projected into it."""
@@ -310,7 +308,8 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str,
         if not rep.valid:
             raise ValueError(f"invalid action ({side}) for {name}:\n{rep.summary()}")
     amb = 2 * pair.m.dim * pair.n.dim
-    relations = Subspace.from_integer_rows(amb, _defining_rows(pair, sides) + [*extra_rows])
+    rows = _action_rows(pair, sides) + _agreement_rows(pair) + [*extra_rows]
+    relations = Subspace.from_integer_rows(amb, rows)
     qmap = quotient(amb, relations)
     if not _well_defined(pair, qmap):
         _scan(pair, qmap, name)
@@ -427,11 +426,13 @@ def _glue(eta: CrossedModule, delta: CrossedModule) -> list:
 def exterior_presentation(eta: CrossedModule, delta: CrossedModule,
                           name=None) -> QuotientPresentation:
     """Tensor product of the two tops divided by the glue.  For eta and delta
-    equal by structure, the glue holds e_k minus its mirror in the other
-    block for each symbol k, so side 1's action rows, the mirrors of side
-    0's, add nothing to the span, and only side 0's are generated."""
+    equal by structure the glue identifies each symbol with its mirror, so
+    side 1's action rows add nothing; where the top acts on itself by its
+    bracket (Peiffer, for eta valid), rule 3 at (x, x2, y) is R1(x; x2, y) +
+    R1(x; y, x2) and rule 2 is R1(x; y, x2) modulo the glue: rule 1 alone."""
     pair = MutualActionPair.from_shared_base(eta, delta)
-    same = (eta.top, eta.delta, eta.action) == (delta.top, delta.delta, delta.action)
+    same = ((eta.top, eta.delta, eta.action) == (delta.top, delta.delta, delta.action)
+            and pair.m_on_n == pair.m.adjoint)
     return _build_presentation(pair, _glue(eta, delta),
                                name or f"{eta.top.name}(^){delta.top.name}", 1 if same else 2)
 

@@ -8,10 +8,10 @@ construction of the dense projection and section matrices; project is
 the old QuotientMap.project, the projection matrix times the coerced
 vector, so it reads the projection of a sparse QuotientMap too.  The
 differential tests in test_quotient.py compare the sparse map with them.
-action_rows and agreement_rows are the old tensor._defining_rows
-verbatim, on the Fraction sparse views of helpers, split into its two
-families: it builds a candidate row for every basis triple and every
-symbol pair, empty or not.
+action_rows and agreement_rows are the old defining rows of
+tensor._build_presentation verbatim, on the Fraction sparse views of
+helpers, split into their two families: they build a candidate row for
+every basis triple and every symbol pair, empty or not.
 sweep_witness is the old well-definedness sweep of
 tensor._build_presentation, which tests every relation row against every
 symbol, on both sides, through the full representative table.
@@ -22,8 +22,9 @@ takes every family through its one outer product (tensor._cross).
 exterior_relations is the relation subspace of the old
 tensor.exterior_presentation: the action rows of both sides, the
 agreement rows and the canonical rows of the glue subspace, where the
-library takes the action rows of side 0 alone for two equal crossed
-modules and eliminates the glue generators with the defining rows.
+library takes side 0's rule 1 rows alone for two equal crossed modules
+whose top acts on itself by its bracket, and eliminates the glue
+generators with the action and agreement rows.
 """
 
 from fractions import Fraction

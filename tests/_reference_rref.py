@@ -5,13 +5,16 @@ rref is the old routine verbatim; rank, kernel, solve and solve_matrix
 are the old ones on top of it (kernel gives the basis and pivots of the
 old Subspace, built through this rref too), so the differential tests
 in test_ratlin.py compare the library with an independent elimination.
+eliminate is the fraction-free ratlin._eliminate as it was before its
+Gauss-Jordan pass went by pivot: the pass tests every pair of echelon
+rows for the later row's pivot column, quadratic in the rank.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
 from _dense import from_columns, from_rows, vec
-from leibxmod.ratlin import RatMatrix
+from leibxmod.ratlin import RatMatrix, _cancel
 
 
 def rref(m: RatMatrix) -> "tuple[RatMatrix, tuple[int, ...]]":
@@ -95,3 +98,28 @@ def solve_matrix(m: RatMatrix, rhs: RatMatrix) -> RatMatrix:
         raise ValueError("right-hand side row mismatch")
     cols = [solve(m, rhs.column(j)) for j in range(rhs.cols)]
     return from_columns(cols, rows=m.cols)
+
+
+def eliminate(rows: list, reduce: bool = True) -> list:
+    by_lead = {}
+    for row in rows:
+        by_lead.setdefault(min(row), []).append(row)
+    echelon = []
+    while by_lead:
+        c = min(by_lead)
+        group = by_lead.pop(c)
+        piv = min(group, key=len)
+        for row in group:
+            if row is not piv:
+                row = _cancel(row, piv, c)
+                if row:
+                    by_lead.setdefault(min(row), []).append(row)
+        echelon.append((c, piv))
+    if reduce:
+        for i in range(len(echelon) - 1, 0, -1):
+            c, piv = echelon[i]
+            for j in range(i):
+                cj, row = echelon[j]
+                if c in row:
+                    echelon[j] = (cj, _cancel(row, piv, c))
+    return echelon

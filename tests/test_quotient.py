@@ -3,9 +3,11 @@ well-definedness sweep against dense membership tests, the factored
 sweep against the per-symbol scan, and the relation rows against the
 construction that visited every candidate, the families of symbols
 built through the one outer product against the loops they replaced,
-and the exterior relations, side 0's action rows alone for two equal
-crossed modules, against those of both sides."""
+and the exterior relations, side 0's rule 1 rows alone for two equal
+crossed modules, against those of both sides and all three rules."""
 
+import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,10 +35,10 @@ from leibxmod.tensor import (
     MutualActionPair,
     _action_rows,
     _agreement_rows,
-    _defining_rows,
     _glue,
     _preserves,
     _substitution,
+    _symbols,
     _well_defined,
     exterior_presentation,
     exterior_square_data,
@@ -57,6 +59,9 @@ from helpers import (
     representative_table,
     sl2,
     sol2_lie,
+    sparse_sl,
+    sparse_sr,
+    sparse_st,
     zero_over,
 )
 from test_acceptance import _presentation_corpus
@@ -304,7 +309,7 @@ def test_outer_product_families_match_the_old_loops_on_random_pairs(data):
     amb = 2 * m.dim * n.dim
     # one_leg_span reads only the pair and the quotient map of a presentation
     pres = SimpleNamespace(pair=pair, qmap=quotient(amb, Subspace.from_integer_rows(
-        amb, _defining_rows(pair))))
+        amb, _action_rows(pair) + _agreement_rows(pair))))
     a = span(m.dim, data.draw(matrices(cols=m.dim)).entries)
     b = span(n.dim, data.draw(matrices(cols=n.dim)).entries)
     assert one_leg_span(pres, a, b) == ref.one_leg_span(pres, a, b)
@@ -328,7 +333,7 @@ def _same_exterior_relations(xm) -> None:
     """The exterior presentations of xm with itself and of (q, q, id) with
     xm and with itself, q the base, have the relation subspace of the old
     construction, equal and with equal hashes; the first and last take
-    side 0's action rows alone."""
+    side 0's rule 1 rows alone."""
     qid = CrossedModule.adjoint_identity(xm.base)
     for eta, delta in dict.fromkeys([(xm, xm), (qid, xm), (qid, qid)]):
         got, expect = (exterior_presentation(eta, delta).relations,
@@ -367,13 +372,113 @@ def test_exterior_relations_match_both_sides_in_rational_bases(data):
         rebased(q, data.draw(rational_bases(q.dim)))))
 
 
+def _recorded_sides(monkeypatch) -> list:
+    """The side counts the library asks _action_rows for, in call order."""
+    seen = []
+    monkeypatch.setattr(tensor, "_action_rows",
+                        lambda pair, sides=2: seen.append(sides) or _action_rows(pair, sides))
+    return seen
+
+
+def _rule_rows(pair) -> tuple:
+    """Side 0's three action rules on every basis triple, as Fraction
+    {symbol: value} rows with zeros dropped, keyed by triple: rule 1 by
+    (x, y, y2), rules 2 and 3 by (x, x2, y), written as the old loops wrote
+    them, for a pair of an algebra with itself."""
+    X, Y, x_on_y, y_on_x = pair.sides[0]
+    d, e = X.dim, [((i, Fraction(1)),) for i in range(X.dim)]
+    st, ysr, sl, sr = sparse_st(X), sparse_sr(y_on_x), sparse_sl(x_on_y), sparse_sr(x_on_y)
+
+    def row(*terms):
+        return {k: v for k, v in _symbols(d, d, terms).items() if v}
+    triples = [(a, b, c) for a in range(d) for b in range(d) for c in range(d)]
+    r1 = {(x, y, y2): row((1, 0, e[x], st[y][y2]), (-1, 0, ysr[x][y], e[y2]),
+                          (1, 0, ysr[x][y2], e[y])) for x, y, y2 in triples}
+    r2 = {(x, x2, y): row((1, 0, st[x][x2], e[y]), (-1, 1, sl[x][y], e[x2]),
+                          (1, 0, e[x], sr[y][x2])) for x, x2, y in triples}
+    r3 = {(x, x2, y): row((1, 0, e[x], sl[x2][y]), (1, 0, e[x], sr[y][x2]))
+          for x, x2, y in triples}
+    return r1, r2, r3
+
+
+def _plus(u, v, c=1):
+    return {k: w for k in u.keys() | v.keys() if (w := u.get(k, 0) + c * v.get(k, 0))}
+
+
+def _rules_2_and_3_follow_from_rule_1(xm) -> None:
+    """For xm with itself, both actions the bracket: each rule 3 row is the
+    sum of two rule 1 rows, each rule 2 row minus its rule 1 partner lies in
+    the glue, and side 0's rule 1 rows are those the library generates."""
+    pair = MutualActionPair.from_shared_base(xm, xm)
+    assert pair.m_on_n == pair.n_on_m == pair.m.adjoint, xm.name
+    amb = 2 * xm.top.dim ** 2
+    glue = Subspace.from_integer_rows(amb, _glue(xm, xm))
+    r1, r2, r3 = _rule_rows(pair)
+    for x, x2, y in r3:
+        assert r3[x, x2, y] == _plus(r1[x, x2, y], r1[x, y, x2]), (xm.name, x, x2, y)
+        assert ref.contains_vector(glue, dense(_plus(r2[x, x2, y], r1[x, y, x2], -1).items(),
+                                               amb)), (xm.name, x, x2, y)
+    assert Subspace.from_integer_rows(amb, _action_rows(pair, 1)) == span(
+        amb, [dense(r.items(), amb) for r in r1.values() if r])
+
+
+def test_rules_2_and_3_follow_from_rule_1_for_equal_crossed_modules():
+    xms = [xm for xm in map(cli.load_fixture, sorted(FIXTURES.glob("*.xmod")))
+           if check_xmod(xm).valid]
+    qs = fixture_algebras() + random_leibniz_corpus() + [r2_nonlie(), sol2_lie()]
+    for xm in xms + [CrossedModule.adjoint_identity(q) for q in qs]:
+        _rules_2_and_3_follow_from_rule_1(xm)
+
+
+def test_an_equal_pair_that_fails_peiffer_keeps_both_sides_and_all_rules(monkeypatch):
+    # (q, q, id) with the trivial action: its top does not act on itself by
+    # its bracket, so rule 1 alone would lose relations; it keeps every rule
+    seen = _recorded_sides(monkeypatch)
+    for q in (heis3(), n2(), r2_nonlie()):
+        bad = CrossedModule(f"bad({q.name})", q, q, RatMatrix.identity(q.dim),
+                            LeibnizAction.trivial(q, q))
+        assert not check_xmod(bad).valid
+        seen.clear()
+        got, expect = exterior_presentation(bad, bad).relations, ref.exterior_relations(bad, bad)
+        assert seen == [2] and got == expect
+        pair = MutualActionPair.from_shared_base(bad, bad)
+        assert got != Subspace.from_integer_rows(
+            got.ambient_dim, _action_rows(pair, 1) + _agreement_rows(pair) + _glue(bad, bad))
+
+
+def _perfbench_generator():
+    """perfbench's input generator, imported from its file without writing
+    bytecode beside it."""
+    path = FIXTURES.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen, kept = importlib.util.module_from_spec(spec), sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        sys.dont_write_bytecode = kept
+    return gen
+
+
+def test_exterior_relations_match_both_sides_on_perfbench_squares(monkeypatch, tmp_path):
+    # the squares workload's (q, q, id), dims 4-5 in a densified basis, take
+    # rule 1 alone in each of their squares and keep the old span
+    gen = _perfbench_generator()
+    seen = _recorded_sides(monkeypatch)
+    jobs = gen.squares_jobs(gen.Draws(201), tmp_path)
+    assert len(jobs) >= 15
+    for job in jobs:
+        xm = cli.load_fixture(job["path"])
+        _same_exterior_relations(xm)
+        _rules_2_and_3_follow_from_rule_1(xm)
+    assert seen and set(seen) == {1}
+
+
 def test_a_symmetric_pair_with_no_glue_keeps_both_sides(monkeypatch):
     # with no glue the blocks are not identified: the tensor product of a
     # symmetric pair takes the action rows of both sides, and its
     # dimensions are those it had; the exterior square takes side 0's
-    seen, real = [], tensor._action_rows
-    monkeypatch.setattr(tensor, "_action_rows",
-                        lambda pair, sides=2: seen.append(sides) or real(pair, sides))
+    seen = _recorded_sides(monkeypatch)
     for q, dims in ((n2(), (8, 5, 3)), (heis3(), (18, 8, 10)), (sl2(), (18, 15, 3)),
                     (r2_nonlie(), (8, 5, 3))):
         ad = LeibnizAction.adjoint(q)
@@ -381,7 +486,7 @@ def test_a_symmetric_pair_with_no_glue_keeps_both_sides(monkeypatch):
         pres = tensor._build_presentation(pair, (), f"{q.name}(x){q.name}")
         assert seen == [2] and (pres.ambient_dim, pres.relations.dim, pres.resolved.dim) == dims
         assert pres.relations == Subspace.from_integer_rows(
-            pres.ambient_dim, real(pair, 2) + _agreement_rows(pair))
+            pres.ambient_dim, _action_rows(pair, 2) + _agreement_rows(pair))
         qid = CrossedModule.adjoint_identity(q)
         seen.clear()
         exterior_presentation(qid, qid)

@@ -14,6 +14,8 @@ from leibxmod.cli import FixtureError, _rat
 from leibxmod.ratlin import (
     RatMatrix,
     Subspace,
+    _eliminate,
+    _primitive,
     column_space,
     kernel,
     quotient,
@@ -21,6 +23,10 @@ from leibxmod.ratlin import (
     solve_matrix,
     sparse_kernel,
 )
+
+from leibxmod.tensor import MutualActionPair, _action_rows, _agreement_rows, _glue
+from leibxmod.xmod import CrossedModule
+from test_ladder import load_ladder, rung_algebra
 
 QQ = Fraction
 
@@ -323,3 +329,29 @@ def test_rref_invariant_under_row_operations(data):
             added = [list(r) for r in rows]
             added[i] = [a + b for a, b in zip(added[i], added[j])]
             assert rref(RatMatrix(m.rows, m.cols, tuple(map(tuple, added)))) == expect
+
+
+def _same_elimination(rows):
+    """_eliminate and the old one give the same pivots and rows, int for
+    int, with the Gauss-Jordan pass and without, on primitive rows."""
+    for reduce in (True, False):
+        assert _eliminate([dict(r) for r in rows], reduce) == ref.eliminate(
+            [dict(r) for r in rows], reduce)
+
+
+@PROPERTY
+@given(st.lists(st.dictionaries(st.integers(0, 11), st.integers(-6, 6).filter(bool),
+                                min_size=1, max_size=7), max_size=14))
+def test_eliminate_matches_the_old_gauss_jordan_pass_on_random_rows(rows):
+    _same_elimination([_primitive(r) for r in rows])
+
+
+def test_eliminate_matches_the_old_gauss_jordan_pass_on_ladder_relation_rows():
+    # the rows the squares of (q, q, id) eliminate: every action rule on
+    # both sides, the agreement rows and the glue generators
+    ladder = load_ladder()
+    for name in ("heis7", "sl2+sl2", "tri6", "free2-7"):
+        qid = CrossedModule.adjoint_identity(rung_algebra(ladder, name))
+        pair = MutualActionPair.from_shared_base(qid, qid)
+        rows = _action_rows(pair) + _agreement_rows(pair) + _glue(qid, qid)
+        _same_elimination([_primitive(dict(r)) for r in rows if r])

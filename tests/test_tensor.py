@@ -467,7 +467,8 @@ def test_sweep_reports_relation_times_symbol():
 def test_sweep_reports_symbol_times_relation(monkeypatch):
     # with no defining rows the relations are the span of e_0 and e_3, and
     # the sweep's first failure is symbol 4 times a relation
-    monkeypatch.setattr(tensor, "_defining_rows", lambda pair, sides: [])
+    monkeypatch.setattr(tensor, "_action_rows", lambda pair, sides: [])
+    monkeypatch.setattr(tensor, "_agreement_rows", lambda pair: [])
     _raises_exactly(
         "bracket of probe not well-defined: symbol 4 * relation escapes "
         "the relation subspace",
