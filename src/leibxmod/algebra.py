@@ -316,21 +316,29 @@ def check_action(act: LeibnizAction) -> ValidityReport:
     With L[i][j] = ^{m_i} n_j and R[j][i] = n_j ^ {m_i}, cm/cn the actor
     and acted structure constants, the axioms read:
 
-      1. ^{[m,m']}n   = ^m(^{m'}n) + (^m n)^{m'}
-      2. ^m [n,n']    = [^m n, n'] - [^m n', n]
-      3. n^{[m,m']}   = (n^m)^{m'} - (n^{m'})^m
-      4. [n,n']^m     = [n^m, n'] + [n, n'^m]
-      5. ^m(^{m'}n)   = -^m(n^{m'})
-      6. [n, ^m n']   = -[n, n'^m]
+      1. ^{[m,m']}n   = ^m(^{m'}n) + (^m n)^{m'}  axiom1(a,b,x) = -L(a,b,x)
+      2. ^m [n,n']    = [^m n, n'] - [^m n', n]   axiom2(a,x,y) = L(a,x,y)
+      3. n^{[m,m']}   = (n^m)^{m'} - (n^{m'})^m   axiom3(x,a,b) = L(x,a,b)
+      4. [n,n']^m     = [n^m, n'] + [n, n'^m]     axiom4(x,y,a) = -L(x,y,a)
+      5. ^m(^{m'}n)   = -^m(n^{m'})               axiom5(a,b,x) = L(a,b,x) + L(a,x,b)
+      6. [n, ^m n']   = -[n, n'^m]                axiom6(x,a,y) = L(x,a,y) + L(x,y,a)
 
     Each residual is a sum of terms (c, x, xs, y, ys), c times the entries
     of the table x pushed through the table y at the slot spec ys (see
     ratlin.join): with L at "a.", x is acted on from the left by the
     actor element a, with L at ".x", the actor element x acts on the
     acted basis element x, and so on for R and the brackets.  The
-    letters a, b index the actor and x, y the acted algebra.
+    letters a, b index the actor and x, y the acted algebra.  Right: a
+    bracket action's residual (is_bracket_action), L(i,j,k) = [i,[j,k]] -
+    [[i,j],k] + [[i,k],j]; a valid Leibniz report is then the action's.
     """
     return act.validity
+
+
+def is_bracket_action(act: LeibnizAction) -> bool:
+    """act is act.actor.adjoint up to names: one dimension, one table."""
+    m, n = act.actor, act.acted
+    return (n.dim, n.zst, (act.den, act.sl), act.sr) == (m.dim, m.zst, m.zst, m.zst[1])
 
 
 def _action_report(act: LeibnizAction) -> ValidityReport:
@@ -340,6 +348,8 @@ def _action_report(act: LeibnizAction) -> ValidityReport:
     # the axioms presume Leibniz algebras: their reports come first
     bad = [(f"leibniz {a.name} {label}", r) for a in ((m,) if n is m else (m, n))
            for label, r in check_leibniz(a).violations]
+    if not bad and is_bracket_action(act):  # each axiom is Leibniz residuals
+        return _report(f"action of {m.name} on {n.name}", bad)
     # the report runs over (i, i2, j) for axioms 1 and 5, (j, i, i2) for
     # axiom 3 and (i, j, j2) for axioms 2, 4 and 6, in that order
     bad += _violations({"a": m.basis_names, "b": m.basis_names,

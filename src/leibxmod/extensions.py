@@ -44,10 +44,8 @@ from .ratlin import (
     _images,
     _restriction,
     column_space,
-    integer_view,
     kernel,
     rank,
-    rational,
     solve_matrix,
 )
 from .tensor import (
@@ -396,9 +394,10 @@ def lemma35_check(e: Extension) -> ValidityReport:
     The brackets of the ideal's canonical basis are one law over its
     twin, and those of the kernel-base square are read off its table.
     The connecting map applies the structure map to the top leg; its lift
-    through the kernel-base square is chosen deterministically (pivot
-    solve, one column at a time), which is immaterial for the validity
-    being checked.
+    through the kernel-base square is chosen deterministically (one pivot
+    solve over every column, each as if alone), which is immaterial for
+    the validity being checked; only an inconsistent solve is followed by
+    a test of each column against the image.
     """
     if not e.flags.central:
         raise ValueError("the abelian connecting structure needs a central extension")
@@ -413,19 +412,18 @@ def lemma35_check(e: Extension) -> ValidityReport:
     den, st = bp.resolved.zst
     bad += [(f"kernel-base square bracket ({i},{j})", _residual(dict(v), den, bp.resolved.dim))
             for (i, j), v in st]
-    dcols, (dy, ys) = [], _images(esd_t.id_wedge_delta.matrix.zcols, us)
-    for y in ys:
-        rhs = RatMatrix.from_sparse(psi2.matrix.rows, (dy, (y,)))
-        try:
-            dcols.append(solve_matrix(psi2.matrix, rhs).zcols)
-        except ValueError:
-            bad.append(("connecting image escapes the kernel-base square", rhs.column(0)))
+    dy, ys = _images(esd_t.id_wedge_delta.matrix.zcols, us)
+    try:
+        delta = solve_matrix(psi2.matrix, RatMatrix.from_sparse(psi2.matrix.rows, (dy, ys)))
+    except ValueError:  # name every column outside the image of psi2
+        image = column_space(psi2.matrix)
+        bad += [("connecting image escapes the kernel-base square",
+                 RatMatrix.from_sparse(psi2.matrix.rows, (dy, (y,))).column(0))
+                for y in ys if _restriction(image, (dy, (y,))) is None]
     if not bad:
         top = LeibnizAlgebra.abelian(f"I({e.name})", ideal.dim,
                                      tuple(f"i{k+1}" for k in range(ideal.dim)))
-        delta = integer_view(tuple(rational(c, d) for d, (c,) in dcols), 1)
-        cm = CrossedModule(f"(I,b^p)({e.name})", top, bp.resolved,
-                           RatMatrix.from_sparse(bp.resolved.dim, delta),
+        cm = CrossedModule(f"(I,b^p)({e.name})", top, bp.resolved, delta,
                            LeibnizAction.trivial(bp.resolved, top))
         bad.extend(check_xmod(cm).violations)
     return _report(f"abelian connecting structure of {e.name}", bad)

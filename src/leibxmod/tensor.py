@@ -77,6 +77,7 @@ from .xmod import (
     _require_valid,
     check_xmod,
     check_xmod_hom,
+    is_adjoint_identity,
 )
 
 
@@ -520,8 +521,7 @@ def _squares(xm: CrossedModule) -> ExteriorSquareData:
     _require_valid(xm)
     q, n = xm.base, xm.top
     dq, dn = q.dim, n.dim
-    qid = CrossedModule.adjoint_identity(q)  # xm itself when (q, q, id) by structure
-    qid = xm if (xm.top, xm.delta, xm.action) == (q, qid.delta, qid.action) else qid
+    qid = xm if is_adjoint_identity(xm) and n == q else CrossedModule.adjoint_identity(q)
     qn = exterior_presentation(qid, xm, name=f"{q.name}(^){n.name}")
     qq = qn if xm is qid else exterior_presentation(qid, qid, name=f"{q.name}(^){q.name}")
 
@@ -540,7 +540,7 @@ def _squares(xm: CrossedModule) -> ExteriorSquareData:
         if mu is None:
             raise AssertionError("base evaluation map does not kill the relations")
     lambda_n = AlgebraHom(qn.resolved, n, RatMatrix.from_sparse(dn, lam))
-    mu_q = AlgebraHom(qq.resolved, q, RatMatrix.from_sparse(dq, mu))
+    mu_q = lambda_n if qq is qn else AlgebraHom(qq.resolved, q, RatMatrix.from_sparse(dq, mu))
 
     # connecting map on symbols: q_a * n_b -> q_a * dn_b, n_b * q_a -> dn_b * q_a
     idd = _descend(qn, _substitution(qn.pair, qq.pair, RatMatrix.identity(dq), xm.delta),

@@ -58,6 +58,7 @@ from .algebra import (
     annihilator,
     check_action,
     check_hom,
+    is_bracket_action,
     is_lie,
     subalgebra_on,
 )
@@ -186,18 +187,28 @@ def check_xmod(xm: CrossedModule) -> ValidityReport:
     """Action axioms plus conditions (i) and (ii) on all basis pairs.
 
     Residuals are joined over nonzero entries, as in check_action, whose
-    cached report of the action comes first."""
+    cached report of the action comes first.  For an adjoint identity the
+    residuals of (i) and (ii) read t - t, for t = [q, n], [n, q], [n1, n2]:
+    a valid action report is then the whole one."""
     return xm.validity
+
+
+def is_adjoint_identity(xm: CrossedModule) -> bool:
+    """xm is (P, P, id) with P acting on itself by its bracket, up to names."""
+    return is_bracket_action(xm.action) and xm.delta == RatMatrix.identity(xm.top.dim)
 
 
 def _xmod_report(xm: CrossedModule) -> ValidityReport:
     top, base, act = xm.top, xm.base, xm.action
+    bad = list(check_action(act).violations)
+    if not bad and is_adjoint_identity(xm):
+        return _report(f"crossed module {xm.name}", bad)
     dcols, L, R = xm.delta.zcols, (act.den, act.sl), (act.den, act.sr)
     units = (1, tuple(((j, 1),) for j in range(top.dim)))
     # q indexes the base, n, a and b the top; the report runs over (q, n)
     # for equivariance, then over (a, b) for Peiffer
-    bad = _violations({"q": base.basis_names, "n": top.basis_names,
-                       "a": top.basis_names, "b": top.basis_names}, [
+    bad += _violations({"q": base.basis_names, "n": top.basis_names,
+                        "a": top.basis_names, "b": top.basis_names}, [
         # (i) delta(^q n) - [q, delta n]
         ("equivariance-left ", 0, 0, base.dim, "qn", "qn",
          ((1, L, "qn", dcols, ""), (-1, dcols, "n", base.zst, "q."))),
@@ -211,8 +222,7 @@ def _xmod_report(xm: CrossedModule) -> ValidityReport:
         ("peiffer-right ", 1, 1, top.dim, "ab", "ab",
          ((1, dcols, "b", R, "a."), (-1, units, "b", top.zst, "a."))),
     ])
-    return _report(f"crossed module {xm.name}",
-                   [*check_action(act).violations, *bad])
+    return _report(f"crossed module {xm.name}", bad)
 
 
 def _acts(xm: CrossedModule, ys, xs) -> list:
@@ -336,14 +346,20 @@ class XModHom:
 
 
 def check_xmod_hom(f: XModHom) -> ValidityReport:
-    """Component homomorphisms, delta compatibility, and equivariance."""
+    """Component homomorphisms, delta compatibility, and equivariance.
+
+    Between adjoint identities, with top_map == base_map = f, delta
+    compatibility is f - f and equivariance at (q, n) f's hom residual at
+    (q, n) and (n, q): a valid check_hom of f is then the whole report."""
     return f.validity
 
 
 def _xmod_hom_report(f: XModHom) -> ValidityReport:
     src, tgt = f.source, f.target
-    bad = [*check_hom(AlgebraHom(src.top, tgt.top, f.top_map)).violations,
-           *check_hom(AlgebraHom(src.base, tgt.base, f.base_map)).violations]
+    bad = list(check_hom(AlgebraHom(src.top, tgt.top, f.top_map)).violations)
+    if not bad and f.top_map == f.base_map and all(map(is_adjoint_identity, (src, tgt))):
+        return _report(f"crossed module hom {src.name} -> {tgt.name}", bad)
+    bad += check_hom(AlgebraHom(src.base, tgt.base, f.base_map)).violations
     tcols, bcols = f.top_map.zcols, f.base_map.zcols
     # base_map delta - delta' top_map, column by column; the residual is
     # the tgt.base.dim x src.top.dim matrix, row by row

@@ -16,6 +16,9 @@ bracket, actions and matrix-vector product.
 accumulate, _entries and join are the old Fraction law evaluator
 verbatim, from before the integer twins: every value a Fraction, and
 the sums returned as they are, not scaled.
+action_report, xmod_report and xmod_hom_report are the library's sparse
+reports with every law joined, from before an adjoint identity's laws
+were read off its Leibniz or homomorphism report.
 """
 
 from fractions import Fraction
@@ -28,9 +31,15 @@ from leibxmod.algebra import (
     LeibnizAlgebra,
     ValidityReport,
     _report,
+    _residual,
+    _through,
+    _violations,
 )
+from leibxmod.algebra import check_hom as lib_check_hom
+from leibxmod.algebra import check_leibniz as lib_check_leibniz
 from _dense import from_rows, unit_vec, vec_is_zero
 from leibxmod.ratlin import RatMatrix, Subspace, kernel
+from leibxmod.ratlin import join as lib_join
 from leibxmod.xmod import CrossedModule, SubPair, XModHom
 
 
@@ -371,3 +380,75 @@ def center_xmod(xm: CrossedModule) -> SubPair:
             rows.append(tuple(xm.action.right[j][i][k] for i in range(db)))
     # the stabilizer meets the center: one kernel of both families of rows
     return SubPair(xm, top, kernel(from_rows(rows + _center_rows(xm.base), cols=db)))
+
+
+# -- the sparse reports with every law evaluated -------------------------------------
+#
+# The bodies of leibxmod's _action_report, _xmod_report and _xmod_hom_report
+# with every law joined, whatever the input; xmod_report takes its action
+# report from action_report, not from the library's cached one.
+
+def action_report(act: LeibnizAction) -> ValidityReport:
+    m, n = act.actor, act.acted
+    L, R, cm, cn = (act.den, act.sl), (act.den, act.sr), m.zst, n.zst
+    d = n.dim
+    bad = [(f"leibniz {a.name} {label}", r) for a in ((m,) if n is m else (m, n))
+           for label, r in lib_check_leibniz(a).violations]
+    bad += _violations({"a": m.basis_names, "b": m.basis_names,
+                        "x": n.basis_names, "y": n.basis_names}, [
+        ("axiom1 ", 0, 0, d, "abx", "abx",
+         ((1, cm, "ab", L, ".x"), (-1, L, "bx", L, "a."), (-1, L, "ax", R, ".b"))),
+        ("axiom5 ", 0, 1, d, "abx", "abx",
+         ((1, L, "bx", L, "a."), (1, R, "xb", L, "a."))),
+        ("axiom3 ", 1, 0, d, "xab", "xab",
+         ((1, cm, "ab", R, "x."), (-1, R, "xa", R, ".b"), (1, R, "xb", R, ".a"))),
+        ("axiom2 ", 2, 0, d, "axy", "axy",
+         ((1, cn, "xy", L, "a."), (-1, L, "ax", cn, ".y"), (1, L, "ay", cn, ".x"))),
+        ("axiom4 ", 2, 1, d, "axy", "xya",
+         ((1, cn, "xy", R, ".a"), (-1, R, "xa", cn, ".y"), (-1, R, "ya", cn, "x."))),
+        ("axiom6 ", 2, 2, d, "axy", "xay",
+         ((1, L, "ay", cn, "x."), (1, R, "ya", cn, "x."))),
+    ])
+    return _report(f"action of {m.name} on {n.name}", bad)
+
+
+def xmod_report(xm: CrossedModule) -> ValidityReport:
+    top, base, act = xm.top, xm.base, xm.action
+    dcols, L, R = xm.delta.zcols, (act.den, act.sl), (act.den, act.sr)
+    units = (1, tuple(((j, 1),) for j in range(top.dim)))
+    bad = _violations({"q": base.basis_names, "n": top.basis_names,
+                       "a": top.basis_names, "b": top.basis_names}, [
+        ("equivariance-left ", 0, 0, base.dim, "qn", "qn",
+         ((1, L, "qn", dcols, ""), (-1, dcols, "n", base.zst, "q."))),
+        ("equivariance-right ", 0, 1, base.dim, "qn", "nq",
+         ((1, R, "nq", dcols, ""), (-1, dcols, "n", base.zst, ".q"))),
+        ("peiffer-left ", 1, 0, top.dim, "ab", "ab",
+         ((1, dcols, "a", L, ".b"), (-1, units, "b", top.zst, "a."))),
+        ("peiffer-right ", 1, 1, top.dim, "ab", "ab",
+         ((1, dcols, "b", R, "a."), (-1, units, "b", top.zst, "a."))),
+    ])
+    return _report(f"crossed module {xm.name}",
+                   [*action_report(act).violations, *bad])
+
+
+def xmod_hom_report(f: XModHom) -> ValidityReport:
+    src, tgt = f.source, f.target
+    bad = [*lib_check_hom(AlgebraHom(src.top, tgt.top, f.top_map)).violations,
+           *lib_check_hom(AlgebraHom(src.base, tgt.base, f.base_map)).violations]
+    tcols, bcols = f.top_map.zcols, f.base_map.zcols
+    scale, diff = lib_join([("n", 1, src.delta.zcols, "n", bcols, ""),
+                            ("n", -1, tcols, "n", tgt.delta.zcols, "")])
+    n = src.top.dim
+    flat = {k * n + j: v for (j,), acc in diff.items() for k, v in acc.items()}
+    if any(flat.values()):
+        bad.append(("delta compatibility", _residual(flat, scale, tgt.base.dim * n)))
+    ta, act = tgt.action, src.action
+    fl = _through(bcols, (ta.den, ta.sl), ".r")
+    fr = _through(tcols, (ta.den, ta.sr), ".r")
+    bad += _violations({"q": src.base.basis_names, "n": src.top.basis_names}, [
+        ("equivariance-left ", 0, 0, tgt.top.dim, "qn", "qn",
+         ((1, (act.den, act.sl), "qn", tcols, ""), (-1, tcols, "n", fl, "q."))),
+        ("equivariance-right ", 0, 1, tgt.top.dim, "qn", "nq",
+         ((1, (act.den, act.sr), "nq", tcols, ""), (-1, bcols, "q", fr, "n."))),
+    ])
+    return _report(f"crossed module hom {src.name} -> {tgt.name}", bad)

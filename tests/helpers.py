@@ -12,6 +12,7 @@ a valid algebra by construction, and a random unimodular change of
 basis densifies the table without changing validity.
 """
 
+import json
 import os
 import random
 from collections import Counter
@@ -382,6 +383,46 @@ def child_env():
     src = str(Path(leibxmod.__file__).resolve().parents[1])
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def non_leibniz_inputs(tmp_path):
+    """The trivial action of nj3 on the zero algebra, the crossed module
+    (0, nj3, 0) on it, its identity extension and the identity
+    homomorphisms of nj3 and of (0, nj3, 0), written into tmp_path:
+    nj3 ([e1,e2] = e3 = -[e2,e1], [e1,e3] = e1 = -[e3,e1]) is
+    anticommutative and fails the Jacobi, so the Leibniz, identity."""
+    docs = {
+        "nj3.algebra": {"kind": "algebra", "name": "nj3", "dim": 3,
+                        "basis": ["e1", "e2", "e3"],
+                        "brackets": {"e1": {"e2": {"e3": "1"}, "e3": {"e1": "1"}},
+                                     "e2": {"e1": {"e3": "-1"}},
+                                     "e3": {"e1": {"e1": "-1"}}}},
+        "zero.algebra": {"kind": "algebra", "name": "zero", "dim": 0, "basis": []},
+        "trivial.action": {"kind": "action", "name": "trivial", "actor": "nj3",
+                           "acted": "zero"},
+        "nj3.xmod": {"kind": "xmod", "name": "(0,nj3,0)", "top": "zero",
+                     "base": "nj3", "action": "trivial"},
+        "nj3.extension": {"kind": "extension", "name": "id", "total": "nj3",
+                          "quotient": "nj3",
+                          "projection": {"top_map": {}, "base_map": {
+                              b: {b: "1"} for b in ("e1", "e2", "e3")}}},
+        "nj3.hom": {"kind": "hom", "name": "id", "source": "nj3", "target": "nj3",
+                    "matrix": {b: {b: "1"} for b in ("e1", "e2", "e3")}},
+        "nj3_xmod.hom": {"kind": "hom", "name": "id", "source": "nj3", "target": "nj3",
+                         "top_map": {}, "base_map": {b: {b: "1"} for b in ("e1", "e2", "e3")}},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    return {name: tmp_path / name for name in docs}
+
+
+def renamed_adjoint_identity(a):
+    """(a', a, id): a copy a' of a under other names, acted on by a's
+    bracket, an adjoint identity up to names."""
+    b = LeibnizAlgebra.from_sparse(f"{a.name}'", tuple(f"{x}'" for x in a.basis_names), a.zst)
+    den, st = a.zst
+    return CrossedModule(f"({b.name},{a.name},id)", b, a, RatMatrix.identity(a.dim),
+                         LeibnizAction.from_sparse(a, b, den, st, st))
 
 
 def count_law_evaluations(monkeypatch):

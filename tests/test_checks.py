@@ -11,7 +11,7 @@ from functools import cached_property
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _reference_checks as ref
@@ -46,14 +46,19 @@ from leibxmod.xmod import (
 )
 
 from helpers import (
+    central_extension_corpus,
     central_fixture_extensions,
     fixture_algebras,
     heis3,
+    heisenberg,
     n2,
+    non_leibniz_inputs,
     random_leibniz_corpus,
+    renamed_adjoint_identity,
     sl2,
     zero_over,
 )
+from test_ladder import load_ladder, rung_algebra
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100,
                     deadline=None)
@@ -569,3 +574,159 @@ def test_crossed_module_analyses_leave_equality_hashing_and_the_memo_alone(tmp_p
         assert "_kernel" in vars(m) and "_kernel" not in vars(fresh)
         assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
         assert kernel(fresh) == kernel(m)
+
+
+# -- the laws of adjoint identities, read off the Leibniz and hom reports -------------
+
+def same_as_full_evaluation(obj):
+    """The library's report of an action, a crossed module or a crossed
+    module hom is the one with every law evaluated (_reference_checks),
+    and so is every report it starts with."""
+    if isinstance(obj, LeibnizAction):
+        same_report(check_action(obj), ref.action_report(obj))
+    elif isinstance(obj, CrossedModule):
+        same_as_full_evaluation(obj.action)
+        same_report(check_xmod(obj), ref.xmod_report(obj))
+    elif isinstance(obj, XModHom):
+        same_report(check_xmod_hom(obj), ref.xmod_hom_report(obj))
+    else:
+        same_report(check_hom(obj), ref.check_hom(obj))
+
+
+def _square_laws(xm):
+    """The crossed modules and maps the squares of xm check: the induced
+    crossed module, the evaluation and the multiplier's inclusion."""
+    esd = xm.squares
+    mult, incl = esd.multiplier
+    return [esd.induced_xmod, esd.phi, mult, incl]
+
+
+def test_reports_match_the_full_evaluation_on_the_fixtures():
+    loaded = [cli.load_fixture(p) for p in sorted(FIXTURES.glob("*.xmod"))
+              + sorted(FIXTURES.glob("*.hom")) + sorted(FIXTURES.glob("*.action"))]
+    assert len(loaded) == 11
+    for obj in loaded:
+        same_as_full_evaluation(obj)
+        if isinstance(obj, CrossedModule) and check_xmod(obj).valid:
+            for law in _square_laws(obj):
+                same_as_full_evaluation(law)
+
+
+def test_reports_match_the_full_evaluation_on_adjoint_identities(monkeypatch):
+    for a in FIXTURE_ALGEBRAS:
+        qid, renamed = CrossedModule.adjoint_identity(a), renamed_adjoint_identity(a)
+        assert xmod.is_adjoint_identity(qid) and xmod.is_adjoint_identity(renamed)
+        ident = RatMatrix.identity(a.dim)
+        ones = RatMatrix(a.dim, a.dim, [[Fraction(1)] * a.dim] * a.dim)
+        valid = (qid, renamed, XModHom.identity(qid), XModHom(renamed, qid, ident, ident))
+        # the valid ones join the Leibniz and homomorphism laws (labelled "") only
+        with monkeypatch.context() as m:
+            seen = _evaluated_laws(m)
+            assert all(obj.validity.valid for obj in valid)
+            assert seen <= {""}
+        for obj in valid + (XModHom(qid, renamed, ones, ones), XModHom(qid, qid, ident, ones)):
+            same_as_full_evaluation(obj)
+
+
+@PROPERTY
+@given(algebras(), st.data())
+def test_reports_match_the_full_evaluation_on_random_adjoint_identities(a, data):
+    qid, renamed = CrossedModule.adjoint_identity(a), renamed_adjoint_identity(a)
+    f = data.draw(matrices(a.dim, a.dim))
+    for obj in (qid, renamed, XModHom.identity(qid), XModHom(renamed, qid, f, f),
+                XModHom(qid, qid, f, RatMatrix.identity(a.dim))):
+        same_as_full_evaluation(obj)
+
+
+def test_reports_match_the_full_evaluation_on_the_squares_of_the_corpus():
+    xms = [x for e in central_extension_corpus(0) for x in (e.total, e.quotient)]
+    xms += [CrossedModule.adjoint_identity(q)
+            for q in (heisenberg(3), rung_algebra(load_ladder(), "tri6"))]
+    for xm in xms:
+        for law in _square_laws(xm):
+            same_as_full_evaluation(law)
+
+
+def _evaluated_laws(monkeypatch) -> set:
+    """The labels of the law families joined from now on."""
+    seen = set()
+
+    def recorded(names, laws, _real=algebra._violations):
+        laws = list(laws)
+        seen.update(law[0] for law in laws)
+        return _real(names, laws)
+    for module in (algebra, xmod):
+        monkeypatch.setattr(module, "_violations", recorded)
+    return seen
+
+
+def test_a_non_leibniz_algebra_has_every_law_evaluated(tmp_path, monkeypatch):
+    # nj3 fails the Leibniz identity, so the action and crossed module laws
+    # of its adjoint identity are all joined and the axioms' violations are
+    # listed as by the full evaluation (a map between two adjoint identities
+    # still reads its laws off check_hom, which needs no Leibniz identity)
+    paths = non_leibniz_inputs(tmp_path)
+    nj3 = cli.load_fixture(paths["nj3.algebra"])
+    qid = CrossedModule.adjoint_identity(nj3)
+    seen = _evaluated_laws(monkeypatch)
+    for obj in (qid, renamed_adjoint_identity(nj3), XModHom.identity(qid),
+                *(cli.load_fixture(paths[n]) for n in ("trivial.action", "nj3.xmod",
+                                                      "nj3_xmod.hom"))):
+        same_as_full_evaluation(obj)
+    assert {f"axiom{k} " for k in range(1, 7)} | {"peiffer-left ", "peiffer-right "} <= seen
+    labels = {label.split(" (")[0] for label, _ in check_xmod(qid).violations}
+    assert {"leibniz nj3", "axiom1", "axiom2", "axiom3", "axiom4"} <= labels
+
+
+# Each axiom residual of an algebra's bracket action on itself, at the basis
+# elements of its label in order, is a signed sum of Leibniz residuals L at
+# those elements in the given orders: axiom1(a,b,x) = -L(a,b,x), axiom2(a,x,y)
+# = L(a,x,y), axiom3(x,a,b) = L(x,a,b), axiom4(x,y,a) = -L(x,y,a),
+# axiom5(a,b,x) = L(a,b,x) + L(a,x,b) and axiom6(x,a,y) = L(x,a,y) + L(x,y,a).
+IDENTITIES = {
+    "axiom1": ((-1, (0, 1, 2)),),
+    "axiom2": ((1, (0, 1, 2)),),
+    "axiom3": ((1, (0, 1, 2)),),
+    "axiom4": ((-1, (0, 1, 2)),),
+    "axiom5": ((1, (0, 1, 2)), (1, (0, 2, 1))),
+    "axiom6": ((1, (0, 1, 2)), (1, (0, 2, 1))),
+}
+
+
+def _identity_mismatches(a, identities) -> list:
+    """The (axiom, basis names) at which the axiom residual of a's bracket
+    action differs from its signed sum of Leibniz residuals, every residual
+    read off the reports, key for key (an absent key is a zero residual)."""
+    def keyed(report, prefix=""):
+        return {label[len(prefix):]: r for label, r in report.violations
+                if label.startswith(prefix)}
+    zero = (Fraction(0),) * a.dim
+    leib = keyed(check_leibniz(a))
+    axioms = {name: keyed(check_action(a.adjoint), f"{name} ") for name in identities}
+    bad = []
+    for t in [(i, j, k) for i in a.basis_names for j in a.basis_names for k in a.basis_names]:
+        for name, terms in identities.items():
+            expect = zero
+            for sign, order in terms:
+                r = leib.get(f"({','.join(t[p] for p in order)})", zero)
+                expect = tuple(x + sign * y for x, y in zip(expect, r))
+            if axioms[name].get(f"({','.join(t)})", zero) != expect:
+                bad.append((name, t))
+    return bad
+
+
+@PROPERTY
+@given(algebras())
+def test_bracket_action_axioms_are_signed_sums_of_leibniz_residuals(a):
+    # on tables that are not Leibniz, where every axiom is joined
+    assume(not check_leibniz(a).valid)
+    assert _identity_mismatches(a, IDENTITIES) == []
+
+
+def test_a_sign_flip_in_any_identity_is_caught(tmp_path):
+    nj3 = cli.load_fixture(non_leibniz_inputs(tmp_path)["nj3.algebra"])
+    assert _identity_mismatches(nj3, IDENTITIES) == []
+    for name, terms in IDENTITIES.items():
+        for t in range(len(terms)):
+            flipped = tuple((-s if u == t else s, o) for u, (s, o) in enumerate(terms))
+            assert _identity_mismatches(nj3, {**IDENTITIES, name: flipped}), (name, t)

@@ -21,7 +21,7 @@ from leibxmod.extensions import stem_cover_of_perfect
 from leibxmod.ratlin import Subspace
 from leibxmod.xmod import abelianization, derived_xmod, liezation, predicates
 
-from helpers import child_env, count_law_evaluations
+from helpers import child_env, count_law_evaluations, non_leibniz_inputs
 from test_checks import PROPERTY
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -539,37 +539,6 @@ def test_library_refuses_an_invalid_crossed_module(tmp_path, variant):
                liezation):
         with pytest.raises(ValueError, match="^invalid crossed module:"):
             fn(xm)
-
-
-def non_leibniz_inputs(tmp_path):
-    """The trivial action of nj3 on the zero algebra, the crossed module
-    (0, nj3, 0) on it, its identity extension and the identity
-    homomorphisms of nj3 and of (0, nj3, 0), written into tmp_path:
-    nj3 ([e1,e2] = e3 = -[e2,e1], [e1,e3] = e1 = -[e3,e1]) is
-    anticommutative and fails the Jacobi, so the Leibniz, identity."""
-    docs = {
-        "nj3.algebra": {"kind": "algebra", "name": "nj3", "dim": 3,
-                        "basis": ["e1", "e2", "e3"],
-                        "brackets": {"e1": {"e2": {"e3": "1"}, "e3": {"e1": "1"}},
-                                     "e2": {"e1": {"e3": "-1"}},
-                                     "e3": {"e1": {"e1": "-1"}}}},
-        "zero.algebra": {"kind": "algebra", "name": "zero", "dim": 0, "basis": []},
-        "trivial.action": {"kind": "action", "name": "trivial", "actor": "nj3",
-                           "acted": "zero"},
-        "nj3.xmod": {"kind": "xmod", "name": "(0,nj3,0)", "top": "zero",
-                     "base": "nj3", "action": "trivial"},
-        "nj3.extension": {"kind": "extension", "name": "id", "total": "nj3",
-                          "quotient": "nj3",
-                          "projection": {"top_map": {}, "base_map": {
-                              b: {b: "1"} for b in ("e1", "e2", "e3")}}},
-        "nj3.hom": {"kind": "hom", "name": "id", "source": "nj3", "target": "nj3",
-                    "matrix": {b: {b: "1"} for b in ("e1", "e2", "e3")}},
-        "nj3_xmod.hom": {"kind": "hom", "name": "id", "source": "nj3", "target": "nj3",
-                         "top_map": {}, "base_map": {b: {b: "1"} for b in ("e1", "e2", "e3")}},
-    }
-    for name, doc in docs.items():
-        (tmp_path / name).write_text(json.dumps(doc))
-    return {name: tmp_path / name for name in docs}
 
 
 def test_check_refuses_an_action_over_a_non_leibniz_algebra(tmp_path, capsys):

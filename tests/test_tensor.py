@@ -66,6 +66,7 @@ from helpers import (
     quotient_basis_lifts,
     r2_nonlie,
     random_leibniz_corpus,
+    renamed_adjoint_identity,
     representatives,
     sl2,
     sol2_lie,
@@ -591,10 +592,18 @@ def test_squares_build_one_presentation_each(monkeypatch, capsys, tmp_path):
         built.clear()
         esd = exterior_square_data(xm)
         assert built == ["heis3(^)heis3"] and esd.qn is esd.qq
-        assert esd.lambda_n == esd.mu_q
+        # one evaluation map, whose kernel is taken once
+        assert esd.mu_q is esd.lambda_n
     built.clear()
     exterior_square_data(CrossedModule.inclusion(heis3(), center(heis3())))
     assert built == ["heis3(^)heis3_ideal", "heis3(^)heis3"]
+    # (q', q, id) on a renamed copy q' of q is an adjoint identity up to
+    # names, whose laws are read off q's reports, but its squares take their
+    # names and bases from its own algebras: two presentations
+    built.clear()
+    esd = exterior_square_data(renamed_adjoint_identity(q))
+    assert built == ["heis3(^)heis3'", "heis3(^)heis3"]
+    assert esd.qn.resolved.basis_names[0] == "x'*x" and esd.mu_q is not esd.lambda_n
     # the square names come from the algebras, so the renamed (q, q, id)
     # prints the default-named one's multiplier but for the xmod field
     for name in ("heis3.algebra", "heis3_adjoint.action"):
@@ -668,7 +677,7 @@ def test_an_adjoint_identity_input_is_its_own_base_square(monkeypatch):
     esd = exterior_square_data(xm)
     assert esd.qn is esd.qq and esd.qn.pair.m_on_n is xm.action
     assert esd.qn.pair.n_on_m is xm.action
-    assert esd.lambda_n.matrix == esd.mu_q.matrix
+    assert esd.mu_q is esd.lambda_n
     # lambda, then id ^ delta; the base action is read off lambda
     assert descents.count(None) == 1 and len(descents) == 2
     assert calls["action"] == 2 and "validity" not in vars(q.adjoint)
