@@ -110,19 +110,27 @@ def _at(where):
 
 
 def _rat(s, where):
+    """The rational of s: ASCII [-]digits is the int it spells, equal to its
+    Fraction; every other form goes through Fraction, with its messages."""
     if not isinstance(s, str):
         raise FixtureError(f"{_at(where)}: rationals must be strings, got {s!r}")
+    if s.isascii() and (s[1:] if s[:1] == "-" else s).isdigit():
+        return int(s)
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise FixtureError(f"{_at(where)}: malformed rational {s!r}") from None
 
 
-def _by_name(doc, names, where, read):
-    """doc = {basis name: value} as {index in names: read(value, (where, name))}."""
+def _index(names) -> dict:
+    """{basis name: index}, built once per basis and passed to each read against it."""
+    return {n: i for i, n in enumerate(names)}
+
+
+def _by_name(doc, index, where, read):
+    """doc = {basis name: value} as {index[name]: read(value, (where, name))}."""
     if not isinstance(doc, dict):
         raise FixtureError(f"{_at(where)}: expected a mapping")
-    index = {n: i for i, n in enumerate(names)}
     out = {}
     for k, v in doc.items():
         if k not in index:
@@ -131,25 +139,26 @@ def _by_name(doc, names, where, read):
     return out
 
 
-def _sparse_vec(doc, names, where):
+def _sparse_vec(doc, index, where):
     """Sparse doc = {basis name: rational}, as a sorted sparse vector."""
     if not isinstance(doc, dict):
         raise FixtureError(f"{_at(where)}: expected a sparse mapping, got {doc!r}")
-    v = _by_name(doc, names, where, _rat)
+    v = _by_name(doc, index, where, _rat)
     return tuple(sorted((i, t) for i, t in v.items() if t))
 
 
-def _table(doc, row_names, col_names, out_names, where):
-    """Sparse doc[row][col] = vector over out_names, as table entries."""
+def _table(doc, rows, cols, outs, where):
+    """Sparse doc[row][col] = vector, as table entries, for the name indexes rows, cols, outs."""
     def row(r, at):
-        return _by_name(r, col_names, at, lambda sv, at: _sparse_vec(sv, out_names, at))
-    rows = _by_name(doc, row_names, where, row)
-    return tuple(sorted(((i, j), v) for i, r in rows.items() for j, v in r.items() if v))
+        return _by_name(r, cols, at, lambda sv, at: _sparse_vec(sv, outs, at))
+    entries = _by_name(doc, rows, where, row)
+    return tuple(sorted(((i, j), v) for i, r in entries.items() for j, v in r.items() if v))
 
 
 def _matrix(doc, src_names, tgt_names, where):
     """Sparse doc[src] = vector over tgt_names, as a column matrix."""
-    cols = _by_name(doc, src_names, where, lambda sv, at: _sparse_vec(sv, tgt_names, at))
+    tgt = _index(tgt_names)
+    cols = _by_name(doc, _index(src_names), where, lambda sv, at: _sparse_vec(sv, tgt, at))
     return RatMatrix.from_sparse(len(tgt_names), integer_view(
         tuple(cols.get(j, ()) for j in range(len(src_names))), 1))
 
@@ -171,17 +180,17 @@ def _parse_algebra(doc, ctx, where):
             or len(set(basis)) != dim
             or not all(isinstance(b, str) for b in basis)):
         raise FixtureError(f"{where}: basis must list {dim} distinct names")
-    st = _table(doc.get("brackets", {}), basis, basis, basis, f"{where}.brackets")
+    ix = _index(basis)
+    st = _table(doc.get("brackets", {}), ix, ix, ix, f"{where}.brackets")
     return LeibnizAlgebra.from_sparse(name, basis, integer_view(st))
 
 
 def _parse_action(doc, ctx, where):
     actor = _subobject(doc, "actor", "algebra", ctx, where)
     acted = _subobject(doc, "acted", "algebra", ctx, where)
-    left = _table(doc.get("left", {}), actor.basis_names, acted.basis_names,
-                  acted.basis_names, f"{where}.left")
-    right = _table(doc.get("right", {}), acted.basis_names, actor.basis_names,
-                   acted.basis_names, f"{where}.right")
+    a, n = _index(actor.basis_names), _index(acted.basis_names)
+    left = _table(doc.get("left", {}), a, n, n, f"{where}.left")
+    right = _table(doc.get("right", {}), n, a, n, f"{where}.right")
     den, (sl, sr) = integer_view((left, right), 3)
     return LeibnizAction.from_sparse(actor, acted, den, sl, sr)
 
@@ -264,13 +273,15 @@ def _subobject(doc, field, kind, ctx, where):
 
 def _unique_keys(where):
     """object_pairs_hook for json.loads that refuses a repeated key, which
-    the default hook would silently resolve to its last value."""
+    the default hook would silently resolve to its last value.  The dict is
+    built at once; only when it is shorter than the pairs are they scanned,
+    so the first repeated key is still the one named."""
     def hook(pairs):
-        doc = {}
-        for k, v in pairs:
-            if k in doc:
-                raise FixtureError(f"{where}: duplicate key {k!r}")
-            doc[k] = v
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            seen = set()
+            k = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise FixtureError(f"{where}: duplicate key {k!r}")
         return doc
     return hook
 

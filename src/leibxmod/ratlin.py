@@ -148,8 +148,8 @@ def _scaled(v, c: int) -> tuple:
 
 def _row(acc: dict) -> tuple:
     """The nonzero entries of an accumulator, as a sparse vector sorted
-    by index."""
-    return tuple(sorted((k, t) for k, t in acc.items() if t))
+    by index (filter reads the values in C, with no generator frame)."""
+    return tuple(sorted(filter(itemgetter(1), acc.items())))
 
 
 def accumulate(acc: dict, c, a, rows) -> None:

@@ -25,20 +25,22 @@ by the per-symbol scan; the resolved table is read the same way
 (``_brackets``), and its Leibniz identity is asserted too.
 
 The exterior product divides further by the glue, spanned from the
-pullback of the two structure maps over the shared base; for two equal
-crossed modules the pullback holds the diagonal, so the glue identifies
-the blocks.  From it the induced crossed module on the exterior squares,
-the evaluation maps onto the original pair, and the Schur multiplier
-(the kernel of that evaluation, taken once per matrix) are produced,
-each with its promised properties asserted.  The evaluations, id ^ delta
-and the maps a surjection induces descend through one helper
-(``_descend``): the ambient map must kill the relation rows, and is read
-at the free symbols, on int vectors.  The base action on the top square
-is read off the top evaluation (``_base_on_top``) and asserted to
-commute with it.  The squares (one for a (q, q, id) of any name) are the
-cached property ``squares`` of a crossed module (body ``_squares``), and
-the maps a surjection induces on them its cached ``square_maps``;
-nothing is memoized across objects.
+pullback of the two structure maps over the shared base, {(delta b, b)}
+read off delta when the first is the identity; for two equal crossed
+modules it holds the diagonal, so the glue identifies the blocks and, with
+the bracket action, holds the agreement rows and makes the block 1
+well-definedness tests mirrors of block 0's.  From it the induced
+crossed module on the exterior squares, the evaluation maps onto the
+original pair, and the Schur multiplier (the kernel of that evaluation,
+taken once per matrix) are produced, each with its promised properties
+asserted.  The evaluations, id ^ delta and the maps a surjection
+induces descend through one helper (``_descend``): the ambient map must
+kill the relation rows, and is read at the free symbols, on int vectors.
+The base action on the top square is read off the top evaluation
+(``_base_on_top``) and asserted to commute with it.  The squares (one
+for a (q, q, id) of any name) are the cached property ``squares`` of a
+crossed module (body ``_squares``), and the maps a surjection induces on
+them its cached ``square_maps``; nothing is memoized across objects.
 """
 
 from __future__ import annotations
@@ -303,16 +305,20 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str,
     int vectors sorted by index, zeros allowed), with the bracket asserted
     well-defined on it (_well_defined; a failure is named by the per-symbol
     scan, _scan) and the Leibniz identity asserted on the resolved algebra.
-    Only the brackets of the free symbols are projected into it."""
+    Only the brackets of the free symbols are projected into it.  Sides is 1
+    only for the square of equal crossed modules whose top acts on itself
+    by its bracket, whose glue, in extra_rows, holds t * t' - t *' t' for
+    every t, t' of m: there every w_i is (t_i, t_i), so each agreement row
+    t_i * t_j - t_i *' t_j is a glue row, and they are not generated."""
     for act, side in ((pair.m_on_n, "m on n"), (pair.n_on_m, "n on m")):
         rep = check_action(act)
         if not rep.valid:
             raise ValueError(f"invalid action ({side}) for {name}:\n{rep.summary()}")
     amb = 2 * pair.m.dim * pair.n.dim
-    rows = _action_rows(pair, sides) + _agreement_rows(pair) + [*extra_rows]
-    relations = Subspace.from_integer_rows(amb, rows)
+    rows = _action_rows(pair, sides) + (_agreement_rows(pair) if sides == 2 else [])
+    relations = Subspace.from_integer_rows(amb, rows + [*extra_rows])
     qmap = quotient(amb, relations)
-    if not _well_defined(pair, qmap):
+    if not _well_defined(pair, qmap, sides):
         _scan(pair, qmap, name)
         raise AssertionError(
             f"bracket of {name} fails the factored well-definedness test, "
@@ -330,7 +336,7 @@ def _build_presentation(pair: MutualActionPair, extra_rows, name: str,
     return QuotientPresentation(name, pair, amb, relations, resolved, qmap)
 
 
-def _well_defined(pair: MutualActionPair, qmap: QuotientMap) -> bool:
+def _well_defined(pair: MutualActionPair, qmap: QuotientMap, sides: int = 2) -> bool:
     """Whether [r, e_s] and [e_s, r] lie in the relation subspace R of qmap
     for every relation r and symbol s, tested on products of bases.
 
@@ -343,7 +349,11 @@ def _well_defined(pair: MutualActionPair, qmap: QuotientMap) -> bool:
     Everything runs on int twins: the primitive relation rows and the
     evaluations times den (see zevaluations), which scale every m part
     by den[0] and every n part by den[1], so every test vector by the
-    positive den[0] * den[1]; membership does not change."""
+    positive den[0] * den[1]; membership does not change.  With sides 1
+    (see _build_presentation) the rows for s in block 1 mirror those for s
+    in block 0, since both evaluation spans are [P, P] and G(r)_m = G(r)_n:
+    a row and its mirror differ by a glue row, in R, so block 0 alone is
+    tested."""
     dm, dn = pair.m.dim, pair.n.dim
     half = dm * dn
     ev, none = pair.zevaluations[1], ((),) * half
@@ -355,7 +365,7 @@ def _well_defined(pair: MutualActionPair, qmap: QuotientMap) -> bool:
     tests = _cross(dm, dn, _pair_basis(dm, dn, ls), pair.evaluation_basis)
     # [e_s, r] for s in block t: u of the span of ev[t][s] as part t of a pair,
     # v of part 1 - t of G(R), spanned once and only against a nonzero span
-    for t, du, dv in ((0, dm, dn), (1, dn, dm)):
+    for t, du, dv in ((0, dm, dn), (1, dn, dm))[:sides]:
         us = Subspace.from_integer_rows(du, ev[t][t * half:][:half]).zrows
         if us:
             vs = Subspace.from_integer_rows(dv, [g[1 - t] for g in gs]).zrows
@@ -414,13 +424,18 @@ def _glue(eta: CrossedModule, delta: CrossedModule) -> list:
     """The glue generators in the tensor ambient of eta.top and delta.top,
     as sorted int rows (zero rows kept): u * v' - v *' u' over pairs (u, v)
     of a basis of the pullback of the two structure maps over the shared
-    base (they are bilinear in the pairs, so that spans the glue)."""
+    base (they are bilinear in the pairs, so that spans the glue).  When
+    eta.delta is the identity, as for the (q, q, id) of every square and
+    one-leg span, the pullback is {(delta b, b)}: its basis (den delta e_j,
+    den e_j), den of delta's int columns, is read off them, not eliminated."""
     m, n = eta.top, delta.top
-    # the kernel of [eta.delta | -delta.delta], its int columns at one scale
     (de, ce), (dd, cd) = eta.delta.zcols, delta.delta.zcols
-    pullback = kernel(RatMatrix.from_sparse(eta.base.dim, (de * dd, tuple(
-        [_scaled(v, dd) for v in ce] + [_scaled(v, -de) for v in cd]))))
-    pairs = [_pair_parts(m.dim, w) for w in pullback.zrows]
+    if eta.delta == RatMatrix.identity(eta.base.dim):
+        pairs = [(v, ((j, dd),)) for j, v in enumerate(cd)]
+    else:  # the kernel of [eta.delta | -delta.delta], its int columns at one scale
+        pullback = kernel(RatMatrix.from_sparse(eta.base.dim, (de * dd, tuple(
+            [_scaled(v, dd) for v in ce] + [_scaled(v, -de) for v in cd]))))
+        pairs = [_pair_parts(m.dim, w) for w in pullback.zrows]
     return _cross(m.dim, n.dim, pairs, pairs, -1)
 
 
@@ -469,17 +484,23 @@ class ExteriorSquareData:
 
     @cached_property
     def multiplier(self) -> "tuple[CrossedModule, XModHom]":
-        """The evaluations' kernels as an abelian crossed module, with its inclusion."""
+        """The evaluations' kernels as an abelian crossed module, with its
+        inclusion.  When qq is qn and the induced crossed module is an
+        adjoint identity, kb is kt, and the base bracket and both actions
+        read [k, k'] on it: the base and action laws are the top's product
+        [K, K], evaluated once."""
         name, kt, kb = self.phi.target.name, kernel(self.lambda_n.matrix), kernel(self.mu_q.matrix)
         kts, kbs, act = kt.zbasis, kb.zbasis, self.action
+        one = self.qq is self.qn and is_adjoint_identity(self.induced_xmod)
         if _pairwise(self.qn.resolved.zst, kts, kts):
             raise AssertionError("multiplier top is not abelian")
-        if _pairwise(self.qq.resolved.zst, kbs, kbs):
+        if not one and _pairwise(self.qq.resolved.zst, kbs, kbs):
             raise AssertionError("multiplier base is not abelian")
         dcols = _restriction(kb, _images(self.id_wedge_delta.matrix.zcols, kts))
         if dcols is None:
             raise AssertionError("connecting map does not restrict to the multiplier")
-        if _pairwise((act.den, act.sl), kbs, kts) or _pairwise((act.den, act.sr), kts, kbs):
+        if not one and (_pairwise((act.den, act.sl), kbs, kts)
+                        or _pairwise((act.den, act.sr), kts, kbs)):
             raise AssertionError("multiplier action is not trivial")
         top = LeibnizAlgebra.abelian(f"M({name}).top", kt.dim,
                                      tuple(f"a{i+1}" for i in range(kt.dim)))

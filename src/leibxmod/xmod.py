@@ -32,7 +32,8 @@ module and homomorphism laws, like those of ``algebra``, cover every
 basis pair but are evaluated term by term over nonzero entries
 (``ratlin.join``), and each report is cached on the object it checks;
 the center is two kernels of sparse rows read off the integer twins, the
-base part one annihilator over the action and base tables.  A map's
+base part one annihilator over the action and base tables (one kernel for
+both parts of an adjoint identity, whose base rows are the top's).  A map's
 surjectivity and kernel pair read the same cached kernels of its maps,
 and the maps it induces on the squares are cached on it like the squares.
 """
@@ -136,11 +137,13 @@ class CrossedModule:
         """(n^q, st_q(n) & Z(q)): annihilated top part and annihilating center.
         n -> ^{q_i} n and n -> n^{q_i} contract the acted slot of sl and sr,
         q -> ^q n_j and q -> n_j^q their actor slot, and q -> [q, e_j] and q
-        -> [e_j, q] either slot of st: the base is one annihilator."""
+        -> [e_j, q] either slot of st: the base is one annihilator.  For an
+        adjoint identity sl = sr = st, so the base's row families are the
+        top's, each twice: one annihilator is both parts."""
         act, q = self.action, self.base
-        return SubPair(self, annihilator(self.top.dim, ((act.sl, "r."), (act.sr, ".r"))),
-                       annihilator(q.dim, ((act.sl, ".r"), (act.sr, "r."),
-                                           (q.zst[1], ".r"), (q.zst[1], "r."))))
+        top = annihilator(self.top.dim, ((act.sl, "r."), (act.sr, ".r")))
+        return SubPair(self, top, top if is_adjoint_identity(self) else annihilator(
+            q.dim, ((act.sl, ".r"), (act.sr, "r."), (q.zst[1], ".r"), (q.zst[1], "r."))))
 
     @cached_property
     def derived(self) -> "SubPair":

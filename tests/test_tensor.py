@@ -159,27 +159,29 @@ def test_tensor_bracket_well_defined_on_classes():
 
 
 def test_well_definedness_spans_each_projection_of_the_relations_once(monkeypatch):
-    # on the squares of (sl2, sl2, id): the basis of L(R), the two spans of
-    # the evaluations and the two projections of G(R), each once (a
-    # projection spanned again for every basis vector it was paired with
-    # made nine)
+    # on the squares of (sl2, sl2, id): the basis of L(R), the basis of W
+    # (first taken here now that the square builds no agreement rows), the
+    # span of the block 0 evaluations and the projection of G(R) onto n,
+    # each once; the block 1 tests mirror those modulo the glue, so their
+    # two spans are not taken (five before, W not counted; a projection
+    # spanned again for every basis vector it was paired with made nine)
     real_span, real_test, inside, spans = Subspace.from_integer_rows, tensor._well_defined, [], []
 
     def span(*args, **kwargs):
         spans.extend(inside)
         return real_span(*args, **kwargs)
 
-    def well_defined(pair, qmap):
+    def well_defined(pair, qmap, sides=2):
         inside.append(1)
         try:
-            return real_test(pair, qmap)
+            return real_test(pair, qmap, sides)
         finally:
             inside.pop()
 
     monkeypatch.setattr(Subspace, "from_integer_rows", span)
     monkeypatch.setattr(tensor, "_well_defined", well_defined)
     exterior_square_data(cli.load_fixture(FIXTURES / "sl2_id.xmod"))
-    assert len(spans) == 5
+    assert len(spans) == 4
 
 
 def test_tensor_resolved_matches_ambient_bracket():
@@ -480,7 +482,7 @@ def test_sweep_reports_symbol_times_relation(monkeypatch):
 def test_sweep_reports_a_failure_the_scan_does_not_name(monkeypatch):
     # the factored test and the per-symbol scan must agree; when only the
     # factored test fails, that disagreement is the failure
-    monkeypatch.setattr(tensor, "_well_defined", lambda pair, qmap: False)
+    monkeypatch.setattr(tensor, "_well_defined", lambda pair, qmap, sides=2: False)
     _raises_exactly(
         "bracket of probe fails the factored well-definedness test, but the "
         "scan finds no relation and symbol that escape the relation subspace",
@@ -494,7 +496,17 @@ def test_sweep_reports_a_failure_the_scan_does_not_name(monkeypatch):
     (4, "multiplier action is not trivial"),
 ])
 def test_multiplier_reports_each_law(monkeypatch, failing, message):
-    # the checks run top, base, left action, right action; the given one fails
+    # the checks run top, base, left action, right action; the given one
+    # fails.  n2pad is not an adjoint identity, so each law is a product of
+    # its own (it was (n2, n2, id), which now evaluates one product)
+    _failing_pairwise(monkeypatch, failing)
+    # a newly loaded crossed module, so its multiplier is computed afresh
+    _raises_exactly(message, schur_multiplier, cli.load_fixture(FIXTURES / "n2pad.xmod"))
+
+
+def _failing_pairwise(monkeypatch, failing) -> list:
+    """Make the failing-th product of the multiplier's laws nonzero; the
+    calls, in order."""
     calls = []
 
     def pairwise(*args):
@@ -502,8 +514,19 @@ def test_multiplier_reports_each_law(monkeypatch, failing, message):
         return [((0, 1),)] if len(calls) == failing else []
 
     monkeypatch.setattr(tensor, "_pairwise", pairwise)
-    # a new crossed module, so its multiplier is computed afresh
-    _raises_exactly(message, schur_multiplier, CrossedModule.adjoint_identity(n2()))
+    return calls
+
+
+def test_multiplier_of_an_adjoint_identity_evaluates_one_product(monkeypatch):
+    # on (n2, n2, id) the base bracket and both actions of the squares read
+    # the top's bracket on the one kernel: a fault in that product is named
+    # as the top's law, and a clean run evaluates it alone
+    _failing_pairwise(monkeypatch, 1)
+    _raises_exactly("multiplier top is not abelian", schur_multiplier,
+                    CrossedModule.adjoint_identity(n2()))
+    calls = _failing_pairwise(monkeypatch, 0)
+    schur_multiplier(CrossedModule.adjoint_identity(n2()))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("side, message", [

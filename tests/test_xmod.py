@@ -410,7 +410,8 @@ def test_abelian_predicates_that_disagree_exit_3(monkeypatch, capsys):
 @pytest.mark.parametrize("name", ["n2_id.xmod", "heis3_id.xmod", "n2pad.xmod"])
 def test_center_takes_four_eliminations(monkeypatch, name):
     # one annihilator per part: each a kernel, which eliminates its rows
-    # and then spans its basis
+    # and then spans its basis; an adjoint identity's base rows are its
+    # top's, so one annihilator is both parts (four before for every input)
     xm = cli.load_fixture(FIXTURES / name)
     expect, calls, real = ref_checks.center_xmod(xm), [], ratlin._eliminate
 
@@ -420,7 +421,7 @@ def test_center_takes_four_eliminations(monkeypatch, name):
 
     monkeypatch.setattr(ratlin, "_eliminate", counted)
     assert center_xmod(xm) == expect
-    assert len(calls) == 4
+    assert len(calls) == (4 if name == "n2pad.xmod" else 2)
 
 
 def _no_pairwise_and_no_full_basis(monkeypatch):
